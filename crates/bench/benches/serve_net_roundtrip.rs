@@ -1,7 +1,8 @@
 //! Measures the network serve path: full client-driver roundtrips over
-//! loopback (frame encode → socket → shard checkout → apply → ack),
-//! against the in-process serve mode as the no-socket baseline. The gap
-//! between the two is the wire tax per operation.
+//! loopback (frame encode → socket → shard executor queue → apply →
+//! ack), against the in-process serve mode — the same shards driven on
+//! the calling thread — as the no-socket baseline. The gap between the
+//! two is the wire and thread-handoff tax per operation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

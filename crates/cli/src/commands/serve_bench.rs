@@ -1,7 +1,6 @@
 //! `odbgc serve-bench` — benchmark the in-process multi-session serve
-//! mode: N sessions submit live operations against sharded engines, with
-//! collections on a background worker and a seeded deterministic
-//! scheduler.
+//! mode: N sessions submit live operations against sharded engines that
+//! collect between turns, under a seeded deterministic scheduler.
 
 use odbgc_sim::engine::{serve, ServeConfig, WorkloadParams};
 use odbgc_sim::{RunTelemetry, SimConfig};

@@ -124,8 +124,8 @@ canonical order, so GC worker count never changes results either.
 Everything is deterministic in --seed (default 1).
 
 serve-bench drives N live sessions (default 4) against engines sharded
-by partition group (default 2 shards), collections on a background GC
-worker, interleaved by a scheduler seeded with --sched-seed — the same
+by partition group (default 2 shards), each collecting between turns,
+interleaved by a scheduler seeded with --sched-seed — the same
 seed always reproduces the same schedule and per-shard results. With
 --telemetry it writes one run document per shard from the live decision
 log.

@@ -15,8 +15,8 @@
 //!   the same [`odbgc_core::RatePolicy`] observations — sourced from the
 //!   engine's live counters rather than a replayed trace;
 //! * the [`serve`] module runs N concurrent sessions against a store
-//!   sharded by partition group, with collections on a background worker
-//!   and a seeded deterministic scheduler.
+//!   sharded by partition group, each shard draining its due collections
+//!   between turns, under a seeded deterministic scheduler.
 //!
 //! The engine does not know about telemetry documents; it reports
 //! decisions through the [`EngineObserver`] trait, which the simulator's
@@ -43,9 +43,8 @@ pub use result::RunResult;
 pub use series::CollectionRecord;
 pub use serve::{
     apply_ops, serve, serve_replay, GcFault, ObjRef, ServeConfig, ServeError, ServeErrorKind,
-    ServeOutcome, ServeReplayError, SessionObjects, SessionOp, SessionWorkload, ShardEvent,
-    ShardHook, ShardOutcome, ShardSet, ShardStatus, ShardTurn, TurnApplied, TurnError,
-    TurnErrorKind, WorkloadParams,
+    ServeOutcome, ServeReplayError, SessionObjects, SessionOp, SessionWorkload, Shard,
+    ShardOutcome, TurnApplied, TurnError, TurnErrorKind, WorkloadParams,
 };
 pub use session::{
     Accessed, Created, OpError, Overwrote, RootAdded, RootRemoved, Session, SessionId,

@@ -1,15 +1,16 @@
-//! In-process multi-session serve mode, and the shard substrate the
-//! network front-end (`odbgc-net`) dispatches onto.
+//! In-process multi-session serve mode, and the [`Shard`] the network
+//! front-end (`odbgc-net`) runs turns on.
 //!
-//! N sessions submit operations concurrently against a set of engine
-//! shards (each shard owns one store, collector, and policy), packaged
-//! here as a [`ShardSet`]: per-shard `Mutex`/`Condvar` slots plus one
-//! background GC worker thread per shard. Drivers check a shard out
-//! ([`ShardSet::checkout`]), apply one turn of operations, and hand the
-//! shard back ([`ShardTurn::finish`]); if the shard's trigger is then
-//! due, its GC worker collects before the next turn can start, so
-//! collections land at deterministic points in each shard's operation
-//! stream.
+//! A [`Shard`] is one store, collector and policy (a [`StoreEngine`] in
+//! deferred-collection mode), its decision log, and a failure latch. It
+//! is a plain owned value with exactly one owner per mode: [`serve`] and
+//! [`serve_replay`] hold their shards on the calling thread; `odbgc-net`
+//! moves each shard into that shard's executor thread. The owner applies
+//! one turn of operations ([`Shard::turn`]) and then drains every due
+//! collection ([`Shard::collect_due`]) before it starts the shard's next
+//! turn — the order the paper's simulator uses between two application
+//! events — so collections land at deterministic points in each shard's
+//! operation stream with no lock, flag or second thread to enforce it.
 //!
 //! Operations are plain data ([`SessionOp`]) that name objects by
 //! *creation index* within the issuing session ([`ObjRef`]), not by raw
@@ -18,13 +19,11 @@
 //! lets the same [`SessionWorkload`] drive the in-process scheduler here
 //! and the wire protocol in `odbgc-net` with identical semantics.
 //!
-//! Failure is typed, never a panic cascade: a GC worker that panics is
-//! caught (`catch_unwind`), its payload captured, and its shard marked
-//! failed — subsequent checkouts return a [`ServeError`] naming the
-//! panic while every other shard keeps serving and drains cleanly. A
-//! poisoned shard mutex (only possible if a *driver* thread panics while
-//! holding a turn) is likewise recovered into a clean [`ServeError`]
-//! instead of an opaque double panic.
+//! Failure is typed, never a panic cascade: turns and collections run
+//! under `catch_unwind`; a panic in either is captured with its payload
+//! and latches the shard failed — every later turn on it returns a
+//! [`ServeError`] naming the panic and its engine is not touched again —
+//! while every other shard keeps serving and drains cleanly.
 //!
 //! [`serve_replay`] is the degenerate configuration — one shard, one
 //! session, batch size one — used to prove the serve path is faithful:
@@ -32,8 +31,6 @@
 //! replay of the same trace.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 use odbgc_core::RatePolicy;
 use odbgc_trace::{Event, ObjectId, SlotIdx, Trace};
@@ -392,8 +389,8 @@ impl SessionWorkload {
 // Errors
 // ---------------------------------------------------------------------
 
-/// A serve-mode failure, always typed — worker panics and poisoned locks
-/// are recovered into this, never re-thrown.
+/// A serve-mode failure, always typed — a panic on a shard is caught and
+/// recovered into this, never re-thrown.
 #[derive(Debug)]
 pub struct ServeError {
     /// The shard the failure occurred on.
@@ -403,41 +400,36 @@ pub struct ServeError {
 }
 
 /// The ways a serve run can fail.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ServeErrorKind {
     /// A session operation failed (the store's complaint, typed).
     Op(OpError),
     /// An operation stream named an unknown creation index.
     Turn(TurnError),
-    /// The shard's GC worker panicked; the payload is captured here and
-    /// the shard stops serving, while other shards continue.
+    /// The shard panicked while collecting; the payload is captured here
+    /// and the shard stops serving, while other shards continue.
     WorkerPanic(String),
-    /// The shard's mutex was poisoned by a driver-thread panic and the
-    /// shard's state can no longer be trusted.
-    PoisonedLock,
-    /// A GC worker thread could not be spawned.
-    Spawn(String),
+    /// The shard panicked while applying a turn; captured and latched
+    /// the same way.
+    TurnPanic(String),
+}
+
+/// Renders the failure without its shard; for the two panic kinds this
+/// is the notice [`ShardOutcome::failed`] carries.
+impl std::fmt::Display for ServeErrorKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeErrorKind::Op(op) => write!(f, "{op}"),
+            ServeErrorKind::Turn(t) => write!(f, "{t}"),
+            ServeErrorKind::WorkerPanic(msg) => write!(f, "GC worker panicked: {msg}"),
+            ServeErrorKind::TurnPanic(msg) => write!(f, "turn panicked: {msg}"),
+        }
+    }
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.kind {
-            ServeErrorKind::Op(op) => write!(f, "shard {}: {op}", self.shard),
-            ServeErrorKind::Turn(t) => write!(f, "shard {}: {t}", self.shard),
-            ServeErrorKind::WorkerPanic(msg) => {
-                write!(f, "shard {}: GC worker panicked: {msg}", self.shard)
-            }
-            ServeErrorKind::PoisonedLock => {
-                write!(
-                    f,
-                    "shard {}: shard lock poisoned by a panicked driver",
-                    self.shard
-                )
-            }
-            ServeErrorKind::Spawn(msg) => {
-                write!(f, "shard {}: cannot spawn GC worker: {msg}", self.shard)
-            }
-        }
+        write!(f, "shard {}: {}", self.shard, self.kind)
     }
 }
 
@@ -487,406 +479,138 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Shard set
+// Shard
 // ---------------------------------------------------------------------
 
-/// A notification fired by a shard's background GC worker, for
-/// front-ends that must observe shard progress without taking the shard
-/// mutex (the network event loop serves `Stats` from a lock-free cache
-/// fed by these).
-///
-/// Events fire on the GC worker's thread after it has released the shard
-/// lock, so a hook may do small bookkeeping (atomics, a short mutex) but
-/// must never block on the shard it is being told about.
-#[derive(Debug, Clone)]
-pub enum ShardEvent {
-    /// A collection drain completed; `collections` is the shard's new
-    /// lifetime total.
-    Collected {
-        /// The shard that collected.
-        shard: usize,
-        /// Collections the shard has now completed.
-        collections: u64,
-    },
-    /// The shard stopped serving. `message` is formatted exactly as
-    /// [`ShardStatus::failed`] reports it, so caches built from events
-    /// and snapshots built from [`ShardSet::status`] agree byte-wise.
-    Failed {
-        /// The shard that died.
-        shard: usize,
-        /// The failure notice.
-        message: String,
-    },
-}
-
-/// A shard-event observer shared with every GC worker of a
-/// [`ShardSet`].
-pub type ShardHook = Arc<dyn Fn(&ShardEvent) + Send + Sync>;
-
-/// One shard's progress snapshot, from [`ShardSet::status`].
-#[derive(Debug, Clone)]
-pub struct ShardStatus {
-    /// Collections the shard has completed.
-    pub collections: u64,
-    /// The shard's failure notice, if it has stopped serving.
-    pub failed: Option<String>,
-}
-
-/// Kill-one-GC-worker fault injection: the named shard's worker panics
-/// when it is asked to collect after the shard has completed
-/// `after_collections` collections. For robustness tests — proves a
-/// worker death surfaces as a typed [`ServeError`] while other shards
-/// drain cleanly.
+/// Kill-one-collection fault injection: the named shard panics when it
+/// is asked to collect after it has completed `after_collections`
+/// collections. For robustness tests — proves a death while collecting
+/// surfaces as a typed [`ServeError`] while other shards drain cleanly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcFault {
-    /// The shard whose worker dies.
+    /// The shard whose collection dies.
     pub shard: u32,
     /// Collections the shard completes before the fault fires.
     pub after_collections: u64,
 }
 
-/// One shard's shared state: the engine (in deferred mode), its decision
-/// log, the "collection pending" flag the drivers and GC worker hand off
-/// through, and the failure latch.
-struct ShardState {
+/// One engine shard: the engine (in deferred mode), its decision log,
+/// and the failure latch. Owned by exactly one thread at a time; see the
+/// module docs for who that is in each mode.
+pub struct Shard {
+    index: usize,
     engine: StoreEngine,
     log: DecisionLog,
-    collecting: bool,
-    shutdown: bool,
-    /// Set when the shard's GC worker panicked (payload) or its mutex
-    /// was poisoned; a failed shard refuses further checkouts.
-    failed: Option<ServeFailure>,
+    /// Set when this shard is the one a [`GcFault`] names.
+    fault: Option<GcFault>,
+    /// Set by a panic in a turn or a collection. A failed shard refuses
+    /// further turns and collections; its engine is only read again by
+    /// [`Shard::into_outcome`].
+    failed: Option<ServeErrorKind>,
 }
 
-#[derive(Debug, Clone)]
-enum ServeFailure {
-    WorkerPanic(String),
-    Poisoned,
-}
-
-impl ServeFailure {
-    fn to_kind(&self) -> ServeErrorKind {
-        match self {
-            ServeFailure::WorkerPanic(msg) => ServeErrorKind::WorkerPanic(msg.clone()),
-            ServeFailure::Poisoned => ServeErrorKind::PoisonedLock,
-        }
-    }
-}
-
-struct Slot {
-    state: Mutex<ShardState>,
-    cv: Condvar,
-}
-
-/// Locks a slot, recovering a poisoned mutex into the failure latch:
-/// poisoning means some *driver* thread panicked while holding a turn,
-/// so the shard is marked failed rather than propagating the panic.
-fn lock_recover(slot: &Slot) -> MutexGuard<'_, ShardState> {
-    match slot.state.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            let mut guard = poisoned.into_inner();
-            if guard.failed.is_none() {
-                guard.failed = Some(ServeFailure::Poisoned);
-            }
-            guard
-        }
-    }
-}
-
-/// A set of engine shards with one background GC worker each.
-///
-/// This is the substrate both [`serve`] (in-process scheduler) and the
-/// `odbgc-net` socket front-end dispatch onto. Shards are addressed by
-/// index; session `i` conventionally maps to shard `i % shard_count`.
-pub struct ShardSet {
-    slots: Vec<Arc<Slot>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ShardSet {
-    /// Builds `shard_count` shards from per-shard engine configs and
-    /// policies, and spawns one GC worker thread per shard.
-    /// `make_policy` is called once per shard with the shard index.
+impl Shard {
+    /// Builds shard `index` over a fresh engine. Session `i`
+    /// conventionally maps to shard `i % shard_count`.
     pub fn new(
+        index: usize,
         engine: &EngineConfig,
-        shard_count: usize,
-        make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
+        policy: Box<dyn RatePolicy + Send>,
         fault: Option<GcFault>,
-    ) -> Result<ShardSet, ServeError> {
-        ShardSet::with_hook(engine, shard_count, make_policy, fault, None)
-    }
-
-    /// [`ShardSet::new`], with an optional [`ShardHook`] every GC worker
-    /// fires after completing a collection drain or dying — the
-    /// completion-notification channel the network event loop uses to
-    /// keep shard status observable without touching shard mutexes.
-    pub fn with_hook(
-        engine: &EngineConfig,
-        shard_count: usize,
-        mut make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
-        fault: Option<GcFault>,
-        hook: Option<ShardHook>,
-    ) -> Result<ShardSet, ServeError> {
-        let shard_count = shard_count.max(1);
-        let slots: Vec<Arc<Slot>> = (0..shard_count)
-            .map(|i| {
-                let mut eng = StoreEngine::new(engine.clone(), make_policy(i as u32));
-                eng.set_collect_mode(CollectMode::Deferred);
-                Arc::new(Slot {
-                    state: Mutex::new(ShardState {
-                        engine: eng,
-                        log: DecisionLog::default(),
-                        collecting: false,
-                        shutdown: false,
-                        failed: None,
-                    }),
-                    cv: Condvar::new(),
-                })
-            })
-            .collect();
-        let mut workers = Vec::with_capacity(shard_count);
-        for (i, slot) in slots.iter().enumerate() {
-            let slot = Arc::clone(slot);
-            let hook = hook.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("odbgc-gc-{i}"))
-                .spawn(move || gc_worker(&slot, i, fault, hook.as_deref()))
-                .map_err(|e| ServeError {
-                    shard: i,
-                    kind: ServeErrorKind::Spawn(e.to_string()),
-                })?;
-            workers.push(handle);
+    ) -> Shard {
+        let mut engine = StoreEngine::new(engine.clone(), policy);
+        engine.set_collect_mode(CollectMode::Deferred);
+        Shard {
+            index,
+            engine,
+            log: DecisionLog::default(),
+            fault: fault.filter(|f| f.shard as usize == index),
+            failed: None,
         }
-        Ok(ShardSet { slots, workers })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Checks a shard out for one turn of operations, waiting for any
-    /// in-flight collection to finish first. The wait time is recorded
-    /// on the returned turn as GC-stall time (per-client accounting on
-    /// the network path).
+    /// Runs one turn: `f` gets a session on this shard whose decisions
+    /// feed the shard's log. The caller follows it with
+    /// [`Shard::collect_due`] before the shard's next turn.
     ///
-    /// Fails — without panicking — when the shard's GC worker has died
-    /// or its mutex was poisoned.
-    pub fn checkout(&self, shard: usize) -> Result<ShardTurn<'_>, ServeError> {
-        let slot = &self.slots[shard];
-        let start = std::time::Instant::now();
-        let mut guard = lock_recover(slot);
-        while guard.collecting && guard.failed.is_none() {
-            guard = match slot.cv.wait(guard) {
-                Ok(g) => g,
-                Err(poisoned) => {
-                    let mut g = poisoned.into_inner();
-                    if g.failed.is_none() {
-                        g.failed = Some(ServeFailure::Poisoned);
-                    }
-                    g
-                }
-            };
+    /// Fails — without panicking — when the shard has already failed, or
+    /// when `f` panics, which latches the shard failed with the payload.
+    pub fn turn<T>(
+        &mut self,
+        session: SessionId,
+        f: impl FnOnce(&mut Session<'_>) -> T,
+    ) -> Result<T, ServeError> {
+        if let Some(err) = self.failure() {
+            return Err(err);
         }
-        if let Some(failure) = &guard.failed {
-            return Err(ServeError {
-                shard,
-                kind: failure.to_kind(),
-            });
-        }
-        Ok(ShardTurn {
-            slot,
-            shard,
-            gc_stall: start.elapsed(),
-            guard,
+        let (engine, log) = (&mut self.engine, &mut self.log);
+        catch_unwind(AssertUnwindSafe(|| {
+            f(&mut engine.session_with(session, Some(log)))
+        }))
+        .map_err(|payload| {
+            let kind = ServeErrorKind::TurnPanic(panic_message(payload));
+            self.failed = Some(kind.clone());
+            ServeError {
+                shard: self.index,
+                kind,
+            }
         })
     }
 
-    /// A snapshot of every shard's progress: completed collections and
-    /// the failure notice if the shard has died. Does not wait for
-    /// in-flight collections (collection counts may lag by the one in
-    /// flight), so it is safe to call from an admin path while turns
-    /// are being served.
-    pub fn status(&self) -> Vec<ShardStatus> {
-        self.slots
-            .iter()
-            .map(|slot| {
-                let st = lock_recover(slot);
-                ShardStatus {
-                    collections: st.engine.collection_count(),
-                    failed: st.failed.as_ref().map(|f| match f {
-                        ServeFailure::WorkerPanic(msg) => format!("GC worker panicked: {msg}"),
-                        ServeFailure::Poisoned => "shard lock poisoned".to_owned(),
-                    }),
-                }
-            })
-            .collect()
-    }
-
-    /// Shuts every shard down: waits for in-flight collections to
-    /// drain, stops the GC workers, and consumes the set into per-shard
-    /// outcomes (failed shards report their captured failure).
-    pub fn shutdown(self) -> Vec<ShardOutcome> {
-        self.shutdown_with(|_| Vec::new())
-    }
-
-    /// [`ShardSet::shutdown`], with trace phase markers supplied per
-    /// shard for the outcome's [`RunResult`] (replay drivers record
-    /// these; live workloads have none).
-    pub fn shutdown_with(
-        self,
-        mut phases: impl FnMut(usize) -> Vec<(String, u64, u64)>,
-    ) -> Vec<ShardOutcome> {
-        for slot in &self.slots {
-            let mut st = lock_recover(slot);
-            st.shutdown = true;
-            drop(st);
-            slot.cv.notify_all();
+    /// Drains the shard's trigger if it is due: collects until the
+    /// (re-armed) trigger is satisfied. Policies clamp triggers to ≥ 1
+    /// elapsed unit, so this runs at most one real collection plus
+    /// possible no-partition re-arms. Returns whether the trigger was
+    /// due.
+    ///
+    /// A panic inside the drain — including an injected [`GcFault`] — is
+    /// caught and latches the shard failed.
+    pub fn collect_due(&mut self) -> bool {
+        if self.failed.is_some() || !self.engine.collection_due() {
+            return false;
         }
-        for worker in self.workers {
-            // The worker catches its own panics (recording them in the
-            // failure latch), so join errors cannot carry a payload we
-            // would lose; a join failure is itself a worker death.
-            let _ = worker.join();
-        }
-        self.slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let slot = Arc::try_unwrap(slot).unwrap_or_else(|_| {
-                    unreachable!("shard {i}: workers joined, no checkout can outlive the set")
-                });
-                let state = slot
-                    .state
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let gc_workers = state.engine.gc_workers();
-                let sched = state.engine.sched_totals();
-                ShardOutcome {
-                    policy: state.engine.policy_name(),
-                    result: state.engine.into_result(phases(i)),
-                    decisions: state.log.decisions,
-                    gc_workers,
-                    sched,
-                    failed: state.failed.map(|f| match f {
-                        ServeFailure::WorkerPanic(msg) => format!("GC worker panicked: {msg}"),
-                        ServeFailure::Poisoned => "shard lock poisoned".to_owned(),
-                    }),
-                }
-            })
-            .collect()
-    }
-}
-
-/// One checked-out turn on a shard: exclusive access to the shard's
-/// engine and decision log until [`ShardTurn::finish`] hands it back.
-pub struct ShardTurn<'a> {
-    slot: &'a Slot,
-    shard: usize,
-    /// How long the checkout waited for an in-flight collection.
-    pub gc_stall: Duration,
-    guard: MutexGuard<'a, ShardState>,
-}
-
-impl ShardTurn<'_> {
-    /// The shard index.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The shard's engine and decision log, split for simultaneous
-    /// borrowing (sessions observe into the log).
-    pub fn parts(&mut self) -> (&mut StoreEngine, &mut DecisionLog) {
-        let state = &mut *self.guard;
-        (&mut state.engine, &mut state.log)
-    }
-
-    /// A session on this shard whose decisions feed the shard's log.
-    pub fn session(&mut self, id: SessionId) -> Session<'_> {
-        let state = &mut *self.guard;
-        state.engine.session_with(id, Some(&mut state.log))
-    }
-
-    /// Finishes the turn: if the shard's trigger is now due, hands the
-    /// shard to its GC worker (the next checkout waits until the
-    /// collection completes). Returns whether a collection was handed
-    /// off.
-    pub fn finish(mut self) -> bool {
-        let due = self.guard.engine.collection_due();
-        if due {
-            self.guard.collecting = true;
-        }
-        drop(self.guard);
-        if due {
-            self.slot.cv.notify_all();
-        }
-        due
-    }
-}
-
-/// The per-shard GC worker loop: waits for a collection handoff, drains
-/// the (re-armed) trigger, and hands the shard back. Panics inside the
-/// drain — including injected faults — are caught and recorded in the
-/// shard's failure latch; the mutex is never poisoned by this thread
-/// because the guard outlives the unwind.
-fn gc_worker(
-    slot: &Slot,
-    shard: usize,
-    fault: Option<GcFault>,
-    hook: Option<&(dyn Fn(&ShardEvent) + Send + Sync)>,
-) {
-    loop {
-        let mut st = lock_recover(slot);
-        while !st.collecting && !st.shutdown {
-            st = match slot.cv.wait(st) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-        if !st.collecting {
-            // Shutdown with nothing pending.
-            return;
-        }
-        let fault_due = fault.is_some_and(|f| {
-            f.shard as usize == shard && st.engine.collection_count() >= f.after_collections
-        });
-        let state = &mut *st;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let fault_due = self
+            .fault
+            .is_some_and(|f| self.engine.collection_count() >= f.after_collections);
+        let (engine, log, index) = (&mut self.engine, &mut self.log, self.index);
+        let drained = catch_unwind(AssertUnwindSafe(|| {
             if fault_due {
-                panic!("injected GC worker fault on shard {shard}");
+                panic!("injected GC worker fault on shard {index}");
             }
-            // Drain: collect until the (re-armed) trigger is satisfied.
-            // Policies clamp triggers to ≥ 1 elapsed unit, so this runs
-            // at most one real collection plus possible no-partition
-            // re-arms.
-            while state.engine.collect_if_due(Some(&mut state.log)).is_some() {}
+            while engine.collect_if_due(Some(log)).is_some() {}
         }));
-        st.collecting = false;
-        let died = outcome.is_err();
-        let event = match outcome {
-            Ok(()) => ShardEvent::Collected {
-                shard,
-                collections: st.engine.collection_count(),
-            },
-            Err(payload) => {
-                let message = panic_message(payload);
-                st.failed = Some(ServeFailure::WorkerPanic(message.clone()));
-                ShardEvent::Failed {
-                    shard,
-                    message: format!("GC worker panicked: {message}"),
-                }
-            }
-        };
-        drop(st);
-        slot.cv.notify_all();
-        // Fired after the lock is released: a hook can never extend the
-        // window during which checkouts are stalled behind this drain.
-        if let Some(hook) = hook {
-            hook(&event);
+        if let Err(payload) = drained {
+            self.failed = Some(ServeErrorKind::WorkerPanic(panic_message(payload)));
         }
-        if died {
-            return;
+        true
+    }
+
+    /// Collections the shard has completed.
+    pub fn collection_count(&self) -> u64 {
+        self.engine.collection_count()
+    }
+
+    /// The error every turn on this shard now gets, if it has failed.
+    pub fn failure(&self) -> Option<ServeError> {
+        self.failed.clone().map(|kind| ServeError {
+            shard: self.index,
+            kind,
+        })
+    }
+
+    /// Consumes the shard into its outcome. `phases` are the trace phase
+    /// markers for the outcome's [`RunResult`] (replay drivers record
+    /// these; live workloads have none).
+    pub fn into_outcome(self, phases: Vec<(String, u64, u64)>) -> ShardOutcome {
+        let gc_workers = self.engine.gc_workers();
+        let sched = self.engine.sched_totals();
+        ShardOutcome {
+            policy: self.engine.policy_name(),
+            result: self.engine.into_result(phases),
+            decisions: self.log.decisions,
+            gc_workers,
+            sched,
+            failed: self.failed.map(|kind| kind.to_string()),
         }
     }
 }
@@ -914,7 +638,7 @@ pub struct ServeConfig {
     pub scheduler_seed: u64,
     /// The synthetic workload sessions run.
     pub workload: WorkloadParams,
-    /// Optional kill-one-GC-worker fault injection (robustness tests).
+    /// Optional kill-one-collection fault injection (robustness tests).
     pub gc_fault: Option<GcFault>,
 }
 
@@ -950,8 +674,8 @@ pub struct ShardOutcome {
     /// collection counts are deterministic; busy times and steal counts
     /// are volatile.
     pub sched: odbgc_gc::SchedTotals,
-    /// Why the shard stopped serving early, if it did (captured GC
-    /// worker panic payload or poisoned-lock notice).
+    /// Why the shard stopped serving early, if it did (the captured
+    /// panic, rendered as [`ServeErrorKind`] displays it).
     pub failed: Option<String>,
 }
 
@@ -971,31 +695,31 @@ pub struct ServeOutcome {
     pub failures: Vec<ServeError>,
 }
 
-/// Runs a multi-session serve workload to completion.
+/// Runs a multi-session serve workload to completion on the calling
+/// thread.
 ///
 /// `make_policy` is called once per shard with the shard index. The
-/// scheduler thread picks among sessions with remaining work using an
-/// RNG seeded from [`ServeConfig::scheduler_seed`], applies one batch of
-/// that session's operations against its shard, and — if the shard's
-/// trigger is then due — hands the shard to its GC worker thread, which
-/// collects until the trigger is satisfied. The scheduler never touches
-/// a shard while it is collecting, so collections land at deterministic
-/// points in each shard's operation stream.
+/// scheduler picks among sessions with remaining work using an RNG
+/// seeded from [`ServeConfig::scheduler_seed`], applies one batch of
+/// that session's operations against its shard, and then drains the
+/// shard's trigger if the turn left it due, so collections land at
+/// deterministic points in each shard's operation stream.
 ///
 /// A failing session *operation* aborts the run with that error. A
-/// failing *shard* (GC worker panic, poisoned lock) does not: its
+/// failing *shard* (a panic in a turn or a collection) does not: its
 /// sessions stop, the failure is recorded in
 /// [`ServeOutcome::failures`], and every other shard drains cleanly.
 pub fn serve(
     config: ServeConfig,
-    make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
+    mut make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
 ) -> Result<ServeOutcome, ServeError> {
     let sessions = config.sessions.max(1) as usize;
     let shard_count = (config.shards.max(1) as usize).min(sessions);
     let batch = config.batch.max(2);
 
-    let set = ShardSet::new(&config.engine, shard_count, make_policy, config.gc_fault)?;
-
+    let mut shards: Vec<Shard> = (0..shard_count)
+        .map(|i| Shard::new(i, &config.engine, make_policy(i as u32), config.gc_fault))
+        .collect();
     let mut workloads: Vec<SessionWorkload> = (0..sessions)
         .map(|i| SessionWorkload::new(i as u32, config.workload, config.ops_per_session))
         .collect();
@@ -1003,148 +727,104 @@ pub fn serve(
     let mut per_session_ops = vec![0u64; sessions];
     let mut schedule: Vec<u32> = Vec::new();
     let mut failures: Vec<ServeError> = Vec::new();
-    let mut failed_shards = vec![false; shard_count];
 
     let mut rng = StdRng::seed_from_u64(config.scheduler_seed);
     let mut active: Vec<usize> = (0..sessions).collect();
-    let mut fatal: Option<ServeError> = None;
     while !active.is_empty() {
         let k = rng.random_range(0..active.len());
         let si = active[k];
         let shard_i = si % shard_count;
-        let mut turn = match set.checkout(shard_i) {
-            Ok(turn) => turn,
-            Err(err) => {
-                // The shard is gone (worker panic / poisoned lock):
-                // record the typed failure once and retire every
-                // session mapped to it; other shards keep draining.
-                if !failed_shards[shard_i] {
-                    failed_shards[shard_i] = true;
-                    failures.push(err);
-                }
-                active.retain(|&s| s % shard_count != shard_i);
-                continue;
-            }
-        };
-        let ops = workloads[si].next_turn(batch);
-        let mut sess = turn.session(SessionId::new(si as u32));
-        match apply_ops(&mut sess, &mut objects[si], &ops) {
-            Ok(applied) => {
+        let shard = &mut shards[shard_i];
+        let turn = shard.turn(SessionId::new(si as u32), |sess| {
+            let ops = workloads[si].next_turn(batch);
+            apply_ops(sess, &mut objects[si], &ops)
+        });
+        match turn {
+            Ok(Ok(applied)) => {
                 per_session_ops[si] += applied.applied;
                 schedule.push(si as u32);
             }
-            Err(err) => {
-                // A session op the store rejects is fatal to the run —
-                // but the set still shuts down cleanly below, so worker
-                // threads never outlive the call.
-                fatal = Some(ServeError {
+            // A session op the store rejects is fatal to the run.
+            Ok(Err(err)) => {
+                return Err(ServeError {
                     shard: shard_i,
                     kind: match err.kind.clone() {
                         TurnErrorKind::Op(op) => ServeErrorKind::Op(op),
                         TurnErrorKind::UnknownRef { .. } => ServeErrorKind::Turn(err),
                     },
                 });
-                break;
+            }
+            Err(err) => {
+                // The shard is gone: record the typed failure (once —
+                // its sessions never come up again) and retire every
+                // session mapped to it; other shards keep draining.
+                failures.push(err);
+                active.retain(|&s| s % shard_count != shard_i);
+                continue;
             }
         }
-        turn.finish();
+        shard.collect_due();
         if workloads[si].remaining() == 0 {
             active.swap_remove(k);
         }
     }
 
-    let shards = set.shutdown();
-    if let Some(err) = fatal {
-        return Err(err);
-    }
     Ok(ServeOutcome {
         per_session_ops,
         schedule,
-        shards,
+        shards: shards
+            .into_iter()
+            .map(|shard| shard.into_outcome(Vec::new()))
+            .collect(),
         failures,
     })
 }
 
 /// Replays a trace through the serve path: one shard, one session,
-/// batch size one, collections on the GC worker thread.
+/// batch size one, collections deferred to the end of each turn.
 ///
 /// Produces a [`RunResult`] byte-identical to the simulator's inline
 /// replay of the same trace under the same configuration and policy:
-/// the driver applies exactly one event per turn and then waits for
-/// any due collection to finish before the next event, so collections
-/// fall between the same pair of events as in the inline loop, and the
-/// worker's drain loop degenerates to the inline single check (fresh
-/// triggers are clamped to ≥ 1 elapsed unit, so a second iteration
-/// never fires a real collection).
+/// the driver applies exactly one event per turn and then drains any
+/// due collection before the next event, so collections fall between
+/// the same pair of events as in the inline loop, and the drain loop
+/// degenerates to the inline single check (fresh triggers are clamped
+/// to ≥ 1 elapsed unit, so a second iteration never fires a real
+/// collection).
 pub fn serve_replay<P: RatePolicy + Send + 'static>(
     config: EngineConfig,
     trace: &Trace,
     policy: P,
 ) -> Result<RunResult, ServeReplayError> {
-    let mut policy = Some(policy);
-    let set = ShardSet::new(
-        &config,
-        1,
-        move |_| {
-            Box::new(
-                policy
-                    .take()
-                    .unwrap_or_else(|| unreachable!("serve_replay builds exactly one shard")),
-            )
-        },
-        None,
-    )
-    .map_err(|cause| ServeReplayError {
-        event_index: 0,
-        cause,
-    })?;
-
+    let mut shard = Shard::new(0, &config, Box::new(policy), None);
     let mut phases: Vec<(String, u64, u64)> = Vec::new();
-    let mut fatal: Option<ServeReplayError> = None;
     for (i, ev) in trace.iter().enumerate() {
-        let mut turn = match set.checkout(0) {
-            Ok(turn) => turn,
-            Err(cause) => {
-                fatal = Some(ServeReplayError {
-                    event_index: i as u64,
-                    cause,
-                });
-                break;
-            }
+        let fail = |cause| ServeReplayError {
+            event_index: i as u64,
+            cause,
         };
         if let Event::Phase { id } = ev {
             let name = trace.phase_name(*id).unwrap_or("<unknown>").to_owned();
-            let (engine, _) = turn.parts();
-            phases.push((name, i as u64, engine.collection_count()));
+            phases.push((name, i as u64, shard.collection_count()));
         }
-        if let Err(cause) = turn.session(SessionId::new(0)).apply_event(ev) {
-            fatal = Some(ServeReplayError {
-                event_index: i as u64,
-                cause: ServeError {
+        shard
+            .turn(SessionId::new(0), |sess| sess.apply_event(ev))
+            .map_err(fail)?
+            .map_err(|op| {
+                fail(ServeError {
                     shard: 0,
-                    kind: ServeErrorKind::Op(cause),
-                },
-            });
-            break;
-        }
-        turn.finish();
+                    kind: ServeErrorKind::Op(op),
+                })
+            })?;
+        shard.collect_due();
     }
-
-    let mut shards = set.shutdown_with(|_| std::mem::take(&mut phases));
-    if let Some(err) = fatal {
-        return Err(err);
-    }
-    let shard = shards.remove(0);
-    if let Some(failure) = shard.failed {
-        return Err(ServeReplayError {
+    match shard.failure() {
+        Some(cause) => Err(ServeReplayError {
             event_index: trace.len() as u64,
-            cause: ServeError {
-                shard: 0,
-                kind: ServeErrorKind::WorkerPanic(failure),
-            },
-        });
+            cause,
+        }),
+        None => Ok(shard.into_outcome(phases).result),
     }
-    Ok(shard.result)
 }
 
 #[cfg(test)]
@@ -1291,67 +971,51 @@ mod tests {
     }
 
     #[test]
-    fn shard_hook_sees_every_collection_and_the_failure() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        // Drive one shard directly and record what the hook observes.
-        let collected = Arc::new(AtomicU64::new(0));
-        let failed = Arc::new(Mutex::new(None::<String>));
-        let hook: ShardHook = {
-            let collected = Arc::clone(&collected);
-            let failed = Arc::clone(&failed);
-            Arc::new(move |ev| match ev {
-                ShardEvent::Collected { collections, .. } => {
-                    collected.store(*collections, Ordering::SeqCst);
-                }
-                ShardEvent::Failed { message, .. } => {
-                    *failed.lock().unwrap() = Some(message.clone());
-                }
-            })
-        };
-        let set = ShardSet::with_hook(
-            &EngineConfig::tiny(),
-            1,
-            |_| Box::new(FixedRatePolicy::new(20)),
-            Some(GcFault {
+    fn gc_fault_on_a_later_collection_keeps_the_earlier_ones() {
+        // The fault fires when shard 0 is asked for its second
+        // collection: the first is in its RunResult and decision log,
+        // nothing after the failure is.
+        let config = ServeConfig {
+            gc_fault: Some(GcFault {
                 shard: 0,
                 after_collections: 1,
             }),
-            Some(hook),
-        )
-        .expect("shard set");
-        let mut workload = SessionWorkload::new(0, WorkloadParams::default(), 2_000);
-        let mut objects = SessionObjects::new();
-        loop {
-            let turn = workload.next_turn(8);
-            if turn.is_empty() {
-                break;
-            }
-            let mut checked_out = match set.checkout(0) {
-                Ok(t) => t,
-                Err(_) => break, // the injected fault fired
-            };
-            let mut sess = checked_out.session(SessionId::new(0));
-            apply_ops(&mut sess, &mut objects, &turn).expect("turn applies");
-            checked_out.finish();
-        }
-        let outcome = set.shutdown();
-        if outcome[0].failed.is_some() {
-            // The fault fired: the hook saw the first collection and then
-            // the death, formatted exactly as status()/outcome report it.
-            assert_eq!(collected.load(Ordering::SeqCst), 1);
-            let msg = failed.lock().unwrap().clone().expect("failure event");
-            assert_eq!(msg, outcome[0].failed.clone().unwrap());
-            assert!(msg.contains("injected GC worker fault"), "{msg}");
-        } else {
-            // Rate 20 on 2000 ops must collect; reaching here means the
-            // workload finished before the *second* collection came due,
-            // and the hook still saw the first.
-            assert_eq!(
-                collected.load(Ordering::SeqCst),
-                outcome[0].result.collection_count()
-            );
-        }
+            ..tiny_serve(7)
+        };
+        let out = serve(config, |_| Box::new(FixedRatePolicy::new(20))).expect("serve survives");
+        assert_eq!(out.shards[0].result.collection_count(), 1);
+        assert_eq!(out.shards[0].decisions.len(), 1);
+        assert_eq!(
+            out.shards[0].failed.as_deref(),
+            Some("GC worker panicked: injected GC worker fault on shard 0")
+        );
+        assert_eq!(out.per_session_ops[1], 300);
+        assert!(out.shards[1].failed.is_none());
+    }
+
+    #[test]
+    fn turn_panic_latches_the_shard() {
+        let mut shard = Shard::new(
+            3,
+            &EngineConfig::tiny(),
+            Box::new(FixedRatePolicy::new(20)),
+            None,
+        );
+        let err = shard
+            .turn(SessionId::new(0), |_| -> () { panic!("boom") })
+            .expect_err("the panic is caught");
+        assert!(matches!(&err.kind, ServeErrorKind::TurnPanic(msg) if msg == "boom"));
+        assert_eq!(err.to_string(), "shard 3: turn panicked: boom");
+        // Latched: the next turn never runs, collections are refused,
+        // and the outcome carries the notice.
+        let mut ran = false;
+        assert!(shard.turn(SessionId::new(0), |_| ran = true).is_err());
+        assert!(!ran);
+        assert!(!shard.collect_due());
+        assert_eq!(
+            shard.into_outcome(Vec::new()).failed.as_deref(),
+            Some("turn panicked: boom")
+        );
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   bytes would return (the property test in `tests/net_event_loop.rs`
 //!   proves this for every boundary).
 //! * The write side is a plain buffer of fully framed responses; a short
-//!   write leaves the tail for the next `POLLOUT`.
+//!   write leaves the tail for the next `POLLOUT`. While more than
+//!   [`OUT_HIGH_WATER`] bytes of it are unflushed the connection stops
+//!   reading and decoding requests, so a peer that never reads its
+//!   replies is held to a bounded buffer, not served without limit.
 //!
 //! The protocol phase machine is `Hello → Ready ⇄ AwaitShard →
 //! Draining`: a fresh connection is in `Hello` until it binds a session
@@ -35,6 +38,12 @@ use odbgc_engine::SessionObjects;
 
 use crate::proto::{ClientCounters, ProtoError, MAX_FRAME};
 use odbgc_tracefile::crc32::crc32;
+
+/// Unflushed response bytes above which a connection stops reading and
+/// decoding requests until `POLLOUT` drains it back under. One response
+/// is at most a frame, so the buffer itself stays under this plus
+/// `MAX_FRAME`.
+pub(crate) const OUT_HIGH_WATER: usize = 2 * MAX_FRAME as usize;
 
 /// Reassembles length-prefixed, CRC-trailed frames from arbitrarily
 /// split byte deliveries.
@@ -117,8 +126,8 @@ impl FrameAssembler {
 pub(crate) enum ConnPhase {
     /// Accepting the next request (pre-Hello when `session` is unbound).
     Ready,
-    /// A decoded turn (or collect fan-out) is queued on the shard
-    /// executors; frame decoding is paused until its completion returns.
+    /// A decoded turn is queued on its shard's executor; frame decoding
+    /// is paused until its completion returns.
     AwaitShard,
 }
 
@@ -177,6 +186,14 @@ impl Connection {
         self.out.len() - self.out_pos
     }
 
+    /// Whether the next request may be read and decoded now: no turn in
+    /// flight, not closing, and the peer is keeping up with its replies.
+    pub(crate) fn accepting(&self) -> bool {
+        self.phase == ConnPhase::Ready
+            && !self.close_after_flush
+            && self.out_pending() <= OUT_HIGH_WATER
+    }
+
     /// Pushes buffered response bytes to the socket until done or the
     /// kernel pushes back. Returns `Ok(true)` when the buffer drained,
     /// `Ok(false)` on a short write (`POLLOUT` will resume it).
@@ -191,7 +208,16 @@ impl Connection {
                     ))
                 }
                 Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    // Drop the written prefix once it is the larger
+                    // half, so a peer that reads slowly but never
+                    // catches up cannot grow `out` with its traffic.
+                    if self.out_pos >= self.out.len() / 2 {
+                        self.out.drain(..self.out_pos);
+                        self.out_pos = 0;
+                    }
+                    return Ok(false);
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }

@@ -1,13 +1,12 @@
 //! Network serve front-end for the odbgc engine.
 //!
-//! A socket layer that multiplexes client connections onto the engine's
-//! sharded serve substrate ([`odbgc_engine::ShardSet`]) over a fixed
-//! thread pool:
+//! A socket layer that multiplexes client connections onto engine
+//! shards ([`odbgc_engine::Shard`]) over a fixed thread pool:
 //!
 //! * [`proto`] — the framed wire protocol: `[len][body][crc32]` frames
 //!   (OTBF's length-prefix + CRC conventions), varint-encoded session
 //!   ops addressed by per-session creation index, and admin ops
-//!   (stats, collect, graceful shutdown). Framing and parsing both have
+//!   (stats, graceful shutdown). Framing and parsing both have
 //!   buffer-reusing entry points ([`proto::write_frame_with`],
 //!   [`proto::read_frame_into`]) so steady-state traffic allocates
 //!   nothing per frame.
@@ -20,7 +19,8 @@
 //! * [`server`] — [`NetServer`]: a readiness-driven event loop. A fixed
 //!   pool of net threads ([`NetConfig::net_threads`]) polls thousands of
 //!   non-blocking connections; decoded turns run on one executor thread
-//!   per shard through the engine's checkout handshake. Credit-based
+//!   per shard, which owns its shard outright and drains the shard's due
+//!   collections between turns. Credit-based
 //!   per-client windows with explicit `Busy` backpressure,
 //!   idle-connection reaping, and graceful drain that loses zero
 //!   acknowledged operations all carry over from the blocking server

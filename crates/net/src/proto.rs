@@ -286,7 +286,6 @@ const REQ_HELLO: u8 = 0x01;
 const REQ_OPS: u8 = 0x02;
 const REQ_ACK: u8 = 0x03;
 const REQ_STATS: u8 = 0x04;
-const REQ_COLLECT: u8 = 0x05;
 const REQ_SHUTDOWN: u8 = 0x06;
 const REQ_BYE: u8 = 0x07;
 
@@ -317,8 +316,6 @@ pub enum Request {
     },
     /// Admin: snapshot per-shard and per-client counters.
     Stats,
-    /// Admin: kick due collections on every healthy shard.
-    Collect,
     /// Admin: begin a graceful drain — the server stops accepting
     /// connections and new turns, finishes in-flight work, flushes
     /// telemetry, and exits its serve loop.
@@ -357,7 +354,6 @@ impl Request {
                 put_u64(out, *n);
             }
             Request::Stats => out.push(REQ_STATS),
-            Request::Collect => out.push(REQ_COLLECT),
             Request::Shutdown => out.push(REQ_SHUTDOWN),
             Request::Bye => out.push(REQ_BYE),
         }
@@ -390,7 +386,6 @@ impl Request {
                 n: get(buf, &mut pos)?,
             },
             REQ_STATS => Request::Stats,
-            REQ_COLLECT => Request::Collect,
             REQ_SHUTDOWN => Request::Shutdown,
             REQ_BYE => Request::Bye,
             other => return Err(ProtoError::BadTag(other)),
@@ -409,7 +404,6 @@ const RESP_OPS_OK: u8 = 0x82;
 const RESP_BUSY: u8 = 0x83;
 const RESP_ACK_OK: u8 = 0x84;
 const RESP_STATS_OK: u8 = 0x85;
-const RESP_COLLECT_OK: u8 = 0x86;
 const RESP_SHUTDOWN_OK: u8 = 0x87;
 const RESP_BYE_OK: u8 = 0x88;
 const RESP_ERROR: u8 = 0xFF;
@@ -467,7 +461,8 @@ pub struct ShardStats {
     pub shard: u32,
     /// Collections the shard has completed.
     pub collections: u64,
-    /// The shard's failure notice, if its GC worker died.
+    /// The shard's failure notice, if a panic in a collection or a turn
+    /// latched it failed.
     pub failed: Option<String>,
 }
 
@@ -489,8 +484,8 @@ pub struct ClientCounters {
     pub bytes_out: u64,
     /// Turns refused because the in-flight window was full.
     pub busy_rejections: u64,
-    /// Nanoseconds the client's turns spent waiting for in-flight
-    /// collections on its shard.
+    /// Nanoseconds the client's turns sat queued while their shard was
+    /// collecting.
     pub gc_stall_ns: u64,
     /// Whether the connection closed cleanly (Bye or drain) rather than
     /// by idle reaping or socket error.
@@ -554,7 +549,8 @@ pub enum Response {
         garbage_created: u64,
         /// Applied-but-unacknowledged turns, including this one.
         in_flight: u64,
-        /// Nanoseconds this turn waited for an in-flight collection.
+        /// Nanoseconds this turn sat queued while its shard was
+        /// collecting; 0 when no collection ran while it waited.
         gc_stall_ns: u64,
     },
     /// The turn was *not* applied: the in-flight window is full. Send
@@ -572,11 +568,6 @@ pub enum Response {
     },
     /// Stats snapshot.
     StatsOk(StatsSnapshot),
-    /// Due collections kicked.
-    CollectOk {
-        /// Shards on which a collection was handed to the GC worker.
-        kicked: u64,
-    },
     /// Drain begun.
     ShutdownOk,
     /// Goodbye.
@@ -657,10 +648,6 @@ impl Response {
                     put_counters(out, c);
                 }
             }
-            Response::CollectOk { kicked } => {
-                out.push(RESP_COLLECT_OK);
-                put_u64(out, *kicked);
-            }
             Response::ShutdownOk => out.push(RESP_SHUTDOWN_OK),
             Response::ByeOk => out.push(RESP_BYE_OK),
             Response::Error { code, message } => {
@@ -726,9 +713,6 @@ impl Response {
                 }
                 Response::StatsOk(StatsSnapshot { shards, clients })
             }
-            RESP_COLLECT_OK => Response::CollectOk {
-                kicked: get(buf, &mut pos)?,
-            },
             RESP_SHUTDOWN_OK => Response::ShutdownOk,
             RESP_BYE_OK => Response::ByeOk,
             RESP_ERROR => Response::Error {
@@ -782,7 +766,6 @@ mod tests {
         });
         round_trip_req(Request::Ack { n: 2 });
         round_trip_req(Request::Stats);
-        round_trip_req(Request::Collect);
         round_trip_req(Request::Shutdown);
         round_trip_req(Request::Bye);
     }
@@ -830,7 +813,6 @@ mod tests {
                 clean_close: true,
             }],
         }));
-        round_trip_resp(Response::CollectOk { kicked: 2 });
         round_trip_resp(Response::ShutdownOk);
         round_trip_resp(Response::ByeOk);
         round_trip_resp(Response::Error {
@@ -887,6 +869,15 @@ mod tests {
         assert!(matches!(
             Response::decode(&[0x60]),
             Err(ProtoError::BadTag(0x60))
+        ));
+        // The retired admin `Collect` pair is unknown like any other.
+        assert!(matches!(
+            Request::decode(&[0x05]),
+            Err(ProtoError::BadTag(0x05))
+        ));
+        assert!(matches!(
+            Response::decode(&[0x86, 0x02]),
+            Err(ProtoError::BadTag(0x86))
         ));
     }
 }

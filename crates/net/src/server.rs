@@ -1,7 +1,8 @@
 //! The serve front-end: a readiness-driven event loop multiplexing
-//! client connections onto a [`ShardSet`] over a fixed thread pool.
+//! client connections onto engine [`Shard`]s over a fixed thread pool.
 //!
-//! Threading is fixed at bind time and independent of connection count:
+//! Threading is fixed at bind time and independent of connection count —
+//! `shards + net_threads` threads, no others:
 //!
 //! * **Net loop threads** (`NetConfig::net_threads`, default
 //!   `min(4, cores)`) each run a `poll(2)` loop over their share of the
@@ -9,23 +10,30 @@
 //!   accepting is readiness-driven too — an idle server sleeps in
 //!   `poll` indefinitely instead of tick-polling `accept`. Accepted
 //!   connections are dealt round-robin across the loops.
-//! * **Shard executor threads** (one per shard) apply decoded turns
-//!   through the existing per-shard mutex/condvar handshake
-//!   ([`ShardSet::checkout`] → [`apply_ops`] → `finish`), so a turn
-//!   stalled behind a collection blocks only its shard's executor,
-//!   never a loop thread. Completions return to the owning loop through
-//!   a queue plus a self-wake descriptor registered in its poll set.
-//! * The shard set's own **GC worker threads** are unchanged.
+//! * **Shard executor threads** (one per shard, spawned at bind) each
+//!   own their [`Shard`] outright: dequeue a turn, apply it
+//!   ([`Shard::turn`] → [`apply_ops`]), post the completion to the
+//!   owning loop (a queue plus a self-wake descriptor registered in its
+//!   poll set), *then* drain the shard's due collections
+//!   ([`Shard::collect_due`]) before dequeuing the next turn. A turn
+//!   queued behind a collection waits in that shard's queue, never on a
+//!   loop thread, and the wait is reported as its `gc_stall_ns`. The
+//!   executor publishes its shard's collection count and failure notice
+//!   into atomics that `Stats` reads, and hands the [`Shard`] back
+//!   through its `JoinHandle` at drain.
 //!
 //! The lifecycle guarantees of the blocking server carry over exactly —
 //! the `serve_net` acceptance tests run unmodified:
 //!
 //! * **Backpressure is explicit and deterministic.** A connection's
 //!   frames are decoded strictly in order, and decoding *pauses* while
-//!   a turn is checked out to a shard executor, so the credit-window
+//!   a turn is queued on a shard executor, so the credit-window
 //!   arithmetic sees the same frame sequence the client sent — whether
 //!   a turn gets `Busy` depends only on that sequence, never on loop
-//!   scheduling.
+//!   scheduling. Decoding also pauses while a connection's unflushed
+//!   output exceeds a fixed bound (`conn::OUT_HIGH_WATER`), so a peer
+//!   that pipelines requests and never reads cannot grow server memory
+//!   without bound.
 //! * **Idle connections are reaped.** Poll timeouts are computed from
 //!   the earliest idle deadline; a silent connection is closed after
 //!   `idle_timeout` (unclean), without any periodic tick when nobody is
@@ -42,15 +50,15 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use odbgc_core::RatePolicy;
 use odbgc_engine::{
-    apply_ops, EngineConfig, GcFault, ServeError, SessionId, SessionObjects, SessionOp, ShardEvent,
-    ShardHook, ShardOutcome, ShardSet, TurnApplied, TurnError,
+    apply_ops, EngineConfig, GcFault, SessionId, SessionObjects, SessionOp, Shard, ShardOutcome,
+    TurnApplied, TurnError,
 };
 
 use crate::conn::{ConnPhase, Connection};
@@ -79,7 +87,7 @@ pub struct NetConfig {
     /// Net loop threads. `0` means `min(4, available cores)`. Thread
     /// count is fixed at bind and independent of connection count.
     pub net_threads: usize,
-    /// Optional kill-one-GC-worker fault injection (robustness tests).
+    /// Optional kill-one-collection fault injection (robustness tests).
     pub gc_fault: Option<GcFault>,
 }
 
@@ -137,26 +145,25 @@ pub struct NetOutcome {
     pub loops: Vec<LoopStats>,
 }
 
-/// Lock-free shard progress for the `Stats` fast path, fed by the
-/// engine's [`ShardEvent`] hook so serving a stats request never touches
-/// a shard mutex (which a collection may hold for a while).
+/// One shard's progress as `Stats` reports it. Written only by the
+/// shard's executor, after each collection drain, so a loop thread
+/// serving `Stats` never waits on a shard.
 #[derive(Default)]
-struct ShardCache {
+struct ShardProgress {
     collections: AtomicU64,
-    failed: Mutex<Option<String>>,
+    /// The shard's failure notice, as [`ShardOutcome::failed`] will
+    /// carry it.
+    failed: OnceLock<String>,
 }
 
 struct Shared {
-    // Executors hold `read` per turn; `run` takes the set out under
-    // `write` after every executor has been joined.
-    set: RwLock<Option<ShardSet>>,
-    shard_count: u32,
     window_max: u32,
     idle_timeout: Duration,
     poll_interval: Duration,
     draining: AtomicBool,
     clients: Mutex<Vec<ClientCounters>>,
-    shard_cache: Arc<Vec<ShardCache>>,
+    /// Indexed by shard.
+    progress: Vec<ShardProgress>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -176,7 +183,9 @@ struct LoopShared {
     completions: Mutex<Vec<Completion>>,
 }
 
-/// A shard executor's job queue.
+/// A shard executor's job queue. The order jobs leave it is the order
+/// the shard applies turns in.
+#[derive(Default)]
 struct ShardExec {
     state: Mutex<ExecState>,
     cv: Condvar,
@@ -188,60 +197,60 @@ struct ExecState {
     stop: bool,
 }
 
-enum Job {
-    /// One decoded `Ops` turn; `objects` travels with it and returns in
-    /// the completion.
-    Turn {
-        loop_id: usize,
-        conn: usize,
-        session: u32,
-        ops: Vec<SessionOp>,
-        objects: SessionObjects,
-    },
-    /// One shard's leg of an admin `Collect` fan-out.
-    Collect { fan: Arc<CollectFan> },
-}
-
-/// Join-counter for a `Collect` fanned across every shard executor; the
-/// executor that finishes last posts the single completion.
-struct CollectFan {
+/// One decoded `Ops` turn; `objects` travels with it and returns in the
+/// completion.
+struct Job {
     loop_id: usize,
     conn: usize,
-    remaining: AtomicUsize,
-    kicked: AtomicU64,
+    session: u32,
+    ops: Vec<SessionOp>,
+    objects: SessionObjects,
+    enqueued: Instant,
 }
 
-enum Completion {
-    Turn {
-        conn: usize,
-        objects: SessionObjects,
-        outcome: Result<(TurnApplied, u64), TurnFail>,
-    },
-    Collect {
-        conn: usize,
-        kicked: u64,
-    },
+struct Completion {
+    conn: usize,
+    objects: SessionObjects,
+    /// What the turn applied and its GC stall in ns, or why it failed.
+    outcome: Result<(TurnApplied, u64), TurnFail>,
 }
 
 enum TurnFail {
     /// The turn itself failed (store rejection or unknown ref).
     Turn(TurnError),
-    /// The shard can no longer serve (GC worker death, poisoned lock,
-    /// executor panic).
+    /// The shard can no longer serve (a panic in a collection or an
+    /// earlier turn latched it failed).
     Shard(String),
-    /// The shard set is already torn down (unreachable while executors
-    /// run; kept typed rather than panicking).
-    Gone,
 }
 
-fn enqueue(exec: &ShardExec, job: Job) -> usize {
-    let depth = {
-        let mut st = lock(&exec.state);
-        st.jobs.push_back(job);
-        st.jobs.len()
-    };
-    exec.cv.notify_one();
-    depth
+impl ShardExec {
+    /// Queues a job and returns the queue's depth with it in.
+    fn enqueue(&self, job: Job) -> usize {
+        let depth = {
+            let mut st = lock(&self.state);
+            st.jobs.push_back(job);
+            st.jobs.len()
+        };
+        self.cv.notify_one();
+        depth
+    }
+
+    /// Blocks for the next job; `None` once the queue is stopped and dry.
+    fn next_job(&self) -> Option<Job> {
+        let mut st = lock(&self.state);
+        loop {
+            if let Some(job) = st.jobs.pop_front() {
+                return Some(job);
+            }
+            if st.stop {
+                return None;
+            }
+            st = self
+                .cv
+                .wait(st)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
 }
 
 fn complete(loops: &[LoopShared], loop_id: usize, completion: Completion) {
@@ -249,56 +258,59 @@ fn complete(loops: &[LoopShared], loop_id: usize, completion: Completion) {
     loops[loop_id].wake.wake();
 }
 
+/// The shard executor threads and their queues. Dropping it stops and
+/// joins whichever are still running, so neither a failed `bind` nor a
+/// server that is never `run` leaves a thread behind.
+struct Executors {
+    queues: Arc<Vec<ShardExec>>,
+    /// Indexed by shard; each thread returns the [`Shard`] it owned.
+    handles: Vec<JoinHandle<Shard>>,
+}
+
+impl Executors {
+    /// Tells every executor to return once its queue runs dry.
+    fn stop(&self) {
+        for queue in self.queues.iter() {
+            lock(&queue.state).stop = true;
+            queue.cv.notify_all();
+        }
+    }
+}
+
+impl Drop for Executors {
+    fn drop(&mut self) {
+        self.stop();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------
 
-/// A bound, not-yet-serving network front-end.
+/// A bound, not-yet-serving network front-end. Its shard executors are
+/// already running (and idle) from [`NetServer::bind`] on.
 pub struct NetServer {
     listener: TcpListener,
     shared: Arc<Shared>,
     loops: Arc<Vec<LoopShared>>,
-    execs: Arc<Vec<ShardExec>>,
-    net_threads: usize,
+    executors: Executors,
 }
 
 impl NetServer {
-    /// Builds the shard set, resolves the loop-thread count, and binds
-    /// the listener. `addr` is anything `TcpListener::bind` accepts;
-    /// `"127.0.0.1:0"` picks a free port (read it back with
-    /// [`NetServer::local_addr`]).
+    /// Resolves the loop-thread count, binds the listener, and builds
+    /// each shard together with the executor thread that owns it.
+    /// `make_policy` is called once per shard with the shard index.
+    /// `addr` is anything `TcpListener::bind` accepts; `"127.0.0.1:0"`
+    /// picks a free port (read it back with [`NetServer::local_addr`]).
     pub fn bind(
         addr: &str,
         config: NetConfig,
-        make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
+        mut make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
     ) -> Result<NetServer, BindError> {
-        let shard_count = config.shards.max(1);
-        let shard_cache: Arc<Vec<ShardCache>> =
-            Arc::new((0..shard_count).map(|_| ShardCache::default()).collect());
-        let hook: ShardHook = {
-            let cache = Arc::clone(&shard_cache);
-            Arc::new(move |ev| match ev {
-                ShardEvent::Collected { shard, collections } => {
-                    cache[*shard]
-                        .collections
-                        .store(*collections, Ordering::SeqCst);
-                }
-                ShardEvent::Failed { shard, message } => {
-                    let mut failed = lock(&cache[*shard].failed);
-                    if failed.is_none() {
-                        *failed = Some(message.clone());
-                    }
-                }
-            })
-        };
-        let set = ShardSet::with_hook(
-            &config.engine,
-            shard_count as usize,
-            make_policy,
-            config.gc_fault,
-            Some(hook),
-        )
-        .map_err(BindError::Shards)?;
+        let shard_count = config.shards.max(1) as usize;
         let net_threads = if config.net_threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -316,29 +328,38 @@ impl NetServer {
                 })
             })
             .collect::<Result<_, BindError>>()?;
-        let execs: Vec<ShardExec> = (0..shard_count)
-            .map(|_| ShardExec {
-                state: Mutex::new(ExecState::default()),
-                cv: Condvar::new(),
-            })
-            .collect();
+        let loops = Arc::new(loops);
         let listener = TcpListener::bind(addr).map_err(BindError::Io)?;
         listener.set_nonblocking(true).map_err(BindError::Io)?;
+        let shared = Arc::new(Shared {
+            window_max: config.window_max.max(1),
+            idle_timeout: config.idle_timeout,
+            poll_interval: config.poll_interval.max(Duration::from_millis(1)),
+            draining: AtomicBool::new(false),
+            clients: Mutex::new(Vec::new()),
+            progress: (0..shard_count).map(|_| ShardProgress::default()).collect(),
+        });
+
+        let mut executors = Executors {
+            queues: Arc::new((0..shard_count).map(|_| ShardExec::default()).collect()),
+            handles: Vec::with_capacity(shard_count),
+        };
+        for i in 0..shard_count {
+            let shard = Shard::new(i, &config.engine, make_policy(i as u32), config.gc_fault);
+            let queues = Arc::clone(&executors.queues);
+            let loops = Arc::clone(&loops);
+            let shared = Arc::clone(&shared);
+            let handle = std::thread::Builder::new()
+                .name(format!("odbgc-net-shard-{i}"))
+                .spawn(move || shard_executor(shard, &queues[i], &loops, &shared.progress[i]))
+                .map_err(BindError::Spawn)?;
+            executors.handles.push(handle);
+        }
         Ok(NetServer {
             listener,
-            shared: Arc::new(Shared {
-                set: RwLock::new(Some(set)),
-                shard_count,
-                window_max: config.window_max.max(1),
-                idle_timeout: config.idle_timeout,
-                poll_interval: config.poll_interval.max(Duration::from_millis(1)),
-                draining: AtomicBool::new(false),
-                clients: Mutex::new(Vec::new()),
-                shard_cache,
-            }),
-            loops: Arc::new(loops),
-            execs: Arc::new(execs),
-            net_threads,
+            shared,
+            loops,
+            executors,
         })
     }
 
@@ -348,36 +369,23 @@ impl NetServer {
     }
 
     /// Serves until a client requests a graceful drain, then joins the
-    /// loop and executor threads, shuts the shards down, and returns the
-    /// outcome.
+    /// loop threads, stops the executors, takes each shard back from
+    /// its executor, and returns the outcome.
     pub fn run(self) -> NetOutcome {
         let NetServer {
             listener,
             shared,
             loops,
-            execs,
-            net_threads,
+            mut executors,
         } = self;
 
-        let mut exec_handles = Vec::with_capacity(execs.len());
-        for shard in 0..shared.shard_count as usize {
-            let shared = Arc::clone(&shared);
-            let loops = Arc::clone(&loops);
-            let execs = Arc::clone(&execs);
-            let handle = std::thread::Builder::new()
-                .name(format!("odbgc-net-shard-{shard}"))
-                .spawn(move || shard_executor(shard, &shared, &execs[shard], &loops))
-                .expect("spawn shard executor");
-            exec_handles.push(handle);
-        }
-
         let mut listener = Some(listener);
-        let mut loop_handles = Vec::with_capacity(net_threads);
-        for loop_id in 0..net_threads {
+        let mut loop_handles = Vec::with_capacity(loops.len());
+        for loop_id in 0..loops.len() {
             let listener = if loop_id == 0 { listener.take() } else { None };
             let shared = Arc::clone(&shared);
             let loops = Arc::clone(&loops);
-            let execs = Arc::clone(&execs);
+            let execs = Arc::clone(&executors.queues);
             let handle = std::thread::Builder::new()
                 .name(format!("odbgc-net-loop-{loop_id}"))
                 .spawn(move || {
@@ -404,25 +412,21 @@ impl NetServer {
             .map(|h| h.join().unwrap_or_default())
             .collect();
 
-        // Every loop has exited, so no job can still be enqueued; tell
-        // the executors to stop once their queues run dry and join them.
-        for exec in execs.iter() {
-            lock(&exec.state).stop = true;
-            exec.cv.notify_all();
-        }
-        for h in exec_handles {
-            let _ = h.join();
-        }
-
-        let set = shared
-            .set
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        let shards = match set {
-            Some(set) => set.shutdown(),
-            None => Vec::new(),
-        };
+        // Every loop has exited, so no job can still be enqueued: each
+        // executor finishes what is queued (every queued turn was
+        // accepted before the drain) and returns its shard.
+        executors.stop();
+        let shards = executors
+            .handles
+            .drain(..)
+            .map(|h| {
+                // The executor catches turn and collection panics in
+                // the shard; a panic of its own is a bug in this file.
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    .into_outcome(Vec::new())
+            })
+            .collect();
         let clients = std::mem::take(&mut *lock(&shared.clients));
         NetOutcome {
             shards,
@@ -437,15 +441,15 @@ impl NetServer {
 pub enum BindError {
     /// The listener or a loop's wake descriptor could not be created.
     Io(std::io::Error),
-    /// A shard's GC worker could not be spawned.
-    Shards(ServeError),
+    /// A shard's executor thread could not be spawned.
+    Spawn(std::io::Error),
 }
 
 impl std::fmt::Display for BindError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BindError::Io(e) => write!(f, "bind: {e}"),
-            BindError::Shards(e) => write!(f, "shard setup: {e}"),
+            BindError::Spawn(e) => write!(f, "spawn shard executor: {e}"),
         }
     }
 }
@@ -456,129 +460,67 @@ impl std::error::Error for BindError {}
 // Shard executor
 // ---------------------------------------------------------------------
 
-fn shard_executor(shard: usize, shared: &Shared, exec: &ShardExec, loops: &[LoopShared]) {
-    loop {
-        let job = {
-            let mut st = lock(&exec.state);
-            loop {
-                if let Some(job) = st.jobs.pop_front() {
-                    break job;
-                }
-                if st.stop {
-                    return;
-                }
-                st = exec
-                    .cv
-                    .wait(st)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
+/// Owns `shard` until the queue is stopped and dry, then returns it.
+///
+/// Per job: apply the turn, post its completion, and only then drain the
+/// shard's due collections — so the client's reply does not wait for a
+/// collection its own turn triggered, and the next turn on this shard
+/// cannot start until that collection has finished.
+fn shard_executor(
+    mut shard: Shard,
+    queue: &ShardExec,
+    loops: &[LoopShared],
+    progress: &ShardProgress,
+) -> Shard {
+    // When the drain after the previous job ran, if it collected.
+    let mut last_gc: Option<(Instant, Instant)> = None;
+    while let Some(job) = queue.next_job() {
+        let Job {
+            loop_id,
+            conn,
+            session,
+            ops,
+            mut objects,
+            enqueued,
+        } = job;
+        // How long this turn sat queued while the shard was collecting.
+        let gc_stall_ns = last_gc.take().map_or(0, |(start, end)| {
+            end.saturating_duration_since(enqueued.max(start))
+                .as_nanos() as u64
+        });
+        // `Shard::turn` catches a panic in the engine, so it kills
+        // neither this thread (which would hang every queued
+        // connection) nor the objects map travelling with the job.
+        let outcome = match shard.turn(SessionId::new(session), |sess| {
+            apply_ops(sess, &mut objects, &ops)
+        }) {
+            Ok(Ok(applied)) => Ok((applied, gc_stall_ns)),
+            // A failing turn was partially applied (ops before the
+            // error landed); the drain below still runs.
+            Ok(Err(e)) => Err(TurnFail::Turn(e)),
+            Err(e) => Err(TurnFail::Shard(e.to_string())),
         };
-        match job {
-            Job::Turn {
-                loop_id,
+        complete(
+            loops,
+            loop_id,
+            Completion {
                 conn,
-                session,
-                ops,
-                mut objects,
-            } => {
-                // An engine panic must kill neither the executor (which
-                // would hang every queued connection) nor the objects
-                // map travelling with the job.
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_turn(shared, shard, session, &ops, &mut objects)
-                }))
-                .unwrap_or_else(|payload| {
-                    let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_owned()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "non-string panic payload".to_owned()
-                    };
-                    Err(TurnFail::Shard(format!("shard executor panicked: {msg}")))
-                });
-                complete(
-                    loops,
-                    loop_id,
-                    Completion::Turn {
-                        conn,
-                        objects,
-                        outcome,
-                    },
-                );
-            }
-            Job::Collect { fan } => {
-                let kicked = {
-                    let guard = shared
-                        .set
-                        .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    match guard.as_ref() {
-                        // A failed shard just doesn't collect; Collect
-                        // is best-effort, exactly as before.
-                        Some(set) => set
-                            .checkout(shard)
-                            .map(|turn| turn.finish())
-                            .unwrap_or(false),
-                        None => false,
-                    }
-                };
-                if kicked {
-                    fan.kicked.fetch_add(1, Ordering::SeqCst);
-                }
-                if fan.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    complete(
-                        loops,
-                        fan.loop_id,
-                        Completion::Collect {
-                            conn: fan.conn,
-                            kicked: fan.kicked.load(Ordering::SeqCst),
-                        },
-                    );
-                }
-            }
+                objects,
+                outcome,
+            },
+        );
+        let start = Instant::now();
+        if shard.collect_due() {
+            last_gc = Some((start, Instant::now()));
+            progress
+                .collections
+                .store(shard.collection_count(), Ordering::SeqCst);
+        }
+        if let Some(failure) = shard.failure() {
+            progress.failed.get_or_init(|| failure.kind.to_string());
         }
     }
-}
-
-fn run_turn(
-    shared: &Shared,
-    shard: usize,
-    session: u32,
-    ops: &[SessionOp],
-    objects: &mut SessionObjects,
-) -> Result<(TurnApplied, u64), TurnFail> {
-    let guard = shared
-        .set
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let Some(set) = guard.as_ref() else {
-        return Err(TurnFail::Gone);
-    };
-    let mut turn = match set.checkout(shard) {
-        Ok(turn) => turn,
-        Err(e) => {
-            let message = e.to_string();
-            // The engine hook covers worker deaths; a poisoned-lock
-            // checkout failure lands in the cache here instead.
-            let mut failed = lock(&shared.shard_cache[shard].failed);
-            if failed.is_none() {
-                *failed = Some(message.clone());
-            }
-            return Err(TurnFail::Shard(message));
-        }
-    };
-    let gc_stall_ns = turn.gc_stall.as_nanos() as u64;
-    let mut sess = turn.session(SessionId::new(session));
-    let result = apply_ops(&mut sess, objects, ops);
-    // A failing turn was partially applied (ops before the error
-    // landed); still hand the shard back so its GC can proceed for
-    // other connections.
-    turn.finish();
-    match result {
-        Ok(applied) => Ok((applied, gc_stall_ns)),
-        Err(e) => Err(TurnFail::Turn(e)),
-    }
+    shard
 }
 
 // ---------------------------------------------------------------------
@@ -664,7 +606,7 @@ impl NetLoop<'_> {
                     continue;
                 }
                 let mut events = 0i16;
-                if conn.phase == ConnPhase::Ready && !conn.close_after_flush {
+                if conn.accepting() {
                     events |= POLLIN;
                 }
                 if conn.out_pending() > 0 {
@@ -850,24 +792,31 @@ impl NetLoop<'_> {
             verdict = Verdict::Close;
         }
         if verdict == Verdict::Keep
-            && conn.phase == ConnPhase::Ready
-            && !conn.close_after_flush
+            && conn.accepting()
             && revents & (POLLIN | POLLHUP | POLLERR) != 0
         {
             verdict = self.read_burst(idx, &mut conn);
         }
         if verdict == Verdict::Keep && conn.out_pending() > 0 {
+            let paused = !conn.accepting();
             verdict = self.flush(&mut conn);
+            if verdict == Verdict::Keep && paused && conn.accepting() {
+                // The peer read enough of its backed-up replies: take
+                // up the frames left buffered when decoding stopped
+                // (what is still in the kernel arrives as `POLLIN`).
+                verdict = self.process_frames(idx, &mut conn);
+            }
         }
         self.conns[idx] = Some(conn);
         self.retire(idx, verdict);
     }
 
     /// Reads until the kernel runs dry, the connection stops accepting
-    /// frames (turn in flight / closing), or the stream ends.
+    /// frames (turn in flight / closing / replies backed up), or the
+    /// stream ends.
     fn read_burst(&mut self, idx: usize, conn: &mut Connection) -> Verdict {
         loop {
-            if conn.phase != ConnPhase::Ready || conn.close_after_flush {
+            if !conn.accepting() {
                 break;
             }
             match conn.stream.read(&mut self.read_buf) {
@@ -903,10 +852,11 @@ impl NetLoop<'_> {
 
     /// Decodes and handles every complete buffered frame, stopping when
     /// the connection enters `AwaitShard` (strict request/response:
-    /// later frames wait for the turn's completion) or starts closing.
+    /// later frames wait for the turn's completion), starts closing, or
+    /// has more than `OUT_HIGH_WATER` of replies unflushed.
     fn process_frames(&mut self, idx: usize, conn: &mut Connection) -> Verdict {
         loop {
-            if conn.phase != ConnPhase::Ready || conn.close_after_flush {
+            if !conn.accepting() {
                 return Verdict::Keep;
             }
             let body = match conn.assembler.next_frame() {
@@ -939,7 +889,7 @@ impl NetLoop<'_> {
             Request::Hello { session, window } => {
                 let window = window.clamp(1, self.shared.window_max);
                 conn.session = Some(session);
-                conn.shard = session % self.shared.shard_count;
+                conn.shard = session % self.execs.len() as u32;
                 conn.window = window as u64;
                 conn.counters.session = session;
                 self.queue_response(
@@ -985,16 +935,14 @@ impl NetLoop<'_> {
                 }
                 let objects = conn.objects.take().unwrap_or_default();
                 conn.phase = ConnPhase::AwaitShard;
-                let depth = enqueue(
-                    &self.execs[conn.shard as usize],
-                    Job::Turn {
-                        loop_id: self.loop_id,
-                        conn: idx,
-                        session,
-                        ops,
-                        objects,
-                    },
-                );
+                let depth = self.execs[conn.shard as usize].enqueue(Job {
+                    loop_id: self.loop_id,
+                    conn: idx,
+                    session,
+                    ops,
+                    objects,
+                    enqueued: Instant::now(),
+                });
                 self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth as u64);
             }
             Request::Ack { n } => {
@@ -1009,24 +957,6 @@ impl NetLoop<'_> {
             Request::Stats => {
                 let resp = self.stats_snapshot();
                 self.queue_response(conn, &resp);
-            }
-            Request::Collect => {
-                let fan = Arc::new(CollectFan {
-                    loop_id: self.loop_id,
-                    conn: idx,
-                    remaining: AtomicUsize::new(self.execs.len()),
-                    kicked: AtomicU64::new(0),
-                });
-                conn.phase = ConnPhase::AwaitShard;
-                for exec in self.execs.iter() {
-                    let depth = enqueue(
-                        exec,
-                        Job::Collect {
-                            fan: Arc::clone(&fan),
-                        },
-                    );
-                    self.stats.max_queue_depth = self.stats.max_queue_depth.max(depth as u64);
-                }
             }
             Request::Shutdown => {
                 self.shared.draining.store(true, Ordering::SeqCst);
@@ -1048,13 +978,13 @@ impl NetLoop<'_> {
     fn stats_snapshot(&self) -> Response {
         let shards = self
             .shared
-            .shard_cache
+            .progress
             .iter()
             .enumerate()
-            .map(|(i, cache)| ShardStats {
+            .map(|(i, progress)| ShardStats {
                 shard: i as u32,
-                collections: cache.collections.load(Ordering::SeqCst),
-                failed: lock(&cache.failed).clone(),
+                collections: progress.collections.load(Ordering::SeqCst),
+                failed: progress.failed.get().cloned(),
             })
             .collect();
         let clients = lock(&self.shared.clients).clone();
@@ -1093,59 +1023,44 @@ impl NetLoop<'_> {
 
     fn apply_completion(&mut self, completion: Completion) {
         self.stats.completions += 1;
-        match completion {
-            Completion::Turn {
-                conn: idx,
-                objects,
-                outcome,
-            } => {
-                let Some(mut conn) = self.conns[idx].take() else {
-                    return;
-                };
-                conn.objects = Some(objects);
-                conn.phase = ConnPhase::Ready;
-                conn.last_activity = Instant::now();
-                let resp = match outcome {
-                    Ok((applied, gc_stall_ns)) => {
-                        conn.in_flight += 1;
-                        conn.counters.turns += 1;
-                        conn.counters.ops += applied.applied;
-                        conn.counters.gc_stall_ns += gc_stall_ns;
-                        Response::OpsOk {
-                            applied: applied.applied,
-                            created: applied.created,
-                            garbage_created: applied.garbage_created,
-                            in_flight: conn.in_flight,
-                            gc_stall_ns,
-                        }
-                    }
-                    Err(TurnFail::Turn(e)) => Response::Error {
-                        code: match e.kind {
-                            odbgc_engine::TurnErrorKind::Op(_) => ErrorCode::Op,
-                            odbgc_engine::TurnErrorKind::UnknownRef { .. } => ErrorCode::Protocol,
-                        },
-                        message: e.to_string(),
-                    },
-                    Err(TurnFail::Shard(message)) => Response::Error {
-                        code: ErrorCode::ShardFailed,
-                        message,
-                    },
-                    Err(TurnFail::Gone) => Response::Error {
-                        code: ErrorCode::Draining,
-                        message: "server is shut down".into(),
-                    },
-                };
-                self.resume(idx, conn, resp);
+        let Completion {
+            conn: idx,
+            objects,
+            outcome,
+        } = completion;
+        let Some(mut conn) = self.conns[idx].take() else {
+            return;
+        };
+        conn.objects = Some(objects);
+        conn.phase = ConnPhase::Ready;
+        conn.last_activity = Instant::now();
+        let resp = match outcome {
+            Ok((applied, gc_stall_ns)) => {
+                conn.in_flight += 1;
+                conn.counters.turns += 1;
+                conn.counters.ops += applied.applied;
+                conn.counters.gc_stall_ns += gc_stall_ns;
+                Response::OpsOk {
+                    applied: applied.applied,
+                    created: applied.created,
+                    garbage_created: applied.garbage_created,
+                    in_flight: conn.in_flight,
+                    gc_stall_ns,
+                }
             }
-            Completion::Collect { conn: idx, kicked } => {
-                let Some(mut conn) = self.conns[idx].take() else {
-                    return;
-                };
-                conn.phase = ConnPhase::Ready;
-                conn.last_activity = Instant::now();
-                self.resume(idx, conn, Response::CollectOk { kicked });
-            }
-        }
+            Err(TurnFail::Turn(e)) => Response::Error {
+                code: match e.kind {
+                    odbgc_engine::TurnErrorKind::Op(_) => ErrorCode::Op,
+                    odbgc_engine::TurnErrorKind::UnknownRef { .. } => ErrorCode::Protocol,
+                },
+                message: e.to_string(),
+            },
+            Err(TurnFail::Shard(message)) => Response::Error {
+                code: ErrorCode::ShardFailed,
+                message,
+            },
+        };
+        self.resume(idx, conn, resp);
     }
 
     /// Flushes a completion's response and resumes decoding any frames

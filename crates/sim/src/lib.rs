@@ -18,21 +18,17 @@
 
 pub mod config;
 pub mod experiment;
-pub mod metrics;
 pub mod report;
 pub mod runner;
-pub mod series;
 pub mod simulator;
 pub mod telemetry;
 
 pub use config::SimConfig;
 pub use experiment::{run_single, sweep_point, ExperimentOutcome, SweepPoint};
-pub use metrics::RunMetrics;
 pub use runner::{
     default_jobs, CacheStats, CellOutcome, ExperimentPlan, FailurePolicy, FaultKind, FaultSpec,
     JobError, JobErrorKind, PlanCell, PlanOutcome, PlanProgress, TraceCache,
 };
-pub use series::CollectionRecord;
 pub use simulator::{
     BatchSource, EventStream, OwnedEvents, ReplayError, ReplayOptions, ReplaySource, RunResult,
     SimError, Simulator, TraceBatches, TraceEvents,
@@ -44,6 +40,7 @@ pub use telemetry::{
 pub use odbgc_tracefile::{CorpusKey, CorpusStats, TraceCorpus};
 
 pub use odbgc_engine as engine;
+pub use odbgc_engine::{CollectionRecord, RunMetrics};
 
 pub use odbgc_core as core_policies;
 pub use odbgc_gc as gc;

@@ -1,7 +1,7 @@
 //! Acceptance tests for the readiness-driven event loop (ISSUE 10).
 //!
 //! Four guarantees pin the event loop to the blocking server it
-//! replaced:
+//! replaced, and a fifth bounds what a connection can make it hold:
 //!
 //! 1. **Reassembly is split-agnostic** — a frame stream delivered with a
 //!    break at *every* byte boundary (checked exhaustively, then under
@@ -15,8 +15,11 @@
 //!    and every close clean.
 //! 4. **Idle costs nothing** — 64 parked connections produce zero poll
 //!    timer ticks; the old accept/read sleep-polling is gone.
+//! 5. **Unread replies are bounded** — a peer that pipelines requests
+//!    and never reads is no longer read from once its unflushed replies
+//!    pass a fixed bound; when it does read, every reply is there.
 
-use std::io::Write;
+use std::io::{BufReader, ErrorKind, Write};
 use std::time::Duration;
 
 use odbgc_core::FixedRatePolicy;
@@ -296,4 +299,79 @@ fn idle_connections_never_tick() {
             outcome.loops
         );
     }
+}
+
+/// (5) A peer that writes requests and never reads its replies: once
+/// the server holds more than its fixed bound of unflushed output for
+/// the connection it stops reading from it, so the peer's writes stall
+/// within a fixed byte budget instead of growing the server's buffer
+/// for as long as the peer cares to write. When the peer then reads,
+/// every reply comes back, intact and in order.
+#[test]
+fn unread_replies_stall_the_peer_within_a_byte_budget() {
+    // Far above what the bound plus both directions' kernel buffers
+    // hold; a server that keeps reading takes all of it.
+    const BUDGET: usize = 64 << 20;
+
+    let (addr, server) = spawn_server(net_config(1, 1));
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    // A write that moves nothing for this long reports `WouldBlock`:
+    // the non-blocking answer, minus the moments the server is merely
+    // behind.
+    stream
+        .set_write_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let mut frame = Vec::new();
+    frame_into(&mut frame, &Request::Stats.encode());
+    let chunk = frame.repeat(4096);
+    let mut written = 0usize;
+    loop {
+        assert!(
+            written < BUDGET,
+            "the server read {written} bytes of requests while none of its replies were read"
+        );
+        // `chunk` is whole frames, so resuming at this offset keeps the
+        // stream frame-aligned after a partial write.
+        match stream.write(&chunk[written % chunk.len()..]) {
+            Ok(n) => written += n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            Err(e) => panic!("write: {e}"),
+        }
+    }
+
+    let mut replies = BufReader::with_capacity(64 * 1024, stream.try_clone().unwrap());
+    let (mut first, mut body) = (Vec::new(), Vec::new());
+    odbgc_net::read_frame_into(&mut replies, &mut first).expect("first reply");
+    match Response::decode(&first).expect("reply decodes") {
+        Response::StatsOk(snap) => assert_eq!(snap.shards.len(), 1),
+        other => panic!("want StatsOk, got {other:?}"),
+    }
+    let whole = written / frame.len();
+    for i in 1..whole {
+        odbgc_net::read_frame_into(&mut replies, &mut body).expect("reply");
+        assert_eq!(body, first, "reply {i} of {whole}");
+    }
+    // Finish the request the stall cut short; its reply and a clean
+    // goodbye show the connection is in step.
+    let cut = written % frame.len();
+    if cut > 0 {
+        stream.write_all(&frame[cut..]).unwrap();
+        odbgc_net::read_frame_into(&mut replies, &mut body).expect("last reply");
+        assert_eq!(body, first);
+    }
+    let mut bye = Vec::new();
+    frame_into(&mut bye, &Request::Bye.encode());
+    stream.write_all(&bye).unwrap();
+    odbgc_net::read_frame_into(&mut replies, &mut body).expect("bye reply");
+    assert_eq!(Response::decode(&body).unwrap(), Response::ByeOk);
+    drop((replies, stream));
+
+    shutdown(&addr);
+    let outcome = server.join().unwrap();
+    assert!(outcome.clients.iter().all(|c| c.clean_close));
 }

@@ -2,9 +2,9 @@
 //!
 //! Two guarantees pin the mutator/collector split:
 //!
-//! 1. **Fidelity** — the serve path (sessions, deferred collection on a
-//!    background GC worker, condvar handshake) is not a second
-//!    implementation of replay semantics. A single-session serve-mode
+//! 1. **Fidelity** — the serve path (sessions, collections deferred to
+//!    the end of each turn) is not a second implementation of replay
+//!    semantics. A single-session serve-mode
 //!    run over a trace must produce a `RunResult` *byte-identical*
 //!    (`Debug` is exact for floats) to `Simulator::replay` of the same
 //!    trace under the same policy.
@@ -30,8 +30,8 @@ fn specs() -> Vec<PolicySpec> {
 }
 
 /// Golden equivalence: the same grid the frozen hot-path transcript
-/// covers, replayed through the session API with a background GC
-/// worker, must match the inline simulator bit for bit.
+/// covers, replayed through the session API with collections deferred
+/// to turn boundaries, must match the inline simulator bit for bit.
 #[test]
 fn single_session_serve_replay_matches_simulator() {
     for spec in specs() {

@@ -10,9 +10,9 @@
 //!    a second unacknowledged turn is refused with `Busy` (and counted),
 //!    applied only after an explicit `Ack`; whether a turn is refused
 //!    depends only on the frame sequence, never on timing.
-//! 3. **Failure is typed end to end** — killing one shard's GC worker
-//!    surfaces as a `ShardFailed` protocol error on that shard's
-//!    connection while the other shard's client completes every
+//! 3. **Failure is typed end to end** — a panic in one shard's
+//!    collection surfaces as a `ShardFailed` protocol error on that
+//!    shard's connection while the other shard's client completes every
 //!    operation, and a graceful drain loses zero acknowledged ops.
 
 use std::time::Duration;
@@ -225,9 +225,11 @@ fn window_of_one_rejects_unacked_turns() {
     );
 }
 
-/// (3a) Typed shard failure over the wire: shard 0's GC worker dies on
-/// its first collection; its client gets `ShardFailed` (not a hang, not
-/// a dropped connection), while shard 1's client completes everything.
+/// (3a) Typed shard failure over the wire: shard 0 dies on its first
+/// collection; its client gets `ShardFailed` (not a hang, not a dropped
+/// connection), while shard 1's client completes everything. `Stats`
+/// reports what each shard's executor published: the failure notice and
+/// the collection count the drain outcome later confirms.
 #[test]
 fn gc_worker_death_is_a_typed_wire_error_and_other_shard_drains() {
     let mut config = net_config(2);
@@ -255,6 +257,34 @@ fn gc_worker_death_is_a_typed_wire_error_and_other_shard_drains() {
 
     let healthy_report = healthy.join().unwrap();
     assert_eq!(healthy_report.ops_applied, OPS);
+
+    // An executor publishes after each collection drain and before it
+    // takes its next job, so the reply to an empty turn on shard 1 means
+    // the drain behind session 1's last turn has been published. Shard
+    // 0's notice was published before the turn that reported it.
+    let mut probe = Conn::connect(&addr).expect("probe connect");
+    probe
+        .request(&Request::Hello {
+            session: 1,
+            window: 1,
+        })
+        .expect("hello");
+    match probe
+        .request(&Request::Ops { ops: Vec::new() })
+        .expect("empty turn")
+    {
+        Response::OpsOk { applied: 0, .. } => {}
+        other => panic!("want OpsOk for the empty turn, got {other:?}"),
+    }
+    let stats = match probe.request(&Request::Stats).expect("stats") {
+        Response::StatsOk(snap) => snap.shards,
+        other => panic!("want StatsOk, got {other:?}"),
+    };
+    match probe.request(&Request::Bye).expect("bye") {
+        Response::ByeOk => {}
+        other => panic!("want ByeOk, got {other:?}"),
+    }
+
     shutdown(&addr);
     let outcome = server.join().unwrap();
     assert!(
@@ -265,6 +295,13 @@ fn gc_worker_death_is_a_typed_wire_error_and_other_shard_drains() {
         "shard 0 outcome records the panic payload"
     );
     assert!(outcome.shards[1].failed.is_none());
+    assert_eq!(stats[0].failed, outcome.shards[0].failed);
+    assert_eq!(stats[1].failed, None);
+    assert!(stats[1].collections > 0, "rate-20 policy must collect");
+    assert_eq!(
+        stats[1].collections,
+        outcome.shards[1].result.collection_count()
+    );
 }
 
 /// (3b) Graceful drain: after shutdown, every acknowledged op is in the

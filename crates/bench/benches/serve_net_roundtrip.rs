@@ -73,21 +73,9 @@ fn bench_serve_net(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("serve_net_roundtrip/frame_encode_decode_turn", |b| {
-        // The pure protocol cost of one 8-op turn, no socket.
-        let mut workload =
-            odbgc_sim::engine::SessionWorkload::new(0, WorkloadParams::default(), OPS);
-        let turn = workload.next_turn(BATCH);
-        let req = Request::Ops { ops: turn };
-        b.iter(|| {
-            let body = black_box(&req).encode();
-            black_box(Request::decode(&body).expect("decode"))
-        })
-    });
-
     c.bench_function("serve_net_roundtrip/frame_encode_decode_turn_reused", |b| {
-        // The same turn through the buffer-reusing entry points
-        // (encode_into + frame_into into persistent scratch): the
+        // The pure protocol cost of one 8-op turn, no socket: encode_into
+        // + frame_into into persistent scratch, then decode — the
         // steady-state per-frame cost with no allocation.
         let mut workload =
             odbgc_sim::engine::SessionWorkload::new(0, WorkloadParams::default(), OPS);

@@ -1,7 +1,7 @@
 //! Tracefile codec micro-benchmarks: binary encode/decode throughput
-//! versus the text codec, and streaming replay straight off the binary
-//! encoding. These back the corpus design choice — loading a tracefile
-//! must beat regenerating the trace by a wide margin.
+//! versus the text codec, and block-at-a-time reading straight off the
+//! binary encoding. These back the corpus design choice — loading a
+//! tracefile must beat regenerating the trace by a wide margin.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -37,23 +37,6 @@ fn bench_tracefile(c: &mut Criterion) {
     // the identical trace from OO7 parameters.
     group.bench_function("regenerate", |b| {
         b.iter(|| black_box(Oo7App::standard(Oo7Params::small(3), 1).generate().0))
-    });
-    group.finish();
-
-    // Streaming: iterate every event without materializing a Trace.
-    let mut group = c.benchmark_group("tracefile_stream");
-    group.throughput(Throughput::Elements(events));
-    group.sample_size(20);
-    group.bench_function("read_events", |b| {
-        b.iter(|| {
-            let reader = odbgc_tracefile::TraceReader::new(binary.as_slice()).expect("header");
-            let mut n = 0u64;
-            for ev in reader {
-                black_box(ev.expect("event"));
-                n += 1;
-            }
-            n
-        })
     });
     group.finish();
 

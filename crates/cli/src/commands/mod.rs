@@ -11,6 +11,7 @@ pub mod telemetry;
 pub mod trace;
 
 use odbgc_trace::Trace;
+use odbgc_tracefile::{DecodeError, FileBatches};
 
 use crate::CliError;
 
@@ -49,17 +50,44 @@ impl TraceFormat {
     }
 }
 
-/// Loads a trace from disk, sniffing the format from the file's leading
-/// bytes (binary tracefiles start with the `OTBF` magic; everything else
-/// is parsed as the text codec). The extension is irrelevant on read.
-pub fn load_trace(path: &str) -> Result<Trace, CliError> {
+/// Sniffs a trace file's format from its leading bytes: true when it
+/// opens with the `OTBF` magic (a binary tracefile), false for anything
+/// else (parsed as the text codec). The extension is irrelevant on read.
+pub fn is_binary_file(path: &str) -> Result<bool, CliError> {
+    use std::io::Read as _;
+    let mut prefix = [0u8; 4];
+    std::fs::File::open(path)
+        .and_then(|mut f| f.read(&mut prefix))
+        .map(|n| odbgc_tracefile::is_binary(&prefix[..n]))
+        .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))
+}
+
+/// Opens a binary tracefile for zero-copy, block-at-a-time reading (a
+/// read-only memory map where the platform has one).
+pub fn open_tracefile(path: &str) -> Result<FileBatches, CliError> {
+    odbgc_tracefile::open_batches(std::path::Path::new(path)).map_err(|e| match e {
+        DecodeError::Io(e) => CliError(format!("cannot read {path:?}: {e}")),
+        e => CliError(format!("{path}: {e}")),
+    })
+}
+
+/// Loads a text-codec trace from disk.
+pub fn load_text_trace(path: &str) -> Result<Trace, CliError> {
     let bytes = std::fs::read(path).map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
-    if odbgc_tracefile::is_binary(&bytes) {
-        return odbgc_tracefile::decode(&bytes).map_err(|e| CliError(format!("{path}: {e}")));
-    }
     let text = String::from_utf8(bytes)
         .map_err(|_| CliError(format!("{path}: neither a binary tracefile nor UTF-8 text")))?;
     odbgc_trace::codec::decode(&text).map_err(|e| CliError(format!("{path}: {e}")))
+}
+
+/// Loads a whole trace from disk in either format (see
+/// [`is_binary_file`]).
+pub fn load_trace(path: &str) -> Result<Trace, CliError> {
+    if is_binary_file(path)? {
+        return open_tracefile(path)?
+            .read_to_trace()
+            .map_err(|e| CliError(format!("{path}: {e}")));
+    }
+    load_text_trace(path)
 }
 
 /// Serializes a trace in the given format and writes it to `path`,

@@ -1,9 +1,11 @@
 //! `odbgc run` — simulate one policy over a trace.
 
 use odbgc_oo7::Oo7App;
-use odbgc_sim::{run_single, ReplayOptions, RunTelemetry, SimConfig, Simulator};
+use odbgc_sim::{
+    BatchSource, ReplayOptions, RunResult, RunTelemetry, SimConfig, Simulator, TraceBatches,
+};
 
-use crate::commands::{load_trace, parse_gc_workers};
+use crate::commands::{is_binary_file, load_text_trace, open_tracefile, parse_gc_workers};
 use crate::flags::Flags;
 use crate::spec;
 use crate::CliError;
@@ -22,32 +24,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let telemetry_path = flags.get("telemetry");
     let preamble: u64 = flags.get_or("preamble", 10)?;
     let store_geometry = flags.get("store");
-    let mmap: bool = flags.get_or("mmap", false)?;
     let gc_workers = parse_gc_workers(&flags)?;
     flags.finish()?;
-
-    // With `--mmap true` a binary tracefile is replayed straight off a
-    // read-only memory map in decoded-block batches — the whole trace is
-    // never materialized in memory. The RunResult is identical to the
-    // in-memory path (see the sim crate's equivalence tests and the CI
-    // smoke diff).
-    let mapped_path = match (&trace_path, mmap) {
-        (Some(path), true) => Some(path.clone()),
-        (None, true) => {
-            return Err(CliError(
-                "--mmap true needs --trace <file.otb> (a binary tracefile)".into(),
-            ))
-        }
-        _ => None,
-    };
-    let trace = match (&trace_path, &mapped_path) {
-        (_, Some(_)) => None,
-        (Some(path), None) => Some(load_trace(path)?),
-        (None, None) => {
-            let params = spec::build_params(params_name.as_deref(), conn, style.as_deref())?;
-            Some(Oo7App::standard(params, seed).generate().0)
-        }
-    };
 
     let mut config = SimConfig {
         preamble_collections: preamble,
@@ -68,58 +46,42 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         config.selector_seed = seed;
     }
     let mut policy = spec::build_policy(&policy_spec)?;
-    let result = match (&mapped_path, &telemetry_path) {
-        (Some(trace_file), telemetry_path) => {
-            let reader = odbgc_tracefile::open_batches(std::path::Path::new(trace_file))
-                .map_err(|e| CliError(format!("{trace_file}: {e}")))?;
-            let sim = Simulator::new(config.clone());
-            let fail = |e: odbgc_sim::ReplayError<odbgc_tracefile::DecodeError>| {
-                CliError(format!("simulation failed: {e}"))
-            };
-            match telemetry_path {
-                None => sim
-                    .replay_batched(reader, policy.as_mut(), ReplayOptions::new())
-                    .map_err(fail)?,
-                Some(path) => {
-                    let mut telemetry = RunTelemetry::new(policy.name());
-                    let result = sim
-                        .replay_batched(
-                            reader,
-                            policy.as_mut(),
-                            ReplayOptions::new().telemetry(&mut telemetry),
-                        )
-                        .map_err(fail)?;
-                    let json = telemetry.to_json().to_string_pretty();
-                    std::fs::write(path, json)
-                        .map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
-                    result
+    // A binary tracefile is replayed straight off its read-only memory
+    // map, one decoded block at a time; a text trace or a generated
+    // workload is replayed as one in-memory batch. Where a source cuts
+    // its batches never changes the RunResult.
+    let sim = Simulator::new(config);
+    let mut telemetry = telemetry_path
+        .as_ref()
+        .map(|_| RunTelemetry::new(policy.name()));
+    let result = match &trace_path {
+        Some(path) if is_binary_file(path)? => replay(
+            &sim,
+            open_tracefile(path)?,
+            policy.as_mut(),
+            telemetry.as_mut(),
+        )?,
+        in_memory => {
+            let trace = match in_memory {
+                Some(path) => load_text_trace(path)?,
+                None => {
+                    let params =
+                        spec::build_params(params_name.as_deref(), conn, style.as_deref())?;
+                    Oo7App::standard(params, seed).generate().0
                 }
-            }
-        }
-        (None, None) => {
-            let trace = trace.as_ref().expect("in-memory path has a trace");
-            run_single(trace, &config, policy.as_mut())
-                .map_err(|e| CliError(format!("simulation failed: {e}")))?
-        }
-        (None, Some(path)) => {
-            // The instrumented path produces the exact same RunResult;
-            // the telemetry sink is a pure observer (see sim tests).
-            let trace = trace.as_ref().expect("in-memory path has a trace");
-            let mut telemetry = RunTelemetry::new(policy.name());
-            let result = Simulator::new(config.clone())
-                .replay(
-                    trace,
-                    policy.as_mut(),
-                    ReplayOptions::new().telemetry(&mut telemetry),
-                )
-                .map_err(odbgc_sim::ReplayError::into_sim)
-                .map_err(|e| CliError(format!("simulation failed: {e}")))?;
-            let json = telemetry.to_json().to_string_pretty();
-            std::fs::write(path, json)
-                .map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
-            result
+            };
+            replay(
+                &sim,
+                TraceBatches::new(&trace),
+                policy.as_mut(),
+                telemetry.as_mut(),
+            )?
         }
     };
+    if let (Some(path), Some(telemetry)) = (&telemetry_path, &telemetry) {
+        let json = telemetry.to_json().to_string_pretty();
+        std::fs::write(path, json).map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
+    }
 
     if let Some(path) = series_path {
         let mut csv = String::from(
@@ -176,6 +138,25 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         out.push_str(&format!("\ntelemetry written to {path}"));
     }
     Ok(out)
+}
+
+/// Replays `source`, recording into the telemetry sink when there is
+/// one (a pure observer: the RunResult is the same either way).
+fn replay<B: BatchSource>(
+    sim: &Simulator,
+    source: B,
+    policy: &mut dyn odbgc_sim::core_policies::RatePolicy,
+    telemetry: Option<&mut RunTelemetry>,
+) -> Result<RunResult, CliError>
+where
+    B::Error: std::fmt::Display,
+{
+    let options = match telemetry {
+        Some(sink) => ReplayOptions::new().telemetry(sink),
+        None => ReplayOptions::new(),
+    };
+    sim.replay_batched(source, policy, options)
+        .map_err(|e| CliError(format!("simulation failed: {e}")))
 }
 
 #[cfg(test)]
@@ -268,33 +249,45 @@ mod tests {
 
     #[test]
     fn mmap_replay_report_matches_in_memory() {
+        // A binary tracefile replays off its memory map block by block,
+        // its text twin as one in-memory batch: same report.
         let dir =
             std::env::temp_dir().join(format!("odbgc-cli-test-run-mmap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.otb");
+        let (otb, txt) = (dir.join("t.otb"), dir.join("t.txt"));
         crate::commands::generate::run(&argv(&format!(
             "--out {} --params tiny --conn 2 --seed 5",
-            path.display()
+            otb.display()
         )))
         .unwrap();
-        let in_memory = run(&argv(&format!(
-            "--policy saio:10% --store tiny --preamble 2 --trace {}",
-            path.display()
+        crate::commands::trace::run(&argv(&format!(
+            "convert --in {} --out {}",
+            otb.display(),
+            txt.display()
         )))
         .unwrap();
-        let mapped = run(&argv(&format!(
-            "--policy saio:10% --store tiny --preamble 2 --trace {} --mmap true",
-            path.display()
-        )))
-        .unwrap();
-        assert_eq!(in_memory, mapped, "mmap replay must not change the report");
+        let report = |path: &std::path::Path| {
+            run(&argv(&format!(
+                "--policy saio:10% --store tiny --preamble 2 --trace {}",
+                path.display()
+            )))
+            .unwrap()
+        };
+        assert_eq!(report(&txt), report(&otb), "same trace, same report");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn mmap_without_trace_errors() {
-        let err = run(&argv("--policy saio:10% --params tiny --mmap true")).unwrap_err();
-        assert!(err.to_string().contains("--trace"), "{err}");
+        // The backing is chosen from the file, never from a flag: with
+        // or without `--trace`, `--mmap` is not an option of `run`.
+        for args in [
+            "--policy saio:10% --params tiny --mmap true",
+            "--policy saio:10% --trace /nonexistent/t.otb --mmap true",
+        ] {
+            let err = run(&argv(args)).unwrap_err();
+            assert!(err.to_string().contains("unknown flag --mmap"), "{err}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! * [`FrameAssembler`] buffers raw received bytes and yields complete,
 //!   CRC-verified frame bodies — a frame split at *any* byte boundary
-//!   reassembles to exactly what a blocking [`read_frame`] of the same
+//!   reassembles to exactly what a blocking [`read_frame_into`] of the same
 //!   bytes would return (the property test in `tests/net_event_loop.rs`
 //!   proves this for every boundary).
 //! * The write side is a plain buffer of fully framed responses; a short
@@ -29,7 +29,7 @@
 //! `session == None`) and `Draining` is the `close_after_flush` flag, so
 //! the enum cannot represent a bound-but-also-unbound contradiction.
 //!
-//! [`read_frame`]: crate::proto::read_frame
+//! [`read_frame_into`]: crate::proto::read_frame_into
 
 use std::net::TcpStream;
 use std::time::Instant;
@@ -84,10 +84,10 @@ impl FrameAssembler {
     /// Yields the next complete frame body, if one is fully buffered.
     ///
     /// `Ok(None)` means more bytes are needed (a partial frame is fine
-    /// and stays buffered). Errors mirror [`read_frame`]: an oversized
+    /// and stays buffered). Errors mirror [`read_frame_into`]: an oversized
     /// length prefix or a CRC mismatch, both fatal to the stream.
     ///
-    /// [`read_frame`]: crate::proto::read_frame
+    /// [`read_frame_into`]: crate::proto::read_frame_into
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, ProtoError> {
         let avail = self.buf.len() - self.start;
         if avail < 4 {

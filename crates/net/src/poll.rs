@@ -12,15 +12,14 @@
 //! finish a turn on their own threads and must wake the loop thread that
 //! owns the connection. On Linux it is a real self-pipe (`pipe2(2)` with
 //! `O_NONBLOCK | O_CLOEXEC`); on other Unix targets it is a loopback UDP
-//! socket connected to itself (pure `std`, same poll semantics); on
-//! non-Unix targets it is a no-op because [`poll`] there degrades to a
-//! bounded sleep that reports every descriptor ready (documented on the
-//! function), so the loop ticks instead of sleeping forever.
+//! socket connected to itself (pure `std`, same poll semantics).
 
 use std::io;
 
-/// A file descriptor as the poll set carries it (`c_int` everywhere this
-/// binding actually polls; a placeholder value on non-Unix targets).
+#[cfg(not(unix))]
+compile_error!("odbgc-net's event loop is a poll(2) binding: it needs a Unix target");
+
+/// A file descriptor as the poll set carries it (`c_int`).
 pub type Fd = i32;
 
 /// Readable data available (or a peer hangup, which also reads as EOF).
@@ -66,7 +65,6 @@ impl PollFd {
     }
 }
 
-#[cfg(unix)]
 mod sys {
     use std::ffi::c_int;
 
@@ -91,19 +89,7 @@ mod sys {
 /// `revents` (0 on timeout). An `EINTR` interruption is reported as
 /// `Ok(0)` — the caller's loop re-evaluates its deadlines and polls
 /// again, which is exactly what it would do for a timeout.
-///
-/// `emulation_tick` is ignored on Unix. On non-Unix targets there is no
-/// `poll(2)`; the fallback sleeps `min(timeout_ms, emulation_tick)` and
-/// then reports every entry ready for whatever it requested — a
-/// degraded-but-correct mode in which the loop's reads and writes simply
-/// discover `WouldBlock` themselves at each tick.
-#[cfg(unix)]
-pub fn poll(
-    fds: &mut [PollFd],
-    timeout_ms: i32,
-    emulation_tick: std::time::Duration,
-) -> io::Result<usize> {
-    let _ = emulation_tick;
+pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     for fd in fds.iter_mut() {
         fd.revents = 0;
     }
@@ -119,31 +105,6 @@ pub fn poll(
         return Err(err);
     }
     Ok(rc as usize)
-}
-
-/// Non-Unix fallback: see the Unix variant's documentation.
-#[cfg(not(unix))]
-pub fn poll(
-    fds: &mut [PollFd],
-    timeout_ms: i32,
-    emulation_tick: std::time::Duration,
-) -> io::Result<usize> {
-    let tick = if timeout_ms < 0 {
-        emulation_tick
-    } else {
-        emulation_tick.min(std::time::Duration::from_millis(timeout_ms as u64))
-    };
-    if !tick.is_zero() {
-        std::thread::sleep(tick);
-    }
-    let mut ready = 0usize;
-    for fd in fds.iter_mut() {
-        fd.revents = fd.events;
-        if fd.revents != 0 {
-            ready += 1;
-        }
-    }
-    Ok(ready)
 }
 
 // ---------------------------------------------------------------------
@@ -321,35 +282,7 @@ mod imp {
     }
 }
 
-#[cfg(not(unix))]
-mod imp {
-    //! Non-Unix targets run the emulated tick-poll, which wakes on its
-    //! own schedule; the wake primitive is a no-op with an inert fd.
-
-    use std::io;
-
-    use super::Fd;
-
-    #[derive(Debug)]
-    pub(super) struct Wake;
-
-    impl Wake {
-        pub(super) fn new() -> io::Result<Wake> {
-            Ok(Wake)
-        }
-
-        pub(super) fn fd(&self) -> Fd {
-            // Negative fds are ignored by poll sets by convention.
-            -1
-        }
-
-        pub(super) fn wake(&self) {}
-
-        pub(super) fn drain(&self) {}
-    }
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use std::time::Duration;
 
@@ -361,20 +294,20 @@ mod tests {
         let mut fds = [PollFd::new(wake.fd(), POLLIN)];
 
         // Quiet pipe: an immediate poll times out with nothing ready.
-        let ready = poll(&mut fds, 0, Duration::ZERO).expect("poll");
+        let ready = poll(&mut fds, 0).expect("poll");
         assert_eq!(ready, 0);
         assert!(!fds[0].has(POLLIN));
 
         // Multiple wakes coalesce into one readable level.
         wake.wake();
         wake.wake();
-        let ready = poll(&mut fds, 1_000, Duration::ZERO).expect("poll");
+        let ready = poll(&mut fds, 1_000).expect("poll");
         assert_eq!(ready, 1);
         assert!(fds[0].has(POLLIN));
 
         // Draining returns the pipe to quiet.
         wake.drain();
-        let ready = poll(&mut fds, 0, Duration::ZERO).expect("poll");
+        let ready = poll(&mut fds, 0).expect("poll");
         assert_eq!(ready, 0);
     }
 
@@ -387,7 +320,7 @@ mod tests {
             remote.wake();
         });
         let mut fds = [PollFd::new(wake.fd(), POLLIN)];
-        let ready = poll(&mut fds, 5_000, Duration::ZERO).expect("poll");
+        let ready = poll(&mut fds, 5_000).expect("poll");
         assert_eq!(ready, 1, "a wake from another thread must wake the poll");
         t.join().unwrap();
     }
@@ -395,6 +328,6 @@ mod tests {
     #[test]
     fn empty_poll_set_times_out() {
         let mut fds: [PollFd; 0] = [];
-        assert_eq!(poll(&mut fds, 0, Duration::ZERO).expect("poll"), 0);
+        assert_eq!(poll(&mut fds, 0).expect("poll"), 0);
     }
 }

@@ -113,30 +113,16 @@ pub fn write_frame_with(
     w.flush()
 }
 
-/// Writes one frame: length prefix, body, CRC32 trailer (one write).
-/// Allocates a fresh scratch buffer per call; hot paths keep their own
-/// and call [`write_frame_with`].
-pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    let mut scratch = Vec::new();
-    write_frame_with(w, body, &mut scratch)
-}
-
-/// Reads one frame, verifying the length bound and the CRC trailer.
+/// Reads one frame into a caller-owned buffer, verifying the length
+/// bound and the CRC trailer: `body` is cleared, resized to the frame's
+/// length, and filled — a connection that keeps one buffer reads every
+/// frame without allocating past its high-water mark.
 ///
 /// A read timeout (or EOF) before the *first* byte of the length prefix
-/// surfaces as `ProtoError::Io` with nothing consumed — the server's
-/// idle tick. A timeout mid-frame also surfaces as `Io` but leaves the
-/// stream out of sync; callers treat any `Io` after partial progress as
-/// fatal to the connection.
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ProtoError> {
-    let mut body = Vec::new();
-    read_frame_into(r, &mut body)?;
-    Ok(body)
-}
-
-/// [`read_frame`] into a caller-owned buffer: `body` is cleared, resized
-/// to the frame's length, and filled — a connection that keeps one buffer
-/// reads every frame without allocating past its high-water mark.
+/// surfaces as `ProtoError::Io` with nothing consumed. A timeout
+/// mid-frame also surfaces as `Io` but leaves the stream out of sync;
+/// callers treat any `Io` after partial progress as fatal to the
+/// connection.
 pub fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> Result<(), ProtoError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
@@ -325,15 +311,9 @@ pub enum Request {
 }
 
 impl Request {
-    /// Encodes the request as a frame body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// [`Request::encode`], appending to a caller-owned buffer (cleared
-    /// first) so a connection's send path reuses one body buffer.
+    /// Encodes the request as a frame body into a caller-owned buffer
+    /// (cleared first), so a connection's send path reuses one body
+    /// buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         match self {
@@ -582,17 +562,10 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encodes the response as a frame body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(&mut out);
-        out
-    }
-
-    /// [`Response::encode`], appending to a caller-owned buffer (cleared
-    /// first). The event-loop server encodes every response through one
-    /// per-loop scratch buffer and frames it straight into the
-    /// connection's write buffer.
+    /// Encodes the response as a frame body into a caller-owned buffer
+    /// (cleared first). The event-loop server encodes every response
+    /// through one per-loop scratch buffer and frames it straight into
+    /// the connection's write buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         match self {
@@ -731,12 +704,14 @@ mod tests {
     use super::*;
 
     fn round_trip_req(req: Request) {
-        let body = req.encode();
+        let mut body = Vec::new();
+        req.encode_into(&mut body);
         assert_eq!(Request::decode(&body).unwrap(), req);
     }
 
     fn round_trip_resp(resp: Response) {
-        let body = resp.encode();
+        let mut body = Vec::new();
+        resp.encode_into(&mut body);
         assert_eq!(Response::decode(&body).unwrap(), resp);
     }
 
@@ -823,20 +798,22 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_detect_corruption() {
-        let body = Request::Ops {
+        let mut body = Vec::new();
+        Request::Ops {
             ops: vec![SessionOp::Access { obj: ObjRef(1) }],
         }
-        .encode();
+        .encode_into(&mut body);
         let mut wire = Vec::new();
-        write_frame(&mut wire, &body).unwrap();
+        frame_into(&mut wire, &body);
         assert_eq!(wire.len() as u64, body.len() as u64 + FRAME_OVERHEAD);
-        let got = read_frame(&mut wire.as_slice()).unwrap();
+        let mut got = Vec::new();
+        read_frame_into(&mut wire.as_slice(), &mut got).unwrap();
         assert_eq!(got, body);
 
         // Flip one body bit: the CRC must catch it.
         let mut corrupt = wire.clone();
         corrupt[5] ^= 0x40;
-        match read_frame(&mut corrupt.as_slice()) {
+        match read_frame_into(&mut corrupt.as_slice(), &mut got) {
             Err(ProtoError::Crc { .. }) => {}
             other => panic!("corruption must fail CRC, got {other:?}"),
         }
@@ -844,7 +821,7 @@ mod tests {
         // An absurd length prefix is rejected before allocation.
         let mut huge = wire;
         huge[..4].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        match read_frame(&mut huge.as_slice()) {
+        match read_frame_into(&mut huge.as_slice(), &mut got) {
             Err(ProtoError::TooLarge(_)) => {}
             other => panic!("oversized frame must be rejected, got {other:?}"),
         }
@@ -852,7 +829,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut body = Request::Bye.encode();
+        let mut body = Vec::new();
+        Request::Bye.encode_into(&mut body);
         body.push(0);
         match Request::decode(&body) {
             Err(ProtoError::BadValue(_)) => {}

@@ -35,13 +35,15 @@
 //!   that pipelines requests and never reads cannot grow server memory
 //!   without bound.
 //! * **Idle connections are reaped.** Poll timeouts are computed from
-//!   the earliest idle deadline; a silent connection is closed after
-//!   `idle_timeout` (unclean), without any periodic tick when nobody is
-//!   due.
-//! * **Drain is graceful.** `Shutdown` wakes every loop; queued turns
-//!   still complete (each was accepted before the drain), responses are
-//!   flushed, and every acknowledged operation is in the shard results
-//!   when [`NetServer::run`] returns.
+//!   the earliest idle deadline; a connection on which no byte has moved
+//!   in either direction for `idle_timeout` is closed (unclean), without
+//!   any periodic tick when nobody is due.
+//! * **Drain is graceful, and terminates.** `Shutdown` wakes every loop;
+//!   queued turns still complete (each was accepted before the drain),
+//!   responses are flushed, and every acknowledged operation is in the
+//!   shard results when [`NetServer::run`] returns. The reaper keeps
+//!   running during the drain, so a peer that never reads its last
+//!   replies delays `run` by at most `idle_timeout`.
 //!
 //! Per-loop counters (wakeups, frames, partial reads/writes, executor
 //! queue depth) are reported in [`NetOutcome::loops`] and published by
@@ -78,12 +80,9 @@ pub struct NetConfig {
     /// Hard cap on the per-connection in-flight window a Hello may
     /// request.
     pub window_max: u32,
-    /// Close a connection after this much silence.
+    /// Close a connection after this long without a byte moving in
+    /// either direction.
     pub idle_timeout: Duration,
-    /// Event-loop tick used only by the emulated poll on targets
-    /// without `poll(2)`; on Unix the loops are purely event-driven and
-    /// never tick.
-    pub poll_interval: Duration,
     /// Net loop threads. `0` means `min(4, available cores)`. Thread
     /// count is fixed at bind and independent of connection count.
     pub net_threads: usize,
@@ -98,7 +97,6 @@ impl Default for NetConfig {
             shards: 2,
             window_max: 64,
             idle_timeout: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(25),
             net_threads: 0,
             gc_fault: None,
         }
@@ -159,7 +157,6 @@ struct ShardProgress {
 struct Shared {
     window_max: u32,
     idle_timeout: Duration,
-    poll_interval: Duration,
     draining: AtomicBool,
     clients: Mutex<Vec<ClientCounters>>,
     /// Indexed by shard.
@@ -334,7 +331,6 @@ impl NetServer {
         let shared = Arc::new(Shared {
             window_max: config.window_max.max(1),
             idle_timeout: config.idle_timeout,
-            poll_interval: config.poll_interval.max(Duration::from_millis(1)),
             draining: AtomicBool::new(false),
             clients: Mutex::new(Vec::new()),
             progress: (0..shard_count).map(|_| ShardProgress::default()).collect(),
@@ -527,16 +523,12 @@ fn shard_executor(
 // Net loop
 // ---------------------------------------------------------------------
 
-#[cfg(unix)]
 fn raw_fd<T: std::os::unix::io::AsRawFd>(t: &T) -> Fd {
     t.as_raw_fd()
 }
 
-#[cfg(not(unix))]
-fn raw_fd<T>(_t: &T) -> Fd {
-    // The emulated poll never dereferences descriptors.
-    -1
-}
+/// Pause before retrying a `poll` that returned an error.
+const POLL_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
 /// What to do with a connection after an event was handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -585,11 +577,12 @@ impl NetLoop<'_> {
             if draining {
                 listener = None; // stop accepting; refuse new connects
                 self.drain_pass();
-                if self.is_quiescent() {
-                    break;
-                }
-            } else {
-                self.reap_idle();
+            }
+            // In both states: a drain waits for replies to flush, and a
+            // peer that never reads them must not hold it open forever.
+            self.reap_idle();
+            if draining && self.is_quiescent() {
+                break;
             }
 
             fds.clear();
@@ -619,12 +612,12 @@ impl NetLoop<'_> {
             }
 
             let timeout_ms = self.poll_timeout_ms();
-            let ready = match poll(&mut fds, timeout_ms, self.shared.poll_interval) {
+            let ready = match poll(&mut fds, timeout_ms) {
                 Ok(n) => n,
                 Err(_) => {
-                    // A failing poll would spin; back off one emulation
-                    // tick and retry (never observed on the Unix path).
-                    std::thread::sleep(self.shared.poll_interval);
+                    // A failing poll would spin; back off and retry
+                    // (never observed).
+                    std::thread::sleep(POLL_ERROR_BACKOFF);
                     continue;
                 }
             };
@@ -730,7 +723,8 @@ impl NetLoop<'_> {
 
     /// Drain: close every connection with no shard job in flight. Each
     /// applied turn was acknowledged synchronously, so closing here
-    /// loses nothing.
+    /// loses nothing. A connection whose replies cannot be flushed stays
+    /// until it flushes or [`NetLoop::reap_idle`] gives up on it.
     fn drain_pass(&mut self) {
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_mut() else {
@@ -753,14 +747,17 @@ impl NetLoop<'_> {
     fn reap_idle(&mut self) {
         let now = Instant::now();
         for idx in 0..self.conns.len() {
-            let Some(conn) = self.conns[idx].as_ref() else {
+            let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
             };
             if conn.dead || conn.phase == ConnPhase::AwaitShard {
                 continue;
             }
             if now.saturating_duration_since(conn.last_activity) >= self.shared.idle_timeout {
-                // Reaped: unclean close, counters still recorded.
+                // Reaped: unclean close — even of a connection a `Bye`
+                // or the drain had already marked clean while its last
+                // replies were still unflushed. Counters still recorded.
+                conn.counters.clean_close = false;
                 self.retire(idx, Verdict::Close);
             }
         }
@@ -999,7 +996,13 @@ impl NetLoop<'_> {
     }
 
     fn flush(&mut self, conn: &mut Connection) -> Verdict {
-        match conn.flush_out() {
+        let pending = conn.out_pending();
+        let flushed = conn.flush_out();
+        if conn.out_pending() < pending {
+            // A peer that is reading its backed-up replies is not idle.
+            conn.last_activity = Instant::now();
+        }
+        match flushed {
             Ok(true) => {
                 if conn.close_after_flush {
                     Verdict::Close

@@ -109,9 +109,7 @@ pub fn run_single(
     config: &SimConfig,
     policy: &mut dyn RatePolicy,
 ) -> Result<RunResult, SimError> {
-    Simulator::new(config.clone())
-        .replay(trace, policy, crate::simulator::ReplayOptions::new())
-        .map_err(crate::simulator::ReplayError::into_sim)
+    Simulator::new(config.clone()).replay(trace, policy, crate::simulator::ReplayOptions::new())
 }
 
 #[cfg(test)]

@@ -30,8 +30,7 @@ pub use runner::{
     JobError, JobErrorKind, PlanCell, PlanOutcome, PlanProgress, TraceCache,
 };
 pub use simulator::{
-    BatchSource, EventStream, OwnedEvents, ReplayError, ReplayOptions, ReplaySource, RunResult,
-    SimError, Simulator, TraceBatches, TraceEvents,
+    BatchSource, ReplayError, ReplayOptions, RunResult, SimError, Simulator, TraceBatches,
 };
 pub use telemetry::{
     verify_header, DecisionRecord, Json, JsonError, PhaseTelemetry, PlanTelemetry, RunTelemetry,

@@ -537,13 +537,11 @@ fn run_plan(
                 _ => cache.get(seed),
             };
             let mut policy = cell.spec.build();
-            Simulator::new(plan.config.clone())
-                .replay(
-                    &*trace,
-                    policy.as_mut(),
-                    crate::simulator::ReplayOptions::new(),
-                )
-                .map_err(crate::simulator::ReplayError::into_sim)
+            Simulator::new(plan.config.clone()).replay(
+                &trace,
+                policy.as_mut(),
+                crate::simulator::ReplayOptions::new(),
+            )
         }));
         let kind = match sim_result {
             Ok(Ok(result)) => return Ok((result, job_started.elapsed())),

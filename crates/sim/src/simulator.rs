@@ -1,14 +1,12 @@
 //! The simulation loop: a thin trace driver over [`StoreEngine`].
 //!
-//! Historically this module owned the whole replay loop. That loop's
-//! core — store, collector, policy, trigger state, live counters — now
-//! lives in [`odbgc_engine::StoreEngine`], and the simulator is one
-//! client of it: it feeds trace events through the engine exactly as a
-//! live mutator session would, adding only what is trace-specific
-//! (event indexing for errors, phase-name resolution, and the telemetry
-//! sink's phase accounting).
+//! The loop's core — store, collector, policy, trigger state, live
+//! counters — lives in [`odbgc_engine::StoreEngine`], and the simulator
+//! is one client of it: it feeds batches of trace events through the
+//! engine exactly as a live mutator session would, adding only what is
+//! trace-specific (event indexing for errors, phase-name resolution, and
+//! the telemetry sink's phase accounting).
 
-use std::borrow::Cow;
 use std::convert::Infallible;
 
 use odbgc_core::RatePolicy;
@@ -57,7 +55,7 @@ pub enum ReplayError<E> {
 impl ReplayError<Infallible> {
     /// An infallible source never fails, so the only possible failure is
     /// the simulation's own.
-    pub fn into_sim(self) -> SimError {
+    fn into_sim(self) -> SimError {
         match self {
             ReplayError::Sim(e) => e,
             ReplayError::Source { cause, .. } => match cause {},
@@ -85,119 +83,22 @@ impl<E: std::error::Error + 'static> std::error::Error for ReplayError<E> {
     }
 }
 
-/// Anything a replay can consume: a phase-name table plus a stream of
-/// events.
+/// Anything a replay can consume: a phase-name table plus a sequence of
+/// decoded event batches, borrowed one batch at a time.
 ///
-/// Implemented for `&Trace` (in-memory, infallible, borrowed events) and
-/// [`EventStream`] (streaming, fallible, owned events — most usefully an
-/// `odbgc_tracefile` reader decoding block by block, so peak memory is
-/// O(live database), not O(trace)).
-pub trait ReplaySource<'a> {
-    /// The source's error type ([`Infallible`] for in-memory traces).
-    type Error;
-    /// The event iterator.
-    type Events: Iterator<Item = Result<Cow<'a, Event>, Self::Error>>;
-
-    /// The phase-name table, indexed by [`odbgc_trace::PhaseId`].
-    /// Sources must supply it up front (tracefiles carry it in their
-    /// header) so [`Event::Phase`] markers can be named in the result.
-    fn phase_names(&self) -> Vec<String>;
-
-    /// Consumes the source into its event stream.
-    fn into_events(self) -> Self::Events;
-}
-
-/// Borrowed, infallible events of an in-memory [`Trace`].
-pub struct TraceEvents<'a>(std::slice::Iter<'a, Event>);
-
-impl<'a> Iterator for TraceEvents<'a> {
-    type Item = Result<Cow<'a, Event>, Infallible>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|ev| Ok(Cow::Borrowed(ev)))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl<'a> ReplaySource<'a> for &'a Trace {
-    type Error = Infallible;
-    type Events = TraceEvents<'a>;
-
-    fn phase_names(&self) -> Vec<String> {
-        Trace::phase_names(self).to_vec()
-    }
-
-    fn into_events(self) -> TraceEvents<'a> {
-        TraceEvents(self.iter())
-    }
-}
-
-/// A fallible stream of owned events with an up-front phase-name table.
-pub struct EventStream<I> {
-    phase_names: Vec<String>,
-    events: I,
-}
-
-impl<I> EventStream<I> {
-    /// A source over `events` whose [`Event::Phase`] markers resolve
-    /// through `phase_names`.
-    pub fn new<E>(phase_names: Vec<String>, events: impl IntoIterator<IntoIter = I>) -> Self
-    where
-        I: Iterator<Item = Result<Event, E>>,
-    {
-        EventStream {
-            phase_names,
-            events: events.into_iter(),
-        }
-    }
-}
-
-/// Owned events of an [`EventStream`].
-pub struct OwnedEvents<I>(I);
-
-impl<E, I: Iterator<Item = Result<Event, E>>> Iterator for OwnedEvents<I> {
-    type Item = Result<Cow<'static, Event>, E>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|r| r.map(Cow::Owned))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl<E, I: Iterator<Item = Result<Event, E>>> ReplaySource<'static> for EventStream<I> {
-    type Error = E;
-    type Events = OwnedEvents<I>;
-
-    fn phase_names(&self) -> Vec<String> {
-        self.phase_names.clone()
-    }
-
-    fn into_events(self) -> OwnedEvents<I> {
-        OwnedEvents(self.events)
-    }
-}
-
-/// Anything a *batched* replay can consume: a phase-name table plus a
-/// sequence of decoded event blocks, borrowed one block at a time.
-///
-/// This is the block-granular sibling of [`ReplaySource`]: instead of an
-/// iterator of per-event `Result`s, the source lends whole decoded
-/// batches (backed by a reusable arena in the tracefile reader), so the
-/// replay loop pays its dispatch and error-handling costs once per block
-/// rather than once per event. Implemented for
-/// [`odbgc_tracefile::BatchReader`] (one batch per on-disk block) and
-/// [`TraceBatches`] (an in-memory trace as a single batch).
+/// The source lends whole decoded batches (backed by a reusable arena in
+/// the tracefile reader), so the replay loop pays its dispatch and
+/// error-handling costs once per block rather than once per event.
+/// Implemented for [`odbgc_tracefile::BatchReader`] (one batch per
+/// on-disk block) and [`TraceBatches`] (an in-memory trace as a single
+/// batch); batch boundaries never change the result.
 pub trait BatchSource {
     /// The source's error type ([`Infallible`] for in-memory traces).
     type Error;
 
     /// The phase-name table, indexed by [`odbgc_trace::PhaseId`].
+    /// Sources must supply it up front (tracefiles carry it in their
+    /// header) so [`Event::Phase`] markers can be named in the result.
     fn phase_names(&self) -> Vec<String>;
 
     /// Lends the next decoded batch, or `Ok(None)` after the last. The
@@ -206,7 +107,7 @@ pub trait BatchSource {
     fn next_batch(&mut self) -> Result<Option<&[Event]>, Self::Error>;
 }
 
-impl<S: odbgc_tracefile::BlockSource> BatchSource for odbgc_tracefile::BatchReader<S> {
+impl<B: AsRef<[u8]>> BatchSource for odbgc_tracefile::BatchReader<B> {
     type Error = odbgc_tracefile::DecodeError;
 
     fn phase_names(&self) -> Vec<String> {
@@ -303,74 +204,30 @@ impl Simulator {
         Simulator { config }
     }
 
-    /// Replays a [`ReplaySource`] under `policy`, collecting per the
-    /// configuration.
-    ///
-    /// This is the single replay entry point; `&Trace` replays borrowed
-    /// events infallibly (its error type is uninhabited — see
-    /// [`ReplayError::into_sim`]), while an [`EventStream`] replays a
-    /// fallible stream one event at a time. A source error aborts the
-    /// replay with [`ReplayError::Source`] carrying the index of the
-    /// event that failed to materialize.
-    pub fn replay<'a, S: ReplaySource<'a>>(
+    /// Replays an in-memory trace under `policy`, collecting per the
+    /// configuration: [`Simulator::replay_batched`] over the whole trace
+    /// as one batch. The source cannot fail, so the only possible
+    /// failure is the simulation's own.
+    pub fn replay(
         &self,
-        source: S,
+        trace: &Trace,
         policy: &mut dyn RatePolicy,
         options: ReplayOptions<'_>,
-    ) -> Result<RunResult, ReplayError<S::Error>> {
-        let phase_names = source.phase_names();
-        let mut telemetry = options.telemetry;
-        let mut engine = StoreEngine::new(self.config.clone(), policy);
-        let mut phases: Vec<(String, u64, u64)> = Vec::new();
-
-        for (i, ev) in source.into_events().enumerate() {
-            let ev = ev.map_err(|cause| ReplayError::Source {
-                event_index: i,
-                cause,
-            })?;
-            let ev: &Event = &ev;
-            if let Event::Phase { id } = ev {
-                let name = phase_names
-                    .get(id.index())
-                    .map(String::as_str)
-                    .unwrap_or("<unknown>")
-                    .to_owned();
-                if let Some(t) = telemetry.as_deref_mut() {
-                    t.enter_phase(&name, engine.counters());
-                }
-                phases.push((name, i as u64, engine.collection_count()));
-            }
-            engine
-                .apply_event(
-                    ev,
-                    telemetry
-                        .as_deref_mut()
-                        .map(|t| t as &mut dyn EngineObserver),
-                )
-                .map_err(|cause| {
-                    ReplayError::Sim(SimError {
-                        event_index: i,
-                        cause,
-                    })
-                })?;
-        }
-
-        if let Some(t) = telemetry {
-            t.finish(engine.counters());
-        }
-        Ok(engine.into_result(phases))
+    ) -> Result<RunResult, SimError> {
+        self.replay_batched(TraceBatches::new(trace), policy, options)
+            .map_err(ReplayError::into_sim)
     }
 
-    /// Replays a [`BatchSource`] under `policy`, applying events in
-    /// decoded-block chunks.
+    /// Replays a [`BatchSource`] under `policy`, collecting per the
+    /// configuration. This is the one replay loop.
     ///
-    /// Behaviorally identical to [`Simulator::replay`] over the same
-    /// events — per-event triggers, metrics sampling, and observer calls
-    /// all still fire in order, so the [`RunResult`] is byte-identical —
-    /// but the loop hands whole phase-free spans to
-    /// [`StoreEngine::apply_batch`], amortizing per-event dispatch.
-    /// [`Event::Phase`] markers are handled individually between spans,
-    /// exactly as the streaming loop does.
+    /// Per-event triggers, metrics sampling, and observer calls all fire
+    /// in event order, so the [`RunResult`] does not depend on where the
+    /// source cuts its batches; the loop hands whole phase-free spans to
+    /// [`StoreEngine::apply_batch`], amortizing per-event dispatch, and
+    /// handles [`Event::Phase`] markers individually between spans. A
+    /// source error aborts the replay with [`ReplayError::Source`]
+    /// carrying the number of events consumed before it.
     pub fn replay_batched<B: BatchSource>(
         &self,
         mut source: B,
@@ -382,7 +239,7 @@ impl Simulator {
         let mut engine = StoreEngine::new(self.config.clone(), policy);
         let mut phases: Vec<(String, u64, u64)> = Vec::new();
         // Global index of the first event of the current batch, so
-        // per-event error and phase indices match the streaming loop.
+        // per-event error and phase indices are positions in the trace.
         let mut base: usize = 0;
 
         loop {
@@ -470,7 +327,6 @@ mod tests {
 
     fn replay(sim: &Simulator, trace: &Trace, policy: &mut dyn RatePolicy) -> RunResult {
         sim.replay(trace, policy, ReplayOptions::new())
-            .map_err(ReplayError::into_sim)
             .expect("run")
     }
 
@@ -560,50 +416,91 @@ mod tests {
         let mut policy = FixedRatePolicy::new(10);
         let e = sim
             .replay(&trace, &mut policy, ReplayOptions::new())
-            .map_err(ReplayError::into_sim)
             .unwrap_err();
         assert_eq!(e.event_index, 0);
         assert!(e.to_string().contains("event 0"));
     }
 
-    #[test]
-    fn event_stream_source_matches_borrowed_trace() {
-        let trace = tiny_trace(11);
-        let sim = Simulator::new(SimConfig::tiny());
-        let borrowed = {
-            let mut p = SaioPolicy::with_frac(0.10);
-            replay(&sim, &trace, &mut p)
-        };
-        let streamed = {
-            let mut p = SaioPolicy::with_frac(0.10);
-            sim.replay(
-                EventStream::new(
-                    trace.phase_names().to_vec(),
-                    trace.iter().cloned().map(Ok::<_, Infallible>),
-                ),
-                &mut p,
-                ReplayOptions::new(),
-            )
-            .expect("run")
-        };
-        assert_eq!(borrowed, streamed);
+    /// Test-only source: a trace's events re-cut into the given batches
+    /// (an empty range lends an empty batch), optionally failing once
+    /// they are exhausted.
+    struct Rechunked<'a> {
+        trace: &'a Trace,
+        batches: std::vec::IntoIter<std::ops::Range<usize>>,
+        then_fail: bool,
+    }
+
+    impl<'a> Rechunked<'a> {
+        fn new(trace: &'a Trace, batches: Vec<std::ops::Range<usize>>) -> Self {
+            Rechunked {
+                trace,
+                batches: batches.into_iter(),
+                then_fail: false,
+            }
+        }
+    }
+
+    impl BatchSource for Rechunked<'_> {
+        type Error = &'static str;
+
+        fn phase_names(&self) -> Vec<String> {
+            self.trace.phase_names().to_vec()
+        }
+
+        fn next_batch(&mut self) -> Result<Option<&[Event]>, Self::Error> {
+            match self.batches.next() {
+                Some(range) => Ok(Some(&self.trace.events()[range])),
+                None if self.then_fail => Err("source gave out"),
+                None => Ok(None),
+            }
+        }
+    }
+
+    /// The cuttings every invariance test runs: batches of 1 (one event
+    /// per batch — per-event streaming), of 7, the whole trace, and a
+    /// cut immediately before and after a mid-trace `Phase` marker with
+    /// an empty batch in between.
+    fn cuttings(trace: &Trace) -> Vec<Vec<std::ops::Range<usize>>> {
+        let len = trace.len();
+        let every = |k: usize| (0..len).step_by(k).map(|s| s..(s + k).min(len)).collect();
+        let marker = trace
+            .iter()
+            .rposition(|ev| matches!(ev, Event::Phase { .. }))
+            .filter(|&p| 0 < p && p + 1 < len)
+            .expect("a phase marker in mid-trace");
+        vec![
+            every(1),
+            every(7),
+            every(len),
+            vec![
+                0..marker,
+                marker..marker,
+                marker..marker + 1,
+                marker + 1..len,
+            ],
+        ]
     }
 
     #[test]
     fn batched_replay_matches_streaming_replay() {
         let trace = tiny_trace(13);
         let sim = Simulator::new(SimConfig::tiny());
-        let streamed = {
+        let single = {
             let mut p = SaioPolicy::with_frac(0.10);
             replay(&sim, &trace, &mut p)
         };
-        let batched = {
+        for batches in cuttings(&trace) {
+            let first = batches[0].clone();
             let mut p = SaioPolicy::with_frac(0.10);
-            sim.replay_batched(TraceBatches::new(&trace), &mut p, ReplayOptions::new())
-                .map_err(ReplayError::into_sim)
-                .expect("run")
-        };
-        assert_eq!(streamed, batched);
+            let rechunked = sim
+                .replay_batched(
+                    Rechunked::new(&trace, batches),
+                    &mut p,
+                    ReplayOptions::new(),
+                )
+                .expect("run");
+            assert_eq!(single, rechunked, "first batch {first:?}");
+        }
         // And through the real block reader: encode, then replay the
         // decoded blocks (many batches, arena reused between them).
         let bytes = odbgc_tracefile::encode(&trace);
@@ -616,42 +513,56 @@ mod tests {
             sim.replay_batched(reader, &mut p, ReplayOptions::new())
                 .expect("run")
         };
-        assert_eq!(streamed, block_batched);
+        assert_eq!(single, block_batched);
     }
 
     #[test]
     fn batched_replay_telemetry_matches_streaming() {
         let trace = tiny_trace(14);
         let sim = Simulator::new(SimConfig::tiny());
-        let run = |batched: bool| {
+        let run = |batches: Vec<std::ops::Range<usize>>| {
             let mut p = SaioPolicy::with_frac(0.10);
             let mut sink = RunTelemetry::new(p.name());
-            let r = if batched {
-                sim.replay_batched(
-                    TraceBatches::new(&trace),
+            let r = sim
+                .replay_batched(
+                    Rechunked::new(&trace, batches),
                     &mut p,
                     ReplayOptions::new().telemetry(&mut sink),
                 )
-                .map_err(ReplayError::into_sim)
-                .expect("run")
-            } else {
-                sim.replay(&trace, &mut p, ReplayOptions::new().telemetry(&mut sink))
-                    .map_err(ReplayError::into_sim)
-                    .expect("run")
-            };
-            (r, sink)
-        };
-        let (rs, ts) = run(false);
-        let (rb, tb) = run(true);
-        assert_eq!(rs, rb);
-        assert_eq!(ts.decisions, tb.decisions);
-        let phases = |t: &RunTelemetry| {
-            t.phases
+                .expect("run");
+            let phases: Vec<_> = sink
+                .phases
                 .iter()
                 .map(|p| (p.name.clone(), p.events, p.app_io, p.gc_io, p.collections))
-                .collect::<Vec<_>>()
+                .collect();
+            (r, sink.decisions, phases)
         };
-        assert_eq!(phases(&ts), phases(&tb));
+        let mut cuttings = cuttings(&trace).into_iter();
+        let per_event = run(cuttings.next().expect("the batches-of-1 cutting"));
+        assert!(!per_event.1.is_empty() && per_event.2.len() > 1);
+        for batches in cuttings {
+            let first = batches[0].clone();
+            assert_eq!(per_event, run(batches), "first batch {first:?}");
+        }
+    }
+
+    #[test]
+    fn source_error_reports_the_events_consumed_before_it() {
+        let trace = tiny_trace(11);
+        let n = trace.len() / 2;
+        let mut source = Rechunked::new(&trace, vec![0..7, 7..n]);
+        source.then_fail = true;
+        let mut p = SaioPolicy::with_frac(0.10);
+        let err = Simulator::new(SimConfig::tiny())
+            .replay_batched(source, &mut p, ReplayOptions::new())
+            .unwrap_err();
+        match err {
+            ReplayError::Source { event_index, cause } => {
+                assert_eq!(event_index, n);
+                assert_eq!(cause, "source gave out");
+            }
+            ReplayError::Sim(e) => panic!("wanted a source error, got {e}"),
+        }
     }
 
     #[test]
@@ -665,10 +576,15 @@ mod tests {
         let sim = Simulator::new(SimConfig::tiny());
         let mut p = FixedRatePolicy::new(1_000_000);
         let err = sim
-            .replay_batched(TraceBatches::new(&trace), &mut p, ReplayOptions::new())
-            .map_err(ReplayError::into_sim)
+            .replay(&trace, &mut p, ReplayOptions::new())
             .unwrap_err();
         assert_eq!(err.event_index, 2);
+        // The index is a position in the trace, not in the batch.
+        let cut = Rechunked::new(&trace, vec![0..2, 2..trace.len()]);
+        match sim.replay_batched(cut, &mut p, ReplayOptions::new()) {
+            Err(ReplayError::Sim(e)) => assert_eq!(e.event_index, 2),
+            other => panic!("wanted a sim error, got {other:?}"),
+        }
     }
 
     /// A policy whose hand-built zero trigger is due before any activity
@@ -759,7 +675,6 @@ mod tests {
             let mut sink = RunTelemetry::new(p.name());
             let r = sim
                 .replay(&trace, &mut p, ReplayOptions::new().telemetry(&mut sink))
-                .map_err(ReplayError::into_sim)
                 .expect("run");
             (r, sink)
         };

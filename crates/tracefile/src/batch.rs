@@ -1,27 +1,21 @@
 //! Zero-copy block reading and borrowed event batches.
 //!
-//! This module is the decode hot path. It splits tracefile reading into
-//! two layers:
+//! This module is the one decoder of the tracefile format, in two layers:
 //!
-//! * A [`BlockSource`] yields CRC-verified `(kind, payload)` block frames.
-//!   [`SliceBlocks`] walks an in-memory byte slice (an mmap'd file or a
-//!   whole file read into a `Vec`) without copying a single payload byte;
-//!   [`ReadBlocks`] streams from any [`Read`] into one reusable scratch
-//!   buffer, so a long streaming decode performs O(1) block allocations,
-//!   not O(blocks).
-//! * A [`BatchReader`] sits on top of any source and yields **borrowed
-//!   event batches**: each event block is validated once (CRC, count,
-//!   exact payload consumption) and decoded in a single pass into a
-//!   reusable arena, handed back as `&[Event]`. The happy path has no
-//!   per-event allocation (other than `Create`'s inherent slot box) and
-//!   no per-event `Result` branch.
+//! * [`SliceBlocks`] walks an in-memory tracefile image (a borrowed
+//!   `&[u8]`, or a [`crate::TraceData`] mapping of a file) and yields
+//!   CRC-verified `(kind, payload)` block frames without copying a single
+//!   payload byte.
+//! * A [`BatchReader`] sits on top and yields **borrowed event batches**:
+//!   each event block is validated once (CRC, count, exact payload
+//!   consumption) and decoded in a single pass into a reusable arena,
+//!   handed back as `&[Event]`. The happy path has no per-event
+//!   allocation (other than `Create`'s inherent slot box) and no
+//!   per-event `Result` branch.
 //!
-//! Both sources produce byte-for-byte identical [`DecodeError`]s for the
-//! same input — the corruption suite in `tests/tracefile_corruption.rs`
-//! runs every byte-flip and truncation against both paths and asserts
-//! agreement.
-
-use std::io::Read;
+//! Damage of any kind — truncation, bit flips, foreign files — surfaces
+//! as a typed [`DecodeError`]; `tests/tracefile_corruption.rs` runs every
+//! byte-flip and truncation through this decoder.
 
 use odbgc_trace::{Event, ObjectId, PhaseId, SlotIdx, Trace};
 
@@ -34,44 +28,9 @@ use crate::writer::{
 };
 use crate::{BLOCK_END, BLOCK_EVENTS, BLOCK_PHASES, FORMAT_VERSION, MAGIC, MAX_BLOCK_LEN};
 
-/// A source of CRC-verified tracefile blocks.
-///
-/// Implementors validate the 8-byte file header on construction, then
-/// hand out `(kind, payload)` frames whose checksums have already been
-/// checked. The payload borrows from the source, so the next call
-/// invalidates it — callers decode each block before asking for the
-/// next.
-pub trait BlockSource {
-    /// Reads the next block frame, verifying its CRC32.
-    ///
-    /// Errors are [`DecodeError::Truncated`] when the input ends inside
-    /// a frame (the wire format requires an explicit end block, so a
-    /// clean EOF here is still truncation), [`DecodeError::Corrupt`] on
-    /// an oversized declared length, and
-    /// [`DecodeError::ChecksumMismatch`] on payload damage.
-    fn next_block(&mut self) -> Result<(u8, &[u8]), DecodeError>;
-
-    /// Asserts the input is exhausted; called after the end block.
-    /// Trailing bytes are [`DecodeError::Corrupt`].
-    fn expect_eof(&mut self) -> Result<(), DecodeError>;
-
-    /// Block frames fully read so far (the phase table counts as the
-    /// first frame; the 8-byte file header does not count).
-    fn blocks_read(&self) -> u64;
-
-    /// A cheap hint of the events remaining, when the source can learn
-    /// it without decoding payloads — an in-memory image can skip along
-    /// block headers to the end block's declared count. Purely a
-    /// pre-allocation hint: `None` (the default, and the answer for
-    /// streaming or structurally damaged inputs) never changes decode
-    /// results, and damage is still diagnosed by decode proper.
-    fn remaining_events_hint(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// Validates the magic and version at the front of `bytes`, mirroring
-/// the streaming header errors (including truncation offsets) exactly.
+/// Validates the magic and version at the front of `bytes`. Magic first,
+/// version second: a 4-byte foreign file is "not a tracefile", not "a
+/// truncated tracefile".
 fn check_header(bytes: &[u8]) -> Result<(), DecodeError> {
     if bytes.len() < 4 {
         return Err(DecodeError::Truncated {
@@ -100,11 +59,13 @@ fn check_header(bytes: &[u8]) -> Result<(), DecodeError> {
     Ok(())
 }
 
-/// Zero-copy block source over an in-memory tracefile image.
+/// Zero-copy source of CRC-verified blocks over an in-memory tracefile
+/// image.
 ///
-/// `B` is any byte backing — a borrowed `&[u8]`, an owned `Vec<u8>`, or
-/// a [`crate::TraceData`] (mmap with read-to-`Vec` fallback). Payload
-/// slices point straight into the backing; nothing is copied.
+/// `B` is any byte backing — a borrowed `&[u8]` or a [`crate::TraceData`]
+/// (mmap with read-to-`Vec` fallback). The 8-byte file header is
+/// validated on construction; payload slices point straight into the
+/// backing, nothing is copied.
 pub struct SliceBlocks<B> {
     data: B,
     pos: usize,
@@ -121,13 +82,18 @@ impl<B: AsRef<[u8]>> SliceBlocks<B> {
             blocks_read: 0,
         })
     }
-}
 
-impl<B: AsRef<[u8]>> BlockSource for SliceBlocks<B> {
+    /// Reads the next block frame, verifying its CRC32.
+    ///
+    /// Errors are [`DecodeError::Truncated`] when the image ends inside
+    /// a frame (the wire format requires an explicit end block, so a
+    /// clean end here is still truncation), [`DecodeError::Corrupt`] on
+    /// an oversized declared length, and
+    /// [`DecodeError::ChecksumMismatch`] on payload damage.
     fn next_block(&mut self) -> Result<(u8, &[u8]), DecodeError> {
         let bytes = self.data.as_ref();
-        // A frame cut short by the end of the image reports the same
-        // offset a streaming reader would: the total bytes available.
+        // A frame cut short by the end of the image reports the total
+        // bytes available as its offset.
         let truncated = |expected| DecodeError::Truncated {
             offset: bytes.len() as u64,
             expected,
@@ -173,7 +139,9 @@ impl<B: AsRef<[u8]>> BlockSource for SliceBlocks<B> {
         Ok((kind, payload))
     }
 
-    fn expect_eof(&mut self) -> Result<(), DecodeError> {
+    /// Asserts the image is exhausted; called after the end block.
+    /// Trailing bytes are [`DecodeError::Corrupt`].
+    fn expect_eof(&self) -> Result<(), DecodeError> {
         if self.pos != self.data.as_ref().len() {
             return Err(DecodeError::Corrupt {
                 block: self.blocks_read,
@@ -183,10 +151,10 @@ impl<B: AsRef<[u8]>> BlockSource for SliceBlocks<B> {
         Ok(())
     }
 
-    fn blocks_read(&self) -> u64 {
-        self.blocks_read
-    }
-
+    /// The events remaining, learned by skipping along block headers to
+    /// the end block's declared count. Purely a pre-allocation hint:
+    /// `None` (structurally damaged input) never changes decode results,
+    /// and damage is still diagnosed by decode proper.
     fn remaining_events_hint(&self) -> Option<u64> {
         // Hop along block headers (a handful of jumps for ~32 KiB
         // blocks) to the end block and read its declared total. Any
@@ -206,134 +174,6 @@ impl<B: AsRef<[u8]>> BlockSource for SliceBlocks<B> {
             pos += 5 + len + 4;
         }
     }
-}
-
-/// Streaming block source over any [`Read`], holding at most one block
-/// (~32 KiB) in a single scratch buffer that is reused across blocks.
-pub struct ReadBlocks<R: Read> {
-    input: R,
-    /// Reusable payload buffer: grown once to the largest block seen,
-    /// never reallocated after that.
-    scratch: Vec<u8>,
-    offset: u64,
-    blocks_read: u64,
-}
-
-impl<R: Read> ReadBlocks<R> {
-    /// Reads and validates the 8-byte file header.
-    pub fn new(mut input: R) -> Result<Self, DecodeError> {
-        let mut offset = 0u64;
-        // Magic first, version second: a 4-byte foreign file is "not a
-        // tracefile", not "a truncated tracefile".
-        let mut magic = [0u8; 4];
-        read_exact_at(&mut input, &mut magic, &mut offset, "magic")?;
-        if magic != MAGIC {
-            return Err(DecodeError::BadMagic { found: magic });
-        }
-        let mut rest = [0u8; 4];
-        read_exact_at(&mut input, &mut rest, &mut offset, "version header")?;
-        let version = u16::from_le_bytes([rest[0], rest[1]]);
-        if version > FORMAT_VERSION {
-            return Err(DecodeError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        Ok(ReadBlocks {
-            input,
-            scratch: Vec::new(),
-            offset,
-            blocks_read: 0,
-        })
-    }
-}
-
-impl<R: Read> BlockSource for ReadBlocks<R> {
-    fn next_block(&mut self) -> Result<(u8, &[u8]), DecodeError> {
-        let mut head = [0u8; 5];
-        read_exact_at(&mut self.input, &mut head, &mut self.offset, "block header")?;
-        let kind = head[0];
-        let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]);
-        if len > MAX_BLOCK_LEN {
-            return Err(DecodeError::Corrupt {
-                block: self.blocks_read,
-                message: format!("block length {len} exceeds the {MAX_BLOCK_LEN}-byte cap"),
-            });
-        }
-        self.scratch.clear();
-        self.scratch.resize(len as usize, 0);
-        read_exact_at(
-            &mut self.input,
-            &mut self.scratch,
-            &mut self.offset,
-            "block payload",
-        )?;
-        let mut stored = [0u8; 4];
-        read_exact_at(
-            &mut self.input,
-            &mut stored,
-            &mut self.offset,
-            "block checksum",
-        )?;
-        let stored = u32::from_le_bytes(stored);
-        let computed = crc32(&self.scratch);
-        if stored != computed {
-            return Err(DecodeError::ChecksumMismatch {
-                block: self.blocks_read,
-                stored,
-                computed,
-            });
-        }
-        self.blocks_read += 1;
-        Ok((kind, &self.scratch))
-    }
-
-    fn expect_eof(&mut self) -> Result<(), DecodeError> {
-        let mut probe = [0u8; 1];
-        loop {
-            match self.input.read(&mut probe) {
-                Ok(0) => return Ok(()),
-                Ok(_) => {
-                    return Err(DecodeError::Corrupt {
-                        block: self.blocks_read,
-                        message: "trailing bytes after end block".into(),
-                    })
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(DecodeError::Io(e)),
-            }
-        }
-    }
-
-    fn blocks_read(&self) -> u64 {
-        self.blocks_read
-    }
-}
-
-/// Reads exactly `buf.len()` bytes, reporting a typed truncation error
-/// (with the stream offset) when the input ends early.
-pub(crate) fn read_exact_at<R: Read>(
-    input: &mut R,
-    buf: &mut [u8],
-    offset: &mut u64,
-    expected: &'static str,
-) -> Result<(), DecodeError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match input.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(DecodeError::Truncated {
-                    offset: *offset + filled as u64,
-                    expected,
-                })
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(DecodeError::Io(e)),
-        }
-    }
-    *offset += buf.len() as u64;
-    Ok(())
 }
 
 /// Decodes the phase-table payload.
@@ -521,8 +361,7 @@ pub(crate) fn decode_event_block(
 /// Batched tracefile reader: yields each event block as one borrowed,
 /// fully validated `&[Event]` slice backed by a reusable arena.
 ///
-/// Compared to [`crate::TraceReader`]'s one-event-at-a-time iterator,
-/// a batch costs one `Result` branch per ~32 KiB block instead of one
+/// A batch costs one `Result` branch per ~32 KiB block instead of one
 /// per event, and the arena's capacity is reused across blocks.
 ///
 /// ```
@@ -542,18 +381,18 @@ pub(crate) fn decode_event_block(
 /// }
 /// assert_eq!(events, trace.events());
 /// ```
-pub struct BatchReader<S: BlockSource> {
-    source: S,
+pub struct BatchReader<B> {
+    source: SliceBlocks<B>,
     phase_names: Vec<String>,
     arena: Vec<Event>,
     events_read: u64,
     done: bool,
 }
 
-impl<S: BlockSource> BatchReader<S> {
+impl<B: AsRef<[u8]>> BatchReader<B> {
     /// Opens a tracefile over `source`: reads and validates the phase
     /// table (the header was validated by the source's constructor).
-    pub fn new(mut source: S) -> Result<Self, DecodeError> {
+    pub fn new(mut source: SliceBlocks<B>) -> Result<Self, DecodeError> {
         let (kind, payload) = source.next_block()?;
         if kind != BLOCK_PHASES {
             return Err(DecodeError::Corrupt {
@@ -584,14 +423,14 @@ impl<S: BlockSource> BatchReader<S> {
     /// Blocks read so far (including the phase table and, once reading
     /// completes, the end block).
     pub fn blocks_read(&self) -> u64 {
-        self.source.blocks_read()
+        self.source.blocks_read
     }
 
     /// Decodes the next event block, appending its events to `out`.
     /// `Ok(true)` means a block was decoded; `Ok(false)` means the end
     /// block was reached and verified. Fused: after `Ok(false)` or an
     /// error, every later call returns `Ok(false)`.
-    pub(crate) fn next_into(&mut self, out: &mut Vec<Event>) -> Result<bool, DecodeError> {
+    fn next_into(&mut self, out: &mut Vec<Event>) -> Result<bool, DecodeError> {
         if self.done {
             return Ok(false);
         }
@@ -603,9 +442,9 @@ impl<S: BlockSource> BatchReader<S> {
     }
 
     fn step(&mut self, out: &mut Vec<Event>) -> Result<bool, DecodeError> {
-        // Content errors are attributed to the *next* frame index, the
-        // same convention the streaming reader has always used.
-        let block = self.source.blocks_read() + 1;
+        // Content errors are attributed to the *next* frame index (the
+        // phase table is frame 0).
+        let block = self.source.blocks_read + 1;
         let (kind, payload) = self.source.next_block()?;
         let corrupt = |message: String| DecodeError::Corrupt { block, message };
         match kind {
@@ -706,42 +545,37 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_stream_sources_agree() {
-        let t = sample();
-        let bytes = crate::encode(&t);
-        let via_slice = BatchReader::new(SliceBlocks::new(bytes.as_slice()).unwrap())
-            .unwrap()
-            .read_to_trace()
-            .unwrap();
-        let via_stream = BatchReader::new(ReadBlocks::new(bytes.as_slice()).unwrap())
-            .unwrap()
-            .read_to_trace()
-            .unwrap();
-        assert_eq!(via_slice, t);
-        assert_eq!(via_stream, t);
+    fn extreme_ids_round_trip() {
+        // Wrapping deltas must survive ids at both ends of u64.
+        let mut b = TraceBuilder::new();
+        b.access(ObjectId::new(u64::MAX));
+        b.access(ObjectId::new(0));
+        b.access(ObjectId::new(u64::MAX / 2));
+        b.slot_write(
+            ObjectId::new(u64::MAX),
+            SlotIdx::new(u32::MAX),
+            Some(ObjectId::new(1)),
+        );
+        let t = b.finish();
+        assert_eq!(crate::decode(&crate::encode(&t)).unwrap(), t);
     }
 
     #[test]
-    fn truncation_fuses_and_reports_the_same_error_on_both_sources() {
+    fn truncation_surfaces_once_then_the_reader_is_fused() {
         let t = sample();
         let mut bytes = crate::encode(&t);
         let n = bytes.len();
         bytes.truncate(n - 3);
-        let drain = |r: &mut dyn FnMut() -> Result<bool, DecodeError>| loop {
-            match r() {
-                Ok(true) => {}
-                Ok(false) => return None,
-                Err(e) => return Some(e),
+        let mut r = BatchReader::new(SliceBlocks::new(bytes.as_slice()).unwrap()).unwrap();
+        let err = loop {
+            match r.next_batch() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("truncation must surface"),
+                Err(e) => break e,
             }
         };
-        let mut sink = Vec::new();
-        let mut slice = BatchReader::new(SliceBlocks::new(bytes.as_slice()).unwrap()).unwrap();
-        let e1 = drain(&mut || slice.next_into(&mut sink)).expect("truncation must surface");
-        let mut stream = BatchReader::new(ReadBlocks::new(bytes.as_slice()).unwrap()).unwrap();
-        let e2 = drain(&mut || stream.next_into(&mut sink)).expect("truncation must surface");
-        assert_eq!(format!("{e1:?}"), format!("{e2:?}"));
-        // Fused after the error.
-        assert!(matches!(slice.next_into(&mut sink), Ok(false)));
+        assert!(matches!(err, DecodeError::Truncated { .. }), "{err:?}");
+        assert!(matches!(r.next_batch(), Ok(None)), "fused after the error");
     }
 
     #[test]

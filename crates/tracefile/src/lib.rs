@@ -1,5 +1,5 @@
-//! On-disk binary trace corpus: compact tracefile format, streaming
-//! replay, and a persistent cross-process trace cache.
+//! On-disk binary trace corpus: compact tracefile format, zero-copy
+//! batched reading, and a persistent cross-process trace cache.
 //!
 //! The text codec in `odbgc-trace` is the diffable, human-readable
 //! interchange form; this crate is the *storage* form. A tracefile is a
@@ -9,10 +9,10 @@
 //! * **Compactness.** Events are varint/delta-encoded against the
 //!   previously seen object id, so the dense, locality-heavy id streams
 //!   produced by OO7 generation shrink to a fraction of their text size.
-//! * **Streaming.** [`TraceWriter`] encodes events as they arrive and
-//!   [`TraceReader`] decodes them block by block, so neither side ever
-//!   holds a whole trace in memory — peak memory is one block (~32 KiB),
-//!   not O(trace).
+//! * **Block-at-a-time.** [`TraceWriter`] encodes events as they arrive
+//!   and [`BatchReader`] decodes a mapped file one block at a time into a
+//!   reused arena, so neither side ever holds a whole decoded trace —
+//!   heap use is one block (~32 KiB of payload), not O(trace).
 //! * **Verifiability.** Every block is length-prefixed and CRC32-
 //!   checksummed; truncation, bit flips, foreign files, and
 //!   future-version files are all detected and reported as distinct
@@ -53,15 +53,13 @@ pub mod corpus;
 pub mod crc32;
 pub mod error;
 pub mod mmap;
-pub mod reader;
 pub mod varint;
 pub mod writer;
 
-pub use batch::{BatchReader, BlockSource, ReadBlocks, SliceBlocks};
+pub use batch::{BatchReader, SliceBlocks};
 pub use corpus::{CorpusKey, CorpusStats, TraceCorpus};
 pub use error::DecodeError;
 pub use mmap::TraceData;
-pub use reader::{read_trace, TraceReader};
 pub use writer::{write_trace, TraceWriter};
 
 use std::path::Path;
@@ -101,30 +99,22 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
     out
 }
 
-/// Decodes an in-memory tracefile into a fully materialized trace.
-///
-/// This is the zero-copy path: blocks are CRC-verified and decoded
-/// straight out of `bytes` with no intermediate payload copies.
+/// Decodes an in-memory tracefile into a fully materialized trace:
+/// blocks are CRC-verified and decoded straight out of `bytes` with no
+/// intermediate payload copies.
 pub fn decode(bytes: &[u8]) -> Result<Trace, DecodeError> {
     BatchReader::new(SliceBlocks::new(bytes)?)?.read_to_trace()
 }
 
 /// A batched reader over a whole-file backing ([`TraceData`]: mmap when
 /// possible, owned bytes otherwise).
-pub type FileBatches = BatchReader<SliceBlocks<TraceData>>;
+pub type FileBatches = BatchReader<TraceData>;
 
 /// Opens a tracefile on disk for zero-copy batched reading, preferring
 /// a read-only memory map and falling back to reading the whole file
 /// into memory (see [`mmap`] for when).
 pub fn open_batches(path: &Path) -> Result<FileBatches, DecodeError> {
     let data = TraceData::open(path)?;
-    BatchReader::new(SliceBlocks::new(data)?)
-}
-
-/// Like [`open_batches`], but never maps: the file is read into an
-/// owned buffer. For callers that cannot rule out in-place writers.
-pub fn open_batches_buffered(path: &Path) -> Result<FileBatches, DecodeError> {
-    let data = TraceData::open_buffered(path)?;
     BatchReader::new(SliceBlocks::new(data)?)
 }
 

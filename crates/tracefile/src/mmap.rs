@@ -22,8 +22,7 @@
 //!   *shrinking* the file while mapped, which faults on access to the
 //!   vanished tail — cannot arise from this crate's own discipline:
 //!   [`TraceCorpus`](crate::TraceCorpus) fills replace files by atomic
-//!   rename and never truncate in place. Callers sharing tracefiles
-//!   with in-place writers should use the buffered fallback.
+//!   rename and never truncate in place.
 //!
 //! ## When the fallback engages
 //!
@@ -65,12 +64,6 @@ impl TraceData {
                 }
             }
         }
-        Self::open_buffered(path)
-    }
-
-    /// Opens `path` by reading it fully into an owned buffer, never
-    /// mapping. Useful when the file may be modified in place.
-    pub fn open_buffered(path: &Path) -> io::Result<TraceData> {
         Ok(TraceData {
             backing: Backing::Owned(std::fs::read(path)?),
         })
@@ -227,7 +220,9 @@ mod tests {
         let bytes = crate::encode(&b.finish());
         let path = temp_file("same-bytes", &bytes);
         let mapped = TraceData::open(&path).unwrap();
-        let buffered = TraceData::open_buffered(&path).unwrap();
+        let buffered = TraceData {
+            backing: Backing::Owned(std::fs::read(&path).unwrap()),
+        };
         assert_eq!(&*mapped, bytes.as_slice());
         assert_eq!(&*buffered, bytes.as_slice());
         assert!(!buffered.is_mapped());

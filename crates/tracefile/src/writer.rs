@@ -41,7 +41,7 @@ pub(crate) const TAG_PHASE: u8 = 7;
 ///
 /// ```
 /// use odbgc_trace::TraceBuilder;
-/// use odbgc_tracefile::{TraceReader, TraceWriter};
+/// use odbgc_tracefile::TraceWriter;
 ///
 /// let mut b = TraceBuilder::new();
 /// b.phase("setup");
@@ -56,8 +56,7 @@ pub(crate) const TAG_PHASE: u8 = 7;
 /// }
 /// w.finish().unwrap();
 ///
-/// let r = TraceReader::new(out.as_slice()).unwrap();
-/// assert_eq!(r.phase_names(), trace.phase_names());
+/// assert_eq!(odbgc_tracefile::decode(&out).unwrap(), trace);
 /// ```
 pub struct TraceWriter<W: Write> {
     out: W,

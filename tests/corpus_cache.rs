@@ -1,19 +1,19 @@
-//! Acceptance tests for the persistent trace corpus and streaming
-//! replay (ISSUE 3):
+//! Acceptance tests for the persistent trace corpus and replay straight
+//! off a tracefile (ISSUE 3):
 //!
 //! * a 3×3 sweep run twice against the same corpus directory is
 //!   byte-identical, and the second run reports ≥ 9 corpus hits with 0
 //!   generations;
 //! * binary tracefiles are ≤ 40% the size of the equivalent text
 //!   encoding on a conn-3 OO7 trace;
-//! * streaming replay of that trace completes without constructing a
-//!   full in-memory `Trace`.
+//! * replay of that trace off its file, block by block, completes
+//!   without constructing a full in-memory `Trace`.
 
 use odbgc_core::PolicySpec;
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{EventStream, ExperimentPlan, PlanOutcome, SimConfig, Simulator};
+use odbgc_sim::{ExperimentPlan, PlanOutcome, SimConfig, Simulator};
 use odbgc_trace::codec;
-use odbgc_tracefile::TraceReader;
+use odbgc_tracefile::{BatchReader, SliceBlocks};
 
 struct TempDir(std::path::PathBuf);
 impl TempDir {
@@ -178,19 +178,13 @@ fn streaming_replay_needs_no_in_memory_trace() {
         .replay(&trace, policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap();
 
-    // …versus streaming replay straight off the file: the `Trace` value
-    // is gone by now, only the reader's current block is resident.
-    let phase_names = trace.phase_names().to_vec();
+    // …versus replay straight off the file: the `Trace` value is gone
+    // by now, only the reader's current decoded block is on the heap.
     drop(trace);
-    let reader =
-        TraceReader::new(std::io::BufReader::new(std::fs::File::open(&path).unwrap())).unwrap();
+    let reader = odbgc_tracefile::open_batches(&path).unwrap();
     let mut policy = PolicySpec::saio(0.10).build();
     let streamed = Simulator::new(SimConfig::tiny())
-        .replay(
-            EventStream::new(phase_names.clone(), reader),
-            policy.as_mut(),
-            odbgc_sim::ReplayOptions::new(),
-        )
+        .replay_batched(reader, policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap();
 
     assert_eq!(in_memory, streamed, "streaming must not change results");
@@ -198,23 +192,33 @@ fn streaming_replay_needs_no_in_memory_trace() {
 
 #[test]
 fn streaming_replay_surfaces_source_errors_with_position() {
-    let (trace, _) = Oo7App::standard(Oo7Params::tiny(), 1).generate();
+    // Long enough to span several ~32 KiB blocks, so the cut below
+    // leaves whole blocks in front of the damaged one.
+    let trace = odbgc_trace::synthetic::linear_chain(30_000, 64, None);
     let mut bytes = odbgc_tracefile::encode(&trace);
     let cut = bytes.len() * 2 / 3;
     bytes.truncate(cut);
 
-    let reader = TraceReader::new(bytes.as_slice()).unwrap();
+    // The events of the blocks that precede the cut are all applied
+    // before the damaged block is reached.
+    let open = || BatchReader::new(SliceBlocks::new(bytes.as_slice()).unwrap()).unwrap();
+    let mut intact = 0;
+    let mut probe = open();
+    while let Ok(Some(batch)) = probe.next_batch() {
+        intact += batch.len();
+    }
+    assert!(
+        0 < intact && intact < trace.len(),
+        "the cut falls mid-trace"
+    );
+
     let mut policy = PolicySpec::saio(0.10).build();
     let err = Simulator::new(SimConfig::tiny())
-        .replay(
-            EventStream::new(trace.phase_names().to_vec(), reader),
-            policy.as_mut(),
-            odbgc_sim::ReplayOptions::new(),
-        )
+        .replay_batched(open(), policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap_err();
     match err {
         odbgc_sim::ReplayError::Source { event_index, cause } => {
-            assert!(event_index < trace.len(), "index {event_index} in range");
+            assert_eq!(event_index, intact, "position = events consumed");
             assert!(matches!(
                 cause,
                 odbgc_tracefile::DecodeError::Truncated { .. }

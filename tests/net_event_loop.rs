@@ -18,9 +18,13 @@
 //! 5. **Unread replies are bounded** — a peer that pipelines requests
 //!    and never reads is no longer read from once its unflushed replies
 //!    pass a fixed bound; when it does read, every reply is there.
+//! 6. **Drain always terminates** — a peer that never reads its replies
+//!    is reaped after `idle_timeout` during a drain as at any other
+//!    time, so `NetServer::run` returns; no other session loses an
+//!    acknowledged op.
 
 use std::io::{BufReader, ErrorKind, Write};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use odbgc_core::FixedRatePolicy;
 use odbgc_engine::{EngineConfig, SessionWorkload, WorkloadParams};
@@ -38,7 +42,6 @@ fn net_config(shards: u32, net_threads: usize) -> NetConfig {
         // Short enough that a hung test fails fast, long enough to never
         // fire during normal turns (or the idle window below).
         idle_timeout: Duration::from_secs(10),
-        poll_interval: Duration::from_millis(5),
         ..NetConfig::default()
     }
 }
@@ -60,32 +63,47 @@ fn shutdown(addr: &str) {
     }
 }
 
+fn body_of(req: &Request) -> Vec<u8> {
+    let mut body = Vec::new();
+    req.encode_into(&mut body);
+    body
+}
+
+/// One request as the bytes of its frame.
+fn frame_of(req: &Request) -> Vec<u8> {
+    let mut wire = Vec::new();
+    frame_into(&mut wire, &body_of(req));
+    wire
+}
+
 /// A realistic mixed frame stream: requests and responses a connection
 /// actually carries, including an empty-ish admin frame and a turn of
 /// generated ops.
 fn sample_bodies() -> Vec<Vec<u8>> {
     let turn = SessionWorkload::new(0, WorkloadParams::default(), 32).next_turn(8);
+    let response = |resp: Response| {
+        let mut body = Vec::new();
+        resp.encode_into(&mut body);
+        body
+    };
     vec![
-        Request::Hello {
+        body_of(&Request::Hello {
             session: 7,
             window: 4,
-        }
-        .encode(),
-        Request::Ops { ops: turn }.encode(),
-        Request::Ack { n: 1 }.encode(),
-        Request::Stats.encode(),
-        Response::HelloOk {
+        }),
+        body_of(&Request::Ops { ops: turn }),
+        body_of(&Request::Ack { n: 1 }),
+        body_of(&Request::Stats),
+        response(Response::HelloOk {
             session: 7,
             shard: 1,
             window: 4,
-        }
-        .encode(),
-        Response::Error {
+        }),
+        response(Response::Error {
             code: odbgc_net::ErrorCode::Draining,
             message: "server is draining; no new turns".into(),
-        }
-        .encode(),
-        Request::Bye.encode(),
+        }),
+        body_of(&Request::Bye),
     ]
 }
 
@@ -156,15 +174,14 @@ fn byte_trickled_requests_are_served() {
     stream.set_nodelay(true).unwrap();
 
     fn trickle(stream: &mut std::net::TcpStream, req: &Request) {
-        let mut wire = Vec::new();
-        frame_into(&mut wire, &req.encode());
-        for byte in &wire {
+        for byte in &frame_of(req) {
             stream.write_all(std::slice::from_ref(byte)).unwrap();
             stream.flush().unwrap();
         }
     }
     fn response(stream: &mut std::net::TcpStream) -> Response {
-        let body = odbgc_net::proto::read_frame(stream).expect("response frame");
+        let mut body = Vec::new();
+        odbgc_net::read_frame_into(stream, &mut body).expect("response frame");
         Response::decode(&body).expect("response decodes")
     }
 
@@ -326,8 +343,7 @@ fn unread_replies_stall_the_peer_within_a_byte_budget() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
 
-    let mut frame = Vec::new();
-    frame_into(&mut frame, &Request::Stats.encode());
+    let frame = frame_of(&Request::Stats);
     let chunk = frame.repeat(4096);
     let mut written = 0usize;
     loop {
@@ -364,9 +380,7 @@ fn unread_replies_stall_the_peer_within_a_byte_budget() {
         odbgc_net::read_frame_into(&mut replies, &mut body).expect("last reply");
         assert_eq!(body, first);
     }
-    let mut bye = Vec::new();
-    frame_into(&mut bye, &Request::Bye.encode());
-    stream.write_all(&bye).unwrap();
+    stream.write_all(&frame_of(&Request::Bye)).unwrap();
     odbgc_net::read_frame_into(&mut replies, &mut body).expect("bye reply");
     assert_eq!(Response::decode(&body).unwrap(), Response::ByeOk);
     drop((replies, stream));
@@ -374,4 +388,111 @@ fn unread_replies_stall_the_peer_within_a_byte_budget() {
     shutdown(&addr);
     let outcome = server.join().unwrap();
     assert!(outcome.clients.iter().all(|c| c.clean_close));
+}
+
+/// (6) A peer fills its window, keeps writing requests, and never reads
+/// a reply, so the server is left holding replies it cannot flush. A
+/// `Shutdown` from another connection must still end `run`: the stalled
+/// connection is reaped `idle_timeout` after its last byte moved and
+/// recorded unclean, while every other session's acknowledged ops are
+/// all in the shard results.
+#[test]
+fn drain_terminates_when_a_peer_never_reads() {
+    const IDLE: Duration = Duration::from_secs(2);
+    const STALLED: u32 = 99;
+    const WINDOW: u32 = 4;
+
+    let (addr, server) = spawn_server(NetConfig {
+        idle_timeout: IDLE,
+        ..net_config(2, 2)
+    });
+
+    // Well-behaved sessions first; their closed-connection counters
+    // also make each `Stats` reply below a few hundred bytes.
+    let report = run_clients(
+        &ClientConfig {
+            addr: addr.clone(),
+            session: 0,
+            ops: OPS_PER_CONN,
+            batch: 8,
+            window: 4,
+            workload: WorkloadParams::default(),
+            shutdown_after: false,
+        },
+        8,
+    )
+    .expect("multi-client run");
+
+    let mut stalled = std::net::TcpStream::connect(&addr).expect("connect");
+    stalled.set_nodelay(true).unwrap();
+    // A write that moves nothing for this long (well under IDLE) means
+    // the server has stopped reading: its replies are backed up.
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let mut wire = frame_of(&Request::Hello {
+        session: STALLED,
+        window: WINDOW,
+    });
+    let mut workload = SessionWorkload::new(STALLED, WorkloadParams::default(), 1_000);
+    let mut stalled_ops = 0;
+    for _ in 0..WINDOW {
+        let ops = workload.next_turn(8);
+        stalled_ops += ops.len() as u64;
+        wire.extend(frame_of(&Request::Ops { ops }));
+    }
+    stalled
+        .write_all(&wire)
+        .expect("hello and a window of turns");
+    let chunk = frame_of(&Request::Stats).repeat(4096);
+    let mut written = 0usize;
+    loop {
+        assert!(written < 64 << 20, "the server never stopped reading");
+        match stalled.write(&chunk[written % chunk.len()..]) {
+            Ok(n) => written += n,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+            Err(e) => panic!("write: {e}"),
+        }
+    }
+
+    shutdown(&addr);
+    let asked = Instant::now();
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(server.join().unwrap()));
+    let outcome = outcome
+        .recv_timeout(IDLE + Duration::from_secs(8))
+        .expect("the drain must not wait forever on a peer that never reads");
+    assert!(
+        asked.elapsed() >= IDLE / 4,
+        "the stalled peer was given its idle allowance: {:?}",
+        asked.elapsed()
+    );
+    // Held open until here: the server saw a silent peer, not a reset.
+    drop(stalled);
+
+    let by_session = |session: u32| {
+        let mut found = outcome.clients.iter().filter(|c| c.session == session);
+        let counters = found.next().expect("session has counters");
+        assert!(found.next().is_none(), "one connection per session");
+        counters
+    };
+    let reaped = by_session(STALLED);
+    assert!(!reaped.clean_close, "a reaped connection is unclean");
+    assert_eq!(reaped.turns, WINDOW as u64);
+    assert_eq!(reaped.ops, stalled_ops);
+    for (session, acked) in report.reports.iter().enumerate() {
+        let counters = by_session(session as u32);
+        assert!(counters.clean_close);
+        assert_eq!(counters.ops, acked.ops_applied, "session {session}");
+    }
+    let applied: u64 = outcome
+        .shards
+        .iter()
+        .map(|s| s.result.events_replayed)
+        .sum();
+    assert_eq!(
+        applied,
+        report.totals().ops_applied + stalled_ops,
+        "every acknowledged op survived the drain, and nothing else"
+    );
 }

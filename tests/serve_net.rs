@@ -37,7 +37,6 @@ fn net_config(shards: u32) -> NetConfig {
         // Short idle timeout so a hung test fails fast, long enough to
         // never fire during normal turns.
         idle_timeout: Duration::from_secs(10),
-        poll_interval: Duration::from_millis(5),
         ..NetConfig::default()
     }
 }

@@ -8,9 +8,7 @@
 //! future version is what an old binary sees after an upgrade.
 
 use odbgc_trace::{SlotIdx, Trace, TraceBuilder};
-use odbgc_tracefile::{
-    crc32::crc32, BatchReader, DecodeError, SliceBlocks, TraceReader, FORMAT_VERSION, MAGIC,
-};
+use odbgc_tracefile::{crc32::crc32, BatchReader, DecodeError, SliceBlocks, FORMAT_VERSION, MAGIC};
 
 /// A representative trace: phases, creates with mixed slots, writes,
 /// roots — large enough to exercise every tag.
@@ -39,45 +37,16 @@ fn encoded() -> Vec<u8> {
     odbgc_tracefile::encode(&sample_trace())
 }
 
-/// Drains a tracefile through the streaming (`Read`-based) path.
-fn decode_streaming(bytes: &[u8]) -> Result<usize, DecodeError> {
-    let reader = TraceReader::new(bytes)?;
-    let mut n = 0;
-    for ev in reader {
-        ev?;
-        n += 1;
-    }
-    Ok(n)
-}
-
-/// Drains a tracefile through the zero-copy slice path — the same code
-/// the mmap-backed reader runs over a mapped region.
-fn decode_sliced(bytes: &[u8]) -> Result<usize, DecodeError> {
+/// Fully drains a tracefile through the decoder — the same code the
+/// mmap-backed reader runs over a mapped region — returning the event
+/// count on success and the typed error on damage.
+fn decode_all(bytes: &[u8]) -> Result<usize, DecodeError> {
     let mut reader = BatchReader::new(SliceBlocks::new(bytes)?)?;
     let mut n = 0;
     while let Some(batch) = reader.next_batch()? {
         n += batch.len();
     }
     Ok(n)
-}
-
-/// Fully drains a tracefile through BOTH read paths, asserting they
-/// agree exactly — same event count on success, same typed error (field
-/// for field, via Debug) on failure. Every corruption case in this file
-/// therefore exercises the streaming and the mmap/slice decoder alike.
-fn decode_all(bytes: &[u8]) -> Result<usize, DecodeError> {
-    let streamed = decode_streaming(bytes);
-    let sliced = decode_sliced(bytes);
-    match (&streamed, &sliced) {
-        (Ok(a), Ok(b)) => assert_eq!(a, b, "paths decode different event counts"),
-        (Err(a), Err(b)) => assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "paths diagnose the damage differently"
-        ),
-        _ => panic!("paths disagree: streaming {streamed:?} vs sliced {sliced:?}"),
-    }
-    streamed
 }
 
 #[test]
@@ -275,7 +244,7 @@ fn mmap_reader_diagnoses_damage_identically_to_memory() {
     // covers the actual mapped region: damaged variants written to real
     // files and opened through `open_batches` (a read-only mmap where
     // the platform supports it) must produce the very same typed errors
-    // as the in-memory paths — truncated maps included, with no panic
+    // as the in-memory image — truncated maps included, with no panic
     // and no fault.
     let dir = std::env::temp_dir().join(format!(
         "odbgc-tracefile-mmap-corruption-{}",

@@ -40,15 +40,9 @@ fn bench_tracefile(c: &mut Criterion) {
     });
     group.finish();
 
-    // Zero-copy batches: drain borrowed `&[Event]` blocks without a
-    // Trace, per-event allocation, or per-event Result — first off an
-    // in-memory slice (what the mmap reader runs over a mapped region),
-    // then off an actual file through `open_batches`.
-    let dir = std::env::temp_dir().join(format!("odbgc-bench-tracefile-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("bench temp dir");
-    let path = dir.join("bench.otb");
-    std::fs::write(&path, &binary).expect("write bench tracefile");
-
+    // Borrowed batches: drain `&[Event]` blocks without a Trace,
+    // per-event allocation, or per-event Result, off an in-memory image
+    // (`open_batches` runs the same reader over a file's bytes).
     let mut group = c.benchmark_group("trace_decode_batched");
     group.throughput(Throughput::Elements(events));
     group.sample_size(20);
@@ -63,18 +57,7 @@ fn bench_tracefile(c: &mut Criterion) {
             n
         })
     });
-    group.bench_function("mmap", |b| {
-        b.iter(|| {
-            let mut reader = odbgc_tracefile::open_batches(&path).expect("open");
-            let mut n = 0u64;
-            while let Some(batch) = reader.next_batch().expect("batch") {
-                n += black_box(batch).len() as u64;
-            }
-            n
-        })
-    });
     group.finish();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 criterion_group!(benches, bench_tracefile);

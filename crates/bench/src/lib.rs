@@ -30,6 +30,7 @@
 //! seeds, `quick` = 3 seeds, `test` = miniature database).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod common;
 pub mod experiments;

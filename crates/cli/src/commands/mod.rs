@@ -62,8 +62,8 @@ pub fn is_binary_file(path: &str) -> Result<bool, CliError> {
         .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))
 }
 
-/// Opens a binary tracefile for zero-copy, block-at-a-time reading (a
-/// read-only memory map where the platform has one).
+/// Opens a binary tracefile for block-at-a-time reading out of one
+/// in-memory image of the file.
 pub fn open_tracefile(path: &str) -> Result<FileBatches, CliError> {
     odbgc_tracefile::open_batches(std::path::Path::new(path)).map_err(|e| match e {
         DecodeError::Io(e) => CliError(format!("cannot read {path:?}: {e}")),

@@ -249,10 +249,10 @@ mod tests {
 
     #[test]
     fn mmap_replay_report_matches_in_memory() {
-        // A binary tracefile replays off its memory map block by block,
+        // A binary tracefile replays off its file image block by block,
         // its text twin as one in-memory batch: same report.
         let dir =
-            std::env::temp_dir().join(format!("odbgc-cli-test-run-mmap-{}", std::process::id()));
+            std::env::temp_dir().join(format!("odbgc-cli-test-run-file-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let (otb, txt) = (dir.join("t.otb"), dir.join("t.txt"));
         crate::commands::generate::run(&argv(&format!(
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn mmap_without_trace_errors() {
-        // The backing is chosen from the file, never from a flag: with
+        // The source is chosen from the file, never from a flag: with
         // or without `--trace`, `--mmap` is not an option of `run`.
         for args in [
             "--policy saio:10% --params tiny --mmap true",

@@ -1,10 +1,8 @@
 //! `odbgc trace` — tracefile utilities: convert, stat, verify, cat.
 //!
-//! All four subcommands process binary tracefiles block by block over a
-//! read-only memory map — none of them holds more than one decoded block
-//! (plus a reusable text buffer) on the heap, so they work on corpora far
-//! larger than RAM (see `odbgc_tracefile::mmap` for the safety argument
-//! and fallback conditions).
+//! All four subcommands process binary tracefiles block by block: none
+//! of them holds more than one file image plus one decoded block (and a
+//! reusable text buffer) on the heap, never a whole decoded trace.
 
 use std::io::{BufWriter, Write as _};
 

@@ -30,6 +30,7 @@
 //! Everything is deterministic in `--seed`, whatever the worker count.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod commands;
 pub mod flags;

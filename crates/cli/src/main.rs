@@ -1,5 +1,7 @@
 //! `odbgc` binary entry point.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 
 fn main() {

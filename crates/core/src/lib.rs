@@ -29,6 +29,7 @@
 //! the policies testable in closed-loop unit tests without a store.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod env;
 pub mod estimator;

@@ -19,6 +19,7 @@
 //! executes at least once without burning CI time.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 

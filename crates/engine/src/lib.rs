@@ -25,6 +25,7 @@
 //! [`Simulator::replay`]: https://docs.rs/odbgc-sim
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod engine;

@@ -16,6 +16,7 @@
 //! ablation studies.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cheney;
 pub mod collector;

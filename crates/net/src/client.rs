@@ -177,80 +177,18 @@ pub struct ClientReport {
 
 /// Runs a seeded workload over the wire: Hello, then one `Ops` request
 /// per generated turn — acknowledging each applied turn — then `Bye`
-/// (optionally preceded by a graceful `Shutdown` request).
+/// (or, with `shutdown_after`, a graceful `Shutdown` request instead).
+/// This is [`run_clients`] with one connection.
 ///
 /// The op stream is `SessionWorkload::new(session, workload, ops)`
 /// driven at `batch`, which is exactly what the in-process serve mode
 /// schedules for the same session — the fidelity tests lean on this.
 pub fn run_client(config: &ClientConfig) -> Result<ClientReport, ClientError> {
-    let mut conn = Conn::connect(&config.addr)?;
-    let mut report = ClientReport::default();
-    let granted = match conn.request(&Request::Hello {
-        session: config.session,
-        window: config.window.max(1),
-    })? {
-        Response::HelloOk { window, .. } => window,
-        _ => return Err(ClientError::Unexpected("want HelloOk")),
-    };
-    report.granted_window = granted;
-
-    let batch = config.batch.max(2);
-    let mut workload = SessionWorkload::new(config.session, config.workload, config.ops);
-    loop {
-        let turn = workload.next_turn(batch);
-        if turn.is_empty() {
-            break;
-        }
-        loop {
-            match conn.request(&Request::Ops { ops: turn.clone() })? {
-                Response::OpsOk {
-                    applied,
-                    created,
-                    garbage_created,
-                    gc_stall_ns,
-                    ..
-                } => {
-                    report.turns += 1;
-                    report.ops_applied += applied;
-                    report.created += created;
-                    report.garbage_created += garbage_created;
-                    report.gc_stall_ns += gc_stall_ns;
-                    // Return the credit immediately: this driver keeps
-                    // at most one turn in flight.
-                    match conn.request(&Request::Ack { n: 1 })? {
-                        Response::AckOk { .. } => {}
-                        _ => return Err(ClientError::Unexpected("want AckOk")),
-                    }
-                    break;
-                }
-                Response::Busy { in_flight, .. } => {
-                    // Shouldn't happen at depth 1, but recover anyway:
-                    // return every credit and retry the same turn (it
-                    // was not applied).
-                    report.busy += 1;
-                    match conn.request(&Request::Ack { n: in_flight })? {
-                        Response::AckOk { .. } => {}
-                        _ => return Err(ClientError::Unexpected("want AckOk")),
-                    }
-                }
-                _ => return Err(ClientError::Unexpected("want OpsOk or Busy")),
-            }
-        }
-    }
-
-    if config.shutdown_after {
-        match conn.request(&Request::Shutdown)? {
-            Response::ShutdownOk => {}
-            _ => return Err(ClientError::Unexpected("want ShutdownOk")),
-        }
-        // Shutdown closes the connection server-side; no Bye.
-        return Ok(report);
-    }
-    match conn.request(&Request::Bye)? {
-        Response::ByeOk => {}
-        _ => return Err(ClientError::Unexpected("want ByeOk")),
-    }
-    Ok(report)
+    let mut multi = run_clients(config, 1)?;
+    Ok(multi
+        .reports
+        .pop()
+        .expect("run_clients reports once per connection"))
 }
 
 /// What a [`run_clients`] run did, per connection.

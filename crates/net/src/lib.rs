@@ -10,9 +10,10 @@
 //!   buffer-reusing entry points ([`proto::write_frame_with`],
 //!   [`proto::read_frame_into`]) so steady-state traffic allocates
 //!   nothing per frame.
-//! * [`poll`] — a hand-rolled `poll(2)` binding (vendored syscall
-//!   declarations, no external crates) plus the self-wake descriptor
-//!   each event loop registers in its own poll set.
+//! * [`poll`] — a hand-rolled `poll(2)` binding (the crate's one
+//!   foreign call and one `unsafe` block, no external crates) plus the
+//!   self-wake descriptor each event loop registers in its own poll
+//!   set.
 //! * [`conn`] — per-connection state: [`FrameAssembler`] partial-frame
 //!   reassembly, the buffered write side, and the
 //!   `Hello → Ready ⇄ AwaitShard → Draining` protocol phase machine.
@@ -37,6 +38,7 @@
 //! accounts for them.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod client;
 pub mod conn;

@@ -1,20 +1,23 @@
 //! A minimal `poll(2)` binding plus the self-wake primitive the event
 //! loop registers alongside its sockets.
 //!
-//! The workspace builds without crates.io, so — exactly like the
-//! tracefile crate's `mmap(2)` binding — the two syscalls the loop needs
-//! are declared by hand against the libc that `std` already links. The
-//! poll flag values used here (`POLLIN` 0x1, `POLLOUT` 0x4, `POLLERR`
-//! 0x8, `POLLHUP` 0x10, `POLLNVAL` 0x20) are identical on Linux, the
-//! BSDs, and macOS, so one set of constants covers every Unix target.
+//! The workspace builds without crates.io, so the one syscall `std` has
+//! no wrapper for is declared by hand against the libc that `std`
+//! already links; it is this workspace's only foreign call and only
+//! `unsafe` block. The poll flag values used here (`POLLIN` 0x1,
+//! `POLLOUT` 0x4, `POLLERR` 0x8, `POLLHUP` 0x10, `POLLNVAL` 0x20) are
+//! identical on Linux, the BSDs, and macOS, so one set of constants
+//! covers every Unix target.
 //!
 //! [`WakePipe`] is the completion-notification half: shard executors
 //! finish a turn on their own threads and must wake the loop thread that
-//! owns the connection. On Linux it is a real self-pipe (`pipe2(2)` with
-//! `O_NONBLOCK | O_CLOEXEC`); on other Unix targets it is a loopback UDP
-//! socket connected to itself (pure `std`, same poll semantics).
+//! owns the connection. It is a non-blocking
+//! [`UnixStream::pair`](std::os::unix::net::UnixStream::pair) — pure
+//! `std`, the same code on every Unix.
 
-use std::io;
+use std::io::{self, Read, Write};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 
 #[cfg(not(unix))]
 compile_error!("odbgc-net's event loop is a poll(2) binding: it needs a Unix target");
@@ -89,6 +92,7 @@ mod sys {
 /// `revents` (0 on timeout). An `EINTR` interruption is reported as
 /// `Ok(0)` — the caller's loop re-evaluates its deadlines and polls
 /// again, which is exactly what it would do for a timeout.
+#[allow(unsafe_code)]
 pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
     for fd in fds.iter_mut() {
         fd.revents = 0;
@@ -121,164 +125,41 @@ pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 /// loop iteration, not one per completion.
 #[derive(Debug)]
 pub struct WakePipe {
-    inner: imp::Wake,
+    /// Registered in the poll set; [`WakePipe::drain`] reads it empty.
+    read: UnixStream,
+    /// [`WakePipe::wake`] writes one byte here.
+    write: UnixStream,
 }
 
 impl WakePipe {
     /// Creates the wake primitive for one loop thread.
     pub fn new() -> io::Result<WakePipe> {
-        Ok(WakePipe {
-            inner: imp::Wake::new()?,
-        })
+        let (read, write) = UnixStream::pair()?;
+        read.set_nonblocking(true)?;
+        write.set_nonblocking(true)?;
+        Ok(WakePipe { read, write })
     }
 
     /// The descriptor to register with [`POLLIN`].
     pub fn fd(&self) -> Fd {
-        self.inner.fd()
+        self.read.as_raw_fd()
     }
 
     /// Makes the descriptor readable. Best-effort and non-blocking: a
-    /// full pipe means a wake is already pending, which is all a wake
-    /// means.
+    /// full socket buffer (`WouldBlock`) means a wake is already
+    /// pending, which is all a wake means.
     pub fn wake(&self) {
-        self.inner.wake();
+        let _ = (&self.write).write(&[1]);
     }
 
     /// Consumes every pending wake byte so the descriptor goes quiet
     /// until the next [`WakePipe::wake`].
     pub fn drain(&self) {
-        self.inner.drain();
-    }
-}
-
-#[cfg(target_os = "linux")]
-mod imp {
-    //! The classic self-pipe, created atomically non-blocking with
-    //! `pipe2(2)` — hand-declared like the rest of this module's
-    //! syscall surface.
-
-    use std::ffi::{c_int, c_void};
-    use std::io;
-
-    use super::Fd;
-
-    const O_NONBLOCK: c_int = 0o4000;
-    const O_CLOEXEC: c_int = 0o2000000;
-
-    extern "C" {
-        fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    #[derive(Debug)]
-    pub(super) struct Wake {
-        read_fd: c_int,
-        write_fd: c_int,
-    }
-
-    // SAFETY: both descriptors are plain integers owned for the struct's
-    // whole life; `read`/`write` on a pipe are thread-safe, and the
-    // byte-level races (two wakes, a wake during a drain) only affect
-    // how many wake bytes sit in the pipe, never its validity.
-    unsafe impl Send for Wake {}
-    unsafe impl Sync for Wake {}
-
-    impl Wake {
-        pub(super) fn new() -> io::Result<Wake> {
-            let mut fds = [0 as c_int; 2];
-            // SAFETY: `fds` is a valid 2-element buffer; pipe2 either
-            // fills both entries with fresh descriptors or fails.
-            let rc = unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) };
-            if rc != 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Wake {
-                read_fd: fds[0],
-                write_fd: fds[1],
-            })
-        }
-
-        pub(super) fn fd(&self) -> Fd {
-            self.read_fd
-        }
-
-        pub(super) fn wake(&self) {
-            let byte = 1u8;
-            // SAFETY: `write_fd` is our open non-blocking pipe end and
-            // the buffer is one live byte. EAGAIN (pipe full) is fine: a
-            // pending wake byte already exists.
-            unsafe {
-                write(self.write_fd, (&byte as *const u8).cast(), 1);
-            }
-        }
-
-        pub(super) fn drain(&self) {
-            let mut buf = [0u8; 64];
-            loop {
-                // SAFETY: `read_fd` is our open non-blocking pipe end and
-                // `buf` is a live 64-byte buffer the kernel may fill.
-                let n = unsafe { read(self.read_fd, buf.as_mut_ptr().cast(), buf.len()) };
-                if n <= 0 {
-                    // 0 cannot happen (we hold the write end); negative
-                    // is EAGAIN/EINTR — either way the pipe is as quiet
-                    // as we can make it without blocking.
-                    return;
-                }
-            }
-        }
-    }
-
-    impl Drop for Wake {
-        fn drop(&mut self) {
-            // SAFETY: closing descriptors this struct exclusively owns.
-            unsafe {
-                close(self.read_fd);
-                close(self.write_fd);
-            }
-        }
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    //! Portable Unix fallback: a loopback UDP socket connected to
-    //! itself. Sends from any thread land in its own receive queue,
-    //! which `poll` observes as `POLLIN` — identical semantics to the
-    //! pipe without assuming `pipe2` exists on the target.
-
-    use std::io;
-    use std::net::UdpSocket;
-    use std::os::unix::io::AsRawFd;
-
-    use super::Fd;
-
-    #[derive(Debug)]
-    pub(super) struct Wake {
-        sock: UdpSocket,
-    }
-
-    impl Wake {
-        pub(super) fn new() -> io::Result<Wake> {
-            let sock = UdpSocket::bind("127.0.0.1:0")?;
-            sock.connect(sock.local_addr()?)?;
-            sock.set_nonblocking(true)?;
-            Ok(Wake { sock })
-        }
-
-        pub(super) fn fd(&self) -> Fd {
-            self.sock.as_raw_fd()
-        }
-
-        pub(super) fn wake(&self) {
-            let _ = self.sock.send(&[1]);
-        }
-
-        pub(super) fn drain(&self) {
-            let mut buf = [0u8; 8];
-            while self.sock.recv(&mut buf).is_ok() {}
-        }
+        let mut buf = [0u8; 64];
+        // `Ok(0)` cannot happen (we hold the write end); an error is
+        // `WouldBlock` once empty — either way the socket is as quiet
+        // as we can make it without blocking.
+        while matches!((&self.read).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
@@ -293,7 +174,7 @@ mod tests {
         let wake = WakePipe::new().expect("wake pipe");
         let mut fds = [PollFd::new(wake.fd(), POLLIN)];
 
-        // Quiet pipe: an immediate poll times out with nothing ready.
+        // Quiet: an immediate poll times out with nothing ready.
         let ready = poll(&mut fds, 0).expect("poll");
         assert_eq!(ready, 0);
         assert!(!fds[0].has(POLLIN));
@@ -305,10 +186,28 @@ mod tests {
         assert_eq!(ready, 1);
         assert!(fds[0].has(POLLIN));
 
-        // Draining returns the pipe to quiet.
+        // Draining returns the descriptor to quiet.
         wake.drain();
         let ready = poll(&mut fds, 0).expect("poll");
         assert_eq!(ready, 0);
+    }
+
+    #[test]
+    fn wake_never_blocks_when_the_buffer_is_full() {
+        let wake = WakePipe::new().expect("wake pipe");
+        // Far more wakes than any socket buffer holds, none drained: the
+        // test finishing at all is the non-blocking half of the contract.
+        for _ in 0..1_000_000 {
+            wake.wake();
+        }
+        let mut fds = [PollFd::new(wake.fd(), POLLIN)];
+        assert_eq!(poll(&mut fds, 1_000).expect("poll"), 1);
+        assert!(fds[0].has(POLLIN));
+
+        // However many bytes the buffer took, one drain empties it.
+        wake.drain();
+        assert_eq!(poll(&mut fds, 0).expect("poll"), 0);
+        assert!(!fds[0].has(POLLIN));
     }
 
     #[test]

@@ -868,13 +868,7 @@ impl NetLoop<'_> {
             match Request::decode(body) {
                 Ok(req) => self.handle_request(idx, conn, req),
                 Err(e) => {
-                    self.queue_response(
-                        conn,
-                        &Response::Error {
-                            code: ErrorCode::Protocol,
-                            message: e.to_string(),
-                        },
-                    );
+                    self.refuse(conn, ErrorCode::Protocol, e.to_string());
                     conn.close_after_flush = true;
                 }
             }
@@ -884,6 +878,16 @@ impl NetLoop<'_> {
     fn handle_request(&mut self, idx: usize, conn: &mut Connection, req: Request) {
         match req {
             Request::Hello { session, window } => {
+                // A bound connection stays bound: its object table and
+                // credits belong to the shard the first Hello chose.
+                if let Some(bound) = conn.session {
+                    let message = format!("Hello on a connection bound to session {bound}");
+                    return self.refuse(conn, ErrorCode::Protocol, message);
+                }
+                if self.shared.draining.load(Ordering::SeqCst) {
+                    let message = "server is draining; no new sessions".into();
+                    return self.refuse(conn, ErrorCode::Draining, message);
+                }
                 let window = window.clamp(1, self.shared.window_max);
                 conn.session = Some(session);
                 conn.shard = session % self.execs.len() as u32;
@@ -900,24 +904,11 @@ impl NetLoop<'_> {
             }
             Request::Ops { ops } => {
                 let Some(session) = conn.session else {
-                    self.queue_response(
-                        conn,
-                        &Response::Error {
-                            code: ErrorCode::Protocol,
-                            message: "Ops before Hello".into(),
-                        },
-                    );
-                    return;
+                    return self.refuse(conn, ErrorCode::Protocol, "Ops before Hello".into());
                 };
                 if self.shared.draining.load(Ordering::SeqCst) {
-                    self.queue_response(
-                        conn,
-                        &Response::Error {
-                            code: ErrorCode::Draining,
-                            message: "server is draining; no new turns".into(),
-                        },
-                    );
-                    return;
+                    let message = "server is draining; no new turns".into();
+                    return self.refuse(conn, ErrorCode::Draining, message);
                 }
                 if conn.in_flight >= conn.window {
                     conn.counters.busy_rejections += 1;
@@ -986,6 +977,12 @@ impl NetLoop<'_> {
             .collect();
         let clients = lock(&self.shared.clients).clone();
         Response::StatsOk(StatsSnapshot { shards, clients })
+    }
+
+    /// Answers a request the connection's state does not allow; nothing
+    /// else about the connection changes.
+    fn refuse(&mut self, conn: &mut Connection, code: ErrorCode, message: String) {
+        self.queue_response(conn, &Response::Error { code, message });
     }
 
     fn queue_response(&mut self, conn: &mut Connection, resp: &Response) {

@@ -25,6 +25,7 @@
 //! pointers it does not mean to kill.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod app;
 pub mod builder;

@@ -12,6 +12,7 @@
 //! files), and failing cases are reported but **not shrunk**.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -13,6 +13,7 @@
 //! every platform.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// A generator that can be constructed from a numeric seed.
 pub trait SeedableRng: Sized {

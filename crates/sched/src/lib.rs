@@ -30,6 +30,7 @@
 //! [`SchedStats`], which callers must treat as volatile telemetry.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod packet;
 pub mod pool;

@@ -15,6 +15,7 @@
 //! (the paper's error bars).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod experiment;

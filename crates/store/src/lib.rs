@@ -24,6 +24,7 @@
 //! partition is appended (§3.1).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod alloc;
 pub mod buffer;

@@ -12,6 +12,7 @@
 //! those are properties of the store that replays the trace.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod event;

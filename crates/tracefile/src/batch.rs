@@ -3,9 +3,9 @@
 //! This module is the one decoder of the tracefile format, in two layers:
 //!
 //! * [`SliceBlocks`] walks an in-memory tracefile image (a borrowed
-//!   `&[u8]`, or a [`crate::TraceData`] mapping of a file) and yields
-//!   CRC-verified `(kind, payload)` block frames without copying a single
-//!   payload byte.
+//!   `&[u8]`, or the `Vec<u8>` [`crate::open_batches`] read a file
+//!   into) and yields CRC-verified `(kind, payload)` block frames
+//!   without copying a single payload byte.
 //! * A [`BatchReader`] sits on top and yields **borrowed event batches**:
 //!   each event block is validated once (CRC, count, exact payload
 //!   consumption) and decoded in a single pass into a reusable arena,
@@ -62,8 +62,8 @@ fn check_header(bytes: &[u8]) -> Result<(), DecodeError> {
 /// Zero-copy source of CRC-verified blocks over an in-memory tracefile
 /// image.
 ///
-/// `B` is any byte backing — a borrowed `&[u8]` or a [`crate::TraceData`]
-/// (mmap with read-to-`Vec` fallback). The 8-byte file header is
+/// `B` is any byte backing — a borrowed `&[u8]` or an owned `Vec<u8>`
+/// holding a whole file. The 8-byte file header is
 /// validated on construction; payload slices point straight into the
 /// backing, nothing is copied.
 pub struct SliceBlocks<B> {

@@ -181,9 +181,8 @@ impl TraceCorpus {
     /// loop) resolve the key to a path once and skip re-hashing it on
     /// every hit.
     ///
-    /// Loads go through the zero-copy batched reader over a read-only
-    /// memory map (atomic-rename fills mean corpus files are never
-    /// truncated in place, so mapping is safe; see [`crate::mmap`]).
+    /// Loads go through [`crate::open_batches`]: one read of the whole
+    /// file, then the batched reader over that image.
     pub fn load_at(&self, path: &Path) -> Option<Trace> {
         let started = Instant::now();
         match crate::open_batches(path).and_then(crate::BatchReader::read_to_trace) {

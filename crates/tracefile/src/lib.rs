@@ -1,5 +1,5 @@
-//! On-disk binary trace corpus: compact tracefile format, zero-copy
-//! batched reading, and a persistent cross-process trace cache.
+//! On-disk binary trace corpus: compact tracefile format, batched
+//! block-at-a-time reading, and a persistent cross-process trace cache.
 //!
 //! The text codec in `odbgc-trace` is the diffable, human-readable
 //! interchange form; this crate is the *storage* form. A tracefile is a
@@ -10,9 +10,10 @@
 //!   previously seen object id, so the dense, locality-heavy id streams
 //!   produced by OO7 generation shrink to a fraction of their text size.
 //! * **Block-at-a-time.** [`TraceWriter`] encodes events as they arrive
-//!   and [`BatchReader`] decodes a mapped file one block at a time into a
+//!   and [`BatchReader`] decodes a file image one block at a time into a
 //!   reused arena, so neither side ever holds a whole decoded trace —
-//!   heap use is one block (~32 KiB of payload), not O(trace).
+//!   the reader's heap use is the encoded file image plus one decoded
+//!   block (~32 KiB of payload), not O(decoded trace).
 //! * **Verifiability.** Every block is length-prefixed and CRC32-
 //!   checksummed; truncation, bit flips, foreign files, and
 //!   future-version files are all detected and reported as distinct
@@ -47,19 +48,18 @@
 //! per-plan trace cache.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod corpus;
 pub mod crc32;
 pub mod error;
-pub mod mmap;
 pub mod varint;
 pub mod writer;
 
 pub use batch::{BatchReader, SliceBlocks};
 pub use corpus::{CorpusKey, CorpusStats, TraceCorpus};
 pub use error::DecodeError;
-pub use mmap::TraceData;
 pub use writer::{write_trace, TraceWriter};
 
 use std::path::Path;
@@ -106,16 +106,14 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, DecodeError> {
     BatchReader::new(SliceBlocks::new(bytes)?)?.read_to_trace()
 }
 
-/// A batched reader over a whole-file backing ([`TraceData`]: mmap when
-/// possible, owned bytes otherwise).
-pub type FileBatches = BatchReader<TraceData>;
+/// A batched reader that owns the image of one tracefile.
+pub type FileBatches = BatchReader<Vec<u8>>;
 
-/// Opens a tracefile on disk for zero-copy batched reading, preferring
-/// a read-only memory map and falling back to reading the whole file
-/// into memory (see [`mmap`] for when).
+/// Opens a tracefile on disk for batched reading: the file is read into
+/// one in-memory image, and blocks are CRC-verified and decoded straight
+/// out of it.
 pub fn open_batches(path: &Path) -> Result<FileBatches, DecodeError> {
-    let data = TraceData::open(path)?;
-    BatchReader::new(SliceBlocks::new(data)?)
+    BatchReader::new(SliceBlocks::new(std::fs::read(path)?)?)
 }
 
 #[cfg(test)]
@@ -156,6 +154,57 @@ mod tests {
         assert!(!is_binary(b"odbgc-trace v1\n"));
         assert!(!is_binary(b""));
         assert!(!is_binary(b"OTB"));
+    }
+
+    fn temp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "odbgc-tracefile-test-{name}-{}",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn open_batches_sees_the_same_bytes_as_memory() {
+        let mut b = TraceBuilder::new();
+        let a = b.create_unlinked(16, 0);
+        for _ in 0..100 {
+            b.access(a);
+        }
+        let trace = b.finish();
+        let bytes = encode(&trace);
+        let path = temp_file("same-bytes", &bytes);
+        let from_file = open_batches(&path)
+            .and_then(BatchReader::read_to_trace)
+            .expect("open real file");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(from_file, trace);
+        assert_eq!(from_file, decode(&bytes).expect("decode"));
+    }
+
+    #[test]
+    fn open_batches_on_an_empty_file_is_a_typed_error() {
+        let path = temp_file("empty", b"");
+        let err = open_batches(&path).map(|_| ()).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            matches!(
+                err,
+                DecodeError::Truncated {
+                    offset: 0,
+                    expected: "magic"
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn open_batches_on_a_missing_file_is_an_io_error() {
+        let path = std::env::temp_dir().join("odbgc-tracefile-test-definitely-missing.otb");
+        let err = open_batches(&path).map(|_| ()).unwrap_err();
+        assert!(matches!(err, DecodeError::Io(_)), "{err:?}");
     }
 
     #[test]

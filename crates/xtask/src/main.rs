@@ -17,6 +17,8 @@
 //! (default 20 ns) are reported but never fail the check: at that scale
 //! the shim's medians are dominated by timer noise.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};

@@ -119,9 +119,9 @@ fn warm_sweep_hit_stats_are_exact() {
 
 #[test]
 fn batched_corpus_replay_matches_in_memory() {
-    // The zero-copy path end to end: a corpus-installed tracefile opened
-    // through the mmap-preferring batched reader replays to the same
-    // RunResult as the in-memory trace it was written from.
+    // The on-disk path end to end: a corpus-installed tracefile opened
+    // through `open_batches` replays to the same RunResult as the
+    // in-memory trace it was written from.
     let (trace, _) = Oo7App::standard(Oo7Params::tiny(), 5).generate();
     let tmp = TempDir::new("batched");
     std::fs::create_dir_all(&tmp.0).unwrap();

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use odbgc_core::FixedRatePolicy;
 use odbgc_engine::{
-    serve, EngineConfig, GcFault, ServeConfig, SessionOp, SessionWorkload, WorkloadParams,
+    serve, EngineConfig, GcFault, ObjRef, ServeConfig, SessionOp, SessionWorkload, WorkloadParams,
 };
 use odbgc_net::{
     run_client, ClientConfig, ClientError, Conn, ErrorCode, NetConfig, NetOutcome, NetServer,
@@ -356,4 +356,90 @@ fn drain_keeps_every_acknowledged_op_and_refuses_new_turns() {
         applied, acked,
         "every acknowledged op survived the drain, and nothing else"
     );
+}
+
+/// (4) A connection is bound once. A second `Hello` is refused and
+/// changes nothing: the next turn runs on the first session's shard,
+/// resolves against the first session's object table, keeps the credit
+/// already spent, and is reported under the first session at drain. A
+/// first `Hello` after the drain began is refused too.
+#[test]
+fn second_hello_is_refused_and_the_binding_is_kept() {
+    let (addr, server) = spawn_server(net_config(2));
+    let mut conn = Conn::connect(&addr).expect("connect");
+    match conn
+        .request(&Request::Hello {
+            session: 0,
+            window: 2,
+        })
+        .expect("hello")
+    {
+        Response::HelloOk {
+            shard: 0,
+            window: 2,
+            ..
+        } => {}
+        other => panic!("want HelloOk on shard 0, got {other:?}"),
+    }
+    let create = vec![
+        SessionOp::Create { size: 64, slots: 0 },
+        SessionOp::AddRoot { obj: ObjRef(0) },
+    ];
+    match conn.request(&Request::Ops { ops: create }).expect("turn 1") {
+        Response::OpsOk {
+            applied: 2,
+            created: 1,
+            in_flight: 1,
+            ..
+        } => {}
+        other => panic!("want OpsOk for the create turn, got {other:?}"),
+    }
+
+    // Session 1 lives on shard 1, whose store never minted ObjRef(0).
+    match conn
+        .request_raw(&Request::Hello {
+            session: 1,
+            window: 4,
+        })
+        .expect("second hello")
+    {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+        other => panic!("want a Protocol error for the second Hello, got {other:?}"),
+    }
+    let access = vec![SessionOp::Access { obj: ObjRef(0) }];
+    match conn.request(&Request::Ops { ops: access }).expect("turn 2") {
+        Response::OpsOk {
+            applied: 1,
+            in_flight: 2,
+            ..
+        } => {}
+        other => panic!("want OpsOk on the original binding, got {other:?}"),
+    }
+    match conn.request(&Request::Bye).expect("bye") {
+        Response::ByeOk => {}
+        other => panic!("want ByeOk, got {other:?}"),
+    }
+
+    // Connected before the drain, first Hello after it: never HelloOk.
+    let mut late = Conn::connect(&addr).expect("late connect");
+    shutdown(&addr);
+    match late.request_raw(&Request::Hello {
+        session: 1,
+        window: 1,
+    }) {
+        Ok(Response::Error { code, .. }) => assert_eq!(code, ErrorCode::Draining),
+        // The drain may already have closed the socket.
+        Err(ClientError::Proto(_)) => {}
+        other => panic!("want Draining or closed socket, got {other:?}"),
+    }
+
+    let outcome = server.join().unwrap();
+    assert_eq!(outcome.shards[0].result.events_replayed, 3);
+    assert_eq!(outcome.shards[1].result.events_replayed, 0);
+    let bound = outcome
+        .clients
+        .iter()
+        .find(|c| c.turns > 0)
+        .expect("the bound connection's counters");
+    assert_eq!((bound.session, bound.turns, bound.ops), (0, 2, 3));
 }

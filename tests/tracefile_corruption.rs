@@ -37,9 +37,9 @@ fn encoded() -> Vec<u8> {
     odbgc_tracefile::encode(&sample_trace())
 }
 
-/// Fully drains a tracefile through the decoder — the same code the
-/// mmap-backed reader runs over a mapped region — returning the event
-/// count on success and the typed error on damage.
+/// Fully drains a tracefile through the decoder — the same code
+/// `open_batches` runs over a file's image — returning the event count
+/// on success and the typed error on damage.
 fn decode_all(bytes: &[u8]) -> Result<usize, DecodeError> {
     let mut reader = BatchReader::new(SliceBlocks::new(bytes)?)?;
     let mut n = 0;
@@ -241,13 +241,12 @@ fn small_oo7_tracefile_survives_damage_too() {
 #[test]
 fn mmap_reader_diagnoses_damage_identically_to_memory() {
     // The in-memory slice assertions above cover the decode logic; this
-    // covers the actual mapped region: damaged variants written to real
-    // files and opened through `open_batches` (a read-only mmap where
-    // the platform supports it) must produce the very same typed errors
-    // as the in-memory image — truncated maps included, with no panic
-    // and no fault.
+    // covers real files: damaged variants written to disk and opened
+    // through `open_batches` must produce the very same typed errors as
+    // the in-memory image — truncated and empty files included, with no
+    // panic.
     let dir = std::env::temp_dir().join(format!(
-        "odbgc-tracefile-mmap-corruption-{}",
+        "odbgc-tracefile-file-corruption-{}",
         std::process::id()
     ));
     std::fs::create_dir_all(&dir).unwrap();
@@ -275,21 +274,21 @@ fn mmap_reader_diagnoses_damage_identically_to_memory() {
         let path = dir.join(format!("{name}.otb"));
         std::fs::write(&path, &data).unwrap();
         let in_memory = decode_all(&data);
-        let mapped = odbgc_tracefile::open_batches(&path).and_then(|mut r| {
+        let from_file = odbgc_tracefile::open_batches(&path).and_then(|mut r| {
             let mut n = 0;
             while let Some(batch) = r.next_batch()? {
                 n += batch.len();
             }
             Ok(n)
         });
-        match (&in_memory, &mapped) {
+        match (&in_memory, &from_file) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "{name}: event counts differ"),
             (Err(a), Err(b)) => assert_eq!(
                 format!("{a:?}"),
                 format!("{b:?}"),
-                "{name}: mapped path diagnoses differently"
+                "{name}: file path diagnoses differently"
             ),
-            _ => panic!("{name}: in-memory {in_memory:?} vs mapped {mapped:?}"),
+            _ => panic!("{name}: in-memory {in_memory:?} vs file {from_file:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -123,15 +123,15 @@ fn small_oo7_trace_round_trips_and_agrees_with_text() {
 
 #[test]
 fn mmap_backed_file_round_trips() {
-    let dir = std::env::temp_dir().join(format!("odbgc-tracefile-mmap-rt-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("odbgc-tracefile-file-rt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.otb");
     let (trace, _) = odbgc_oo7::Oo7App::standard(odbgc_oo7::Oo7Params::tiny(), 9).generate();
     std::fs::write(&path, encode(&trace)).unwrap();
 
-    let mapped = odbgc_tracefile::open_batches(&path)
+    let from_file = odbgc_tracefile::open_batches(&path)
         .and_then(BatchReader::read_to_trace)
         .unwrap();
-    assert_eq!(mapped, trace);
+    assert_eq!(from_file, trace);
     std::fs::remove_dir_all(&dir).ok();
 }

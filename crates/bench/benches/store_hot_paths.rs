@@ -1,5 +1,6 @@
 //! Store hot-path micro-benchmarks: event application through the buffer
-//! pool, and end-to-end OO7 trace replay throughput.
+//! pool, end-to-end OO7 trace replay throughput, and the exact-garbage
+//! reconcile at its three sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -85,5 +86,59 @@ fn bench_store(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_store);
+/// `Store::recompute_garbage_exact` on the OO7 Small′ database, by how
+/// much of the heap the buffered candidates reach. Re-storing a pointer
+/// a slot already holds takes the target's count up and back down to
+/// where it was, which is all it takes to make the target a candidate —
+/// and everything is still held, so each reconcile leaves the store as it
+/// found it.
+fn bench_reconcile(c: &mut Criterion) {
+    let state = odbgc_oo7::builder::build(Oo7Params::small_prime(3), 1);
+    let (module, composite) = (state.module.id, state.module.composites[0].id);
+    let trace = state.trace.finish();
+    let mut store = Store::new(StoreConfig::default());
+    for ev in trace.iter() {
+        store.apply(ev).expect("GenDB replays");
+    }
+    store.recompute_garbage_exact();
+    let restores_of = |store: &Store, src: ObjectId| -> Vec<Event> {
+        let slots = store.slots_of(src).expect("object exists");
+        slots
+            .enumerate()
+            .filter(|(_, target)| target.is_some())
+            .map(|(i, new)| Event::SlotWrite {
+                src,
+                slot: SlotIdx::new(i as u32),
+                new,
+            })
+            .collect()
+    };
+    // One part (slot 0 is the document): the gray pass floods its
+    // composite's connection graph.
+    let one_composite = [restores_of(&store, composite).swap_remove(1)];
+    // Root assembly and every library composite: the whole database.
+    let whole_heap = restores_of(&store, module);
+
+    let mut group = c.benchmark_group("store_reconcile");
+    group.bench_function("no_candidates", |b| {
+        b.iter(|| black_box(store.recompute_garbage_exact()))
+    });
+    for (name, events) in [
+        ("one_composite", &one_composite[..]),
+        ("whole_heap", &whole_heap[..]),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for ev in events {
+                    store.apply(ev).expect("re-storing a held pointer");
+                }
+                black_box(store.recompute_garbage_exact())
+            })
+        });
+    }
+    group.finish();
+    assert_eq!(store.garbage_bytes(), 0, "nothing died");
+}
+
+criterion_group!(benches, bench_store, bench_reconcile);
 criterion_main!(benches);

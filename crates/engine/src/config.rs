@@ -22,10 +22,13 @@ pub struct EngineConfig {
     /// Collections excluded from measured means (paper: 10 for the
     /// time-varying figures).
     pub preamble_collections: u64,
-    /// Reconcile the exact garbage tracker with full reachability at every
-    /// collection. The OO7 workload never kills cycles, so this is a
-    /// no-op there, but it guarantees the oracle estimator is exact on
-    /// any workload.
+    /// Make the garbage tracker exact before every collection
+    /// (`Store::recompute_garbage_exact`: trial deletion from the cycle
+    /// candidates buffered since the last one). The OO7 workload never
+    /// kills cycles, so nothing is found there, but it guarantees the
+    /// oracle estimator is exact on any workload. The cost is
+    /// proportional to the live objects the candidates reach, nothing
+    /// when none are buffered.
     pub exact_oracle_recompute: bool,
     /// Run the store's deep structural audit (`assert_consistent`) and
     /// garbage-exactness check after every collection. Expensive; for

@@ -247,10 +247,10 @@ impl<P: RatePolicy> StoreEngine<P> {
             return None;
         }
         let app_io_since_prev = self.store.io().app_total() - self.app_io_base;
-        // The exact-oracle reconciliation is O(heap), so it runs
-        // only when a collection can actually happen — never once
-        // per event while a due trigger waits for the first
-        // partition to exist.
+        // The exact-oracle reconciliation costs what its buffered
+        // candidates reach, so it runs only when a collection can
+        // actually happen — never once per event while a due trigger
+        // waits for the first partition to exist.
         let outcome = if self.store.partition_count() == 0 {
             None
         } else {

@@ -618,8 +618,8 @@ mod tests {
         // Regression: a trace that front-loads phase markers leaves the
         // trigger due while no partition exists. The old code never
         // re-armed on that path, so the same due trigger re-fired — and
-        // with `exact_oracle_recompute` (the default) ran the O(heap)
-        // exact recompute — on every subsequent event. The fix re-arms
+        // with `exact_oracle_recompute` (the default) ran the exact
+        // recompute — on every subsequent event. The fix re-arms
         // via `initial_trigger()` and resets the interval baselines, so
         // the policy sees exactly one cold-start call per no-op firing.
         let mut b = odbgc_trace::TraceBuilder::new();

@@ -17,8 +17,13 @@
 //!   SAGA policy uses as its time base;
 //! * **exact garbage accounting** — an incremental reference-count cascade
 //!   (exact whenever dying structures are acyclic at death, which the OO7
-//!   workload guarantees) plus a full-reachability recomputation used by the
-//!   oracle estimator and by validation tests.
+//!   workload guarantees) plus a buffer of cycle candidates — objects that
+//!   lost a holder while their count stayed positive — from which
+//!   [`Store::recompute_garbage_exact`] finds dead cycles by trial
+//!   deletion, in time proportional to the live objects the candidates
+//!   reach. The oracle estimator runs it before every collection; a
+//!   full-reachability mark ([`Store::compute_reachable`]) remains as the
+//!   reference that validation tests hold it against.
 //!
 //! Allocation never triggers collection: when no partition has room, a new
 //! partition is appended (§3.1).

@@ -44,6 +44,23 @@ pub enum ObjState {
     Destroyed,
 }
 
+/// What the cycle detector knows about an object (see
+/// [`Store::recompute_garbage_exact`](crate::Store::recompute_garbage_exact)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CycleState {
+    /// Nothing: the object may hang off a newborn's birth pin alone.
+    Unknown,
+    /// Held, through live objects, by a root or by a buffered candidate —
+    /// so if the object ever ends up on a dead cycle, either it lost a
+    /// counted reference on the way (and was buffered for it) or that
+    /// candidate leads to it. A holder in this state can take over a
+    /// newborn's birth pin without the newborn becoming a candidate.
+    Anchored,
+    /// The object's table index is in the store's candidate buffer,
+    /// exactly once.
+    Buffered,
+}
+
 /// Storage record of one object.
 #[derive(Debug, Clone)]
 pub struct ObjectInfo {
@@ -79,6 +96,10 @@ pub struct ObjectInfo {
     /// traversal marks an object by writing the current epoch here, and
     /// "already visited" is a single integer compare.
     pub mark_epoch: u32,
+    /// The cycle detector's note on this object. `Buffered` doubles as
+    /// the flag that keeps the candidate buffer to one entry per object.
+    /// Occupies what was the struct's padding byte.
+    pub cycle: CycleState,
 }
 
 impl ObjectInfo {
@@ -102,6 +123,7 @@ impl ObjectInfo {
             is_root: false,
             birth_pin: true,
             mark_epoch: 0,
+            cycle: CycleState::Unknown,
         }
     }
 
@@ -144,8 +166,17 @@ mod tests {
         assert!(o.is_present());
         assert!(!o.is_root);
         assert!(o.birth_pin);
+        assert_eq!(o.cycle, CycleState::Unknown);
         assert_eq!(o.refcount, 1);
         assert_eq!(o.slot_range(), 0..2);
+    }
+
+    #[test]
+    fn cycle_state_fits_in_the_padding_byte() {
+        // The object table is the store's largest allocation; the
+        // detector's note must not grow its entries.
+        assert_eq!(std::mem::size_of::<ObjectInfo>(), 32);
+        assert_eq!(std::mem::size_of::<Option<ObjectInfo>>(), 32);
     }
 
     #[test]

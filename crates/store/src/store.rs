@@ -1,5 +1,16 @@
 //! The store facade: trace replay, I/O charging, garbage tracking, and the
 //! collection-application entry point used by the collector.
+//!
+//! Garbage tracking is reference counting in two parts. The cascade in
+//! `decr_ref_tracked` sees every object whose count reaches zero the
+//! moment it does. A dead *cycle* keeps its members' counts above zero,
+//! so every time a holder from outside goes away and the count stays
+//! positive — a decrement, or a birth pin giving way to a reference from
+//! a holder that may itself hang off that pin — the object is noted in a
+//! candidate buffer, and [`Store::recompute_garbage_exact`] runs
+//! Bacon–Rajan trial deletion from the buffered candidates: it costs time
+//! proportional to the live subgraph the candidates reach, not to the
+//! heap.
 
 use std::collections::BTreeSet;
 
@@ -12,7 +23,7 @@ use crate::error::StoreError;
 use crate::gcapi::{CollectionApplied, PartitionSnapshot, PendingSweep};
 use crate::ids::{page_span, PageKey, PartitionId};
 use crate::io::{IoClass, IoLedger};
-use crate::object::{ObjState, ObjectInfo, PackedSlot};
+use crate::object::{CycleState, ObjState, ObjectInfo, PackedSlot};
 use crate::partition::Partition;
 use crate::remset::RemSets;
 use crate::tracker::GarbageLedger;
@@ -119,9 +130,18 @@ pub struct Store {
     /// are "visited"; a new traversal is an O(1) counter bump, not an
     /// O(visited) set clear.
     mark_epoch: u32,
-    /// Reusable stack for the refcount cascade and reachability marking.
+    /// Reusable stack for the refcount cascade and trial deletion.
     /// Always left empty between uses.
     cascade_scratch: Vec<ObjectId>,
+    /// Cycle candidates: table indexes of objects that lost an external
+    /// holder while their count stayed positive, one entry per object in
+    /// [`CycleState::Buffered`] (so never more entries than the object
+    /// table has). Entries whose object has since died or
+    /// been destroyed are dropped when
+    /// [`Store::recompute_garbage_exact`] drains the buffer.
+    candidates: Vec<u32>,
+    /// Edges followed by the gray pass of every reconcile so far.
+    reconcile_visited: u64,
     /// Reusable buffer for the doomed-object list of a collection.
     doomed_scratch: Vec<ObjectId>,
     /// First-fit allocation cursor: every partition below this index has
@@ -142,6 +162,28 @@ pub struct Store {
     /// dropping the store frees one buffer instead of one per object).
     /// Slot counts are immutable after creation, so spans never move.
     slot_arena: Vec<PackedSlot>,
+}
+
+/// What the cycle detector still knows about an object once the
+/// candidate that vouched for it has been drained.
+#[inline]
+fn root_or_unknown(info: &ObjectInfo) -> CycleState {
+    if info.is_root {
+        CycleState::Anchored
+    } else {
+        CycleState::Unknown
+    }
+}
+
+/// Buffers `id` as a cycle candidate, once. Slot-less objects cannot be
+/// on a cycle and are never buffered.
+#[inline]
+fn nominate(candidates: &mut Vec<u32>, info: &mut ObjectInfo, id: ObjectId) {
+    if info.slots_len > 0 && info.cycle != CycleState::Buffered {
+        info.cycle = CycleState::Buffered;
+        // Lossless: `apply_create` keeps the object table within `u32`.
+        candidates.push(id.raw() as u32);
+    }
 }
 
 impl Store {
@@ -170,6 +212,8 @@ impl Store {
             outstanding_overwrites: 0,
             mark_epoch: 0,
             cascade_scratch: Vec::new(),
+            candidates: Vec::new(),
+            reconcile_visited: 0,
             doomed_scratch: Vec::new(),
             alloc_cursor: 0,
             free_cache: Vec::new(),
@@ -225,14 +269,23 @@ impl Store {
     /// and epochs restart at 1, so a stale mark can never alias a fresh
     /// epoch.
     pub fn begin_visit_epoch(&mut self) -> u32 {
-        if self.mark_epoch == u32::MAX {
+        self.begin_visit_epochs(1)
+    }
+
+    /// Starts `n` consecutive visit epochs at once and returns the first.
+    /// A traversal that needs several colours takes them all here, before
+    /// it writes its first mark: the wraparound reset zeroes every mark,
+    /// so it must not happen between two colours of one traversal.
+    fn begin_visit_epochs(&mut self, n: u32) -> u32 {
+        if self.mark_epoch > u32::MAX - n {
             for info in self.objects.iter_mut().flatten() {
                 info.mark_epoch = 0;
             }
             self.mark_epoch = 0;
         }
-        self.mark_epoch += 1;
-        self.mark_epoch
+        let first = self.mark_epoch + 1;
+        self.mark_epoch += n;
+        first
     }
 
     /// Marks `id` visited in `epoch`. Returns `true` iff the object
@@ -317,18 +370,28 @@ impl Store {
     /// assumed dead once the object is linked into the database), so the
     /// count is unchanged in that case.
     ///
+    /// `holder_anchored` says the new holder is a root or an object that
+    /// is not [`CycleState::Unknown`]: `id` then shares its anchor. A pin
+    /// taken over by any other holder goes away without a decrement, and
+    /// that holder may be reachable only through `id` — a cycle closed
+    /// over the pin — so `id` becomes a cycle candidate.
+    ///
     /// Returns the target's partition — callers on the slot-write path
     /// need it for remset maintenance and would otherwise pay a second
     /// object-table lookup.
-    fn incr_ref(&mut self, id: ObjectId) -> PartitionId {
-        self.incr_ref_checked(id)
+    fn incr_ref(&mut self, id: ObjectId, holder_anchored: bool) -> PartitionId {
+        self.incr_ref_checked(id, holder_anchored)
             .expect("refcount target must be validated by the caller")
     }
 
     /// [`Store::incr_ref`] with the touchability check folded into its
     /// lookup: the slot-write path would otherwise pay two object-table
     /// lookups (validate, then count) for every non-null store.
-    fn incr_ref_checked(&mut self, id: ObjectId) -> Result<PartitionId, StoreError> {
+    fn incr_ref_checked(
+        &mut self,
+        id: ObjectId,
+        holder_anchored: bool,
+    ) -> Result<PartitionId, StoreError> {
         let info = match self.objects.get_mut(id.raw() as usize) {
             Some(Some(info)) => info,
             _ => return Err(StoreError::UnknownObject(id)),
@@ -339,8 +402,14 @@ impl Store {
             ObjState::Destroyed => return Err(StoreError::UseAfterFree(id)),
         }
         let p = info.partition;
+        if holder_anchored && info.cycle == CycleState::Unknown {
+            info.cycle = CycleState::Anchored;
+        }
         if info.birth_pin {
             info.birth_pin = false;
+            if !holder_anchored {
+                nominate(&mut self.candidates, info, id);
+            }
             let pins = &mut self.partitions[p.index()].pinned_residents;
             let pos = pins
                 .iter()
@@ -355,6 +424,8 @@ impl Store {
 
     /// Decrements `id`'s reference count; if it reaches zero while live,
     /// the object becomes garbage and its own references die (cascade).
+    /// A live object whose count stays positive may have lost its last
+    /// holder outside a cycle, so it becomes a cycle candidate.
     /// Returns bytes of garbage created by the cascade.
     ///
     /// The cascade runs on the store-owned scratch stack (no allocation)
@@ -386,7 +457,12 @@ impl Store {
             }
             debug_assert!(info.refcount > 0, "refcount underflow on {cur}");
             info.refcount -= 1;
-            if info.refcount == 0 && info.state == ObjState::Live {
+            if info.state != ObjState::Live {
+                continue;
+            }
+            if info.refcount > 0 {
+                nominate(&mut self.candidates, info, cur);
+            } else {
                 info.state = ObjState::Garbage;
                 let (size, partition) = (u64::from(info.size), info.partition);
                 let range = info.slot_range();
@@ -442,7 +518,7 @@ impl Store {
                 self.info_mut(*id).expect("validated").is_root = true;
                 self.roots.insert(*id);
                 self.partitions[p.index()].root_residents.push(*id);
-                self.incr_ref(*id);
+                self.incr_ref(*id, true);
                 Ok(ApplyOutcome::default())
             }
             Event::RootRemove { id } => {
@@ -499,6 +575,8 @@ impl Store {
         }
         let idx = id.raw() as usize;
         if self.objects.len() <= idx {
+            // The candidate buffer stores table indexes as `u32`.
+            assert!(idx < u32::MAX as usize, "object table exceeds u32 range");
             self.objects.resize_with(idx + 1, || None);
         }
         let slots_start =
@@ -524,7 +602,8 @@ impl Store {
         // cross-partition edges, but these are not overwrites.
         for (i, target) in slots.iter().enumerate() {
             if let Some(t) = target {
-                let tp = self.incr_ref(*t);
+                // The holder is the newborn itself: pinned, not anchored.
+                let tp = self.incr_ref(*t, false);
                 self.remsets
                     .insert(id, SlotIdx::new(i as u32), partition, *t, tp);
             }
@@ -553,6 +632,7 @@ impl Store {
             });
         }
         let (src_partition, src_offset) = (info.partition, info.offset);
+        let src_anchored = info.cycle != CycleState::Unknown;
         let arena_idx = info.slots_start as usize + slot.index();
         let old = self.slot_arena[arena_idx].get();
 
@@ -563,7 +643,7 @@ impl Store {
         // zero refcount. Nothing has been mutated yet if this errors.
         let new_partition = match new {
             Some(n) => {
-                let np = self.incr_ref_checked(n)?;
+                let np = self.incr_ref_checked(n, src_anchored)?;
                 self.remsets.insert(src, slot, src_partition, n, np);
                 Some(np)
             }
@@ -790,8 +870,9 @@ impl Store {
     /// birth-pinned newborns, which are held by application registers).
     ///
     /// `&self` diagnostic/test entry point backed by a dense bitmap (no
-    /// hashing); the mutating per-collection path uses the epoch-marking
-    /// [`Store::recompute_garbage_exact`] instead.
+    /// hashing), and the full-heap reference
+    /// [`Store::assert_garbage_exact`] holds the per-collection
+    /// [`Store::recompute_garbage_exact`] against.
     pub fn compute_reachable(&self) -> ReachSet {
         let mut bits = vec![false; self.objects.len()];
         let mut len = 0usize;
@@ -820,85 +901,161 @@ impl Store {
         ReachSet { bits, len }
     }
 
-    /// Marks every reachable object with a fresh visit epoch and returns
-    /// that epoch. Allocation-free: traversal runs on the store-owned
-    /// scratch stack, and roots come from the root set plus the
-    /// per-partition pinned-resident indexes.
-    fn mark_reachable(&mut self) -> u32 {
-        let epoch = self.begin_visit_epoch();
+    /// Makes the tracker exact: finds the cyclic structures that died
+    /// without any reference count reaching zero, transitions them to
+    /// garbage, and returns `ActGarb` afterwards.
+    ///
+    /// Synchronous Bacon–Rajan trial deletion from the candidate buffer.
+    /// Every dead cycle that nothing else dead points into has a buffered
+    /// member, because its last holder from outside went away in one of
+    /// two ways. A decrement buffers the member it hits. A birth pin taken
+    /// over by a holder on the cycle buffers the newborn unless that
+    /// holder is [`CycleState::Anchored`] or buffered itself — and then a
+    /// root leads to the holder, so the cycle is not dead, or a candidate
+    /// does, so it is on the cycle or something dead points into the
+    /// cycle after all. (`check_consistency` audits that reading of
+    /// `Anchored`.) Everything dead is therefore reachable from a
+    /// candidate, so:
+    ///
+    /// 1. *gray*: from the surviving candidates, subtract every reference
+    ///    held inside the live subgraph they reach — what is left on an
+    ///    object is its count from outside that subgraph;
+    /// 2. *scan*: an object left with a positive count is held from
+    ///    outside, so it and everything it reaches turn *black* and get
+    ///    their references back; the rest stay *white*;
+    /// 3. *collect*: white objects become garbage. The references they
+    ///    held were subtracted in pass 1 and never restored, which is
+    ///    exactly the "references from live holders" rule for counts.
+    ///
+    /// The colours are three visit epochs. Cost: O(1) with an empty
+    /// buffer, otherwise three passes that each visit an object of the
+    /// reached subgraph at most once — the whole heap only if a candidate
+    /// reaches it. Runs at collection frequency and in tests;
+    /// [`Store::assert_garbage_exact`] checks the result against
+    /// [`Store::compute_reachable`].
+    pub fn recompute_garbage_exact(&mut self) -> u64 {
+        if self.candidates.is_empty() {
+            return self.garbage.actual();
+        }
+        // All three before the first mark is written: a wraparound reset
+        // between two of them would erase the first colour.
+        let gray = self.begin_visit_epochs(3);
+        let (white, black) = (gray + 1, gray + 2);
+        let mut drained = std::mem::take(&mut self.candidates);
         let mut stack = std::mem::take(&mut self.cascade_scratch);
         debug_assert!(stack.is_empty(), "cascade scratch left dirty");
-        stack.extend(self.roots.iter().copied());
-        for part in &self.partitions {
-            stack.extend_from_slice(&part.pinned_residents);
-        }
-        while let Some(cur) = stack.pop() {
-            match self
-                .objects
-                .get_mut(cur.raw() as usize)
-                .and_then(Option::as_mut)
-            {
-                Some(info) if info.mark_epoch != epoch => {
-                    info.mark_epoch = epoch;
-                    debug_assert!(info.is_present());
-                    let range = info.slot_range();
-                    stack.extend(self.slot_arena[range].iter().filter_map(|s| s.get()));
-                }
-                _ => {}
-            }
-        }
-        self.cascade_scratch = stack;
-        epoch
-    }
 
-    /// Reconciles the incremental tracker with full reachability, catching
-    /// cyclic structures that died without any reference count reaching
-    /// zero. Returns `ActGarb` afterwards. Exact but O(objects + edges);
-    /// intended to run at collection frequency (the oracle estimator) and
-    /// in tests.
-    pub fn recompute_garbage_exact(&mut self) -> u64 {
-        let epoch = self.mark_reachable();
-        let mut found_cycles = false;
-        for raw in 0..self.objects.len() {
-            let Some(info) = self.objects[raw].as_ref() else {
-                continue;
-            };
-            if info.is_live() && info.mark_epoch != epoch {
-                self.transition_to_garbage(ObjectId::new(raw as u64));
-                found_cycles = true;
+        // Drain. Candidates that died by cascade or were destroyed by a
+        // sweep since they were buffered drop out, and so do roots: a
+        // root is not the member a dead cycle is remembered by, and
+        // removing it from the root set buffers it again. The rest are
+        // distinct (one entry per object) and start out gray.
+        drained.retain(|&raw| {
+            let info = self.objects[raw as usize]
+                .as_mut()
+                .expect("buffered object exists");
+            info.cycle = root_or_unknown(info);
+            let keep = info.is_live() && !info.is_root;
+            if keep {
+                info.mark_epoch = gray;
+            }
+            keep
+        });
+        let seeds = drained.iter().map(|&raw| ObjectId::new(u64::from(raw)));
+
+        // Pass 1 (gray).
+        stack.extend(seeds.clone());
+        let mut visited = 0u64;
+        while let Some(cur) = stack.pop() {
+            let range = self.objects[cur.raw() as usize]
+                .as_ref()
+                .expect("gray object exists")
+                .slot_range();
+            for t in self.slot_arena[range].iter().filter_map(|s| s.get()) {
+                let info = self.objects[t.raw() as usize]
+                    .as_mut()
+                    .expect("slot target exists");
+                debug_assert!(info.is_live(), "live {cur} references dead {t}");
+                info.refcount -= 1;
+                visited += 1;
+                if info.mark_epoch != gray {
+                    info.mark_epoch = gray;
+                    // What anchored it may have been a candidate that is
+                    // no longer buffered.
+                    info.cycle = root_or_unknown(info);
+                    stack.push(t);
+                }
             }
         }
-        if found_cycles {
-            self.rebuild_refcounts();
+        self.reconcile_visited += visited;
+
+        // Pass 2 (scan). Every target of a gray object was itself made
+        // gray, so below a mark is always one of the three colours.
+        stack.extend(seeds.clone());
+        while let Some(cur) = stack.pop() {
+            let info = self.objects[cur.raw() as usize]
+                .as_mut()
+                .expect("gray object exists");
+            if info.mark_epoch != gray {
+                continue;
+            }
+            let range = info.slot_range();
+            if info.refcount == 0 {
+                info.mark_epoch = white;
+                stack.extend(self.slot_arena[range].iter().filter_map(|s| s.get()));
+                continue;
+            }
+            // Held from outside: blacken everything `cur` reaches, above
+            // the scan's own entries on the shared stack.
+            info.mark_epoch = black;
+            let floor = stack.len();
+            stack.push(cur);
+            while stack.len() > floor {
+                let held = stack.pop().expect("stack is above the floor");
+                let range = self.objects[held.raw() as usize]
+                    .as_ref()
+                    .expect("black object exists")
+                    .slot_range();
+                for t in self.slot_arena[range].iter().filter_map(|s| s.get()) {
+                    let info = self.objects[t.raw() as usize]
+                        .as_mut()
+                        .expect("slot target exists");
+                    info.refcount += 1;
+                    if info.mark_epoch != black {
+                        debug_assert!(info.mark_epoch == gray || info.mark_epoch == white);
+                        info.mark_epoch = black;
+                        stack.push(t);
+                    }
+                }
+            }
         }
+
+        // Pass 3 (collect). Every white object is on a white path from a
+        // candidate: a parent that turned black would have blackened it.
+        stack.extend(seeds);
+        while let Some(cur) = stack.pop() {
+            let info = self.objects[cur.raw() as usize]
+                .as_ref()
+                .expect("scanned object exists");
+            if info.mark_epoch != white || !info.is_live() {
+                continue;
+            }
+            let range = info.slot_range();
+            self.transition_to_garbage(cur);
+            stack.extend(self.slot_arena[range].iter().filter_map(|s| s.get()));
+        }
+
+        drained.clear();
+        self.candidates = drained;
+        self.cascade_scratch = stack;
         self.garbage.actual()
     }
 
-    /// Recomputes every present object's reference count from live holders
-    /// and roots.
-    fn rebuild_refcounts(&mut self) {
-        let n = self.objects.len();
-        let mut counts = vec![0u32; n];
-        for info in self.objects.iter().flatten() {
-            if info.is_live() {
-                for t in self.slot_arena[info.slot_range()]
-                    .iter()
-                    .filter_map(|s| s.get())
-                {
-                    counts[t.raw() as usize] += 1;
-                }
-            }
-        }
-        for r in &self.roots {
-            counts[r.raw() as usize] += 1;
-        }
-        for (i, slot) in self.objects.iter_mut().enumerate() {
-            if let Some(info) = slot {
-                if info.is_present() {
-                    info.refcount = counts[i] + u32::from(info.birth_pin);
-                }
-            }
-        }
+    /// Edges followed by the gray pass of every
+    /// [`Store::recompute_garbage_exact`] so far: the work the reconcile
+    /// did, as a count that repeats exactly.
+    pub fn reconcile_visited(&self) -> u64 {
+        self.reconcile_visited
     }
 
     /// Deep structural audit: re-derives every piece of redundant state
@@ -913,7 +1070,14 @@ impl Store {
     /// 3. partition live/garbage byte tallies and the residents lists
     ///    match the object table, and object extents do not overlap;
     /// 4. the global live/occupied/garbage ledgers equal the per-partition
-    ///    sums.
+    ///    sums;
+    /// 5. the derived indexes — per-partition root and pin lists, visit
+    ///    epochs, the first-fit free cache and cursor, the O(1) counters —
+    ///    match what they are derived from;
+    /// 6. an object is [`CycleState::Buffered`] iff its table index
+    ///    appears in the cycle-candidate buffer, exactly once, and every
+    ///    live [`CycleState::Anchored`] object that can hold a pointer is
+    ///    reachable through live objects from a root or a candidate.
     pub fn check_consistency(&self) -> Result<(), String> {
         // -- remembered sets ------------------------------------------------
         // Structural audit first: if a (parallel) collection tore a
@@ -1089,6 +1253,59 @@ impl Store {
                         info.mark_epoch, self.mark_epoch
                     ));
                 }
+            }
+        }
+
+        // -- cycle candidates -------------------------------------------------
+        // `Buffered` is what keeps the buffer to one entry per object: an
+        // entry in any other state could be buffered twice, a `Buffered`
+        // object that is not in the buffer can never be nominated again.
+        let mut in_buffer = vec![false; self.objects.len()];
+        for &raw in &self.candidates {
+            match self.objects.get(raw as usize) {
+                Some(Some(info)) if info.cycle == CycleState::Buffered => {}
+                _ => return Err(format!("candidate o{raw} is not marked buffered")),
+            }
+            if std::mem::replace(&mut in_buffer[raw as usize], true) {
+                return Err(format!("candidate o{raw} is buffered twice"));
+            }
+        }
+        // `Anchored` lets a holder take over a birth pin silently, so it
+        // must be true: some root or live candidate leads to the holder.
+        // (Slot-less objects never hold anything; their state is unused.)
+        let mut anchor_reach = in_buffer.clone();
+        let mut stack: Vec<usize> = self.candidates.iter().map(|&raw| raw as usize).collect();
+        for r in &self.roots {
+            anchor_reach[r.raw() as usize] = true;
+            stack.push(r.raw() as usize);
+        }
+        while let Some(raw) = stack.pop() {
+            let Some(info) = self.objects[raw].as_ref().filter(|i| i.is_live()) else {
+                continue;
+            };
+            for t in self.slot_arena[info.slot_range()]
+                .iter()
+                .filter_map(|s| s.get())
+            {
+                if !std::mem::replace(&mut anchor_reach[t.raw() as usize], true) {
+                    stack.push(t.raw() as usize);
+                }
+            }
+        }
+        for (raw, slot) in self.objects.iter().enumerate() {
+            let Some(info) = slot else { continue };
+            match info.cycle {
+                CycleState::Buffered if !in_buffer[raw] => {
+                    return Err(format!("o{raw} is marked buffered but not in the buffer"));
+                }
+                CycleState::Anchored
+                    if info.is_live() && info.slots_len > 0 && !anchor_reach[raw] =>
+                {
+                    return Err(format!(
+                        "o{raw} is marked anchored but no root or candidate leads to it"
+                    ));
+                }
+                _ => {}
             }
         }
 
@@ -1665,6 +1882,41 @@ mod tests {
         let exact = s.recompute_garbage_exact();
         assert_eq!(exact, 60);
         s.assert_garbage_exact();
+    }
+
+    #[test]
+    fn reconcile_across_the_epoch_wraparound_is_exact() {
+        // Two epochs left: the three colours cannot all be taken without
+        // the wraparound reset, which zeroes every mark. It must happen
+        // before the first colour is written, not between two of them.
+        let mut s = tiny();
+        let mut b = TraceBuilder::new();
+        let anchor = b.create_unlinked(10, 2);
+        b.root_add(anchor);
+        let ring = |b: &mut TraceBuilder| {
+            let x = b.create_unlinked(30, 1);
+            let y = b.create(30, vec![Some(x)]);
+            let z = b.create(30, vec![Some(y)]);
+            b.slot_write(x, SlotIdx::new(0), Some(z));
+            x
+        };
+        let dead = ring(&mut b);
+        let held = ring(&mut b);
+        b.slot_write(anchor, SlotIdx::new(0), Some(dead));
+        b.slot_write(anchor, SlotIdx::new(1), Some(held));
+        b.slot_clear(anchor, SlotIdx::new(0));
+        replay(&mut s, &b.finish());
+        // Stale marks from an earlier traversal, as a long-lived store
+        // would carry them.
+        let stale = s.begin_visit_epoch();
+        assert!(s.try_mark(dead, stale) && s.try_mark(held, stale));
+
+        s.mark_epoch = u32::MAX - 1;
+        assert_eq!(s.recompute_garbage_exact(), 90);
+        assert!(s.mark_epoch <= 3, "the reset ran once, up front");
+        s.assert_garbage_exact();
+        s.assert_consistent();
+        assert!(s.is_live(held) && !s.is_live(dead));
     }
 
     #[test]

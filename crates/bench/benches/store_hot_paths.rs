@@ -1,12 +1,12 @@
 //! Store hot-path micro-benchmarks: event application through the buffer
-//! pool, end-to-end OO7 trace replay throughput, and the exact-garbage
-//! reconcile at its three sizes.
+//! pool, end-to-end OO7 trace replay throughput, object placement by
+//! database size, and the exact-garbage reconcile at its three sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_store::{Event, Store, StoreConfig};
+use odbgc_store::{Event, PartitionId, Store, StoreConfig};
 use odbgc_trace::{ObjectId, SlotIdx, TraceBuilder};
 
 fn bench_store(c: &mut Criterion) {
@@ -86,6 +86,43 @@ fn bench_store(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `Create` by how many partitions the database has, every one of
+/// them keeping a tail too small for the object — what a filled database
+/// looks like to first-fit, and what made a scan of the tails cost one
+/// step per partition. The three medians should sit within 2× of each
+/// other.
+fn bench_alloc_place(c: &mut Criterion) {
+    const SIZE: u32 = 128;
+    let config = StoreConfig::default();
+    let create = |raw: u64, size: u32| Event::Create {
+        id: ObjectId::new(raw),
+        size,
+        slots: Box::new([]),
+    };
+    let mut group = c.benchmark_group("alloc_place");
+    for partitions in [128u64, 1024, 8192] {
+        let mut store = Store::new(config.clone());
+        let filler = config.partition_bytes() - 40;
+        for raw in 0..partitions - 1 {
+            store.apply(&create(raw, filler)).expect("filler");
+        }
+        // The last partition takes every measured create, so the count
+        // stays put for as long as the bench cares to run: 800 MB of
+        // room, in the simulator's books only.
+        store.apply(&create(partitions - 1, SIZE)).expect("opener");
+        store.grow_partition(PartitionId::new(partitions as u32 - 1), 100_000);
+        assert_eq!(store.partition_count() as u64, partitions);
+        let mut next = partitions - 1;
+        group.bench_function(format!("partitions_{partitions}"), |b| {
+            b.iter(|| {
+                next += 1;
+                black_box(store.apply(&create(next, SIZE)))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// `Store::recompute_garbage_exact` on the OO7 Small′ database, by how
 /// much of the heap the buffered candidates reach. Re-storing a pointer
 /// a slot already holds takes the target's count up and back down to
@@ -140,5 +177,5 @@ fn bench_reconcile(c: &mut Criterion) {
     assert_eq!(store.garbage_bytes(), 0, "nothing died");
 }
 
-criterion_group!(benches, bench_store, bench_reconcile);
+criterion_group!(benches, bench_store, bench_alloc_place, bench_reconcile);
 criterion_main!(benches);

@@ -831,6 +831,7 @@ pub fn serve_replay<P: RatePolicy + Send + 'static>(
 mod tests {
     use super::*;
     use odbgc_core::FixedRatePolicy;
+    use odbgc_store::StoreError;
 
     fn tiny_serve(seed: u64) -> ServeConfig {
         ServeConfig {
@@ -1015,6 +1016,62 @@ mod tests {
         assert_eq!(
             shard.into_outcome(Vec::new()).failed.as_deref(),
             Some("turn panicked: boom")
+        );
+    }
+
+    #[test]
+    fn create_too_large_is_a_typed_op_error_and_the_shard_keeps_serving() {
+        // The paper geometry a server runs: 8 KiB pages, so sizes within
+        // a page of u32::MAX have no partition.
+        let mut shard = Shard::new(
+            0,
+            &EngineConfig::default(),
+            Box::new(FixedRatePolicy::new(20)),
+            None,
+        );
+        let mut objects = SessionObjects::new();
+        let hostile = [
+            SessionOp::Create { size: 64, slots: 1 },
+            SessionOp::Create {
+                size: u32::MAX,
+                slots: 0,
+            },
+        ];
+        let err = shard
+            .turn(SessionId::new(0), |sess| {
+                apply_ops(sess, &mut objects, &hostile)
+            })
+            .expect("no panic, the shard is not latched")
+            .unwrap_err();
+        assert_eq!(err.op_index, 1, "the create before it was applied");
+        match err.kind {
+            TurnErrorKind::Op(OpError { cause, .. }) => assert!(
+                matches!(cause, StoreError::ObjectTooLarge { size: u32::MAX, .. }),
+                "{cause}"
+            ),
+            other => panic!("expected a typed op error, got {other:?}"),
+        }
+        assert!(shard.failure().is_none());
+
+        let next = [
+            SessionOp::Create { size: 64, slots: 0 },
+            SessionOp::Overwrite {
+                obj: ObjRef(0),
+                slot: 0,
+                target: Some(ObjRef(1)),
+            },
+        ];
+        let applied = shard
+            .turn(SessionId::new(0), |sess| {
+                apply_ops(sess, &mut objects, &next)
+            })
+            .expect("the shard still takes turns")
+            .expect("and applies them");
+        assert_eq!((applied.applied, applied.created), (2, 1));
+        assert_eq!(
+            objects.created_count(),
+            2,
+            "the refused create named nothing"
         );
     }
 

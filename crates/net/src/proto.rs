@@ -23,6 +23,16 @@ use odbgc_tracefile::varint::{get_u64, put_u64};
 /// few tens of KiB; anything near the cap is a corrupt length prefix.
 pub const MAX_FRAME: u32 = 1 << 20;
 
+/// Largest object a [`SessionOp::Create`] may ask for over the wire,
+/// bytes: 16 times the OO7 Medium manual, far below the sizes at which a
+/// partition's `u32` capacity runs out.
+pub const MAX_CREATE_SIZE: u32 = 1 << 24;
+
+/// Most pointer slots a [`SessionOp::Create`] may ask for over the wire.
+/// The server allocates the slots before the store sees the op, so the
+/// bound is checked while decoding, before anything is allocated.
+pub const MAX_CREATE_SLOTS: u32 = 1 << 16;
+
 /// Frame overhead outside the body: 4-byte length + 4-byte CRC.
 pub const FRAME_OVERHEAD: u64 = 8;
 
@@ -237,10 +247,18 @@ fn get_op(buf: &[u8], pos: &mut usize) -> Result<SessionOp, ProtoError> {
     let tag = *buf.get(*pos).ok_or(ProtoError::Truncated)?;
     *pos += 1;
     Ok(match tag {
-        OP_CREATE => SessionOp::Create {
-            size: get_u32(buf, pos)?,
-            slots: get_u32(buf, pos)?,
-        },
+        OP_CREATE => {
+            let (size, slots) = (get_u32(buf, pos)?, get_u32(buf, pos)?);
+            if size > MAX_CREATE_SIZE {
+                return Err(ProtoError::BadValue("create size exceeds MAX_CREATE_SIZE"));
+            }
+            if slots > MAX_CREATE_SLOTS {
+                return Err(ProtoError::BadValue(
+                    "create slot count exceeds MAX_CREATE_SLOTS",
+                ));
+            }
+            SessionOp::Create { size, slots }
+        }
         OP_ACCESS => SessionOp::Access {
             obj: ObjRef(get(buf, pos)?),
         },
@@ -824,6 +842,30 @@ mod tests {
         match read_frame_into(&mut huge.as_slice(), &mut got) {
             Err(ProtoError::TooLarge(_)) => {}
             other => panic!("oversized frame must be rejected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn create_beyond_the_protocol_bounds_is_rejected() {
+        let decode = |size, slots| {
+            let mut body = Vec::new();
+            Request::Ops {
+                ops: vec![SessionOp::Create { size, slots }],
+            }
+            .encode_into(&mut body);
+            Request::decode(&body)
+        };
+        assert!(decode(MAX_CREATE_SIZE, MAX_CREATE_SLOTS).is_ok());
+        for (size, slots) in [
+            (MAX_CREATE_SIZE + 1, 0),
+            (u32::MAX, 0),
+            (64, MAX_CREATE_SLOTS + 1),
+            (64, u32::MAX),
+        ] {
+            match decode(size, slots) {
+                Err(ProtoError::BadValue(_)) => {}
+                other => panic!("create {size}/{slots} must be rejected, got {other:?}"),
+            }
         }
     }
 

@@ -27,6 +27,14 @@ pub enum StoreError {
     },
     /// Created object with size 0 (objects must occupy storage).
     ZeroSizeObject(ObjectId),
+    /// Created object so large that the whole pages holding it pass the
+    /// `u32` a partition's capacity is kept in.
+    ObjectTooLarge {
+        /// The object that was to be created.
+        object: ObjectId,
+        /// Its requested size in bytes.
+        size: u32,
+    },
     /// RootAdd for an object already in the root set.
     DuplicateRoot(ObjectId),
     /// RootRemove for an object not in the root set.
@@ -49,6 +57,10 @@ impl std::fmt::Display for StoreError {
                 "slot {slot} out of bounds for {object} ({slot_count} slots)"
             ),
             StoreError::ZeroSizeObject(id) => write!(f, "object {id} created with size 0"),
+            StoreError::ObjectTooLarge { object, size } => write!(
+                f,
+                "object {object} of {size} bytes is larger than any partition can be"
+            ),
             StoreError::DuplicateRoot(id) => write!(f, "object {id} is already a root"),
             StoreError::NotARoot(id) => write!(f, "object {id} is not a root"),
         }

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use odbgc_trace::{Event, ObjectId, SlotIdx};
 
-use crate::alloc;
+use crate::alloc::{self, FreeIndex};
 use crate::buffer::{BufferPool, BufferStats};
 use crate::config::{OverwriteSemantics, StoreConfig};
 use crate::error::StoreError;
@@ -144,13 +144,11 @@ pub struct Store {
     reconcile_visited: u64,
     /// Reusable buffer for the doomed-object list of a collection.
     doomed_scratch: Vec<ObjectId>,
-    /// First-fit allocation cursor: every partition below this index has
-    /// zero free bytes. See [`alloc::place`].
-    alloc_cursor: usize,
-    /// Flat copy of each partition's free bytes, kept in lockstep with
-    /// `partitions`. The first-fit scan reads this dense array instead of
-    /// striding over the much larger `Partition` structs.
-    free_cache: Vec<u32>,
+    /// Each partition's free bytes, kept in lockstep with `partitions`
+    /// under a max-tree: [`alloc::place`] finds the leftmost partition
+    /// with room in O(log partitions), and a collection or grow that
+    /// frees space updates one leaf-to-root path.
+    free_index: FreeIndex,
     /// `log2(page_size)` when the page size is a power of two (it always
     /// is in practice), letting the per-event page math shift instead of
     /// divide.
@@ -215,8 +213,7 @@ impl Store {
             candidates: Vec::new(),
             reconcile_visited: 0,
             doomed_scratch: Vec::new(),
-            alloc_cursor: 0,
-            free_cache: Vec::new(),
+            free_index: FreeIndex::new(),
             page_shift,
             slot_arena: Vec::new(),
         }
@@ -565,11 +562,11 @@ impl Store {
         let partitions_before = self.partitions.len();
         let (partition, offset) = alloc::place(
             &mut self.partitions,
-            &mut self.free_cache,
+            &mut self.free_index,
             &self.config,
-            &mut self.alloc_cursor,
             size,
-        );
+        )
+        .ok_or(StoreError::ObjectTooLarge { object: id, size })?;
         for p in &self.partitions[partitions_before..] {
             self.db_size += u64::from(p.capacity);
         }
@@ -732,9 +729,8 @@ impl Store {
     pub fn grow_partition(&mut self, p: PartitionId, extra_pages: u32) {
         let added = self.partitions[p.index()].grow(extra_pages, self.config.page_size);
         self.db_size += added;
-        self.free_cache[p.index()] = self.partitions[p.index()].free_bytes();
-        // Free space appeared below the first-fit cursor; rewind it.
-        self.alloc_cursor = self.alloc_cursor.min(p.index());
+        self.free_index
+            .set(p.index(), self.partitions[p.index()].free_bytes());
     }
 
     /// Bytes occupied by objects (live + garbage).
@@ -1058,6 +1054,13 @@ impl Store {
         self.reconcile_visited
     }
 
+    /// Free-index nodes read by every first-fit search so far
+    /// ([`FreeIndex::probes`]): the work placement did, as a count that
+    /// repeats exactly.
+    pub fn placement_probes(&self) -> u64 {
+        self.free_index.probes()
+    }
+
     /// Deep structural audit: re-derives every piece of redundant state
     /// from first principles and compares. Returns the first discrepancy
     /// found. Intended for tests and debugging (O(objects + pointers)).
@@ -1072,8 +1075,8 @@ impl Store {
     /// 4. the global live/occupied/garbage ledgers equal the per-partition
     ///    sums;
     /// 5. the derived indexes — per-partition root and pin lists, visit
-    ///    epochs, the first-fit free cache and cursor, the O(1) counters —
-    ///    match what they are derived from;
+    ///    epochs, the first-fit free index, the O(1) counters — match
+    ///    what they are derived from;
     /// 6. an object is [`CycleState::Buffered`] iff its table index
     ///    appears in the cycle-candidate buffer, exactly once, and every
     ///    live [`CycleState::Anchored`] object that can hold a pointer is
@@ -1309,35 +1312,24 @@ impl Store {
             }
         }
 
-        // -- first-fit free cache --------------------------------------------
-        // The dense free-bytes array the allocator scans must mirror the
-        // partitions exactly.
-        if self.free_cache.len() != self.partitions.len() {
+        // -- first-fit free index --------------------------------------------
+        // The descent is exact only over true maxima of true free bytes:
+        // every leaf mirrors its partition, every inner node is the
+        // maximum of its children, padding leaves fit nothing.
+        self.free_index.check_structure()?;
+        if self.free_index.len() != self.partitions.len() {
             return Err(format!(
-                "free cache covers {} partitions, store has {}",
-                self.free_cache.len(),
+                "free index covers {} partitions, store has {}",
+                self.free_index.len(),
                 self.partitions.len()
             ));
         }
         for (pi, part) in self.partitions.iter().enumerate() {
-            if self.free_cache[pi] != part.free_bytes() {
+            if self.free_index.get(pi) != part.free_bytes() {
                 return Err(format!(
-                    "P{pi} free cache {} != actual {}",
-                    self.free_cache[pi],
+                    "P{pi} free index leaf {} != actual {}",
+                    self.free_index.get(pi),
                     part.free_bytes()
-                ));
-            }
-        }
-
-        // -- first-fit cursor ------------------------------------------------
-        // Skipping partitions below the cursor is only sound if none of
-        // them has free space.
-        for (pi, part) in self.partitions.iter().take(self.alloc_cursor).enumerate() {
-            if part.free_bytes() > 0 {
-                return Err(format!(
-                    "P{pi} has {} free bytes below the alloc cursor {}",
-                    part.free_bytes(),
-                    self.alloc_cursor
                 ));
             }
         }
@@ -1602,11 +1594,10 @@ impl Store {
         self.io.charge_writes(IoClass::Gc, occupied_pages_after);
         self.buffer.invalidate_partition(p);
 
-        // Compaction may have opened free space below the first-fit
-        // cursor; refresh the free cache and rewind the cursor so
-        // allocation sees the reclaimed bytes.
-        self.free_cache[p.index()] = self.partitions[p.index()].free_bytes();
-        self.alloc_cursor = self.alloc_cursor.min(p.index());
+        // Compaction lowered the high-water mark; let allocation see the
+        // reclaimed bytes.
+        self.free_index
+            .set(p.index(), self.partitions[p.index()].free_bytes());
 
         CollectionApplied {
             partition: p,
@@ -1793,6 +1784,37 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(e, StoreError::ZeroSizeObject(ObjectId::new(0)));
+    }
+
+    #[test]
+    fn create_too_large_for_any_partition_errors_and_changes_nothing() {
+        // The paper geometry, as served: sizes within a page of u32::MAX
+        // round up to a capacity that wraps to 0.
+        let mut s = Store::new(StoreConfig::default());
+        let create = |raw, size| Event::Create {
+            id: ObjectId::new(raw),
+            size,
+            slots: Box::new([]),
+        };
+        s.apply(&create(0, 100)).unwrap();
+        for size in [u32::MAX, u32::MAX - 8190] {
+            assert_eq!(
+                s.apply(&create(1, size)).unwrap_err(),
+                StoreError::ObjectTooLarge {
+                    object: ObjectId::new(1),
+                    size
+                }
+            );
+            s.assert_consistent();
+            assert_eq!((s.partition_count(), s.present_objects()), (1, 1));
+            assert_eq!(s.db_size_bytes(), 96 * 1024);
+        }
+        s.apply(&create(1, 100)).unwrap();
+        assert_eq!(s.partition_of(ObjectId::new(1)), Ok(PartitionId::new(0)));
+        // The largest size whole pages can hold is an ordinary create.
+        s.apply(&create(2, u32::MAX - 8191)).unwrap();
+        assert_eq!(s.db_size_bytes(), 96 * 1024 + (u64::from(u32::MAX) - 8191));
+        s.assert_consistent();
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! rule determine the store's state uniquely, so the two together are a
 //! differential test against a full mark from the roots.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::survivors_of;
 use odbgc_store::{PartitionId, Store, StoreConfig};
 use odbgc_trace::synthetic::{churn, ChurnConfig};
 use odbgc_trace::{Event, ObjectId, SlotIdx, TraceBuilder};
@@ -52,25 +55,6 @@ fn reconcile_checked(store: &mut Store) -> u64 {
     store.assert_garbage_exact();
     store.assert_consistent();
     garbage
-}
-
-/// What a correct collector keeps of partition `p`: the residents
-/// reachable from the partition's roots without leaving it.
-fn survivors_of(store: &Store, p: PartitionId) -> Vec<ObjectId> {
-    let mut survivors = Vec::new();
-    let mut stack = store.partition_roots(p);
-    while let Some(cur) = stack.pop() {
-        if survivors.contains(&cur) {
-            continue;
-        }
-        survivors.push(cur);
-        for t in store.slots_of(cur).expect("survivor exists").flatten() {
-            if store.partition_of(t) == Ok(p) {
-                stack.push(t);
-            }
-        }
-    }
-    survivors
 }
 
 /// A rooted anchor with `slots` slots whose slot 0 holds the first of a

@@ -443,3 +443,74 @@ fn second_hello_is_refused_and_the_binding_is_kept() {
         .expect("the bound connection's counters");
     assert_eq!((bound.session, bound.turns, bound.ops), (0, 2, 3));
 }
+
+/// (5) A `Create` no store could honour is refused at the decoder: the
+/// sender gets a `Protocol` error and loses its connection, nothing
+/// reaches the shard, and the shard's other sessions never notice.
+#[test]
+fn hostile_create_is_a_protocol_error_and_the_shard_keeps_serving() {
+    // One shard, served with the paper geometry (where a create of
+    // `u32::MAX` bytes used to take the shard down).
+    let (addr, server) = spawn_server(NetConfig {
+        engine: EngineConfig::default(),
+        ..net_config(1)
+    });
+    let hello = |conn: &mut Conn, session| match conn
+        .request(&Request::Hello { session, window: 4 })
+        .expect("hello")
+    {
+        Response::HelloOk { shard: 0, .. } => {}
+        other => panic!("want HelloOk on shard 0, got {other:?}"),
+    };
+    let mut hostile = Conn::connect(&addr).expect("hostile connect");
+    let mut bystander = Conn::connect(&addr).expect("bystander connect");
+    hello(&mut hostile, 0);
+    hello(&mut bystander, 1);
+
+    for (size, slots) in [(u32::MAX, 0), (64, u32::MAX)] {
+        let ops = vec![
+            SessionOp::Create { size: 64, slots: 0 },
+            SessionOp::Create { size, slots },
+        ];
+        match hostile.request_raw(&Request::Ops { ops }) {
+            Ok(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::Protocol);
+                assert!(message.contains("MAX_CREATE"), "{message}");
+            }
+            other => panic!("want a Protocol error for create {size}/{slots}, got {other:?}"),
+        }
+        // Closed after the error was flushed, like any undecodable frame.
+        assert!(hostile.request_raw(&Request::Stats).is_err());
+        hostile = Conn::connect(&addr).expect("hostile reconnect");
+        hello(&mut hostile, 0);
+    }
+
+    let turn = vec![
+        SessionOp::Create { size: 64, slots: 1 },
+        SessionOp::AddRoot { obj: ObjRef(0) },
+    ];
+    match bystander
+        .request(&Request::Ops { ops: turn })
+        .expect("turn")
+    {
+        Response::OpsOk {
+            applied: 2,
+            created: 1,
+            ..
+        } => {}
+        other => panic!("want OpsOk on the hostile sender's shard, got {other:?}"),
+    }
+    for conn in [&mut hostile, &mut bystander] {
+        match conn.request(&Request::Bye).expect("bye") {
+            Response::ByeOk => {}
+            other => panic!("want ByeOk, got {other:?}"),
+        }
+    }
+    shutdown(&addr);
+    let outcome = server.join().unwrap();
+    assert!(outcome.shards[0].failed.is_none());
+    assert_eq!(
+        outcome.shards[0].result.events_replayed, 2,
+        "no op of a refused frame was applied"
+    );
+}

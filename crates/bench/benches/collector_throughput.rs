@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use odbgc_gc::{collect_partition, collect_partitions, plan_survivors, Scheduler};
+use odbgc_gc::{collect_partition, plan_survivors};
 use odbgc_store::{PartitionId, Store, StoreConfig};
 use odbgc_trace::{SlotIdx, TraceBuilder};
 
@@ -31,36 +31,6 @@ fn loaded_store(n_objects: usize, garbage_ratio: f64) -> Store {
     store
 }
 
-/// Builds a store whose residents span many partitions (first-fit
-/// allocation spills ~1 KiB objects across partitions as each fills),
-/// with a `garbage_ratio` fraction detached. Returns the store plus the
-/// full partition list for a batch collection.
-fn multi_partition_store(
-    target_partitions: usize,
-    garbage_ratio: f64,
-) -> (Store, Vec<PartitionId>) {
-    let n_objects = target_partitions * 90;
-    let mut b = TraceBuilder::new();
-    let root = b.create_unlinked(16, n_objects);
-    b.root_add(root);
-    for i in 0..n_objects {
-        let id = b.create_unlinked(1024, 2);
-        b.slot_write(root, SlotIdx::new(i as u32), Some(id));
-    }
-    let n_dead = (n_objects as f64 * garbage_ratio) as usize;
-    for i in 0..n_dead {
-        b.slot_clear(root, SlotIdx::new(((i * 7) % n_objects) as u32));
-    }
-    let mut store = Store::new(StoreConfig::default());
-    for ev in b.finish().iter() {
-        store.apply(ev).expect("bench trace replays");
-    }
-    let parts = (0..store.partition_count() as u32)
-        .map(PartitionId::new)
-        .collect();
-    (store, parts)
-}
-
 fn bench_collector(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_survivors");
     for &n in &[100usize, 1000] {
@@ -80,26 +50,6 @@ fn bench_collector(c: &mut Criterion) {
                 b.iter_batched(
                     || loaded_store(500, ratio),
                     |mut store| black_box(collect_partition(&mut store, PartitionId::new(0))),
-                    criterion::BatchSize::SmallInput,
-                )
-            },
-        );
-    }
-    group.finish();
-
-    // Batch collection over the whole store through the packet scheduler
-    // at increasing worker counts. Results are worker-count invariant;
-    // only wall-clock time may differ.
-    let mut group = c.benchmark_group("collect_partition_parallel");
-    for &workers in &[1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("workers_{workers}")),
-            &workers,
-            |b, &workers| {
-                let sched = Scheduler::new(workers);
-                b.iter_batched(
-                    || multi_partition_store(16, 0.4),
-                    |(mut store, parts)| black_box(collect_partitions(&mut store, &parts, &sched)),
                     criterion::BatchSize::SmallInput,
                 )
             },

@@ -101,24 +101,6 @@ pub fn write_trace_file(path: &str, trace: &Trace, format: TraceFormat) -> Resul
     Ok(bytes.len() as u64)
 }
 
-/// Parses the `--gc-workers` flag shared by `run`, `sweep`,
-/// `serve-bench`, and `serve`: the collector-worker pool size per
-/// engine. `None`
-/// (flag absent) defers to the `ODBGC_GC_WORKERS` environment variable,
-/// else 1. Worker count never changes results — only wall-clock time
-/// and volatile scheduler telemetry.
-pub fn parse_gc_workers(flags: &crate::flags::Flags) -> Result<Option<usize>, CliError> {
-    match flags.get("gc-workers") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(CliError(format!(
-                "--gc-workers needs a positive integer, got {v:?}"
-            ))),
-        },
-        None => Ok(None),
-    }
-}
-
 /// Parses the `--net-threads` flag (`serve`): the event-loop thread
 /// pool size. `None` (flag absent) defers to the `ODBGC_NET_THREADS`
 /// environment variable, else `min(4, available cores)`. Loop count

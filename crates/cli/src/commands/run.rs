@@ -5,7 +5,7 @@ use odbgc_sim::{
     BatchSource, ReplayOptions, RunResult, RunTelemetry, SimConfig, Simulator, TraceBatches,
 };
 
-use crate::commands::{is_binary_file, load_text_trace, open_tracefile, parse_gc_workers};
+use crate::commands::{is_binary_file, load_text_trace, open_tracefile};
 use crate::flags::Flags;
 use crate::spec;
 use crate::CliError;
@@ -24,12 +24,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let telemetry_path = flags.get("telemetry");
     let preamble: u64 = flags.get_or("preamble", 10)?;
     let store_geometry = flags.get("store");
-    let gc_workers = parse_gc_workers(&flags)?;
     flags.finish()?;
 
     let mut config = SimConfig {
         preamble_collections: preamble,
-        gc_workers,
         ..SimConfig::default()
     };
     match store_geometry.as_deref() {
@@ -324,24 +322,5 @@ mod tests {
     #[test]
     fn unknown_store_geometry_errors() {
         assert!(run(&argv("--policy saio:10% --store huge")).is_err());
-    }
-
-    #[test]
-    fn gc_workers_flag_never_changes_the_report() {
-        let base = run(&argv(
-            "--policy saio:10% --params tiny --store tiny --preamble 2",
-        ))
-        .unwrap();
-        let parallel = run(&argv(
-            "--policy saio:10% --params tiny --store tiny --preamble 2 --gc-workers 4",
-        ))
-        .unwrap();
-        assert_eq!(base, parallel, "worker count must not change results");
-    }
-
-    #[test]
-    fn zero_gc_workers_errors() {
-        let err = run(&argv("--policy saio:10% --params tiny --gc-workers 0")).unwrap_err();
-        assert!(err.to_string().contains("gc-workers"), "{err}");
     }
 }

@@ -26,7 +26,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let store_geometry = flags.get("store");
     let telemetry_path = flags.get("telemetry");
     let addr_file = flags.get("addr-file");
-    let gc_workers = crate::commands::parse_gc_workers(&flags)?;
     let net_threads_flag = crate::commands::parse_net_threads(&flags)?;
     flags.finish()?;
 
@@ -58,10 +57,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // Validate the spec once up front so a bad spec fails before bind.
     spec::build_policy(&policy_spec)?;
 
-    let mut engine_config = SimConfig {
-        gc_workers,
-        ..SimConfig::default()
-    };
+    let mut engine_config = SimConfig::default();
     match store_geometry.as_deref() {
         None | Some("tiny") => engine_config.store = odbgc_sim::store::StoreConfig::tiny(),
         Some("paper") => {}

@@ -22,7 +22,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let workload_seed: u64 = flags.get_or("seed", WorkloadParams::default().seed)?;
     let store_geometry = flags.get("store");
     let telemetry_path = flags.get("telemetry");
-    let gc_workers = crate::commands::parse_gc_workers(&flags)?;
     flags.finish()?;
 
     if sessions == 0 {
@@ -38,10 +37,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // threads spin up.
     spec::build_policy(&policy_spec)?;
 
-    let mut engine_config = SimConfig {
-        gc_workers,
-        ..SimConfig::default()
-    };
+    let mut engine_config = SimConfig::default();
     match store_geometry.as_deref() {
         None | Some("tiny") => engine_config.store = odbgc_sim::store::StoreConfig::tiny(),
         Some("paper") => {}
@@ -65,12 +61,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         },
         gc_fault: None,
     };
-    let wall_start = std::time::Instant::now();
     let outcome = serve(config, |_| {
         spec::build_policy(&policy_spec).expect("spec validated above")
     })
     .map_err(|e| CliError(format!("serve failed: {e}")))?;
-    let wall_ns = wall_start.elapsed().as_nanos().max(1) as u64;
 
     let mut out = format!(
         "serve-bench: {sessions} sessions × {ops} ops on {shards} shard(s), \
@@ -93,8 +87,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
              \x20 decisions logged: {}\n\
              \x20 app I/O:          {} pages\n\
              \x20 GC I/O:           {} pages ({:.2}% of total)\n\
-             \x20 garbage left:     {:.1} KiB\n\
-             \x20 GC sched:         {} worker(s), {} packets over {} collections",
+             \x20 garbage left:     {:.1} KiB",
             shard.policy,
             shard.result.events_replayed,
             shard.result.collection_count(),
@@ -103,18 +96,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             shard.result.gc_io_total,
             shard.result.gc_io_pct_whole_run(),
             shard.result.final_garbage_bytes as f64 / 1024.0,
-            shard.gc_workers,
-            shard.sched.packets,
-            shard.sched.collections,
-        ));
-        // Wall-clock utilization is nondeterministic by nature; it prints
-        // on its own "GC worker busy" line so determinism checks (the
-        // test below, the CI serve-bench diff) can filter it out.
-        out.push_str(&format!(
-            "\n\x20 GC worker busy:   {:.3} ms ({:.1}% of wall, {} steals)",
-            shard.sched.busy_ns as f64 / 1e6,
-            100.0 * shard.sched.busy_ns as f64 / wall_ns as f64,
-            shard.sched.steals,
         ));
     }
 
@@ -153,51 +134,14 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
-    /// Drops the wall-clock utilization lines, which legitimately vary
-    /// run to run. Everything else in the report is deterministic.
-    fn strip_volatile_lines(report: &str) -> String {
-        report
-            .lines()
-            .filter(|l| !l.contains("GC worker busy"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
     #[test]
     fn four_sessions_complete_deterministically() {
         let args = "--policy fixed:25 --sessions 4 --shards 2 --ops 300 --sched-seed 7";
         let a = run(&argv(args)).unwrap();
         let b = run(&argv(args)).unwrap();
-        assert_eq!(
-            strip_volatile_lines(&a),
-            strip_volatile_lines(&b),
-            "same seeds must reproduce the same report"
-        );
+        assert_eq!(a, b, "same seeds must reproduce the same report");
         assert!(a.contains("per-session ops:   300, 300, 300, 300"), "{a}");
         assert!(a.contains("shard 1:"), "{a}");
-        assert!(a.contains("GC sched:"), "{a}");
-        assert!(a.contains("GC worker busy:"), "{a}");
-    }
-
-    #[test]
-    fn gc_workers_flag_keeps_shard_results_stable() {
-        let base = "--policy fixed:25 --sessions 2 --shards 2 --ops 300 --sched-seed 7";
-        let a = run(&argv(base)).unwrap();
-        let b = run(&argv(&format!("{base} --gc-workers 4"))).unwrap();
-        // Per-shard results (I/O, collections, garbage) must be identical;
-        // only the scheduler lines may differ with the worker count.
-        let stable = |r: &str| {
-            r.lines()
-                .filter(|l| !l.contains("GC worker busy") && !l.contains("GC sched"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            stable(&a),
-            stable(&b),
-            "worker count must not change results"
-        );
-        assert!(b.contains("4 worker(s)"), "{b}");
     }
 
     #[test]

@@ -58,14 +58,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Some(v) => Some(parse_poison(&v)?),
         None => None,
     };
-    let gc_workers = crate::commands::parse_gc_workers(&flags)?;
     flags.finish()?;
 
     let params = spec::build_params(params_name.as_deref(), conn, None)?;
-    let config = SimConfig {
-        gc_workers,
-        ..SimConfig::default()
-    };
+    let config = SimConfig::default();
 
     // The sweep axis: `saio` sweeps requested I/O%, `saga[:estimator]`
     // sweeps requested garbage%.

@@ -89,19 +89,18 @@ USAGE:
   odbgc run      (--trace <file> | [--conn N] [--seed N]) --policy <spec>
                  [--selector updated-pointer|random|round-robin|most-garbage]
                  [--series <csv>] [--preamble N] [--store paper|tiny]
-                 [--telemetry <json>] [--gc-workers N]
+                 [--telemetry <json>]
   odbgc serve-bench --policy <spec> [--sessions N] [--shards N] [--ops N]
                  [--batch N] [--sched-seed N] [--seed N] [--store tiny|paper]
-                 [--telemetry <json>] [--gc-workers N]
+                 [--telemetry <json>]
   odbgc serve    --policy <spec> [--listen HOST:PORT] [--shards N]
                  [--window-max N] [--idle-timeout-ms N] [--addr-file <f>]
-                 [--store tiny|paper] [--telemetry <json>] [--gc-workers N]
-                 [--net-threads N]
+                 [--store tiny|paper] [--telemetry <json>] [--net-threads N]
   odbgc client   --connect HOST:PORT [--session N] [--ops N] [--batch N]
                  [--window N] [--seed N] [--connections N] [--shutdown true]
   odbgc sweep    --policy saio|saga[:estimator] --points a,b,c [--seeds A..B]
                  [--conn N] [--csv <file>] [--jobs N] [--corpus <dir>]
-                 [--telemetry <json>] [--progress N] [--gc-workers N]
+                 [--telemetry <json>] [--progress N]
   odbgc telemetry verify --file <json>
   odbgc trace    convert --in <file> --out <file> [--format binary|text]
   odbgc trace    stat|verify|cat --trace <file>   (cat: [--limit N])
@@ -119,9 +118,6 @@ POLICY SPECS:
 
 Sweeps run cell × seed on --jobs worker threads (or ODBGC_JOBS; default:
 all cores). Results are independent of the worker count.
-Collections run on a per-engine collector pool sized by --gc-workers (or
-ODBGC_GC_WORKERS; default 1); the packet scheduler reduces results in a
-canonical order, so GC worker count never changes results either.
 Everything is deterministic in --seed (default 1).
 
 serve-bench drives N live sessions (default 4) against engines sharded

@@ -1,12 +1,11 @@
 //! Shared parsing of worker-count environment variables.
 //!
-//! `ODBGC_JOBS` (experiment-plan worker threads), `ODBGC_GC_WORKERS`
-//! (per-engine collector pool size), and `ODBGC_NET_THREADS` (serve
-//! event-loop pool size) are all "positive integer or ignored" knobs,
-//! read in different crates. This helper gives every reader the same
-//! validation and — critically — the same warning message shape, so an
-//! invalid value is diagnosed identically whether it reaches `run`,
-//! `sweep`, `serve-bench`, or `serve`.
+//! `ODBGC_JOBS` (experiment-plan worker threads) and
+//! `ODBGC_NET_THREADS` (serve event-loop pool size) are both "positive
+//! integer or ignored" knobs, read in different crates. This helper
+//! gives every reader the same validation and — critically — the same
+//! warning message shape, so an invalid value is diagnosed identically
+//! whether it reaches `sweep` or `serve`.
 
 /// Parses a worker-count environment value: a positive integer after
 /// trimming.
@@ -19,9 +18,8 @@
 /// odbgc: ignoring invalid <VAR>="<value>" (want a positive integer); <fallback>
 /// ```
 ///
-/// `fallback` finishes the sentence — e.g. `"using 1"` or
-/// `"using all available cores"` — so the warning names the value the
-/// run will actually use.
+/// `fallback` finishes the sentence — e.g. `"using all available cores"`
+/// — so the warning names the value the run will actually use.
 pub fn parse_worker_env(var: &str, value: &str, fallback: &str) -> Result<usize, String> {
     match value.trim().parse::<usize>() {
         Ok(n) if n >= 1 => Ok(n),
@@ -39,7 +37,6 @@ mod tests {
     fn positive_integers_parse() {
         assert_eq!(parse_worker_env("ODBGC_JOBS", "1", "using 1"), Ok(1));
         assert_eq!(parse_worker_env("ODBGC_JOBS", " 8 ", "using 1"), Ok(8));
-        assert_eq!(parse_worker_env("ODBGC_GC_WORKERS", "4", "using 1"), Ok(4));
         assert_eq!(
             parse_worker_env("ODBGC_NET_THREADS", "2", "using min(4, available cores)"),
             Ok(2)
@@ -49,12 +46,13 @@ mod tests {
     #[test]
     fn garbage_yields_the_canonical_warning() {
         for bad in ["", "0", "-2", "many", "3.5"] {
-            let err = parse_worker_env("ODBGC_GC_WORKERS", bad, "using 1").unwrap_err();
+            let err = parse_worker_env("ODBGC_NET_THREADS", bad, "using min(4, available cores)")
+                .unwrap_err();
             assert_eq!(
                 err,
                 format!(
-                    "odbgc: ignoring invalid ODBGC_GC_WORKERS={bad:?} \
-                     (want a positive integer); using 1"
+                    "odbgc: ignoring invalid ODBGC_NET_THREADS={bad:?} \
+                     (want a positive integer); using min(4, available cores)"
                 )
             );
         }
@@ -63,13 +61,14 @@ mod tests {
     #[test]
     fn both_variables_share_one_message_shape() {
         let jobs = parse_worker_env("ODBGC_JOBS", "x", "using all available cores").unwrap_err();
-        let gc = parse_worker_env("ODBGC_GC_WORKERS", "x", "using 1").unwrap_err();
+        let net = parse_worker_env("ODBGC_NET_THREADS", "x", "using min(4, available cores)")
+            .unwrap_err();
         // Identical up to the variable name and fallback clause.
         assert_eq!(
             jobs.replace("ODBGC_JOBS", "VAR")
                 .replace("using all available cores", "FALLBACK"),
-            gc.replace("ODBGC_GC_WORKERS", "VAR")
-                .replace("using 1", "FALLBACK"),
+            net.replace("ODBGC_NET_THREADS", "VAR")
+                .replace("using min(4, available cores)", "FALLBACK"),
         );
     }
 }

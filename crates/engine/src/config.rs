@@ -40,29 +40,12 @@ pub struct EngineConfig {
     /// with the same estimator kind the recorded values equal the ones the
     /// policy used.
     pub shadow_estimator: Option<EstimatorKind>,
-    /// Collector-worker pool size for packet-graph collection. `None`
-    /// resolves via [`default_gc_workers`] (the `ODBGC_GC_WORKERS`
-    /// environment variable, else 1). Worker count never changes engine
-    /// results — only wall-clock time and volatile scheduler telemetry.
+    /// Collector-worker pool size for packet-graph survivor planning;
+    /// `None` is 1, the sequential planner. Worker count never changes
+    /// engine results — only wall-clock time and the volatile
+    /// `StoreEngine::sched_totals`. Kept only until the benchmark's
+    /// traced pass stops setting it (ROADMAP item 1(c)).
     pub gc_workers: Option<usize>,
-}
-
-/// Resolves the collector-worker count when [`EngineConfig::gc_workers`]
-/// is `None`: the `ODBGC_GC_WORKERS` environment variable if set to a
-/// positive integer (warning and falling back on garbage), else 1 — the
-/// sequential planner, which is the right default for the simulator's
-/// small partitions.
-pub fn default_gc_workers() -> usize {
-    match std::env::var("ODBGC_GC_WORKERS") {
-        Ok(s) => match odbgc_core::parse_worker_env("ODBGC_GC_WORKERS", &s, "using 1") {
-            Ok(n) => n,
-            Err(warning) => {
-                eprintln!("{warning}");
-                1
-            }
-        },
-        Err(_) => 1,
-    }
 }
 
 impl Default for EngineConfig {
@@ -118,31 +101,5 @@ mod tests {
     fn with_shadow_attaches_estimator() {
         let c = EngineConfig::with_shadow(EstimatorKind::CgsCb);
         assert_eq!(c.shadow_estimator, Some(EstimatorKind::CgsCb));
-    }
-
-    #[test]
-    fn gc_workers_env_warns_and_falls_back_to_one() {
-        // The env reader shares odbgc_core::parse_worker_env with
-        // ODBGC_JOBS, so an invalid value produces the same warning
-        // shape and a pinned fallback. This is the only test in this
-        // binary that mutates ODBGC_GC_WORKERS; restore whatever was
-        // set (CI pins it) before returning.
-        let saved = std::env::var("ODBGC_GC_WORKERS").ok();
-        std::env::set_var("ODBGC_GC_WORKERS", "not-a-number");
-        assert_eq!(default_gc_workers(), 1, "invalid value falls back to 1");
-        std::env::set_var("ODBGC_GC_WORKERS", "3");
-        assert_eq!(default_gc_workers(), 3);
-        match saved {
-            Some(v) => std::env::set_var("ODBGC_GC_WORKERS", v),
-            None => std::env::remove_var("ODBGC_GC_WORKERS"),
-        }
-        // The warning text itself (printed to stderr by
-        // default_gc_workers) is pinned via the shared helper.
-        assert_eq!(
-            odbgc_core::parse_worker_env("ODBGC_GC_WORKERS", "not-a-number", "using 1")
-                .unwrap_err(),
-            "odbgc: ignoring invalid ODBGC_GC_WORKERS=\"not-a-number\" \
-             (want a positive integer); using 1"
-        );
     }
 }

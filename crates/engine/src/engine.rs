@@ -85,11 +85,10 @@ impl<P: RatePolicy> StoreEngine<P> {
     /// exactly as the replay loop did before its first event.
     pub fn new(config: EngineConfig, mut policy: P) -> Self {
         let store = Store::new(config.store.clone());
-        let workers = config
-            .gc_workers
-            .unwrap_or_else(crate::config::default_gc_workers);
-        let collector =
-            Collector::with_workers(config.selector.build(config.selector_seed), workers);
+        let collector = Collector::with_workers(
+            config.selector.build(config.selector_seed),
+            config.gc_workers.unwrap_or(1),
+        );
         let metrics = RunMetrics::new(config.preamble_collections);
         let shadow: Option<Box<dyn GarbageEstimator + Send>> =
             config.shadow_estimator.map(|k| k.build());
@@ -313,9 +312,6 @@ impl<P: RatePolicy> StoreEngine<P> {
                 clamp: self.policy.last_clamp(),
                 estimated_garbage: estimated,
             });
-            if let Some(stats) = self.collector.last_sched_stats() {
-                o.note_collection_sched(stats);
-            }
         }
         self.reset_baselines();
         Some(outcome)
@@ -371,13 +367,9 @@ impl<P: RatePolicy> StoreEngine<P> {
         self.events_applied
     }
 
-    /// Collector-worker pool size this engine's collector runs with.
-    pub fn gc_workers(&self) -> usize {
-        self.collector.workers()
-    }
-
-    /// Scheduler totals across this engine's collections (volatile:
-    /// busy times vary run to run).
+    /// Scheduler totals across this engine's collections planned on
+    /// more than one worker (volatile: busy times vary run to run);
+    /// all-zero under the default `gc_workers: None`.
     pub fn sched_totals(&self) -> odbgc_gc::SchedTotals {
         self.collector.sched_totals()
     }
@@ -448,6 +440,31 @@ mod tests {
         let collected = engine.collect_if_due(None).expect("collects");
         assert!(collected.bytes_reclaimed > 0);
         assert_eq!(engine.collection_count(), 1);
+    }
+
+    /// What the benchmark's traced pass reads: two workers give the
+    /// single-worker results, and only they count packets.
+    #[test]
+    fn two_gc_workers_change_sched_totals_and_nothing_else() {
+        let (trace, _) = odbgc_oo7::Oo7App::standard(odbgc_oo7::Oo7Params::tiny(), 5).generate();
+        let run = |gc_workers| {
+            let config = EngineConfig {
+                gc_workers,
+                ..EngineConfig::tiny()
+            };
+            let mut engine = StoreEngine::new(config, Box::new(FixedRatePolicy::new(25)));
+            for ev in trace.iter() {
+                engine.apply_event(ev, None).expect("apply");
+            }
+            (engine.sched_totals(), engine.into_result(Vec::new()))
+        };
+        let (one, sequential) = run(None);
+        let (two, parallel) = run(Some(2));
+        assert!(sequential.collection_count() > 0, "rate-25 policy collects");
+        assert_eq!(sequential, parallel);
+        assert_eq!(one, odbgc_gc::SchedTotals::default());
+        assert_eq!(two.collections, parallel.collection_count());
+        assert!(two.packets > 0, "{two:?}");
     }
 
     #[test]

@@ -43,9 +43,9 @@ pub use observer::{CounterSnapshot, DecisionLog, DecisionRecord, EngineObserver}
 pub use result::RunResult;
 pub use series::CollectionRecord;
 pub use serve::{
-    apply_ops, serve, serve_replay, GcFault, ObjRef, ServeConfig, ServeError, ServeErrorKind,
-    ServeOutcome, ServeReplayError, SessionObjects, SessionOp, SessionWorkload, Shard,
-    ShardOutcome, TurnApplied, TurnError, TurnErrorKind, WorkloadParams,
+    apply_ops, serve, GcFault, ObjRef, ServeConfig, ServeError, ServeErrorKind, ServeOutcome,
+    SessionObjects, SessionOp, SessionWorkload, Shard, ShardOutcome, TurnApplied, TurnError,
+    TurnErrorKind, WorkloadParams,
 };
 pub use session::{
     Accessed, Created, OpError, Overwrote, RootAdded, RootRemoved, Session, SessionId,

@@ -9,7 +9,6 @@
 //! logged from a replay.
 
 use odbgc_core::{ClampHit, CollectionObservation, Trigger};
-use odbgc_gc::SchedStats;
 
 /// Running totals sampled from the engine's live counters after each
 /// operation (all cumulative since the engine was created).
@@ -66,18 +65,6 @@ pub trait EngineObserver {
     /// Called after every policy decision (one per collection).
     fn note_decision(&mut self, record: &DecisionRecord) {
         let _ = record;
-    }
-
-    /// Called after every collection with the scheduler's execution
-    /// record (packets executed, per-worker busy time, steals).
-    ///
-    /// Unlike [`DecisionRecord`], these numbers are *volatile*: they
-    /// vary run to run and with the worker count, so observers must keep
-    /// them out of any output meant to be deterministic. They are
-    /// deliberately not part of the decision record — decision streams
-    /// are compared for equality across replay paths.
-    fn note_collection_sched(&mut self, stats: &SchedStats) {
-        let _ = stats;
     }
 }
 

@@ -3,11 +3,11 @@
 //!
 //! A [`Shard`] is one store, collector and policy (a [`StoreEngine`] in
 //! deferred-collection mode), its decision log, and a failure latch. It
-//! is a plain owned value with exactly one owner per mode: [`serve`] and
-//! [`serve_replay`] hold their shards on the calling thread; `odbgc-net`
-//! moves each shard into that shard's executor thread. The owner applies
-//! one turn of operations ([`Shard::turn`]) and then drains every due
-//! collection ([`Shard::collect_due`]) before it starts the shard's next
+//! is a plain owned value with exactly one owner per mode: [`serve`]
+//! holds its shards on the calling thread; `odbgc-net` moves each shard
+//! into that shard's executor thread. The owner applies one turn of
+//! operations ([`Shard::turn`]) and then drains every due collection
+//! ([`Shard::collect_due`]) before it starts the shard's next
 //! turn — the order the paper's simulator uses between two application
 //! events — so collections land at deterministic points in each shard's
 //! operation stream with no lock, flag or second thread to enforce it.
@@ -24,16 +24,11 @@
 //! and latches the shard failed — every later turn on it returns a
 //! [`ServeError`] naming the panic and its engine is not touched again —
 //! while every other shard keeps serving and drains cleanly.
-//!
-//! [`serve_replay`] is the degenerate configuration — one shard, one
-//! session, batch size one — used to prove the serve path is faithful:
-//! it produces a [`RunResult`] byte-identical to the simulator's inline
-//! replay of the same trace.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use odbgc_core::RatePolicy;
-use odbgc_trace::{Event, ObjectId, SlotIdx, Trace};
+use odbgc_trace::{ObjectId, SlotIdx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -443,28 +438,6 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// A trace event failed during [`serve_replay`].
-#[derive(Debug)]
-pub struct ServeReplayError {
-    /// Index of the failing event in the trace (for shard-level
-    /// failures: the index of the event whose turn hit the failure).
-    pub event_index: u64,
-    /// The failing operation or shard failure.
-    pub cause: ServeError,
-}
-
-impl std::fmt::Display for ServeReplayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "event {}: {}", self.event_index, self.cause)
-    }
-}
-
-impl std::error::Error for ServeReplayError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.cause)
-    }
-}
-
 /// Renders a caught panic payload (mirrors the runner's job-panic
 /// rendering: `&str` and `String` payloads verbatim, anything else
 /// summarized).
@@ -602,14 +575,10 @@ impl Shard {
     /// markers for the outcome's [`RunResult`] (replay drivers record
     /// these; live workloads have none).
     pub fn into_outcome(self, phases: Vec<(String, u64, u64)>) -> ShardOutcome {
-        let gc_workers = self.engine.gc_workers();
-        let sched = self.engine.sched_totals();
         ShardOutcome {
             policy: self.engine.policy_name(),
             result: self.engine.into_result(phases),
             decisions: self.log.decisions,
-            gc_workers,
-            sched,
             failed: self.failed.map(|kind| kind.to_string()),
         }
     }
@@ -668,12 +637,6 @@ pub struct ShardOutcome {
     /// Every trigger decision the shard's policy made, from live
     /// counters.
     pub decisions: Vec<DecisionRecord>,
-    /// Collector-worker pool size the shard's collector ran with.
-    pub gc_workers: usize,
-    /// Scheduler totals across the shard's collections. The packet and
-    /// collection counts are deterministic; busy times and steal counts
-    /// are volatile.
-    pub sched: odbgc_gc::SchedTotals,
     /// Why the shard stopped serving early, if it did (the captured
     /// panic, rendered as [`ServeErrorKind`] displays it).
     pub failed: Option<String>,
@@ -778,53 +741,6 @@ pub fn serve(
             .collect(),
         failures,
     })
-}
-
-/// Replays a trace through the serve path: one shard, one session,
-/// batch size one, collections deferred to the end of each turn.
-///
-/// Produces a [`RunResult`] byte-identical to the simulator's inline
-/// replay of the same trace under the same configuration and policy:
-/// the driver applies exactly one event per turn and then drains any
-/// due collection before the next event, so collections fall between
-/// the same pair of events as in the inline loop, and the drain loop
-/// degenerates to the inline single check (fresh triggers are clamped
-/// to ≥ 1 elapsed unit, so a second iteration never fires a real
-/// collection).
-pub fn serve_replay<P: RatePolicy + Send + 'static>(
-    config: EngineConfig,
-    trace: &Trace,
-    policy: P,
-) -> Result<RunResult, ServeReplayError> {
-    let mut shard = Shard::new(0, &config, Box::new(policy), None);
-    let mut phases: Vec<(String, u64, u64)> = Vec::new();
-    for (i, ev) in trace.iter().enumerate() {
-        let fail = |cause| ServeReplayError {
-            event_index: i as u64,
-            cause,
-        };
-        if let Event::Phase { id } = ev {
-            let name = trace.phase_name(*id).unwrap_or("<unknown>").to_owned();
-            phases.push((name, i as u64, shard.collection_count()));
-        }
-        shard
-            .turn(SessionId::new(0), |sess| sess.apply_event(ev))
-            .map_err(fail)?
-            .map_err(|op| {
-                fail(ServeError {
-                    shard: 0,
-                    kind: ServeErrorKind::Op(op),
-                })
-            })?;
-        shard.collect_due();
-    }
-    match shard.failure() {
-        Some(cause) => Err(ServeReplayError {
-            event_index: trace.len() as u64,
-            cause,
-        }),
-        None => Ok(shard.into_outcome(phases).result),
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,10 @@
 //! The collector: selection + survivor planning + application.
 
-use odbgc_sched::{BucketStats, SchedStats, SchedTotals, Scheduler, WorkerLoad};
-use odbgc_store::{CollectionApplied, PartitionId, Store};
+use odbgc_sched::{SchedStats, SchedTotals, Scheduler};
+use odbgc_store::{CollectionApplied, ObjectId, PartitionId, Store};
 
-use odbgc_store::ObjectId;
-
-use crate::cheney::{plan_survivors, CollectScratch};
+use crate::cheney::{plan_survivors, plan_survivors_into, CollectScratch};
+use crate::parallel::plan_survivors_parallel;
 use crate::selection::PartitionSelector;
 
 /// Collects one specific partition: plans survivors by Cheney traversal
@@ -46,17 +45,15 @@ pub fn collect_partition(store: &mut Store, p: PartitionId) -> CollectionApplied
 ///
 /// With [`Collector::with_workers`] the collector plans survivors
 /// through the packet-graph scheduler (`odbgc-sched`): root-scan and
-/// trace buckets run on a crew of collector workers, sweeps and remset
-/// updates apply sequentially. Store effects are byte-identical at any
-/// worker count; only the volatile scheduler statistics
-/// ([`Collector::last_sched_stats`]) vary.
+/// trace buckets run on a crew of collector workers. Store effects are
+/// byte-identical at any worker count; only the volatile scheduler
+/// totals ([`Collector::sched_totals`]) vary.
 pub struct Collector {
     selector: Box<dyn PartitionSelector + Send>,
     collections: u64,
     scratch: CollectScratch,
     survivors: Vec<ObjectId>,
     sched: Scheduler,
-    last_stats: Option<SchedStats>,
     totals: SchedTotals,
 }
 
@@ -86,7 +83,6 @@ impl Collector {
             scratch: CollectScratch::new(),
             survivors: Vec::new(),
             sched: Scheduler::new(workers),
-            last_stats: None,
             totals: SchedTotals::default(),
         }
     }
@@ -97,45 +93,14 @@ impl Collector {
         let snapshots = store.partition_snapshots();
         let p = self.selector.select(&snapshots)?;
         self.collections += 1;
-        let applied = if self.sched.workers() == 1 {
-            let start = std::time::Instant::now();
-            crate::cheney::plan_survivors_into(store, p, &mut self.scratch, &mut self.survivors);
-            let applied = store.apply_collection(p, &self.survivors);
-            // Synthesize the single-worker execution record so telemetry
-            // and utilization reporting see every collection, whatever
-            // the pool size.
-            let mut stats = SchedStats::new(1);
-            stats.push(BucketStats {
-                label: "collect",
-                packets: 1,
-                workers: vec![WorkerLoad {
-                    executed: 1,
-                    steals: 0,
-                    busy_ns: start.elapsed().as_nanos() as u64,
-                }],
-            });
-            self.record(stats);
-            applied
+        if self.sched.workers() == 1 {
+            plan_survivors_into(store, p, &mut self.scratch, &mut self.survivors);
         } else {
             let mut stats = SchedStats::new(self.sched.workers());
-            crate::parallel::plan_survivors_parallel(
-                store,
-                p,
-                &self.sched,
-                &mut self.survivors,
-                &mut stats,
-            );
-            let applied =
-                crate::parallel::apply_planned(store, p, &self.survivors, &self.sched, &mut stats);
-            self.record(stats);
-            applied
-        };
-        Some(applied)
-    }
-
-    fn record(&mut self, stats: SchedStats) {
-        self.totals.absorb(&stats);
-        self.last_stats = Some(stats);
+            plan_survivors_parallel(store, p, &self.sched, &mut self.survivors, &mut stats);
+            self.totals.absorb(&stats);
+        }
+        Some(store.apply_collection(p, &self.survivors))
     }
 
     /// Total collections performed by this collector.
@@ -148,17 +113,8 @@ impl Collector {
         self.selector.name()
     }
 
-    /// Configured collector-worker pool size.
-    pub fn workers(&self) -> usize {
-        self.sched.workers()
-    }
-
-    /// Execution record of the most recent collection, if any.
-    pub fn last_sched_stats(&self) -> Option<&SchedStats> {
-        self.last_stats.as_ref()
-    }
-
-    /// Scheduler totals across every collection so far.
+    /// Scheduler totals across every collection planned on more than one
+    /// worker; all-zero for a single-worker collector.
     pub fn sched_totals(&self) -> SchedTotals {
         self.totals
     }

@@ -26,7 +26,7 @@ pub mod selection;
 pub use cheney::{plan_survivors, plan_survivors_into, CollectScratch};
 pub use collector::{collect_partition, Collector};
 pub use odbgc_sched::{SchedStats, SchedTotals, Scheduler};
-pub use parallel::{collect_partition_with, collect_partitions, plan_survivors_parallel};
+pub use parallel::plan_survivors_parallel;
 pub use selection::{
     MostGarbageOracle, PartitionSelector, RandomSelector, RoundRobinSelector, SelectorKind,
     UpdatedPointerSelector,

@@ -1,5 +1,5 @@
-//! Packet-graph collection: the Cheney planner and collection
-//! application expressed as scheduler buckets.
+//! Packet-graph planning: the Cheney planner expressed as scheduler
+//! buckets.
 //!
 //! # Determinism
 //!
@@ -24,30 +24,11 @@
 //!
 //! By induction over levels the two planners mark the same objects in
 //! the same order, at any worker count and under any steal schedule.
-//!
-//! Mutation (sweep, remset update) runs in [`PacketMut`] buckets, which
-//! the scheduler executes sequentially on the coordinator — canonical
-//! order by construction.
-//!
-//! # Batched collection
-//!
-//! [`collect_partitions`] collects a *set* of partitions from one
-//! snapshot: per-partition plan packets run a whole BFS each (using a
-//! packet-local visited bitmap indexed by byte offset, so no shared
-//! marks and no hashing), then sweeps and finalizes apply sequentially
-//! in input order. Note the snapshot semantics: every plan is computed
-//! against the pre-collection state, so a remembered reference from an
-//! object another plan dooms still counts as a root — exactly the
-//! conservatism a sequential collector exhibits for references from
-//! not-yet-collected partitions. The result is deterministic in the
-//! input order and independent of the worker count; it is *not* the same
-//! as interleaving plan/apply per partition (which sees each prior
-//! collection's effects).
+//! The planned survivors are then applied by [`Store::apply_collection`],
+//! exactly as on the sequential path.
 
-use std::collections::VecDeque;
-
-use odbgc_sched::{Packet, PacketMut, SchedStats, Scheduler};
-use odbgc_store::{CollectionApplied, ObjectId, PartitionId, PendingSweep, Store, StoreView};
+use odbgc_sched::{Packet, SchedStats, Scheduler};
+use odbgc_store::{ObjectId, PartitionId, Store, StoreView};
 
 /// Frontier entries per trace packet. Frontiers at or below this size
 /// produce a single packet, which the scheduler runs inline — so small
@@ -85,32 +66,6 @@ impl Packet<TraceCtx<'_>> for TracePacket<'_> {
             ctx.view
                 .for_each_unmarked_child_in(parent, ctx.p, ctx.epoch, |t| self.found.push(t));
         }
-    }
-}
-
-/// Sweeps one partition against its planned survivor list.
-struct SweepPacket<'s> {
-    p: PartitionId,
-    survivors: &'s [ObjectId],
-    pending: Option<PendingSweep>,
-}
-
-impl PacketMut<Store> for SweepPacket<'_> {
-    fn run(&mut self, store: &mut Store) {
-        self.pending = Some(store.sweep_partition(self.p, self.survivors));
-    }
-}
-
-/// Finalizes one pending sweep: remset pruning, collector I/O charges,
-/// buffer invalidation, allocator refresh.
-struct RemsetUpdatePacket {
-    pending: PendingSweep,
-    applied: Option<CollectionApplied>,
-}
-
-impl PacketMut<Store> for RemsetUpdatePacket {
-    fn run(&mut self, store: &mut Store) {
-        self.applied = Some(store.finish_collection(self.pending));
     }
 }
 
@@ -190,146 +145,6 @@ pub fn plan_survivors_parallel(
     }
 }
 
-/// Applies a planned survivor list as the two mutable buckets (sweep,
-/// remset-update). Store effects are identical to
-/// [`Store::apply_collection`] — the split composes to it exactly.
-pub fn apply_planned(
-    store: &mut Store,
-    p: PartitionId,
-    survivors: &[ObjectId],
-    sched: &Scheduler,
-    stats: &mut SchedStats,
-) -> CollectionApplied {
-    let mut sweep = [SweepPacket {
-        p,
-        survivors,
-        pending: None,
-    }];
-    stats.push(sched.run_bucket_mut("sweep", store, &mut sweep));
-    let pending = sweep[0].pending.expect("sweep packet ran");
-
-    let mut finalize = [RemsetUpdatePacket {
-        pending,
-        applied: None,
-    }];
-    stats.push(sched.run_bucket_mut("remset_update", store, &mut finalize));
-    finalize[0].applied.expect("remset-update packet ran")
-}
-
-/// Collects one partition through the packet graph: root-scan and trace
-/// buckets plan the survivors, mutable sweep and remset-update buckets
-/// apply them. Store effects are byte-identical to
-/// [`collect_partition`](crate::collect_partition) at any worker count.
-pub fn collect_partition_with(
-    store: &mut Store,
-    p: PartitionId,
-    sched: &Scheduler,
-) -> (CollectionApplied, SchedStats) {
-    let mut stats = SchedStats::new(sched.workers());
-    let mut survivors = Vec::new();
-    plan_survivors_parallel(store, p, sched, &mut survivors, &mut stats);
-    let applied = apply_planned(store, p, &survivors, sched, &mut stats);
-    (applied, stats)
-}
-
-/// Plans a whole partition from scratch: roots, then a full BFS with a
-/// packet-local visited bitmap indexed by byte offset (offsets are
-/// unique per resident and below the partition capacity, so the bitmap
-/// replaces both the shared epoch marks and any hashing).
-struct PlanPacket {
-    p: PartitionId,
-    survivors: Vec<ObjectId>,
-}
-
-impl Packet<StoreView<'_>> for PlanPacket {
-    fn run(&mut self, view: &StoreView<'_>) {
-        let p = self.p;
-        let mut visited = vec![false; view.partition_capacity(p) as usize];
-        let mut roots = Vec::new();
-        view.partition_roots_into(p, &mut roots);
-        let mut queue: VecDeque<ObjectId> = VecDeque::new();
-        let survivors = &mut self.survivors;
-        for &r in &roots {
-            let off = view.offset_of(r) as usize;
-            if !visited[off] {
-                visited[off] = true;
-                survivors.push(r);
-                queue.push_back(r);
-            }
-        }
-        while let Some(cur) = queue.pop_front() {
-            view.for_each_child_in(cur, p, |t| {
-                let off = view.offset_of(t) as usize;
-                if !visited[off] {
-                    visited[off] = true;
-                    survivors.push(t);
-                    queue.push_back(t);
-                }
-            });
-        }
-    }
-}
-
-/// Collects a batch of partitions from one snapshot: per-partition plan
-/// packets trace concurrently, then sweeps and remset updates apply
-/// sequentially in the input order. See the module docs for the
-/// snapshot semantics; results are deterministic in `parts` and the
-/// store state, never in the worker count.
-///
-/// Panics if `parts` contains duplicates (the second sweep of a
-/// partition would run against a stale plan).
-pub fn collect_partitions(
-    store: &mut Store,
-    parts: &[PartitionId],
-    sched: &Scheduler,
-) -> (Vec<CollectionApplied>, SchedStats) {
-    let mut stats = SchedStats::new(sched.workers());
-    for (i, a) in parts.iter().enumerate() {
-        assert!(
-            !parts[..i].contains(a),
-            "collect_partitions: duplicate partition {a}"
-        );
-    }
-
-    let mut plans: Vec<PlanPacket> = parts
-        .iter()
-        .map(|&p| PlanPacket {
-            p,
-            survivors: Vec::new(),
-        })
-        .collect();
-    let bucket = {
-        let view = store.view();
-        sched.run_bucket("plan", &view, &mut plans)
-    };
-    stats.push(bucket);
-
-    let mut sweeps: Vec<SweepPacket<'_>> = plans
-        .iter()
-        .map(|plan| SweepPacket {
-            p: plan.p,
-            survivors: &plan.survivors,
-            pending: None,
-        })
-        .collect();
-    stats.push(sched.run_bucket_mut("sweep", store, &mut sweeps));
-
-    let mut finalizes: Vec<RemsetUpdatePacket> = sweeps
-        .iter()
-        .map(|s| RemsetUpdatePacket {
-            pending: s.pending.expect("sweep packet ran"),
-            applied: None,
-        })
-        .collect();
-    stats.push(sched.run_bucket_mut("remset_update", store, &mut finalizes));
-
-    let applied = finalizes
-        .into_iter()
-        .map(|f| f.applied.expect("remset-update packet ran"))
-        .collect();
-    (applied, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,47 +217,14 @@ mod tests {
         let p = PartitionId::new(0);
         let sched = Scheduler::new(4);
         let fused = crate::collect_partition(&mut a, p);
-        let (split, stats) = collect_partition_with(&mut b, p, &sched);
-        assert_eq!(fused, split);
+        let mut survivors = Vec::new();
+        let mut stats = SchedStats::new(4);
+        plan_survivors_parallel(&mut b, p, &sched, &mut survivors, &mut stats);
+        let planned = b.apply_collection(p, &survivors);
+        assert_eq!(fused, planned);
         assert_eq!(observables(&a), observables(&b));
-        assert!(stats
-            .buckets
-            .iter()
-            .any(|bk| bk.label == "sweep" || bk.label == "remset_update"));
+        assert!(stats.buckets.iter().any(|bk| bk.label == "trace"));
         b.assert_consistent();
         b.assert_garbage_exact();
-    }
-
-    #[test]
-    fn batch_collection_is_worker_count_invariant() {
-        let parts: Vec<PartitionId> = {
-            let s = seeded_store();
-            (0..s.partition_count() as u32)
-                .map(PartitionId::new)
-                .collect()
-        };
-        let mut reference: Option<(Vec<CollectionApplied>, _)> = None;
-        for workers in [1usize, 2, 8] {
-            let mut s = seeded_store();
-            let sched = Scheduler::new(workers);
-            let (applied, _) = collect_partitions(&mut s, &parts, &sched);
-            s.assert_consistent();
-            match &reference {
-                None => reference = Some((applied, observables(&s))),
-                Some((ra, rc)) => {
-                    assert_eq!(ra, &applied, "workers={workers}");
-                    assert_eq!(rc, &observables(&s), "workers={workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate partition")]
-    fn batch_collection_rejects_duplicates() {
-        let mut s = seeded_store();
-        let p = PartitionId::new(0);
-        let sched = Scheduler::new(1);
-        let _ = collect_partitions(&mut s, &[p, p], &sched);
     }
 }

@@ -28,6 +28,14 @@ pub const MAX_FRAME: u32 = 1 << 20;
 /// partition's `u32` capacity runs out.
 pub const MAX_CREATE_SIZE: u32 = 1 << 24;
 
+/// Most closed-connection records a [`Response::StatsOk`] carries (the
+/// most recent ones). A [`ClientCounters`] encodes in at most 66 bytes —
+/// a five-byte session varint, six ten-byte `u64` varints and the
+/// clean-close byte — so a full complement takes about half of
+/// [`MAX_FRAME`] and leaves the other half to the shard table, however
+/// many connections the server has seen close.
+pub const STATS_MAX_CLIENTS: usize = 1 << 13;
+
 /// Most pointer slots a [`SessionOp::Create`] may ask for over the wire.
 /// The server allocates the slots before the store sees the op, so the
 /// bound is checked while decoding, before anything is allocated.
@@ -514,14 +522,14 @@ fn get_counters(buf: &[u8], pos: &mut usize) -> Result<ClientCounters, ProtoErro
     })
 }
 
-/// A stats snapshot: every shard, plus the counters of every connection
-/// that has *closed* so far (open connections report into the snapshot
-/// only once they finish).
+/// A stats snapshot: every shard, plus the counters of the connections
+/// that *closed* most recently, at most [`STATS_MAX_CLIENTS`] of them
+/// (open connections report into the snapshot only once they finish).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Per-shard counters.
     pub shards: Vec<ShardStats>,
-    /// Per-connection counters, in connection-accept order.
+    /// Per-connection counters, in close order.
     pub clients: Vec<ClientCounters>,
 }
 
@@ -812,6 +820,46 @@ mod tests {
             code: ErrorCode::Draining,
             message: "server is draining".into(),
         });
+    }
+
+    #[test]
+    fn a_full_stats_snapshot_fits_a_frame() {
+        // Every varint at full width: the largest reply `stats_snapshot`
+        // can build, beside a shard table far wider than any deployment's.
+        let snap = StatsSnapshot {
+            shards: (0..256)
+                .map(|i| ShardStats {
+                    shard: u32::MAX - i,
+                    collections: u64::MAX,
+                    failed: Some("x".repeat(1024)),
+                })
+                .collect(),
+            clients: vec![
+                ClientCounters {
+                    session: u32::MAX,
+                    turns: u64::MAX,
+                    ops: u64::MAX,
+                    bytes_in: u64::MAX,
+                    bytes_out: u64::MAX,
+                    busy_rejections: u64::MAX,
+                    gc_stall_ns: u64::MAX,
+                    clean_close: true,
+                };
+                STATS_MAX_CLIENTS
+            ],
+        };
+        let mut body = Vec::new();
+        Response::StatsOk(snap.clone()).encode_into(&mut body);
+        assert!(
+            body.len() <= MAX_FRAME as usize,
+            "{} bytes exceed MAX_FRAME",
+            body.len()
+        );
+        let mut wire = Vec::new();
+        frame_into(&mut wire, &body);
+        let mut got = Vec::new();
+        read_frame_into(&mut wire.as_slice(), &mut got).expect("frame accepted");
+        assert_eq!(Response::decode(&got).unwrap(), Response::StatsOk(snap));
     }
 
     #[test]

@@ -67,7 +67,7 @@ use crate::conn::{ConnPhase, Connection};
 use crate::poll::{poll, Fd, PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 use crate::proto::{
     frame_into, ClientCounters, ErrorCode, Request, Response, ShardStats, StatsSnapshot,
-    FRAME_OVERHEAD,
+    FRAME_OVERHEAD, STATS_MAX_CLIENTS,
 };
 
 /// Configuration of a network serve instance.
@@ -975,7 +975,11 @@ impl NetLoop<'_> {
                 failed: progress.failed.get().cloned(),
             })
             .collect();
-        let clients = lock(&self.shared.clients).clone();
+        // Bounded, so the reply fits a frame however many connections
+        // have come and gone; the drain report keeps every record.
+        let closed = lock(&self.shared.clients);
+        let recent = closed.len().saturating_sub(STATS_MAX_CLIENTS);
+        let clients = closed[recent..].to_vec();
         Response::StatsOk(StatsSnapshot { shards, clients })
     }
 

@@ -9,15 +9,12 @@
 //! per-packet results in packet-index order.
 //!
 //! Determinism is the hard constraint, and the division of labor that
-//! guarantees it is baked into the two packet traits:
-//!
-//! * [`Packet`] (read-only context) — runs *concurrently*. Packets may
-//!   race only on who executes first, never on data: each packet owns
-//!   its output, so the set of per-packet results is a pure function of
-//!   the inputs, whatever the worker count or steal schedule.
-//! * [`PacketMut`] (mutable context) — runs *sequentially on the
-//!   caller's thread*, in packet-index order. Store mutation is
-//!   coordinator work; its order is fixed by construction.
+//! guarantees it is baked into the [`Packet`] trait: its context is
+//! read-only, so packets that run *concurrently* may race only on who
+//! executes first, never on data. Each packet owns its output, so the
+//! set of per-packet results is a pure function of the inputs, whatever
+//! the worker count or steal schedule. Mutation is the caller's job,
+//! between buckets, on its own thread.
 //!
 //! The caller then performs the *deterministic reduction*: iterate the
 //! bucket's packets in index order and fold their outputs. Because
@@ -36,6 +33,6 @@ pub mod packet;
 pub mod pool;
 pub mod stats;
 
-pub use packet::{Packet, PacketMut};
+pub use packet::Packet;
 pub use pool::Scheduler;
 pub use stats::{BucketStats, SchedStats, SchedTotals, WorkerLoad};

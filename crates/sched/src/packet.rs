@@ -11,14 +11,3 @@ pub trait Packet<C>: Send {
     /// Executes the packet against the shared context.
     fn run(&mut self, ctx: &C);
 }
-
-/// A unit of mutating collection work.
-///
-/// Mutable-context buckets are coordinator work: the scheduler runs
-/// them sequentially on the calling thread, in packet-index order, so
-/// every store mutation happens in the same canonical order at every
-/// worker count.
-pub trait PacketMut<C> {
-    /// Executes the packet against the exclusive context.
-    fn run(&mut self, ctx: &mut C);
-}

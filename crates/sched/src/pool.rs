@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::packet::{Packet, PacketMut};
+use crate::packet::Packet;
 use crate::stats::{BucketStats, WorkerLoad};
 
 /// A pool of collector workers executing packet buckets.
@@ -127,34 +127,6 @@ impl Scheduler {
             workers,
         }
     }
-
-    /// Drains one mutating bucket: packets run sequentially on the
-    /// calling thread, in index order, each with exclusive access to
-    /// `ctx`. Mutation order is therefore canonical by construction —
-    /// this is the coordinator half of the determinism argument.
-    pub fn run_bucket_mut<C, P>(
-        &self,
-        label: &'static str,
-        ctx: &mut C,
-        packets: &mut [P],
-    ) -> BucketStats
-    where
-        P: PacketMut<C>,
-    {
-        let start = Instant::now();
-        for p in packets.iter_mut() {
-            p.run(ctx);
-        }
-        BucketStats {
-            label,
-            packets: packets.len() as u64,
-            workers: vec![WorkerLoad {
-                executed: packets.len() as u64,
-                steals: 0,
-                busy_ns: start.elapsed().as_nanos() as u64,
-            }],
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,24 +177,6 @@ mod tests {
         assert_eq!(stats.workers.len(), 1, "one packet needs no crew");
         assert_eq!(stats.steals(), 0);
         assert_eq!(packets[0].total, 6);
-    }
-
-    struct AppendMut(u64);
-
-    impl PacketMut<Vec<u64>> for AppendMut {
-        fn run(&mut self, ctx: &mut Vec<u64>) {
-            ctx.push(self.0);
-        }
-    }
-
-    #[test]
-    fn mutable_bucket_preserves_packet_order() {
-        let sched = Scheduler::new(8);
-        let mut log = Vec::new();
-        let mut packets: Vec<AppendMut> = (0..16).map(AppendMut).collect();
-        let stats = sched.run_bucket_mut("finalize", &mut log, &mut packets);
-        assert_eq!(log, (0..16).collect::<Vec<u64>>());
-        assert_eq!(stats.packets, 16);
     }
 
     #[test]

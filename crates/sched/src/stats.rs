@@ -3,9 +3,7 @@
 //! Everything in this module describes *how* a collection was executed
 //! — worker busy times, steal counts, packet placement — never *what*
 //! it computed. The numbers vary run to run and with the worker count,
-//! so consumers must keep them out of deterministic output (the
-//! simulator's telemetry files them under volatile `sched_` keys, which
-//! `strip_volatile` removes).
+//! so consumers must keep them out of deterministic output.
 
 /// What one worker did during one bucket.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -26,7 +24,7 @@ pub struct BucketStats {
     /// Packets the bucket held.
     pub packets: u64,
     /// Per-worker loads, indexed by worker. Length is the number of
-    /// workers that participated (1 for inline and mutable buckets).
+    /// workers that participated (1 for inline buckets).
     pub workers: Vec<WorkerLoad>,
 }
 
@@ -80,25 +78,9 @@ impl SchedStats {
     pub fn busy_ns(&self) -> u64 {
         self.buckets.iter().map(BucketStats::busy_ns).sum()
     }
-
-    /// Busy nanoseconds summed per worker index across buckets. Length
-    /// is the configured pool size; workers a bucket did not use
-    /// contribute zero.
-    pub fn per_worker_busy_ns(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.workers.max(1)];
-        for b in &self.buckets {
-            for (i, w) in b.workers.iter().enumerate() {
-                if let Some(slot) = out.get_mut(i) {
-                    *slot += w.busy_ns;
-                }
-            }
-        }
-        out
-    }
 }
 
-/// Running totals across collections — what `odbgc serve-bench` reports
-/// as GC-worker utilization.
+/// Running totals across collections.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedTotals {
     /// Collections absorbed.
@@ -148,7 +130,6 @@ mod tests {
         assert_eq!(s.packets(), 5);
         assert_eq!(s.steals(), 1);
         assert_eq!(s.busy_ns(), 190);
-        assert_eq!(s.per_worker_busy_ns(), vec![110, 80]);
     }
 
     #[test]

@@ -442,9 +442,8 @@ impl PlanOutcome {
 /// environment variable if set and positive, otherwise
 /// [`std::thread::available_parallelism`]. An `ODBGC_JOBS` value that is
 /// not a positive integer is ignored with a one-line stderr warning
-/// rather than silently — the same message shape
-/// [`odbgc_engine::config::default_gc_workers`] uses for
-/// `ODBGC_GC_WORKERS`.
+/// rather than silently — the same message shape `odbgc serve` uses for
+/// `ODBGC_NET_THREADS`.
 pub fn default_jobs() -> usize {
     if let Ok(v) = std::env::var("ODBGC_JOBS") {
         match odbgc_core::parse_worker_env("ODBGC_JOBS", &v, "using all available cores") {
@@ -975,7 +974,8 @@ mod tests {
     #[test]
     fn jobs_env_values_parse_like_gc_workers_values() {
         // The shared helper accepts positive integers only, and its
-        // warning line has the exact shape the GC-workers reader uses.
+        // warning line has the exact shape the ODBGC_NET_THREADS reader
+        // uses.
         let parse = |v| odbgc_core::parse_worker_env("ODBGC_JOBS", v, "using all available cores");
         assert_eq!(parse("4"), Ok(4));
         assert_eq!(parse(" 2 "), Ok(2));

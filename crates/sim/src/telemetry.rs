@@ -31,17 +31,15 @@
 //!
 //! Readers must reject documents whose `schema` is unknown or whose
 //! `version` is newer than theirs ([`verify_header`]). Nondeterministic
-//! values (wall times, worker counts, machine load, GC-scheduler
-//! execution records) live exclusively under keys named `timing` or
-//! prefixed `wall_` / `sched_`, so [`Json::strip_volatile`] yields a
-//! byte-identical document for any worker count — the property
-//! `odbgc sweep --telemetry` tests rely on.
+//! values (wall times, worker counts, machine load) live exclusively
+//! under keys named `timing` or prefixed `wall_` / `net_`, so
+//! [`Json::strip_volatile`] yields a byte-identical document for any
+//! worker count — the property `odbgc sweep --telemetry` tests rely on.
 
 use std::time::Duration;
 
 use odbgc_core::ClampHit;
 use odbgc_engine::{CounterSnapshot, EngineObserver};
-use odbgc_gc::SchedStats;
 
 use crate::runner::{ExperimentPlan, PlanOutcome};
 
@@ -147,23 +145,19 @@ impl Json {
     }
 
     /// A copy with every nondeterministic field removed: object entries
-    /// whose key is `timing`, starts with `wall_`, starts with `sched_`
-    /// (GC-scheduler execution records, which vary with the collector
-    /// worker count), or starts with `net_` (network serve-mode
-    /// per-client counters — byte and stall totals depend on connection
-    /// timing) are dropped, recursively. Two documents describing the
-    /// same deterministic outcome compare equal after stripping,
-    /// regardless of worker count, machine speed, or transport.
+    /// whose key is `timing`, starts with `wall_`, or starts with `net_`
+    /// (network serve-mode per-client counters — byte and stall totals
+    /// depend on connection timing) are dropped, recursively. Two
+    /// documents describing the same deterministic outcome compare equal
+    /// after stripping, regardless of worker count, machine speed, or
+    /// transport.
     pub fn strip_volatile(&self) -> Json {
         match self {
             Json::Obj(fields) => Json::Obj(
                 fields
                     .iter()
                     .filter(|(k, _)| {
-                        k != "timing"
-                            && !k.starts_with("wall_")
-                            && !k.starts_with("sched_")
-                            && !k.starts_with("net_")
+                        k != "timing" && !k.starts_with("wall_") && !k.starts_with("net_")
                     })
                     .map(|(k, v)| (k.clone(), v.strip_volatile()))
                     .collect(),
@@ -631,11 +625,6 @@ pub struct RunTelemetry {
     pub decisions: Vec<DecisionRecord>,
     /// Closed phases, in trace order.
     pub phases: Vec<PhaseTelemetry>,
-    /// One scheduler execution record per collection, in collection
-    /// order. Volatile: busy times and steal counts vary run to run, so
-    /// these export only under the `sched_stats` key, which
-    /// [`Json::strip_volatile`] removes.
-    pub sched: Vec<SchedStats>,
     current: Option<PhaseAccumulator>,
 }
 
@@ -648,7 +637,6 @@ impl RunTelemetry {
             policy,
             decisions: Vec::new(),
             phases: Vec::new(),
-            sched: Vec::new(),
             current: Some(PhaseAccumulator::open("<start>".to_owned(), 0, 0, 0)),
         }
     }
@@ -661,7 +649,6 @@ impl RunTelemetry {
             policy,
             decisions,
             phases: Vec::new(),
-            sched: Vec::new(),
             current: None,
         }
     }
@@ -754,42 +741,8 @@ impl RunTelemetry {
                 "decisions".into(),
                 Json::Arr(self.decisions.iter().map(decision_to_json).collect()),
             ),
-            // Volatile by key: `sched_` prefix, stripped by
-            // `Json::strip_volatile`.
-            (
-                "sched_stats".into(),
-                Json::Arr(self.sched.iter().map(sched_to_json).collect()),
-            ),
         ])
     }
-}
-
-/// The JSON form of one collection's scheduler execution record. Lives
-/// only under the volatile `sched_stats` key.
-fn sched_to_json(stats: &SchedStats) -> Json {
-    Json::Obj(vec![
-        ("workers".into(), Json::u64(stats.workers as u64)),
-        ("packets".into(), Json::u64(stats.packets())),
-        ("steals".into(), Json::u64(stats.steals())),
-        ("busy_ns".into(), Json::u64(stats.busy_ns())),
-        (
-            "buckets".into(),
-            Json::Arr(
-                stats
-                    .buckets
-                    .iter()
-                    .map(|b| {
-                        Json::Obj(vec![
-                            ("label".into(), Json::str(b.label)),
-                            ("packets".into(), Json::u64(b.packets)),
-                            ("steals".into(), Json::u64(b.steals())),
-                            ("busy_ns".into(), Json::u64(b.busy_ns())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 /// The telemetry sink observes the engine directly: per-event counter
@@ -803,10 +756,6 @@ impl EngineObserver for RunTelemetry {
 
     fn note_decision(&mut self, record: &DecisionRecord) {
         self.account_decision(record.clone());
-    }
-
-    fn note_collection_sched(&mut self, stats: &SchedStats) {
-        self.sched.push(stats.clone());
     }
 }
 
@@ -1011,7 +960,6 @@ mod tests {
                 Json::Arr(vec![Json::Obj(vec![
                     ("x".into(), Json::u64(2)),
                     ("wall_ms".into(), Json::Arr(vec![Json::u64(9)])),
-                    ("sched_stats".into(), Json::Arr(vec![Json::u64(7)])),
                     ("net_clients".into(), Json::Arr(vec![Json::u64(5)])),
                 ])]),
             ),

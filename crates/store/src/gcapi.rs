@@ -27,36 +27,6 @@ pub struct PartitionSnapshot {
     pub live_bytes: u64,
 }
 
-/// A swept-but-not-finalized collection: the output of
-/// [`crate::Store::sweep_partition`], consumed by
-/// [`crate::Store::finish_collection`].
-///
-/// Between the two calls the partition's objects are already destroyed
-/// and compacted, but the cross-store effects — remembered-set pruning,
-/// collector I/O charges, buffer invalidation, allocator refresh — have
-/// not yet been applied. A packet-graph collector uses the split to run
-/// the sweep as one mutable bucket and the finalize/remset-update as the
-/// next, without changing the operation order of the fused
-/// [`crate::Store::apply_collection`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[must_use = "a pending sweep must be finished with Store::finish_collection"]
-pub struct PendingSweep {
-    /// The swept partition.
-    pub partition: PartitionId,
-    /// Bytes physically reclaimed (sizes of destroyed objects).
-    pub bytes_reclaimed: u64,
-    /// Objects destroyed.
-    pub objects_destroyed: usize,
-    /// Objects that survived (copied/compacted).
-    pub objects_survived: usize,
-    /// Pages the partition occupied before the sweep — the collector's
-    /// read charge, payable at finalize.
-    pub occupied_pages_before: u64,
-    /// The partition's pointer-overwrite count at the moment of
-    /// collection (before its reset).
-    pub overwrites_at_collection: u64,
-}
-
 /// Result of applying a collection to one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollectionApplied {

@@ -47,7 +47,7 @@ pub mod tracker;
 
 pub use config::{AllocPolicy, OverwriteSemantics, StoreConfig};
 pub use error::StoreError;
-pub use gcapi::{CollectionApplied, PartitionSnapshot, PendingSweep};
+pub use gcapi::{CollectionApplied, PartitionSnapshot};
 pub use ids::{PageKey, PartitionId};
 pub use io::{IoClass, IoLedger, IoSnapshot};
 pub use store::{ApplyOutcome, ReachSet, Store, StoreView};

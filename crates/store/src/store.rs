@@ -20,7 +20,7 @@ use crate::alloc::{self, FreeIndex};
 use crate::buffer::{BufferPool, BufferStats};
 use crate::config::{OverwriteSemantics, StoreConfig};
 use crate::error::StoreError;
-use crate::gcapi::{CollectionApplied, PartitionSnapshot, PendingSweep};
+use crate::gcapi::{CollectionApplied, PartitionSnapshot};
 use crate::ids::{page_span, PageKey, PartitionId};
 use crate::io::{IoClass, IoLedger};
 use crate::object::{CycleState, ObjState, ObjectInfo, PackedSlot};
@@ -1416,22 +1416,6 @@ impl Store {
         p: PartitionId,
         survivors: &[ObjectId],
     ) -> CollectionApplied {
-        let pending = self.sweep_partition(p, survivors);
-        self.finish_collection(pending)
-    }
-
-    /// The sweep half of [`Store::apply_collection`]: destroys every
-    /// resident of `p` not in `survivors` and compacts the survivors in
-    /// the given order, but defers the cross-store finalization
-    /// (remembered-set pruning, collector I/O charges, buffer
-    /// invalidation, allocator refresh) to
-    /// [`Store::finish_collection`].
-    ///
-    /// Callers must pass the returned [`PendingSweep`] to
-    /// [`Store::finish_collection`] before the next collection or
-    /// consistency check; the two calls compose to exactly
-    /// [`Store::apply_collection`].
-    pub fn sweep_partition(&mut self, p: PartitionId, survivors: &[ObjectId]) -> PendingSweep {
         let occupied_pages_before =
             u64::from(self.partitions[p.index()].occupied_pages(self.config.page_size));
         let overwrites_at_collection = self.partitions[p.index()].overwrites;
@@ -1560,23 +1544,6 @@ impl Store {
         let objects_destroyed = doomed.len();
         self.doomed_scratch = doomed;
 
-        PendingSweep {
-            partition: p,
-            bytes_reclaimed,
-            objects_destroyed,
-            objects_survived: survivors.len(),
-            occupied_pages_before,
-            overwrites_at_collection,
-        }
-    }
-
-    /// The finalize half of [`Store::apply_collection`]: prunes the
-    /// remembered sets of the swept partition, charges collector I/O,
-    /// invalidates the partition's buffered pages, and refreshes the
-    /// allocator's view of the reclaimed space.
-    pub fn finish_collection(&mut self, pending: PendingSweep) -> CollectionApplied {
-        let p = pending.partition;
-
         // Safety net: no remembered entry may point at a destroyed target.
         let objects = &self.objects;
         self.remsets.retain_targets(p, |t| {
@@ -1589,8 +1556,7 @@ impl Store {
         // Phase 4: I/O and buffer effects.
         let occupied_pages_after =
             u64::from(self.partitions[p.index()].occupied_pages(self.config.page_size));
-        self.io
-            .charge_reads(IoClass::Gc, pending.occupied_pages_before);
+        self.io.charge_reads(IoClass::Gc, occupied_pages_before);
         self.io.charge_writes(IoClass::Gc, occupied_pages_after);
         self.buffer.invalidate_partition(p);
 
@@ -1601,13 +1567,13 @@ impl Store {
 
         CollectionApplied {
             partition: p,
-            bytes_reclaimed: pending.bytes_reclaimed,
+            bytes_reclaimed,
             bytes_after: u64::from(self.partitions[p.index()].high_water),
-            objects_destroyed: pending.objects_destroyed,
-            objects_survived: pending.objects_survived,
-            gc_reads: pending.occupied_pages_before,
+            objects_destroyed,
+            objects_survived: survivors.len(),
+            gc_reads: occupied_pages_before,
             gc_writes: occupied_pages_after,
-            overwrites_at_collection: pending.overwrites_at_collection,
+            overwrites_at_collection,
         }
     }
 
@@ -1622,7 +1588,7 @@ impl Store {
 /// workers.
 ///
 /// The view exposes exactly the traversal surface a trace packet needs
-/// — partition roots, slot children, residency — and none of the
+/// — partition roots, slot children, offsets — and none of the
 /// mutating surface. Crucially, [`StoreView::for_each_unmarked_child_in`]
 /// *reads* visit marks but never writes them: during a parallel trace
 /// bucket the marks are frozen (they were last written by the sequential
@@ -1635,24 +1601,7 @@ pub struct StoreView<'a> {
 }
 
 impl StoreView<'_> {
-    /// Number of partitions.
-    pub fn partition_count(&self) -> usize {
-        self.store.partitions.len()
-    }
-
-    /// Capacity in bytes of partition `p`.
-    pub fn partition_capacity(&self, p: PartitionId) -> u32 {
-        self.store.partitions[p.index()].capacity
-    }
-
-    /// Objects resident in `p` (live + garbage) in layout order.
-    pub fn residents_of(&self, p: PartitionId) -> &[ObjectId] {
-        self.store.residents_of(p)
-    }
-
-    /// The byte offset of `id` within its partition. Offsets are unique
-    /// per partition and below its capacity, so packets can use them to
-    /// index packet-local visited bitmaps without hashing.
+    /// The byte offset of `id` within its partition.
     pub fn offset_of(&self, id: ObjectId) -> u32 {
         self.store.objects[id.raw() as usize]
             .as_ref()
@@ -1690,27 +1639,6 @@ impl StoreView<'_> {
             };
             match self.store.objects.get(t.raw() as usize) {
                 Some(Some(info)) if info.partition == p && info.mark_epoch != epoch => f(t),
-                _ => {}
-            }
-        }
-    }
-
-    /// For every non-null slot target of `cur` that resides in partition
-    /// `p`: calls `f` with it, in slot order, with no epoch filter.
-    /// Packets that keep a packet-local visited structure (the batched
-    /// multi-partition planner) use this instead of the shared epoch
-    /// marks.
-    pub fn for_each_child_in(&self, cur: ObjectId, p: PartitionId, mut f: impl FnMut(ObjectId)) {
-        let range = self.store.objects[cur.raw() as usize]
-            .as_ref()
-            .expect("resident object")
-            .slot_range();
-        for i in range {
-            let Some(t) = self.store.slot_arena[i].get() else {
-                continue;
-            };
-            match self.store.objects.get(t.raw() as usize) {
-                Some(Some(info)) if info.partition == p => f(t),
                 _ => {}
             }
         }

@@ -15,9 +15,12 @@
 
 use odbgc_core::EstimatorKind;
 use odbgc_sim::core_policies::PolicySpec;
-use odbgc_sim::engine::{serve, serve_replay, ServeConfig, ServeOutcome, WorkloadParams};
+use odbgc_sim::engine::{
+    serve, RunResult, ServeConfig, ServeOutcome, SessionId, Shard, WorkloadParams,
+};
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
 use odbgc_sim::{ReplayOptions, SimConfig, Simulator};
+use odbgc_trace::{Event, Trace};
 
 const SEEDS: [u64; 3] = [11, 22, 33];
 
@@ -27,6 +30,29 @@ fn specs() -> Vec<PolicySpec> {
         PolicySpec::saio(0.10),
         PolicySpec::saga(0.08, EstimatorKind::Oracle),
     ]
+}
+
+/// Replays a trace through the serve path: one shard, one session, one
+/// event per turn, every due collection drained before the next event —
+/// so collections fall between the same pair of events as in the inline
+/// loop (fresh triggers are clamped to ≥ 1 elapsed unit, so the drain
+/// never fires a second real collection).
+fn replay_on_shard(config: SimConfig, trace: &Trace, spec: &PolicySpec) -> RunResult {
+    let mut shard = Shard::new(0, &config, spec.build(), None);
+    let mut phases: Vec<(String, u64, u64)> = Vec::new();
+    for (i, ev) in trace.iter().enumerate() {
+        if let Event::Phase { id } = ev {
+            let name = trace.phase_name(*id).unwrap_or("<unknown>").to_owned();
+            phases.push((name, i as u64, shard.collection_count()));
+        }
+        shard
+            .turn(SessionId::new(0), |sess| sess.apply_event(ev))
+            .unwrap_or_else(|e| panic!("event {i}: {e}"))
+            .unwrap_or_else(|e| panic!("event {i}: {e}"));
+        shard.collect_due();
+    }
+    assert!(shard.failure().is_none(), "{:?}", shard.failure());
+    shard.into_outcome(phases).result
 }
 
 /// Golden equivalence: the same grid the frozen hot-path transcript
@@ -43,8 +69,7 @@ fn single_session_serve_replay_matches_simulator() {
                 .replay(&trace, policy.as_mut(), ReplayOptions::new())
                 .expect("inline replay");
 
-            let served =
-                serve_replay(SimConfig::tiny(), &trace, spec.build()).expect("serve replay");
+            let served = replay_on_shard(SimConfig::tiny(), &trace, &spec);
 
             assert_eq!(
                 format!("{inline:#?}"),

@@ -21,6 +21,7 @@ use odbgc_core::FixedRatePolicy;
 use odbgc_engine::{
     serve, EngineConfig, GcFault, ObjRef, ServeConfig, SessionOp, SessionWorkload, WorkloadParams,
 };
+use odbgc_net::proto::STATS_MAX_CLIENTS;
 use odbgc_net::{
     run_client, ClientConfig, ClientError, Conn, ErrorCode, NetConfig, NetOutcome, NetServer,
     Request, Response,
@@ -513,4 +514,58 @@ fn hostile_create_is_a_protocol_error_and_the_shard_keeps_serving() {
         outcome.shards[0].result.events_replayed, 2,
         "no op of a refused frame was applied"
     );
+}
+
+/// (6) A `Stats` reply fits a frame however many connections have come
+/// and gone: it carries the most recent `STATS_MAX_CLIENTS` closed
+/// connections, the drain report every one.
+#[test]
+fn stats_reply_is_bounded_after_many_closed_connections() {
+    use std::io::Read;
+    use std::net::{Shutdown, TcpStream};
+
+    const DROPPED: usize = STATS_MAX_CLIENTS + 100;
+    let (addr, server) = spawn_server(net_config(1));
+    let mut live = Conn::connect(&addr).expect("live connect");
+    match live
+        .request(&Request::Hello {
+            session: 0,
+            window: 4,
+        })
+        .expect("hello")
+    {
+        Response::HelloOk { .. } => {}
+        other => panic!("want HelloOk, got {other:?}"),
+    }
+
+    // Open and drop, never saying Hello. Waiting for the server's close
+    // means each record is in place before the next connection opens (and
+    // the server never holds more than two sockets).
+    for i in 0..DROPPED {
+        let mut peer = TcpStream::connect(&addr).expect("connect");
+        peer.shutdown(Shutdown::Write).expect("half-close");
+        let closed = peer.read(&mut [0u8; 1]);
+        assert!(matches!(closed, Ok(0)), "connection {i}: {closed:?}");
+    }
+
+    match live.request(&Request::Stats).expect("stats reply decodes") {
+        Response::StatsOk(snap) => {
+            assert_eq!(snap.clients.len(), STATS_MAX_CLIENTS);
+            assert!(snap.clients.iter().all(|c| c.session == u32::MAX));
+        }
+        other => panic!("want StatsOk, got {other:?}"),
+    }
+    let turn = vec![SessionOp::Create { size: 64, slots: 0 }];
+    match live.request(&Request::Ops { ops: turn }).expect("turn") {
+        Response::OpsOk { applied: 1, .. } => {}
+        other => panic!("want OpsOk after the stats reply, got {other:?}"),
+    }
+    match live.request(&Request::Bye).expect("bye") {
+        Response::ByeOk => {}
+        other => panic!("want ByeOk, got {other:?}"),
+    }
+    shutdown(&addr);
+    let outcome = server.join().unwrap();
+    // The dropped peers, the live connection and the admin one.
+    assert_eq!(outcome.clients.len(), DROPPED + 2);
 }

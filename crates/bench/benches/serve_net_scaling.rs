@@ -1,9 +1,10 @@
 //! Measures how the event-loop server scales with connection count at a
 //! fixed total operation budget: the same 512 ops pushed through 1, 16,
-//! and 64 connections over a 2-thread loop pool. A thread-per-connection
-//! server pays a thread spawn/teardown per connection; the event loop
-//! should hold the per-op cost roughly flat as the budget spreads across
-//! more (and therefore mostly idle) connections.
+//! and 64 connections on a one-shard server, so one loop thread serves
+//! them all and applies every turn. A thread-per-connection server pays
+//! a thread spawn/teardown per connection; the event loop should hold
+//! the per-op cost roughly flat as the budget spreads across more (and
+//! therefore mostly idle) connections.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,7 +16,6 @@ use odbgc_sim::SimConfig;
 
 const TOTAL_OPS: u64 = 512;
 const BATCH: u64 = 8;
-const NET_THREADS: usize = 2;
 
 fn tiny_engine() -> SimConfig {
     SimConfig {
@@ -30,7 +30,6 @@ fn run_at(connections: u32) -> (odbgc_net::MultiClientReport, odbgc_net::NetOutc
         NetConfig {
             engine: tiny_engine(),
             shards: 1,
-            net_threads: NET_THREADS,
             ..NetConfig::default()
         },
         |_| Box::new(FixedRatePolicy::new(20)),

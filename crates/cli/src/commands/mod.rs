@@ -100,20 +100,3 @@ pub fn write_trace_file(path: &str, trace: &Trace, format: TraceFormat) -> Resul
     std::fs::write(path, &bytes).map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
     Ok(bytes.len() as u64)
 }
-
-/// Parses the `--net-threads` flag (`serve`): the event-loop thread
-/// pool size. `None` (flag absent) defers to the `ODBGC_NET_THREADS`
-/// environment variable, else `min(4, available cores)`. Loop count
-/// never changes results — only wall-clock time and volatile `net_loops`
-/// telemetry.
-pub fn parse_net_threads(flags: &crate::flags::Flags) -> Result<Option<usize>, CliError> {
-    match flags.get("net-threads") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Some(n)),
-            _ => Err(CliError(format!(
-                "--net-threads needs a positive integer, got {v:?}"
-            ))),
-        },
-        None => Ok(None),
-    }
-}

@@ -26,27 +26,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let store_geometry = flags.get("store");
     let telemetry_path = flags.get("telemetry");
     let addr_file = flags.get("addr-file");
-    let net_threads_flag = crate::commands::parse_net_threads(&flags)?;
     flags.finish()?;
-
-    // Flag wins; else the environment; else 0 = auto (min(4, cores)).
-    let net_threads = match net_threads_flag {
-        Some(n) => n,
-        None => match std::env::var("ODBGC_NET_THREADS") {
-            Ok(s) => match odbgc_core::parse_worker_env(
-                "ODBGC_NET_THREADS",
-                &s,
-                "using min(4, available cores)",
-            ) {
-                Ok(n) => n,
-                Err(warning) => {
-                    eprintln!("{warning}");
-                    0
-                }
-            },
-            Err(_) => 0,
-        },
-    };
 
     if shards == 0 {
         return Err(CliError("--shards must be at least 1".into()));
@@ -73,7 +53,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         shards,
         window_max,
         idle_timeout: std::time::Duration::from_millis(idle_timeout_ms.max(1)),
-        net_threads,
         ..NetConfig::default()
     };
     let server = NetServer::bind(&listen, config, |_| {
@@ -123,7 +102,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         out.push_str(&format!(
             "\nnet loop {i}: {} wakeup(s), {} timer tick(s), {} accepted, \
              {} frames in / {} out, {} partial read(s), {} partial write(s), \
-             {} completion(s), max shard queue {}",
+             max turns per wakeup {}",
             l.wakeups,
             l.timeouts,
             l.accepted,
@@ -131,7 +110,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             l.frames_out,
             l.partial_reads,
             l.partial_writes,
-            l.completions,
             l.max_queue_depth,
         ));
     }
@@ -194,7 +172,6 @@ fn loops_json(loops: &[odbgc_net::LoopStats]) -> Json {
                     ("frames_out".into(), Json::u64(l.frames_out)),
                     ("partial_reads".into(), Json::u64(l.partial_reads)),
                     ("partial_writes".into(), Json::u64(l.partial_writes)),
-                    ("completions".into(), Json::u64(l.completions)),
                     ("max_queue_depth".into(), Json::u64(l.max_queue_depth)),
                 ])
             })
@@ -237,8 +214,6 @@ mod tests {
         assert!(run(&argv("--policy fixed:25 --shards 0")).is_err());
         assert!(run(&argv("--policy fixed:25 --window-max 0")).is_err());
         assert!(run(&argv("--policy fixed:25 --store weird")).is_err());
-        assert!(run(&argv("--policy fixed:25 --net-threads 0")).is_err());
-        assert!(run(&argv("--policy fixed:25 --net-threads lots")).is_err());
         assert!(run(&argv("--policy fixed:25 --tpyo 1")).is_err());
     }
 
@@ -251,7 +226,7 @@ mod tests {
         let addr_file = dir.join("addr");
         let telemetry = dir.join("net.json");
         let args = format!(
-            "--policy fixed:25 --shards 1 --net-threads 2 --listen 127.0.0.1:0 \
+            "--policy fixed:25 --shards 2 --listen 127.0.0.1:0 \
              --addr-file {} --telemetry {}",
             addr_file.display(),
             telemetry.display()
@@ -283,7 +258,8 @@ mod tests {
         );
         assert!(out.contains("client session 0: "), "{out}");
         assert!(out.contains("telemetry written to"), "{out}");
-        let text = std::fs::read_to_string(&telemetry).unwrap();
+        // Two shards, two loops: one telemetry file per shard.
+        let text = std::fs::read_to_string(dir.join("net-shard0.json")).unwrap();
         assert!(
             text.contains("net_clients"),
             "telemetry carries client counters"

@@ -95,7 +95,7 @@ USAGE:
                  [--telemetry <json>]
   odbgc serve    --policy <spec> [--listen HOST:PORT] [--shards N]
                  [--window-max N] [--idle-timeout-ms N] [--addr-file <f>]
-                 [--store tiny|paper] [--telemetry <json>] [--net-threads N]
+                 [--store tiny|paper] [--telemetry <json>]
   odbgc client   --connect HOST:PORT [--session N] [--ops N] [--batch N]
                  [--window N] [--seed N] [--connections N] [--shutdown true]
   odbgc sweep    --policy saio|saga[:estimator] --points a,b,c [--seeds A..B]
@@ -127,15 +127,14 @@ seed always reproduces the same schedule and per-shard results. With
 --telemetry it writes one run document per shard from the live decision
 log.
 
-serve exposes the same sharded engines over a socket: a readiness-driven
-event loop on --net-threads poll threads (or ODBGC_NET_THREADS; default
-min(4, cores)) multiplexes any number of connections, turns run on one
-executor thread per shard, per-client in-flight windows give explicit
-busy responses, idle connections are reaped, and a graceful drain (a
-client's --shutdown true) finishes in-flight ops and flushes telemetry
-before closing. The bound address goes to stderr and --addr-file;
-per-client and per-loop counters ride in telemetry under volatile net_
-keys. client drives one seeded session against it — or N sessions
+serve exposes the same sharded engines over a socket: one readiness-driven
+event loop thread per shard multiplexes any number of connections and
+applies its shard's turns and collections itself, per-client in-flight
+windows give explicit busy responses, idle connections are reaped, and a
+graceful drain (a client's --shutdown true) finishes in-flight ops and
+flushes telemetry before closing. The bound address goes to stderr and
+--addr-file; per-client and per-loop counters ride in telemetry under
+volatile net_ keys. client drives one seeded session against it — or N sessions
 round-robin from one process with --connections — the same workload
 generator serve-bench schedules in-process, so loopback telemetry
 matches in-process telemetry after stripping volatile keys.

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod env;
 pub mod estimator;
 pub mod estimators;
 pub mod ewma;
@@ -43,7 +42,6 @@ pub mod saio;
 pub mod slope;
 pub mod spec;
 
-pub use env::parse_worker_env;
 pub use estimator::{EstimatorKind, GarbageEstimator};
 pub use estimators::cgs_cb::CgsCb;
 pub use estimators::fgs_hb::FgsHb;

@@ -1,6 +1,5 @@
 //! Per-connection state for the event-loop server: partial-frame
-//! reassembly, a buffered write side, and the connection's protocol
-//! phase.
+//! reassembly, a buffered write side, and the session binding.
 //!
 //! A loop thread never blocks on a socket, so a connection must absorb
 //! whatever fraction of a frame the kernel delivers and carry the rest
@@ -17,17 +16,14 @@
 //!   reading and decoding requests, so a peer that never reads its
 //!   replies is held to a bounded buffer, not served without limit.
 //!
-//! The protocol phase machine is `Hello → Ready ⇄ AwaitShard →
-//! Draining`: a fresh connection is in `Hello` until it binds a session
-//! (admin requests are legal there too), `Ready` accepts the next
-//! request, `AwaitShard` means a decoded turn is queued on a shard
-//! executor — frame *decoding pauses* until the completion comes back,
-//! which is what keeps the credit-window arithmetic identical to the
-//! blocking server's strict request/response ordering — and `Draining`
-//! flushes buffered responses before closing. In code, `Hello` and
-//! `Ready` share [`ConnPhase::Ready`] (an unbound session is
-//! `session == None`) and `Draining` is the `close_after_flush` flag, so
-//! the enum cannot represent a bound-but-also-unbound contradiction.
+//! The protocol phases are `Hello → Ready → Draining`. A fresh
+//! connection is unbound (`session == None`; admin requests are legal
+//! there too) until a `Hello` binds it to a session, which moves it to
+//! the loop that owns the session's shard. From then on each request is
+//! handled as soon as it is decoded, a turn included, so the
+//! credit-window arithmetic is the blocking server's strict
+//! request/response ordering. `Draining` is the `close_after_flush`
+//! flag: flush buffered responses, then close.
 //!
 //! [`read_frame_into`]: crate::proto::read_frame_into
 
@@ -119,20 +115,9 @@ impl FrameAssembler {
     }
 }
 
-/// Where a connection is in the protocol (see the module docs for the
-/// full `Hello → Ready ⇄ AwaitShard → Draining` machine and how it maps
-/// onto these variants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ConnPhase {
-    /// Accepting the next request (pre-Hello when `session` is unbound).
-    Ready,
-    /// A decoded turn is queued on its shard's executor; frame decoding
-    /// is paused until its completion returns.
-    AwaitShard,
-}
-
 /// One event-loop connection: the non-blocking stream plus everything a
-/// loop thread needs to resume it mid-frame, mid-write, or mid-turn.
+/// loop thread needs to resume it mid-frame or mid-write, or to hand it
+/// to another loop.
 pub(crate) struct Connection {
     pub(crate) stream: TcpStream,
     pub(crate) assembler: FrameAssembler,
@@ -140,22 +125,20 @@ pub(crate) struct Connection {
     pub(crate) out: Vec<u8>,
     /// How much of `out` has been written.
     pub(crate) out_pos: usize,
-    pub(crate) phase: ConnPhase,
     /// Close once `out` is flushed (the `Draining` phase).
     pub(crate) close_after_flush: bool,
-    /// The socket died while a shard job was in flight; the slot is kept
-    /// alive (the completion still owns state to return) but the fd is
-    /// no longer polled.
-    pub(crate) dead: bool,
     pub(crate) session: Option<u32>,
     pub(crate) shard: u32,
     pub(crate) window: u64,
     pub(crate) in_flight: u64,
-    /// The session's creation-index map; `None` exactly while a turn is
-    /// checked out to a shard executor (the job owns it).
-    pub(crate) objects: Option<SessionObjects>,
+    /// The session's creation-index map.
+    pub(crate) objects: SessionObjects,
     pub(crate) counters: ClientCounters,
     pub(crate) last_activity: Instant,
+    /// The owning loop's collection-time total when this connection's
+    /// previous turn reply was queued; the next turn's `gc_stall_ns` is
+    /// what the loop has spent collecting since.
+    pub(crate) gc_mark: u64,
 }
 
 impl Connection {
@@ -165,19 +148,18 @@ impl Connection {
             assembler: FrameAssembler::new(),
             out: Vec::new(),
             out_pos: 0,
-            phase: ConnPhase::Ready,
             close_after_flush: false,
-            dead: false,
             session: None,
             shard: 0,
             window: 1,
             in_flight: 0,
-            objects: Some(SessionObjects::new()),
+            objects: SessionObjects::new(),
             counters: ClientCounters {
                 session: u32::MAX,
                 ..ClientCounters::default()
             },
             last_activity: now,
+            gc_mark: 0,
         }
     }
 
@@ -186,12 +168,10 @@ impl Connection {
         self.out.len() - self.out_pos
     }
 
-    /// Whether the next request may be read and decoded now: no turn in
-    /// flight, not closing, and the peer is keeping up with its replies.
+    /// Whether the next request may be read and decoded now: not
+    /// closing, and the peer is keeping up with its replies.
     pub(crate) fn accepting(&self) -> bool {
-        self.phase == ConnPhase::Ready
-            && !self.close_after_flush
-            && self.out_pending() <= OUT_HIGH_WATER
+        !self.close_after_flush && self.out_pending() <= OUT_HIGH_WATER
     }
 
     /// Pushes buffered response bytes to the socket until done or the

@@ -1,7 +1,8 @@
 //! Network serve front-end for the odbgc engine.
 //!
 //! A socket layer that multiplexes client connections onto engine
-//! shards ([`odbgc_engine::Shard`]) over a fixed thread pool:
+//! shards ([`odbgc_engine::Shard`]) from a fixed set of event loops,
+//! each the one owner of its shards:
 //!
 //! * [`proto`] — the framed wire protocol: `[len][body][crc32]` frames
 //!   (OTBF's length-prefix + CRC conventions), varint-encoded session
@@ -15,17 +16,16 @@
 //!   self-wake descriptor each event loop registers in its own poll
 //!   set.
 //! * [`conn`] — per-connection state: [`FrameAssembler`] partial-frame
-//!   reassembly, the buffered write side, and the
-//!   `Hello → Ready ⇄ AwaitShard → Draining` protocol phase machine.
-//! * [`server`] — [`NetServer`]: a readiness-driven event loop. A fixed
-//!   pool of net threads ([`NetConfig::net_threads`]) polls thousands of
-//!   non-blocking connections; decoded turns run on one executor thread
-//!   per shard, which owns its shard outright and drains the shard's due
-//!   collections between turns. Credit-based
-//!   per-client windows with explicit `Busy` backpressure,
-//!   idle-connection reaping, and graceful drain that loses zero
-//!   acknowledged operations all carry over from the blocking server
-//!   unchanged.
+//!   reassembly, the buffered write side, and the session binding.
+//! * [`server`] — [`NetServer`]: readiness-driven event loops, one per
+//!   shard by default ([`NetConfig::net_threads`] caps the count), each
+//!   polling thousands of non-blocking connections. The loop that owns a
+//!   shard applies its turns inline and drains its due collections
+//!   between turns; a connection moves to that loop when its `Hello`
+//!   names a session. Credit-based per-client windows with explicit
+//!   `Busy` backpressure, idle-connection reaping, and graceful drain
+//!   that loses zero acknowledged operations all carry over from the
+//!   blocking server unchanged.
 //! * [`client`] — [`Conn`] (strict request/response primitive, reusing
 //!   its read/write buffers across requests), [`run_client`] (seeded
 //!   load driver running the same `SessionWorkload` the in-process

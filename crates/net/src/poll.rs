@@ -9,9 +9,9 @@
 //! identical on Linux, the BSDs, and macOS, so one set of constants
 //! covers every Unix target.
 //!
-//! [`WakePipe`] is the completion-notification half: shard executors
-//! finish a turn on their own threads and must wake the loop thread that
-//! owns the connection. It is a non-blocking
+//! [`WakePipe`] is the cross-loop half: a loop that hands a connection
+//! to the loop owning its shard, or that takes a `Shutdown`, must wake
+//! the other loops out of `poll`. It is a non-blocking
 //! [`UnixStream::pair`](std::os::unix::net::UnixStream::pair) — pure
 //! `std`, the same code on every Unix.
 
@@ -121,8 +121,8 @@ pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 ///
 /// Wakes are level-triggered and coalescing: any number of `wake` calls
 /// before the loop drains leave the descriptor readable exactly until
-/// [`WakePipe::drain`] empties it, so a burst of completions costs one
-/// loop iteration, not one per completion.
+/// [`WakePipe::drain`] empties it, so a burst of hand-offs costs one
+/// loop iteration, not one per connection.
 #[derive(Debug)]
 pub struct WakePipe {
     /// Registered in the poll set; [`WakePipe::drain`] reads it empty.

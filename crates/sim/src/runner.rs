@@ -442,11 +442,10 @@ impl PlanOutcome {
 /// environment variable if set and positive, otherwise
 /// [`std::thread::available_parallelism`]. An `ODBGC_JOBS` value that is
 /// not a positive integer is ignored with a one-line stderr warning
-/// rather than silently — the same message shape `odbgc serve` uses for
-/// `ODBGC_NET_THREADS`.
+/// rather than silently.
 pub fn default_jobs() -> usize {
     if let Ok(v) = std::env::var("ODBGC_JOBS") {
-        match odbgc_core::parse_worker_env("ODBGC_JOBS", &v, "using all available cores") {
+        match parse_jobs_env(&v) {
             Ok(n) => return n,
             Err(warning) => eprintln!("{warning}"),
         }
@@ -454,6 +453,18 @@ pub fn default_jobs() -> usize {
     thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// Parses an `ODBGC_JOBS` value: a positive integer after trimming, or
+/// the warning line to print before falling back.
+fn parse_jobs_env(value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "odbgc: ignoring invalid ODBGC_JOBS={value:?} (want a positive integer); \
+             using all available cores"
+        )),
+    }
 }
 
 /// The malformed trace used by [`FaultKind::PoisonTrace`]: its first
@@ -973,15 +984,31 @@ mod tests {
 
     #[test]
     fn jobs_env_values_parse_like_gc_workers_values() {
-        // The shared helper accepts positive integers only, and its
-        // warning line has the exact shape the ODBGC_NET_THREADS reader
-        // uses.
-        let parse = |v| odbgc_core::parse_worker_env("ODBGC_JOBS", v, "using all available cores");
-        assert_eq!(parse("4"), Ok(4));
-        assert_eq!(parse(" 2 "), Ok(2));
+        // Positive integers only; anything else is the warning line.
+        assert_eq!(parse_jobs_env("4"), Ok(4));
+        assert_eq!(parse_jobs_env(" 2 "), Ok(2));
         for bad in ["0", "-1", "abc", ""] {
             assert_eq!(
-                parse(bad).unwrap_err(),
+                parse_jobs_env(bad).unwrap_err(),
+                format!(
+                    "odbgc: ignoring invalid ODBGC_JOBS={bad:?} \
+                     (want a positive integer); using all available cores"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn positive_integers_parse() {
+        assert_eq!(parse_jobs_env("1"), Ok(1));
+        assert_eq!(parse_jobs_env(" 8 "), Ok(8));
+    }
+
+    #[test]
+    fn garbage_yields_the_canonical_warning() {
+        for bad in ["", "0", "-2", "many", "3.5"] {
+            assert_eq!(
+                parse_jobs_env(bad).unwrap_err(),
                 format!(
                     "odbgc: ignoring invalid ODBGC_JOBS={bad:?} \
                      (want a positive integer); using all available cores"

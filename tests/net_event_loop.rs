@@ -22,6 +22,11 @@
 //!    is reaped after `idle_timeout` during a drain as at any other
 //!    time, so `NetServer::run` returns; no other session loses an
 //!    acknowledged op.
+//!
+//! Three more pin who owns a shard: the loop count (one per shard
+//! unless capped), the move of a connection to its shard's loop with
+//! whatever it pipelined behind its `Hello`, and what `gc_stall_ns`
+//! measures now that a loop runs its shards' collections itself.
 
 use std::io::{BufReader, ErrorKind, Write};
 use std::time::{Duration, Instant};
@@ -47,8 +52,16 @@ fn net_config(shards: u32, net_threads: usize) -> NetConfig {
 }
 
 fn spawn_server(config: NetConfig) -> (String, std::thread::JoinHandle<NetOutcome>) {
+    spawn_server_collecting_every(config, 20)
+}
+
+/// A server whose shards collect every `overwrites` pointer overwrites.
+fn spawn_server_collecting_every(
+    config: NetConfig,
+    overwrites: u64,
+) -> (String, std::thread::JoinHandle<NetOutcome>) {
     let server = NetServer::bind("127.0.0.1:0", config, |_| {
-        Box::new(FixedRatePolicy::new(20))
+        Box::new(FixedRatePolicy::new(overwrites))
     })
     .expect("bind");
     let addr = server.local_addr().expect("local addr").to_string();
@@ -74,6 +87,13 @@ fn frame_of(req: &Request) -> Vec<u8> {
     let mut wire = Vec::new();
     frame_into(&mut wire, &body_of(req));
     wire
+}
+
+/// Blocks for the next response frame on a raw stream.
+fn response(stream: &mut std::net::TcpStream) -> Response {
+    let mut body = Vec::new();
+    odbgc_net::read_frame_into(stream, &mut body).expect("response frame");
+    Response::decode(&body).expect("response decodes")
 }
 
 /// A realistic mixed frame stream: requests and responses a connection
@@ -178,11 +198,6 @@ fn byte_trickled_requests_are_served() {
             stream.write_all(std::slice::from_ref(byte)).unwrap();
             stream.flush().unwrap();
         }
-    }
-    fn response(stream: &mut std::net::TcpStream) -> Response {
-        let mut body = Vec::new();
-        odbgc_net::read_frame_into(stream, &mut body).expect("response frame");
-        Response::decode(&body).expect("response decodes")
     }
 
     trickle(
@@ -495,4 +510,147 @@ fn drain_terminates_when_a_peer_never_reads() {
         report.totals().ops_applied + stalled_ops,
         "every acknowledged op survived the drain, and nothing else"
     );
+}
+
+/// (7) Loop census: one loop per shard by default, `net_threads` caps
+/// the count at the shard count, and a loop that owns two shards applies
+/// each one's turns to that shard.
+#[test]
+fn one_loop_per_shard_unless_capped() {
+    let loops = |shards, net_threads| {
+        let (addr, server) = spawn_server(net_config(shards, net_threads));
+        shutdown(&addr);
+        server.join().unwrap().loops.len()
+    };
+    assert_eq!(loops(3, 0), 3);
+    assert_eq!(loops(2, 8), 2);
+
+    let (addr, server) = spawn_server(net_config(2, 1));
+    let report = run_clients(
+        &ClientConfig {
+            addr,
+            session: 0,
+            ops: OPS_PER_CONN,
+            batch: 8,
+            window: 4,
+            workload: WorkloadParams::default(),
+            shutdown_after: true,
+        },
+        2,
+    )
+    .expect("multi-client run");
+    let outcome = server.join().unwrap();
+    assert_eq!(outcome.loops.len(), 1);
+    // Connection `i` drives session `i`, which lives on shard `i`.
+    for (i, (shard, acked)) in outcome.shards.iter().zip(&report.reports).enumerate() {
+        assert_eq!(acked.ops_applied, OPS_PER_CONN, "session {i}");
+        assert_eq!(shard.result.events_replayed, acked.ops_applied, "shard {i}");
+    }
+}
+
+/// (8) A `Hello` for a shard loop 0 does not own moves the connection to
+/// the owning loop together with the turns pipelined behind it in the
+/// same write: the replies come back in order and every op lands on the
+/// named session's shard.
+#[test]
+fn hello_hands_pipelined_turns_to_the_owning_loop() {
+    let (addr, server) = spawn_server(net_config(2, 0));
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let mut workload = SessionWorkload::new(1, WorkloadParams::default(), 64);
+    let mut wire = frame_of(&Request::Hello {
+        session: 1,
+        window: 4,
+    });
+    let mut sent = 0;
+    for _ in 0..2 {
+        let ops = workload.next_turn(8);
+        sent += ops.len() as u64;
+        wire.extend(frame_of(&Request::Ops { ops }));
+    }
+    stream.write_all(&wire).expect("one write");
+
+    match response(&mut stream) {
+        Response::HelloOk {
+            session: 1,
+            shard: 1,
+            ..
+        } => {}
+        other => panic!("want HelloOk on shard 1, got {other:?}"),
+    }
+    for turn in 1..=2 {
+        match response(&mut stream) {
+            Response::OpsOk { in_flight, .. } => assert_eq!(in_flight, turn),
+            other => panic!("want OpsOk for turn {turn}, got {other:?}"),
+        }
+    }
+    stream.write_all(&frame_of(&Request::Bye)).unwrap();
+    assert_eq!(response(&mut stream), Response::ByeOk);
+    drop(stream);
+
+    shutdown(&addr);
+    let outcome = server.join().unwrap();
+    assert_eq!(outcome.shards[1].result.events_replayed, sent);
+    assert_eq!(outcome.shards[0].result.events_replayed, 0);
+    // Loop 0 accepted both connections and decoded the Hello and the
+    // Shutdown; shard 1's loop decoded the two turns and the Bye.
+    assert_eq!(outcome.loops[0].accepted, 2);
+    assert_eq!(outcome.loops[0].frames_in, 2);
+    assert_eq!(outcome.loops[1].frames_in, 3);
+    assert!(outcome.clients.iter().all(|c| c.clean_close));
+}
+
+/// (9) `gc_stall_ns` is the collection time a turn's loop spent since
+/// the connection's previous turn reply: exactly zero when the shard
+/// never collects, positive when it collects after almost every turn,
+/// and zero on the first turn after `Hello`.
+#[test]
+fn gc_stall_is_the_loops_collection_time_between_turns() {
+    let lockstep_stalls = |overwrites| {
+        let (addr, server) = spawn_server_collecting_every(net_config(1, 0), overwrites);
+        let mut conn = Conn::connect(&addr).expect("connect");
+        match conn
+            .request(&Request::Hello {
+                session: 0,
+                window: 1,
+            })
+            .expect("hello")
+        {
+            Response::HelloOk { .. } => {}
+            other => panic!("want HelloOk, got {other:?}"),
+        }
+        let mut workload = SessionWorkload::new(0, WorkloadParams::default(), 400);
+        let mut stalls = Vec::new();
+        loop {
+            let ops = workload.next_turn(8);
+            if ops.is_empty() {
+                break;
+            }
+            match conn.request(&Request::Ops { ops }).expect("turn") {
+                Response::OpsOk { gc_stall_ns, .. } => stalls.push(gc_stall_ns),
+                other => panic!("want OpsOk, got {other:?}"),
+            }
+            match conn.request(&Request::Ack { n: 1 }).expect("ack") {
+                Response::AckOk { in_flight: 0 } => {}
+                other => panic!("want AckOk, got {other:?}"),
+            }
+        }
+        assert_eq!(conn.request(&Request::Bye).expect("bye"), Response::ByeOk);
+        shutdown(&addr);
+        let outcome = server.join().unwrap();
+        (stalls, outcome.shards[0].result.collection_count())
+    };
+
+    let (never, collections) = lockstep_stalls(1_000_000_000);
+    assert_eq!(collections, 0);
+    assert_eq!(never.iter().sum::<u64>(), 0, "{never:?}");
+
+    let (always, collections) = lockstep_stalls(1);
+    assert!(collections > 0);
+    assert_eq!(always[0], 0, "the first turn after Hello");
+    assert!(always.iter().sum::<u64>() > 0, "{always:?}");
 }

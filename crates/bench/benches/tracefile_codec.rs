@@ -1,7 +1,6 @@
-//! Tracefile codec micro-benchmarks: binary encode/decode throughput
-//! versus the text codec, and block-at-a-time reading straight off the
-//! binary encoding. These back the corpus design choice — loading a
-//! tracefile must beat regenerating the trace by a wide margin.
+//! Tracefile codec micro-benchmarks: binary encode/decode throughput,
+//! the text rendering `odbgc trace cat` prints, and block-at-a-time
+//! reading straight off the binary encoding.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -12,7 +11,6 @@ use odbgc_trace::codec;
 fn bench_tracefile(c: &mut Criterion) {
     let (trace, _) = Oo7App::standard(Oo7Params::small(3), 1).generate();
     let binary = odbgc_tracefile::encode(&trace);
-    let text = codec::encode(&trace);
     let events = trace.len() as u64;
 
     let mut group = c.benchmark_group("tracefile_encode");
@@ -29,14 +27,6 @@ fn bench_tracefile(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("binary", |b| {
         b.iter(|| black_box(odbgc_tracefile::decode(&binary).expect("decode")))
-    });
-    group.bench_function("text", |b| {
-        b.iter(|| black_box(codec::decode(&text).expect("decode")))
-    });
-    // The corpus-tier comparison: decoding a tracefile vs regenerating
-    // the identical trace from OO7 parameters.
-    group.bench_function("regenerate", |b| {
-        b.iter(|| black_box(Oo7App::standard(Oo7Params::small(3), 1).generate().0))
     });
     group.finish();
 

@@ -2,11 +2,11 @@
 
 use odbgc_oo7::Oo7App;
 
-use crate::commands::TraceFormat;
 use crate::flags::Flags;
 use crate::CliError;
 
-/// Writes an OO7 application trace to disk.
+/// Writes an OO7 application trace to disk as a tracefile, whatever the
+/// file's extension.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let out = flags.require("out")?;
@@ -14,24 +14,15 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let seed: u64 = flags.get_or("seed", 1)?;
     let params_name = flags.get("params");
     let style = flags.get("style");
-    // `--format binary|text`; default inferred from the extension
-    // (`.otb` → binary, anything else → text).
-    let format = match flags.get("format") {
-        Some(v) => TraceFormat::parse(&v)?,
-        None => TraceFormat::infer(&out),
-    };
     flags.finish()?;
 
     let params = crate::spec::build_params(params_name.as_deref(), conn, style.as_deref())?;
     let (trace, chars) = Oo7App::standard(params, seed).generate();
-    let size = crate::commands::write_trace_file(&out, &trace, format)?;
+    let bytes = odbgc_tracefile::encode(&trace);
+    std::fs::write(&out, &bytes).map_err(|e| CliError(format!("cannot write {out:?}: {e}")))?;
     Ok(format!(
-        "wrote {out} ({}, {} bytes): {} events, {} initial live objects, {:.2} MB live, avg object {:.0} B",
-        match format {
-            TraceFormat::Text => "text",
-            TraceFormat::Binary => "binary",
-        },
-        size,
+        "wrote {out} ({} bytes): {} events, {} initial live objects, {:.2} MB live, avg object {:.0} B",
+        bytes.len(),
         trace.len(),
         chars.total_objects(),
         chars.total_bytes() as f64 / 1_048_576.0,
@@ -64,45 +55,33 @@ mod tests {
     }
 
     #[test]
-    fn otb_extension_implies_binary_and_format_flag_overrides() {
-        let dir = std::env::temp_dir().join("odbgc-cli-test-gen-fmt");
+    fn writes_a_tracefile_whatever_the_extension() {
+        let dir =
+            std::env::temp_dir().join(format!("odbgc-cli-test-gen-ext-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-
-        let bin_path = dir.join("t.otb");
-        let out = run(&argv(&format!(
-            "--out {} --params tiny --conn 2 --seed 9",
-            bin_path.display()
-        )))
-        .unwrap();
-        assert!(out.contains("binary"), "{out}");
-        assert!(out.contains("bytes"), "{out}");
-        let bytes = std::fs::read(&bin_path).unwrap();
-        assert!(odbgc_tracefile::is_binary(&bytes));
-
-        // Explicit --format text wins over the .otb extension.
-        let txt_path = dir.join("t2.otb");
-        let out = run(&argv(&format!(
-            "--out {} --params tiny --conn 2 --seed 9 --format text",
-            txt_path.display()
-        )))
-        .unwrap();
-        assert!(out.contains("(text"), "{out}");
-        let text = std::fs::read(&txt_path).unwrap();
-        assert!(text.starts_with(b"odbgc-trace v1"));
-
-        // Both load back to the same trace, format sniffed from content.
-        let a = crate::commands::load_trace(bin_path.to_str().unwrap()).unwrap();
-        let b = crate::commands::load_trace(txt_path.to_str().unwrap()).unwrap();
-        assert_eq!(a, b);
+        let mut written = Vec::new();
+        for name in ["t.odbgc", "t.otb", "t.txt"] {
+            let path = dir.join(name);
+            run(&argv(&format!(
+                "--out {} --params tiny --conn 2 --seed 9",
+                path.display()
+            )))
+            .unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes[..4], odbgc_tracefile::MAGIC, "{name}");
+            written.push(bytes);
+        }
+        assert!(written.windows(2).all(|w| w[0] == w[1]));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bad_format_flag_errors() {
-        assert!(run(&argv("--out x --format cbor"))
-            .unwrap_err()
-            .to_string()
-            .contains("--format"));
+        // There is one file format, so `--format` is no option at all.
+        for value in ["text", "binary"] {
+            let err = run(&argv(&format!("--out x --format {value}"))).unwrap_err();
+            assert!(err.to_string().contains("unknown flag --format"), "{err}");
+        }
     }
 
     #[test]

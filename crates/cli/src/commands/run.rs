@@ -5,7 +5,7 @@ use odbgc_sim::{
     BatchSource, ReplayOptions, RunResult, RunTelemetry, SimConfig, Simulator, TraceBatches,
 };
 
-use crate::commands::{is_binary_file, load_text_trace, open_tracefile};
+use crate::commands::open_tracefile;
 use crate::flags::Flags;
 use crate::spec;
 use crate::CliError;
@@ -44,30 +44,23 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         config.selector_seed = seed;
     }
     let mut policy = spec::build_policy(&policy_spec)?;
-    // A binary tracefile is replayed straight off its read-only memory
-    // map, one decoded block at a time; a text trace or a generated
-    // workload is replayed as one in-memory batch. Where a source cuts
-    // its batches never changes the RunResult.
+    // A tracefile is replayed off its file image, one decoded block at a
+    // time; a generated workload is replayed as one in-memory batch.
+    // Where a source cuts its batches never changes the RunResult.
     let sim = Simulator::new(config);
     let mut telemetry = telemetry_path
         .as_ref()
         .map(|_| RunTelemetry::new(policy.name()));
     let result = match &trace_path {
-        Some(path) if is_binary_file(path)? => replay(
+        Some(path) => replay(
             &sim,
             open_tracefile(path)?,
             policy.as_mut(),
             telemetry.as_mut(),
         )?,
-        in_memory => {
-            let trace = match in_memory {
-                Some(path) => load_text_trace(path)?,
-                None => {
-                    let params =
-                        spec::build_params(params_name.as_deref(), conn, style.as_deref())?;
-                    Oo7App::standard(params, seed).generate().0
-                }
-            };
+        None => {
+            let params = spec::build_params(params_name.as_deref(), conn, style.as_deref())?;
+            let trace = Oo7App::standard(params, seed).generate().0;
             replay(
                 &sim,
                 TraceBatches::new(&trace),
@@ -246,32 +239,23 @@ mod tests {
     }
 
     #[test]
-    fn mmap_replay_report_matches_in_memory() {
-        // A binary tracefile replays off its file image block by block,
-        // its text twin as one in-memory batch: same report.
+    fn tracefile_report_matches_the_same_seed_generated() {
+        // A tracefile replays off its file image block by block, the
+        // same seed generated in process as one in-memory batch: same
+        // report.
         let dir =
             std::env::temp_dir().join(format!("odbgc-cli-test-run-file-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let (otb, txt) = (dir.join("t.otb"), dir.join("t.txt"));
+        let otb = dir.join("t.otb");
         crate::commands::generate::run(&argv(&format!(
             "--out {} --params tiny --conn 2 --seed 5",
             otb.display()
         )))
         .unwrap();
-        crate::commands::trace::run(&argv(&format!(
-            "convert --in {} --out {}",
-            otb.display(),
-            txt.display()
-        )))
-        .unwrap();
-        let report = |path: &std::path::Path| {
-            run(&argv(&format!(
-                "--policy saio:10% --store tiny --preamble 2 --trace {}",
-                path.display()
-            )))
-            .unwrap()
-        };
-        assert_eq!(report(&txt), report(&otb), "same trace, same report");
+        let common = "--policy saio:10% --store tiny --preamble 2";
+        let from_file = run(&argv(&format!("{common} --trace {}", otb.display()))).unwrap();
+        let generated = run(&argv(&format!("{common} --params tiny --conn 2 --seed 5"))).unwrap();
+        assert_eq!(from_file, generated, "same trace, same report");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -28,7 +28,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let params_name = flags.get("params");
     let csv_path = flags.get("csv");
     let telemetry_path = flags.get("telemetry");
-    let corpus = flags.get("corpus");
     // `--progress N` prints a stderr line every N completed jobs.
     let progress_every = match flags.get("progress") {
         Some(v) => match v.parse::<usize>() {
@@ -96,9 +95,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     };
 
     let mut plan = ExperimentPlan::new(params, &seeds, config).cells(cells);
-    if let Some(dir) = corpus {
-        plan = plan.with_corpus(dir);
-    }
     if let Some((cell_index, seed)) = poison {
         plan = plan.inject_fault(FaultSpec {
             cell_index,
@@ -180,9 +176,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         outcome.cache.hits,
         outcome.elapsed.as_secs_f64(),
     ));
-    if let Some(stats) = &outcome.corpus {
-        out.push_str(&format!("{stats}\n"));
-    }
     if let Some(path) = csv_path {
         std::fs::write(&path, csv).map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
         out.push_str(&format!("csv written to {path}\n"));
@@ -243,36 +236,6 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("10.0"));
-    }
-
-    #[test]
-    fn corpus_flag_reports_corpus_stats_and_warms_up() {
-        let dir = std::env::temp_dir().join(format!(
-            "odbgc-cli-test-sweep-corpus-{}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        let cmd = format!(
-            "--policy saio --points 10,20 --seeds 1..2 --params tiny --conn 2 --corpus {}",
-            dir.display()
-        );
-        let cold = run(&argv(&cmd)).unwrap();
-        assert!(cold.contains("corpus: 0 hit"), "{cold}");
-        assert!(cold.contains("2 generated"), "{cold}");
-        let warm = run(&argv(&cmd)).unwrap();
-        // 2 cells × 2 seeds = 4 jobs, all served by corpus data.
-        assert!(warm.contains("corpus: 4 hit"), "{warm}");
-        assert!(warm.contains("0 generated"), "{warm}");
-        // The measurements themselves are identical cold or warm.
-        let data = |s: &str| -> Vec<String> {
-            s.lines()
-                .skip(2)
-                .take(2)
-                .map(|l| l.split_whitespace().take(4).collect::<Vec<_>>().join(" "))
-                .collect()
-        };
-        assert_eq!(data(&cold), data(&warm));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! `odbgc trace` — tracefile utilities: convert, stat, verify, cat.
+//! `odbgc trace` — tracefile utilities: stat, verify, cat.
 //!
-//! All four subcommands process binary tracefiles block by block: none
-//! of them holds more than one file image plus one decoded block (and a
-//! reusable text buffer) on the heap, never a whole decoded trace.
+//! All three subcommands process tracefiles block by block: none of them
+//! holds more than one file image plus one decoded block (and a reusable
+//! text buffer) on the heap, never a whole decoded trace. Copying a
+//! tracefile is `cp`; rendering one as text is `cat`.
 
-use std::io::{BufWriter, Write as _};
+use std::io::BufWriter;
 
 use odbgc_trace::{codec, Event};
-use odbgc_tracefile::{FileBatches, TraceWriter};
+use odbgc_tracefile::FileBatches;
 
-use crate::commands::{is_binary_file, load_text_trace, open_tracefile, TraceFormat};
+use crate::commands::open_tracefile;
 use crate::flags::Flags;
 use crate::CliError;
 
@@ -17,83 +18,17 @@ use crate::CliError;
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((sub, rest)) = args.split_first() else {
         return Err(CliError(
-            "trace wants a subcommand: convert, stat, verify, or cat".into(),
+            "trace wants a subcommand: stat, verify, or cat".into(),
         ));
     };
     match sub.as_str() {
-        "convert" => convert(rest),
         "stat" => stat(rest),
         "verify" => verify(rest),
         "cat" => cat(rest),
         other => Err(CliError(format!(
-            "unknown trace subcommand {other:?}; try convert, stat, verify, or cat"
+            "unknown trace subcommand {other:?}; try stat, verify, or cat"
         ))),
     }
-}
-
-/// `odbgc trace convert --in <file> --out <file> [--format binary|text]`.
-///
-/// The target format defaults to the output extension (`.otb` → binary).
-/// Binary→text goes block by block and produces output byte-identical
-/// to `codec::encode` of the same trace; text→binary round-trips through
-/// the in-memory trace.
-fn convert(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
-    let input = flags.require("in")?;
-    let output = flags.require("out")?;
-    let format = match flags.get("format") {
-        Some(v) => TraceFormat::parse(&v)?,
-        None => TraceFormat::infer(&output),
-    };
-    flags.finish()?;
-
-    let write_err = |e: std::io::Error| CliError(format!("cannot write {output:?}: {e}"));
-    let events = if is_binary_file(&input)? {
-        // Binary source: block at a time, never materializing the trace.
-        let mut reader = open_tracefile(&input)?;
-        let read_err = |e| CliError(format!("{input}: {e}"));
-        let out_file = std::fs::File::create(&output).map_err(write_err)?;
-        match format {
-            TraceFormat::Text => {
-                let mut w = BufWriter::new(out_file);
-                w.write_all(codec::encode_header(reader.phase_names()).as_bytes())
-                    .map_err(write_err)?;
-                let mut text = String::new();
-                while let Some(batch) = reader.next_batch().map_err(read_err)? {
-                    text.clear();
-                    for ev in batch {
-                        codec::encode_event(&mut text, ev);
-                    }
-                    w.write_all(text.as_bytes()).map_err(write_err)?;
-                }
-                w.flush().map_err(write_err)?;
-            }
-            TraceFormat::Binary => {
-                let mut w = TraceWriter::new(BufWriter::new(out_file), reader.phase_names())
-                    .map_err(write_err)?;
-                while let Some(batch) = reader.next_batch().map_err(read_err)? {
-                    for ev in batch {
-                        w.write_event(ev).map_err(write_err)?;
-                    }
-                }
-                w.finish().and_then(|mut b| b.flush()).map_err(write_err)?;
-            }
-        }
-        reader.events_read()
-    } else {
-        let trace = load_text_trace(&input)?;
-        crate::commands::write_trace_file(&output, &trace, format)?;
-        trace.len() as u64
-    };
-
-    let size = std::fs::metadata(&output).map(|m| m.len()).unwrap_or(0);
-    Ok(format!(
-        "converted {input} -> {output} ({}, {events} events, {size} bytes)",
-        match format {
-            TraceFormat::Text => "text",
-            TraceFormat::Binary => "binary",
-        },
-    ))
 }
 
 /// Event-kind census bucket index.
@@ -118,41 +53,30 @@ fn stat(args: &[String]) -> Result<String, CliError> {
     let size = std::fs::metadata(&path)
         .map(|m| m.len())
         .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
-    let is_bin = is_binary_file(&path)?;
 
     let mut counts = [0u64; 6];
-    let mut phases: Vec<String>;
-    if is_bin {
-        let mut reader = open_tracefile(&path)?;
-        loop {
-            match reader.next_batch() {
-                Ok(Some(batch)) => {
-                    for ev in batch {
-                        counts[bucket(ev)] += 1;
-                    }
+    let mut reader = open_tracefile(&path)?;
+    loop {
+        match reader.next_batch() {
+            Ok(Some(batch)) => {
+                for ev in batch {
+                    counts[bucket(ev)] += 1;
                 }
-                Ok(None) => break,
-                Err(e) => return Err(CliError(format!("{path}: {e}"))),
             }
-        }
-        phases = reader.phase_names().to_vec();
-    } else {
-        let trace = load_text_trace(&path)?;
-        phases = trace.phase_names().to_vec();
-        for ev in trace.iter() {
-            counts[bucket(ev)] += 1;
+            Ok(None) => break,
+            Err(e) => return Err(CliError(format!("{path}: {e}"))),
         }
     }
+    let mut phases = reader.phase_names().to_vec();
     if phases.is_empty() {
         phases = vec!["(none)".into()];
     }
 
     let total: u64 = counts.iter().sum();
     Ok(format!(
-        "{path}: {} format, {size} bytes, {total} events ({:.2} bytes/event)\n\
+        "{path}: {size} bytes, {total} events ({:.2} bytes/event)\n\
          creates {}, accesses {}, slot-writes {}, root-adds {}, root-removes {}, phase-marks {}\n\
          phases: {}",
-        if is_bin { "binary" } else { "text" },
         if total == 0 {
             0.0
         } else {
@@ -233,7 +157,7 @@ struct CatStats {
     peak_buf_bytes: usize,
 }
 
-/// Streams a binary tracefile as text into `out`, one block at a time:
+/// Streams a tracefile as text into `out`, one block at a time:
 /// resident state is the reader's single decoded block plus one reused
 /// text buffer, never the whole file.
 fn cat_batches<W: std::io::Write>(
@@ -278,38 +202,20 @@ fn cat_batches<W: std::io::Write>(
 }
 
 /// `odbgc trace cat --trace <file> [--limit N]` — print events in the
-/// text format. Binary inputs stream block by block
-/// straight to stdout (output matches `convert`); text inputs are small
-/// enough to round-trip in memory.
+/// text rendering of `odbgc_trace::codec`, streamed block by block
+/// straight to stdout.
 fn cat(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let path = flags.require("trace")?;
     let limit: u64 = flags.get_or("limit", u64::MAX)?;
     flags.finish()?;
 
-    if is_binary_file(&path)? {
-        let reader = open_tracefile(&path)?;
-        let stdout = std::io::stdout();
-        cat_batches(&path, reader, limit, BufWriter::new(stdout.lock()))?;
-        // Everything but the final newline is already on stdout; the
-        // dispatch layer's `writeln!` supplies that newline.
-        return Ok(String::new());
-    }
-    let trace = load_text_trace(&path)?;
-    let mut out = String::new();
-    out.push_str(&codec::encode_header(trace.phase_names()));
-    for (i, ev) in trace.iter().enumerate() {
-        if (i as u64) >= limit {
-            out.push_str("…\n");
-            break;
-        }
-        codec::encode_event(&mut out, ev);
-    }
-    // Trim the trailing newline: dispatch prints the result with its own.
-    if out.ends_with('\n') {
-        out.pop();
-    }
-    Ok(out)
+    let reader = open_tracefile(&path)?;
+    let stdout = std::io::stdout();
+    cat_batches(&path, reader, limit, BufWriter::new(stdout.lock()))?;
+    // Everything but the final newline is already on stdout; the
+    // dispatch layer's `writeln!` supplies that newline.
+    Ok(String::new())
 }
 
 #[cfg(test)]
@@ -350,29 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn convert_round_trip_is_byte_identical() {
-        let tmp = TempDir::new("roundtrip");
-        let bin = generate(&tmp.0, "t.otb");
-        let txt = tmp.0.join("t.txt").display().to_string();
-        let bin2 = tmp.0.join("t2.otb").display().to_string();
-
-        run(&argv(&format!("convert --in {bin} --out {txt}"))).unwrap();
-        run(&argv(&format!("convert --in {txt} --out {bin2}"))).unwrap();
-        assert_eq!(
-            std::fs::read(&bin).unwrap(),
-            std::fs::read(&bin2).unwrap(),
-            "binary -> text -> binary must reproduce the file exactly"
-        );
-
-        // The streamed text equals the in-memory codec's output.
-        let trace = load_trace(&bin).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&txt).unwrap(),
-            codec::encode(&trace)
-        );
-    }
-
-    #[test]
     fn verify_accepts_good_and_rejects_damaged() {
         let tmp = TempDir::new("verify");
         let bin = generate(&tmp.0, "t.otb");
@@ -393,15 +276,15 @@ mod tests {
         let tmp = TempDir::new("stat");
         let bin = generate(&tmp.0, "t.otb");
         let out = run(&argv(&format!("stat --trace {bin}"))).unwrap();
-        assert!(out.contains("binary format"), "{out}");
         assert!(out.contains("creates"), "{out}");
 
-        // The text twin reports the same census.
-        let txt = tmp.0.join("t.txt").display().to_string();
-        run(&argv(&format!("convert --in {bin} --out {txt}"))).unwrap();
-        let out_txt = run(&argv(&format!("stat --trace {txt}"))).unwrap();
-        let census = |s: &str| s.lines().nth(1).unwrap().to_owned();
-        assert_eq!(census(&out), census(&out_txt));
+        // The census agrees with the decoded trace's own statistics.
+        let stats = load_trace(&bin).unwrap().stats();
+        let census = out.lines().nth(1).unwrap();
+        assert!(
+            census.starts_with(&format!("creates {},", stats.objects_created)),
+            "{census}"
+        );
     }
 
     /// Runs the streaming cat into a buffer and returns (text, stats).
@@ -422,8 +305,14 @@ mod tests {
         assert!(out.lines().count() <= 6, "{out}");
         assert!(out.starts_with("odbgc-trace v1"), "{out}");
         assert_eq!(stats.events, 3);
-        // The dispatch path streams to stdout and returns nothing.
+        // The dispatch path streams to stdout and returns nothing. The
+        // test harness reports on the same stdout: holding its (reentrant)
+        // lock until the newline `main` would print keeps the streamed
+        // lines from running into the harness's report lines.
+        let mut stdout = std::io::stdout().lock();
         let dispatched = run(&argv(&format!("cat --trace {bin} --limit 3"))).unwrap();
+        std::io::Write::write_all(&mut stdout, b"\n").unwrap();
+        drop(stdout);
         assert_eq!(dispatched, "");
     }
 
@@ -449,7 +338,7 @@ mod tests {
         let tmp = TempDir::new("cat-bounded");
         let path = tmp.0.join("big.otb").display().to_string();
         let trace = odbgc_trace::synthetic::linear_chain(30_000, 64, None);
-        crate::commands::write_trace_file(&path, &trace, TraceFormat::Binary).unwrap();
+        std::fs::write(&path, odbgc_tracefile::encode(&trace)).unwrap();
         let file_size = std::fs::metadata(&path).unwrap().len() as usize;
         assert!(file_size > 3 * 32 * 1024, "file spans >3 blocks");
 

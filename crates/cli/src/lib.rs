@@ -84,7 +84,6 @@ odbgc — self-adaptive GC-rate control simulator (SIGMOD'96 reproduction)
 
 USAGE:
   odbgc generate --out <file> [--conn N] [--seed N] [--params small-prime|small|tiny] [--style bidir|forward]
-                 [--format binary|text]   (default: by extension, .otb = binary)
   odbgc info     --trace <file>
   odbgc run      (--trace <file> | [--conn N] [--seed N]) --policy <spec>
                  [--selector updated-pointer|random|round-robin|most-garbage]
@@ -99,16 +98,16 @@ USAGE:
   odbgc client   --connect HOST:PORT [--session N] [--ops N] [--batch N]
                  [--window N] [--seed N] [--connections N] [--shutdown true]
   odbgc sweep    --policy saio|saga[:estimator] --points a,b,c [--seeds A..B]
-                 [--conn N] [--csv <file>] [--jobs N] [--corpus <dir>]
+                 [--conn N] [--csv <file>] [--jobs N]
                  [--telemetry <json>] [--progress N]
   odbgc telemetry verify --file <json>
-  odbgc trace    convert --in <file> --out <file> [--format binary|text]
   odbgc trace    stat|verify|cat --trace <file>   (cat: [--limit N])
 
-Binary tracefiles (.otb) are checksummed, block-compressed-by-encoding,
-and streamable; `--trace` accepts either format everywhere (sniffed by
-content). Sweeps reuse generated traces from the corpus directory given
-by --corpus or the ODBGC_CORPUS environment variable.
+Traces are OTBF tracefiles: checksummed, varint/delta-encoded, and read
+block by block. `generate` writes one whatever the file's extension, and
+every --trace reads one; anything else is refused as `not a tracefile`.
+`trace cat` prints a tracefile as text. Without --trace, `run` and
+`sweep` generate the OO7 trace in process, once per seed.
 
 POLICY SPECS:
   saio:10%[:hist=N|inf]   saga:5%[:oracle|fgs-hb[@h]|cgs-cb]
@@ -140,8 +139,8 @@ generator serve-bench schedules in-process, so loopback telemetry
 matches in-process telemetry after stripping volatile keys.
 
 --telemetry writes a versioned JSON document (policy decision log and
-per-phase accounting for `run`; per-job wall times, cache tiers, and the
-failure list for `sweep`); `odbgc telemetry verify` checks one.
+per-phase accounting for `run`; per-job wall times, trace-cache counts,
+and the failure list for `sweep`); `odbgc telemetry verify` checks one.
 --progress N prints a stderr line every N completed sweep jobs."
         .to_owned()
 }

@@ -130,42 +130,6 @@ impl Oo7Params {
         }
     }
 
-    /// A canonical workload string covering every generation-relevant
-    /// parameter, used to address traces in an on-disk corpus.
-    ///
-    /// The leading `oo7-std-v1` token names the generator (the standard
-    /// OO7 application) and its trace-shape version: bump it whenever
-    /// generation changes so stale corpus entries stop matching. Every
-    /// field is listed explicitly — a new field must be appended here or
-    /// two different workloads would share a corpus slot.
-    pub fn cache_key(&self) -> String {
-        let style = match self.conn_style {
-            ConnStyle::Bidirectional => "bidir",
-            ConnStyle::Forward => "forward",
-        };
-        format!(
-            "oo7-std-v1;ap{};conn{};doc{};man{};comp{};fanout{};lvl{};cpa{};mod{};\
-             sz{}/{}/{}/{}/{};repl{};incf{};style-{}",
-            self.num_atomic_per_comp,
-            self.num_conn_per_atomic,
-            self.document_size,
-            self.manual_size,
-            self.num_comp_per_module,
-            self.num_assm_per_assm,
-            self.num_assm_levels,
-            self.num_comp_per_assm,
-            self.num_modules,
-            self.atomic_part_size,
-            self.connection_size,
-            self.composite_size,
-            self.assembly_size,
-            self.module_size,
-            self.replace_documents,
-            self.in_conn_capacity_factor,
-            style,
-        )
-    }
-
     /// Panics if the parameters are structurally unusable.
     pub fn validate(&self) {
         assert!(self.num_modules == 1, "multi-module databases unsupported");
@@ -313,22 +277,6 @@ mod tests {
     #[test]
     fn tiny_is_valid() {
         Oo7Params::tiny().validate();
-    }
-
-    #[test]
-    fn cache_keys_separate_every_knob() {
-        let base = Oo7Params::small_prime(3);
-        assert_eq!(base.cache_key(), Oo7Params::small_prime(3).cache_key());
-        assert_ne!(base.cache_key(), Oo7Params::small_prime(6).cache_key());
-        assert_ne!(base.cache_key(), Oo7Params::small(3).cache_key());
-        assert_ne!(base.cache_key(), Oo7Params::tiny().cache_key());
-        let mut fwd = base;
-        fwd.conn_style = ConnStyle::Forward;
-        assert_ne!(base.cache_key(), fwd.cache_key());
-        let mut no_repl = base;
-        no_repl.replace_documents = false;
-        assert_ne!(base.cache_key(), no_repl.cache_key());
-        assert!(base.cache_key().starts_with("oo7-std-v1;"));
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub mod telemetry;
 pub use config::SimConfig;
 pub use experiment::{run_single, sweep_point, ExperimentOutcome, SweepPoint};
 pub use runner::{
-    default_jobs, CacheStats, CellOutcome, ExperimentPlan, FailurePolicy, FaultKind, FaultSpec,
-    JobError, JobErrorKind, PlanCell, PlanOutcome, PlanProgress, TraceCache,
+    default_jobs, CacheStats, CellOutcome, ExperimentPlan, FaultKind, FaultSpec, JobError,
+    JobErrorKind, PlanCell, PlanOutcome, PlanProgress, TraceCache,
 };
 pub use simulator::{
     BatchSource, ReplayError, ReplayOptions, RunResult, SimError, Simulator, TraceBatches,
@@ -36,8 +36,6 @@ pub use simulator::{
 pub use telemetry::{
     verify_header, DecisionRecord, Json, JsonError, PhaseTelemetry, PlanTelemetry, RunTelemetry,
 };
-
-pub use odbgc_tracefile::{CorpusKey, CorpusStats, TraceCorpus};
 
 pub use odbgc_engine as engine;
 pub use odbgc_engine::{CollectionRecord, RunMetrics};

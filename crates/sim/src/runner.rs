@@ -15,14 +15,6 @@
 //!   shared [`TraceCache`] and handed out as `Arc`s. [`CacheStats`]
 //!   counts hits and misses so tests can assert the exactly-once
 //!   property.
-//! * **Persistent corpus.** The in-memory cache dies with the process;
-//!   an optional second tier — an on-disk [`TraceCorpus`] of binary
-//!   tracefiles named by [`ExperimentPlan::corpus`] or the
-//!   `ODBGC_CORPUS` environment variable — survives it. Lookups then go
-//!   memory → corpus → generate, and a generated trace is installed in
-//!   the corpus (atomic temp-file + rename) so *other* processes and
-//!   later runs skip generation entirely. [`PlanOutcome::corpus`]
-//!   reports hit/miss/generated counts and load time.
 //! * **Deterministic reduction.** Results land in pre-assigned slots and
 //!   are reduced in (cell, seed) order, so the outcome is identical for
 //!   any thread count — `--jobs 1` and `--jobs 8` agree byte for byte,
@@ -30,16 +22,13 @@
 //! * **Fault tolerance.** Plan execution is *total* over job failures: a
 //!   [`SimError`] or a panic inside one (cell, seed) job becomes a
 //!   structured [`JobError`] in that job's slot instead of unwinding the
-//!   pool, so every other cell's results survive. A [`FailurePolicy`]
-//!   knob selects between running the whole grid regardless
-//!   ([`FailurePolicy::Continue`], the default) and stopping dispatch
-//!   after the first failure ([`FailurePolicy::FailFast`]).
+//!   pool, so every other cell's results survive, and every job runs
+//!   whatever failed before it.
 //! * **Timing.** Each job's wall time is recorded alongside its result
 //!   and surfaced per cell and per plan for reports.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -47,7 +36,6 @@ use std::time::{Duration, Instant};
 use odbgc_core::PolicySpec;
 use odbgc_oo7::{Oo7App, Oo7Params};
 use odbgc_trace::Trace;
-use odbgc_tracefile::{CorpusKey, CorpusStats, TraceCorpus};
 
 use crate::config::SimConfig;
 use crate::experiment::ExperimentOutcome;
@@ -61,22 +49,6 @@ pub struct PlanCell {
     pub x: f64,
     /// The policy to run in this cell.
     pub spec: PolicySpec,
-}
-
-/// What to do with the rest of the grid once one job has failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailurePolicy {
-    /// Run every job regardless of failures (the default): the outcome
-    /// carries all successful results plus one [`JobError`] per failed
-    /// job, and is byte-identical for any worker count.
-    #[default]
-    Continue,
-    /// Stop dispatching new jobs after the first failure, but let jobs
-    /// already in flight finish. Jobs never dispatched are reported as
-    /// [`JobErrorKind::Skipped`]. Which jobs were in flight depends on
-    /// the worker count and scheduling, so — unlike `Continue` — the
-    /// outcome is not identical across worker counts.
-    FailFast,
 }
 
 /// How an injected fault sabotages its job (the failure-path test rig).
@@ -114,9 +86,6 @@ pub enum JobErrorKind {
     Sim(SimError),
     /// The job panicked; the payload is stringified.
     Panicked(String),
-    /// [`FailurePolicy::FailFast`] stopped dispatch before this job
-    /// started.
-    Skipped,
 }
 
 impl std::fmt::Display for JobErrorKind {
@@ -124,7 +93,6 @@ impl std::fmt::Display for JobErrorKind {
         match self {
             JobErrorKind::Sim(e) => write!(f, "{e}"),
             JobErrorKind::Panicked(msg) => write!(f, "panicked: {msg}"),
-            JobErrorKind::Skipped => write!(f, "skipped (fail-fast)"),
         }
     }
 }
@@ -167,15 +135,9 @@ pub struct ExperimentPlan {
     pub config: SimConfig,
     /// The grid cells, in report order.
     pub cells: Vec<PlanCell>,
-    /// What to do with the rest of the grid after a job fails.
-    pub failure_policy: FailurePolicy,
     /// Deliberate faults for testing the failure machinery (empty in
     /// production plans).
     pub faults: Vec<FaultSpec>,
-    /// Directory of the persistent trace corpus. `None` falls back to
-    /// the `ODBGC_CORPUS` environment variable; unset means no corpus
-    /// tier (traces are generated in-process as before).
-    pub corpus: Option<PathBuf>,
 }
 
 impl ExperimentPlan {
@@ -186,17 +148,8 @@ impl ExperimentPlan {
             seeds: seeds.to_vec(),
             config,
             cells: Vec::new(),
-            failure_policy: FailurePolicy::default(),
             faults: Vec::new(),
-            corpus: None,
         }
-    }
-
-    /// Uses (and fills) the persistent trace corpus at `dir`, overriding
-    /// the `ODBGC_CORPUS` environment variable.
-    pub fn with_corpus(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.corpus = Some(dir.into());
-        self
     }
 
     /// Adds one grid cell.
@@ -209,12 +162,6 @@ impl ExperimentPlan {
     pub fn cells(mut self, cells: impl IntoIterator<Item = (f64, PolicySpec)>) -> Self {
         self.cells
             .extend(cells.into_iter().map(|(x, spec)| PlanCell { x, spec }));
-        self
-    }
-
-    /// Sets the failure policy (default: [`FailurePolicy::Continue`]).
-    pub fn on_failure(mut self, policy: FailurePolicy) -> Self {
-        self.failure_policy = policy;
         self
     }
 
@@ -268,66 +215,21 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A cached trace plus whether it originally came from the corpus.
-type TraceSlot = OnceLock<(Arc<Trace>, bool)>;
-
-/// One seed's cache slot, with its corpus coordinates resolved up front.
-struct SeedSlot {
-    seed: u64,
-    // Resolved once at cache construction when a corpus is attached: the
-    // corpus key (workload hash × seed) and the on-disk path it maps to.
-    // Sweep-loop lookups that land here repeatedly neither re-hash the
-    // workload key nor re-resolve the file name per hit.
-    resolved: Option<(CorpusKey, PathBuf)>,
-    // Each slot remembers whether its trace originally came from the
-    // corpus, so memory-tier re-serves of corpus data still count toward
-    // the corpus hit tally (see `TraceCorpus::note_hit`).
-    trace: TraceSlot,
-}
-
 /// Builds each (params, seed) trace exactly once per process and shares
 /// it between all jobs that replay it.
-///
-/// With a [`TraceCorpus`] attached, an in-memory miss consults the
-/// on-disk corpus before generating, and a generated trace is installed
-/// there for other processes: the lookup order is memory → corpus →
-/// generate.
 pub struct TraceCache {
     params: Oo7Params,
-    corpus: Option<TraceCorpus>,
-    slots: Vec<SeedSlot>,
+    slots: Vec<(u64, OnceLock<Arc<Trace>>)>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl TraceCache {
-    /// An empty cache for the given workload over the given seeds, with
-    /// no persistent tier.
+    /// An empty cache for the given workload over the given seeds.
     pub fn new(params: Oo7Params, seeds: &[u64]) -> Self {
-        TraceCache::with_corpus(params, seeds, None)
-    }
-
-    /// An empty cache backed by the given corpus (if any). The workload
-    /// cache key is computed once here — not per lookup — and each
-    /// seed's corpus path is resolved once for the cache's lifetime.
-    pub fn with_corpus(params: Oo7Params, seeds: &[u64], corpus: Option<TraceCorpus>) -> Self {
-        let workload = corpus.as_ref().map(|_| params.cache_key());
-        let slots = seeds
-            .iter()
-            .map(|&seed| SeedSlot {
-                seed,
-                resolved: corpus.as_ref().map(|c| {
-                    let key = CorpusKey::new(workload.clone().expect("corpus present"), seed);
-                    let path = c.path_of(&key);
-                    (key, path)
-                }),
-                trace: OnceLock::new(),
-            })
-            .collect();
         TraceCache {
             params,
-            corpus,
-            slots,
+            slots: seeds.iter().map(|&seed| (seed, OnceLock::new())).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -338,34 +240,21 @@ impl TraceCache {
     /// Concurrent callers for the same seed block on the single builder
     /// (via [`OnceLock`]), so the build happens exactly once; the miss
     /// counter is bumped only inside the build, making `misses` the
-    /// exact number of traces materialized in this process (whether
-    /// loaded from the corpus or generated).
+    /// exact number of traces generated in this process.
     pub fn get(&self, seed: u64) -> Arc<Trace> {
-        let slot = self
+        let (_, slot) = self
             .slots
             .iter()
-            .find(|s| s.seed == seed)
+            .find(|(s, _)| *s == seed)
             .unwrap_or_else(|| panic!("seed {seed} not in plan"));
         let mut built = false;
-        let (trace, from_corpus) = slot.trace.get_or_init(|| {
+        let trace = slot.get_or_init(|| {
             built = true;
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let generate = || Oo7App::standard(self.params, seed).generate().0;
-            match (&self.corpus, &slot.resolved) {
-                (Some(corpus), Some((key, path))) => {
-                    let (trace, loaded) = corpus.load_or_generate_at(path, key, generate);
-                    (Arc::new(trace), loaded)
-                }
-                _ => (Arc::new(generate()), false),
-            }
+            Arc::new(Oo7App::standard(self.params, seed).generate().0)
         });
         if !built {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if *from_corpus {
-                if let Some(corpus) = &self.corpus {
-                    corpus.note_hit();
-                }
-            }
         }
         Arc::clone(trace)
     }
@@ -376,11 +265,6 @@ impl TraceCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Corpus-tier counters, if a corpus is attached.
-    pub fn corpus_stats(&self) -> Option<CorpusStats> {
-        self.corpus.as_ref().map(TraceCorpus::stats)
     }
 }
 
@@ -417,9 +301,6 @@ pub struct PlanOutcome {
     pub failures: Vec<JobError>,
     /// Trace-cache statistics for the execution.
     pub cache: CacheStats,
-    /// Persistent-corpus statistics, when a corpus was in use (via
-    /// [`ExperimentPlan::corpus`] or `ODBGC_CORPUS`).
-    pub corpus: Option<CorpusStats>,
     /// Worker threads actually used.
     pub jobs: usize,
     /// Elapsed wall time for the whole plan.
@@ -499,22 +380,8 @@ fn run_plan(
         .unwrap_or_else(default_jobs)
         .max(1)
         .min(n_jobs_total.max(1));
-    let fail_fast = plan.failure_policy == FailurePolicy::FailFast;
 
-    let corpus = match &plan.corpus {
-        Some(dir) => match TraceCorpus::open(dir) {
-            Ok(corpus) => Some(corpus),
-            Err(e) => {
-                eprintln!(
-                    "odbgc: trace corpus {} unusable ({e}); generating traces instead",
-                    dir.display()
-                );
-                None
-            }
-        },
-        None => TraceCorpus::from_env(),
-    };
-    let cache = TraceCache::with_corpus(plan.params, &plan.seeds, corpus);
+    let cache = TraceCache::new(plan.params, &plan.seeds);
     // One pre-assigned slot per job: job i = cell (i / seeds) × seed
     // (i % seeds). Workers only ever write their own slot, and the
     // reduction below reads the slots in order — so the outcome does not
@@ -522,7 +389,6 @@ fn run_plan(
     let slots: Vec<OnceLock<Result<(RunResult, Duration), JobError>>> =
         (0..n_jobs_total).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
     let done = AtomicUsize::new(0);
     let failed = AtomicUsize::new(0);
 
@@ -569,9 +435,6 @@ fn run_plan(
     thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                if fail_fast && stop.load(Ordering::Acquire) {
-                    break;
-                }
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n_jobs_total {
                     break;
@@ -579,9 +442,6 @@ fn run_plan(
                 let outcome = run_job(i);
                 if outcome.is_err() {
                     failed.fetch_add(1, Ordering::Relaxed);
-                    if fail_fast {
-                        stop.store(true, Ordering::Release);
-                    }
                 }
                 assert!(slots[i].set(outcome).is_ok(), "job slot written twice");
                 let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -606,17 +466,9 @@ fn run_plan(
             let mut runs = Vec::with_capacity(n_seeds);
             let mut wall_times = Vec::new();
             for s in 0..n_seeds {
-                // An empty slot means fail-fast stopped dispatch before
-                // this job was ever claimed.
-                let outcome = slots[c * n_seeds + s].take().unwrap_or_else(|| {
-                    Err(JobError {
-                        cell_index: c,
-                        spec: cell.spec.clone(),
-                        seed: plan.seeds[s],
-                        kind: JobErrorKind::Skipped,
-                    })
-                });
-                match outcome {
+                // Workers claim every index below the total, so every
+                // slot is filled by the time the scope ends.
+                match slots[c * n_seeds + s].take().expect("every job ran") {
                     Ok((result, wall)) => {
                         runs.push(Ok(result));
                         wall_times.push(wall);
@@ -639,7 +491,6 @@ fn run_plan(
     PlanOutcome {
         cells,
         failures,
-        corpus: cache.corpus_stats(),
         cache: cache.stats(),
         jobs: workers,
         elapsed: started.elapsed(),
@@ -731,96 +582,6 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
-    /// A unique throwaway corpus directory, cleaned up on drop.
-    struct TempCorpusDir(PathBuf);
-    impl TempCorpusDir {
-        fn new(name: &str) -> Self {
-            let dir = std::env::temp_dir()
-                .join(format!("odbgc-runner-corpus-{name}-{}", std::process::id()));
-            std::fs::remove_dir_all(&dir).ok();
-            TempCorpusDir(dir)
-        }
-    }
-    impl Drop for TempCorpusDir {
-        fn drop(&mut self) {
-            std::fs::remove_dir_all(&self.0).ok();
-        }
-    }
-
-    #[test]
-    fn corpus_tier_fills_on_first_run_and_serves_the_second() {
-        let tmp = TempCorpusDir::new("fill");
-        let plan = tiny_plan();
-
-        let cold = plan.clone().with_corpus(&tmp.0).run_with_jobs(Some(2));
-        let stats = cold.corpus.expect("corpus attached");
-        assert_eq!(stats.hits, 0, "cold corpus cannot hit");
-        assert_eq!(stats.generated, plan.seeds.len() as u64);
-
-        let warm = plan.clone().with_corpus(&tmp.0).run_with_jobs(Some(2));
-        let stats = warm.corpus.expect("corpus attached");
-        // Every job was ultimately served by corpus data: one disk load
-        // per seed, the rest re-served by the memory tier on top.
-        let jobs = (plan.cells.len() * plan.seeds.len()) as u64;
-        assert_eq!(stats.hits, jobs, "all jobs served from the corpus");
-        assert_eq!(stats.generated, 0, "nothing regenerated");
-
-        // Corpus-served traces replay to the same results as generated ones.
-        for (c, w) in cold.cells.iter().zip(&warm.cells) {
-            assert_eq!(c.outcome.runs, w.outcome.runs);
-        }
-    }
-
-    #[test]
-    fn corpus_loaded_trace_is_identical_to_generated() {
-        let tmp = TempCorpusDir::new("identity");
-        let filler = TraceCache::with_corpus(
-            Oo7Params::tiny(),
-            &[42],
-            Some(TraceCorpus::open(&tmp.0).unwrap()),
-        );
-        let generated = filler.get(42);
-
-        let loader = TraceCache::with_corpus(
-            Oo7Params::tiny(),
-            &[42],
-            Some(TraceCorpus::open(&tmp.0).unwrap()),
-        );
-        let loaded = loader.get(42);
-        assert_eq!(*generated, *loaded);
-        let stats = loader.corpus_stats().unwrap();
-        assert_eq!((stats.hits, stats.generated), (1, 0));
-    }
-
-    #[test]
-    fn different_params_use_distinct_corpus_entries() {
-        let tmp = TempCorpusDir::new("keyed");
-        let a = TraceCache::with_corpus(
-            Oo7Params::tiny(),
-            &[1],
-            Some(TraceCorpus::open(&tmp.0).unwrap()),
-        );
-        a.get(1);
-        // Same seed, different workload: must generate, not hit.
-        let mut params = Oo7Params::tiny();
-        params.num_atomic_per_comp += 1;
-        let b = TraceCache::with_corpus(params, &[1], Some(TraceCorpus::open(&tmp.0).unwrap()));
-        b.get(1);
-        let stats = b.corpus_stats().unwrap();
-        assert_eq!((stats.hits, stats.generated), (0, 1));
-    }
-
-    #[test]
-    fn unusable_corpus_dir_degrades_to_generation() {
-        let tmp = TempCorpusDir::new("unusable");
-        std::fs::create_dir_all(&tmp.0).unwrap();
-        let file = tmp.0.join("not-a-dir");
-        std::fs::write(&file, b"occupied").unwrap();
-        let out = tiny_plan().with_corpus(&file).run_with_jobs(Some(2));
-        assert!(out.corpus.is_none(), "corpus silently skipped");
-        assert!(out.is_complete(), "plan still ran without the corpus");
-    }
-
     #[test]
     fn worker_count_is_clamped_to_job_count() {
         let out = tiny_plan().run_with_jobs(Some(64));
@@ -877,32 +638,6 @@ mod tests {
             f.kind
         );
         assert!(f.to_string().contains("panicked"));
-    }
-
-    #[test]
-    fn fail_fast_stops_dispatch_after_first_failure() {
-        // Serial execution makes fail-fast deterministic: the poisoned
-        // job is the very first (cell 0, seed 1), so every later job must
-        // be skipped, not run.
-        let out = tiny_plan()
-            .on_failure(FailurePolicy::FailFast)
-            .inject_fault(FaultSpec {
-                cell_index: 0,
-                seed: 1,
-                kind: FaultKind::PoisonTrace,
-            })
-            .run_with_jobs(Some(1));
-        assert_eq!(out.failures.len(), 6, "1 failure + 5 skipped");
-        assert!(matches!(out.failures[0].kind, JobErrorKind::Sim(_)));
-        assert!(out.failures[1..]
-            .iter()
-            .all(|f| f.kind == JobErrorKind::Skipped));
-        let ok: usize = out
-            .cells
-            .iter()
-            .map(|c| c.outcome.successes().count())
-            .sum();
-        assert_eq!(ok, 0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * **per-phase accounting** — application I/O, GC I/O, overwrites,
 //!   collections, and the event-sampled garbage-percentage mean split by
 //!   OO7 phase ([`PhaseTelemetry`]);
-//! * **plan-level telemetry** — per-job wall times, cache/corpus tiers,
+//! * **plan-level telemetry** — per-job wall times, trace-cache counts,
 //!   the failure list, and worker-pool utilization ([`PlanTelemetry`]).
 //!
 //! Telemetry is strictly off the hot path: a plain
@@ -764,7 +764,7 @@ impl EngineObserver for RunTelemetry {
 // ---------------------------------------------------------------------
 
 /// Plan-level execution telemetry: what [`crate::runner`] did, job by
-/// job, plus the cache/corpus tiers and pool utilization.
+/// job, plus the trace-cache counts and pool utilization.
 #[derive(Debug, Clone)]
 pub struct PlanTelemetry {
     document: Json,
@@ -834,18 +834,6 @@ impl PlanTelemetry {
             ("hits".into(), Json::u64(outcome.cache.hits)),
             ("misses".into(), Json::u64(outcome.cache.misses)),
         ]);
-        let corpus = match &outcome.corpus {
-            Some(c) => Json::Obj(vec![
-                ("hits".into(), Json::u64(c.hits)),
-                ("misses".into(), Json::u64(c.misses)),
-                ("generated".into(), Json::u64(c.generated)),
-                (
-                    "wall_load_ms".into(),
-                    Json::u64(c.load_time.as_millis() as u64),
-                ),
-            ]),
-            None => Json::Null,
-        };
 
         let cpu = outcome.cpu_time();
         let utilization = if outcome.elapsed > Duration::ZERO && outcome.jobs > 0 {
@@ -879,7 +867,9 @@ impl PlanTelemetry {
             ("cells".into(), Json::Arr(cells)),
             ("failures".into(), Json::Arr(failures)),
             ("cache".into(), cache),
-            ("corpus".into(), corpus),
+            // Version-1 documents keep the key the retired on-disk trace
+            // cache once filled; traces now come only from `cache`.
+            ("corpus".into(), Json::Null),
             ("timing".into(), timing),
         ]);
         PlanTelemetry { document }

@@ -1,8 +1,9 @@
-//! A compact line-oriented text codec for traces.
+//! A line-oriented text rendering of traces.
 //!
-//! One event per line; phase names are declared up front. The format exists
-//! so traces can be written to disk, diffed, and replayed without pulling a
-//! serialization dependency into the workspace:
+//! One event per line; phase names are declared up front. This is an
+//! output form only — what `odbgc trace cat` prints and what a diff of
+//! two traces reads — and there is no parser for it: the one on-disk
+//! trace format is the `OTBF` tracefile of `odbgc-tracefile`.
 //!
 //! ```text
 //! odbgc-trace v1
@@ -19,31 +20,9 @@
 use std::fmt::Write as _;
 
 use crate::event::Event;
-use crate::ids::{ObjectId, PhaseId, SlotIdx};
 use crate::trace::Trace;
 
-/// Codec failure: a line that could not be parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "trace decode error at line {}: {}",
-            self.line, self.message
-        )
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Serializes a trace to the text format.
+/// Renders a trace in the text format.
 ///
 /// ```
 /// use odbgc_trace::{codec, TraceBuilder};
@@ -52,8 +31,7 @@ impl std::error::Error for DecodeError {}
 /// let a = b.create_unlinked(16, 0);
 /// b.root_add(a);
 /// let trace = b.finish();
-/// let text = codec::encode(&trace);
-/// assert_eq!(codec::decode(&text).unwrap(), trace);
+/// assert_eq!(codec::encode(&trace), "odbgc-trace v1\nc 0 16 0\nr+ 0\n");
 /// ```
 pub fn encode(trace: &Trace) -> String {
     let mut out = String::with_capacity(trace.len() * 12 + 64);
@@ -123,143 +101,14 @@ pub fn encode_event(out: &mut String, ev: &Event) {
     }
 }
 
-fn err(line: usize, message: impl Into<String>) -> DecodeError {
-    DecodeError {
-        line,
-        message: message.into(),
-    }
-}
-
-fn parse_obj(tok: &str, line: usize) -> Result<ObjectId, DecodeError> {
-    tok.parse::<u64>()
-        .map(ObjectId::new)
-        .map_err(|_| err(line, format!("bad object id {tok:?}")))
-}
-
-fn parse_opt_obj(tok: &str, line: usize) -> Result<Option<ObjectId>, DecodeError> {
-    if tok == "_" {
-        Ok(None)
-    } else {
-        parse_obj(tok, line).map(Some)
-    }
-}
-
-/// Parses the text format back into a trace.
-pub fn decode(text: &str) -> Result<Trace, DecodeError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| err(1, "empty input"))?;
-    if header.trim() != "odbgc-trace v1" {
-        return Err(err(1, format!("unrecognized header {header:?}")));
-    }
-
-    let mut events = Vec::new();
-    let mut phase_names: Vec<String> = Vec::new();
-
-    for (i, line) in lines {
-        let lineno = i + 1;
-        let line = match line.split('#').next() {
-            Some(l) => l.trim(),
-            None => "",
-        };
-        if line.is_empty() {
-            continue;
-        }
-        let mut toks = line.split_ascii_whitespace();
-        let tag = toks.next().expect("non-empty line has a token");
-        match tag {
-            "phases" => {
-                phase_names = toks.map(str::to_owned).collect();
-            }
-            "c" => {
-                let id = parse_obj(
-                    toks.next().ok_or_else(|| err(lineno, "missing id"))?,
-                    lineno,
-                )?;
-                let size: u32 = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(lineno, "missing/bad size"))?;
-                let n: usize = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(lineno, "missing/bad slot count"))?;
-                let mut slots = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let tok = toks
-                        .next()
-                        .ok_or_else(|| err(lineno, "too few slot tokens"))?;
-                    slots.push(parse_opt_obj(tok, lineno)?);
-                }
-                if toks.next().is_some() {
-                    return Err(err(lineno, "trailing tokens after create"));
-                }
-                events.push(Event::Create {
-                    id,
-                    size,
-                    slots: slots.into_boxed_slice(),
-                });
-            }
-            "a" => {
-                let id = parse_obj(
-                    toks.next().ok_or_else(|| err(lineno, "missing id"))?,
-                    lineno,
-                )?;
-                events.push(Event::Access { id });
-            }
-            "w" => {
-                let src = parse_obj(
-                    toks.next().ok_or_else(|| err(lineno, "missing src"))?,
-                    lineno,
-                )?;
-                let slot: u32 = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(lineno, "missing/bad slot"))?;
-                let new = parse_opt_obj(
-                    toks.next().ok_or_else(|| err(lineno, "missing target"))?,
-                    lineno,
-                )?;
-                events.push(Event::SlotWrite {
-                    src,
-                    slot: SlotIdx::new(slot),
-                    new,
-                });
-            }
-            "r+" => {
-                let id = parse_obj(
-                    toks.next().ok_or_else(|| err(lineno, "missing id"))?,
-                    lineno,
-                )?;
-                events.push(Event::RootAdd { id });
-            }
-            "r-" => {
-                let id = parse_obj(
-                    toks.next().ok_or_else(|| err(lineno, "missing id"))?,
-                    lineno,
-                )?;
-                events.push(Event::RootRemove { id });
-            }
-            "ph" => {
-                let id: u16 = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(lineno, "missing/bad phase id"))?;
-                events.push(Event::Phase {
-                    id: PhaseId::new(id),
-                });
-            }
-            other => return Err(err(lineno, format!("unknown event tag {other:?}"))),
-        }
-    }
-    Ok(Trace::from_parts(events, phase_names))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::SlotIdx;
     use crate::trace::TraceBuilder;
 
-    fn sample_trace() -> Trace {
+    #[test]
+    fn renders_every_event_kind_one_line_each() {
         let mut b = TraceBuilder::new();
         b.phase("GenDB");
         let a = b.create_unlinked(128, 3);
@@ -270,60 +119,34 @@ mod tests {
         b.slot_clear(c, SlotIdx::new(0));
         b.phase("Reorg1");
         b.root_remove(a);
-        b.finish()
-    }
-
-    #[test]
-    fn round_trip() {
-        let t = sample_trace();
-        let text = encode(&t);
-        let back = decode(&text).expect("decode");
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn round_trip_empty() {
-        let t = Trace::default();
-        let back = decode(&encode(&t)).expect("decode");
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn comments_and_blank_lines_ignored() {
-        let text = "odbgc-trace v1\n\n# a comment\na 5   # trailing comment\n";
-        let t = decode(text).expect("decode");
-        assert_eq!(t.len(), 1);
         assert_eq!(
-            t.events()[0],
-            Event::Access {
-                id: ObjectId::new(5)
-            }
+            encode(&b.finish()),
+            "odbgc-trace v1\n\
+             phases GenDB Reorg1\n\
+             ph 0\n\
+             c 0 128 3 _ _ _\n\
+             c 1 64 2 0 _\n\
+             r+ 0\n\
+             a 1\n\
+             w 1 1 0\n\
+             w 1 0 _\n\
+             ph 1\n\
+             r- 0\n"
         );
     }
 
     #[test]
-    fn bad_header_rejected() {
-        assert!(decode("nope\n").is_err());
-        assert!(decode("").is_err());
-    }
-
-    #[test]
-    fn bad_lines_report_line_numbers() {
-        let text = "odbgc-trace v1\na 1\nz 9\n";
-        let e = decode(text).unwrap_err();
-        assert_eq!(e.line, 3);
-        assert!(e.to_string().contains("line 3"));
-    }
-
-    #[test]
-    fn truncated_create_rejected() {
-        let text = "odbgc-trace v1\nc 0 10 3 _ _\n";
-        assert!(decode(text).is_err());
-    }
-
-    #[test]
-    fn trailing_tokens_rejected() {
-        let text = "odbgc-trace v1\nc 0 10 1 _ 5\n";
-        assert!(decode(text).is_err());
+    fn streamed_header_and_events_equal_the_whole_rendering() {
+        let mut b = TraceBuilder::new();
+        b.phase("Traverse");
+        let a = b.create_unlinked(8, 1);
+        b.access(a);
+        let trace = b.finish();
+        let mut streamed = encode_header(trace.phase_names());
+        for ev in trace.iter() {
+            encode_event(&mut streamed, ev);
+        }
+        assert_eq!(streamed, encode(&trace));
+        assert_eq!(encode(&Trace::default()), "odbgc-trace v1\n");
     }
 }

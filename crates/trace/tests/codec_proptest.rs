@@ -1,67 +1,11 @@
-//! Property tests: the text codec is a lossless round-trip for any trace.
+//! Property tests for the synthetic workloads and the text rendering.
 
 use proptest::prelude::*;
 
-use odbgc_trace::codec::{decode, encode};
+use odbgc_trace::codec::encode;
 use odbgc_trace::synthetic::{churn, ChurnConfig};
-use odbgc_trace::{Event, ObjectId, PhaseId, SlotIdx, Trace};
-
-/// Strategy for an arbitrary (not necessarily semantically valid) event.
-/// The codec must round-trip anything the type can represent.
-fn arb_event() -> impl Strategy<Value = Event> {
-    let obj = (0u64..1000).prop_map(ObjectId::new);
-    let opt_obj = proptest::option::of((0u64..1000).prop_map(ObjectId::new));
-    prop_oneof![
-        (
-            obj.clone(),
-            1u32..10_000,
-            proptest::collection::vec(opt_obj.clone(), 0..8)
-        )
-            .prop_map(|(id, size, slots)| Event::Create {
-                id,
-                size,
-                slots: slots.into_boxed_slice(),
-            }),
-        obj.clone().prop_map(|id| Event::Access { id }),
-        (obj.clone(), 0u32..8, opt_obj).prop_map(|(src, slot, new)| Event::SlotWrite {
-            src,
-            slot: SlotIdx::new(slot),
-            new,
-        }),
-        obj.clone().prop_map(|id| Event::RootAdd { id }),
-        obj.prop_map(|id| Event::RootRemove { id }),
-        (0u16..4).prop_map(|id| Event::Phase {
-            id: PhaseId::new(id)
-        }),
-    ]
-}
 
 proptest! {
-    #[test]
-    fn arbitrary_traces_round_trip(events in proptest::collection::vec(arb_event(), 0..200)) {
-        let n_phases = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Phase { id } => Some(id.index() + 1),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let phase_names: Vec<String> = (0..n_phases).map(|i| format!("phase{i}")).collect();
-        let trace = Trace::from_parts(events, phase_names);
-        let text = encode(&trace);
-        let back = decode(&text).expect("decode");
-        prop_assert_eq!(trace, back);
-    }
-
-    #[test]
-    fn churn_traces_round_trip(seed in any::<u64>(), steps in 1usize..300) {
-        let cfg = ChurnConfig { steps, ..ChurnConfig::default() };
-        let trace = churn(&cfg, seed);
-        let back = decode(&encode(&trace)).expect("decode");
-        prop_assert_eq!(trace, back);
-    }
-
     #[test]
     fn churn_is_deterministic(seed in any::<u64>()) {
         let cfg = ChurnConfig::default();

@@ -1,9 +1,9 @@
 //! Typed decode failures.
 //!
-//! Corruption is a fact of life for an on-disk corpus shared between
-//! processes; every way a tracefile can be unusable has its own variant
-//! so callers (and tests) can tell a foreign file from a truncated one
-//! from a bit flip — and none of them panics.
+//! Tracefiles live on real disks and arrive from other processes; every
+//! way one can be unusable has its own variant so callers (and tests)
+//! can tell a foreign file from a truncated one from a bit flip — and
+//! none of them panics.
 
 use std::fmt;
 

@@ -1,10 +1,11 @@
-//! On-disk binary trace corpus: compact tracefile format, batched
-//! block-at-a-time reading, and a persistent cross-process trace cache.
+//! The one on-disk trace format: the `OTBF` binary tracefile, its
+//! streaming writer, and its batched block-at-a-time reader.
 //!
-//! The text codec in `odbgc-trace` is the diffable, human-readable
-//! interchange form; this crate is the *storage* form. A tracefile is a
-//! versioned binary container designed for three properties the text
-//! format cannot give:
+//! A trace reaches a replay one of two ways — generated in process by
+//! `odbgc-oo7`, or read from a tracefile through this crate. There is
+//! no other file format and no parser for the text rendering in
+//! `odbgc_trace::codec`, which is output only. A tracefile is a
+//! versioned binary container with three properties:
 //!
 //! * **Compactness.** Events are varint/delta-encoded against the
 //!   previously seen object id, so the dense, locality-heavy id streams
@@ -15,9 +16,9 @@
 //!   the reader's heap use is the encoded file image plus one decoded
 //!   block (~32 KiB of payload), not O(decoded trace).
 //! * **Verifiability.** Every block is length-prefixed and CRC32-
-//!   checksummed; truncation, bit flips, foreign files, and
-//!   future-version files are all detected and reported as distinct
-//!   typed [`DecodeError`]s, never panics.
+//!   checksummed; truncation, bit flips, foreign files (a text trace
+//!   included), and future-version files are all detected and reported
+//!   as distinct typed [`DecodeError`]s, never panics.
 //!
 //! ## Wire format (version 1)
 //!
@@ -41,24 +42,17 @@
 //! the wrapping difference from the previously encoded id; the delta
 //! state resets at each block boundary so blocks decode independently.
 //! See [`writer`] for the per-event layouts.
-//!
-//! On top of the format, [`TraceCorpus`] is a directory of tracefiles
-//! keyed by (workload, seed) with atomic temp-file + rename fills: a
-//! persistent, cross-process second cache tier behind the in-memory
-//! per-plan trace cache.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod batch;
-pub mod corpus;
 pub mod crc32;
 pub mod error;
 pub mod varint;
 pub mod writer;
 
 pub use batch::{BatchReader, SliceBlocks};
-pub use corpus::{CorpusKey, CorpusStats, TraceCorpus};
 pub use error::DecodeError;
 pub use writer::{write_trace, TraceWriter};
 
@@ -85,12 +79,6 @@ pub(crate) const BLOCK_TARGET_BYTES: usize = 32 * 1024;
 /// Upper bound on a declared block length; a corrupted length field must
 /// not provoke an absurd allocation.
 pub(crate) const MAX_BLOCK_LEN: u32 = 16 * 1024 * 1024;
-
-/// True when `prefix` starts with the tracefile magic — used to sniff
-/// binary vs. text trace files.
-pub fn is_binary(prefix: &[u8]) -> bool {
-    prefix.len() >= MAGIC.len() && prefix[..MAGIC.len()] == MAGIC
-}
 
 /// Encodes a whole trace to an in-memory tracefile.
 pub fn encode(trace: &Trace) -> Vec<u8> {
@@ -139,7 +127,7 @@ mod tests {
     fn round_trip() {
         let t = sample_trace();
         let bytes = encode(&t);
-        assert!(is_binary(&bytes));
+        assert_eq!(bytes[..4], MAGIC);
         assert_eq!(decode(&bytes).expect("decode"), t);
     }
 
@@ -151,9 +139,13 @@ mod tests {
 
     #[test]
     fn text_is_not_binary() {
-        assert!(!is_binary(b"odbgc-trace v1\n"));
-        assert!(!is_binary(b""));
-        assert!(!is_binary(b"OTB"));
+        let text = odbgc_trace::codec::encode(&sample_trace());
+        assert!(
+            matches!(decode(text.as_bytes()), Err(DecodeError::BadMagic { found }) if &found == b"odbg"),
+            "a text trace is a foreign file"
+        );
+        assert!(matches!(decode(b""), Err(DecodeError::Truncated { .. })));
+        assert!(matches!(decode(b"OTB"), Err(DecodeError::Truncated { .. })));
     }
 
     fn temp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {

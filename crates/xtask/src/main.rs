@@ -1,12 +1,12 @@
 //! Repository automation tasks (`cargo run -p xtask -- <task>`).
 //!
-//! `bench-compare` runs the criterion micro-benchmark suite, compares
-//! each benchmark's median against the checked-in machine-local baseline
-//! in `reports/bench_summary.txt`, writes the comparison to
-//! `BENCH_10.json`, and rewrites the baseline with the fresh numbers.
-//! No dependencies: the criterion shim's output format is fixed
-//! (`{name} time: [{lo} {med} {hi}] ...`), so a hand-rolled parser is
-//! enough.
+//! `bench-compare` runs the criterion micro-benchmark suite, prints each
+//! benchmark's median beside the checked-in machine-local baseline in
+//! `reports/bench_summary.txt`, and rewrites the baseline with the fresh
+//! numbers. The `BENCH_N.json` files at the repository root are frozen
+//! history; nothing here writes them. No dependencies: the criterion
+//! shim's output format is fixed (`{name} time: [{lo} {med} {hi}] ...`),
+//! so a hand-rolled parser is enough.
 //!
 //! `bench-compare --check` is the CI ratchet: it runs the same suite and
 //! comparison but *never rewrites the baseline*, and exits nonzero when
@@ -131,7 +131,6 @@ fn find_regressions(
 fn bench_compare(opts: CheckOptions) {
     let root = repo_root();
     let summary_path = root.join("reports/bench_summary.txt");
-    let json_path = root.join("BENCH_10.json");
 
     let old = std::fs::read_to_string(&summary_path)
         .map(|s| parse_samples(&s))
@@ -164,12 +163,11 @@ fn bench_compare(opts: CheckOptions) {
     }
 
     // Comparison table on stdout.
-    let mut json = String::from("[\n");
     println!(
         "{:<40} {:>12} {:>12} {:>8}",
         "benchmark", "old median", "new median", "speedup"
     );
-    for (i, s) in new.iter().enumerate() {
+    for s in &new {
         let old_med = old.iter().find(|o| o.name == s.name).map(|o| o.med_ns);
         let speedup = old_med.map(|o| o / s.med_ns);
         println!(
@@ -179,17 +177,7 @@ fn bench_compare(opts: CheckOptions) {
             fmt_time(s.med_ns),
             speedup.map_or_else(|| "-".into(), |x| format!("{x:.2}x")),
         );
-        let _ = writeln!(
-            json,
-            "  {{\"name\": \"{}\", \"old_median_ns\": {}, \"new_median_ns\": {:.1}, \"speedup\": {}}}{}",
-            s.name,
-            old_med.map_or_else(|| "null".into(), |o| format!("{o:.1}")),
-            s.med_ns,
-            speedup.map_or_else(|| "null".into(), |x| format!("{x:.4}")),
-            if i + 1 == new.len() { "" } else { "," },
-        );
     }
-    json.push_str("]\n");
 
     if opts.check {
         // Ratchet mode: judge, never rewrite.
@@ -219,9 +207,7 @@ fn bench_compare(opts: CheckOptions) {
         std::process::exit(1);
     }
 
-    // Baseline-refresh mode: machine-readable copy plus a new baseline.
-    std::fs::write(&json_path, json).expect("write BENCH_10.json");
-
+    // Baseline-refresh mode: the fresh numbers become the baseline.
     let mut summary = String::from(
         "Criterion micro-benchmark summary (lower/median/upper)\n\
          machine-local baseline, regenerate with: cargo run -p xtask -- bench-compare\n",
@@ -237,11 +223,7 @@ fn bench_compare(opts: CheckOptions) {
         );
     }
     std::fs::write(&summary_path, summary).expect("write bench_summary.txt");
-    eprintln!(
-        "wrote {} and {}",
-        json_path.display(),
-        summary_path.display()
-    );
+    eprintln!("wrote {}", summary_path.display());
 }
 
 fn repo_root() -> PathBuf {

@@ -3,7 +3,6 @@
 
 use odbgc_sim::core_policies::{EstimatorKind, PolicySpec, SagaConfig, SagaPolicy, SaioPolicy};
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::trace::codec;
 use odbgc_sim::{ExperimentPlan, SimConfig, Simulator};
 
 #[test]
@@ -18,8 +17,8 @@ fn trace_generation_is_a_pure_function_of_seed() {
 #[test]
 fn full_trace_survives_codec_round_trip() {
     let trace = Oo7App::standard(Oo7Params::small_prime(3), 1).generate().0;
-    let text = codec::encode(&trace);
-    let back = codec::decode(&text).expect("decode");
+    let bytes = odbgc_tracefile::encode(&trace);
+    let back = odbgc_tracefile::decode(&bytes).expect("decode");
     assert_eq!(trace, back);
     // And the decoded trace simulates identically.
     let run = |t| {

@@ -9,8 +9,7 @@
 use odbgc_sim::core_policies::PolicySpec;
 use odbgc_sim::oo7::Oo7Params;
 use odbgc_sim::{
-    ExperimentPlan, FailurePolicy, FaultKind, FaultSpec, JobError, JobErrorKind, PlanOutcome,
-    SimConfig,
+    ExperimentPlan, FaultKind, FaultSpec, JobError, JobErrorKind, PlanOutcome, SimConfig,
 };
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -122,33 +121,4 @@ fn mid_plan_panic_is_reported_not_fatal() {
         .map(|c| c.outcome.successes().count())
         .sum();
     assert_eq!(ok, 5);
-}
-
-#[test]
-fn fail_fast_skips_jobs_after_the_first_failure() {
-    let out = ExperimentPlan::new(Oo7Params::small_prime(2), &SEEDS, SimConfig::default())
-        .cell(5.0, PolicySpec::saio(0.05))
-        .cell(10.0, PolicySpec::saio(0.10))
-        .inject_fault(FaultSpec {
-            cell_index: 0,
-            seed: 1,
-            kind: FaultKind::PoisonTrace,
-        })
-        .on_failure(FailurePolicy::FailFast)
-        .run_with_jobs(Some(1));
-    // With one worker the very first job fails, so everything later is
-    // skipped rather than run.
-    assert!(out.failures.len() >= 2, "real failure plus skipped jobs");
-    assert!(matches!(out.failures[0].kind, JobErrorKind::Sim(_)));
-    assert!(out
-        .failures
-        .iter()
-        .skip(1)
-        .all(|f| matches!(f.kind, JobErrorKind::Skipped)));
-    let ok: usize = out
-        .cells
-        .iter()
-        .map(|c| c.outcome.successes().count())
-        .sum();
-    assert_eq!(ok, 0);
 }

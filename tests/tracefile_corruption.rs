@@ -1,11 +1,11 @@
 //! Corruption robustness: every way a tracefile can be damaged produces
 //! a *distinct, typed* `DecodeError` — and none of them panics.
 //!
-//! The corpus is shared between processes and lives on real disks, so
-//! these are not hypothetical inputs: truncation is what a crashed
-//! writer leaves behind, bit flips are what bad storage serves, bad
-//! magic is what pointing `--trace` at the wrong file does, and a
-//! future version is what an old binary sees after an upgrade.
+//! Tracefiles live on real disks and move between processes, so these
+//! are not hypothetical inputs: truncation is what a crashed writer
+//! leaves behind, bit flips are what bad storage serves, bad magic is
+//! what pointing `--trace` at the wrong file (a text trace, say) does,
+//! and a future version is what an old binary sees after an upgrade.
 
 use odbgc_trace::{SlotIdx, Trace, TraceBuilder};
 use odbgc_tracefile::{crc32::crc32, BatchReader, DecodeError, SliceBlocks, FORMAT_VERSION, MAGIC};
@@ -239,7 +239,7 @@ fn small_oo7_tracefile_survives_damage_too() {
 }
 
 #[test]
-fn mmap_reader_diagnoses_damage_identically_to_memory() {
+fn file_reader_diagnoses_damage_identically_to_memory() {
     // The in-memory slice assertions above cover the decode logic; this
     // covers real files: damaged variants written to disk and opened
     // through `open_batches` must produce the very same typed errors as

@@ -1,11 +1,11 @@
 //! Property tests: the binary tracefile format is a lossless round-trip
-//! for any trace the type system can represent, and it agrees with the
-//! text codec — both decode back to the same `Trace`.
+//! for any trace the type system can represent, whole-file or block by
+//! block, in memory or on disk.
 
 use proptest::prelude::*;
 
 use odbgc_trace::synthetic::{churn, ChurnConfig};
-use odbgc_trace::{codec, Event, ObjectId, PhaseId, SlotIdx, Trace};
+use odbgc_trace::{Event, ObjectId, PhaseId, SlotIdx, Trace};
 use odbgc_tracefile::{decode, encode, BatchReader, SliceBlocks};
 
 /// Strategy for an arbitrary (not necessarily semantically valid) event,
@@ -63,17 +63,6 @@ proptest! {
     }
 
     #[test]
-    fn binary_and_text_codecs_agree(
-        events in proptest::collection::vec(arb_event(), 0..200)
-    ) {
-        let trace = trace_from(events);
-        let via_binary = decode(&encode(&trace)).expect("binary decode");
-        let via_text = codec::decode(&codec::encode(&trace)).expect("text decode");
-        prop_assert_eq!(&via_binary, &via_text);
-        prop_assert_eq!(via_binary, trace);
-    }
-
-    #[test]
     fn streaming_reader_agrees_with_whole_file_decode(
         events in proptest::collection::vec(arb_event(), 0..300)
     ) {
@@ -112,17 +101,16 @@ proptest! {
 }
 
 #[test]
-fn small_oo7_trace_round_trips_and_agrees_with_text() {
+fn small_oo7_trace_round_trips() {
     for seed in [1, 2, 7] {
         let (trace, _) = odbgc_oo7::Oo7App::standard(odbgc_oo7::Oo7Params::tiny(), seed).generate();
         let bytes = encode(&trace);
         assert_eq!(decode(&bytes).unwrap(), trace);
-        assert_eq!(codec::decode(&codec::encode(&trace)).unwrap(), trace);
     }
 }
 
 #[test]
-fn mmap_backed_file_round_trips() {
+fn file_on_disk_round_trips() {
     let dir = std::env::temp_dir().join(format!("odbgc-tracefile-file-rt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.otb");

@@ -19,14 +19,7 @@ fn params_named(name: &str) -> Option<Oo7Params> {
     match name {
         "small-prime" => Some(Oo7Params::small_prime(3)),
         "small" => Some(Oo7Params::small(9)),
-        "medium" => Some(Oo7Params {
-            num_atomic_per_comp: 200,
-            num_comp_per_module: 500,
-            num_assm_levels: 7,
-            document_size: 20_000,
-            manual_size: 1 << 20,
-            ..Oo7Params::small_prime(3)
-        }),
+        "medium" => Some(Oo7Params::medium(3)),
         _ => None,
     }
 }

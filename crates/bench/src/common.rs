@@ -108,20 +108,6 @@ pub fn saga_sweep_seeded(
         .collect()
 }
 
-/// Runs one policy spec across the scale's seeds and returns the
-/// successful runs (failed seeds are skipped, not fatal).
-pub fn runs_for_spec(scale: Scale, connectivity: u32, spec: PolicySpec) -> Vec<RunResult> {
-    let plan = sweep_plan(scale, connectivity, &scale.seeds(), [(0.0, spec)]);
-    let mut out = plan.run();
-    out.cells
-        .remove(0)
-        .outcome
-        .runs
-        .into_iter()
-        .filter_map(Result::ok)
-        .collect()
-}
-
 /// The requested-percentage grids used across figures.
 pub mod grids {
     /// Fixed rates for Figure 1 (pointer overwrites per collection).
@@ -155,8 +141,9 @@ mod tests {
 
     #[test]
     fn adaptive_preamble_recovers_short_runs() {
-        let runs = runs_for_spec(Scale::Test, 2, PolicySpec::fixed(30));
-        for r in &runs {
+        let scale = Scale::Test;
+        let plan = sweep_plan(scale, 2, &scale.seeds(), [(0.0, PolicySpec::fixed(30))]);
+        for r in plan.run().cells[0].outcome.runs.iter().flatten() {
             if r.collection_count() >= 2 {
                 assert!(adaptive_gc_io_pct(r, 10).is_some());
             }

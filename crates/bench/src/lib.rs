@@ -1,18 +1,19 @@
 //! Figure/table regeneration harness.
 //!
-//! One module (and one binary) per table or figure of the paper's
-//! evaluation, plus the §2.1 strawman, ablation studies, and the §5
-//! extension demos. Every experiment is a pure function from a
-//! [`Scale`] to a printable report, so the binaries stay one-liners and
-//! the test suite can smoke-run everything at reduced scale.
+//! One module per table or figure of the paper's evaluation, plus the
+//! §2.1 strawman, ablation studies, and the §5 extension demos. Every
+//! experiment is a pure function from a [`Scale`] to a printable report,
+//! so one `figures` binary prints any of them by name (the
+//! [`experiments::FIGURES`] table) and the test suite can smoke-run
+//! everything at reduced scale.
 //!
-//! Binaries (run with `cargo run --release -p odbgc-bench --bin <name>`):
+//! Run with `cargo run --release -p odbgc-bench --bin figures -- <name>...`:
 //!
-//! | Binary      | Reproduces                                               |
+//! | Name        | Reproduces                                               |
 //! |-------------|----------------------------------------------------------|
-//! | `fig1`      | Figure 1: fixed collection rate vs I/O and garbage        |
-//! | `fig2`      | Figure 2: application phases (event census)               |
 //! | `table1`    | Table 1 + Figure 3: database parameters & structure       |
+//! | `fig2`      | Figure 2: application phases (event census)               |
+//! | `fig1`      | Figure 1: fixed collection rate vs I/O and garbage        |
 //! | `strawman`  | §2.1: the connectivity heuristic's failure                |
 //! | `motivation`| §2: overwrite vs allocation triggering                    |
 //! | `fig4`      | Figure 4: SAIO accuracy vs requested I/O percentage       |
@@ -24,10 +25,13 @@
 //! | `ablation`  | Partition selection, overwrite semantics, buffer size     |
 //! | `mixed`     | §1: two interleaved applications, one adaptive policy     |
 //! | `extensions`| §5 future work: opportunistic + coupled policies          |
-//! | `all`       | Everything above, in order                                |
+//! | `all`       | Everything above, in this (paper) order                   |
 //!
 //! Scale is controlled by `ODBGC_SCALE` (`full` = paper protocol with 10
-//! seeds, `quick` = 3 seeds, `test` = miniature database).
+//! seeds, `quick` = 3 seeds, `test` = miniature database) and the
+//! worker count by `ODBGC_JOBS` (default: all available cores). The
+//! `profile_replay` binary is separate: it times `Store::apply` by store
+//! variant and event kind.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,34 +41,3 @@ pub mod experiments;
 pub mod scale;
 
 pub use scale::Scale;
-
-/// Parses the shared binary flags and returns the scale.
-///
-/// Supported: `--jobs N` / `--jobs=N` — worker threads for experiment
-/// plans, exported as `ODBGC_JOBS` so every plan in the process sees it
-/// (default: all available cores). Scale still comes from `ODBGC_SCALE`.
-/// Unknown flags abort with a usage message.
-pub fn scale_from_args() -> Scale {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let jobs = if arg == "--jobs" {
-            args.next()
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            Some(v.to_string())
-        } else {
-            eprintln!(
-                "usage: {} [--jobs N]",
-                std::env::args().next().unwrap_or_default()
-            );
-            std::process::exit(2);
-        };
-        match jobs.as_deref().map(str::parse::<usize>) {
-            Some(Ok(n)) if n >= 1 => std::env::set_var("ODBGC_JOBS", n.to_string()),
-            _ => {
-                eprintln!("--jobs needs a positive integer");
-                std::process::exit(2);
-            }
-        }
-    }
-    Scale::from_env()
-}

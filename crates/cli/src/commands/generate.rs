@@ -49,7 +49,7 @@ mod tests {
         )))
         .unwrap();
         assert!(out.contains("events"));
-        let trace = crate::commands::load_trace(path.to_str().unwrap()).unwrap();
+        let trace = odbgc_tracefile::decode(&std::fs::read(&path).unwrap()).unwrap();
         assert!(trace.len() > 100);
         std::fs::remove_dir_all(&dir).ok();
     }

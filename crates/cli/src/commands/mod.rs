@@ -2,7 +2,6 @@
 
 pub mod client;
 pub mod generate;
-pub mod info;
 pub mod run;
 pub mod serve;
 pub mod serve_bench;
@@ -10,7 +9,6 @@ pub mod sweep;
 pub mod telemetry;
 pub mod trace;
 
-use odbgc_trace::Trace;
 use odbgc_tracefile::{DecodeError, FileBatches};
 
 use crate::CliError;
@@ -23,11 +21,4 @@ pub fn open_tracefile(path: &str) -> Result<FileBatches, CliError> {
         DecodeError::Io(e) => CliError(format!("cannot read {path:?}: {e}")),
         e => CliError(format!("{path}: {e}")),
     })
-}
-
-/// Loads a whole tracefile from disk.
-pub fn load_trace(path: &str) -> Result<Trace, CliError> {
-    open_tracefile(path)?
-        .read_to_trace()
-        .map_err(|e| CliError(format!("{path}: {e}")))
 }

@@ -27,18 +27,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     flags.finish()?;
 
     let mut config = SimConfig {
+        store: spec::store_config(store_geometry.as_deref(), "paper")?,
         preamble_collections: preamble,
         ..SimConfig::default()
     };
-    match store_geometry.as_deref() {
-        None | Some("paper") => {}
-        Some("tiny") => config.store = odbgc_sim::store::StoreConfig::tiny(),
-        Some(other) => {
-            return Err(CliError(format!(
-                "unknown store geometry {other:?} (paper | tiny)"
-            )))
-        }
-    }
     if let Some(sel) = selector {
         config.selector = spec::parse_selector(&sel)?;
         config.selector_seed = seed;

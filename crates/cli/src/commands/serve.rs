@@ -8,8 +8,9 @@
 //! port; stdout carries the end-of-run report only.
 
 use odbgc_net::{NetConfig, NetServer};
-use odbgc_sim::{Json, RunTelemetry, SimConfig};
+use odbgc_sim::{Json, SimConfig};
 
+use super::serve_bench::{push_shard_report, write_shard_telemetry};
 use crate::flags::Flags;
 use crate::spec;
 use crate::CliError;
@@ -37,16 +38,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // Validate the spec once up front so a bad spec fails before bind.
     spec::build_policy(&policy_spec)?;
 
-    let mut engine_config = SimConfig::default();
-    match store_geometry.as_deref() {
-        None | Some("tiny") => engine_config.store = odbgc_sim::store::StoreConfig::tiny(),
-        Some("paper") => {}
-        Some(other) => {
-            return Err(CliError(format!(
-                "unknown store geometry {other:?} (paper | tiny)"
-            )))
-        }
-    }
+    let engine_config = SimConfig {
+        store: spec::store_config(store_geometry.as_deref(), "tiny")?,
+        ..SimConfig::default()
+    };
 
     let config = NetConfig {
         engine: engine_config,
@@ -74,28 +69,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "serve: drained after {} client connection(s) on {shards} shard(s), policy {policy_spec}",
         outcome.clients.len()
     );
-    for (i, shard) in outcome.shards.iter().enumerate() {
-        out.push_str(&format!(
-            "\nshard {i}: policy {}\n\
-             \x20 events applied:   {}\n\
-             \x20 collections:      {}\n\
-             \x20 decisions logged: {}\n\
-             \x20 app I/O:          {} pages\n\
-             \x20 GC I/O:           {} pages ({:.2}% of total)\n\
-             \x20 garbage left:     {:.1} KiB",
-            shard.policy,
-            shard.result.events_replayed,
-            shard.result.collection_count(),
-            shard.decisions.len(),
-            shard.result.app_io_total,
-            shard.result.gc_io_total,
-            shard.result.gc_io_pct_whole_run(),
-            shard.result.final_garbage_bytes as f64 / 1024.0,
-        ));
-        if let Some(failed) = &shard.failed {
-            out.push_str(&format!("\n\x20 FAILED:           {failed}"));
-        }
-    }
+    push_shard_report(&mut out, &outcome.shards);
     for (i, l) in outcome.loops.iter().enumerate() {
         // Loop counters are pure scheduling artifacts: volatile by
         // construction, reported for operators, never compared.
@@ -136,23 +110,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 
     if let Some(path) = &telemetry_path {
-        for (i, shard) in outcome.shards.iter().enumerate() {
-            let mut doc =
-                RunTelemetry::from_decisions(shard.policy.clone(), shard.decisions.clone())
-                    .to_json();
-            // Per-client counters ride along under a `net_` key, which
-            // strip_volatile drops — the deterministic body stays
-            // byte-comparable with in-process serve telemetry.
-            if let Json::Obj(fields) = &mut doc {
-                fields.push(("net_clients".to_owned(), clients_json(&outcome.clients)));
-                fields.push(("net_loops".to_owned(), loops_json(&outcome.loops)));
-            }
-            let shard_path =
-                super::serve_bench::shard_telemetry_path(path, i, outcome.shards.len());
-            std::fs::write(&shard_path, doc.to_string_pretty())
-                .map_err(|e| CliError(format!("cannot write {shard_path:?}: {e}")))?;
-            out.push_str(&format!("\nshard {i} telemetry written to {shard_path}"));
-        }
+        // Per-client and per-loop counters ride along under `net_` keys,
+        // which strip_volatile drops — the deterministic body stays
+        // byte-comparable with in-process serve telemetry.
+        let extra = [
+            ("net_clients".to_owned(), clients_json(&outcome.clients)),
+            ("net_loops".to_owned(), loops_json(&outcome.loops)),
+        ];
+        write_shard_telemetry(&mut out, path, &outcome.shards, &extra)?;
     }
     Ok(out)
 }

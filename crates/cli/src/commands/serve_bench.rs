@@ -2,8 +2,8 @@
 //! mode: N sessions submit live operations against sharded engines that
 //! collect between turns, under a seeded deterministic scheduler.
 
-use odbgc_sim::engine::{serve, ServeConfig, WorkloadParams};
-use odbgc_sim::{RunTelemetry, SimConfig};
+use odbgc_sim::engine::{serve, ServeConfig, ShardOutcome, WorkloadParams};
+use odbgc_sim::{Json, RunTelemetry, SimConfig};
 
 use crate::flags::Flags;
 use crate::spec;
@@ -37,16 +37,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // threads spin up.
     spec::build_policy(&policy_spec)?;
 
-    let mut engine_config = SimConfig::default();
-    match store_geometry.as_deref() {
-        None | Some("tiny") => engine_config.store = odbgc_sim::store::StoreConfig::tiny(),
-        Some("paper") => {}
-        Some(other) => {
-            return Err(CliError(format!(
-                "unknown store geometry {other:?} (paper | tiny)"
-            )))
-        }
-    }
+    let engine_config = SimConfig {
+        store: spec::store_config(store_geometry.as_deref(), "tiny")?,
+        ..SimConfig::default()
+    };
 
     let config = ServeConfig {
         engine: engine_config,
@@ -79,7 +73,18 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             .collect::<Vec<_>>()
             .join(", "),
     );
-    for (i, shard) in outcome.shards.iter().enumerate() {
+    push_shard_report(&mut out, &outcome.shards);
+    if let Some(path) = &telemetry_path {
+        write_shard_telemetry(&mut out, path, &outcome.shards, &[])?;
+    }
+    Ok(out)
+}
+
+/// Appends each shard's block of a serve report to `out`: policy,
+/// events, collections, decisions, the I/O split, the garbage left, and
+/// why the shard failed if it did. Shared with `odbgc serve`.
+pub(crate) fn push_shard_report(out: &mut String, shards: &[ShardOutcome]) {
+    for (i, shard) in shards.iter().enumerate() {
         out.push_str(&format!(
             "\nshard {i}: policy {}\n\
              \x20 events applied:   {}\n\
@@ -97,26 +102,38 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             shard.result.gc_io_pct_whole_run(),
             shard.result.final_garbage_bytes as f64 / 1024.0,
         ));
-    }
-
-    if let Some(path) = &telemetry_path {
-        for (i, shard) in outcome.shards.iter().enumerate() {
-            let doc = RunTelemetry::from_decisions(shard.policy.clone(), shard.decisions.clone())
-                .to_json()
-                .to_string_pretty();
-            let shard_path = shard_telemetry_path(path, i, outcome.shards.len());
-            std::fs::write(&shard_path, doc)
-                .map_err(|e| CliError(format!("cannot write {shard_path:?}: {e}")))?;
-            out.push_str(&format!("\nshard {i} telemetry written to {shard_path}"));
+        if let Some(failed) = &shard.failed {
+            out.push_str(&format!("\n\x20 FAILED:           {failed}"));
         }
     }
-    Ok(out)
+}
+
+/// Writes one run document per shard, built from its live decision log
+/// with `extra` fields appended, and notes each file in `out`. Shared
+/// with `odbgc serve`, whose extras are its volatile `net_` counters.
+pub(crate) fn write_shard_telemetry(
+    out: &mut String,
+    path: &str,
+    shards: &[ShardOutcome],
+    extra: &[(String, Json)],
+) -> Result<(), CliError> {
+    for (i, shard) in shards.iter().enumerate() {
+        let mut doc =
+            RunTelemetry::from_decisions(shard.policy.clone(), shard.decisions.clone()).to_json();
+        if let Json::Obj(fields) = &mut doc {
+            fields.extend_from_slice(extra);
+        }
+        let shard_path = shard_telemetry_path(path, i, shards.len());
+        std::fs::write(&shard_path, doc.to_string_pretty())
+            .map_err(|e| CliError(format!("cannot write {shard_path:?}: {e}")))?;
+        out.push_str(&format!("\nshard {i} telemetry written to {shard_path}"));
+    }
+    Ok(())
 }
 
 /// The telemetry file of one shard: the given path verbatim for a
-/// single-shard run, otherwise `name-shardN[.ext]`. Shared with
-/// `odbgc serve`, which writes the same per-shard documents.
-pub(crate) fn shard_telemetry_path(path: &str, shard: usize, shard_count: usize) -> String {
+/// single-shard run, otherwise `name-shardN[.ext]`.
+fn shard_telemetry_path(path: &str, shard: usize, shard_count: usize) -> String {
     if shard_count == 1 {
         return path.to_owned();
     }

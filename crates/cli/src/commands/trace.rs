@@ -1,13 +1,13 @@
-//! `odbgc trace` — tracefile utilities: stat, verify, cat.
+//! `odbgc trace` — tracefile utilities: stat and cat.
 //!
-//! All three subcommands process tracefiles block by block: none of them
-//! holds more than one file image plus one decoded block (and a reusable
-//! text buffer) on the heap, never a whole decoded trace. Copying a
-//! tracefile is `cp`; rendering one as text is `cat`.
+//! Both subcommands process tracefiles block by block: neither holds
+//! more than one file image plus one decoded block (and a reusable text
+//! buffer) on the heap, never a whole decoded trace. Copying a tracefile
+//! is `cp`; rendering one as text is `cat`.
 
 use std::io::BufWriter;
 
-use odbgc_trace::{codec, Event};
+use odbgc_trace::{codec, EventKind, TraceStats};
 use odbgc_tracefile::FileBatches;
 
 use crate::commands::open_tracefile;
@@ -17,34 +17,22 @@ use crate::CliError;
 /// Dispatches `odbgc trace <subcommand>`.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((sub, rest)) = args.split_first() else {
-        return Err(CliError(
-            "trace wants a subcommand: stat, verify, or cat".into(),
-        ));
+        return Err(CliError("trace wants a subcommand: stat or cat".into()));
     };
     match sub.as_str() {
         "stat" => stat(rest),
-        "verify" => verify(rest),
         "cat" => cat(rest),
         other => Err(CliError(format!(
-            "unknown trace subcommand {other:?}; try stat, verify, or cat"
+            "unknown trace subcommand {other:?}; try stat or cat"
         ))),
     }
 }
 
-/// Event-kind census bucket index.
-fn bucket(ev: &Event) -> usize {
-    match ev {
-        Event::Create { .. } => 0,
-        Event::Access { .. } => 1,
-        Event::SlotWrite { .. } => 2,
-        Event::RootAdd { .. } => 3,
-        Event::RootRemove { .. } => 4,
-        Event::Phase { .. } => 5,
-    }
-}
-
-/// `odbgc trace stat --trace <file>` — event census and size figures,
-/// block-at-a-time.
+/// `odbgc trace stat --trace <file>` — the census of a tracefile, taken
+/// block by block: event counts by kind and by phase, allocation volume
+/// and size figures. Decoding every block verifies the file; any damage
+/// (bad magic, checksum mismatch, truncation…) is a hard error with the
+/// tracefile's typed diagnosis.
 fn stat(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let path = flags.require("trace")?;
@@ -54,66 +42,59 @@ fn stat(args: &[String]) -> Result<String, CliError> {
         .map(|m| m.len())
         .map_err(|e| CliError(format!("cannot read {path:?}: {e}")))?;
 
-    let mut counts = [0u64; 6];
     let mut reader = open_tracefile(&path)?;
+    let phase_names = reader.phase_names().to_vec();
+    let mut stats = TraceStats::default();
     loop {
         match reader.next_batch() {
             Ok(Some(batch)) => {
                 for ev in batch {
-                    counts[bucket(ev)] += 1;
+                    stats.add(ev, &phase_names);
                 }
             }
             Ok(None) => break,
             Err(e) => return Err(CliError(format!("{path}: {e}"))),
         }
     }
-    let mut phases = reader.phase_names().to_vec();
-    if phases.is_empty() {
-        phases = vec!["(none)".into()];
-    }
 
-    let total: u64 = counts.iter().sum();
-    Ok(format!(
+    let total = stats.total();
+    let mut out = format!(
         "{path}: {size} bytes, {total} events ({:.2} bytes/event)\n\
          creates {}, accesses {}, slot-writes {}, root-adds {}, root-removes {}, phase-marks {}\n\
-         phases: {}",
+         phases: {}\n\
+         {} blocks, {} objects created, {:.2} MB allocated, mean object {:.0} B\n\
+         phase        creations  slot-writes   accesses",
         if total == 0 {
             0.0
         } else {
             size as f64 / total as f64
         },
-        counts[0],
-        counts[1],
-        counts[2],
-        counts[3],
-        counts[4],
-        counts[5],
-        phases.join(" "),
-    ))
-}
-
-/// `odbgc trace verify --trace <file>` — full decode, block-at-a-time;
-/// any corruption (bad magic, checksum mismatch, truncation…) is a hard
-/// error with the tracefile's typed diagnosis.
-fn verify(args: &[String]) -> Result<String, CliError> {
-    let flags = Flags::parse(args)?;
-    let path = flags.require("trace")?;
-    flags.finish()?;
-
-    let mut reader = open_tracefile(&path)?;
-    loop {
-        match reader.next_batch() {
-            Ok(Some(_)) => {}
-            Ok(None) => break,
-            Err(e) => return Err(CliError(format!("{path}: INVALID: {e}"))),
-        }
-    }
-    Ok(format!(
-        "{path}: OK ({} events, {} blocks, {} phases)",
-        reader.events_read(),
+        stats.count(EventKind::Create),
+        stats.count(EventKind::Access),
+        stats.count(EventKind::SlotWrite),
+        stats.count(EventKind::RootAdd),
+        stats.count(EventKind::RootRemove),
+        stats.count(EventKind::Phase),
+        if phase_names.is_empty() {
+            "(none)".to_owned()
+        } else {
+            phase_names.join(" ")
+        },
         reader.blocks_read(),
-        reader.phase_names().len(),
-    ))
+        stats.objects_created,
+        stats.bytes_allocated as f64 / 1_048_576.0,
+        stats.mean_object_size(),
+    );
+    for (name, counts) in &stats.by_phase {
+        let get = |k: EventKind| counts.get(&k).copied().unwrap_or(0);
+        out.push_str(&format!(
+            "\n{name:<12} {:>9}  {:>11}  {:>9}",
+            get(EventKind::Create),
+            get(EventKind::SlotWrite),
+            get(EventKind::Access),
+        ));
+    }
+    Ok(out)
 }
 
 /// Writes newline-terminated text chunks, withholding the final newline:
@@ -221,7 +202,11 @@ fn cat(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::commands::load_trace;
+
+    /// The whole decoded trace, for checking a streamed result against.
+    fn decode(path: &str) -> odbgc_trace::Trace {
+        odbgc_tracefile::decode(&std::fs::read(path).unwrap()).unwrap()
+    }
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -256,19 +241,24 @@ mod tests {
     }
 
     #[test]
-    fn verify_accepts_good_and_rejects_damaged() {
-        let tmp = TempDir::new("verify");
+    fn stat_rejects_a_damaged_file_by_path_and_typed_error() {
+        let tmp = TempDir::new("stat-damaged");
         let bin = generate(&tmp.0, "t.otb");
-        let ok = run(&argv(&format!("verify --trace {bin}"))).unwrap();
-        assert!(ok.contains("OK"), "{ok}");
-
         let mut bytes = std::fs::read(&bin).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
-        let bad = tmp.0.join("bad.otb");
+        let bad = tmp.0.join("bad.otb").display().to_string();
         std::fs::write(&bad, &bytes).unwrap();
-        let err = run(&argv(&format!("verify --trace {}", bad.display()))).unwrap_err();
-        assert!(err.to_string().contains("INVALID"), "{err}");
+        let err = run(&argv(&format!("stat --trace {bad}"))).unwrap_err();
+        let typed = odbgc_tracefile::decode(&bytes).unwrap_err();
+        assert_eq!(err.to_string(), format!("{bad}: {typed}"));
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    #[test]
+    fn stat_on_a_missing_file_errors() {
+        let err = run(&argv("stat --trace /nonexistent/x.otb")).unwrap_err();
+        assert!(err.to_string().contains("cannot read"), "{err}");
     }
 
     #[test]
@@ -276,15 +266,65 @@ mod tests {
         let tmp = TempDir::new("stat");
         let bin = generate(&tmp.0, "t.otb");
         let out = run(&argv(&format!("stat --trace {bin}"))).unwrap();
-        assert!(out.contains("creates"), "{out}");
+        let lines: Vec<&str> = out.lines().collect();
 
         // The census agrees with the decoded trace's own statistics.
-        let stats = load_trace(&bin).unwrap().stats();
-        let census = out.lines().nth(1).unwrap();
+        let stats = decode(&bin).stats();
         assert!(
-            census.starts_with(&format!("creates {},", stats.objects_created)),
-            "{census}"
+            lines[0].contains(&format!(" bytes, {} events (", stats.total())),
+            "{out}"
         );
+        assert!(
+            lines[1].starts_with(&format!("creates {},", stats.objects_created)),
+            "{out}"
+        );
+        assert_eq!(lines[2], "phases: GenDB Reorg1 Traverse Reorg2");
+    }
+
+    #[test]
+    fn stat_reports_the_census_info_printed() {
+        let tmp = TempDir::new("stat-census");
+        let bin = generate(&tmp.0, "t.otb");
+        let out = run(&argv(&format!("stat --trace {bin}"))).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+
+        // Block count, allocation totals and the per-phase table agree
+        // with the decoded trace's own statistics.
+        let stats = decode(&bin).stats();
+        assert_eq!(
+            lines[3],
+            format!(
+                "3 blocks, {} objects created, {:.2} MB allocated, mean object {:.0} B",
+                stats.objects_created,
+                stats.bytes_allocated as f64 / 1_048_576.0,
+                stats.mean_object_size()
+            )
+        );
+        assert_eq!(lines[4], "phase        creations  slot-writes   accesses");
+        let rows: Vec<(String, [u64; 3])> = lines[5..]
+            .iter()
+            .map(|row| {
+                let cols: Vec<&str> = row.split_whitespace().collect();
+                let n = |i: usize| cols[i].parse::<u64>().unwrap();
+                (cols[0].to_owned(), [n(1), n(2), n(3)])
+            })
+            .collect();
+        let want: Vec<(String, [u64; 3])> = stats
+            .by_phase
+            .iter()
+            .map(|(name, counts)| {
+                let get = |k| counts.get(&k).copied().unwrap_or(0);
+                (
+                    name.clone(),
+                    [
+                        get(EventKind::Create),
+                        get(EventKind::SlotWrite),
+                        get(EventKind::Access),
+                    ],
+                )
+            })
+            .collect();
+        assert_eq!(rows, want);
     }
 
     /// Runs the streaming cat into a buffer and returns (text, stats).
@@ -320,8 +360,7 @@ mod tests {
     fn cat_matches_codec() {
         let tmp = TempDir::new("cat-eq");
         let bin = generate(&tmp.0, "t.otb");
-        let trace = load_trace(&bin).unwrap();
-        let mut expected = codec::encode(&trace);
+        let mut expected = codec::encode(&decode(&bin));
         // cat withholds the final newline for the dispatch layer.
         assert_eq!(expected.pop(), Some('\n'));
         let (streamed, _) = cat_to_string(&bin, u64::MAX);
@@ -361,11 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn mmap_flag_is_rejected_by_stat_verify_and_cat() {
+    fn mmap_flag_is_rejected_by_stat_and_cat() {
         // The backing is chosen from the file, never from a flag.
         let tmp = TempDir::new("no-mmap-flag");
         let bin = generate(&tmp.0, "t.otb");
-        for sub in ["stat", "verify", "cat"] {
+        for sub in ["stat", "cat"] {
             let err = run(&argv(&format!("{sub} --trace {bin} --mmap true"))).unwrap_err();
             assert!(
                 err.to_string().contains("unknown flag --mmap"),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! odbgc generate --conn 3 --seed 1 --out trace.odbgc     # write an OO7 trace
-//! odbgc info --trace trace.odbgc                          # census of a trace
+//! odbgc trace stat --trace trace.odbgc                    # census of a trace
 //! odbgc run --trace trace.odbgc --policy saio:10%         # simulate one policy
 //! odbgc run --conn 3 --seed 1 --policy saga:10%:fgs-hb    # generate + simulate
 //! odbgc sweep --policy saio --points 2,5,10,20 --seeds 1..10 --csv out.csv
@@ -62,7 +62,6 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     };
     match cmd.as_str() {
         "generate" => commands::generate::run(rest),
-        "info" => commands::info::run(rest),
         "run" => commands::run::run(rest),
         "serve" => commands::serve::run(rest),
         "client" => commands::client::run(rest),
@@ -84,7 +83,6 @@ odbgc — self-adaptive GC-rate control simulator (SIGMOD'96 reproduction)
 
 USAGE:
   odbgc generate --out <file> [--conn N] [--seed N] [--params small-prime|small|tiny] [--style bidir|forward]
-  odbgc info     --trace <file>
   odbgc run      (--trace <file> | [--conn N] [--seed N]) --policy <spec>
                  [--selector updated-pointer|random|round-robin|most-garbage]
                  [--series <csv>] [--preamble N] [--store paper|tiny]
@@ -101,13 +99,14 @@ USAGE:
                  [--conn N] [--csv <file>] [--jobs N]
                  [--telemetry <json>] [--progress N]
   odbgc telemetry verify --file <json>
-  odbgc trace    stat|verify|cat --trace <file>   (cat: [--limit N])
+  odbgc trace    stat|cat --trace <file>   (cat: [--limit N])
 
 Traces are OTBF tracefiles: checksummed, varint/delta-encoded, and read
 block by block. `generate` writes one whatever the file's extension, and
 every --trace reads one; anything else is refused as `not a tracefile`.
-`trace cat` prints a tracefile as text. Without --trace, `run` and
-`sweep` generate the OO7 trace in process, once per seed.
+`trace stat` counts a tracefile by event kind and by phase, verifying
+every block on the way; `trace cat` prints it as text. Without --trace,
+`run` and `sweep` generate the OO7 trace in process, once per seed.
 
 POLICY SPECS:
   saio:10%[:hist=N|inf]   saga:5%[:oracle|fgs-hb[@h]|cgs-cb]

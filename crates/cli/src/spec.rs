@@ -7,6 +7,7 @@
 use odbgc_core::{EstimatorKind, PolicySpec, RatePolicy};
 use odbgc_gc::SelectorKind;
 use odbgc_oo7::{ConnStyle, Oo7Params};
+use odbgc_store::StoreConfig;
 
 use crate::CliError;
 
@@ -34,6 +35,18 @@ pub fn parse_selector(tok: &str) -> Result<SelectorKind, CliError> {
         "round-robin" => Ok(SelectorKind::RoundRobin),
         "most-garbage" => Ok(SelectorKind::MostGarbageOracle),
         other => Err(CliError(format!("unknown selector {other:?}"))),
+    }
+}
+
+/// The store geometry a `--store paper|tiny` flag names, `default`
+/// when the flag is absent.
+pub fn store_config(flag: Option<&str>, default: &str) -> Result<StoreConfig, CliError> {
+    match flag.unwrap_or(default) {
+        "paper" => Ok(StoreConfig::default()),
+        "tiny" => Ok(StoreConfig::tiny()),
+        other => Err(CliError(format!(
+            "unknown store geometry {other:?} (paper | tiny)"
+        ))),
     }
 }
 
@@ -134,6 +147,18 @@ mod tests {
         );
         assert_eq!(parse_selector("random").unwrap(), SelectorKind::Random);
         assert!(parse_selector("psychic").is_err());
+    }
+
+    #[test]
+    fn store_geometries_parse_with_a_per_command_default() {
+        assert_eq!(store_config(None, "tiny").unwrap(), StoreConfig::tiny());
+        assert_eq!(store_config(None, "paper").unwrap(), StoreConfig::default());
+        assert_eq!(
+            store_config(Some("paper"), "tiny").unwrap(),
+            StoreConfig::default()
+        );
+        let err = store_config(Some("huge"), "paper").unwrap_err();
+        assert_eq!(err.0, "unknown store geometry \"huge\" (paper | tiny)");
     }
 
     #[test]

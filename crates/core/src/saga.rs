@@ -115,18 +115,6 @@ impl SagaPolicy {
     pub fn config(&self) -> &SagaConfig {
         &self.config
     }
-
-    /// Current estimate of the garbage-creation rate (bytes/overwrite).
-    pub fn garbage_rate(&self) -> f64 {
-        self.slope.slope()
-    }
-
-    /// The most recent `ActGarb` estimate is produced inside
-    /// [`RatePolicy::after_collection`]; this exposes the estimator for
-    /// series reporting.
-    pub fn estimator_name(&self) -> String {
-        self.estimator.name()
-    }
 }
 
 impl RatePolicy for SagaPolicy {
@@ -326,14 +314,14 @@ mod tests {
             ..CollectionObservation::zero()
         };
         p.after_collection(&base);
-        let rate_before = p.garbage_rate();
+        let rate_before = p.slope.slope();
         // Same clock (no overwrites happened): slope must not change.
         p.after_collection(&CollectionObservation {
             total_collected: 4_000,
             exact_garbage: 3_000,
             ..base
         });
-        assert_eq!(p.garbage_rate(), rate_before);
+        assert_eq!(p.slope.slope(), rate_before);
     }
 
     #[test]

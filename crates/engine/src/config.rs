@@ -64,14 +64,6 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Paper defaults with a shadow estimator attached.
-    pub fn with_shadow(estimator: EstimatorKind) -> Self {
-        EngineConfig {
-            shadow_estimator: Some(estimator),
-            ..EngineConfig::default()
-        }
-    }
-
     /// Small geometry for unit tests.
     pub fn tiny() -> Self {
         EngineConfig {
@@ -95,11 +87,5 @@ mod tests {
         assert!(c.exact_oracle_recompute);
         assert!(c.shadow_estimator.is_none());
         assert!(c.gc_workers.is_none());
-    }
-
-    #[test]
-    fn with_shadow_attaches_estimator() {
-        let c = EngineConfig::with_shadow(EstimatorKind::CgsCb);
-        assert_eq!(c.shadow_estimator, Some(EstimatorKind::CgsCb));
     }
 }

@@ -116,11 +116,6 @@ impl<P: RatePolicy> StoreEngine<P> {
         self.mode = mode;
     }
 
-    /// The engine's collect mode.
-    pub fn collect_mode(&self) -> CollectMode {
-        self.mode
-    }
-
     /// Applies one event through the full per-operation sequence: store
     /// apply, metrics sample, optional deep check, observer note, and —
     /// in [`CollectMode::Inline`] — the trigger check and collection.
@@ -465,6 +460,27 @@ mod tests {
         assert_eq!(one, odbgc_gc::SchedTotals::default());
         assert_eq!(two.collections, parallel.collection_count());
         assert!(two.packets > 0, "{two:?}");
+    }
+
+    #[test]
+    fn apply_batch_error_names_the_failing_index() {
+        let mut engine = StoreEngine::new(
+            EngineConfig::tiny(),
+            Box::new(FixedRatePolicy::new(1_000_000)),
+        );
+        let events = [
+            Event::Create {
+                id: ObjectId::new(1),
+                size: 16,
+                slots: Box::new([]),
+            },
+            Event::Access {
+                id: ObjectId::new(999),
+            },
+        ];
+        let (idx, _) = engine.apply_batch(&events, None).unwrap_err();
+        assert_eq!(idx, 1, "first event applied, second failed");
+        assert_eq!(engine.events_applied(), 1, "prefix before the error sticks");
     }
 
     #[test]

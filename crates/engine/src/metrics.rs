@@ -86,11 +86,6 @@ impl RunMetrics {
         let total = app + gc;
         (total > 0).then(|| 100.0 * gc as f64 / total as f64)
     }
-
-    /// Number of post-preamble event samples.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +101,7 @@ mod tests {
         m.note_collection(20, 10);
         m.sample_event(30, 100); // window open now
         m.sample_event(10, 100);
-        assert_eq!(m.sample_count(), 2);
+        assert_eq!(m.samples, 2);
         assert!((m.garbage_pct_mean().unwrap() - 20.0).abs() < 1e-12);
     }
 
@@ -133,7 +128,7 @@ mod tests {
     fn zero_preamble_measures_from_the_start() {
         let mut m = RunMetrics::new(0);
         m.sample_event(5, 10);
-        assert_eq!(m.sample_count(), 1);
+        assert_eq!(m.samples, 1);
         assert!((m.gc_io_pct(80, 20).unwrap() - 20.0).abs() < 1e-12);
     }
 }

@@ -108,11 +108,6 @@ impl Collector {
         self.collections
     }
 
-    /// The selection policy's name.
-    pub fn selector_name(&self) -> &'static str {
-        self.selector.name()
-    }
-
     /// Scheduler totals across every collection planned on more than one
     /// worker; all-zero for a single-worker collector.
     pub fn sched_totals(&self) -> SchedTotals {

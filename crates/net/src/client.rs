@@ -4,24 +4,27 @@
 //! [`Conn`] is the protocol primitive — send one [`Request`], read one
 //! [`Response`] — used directly by tests that need to exercise the
 //! window machinery (send turns without acknowledging them to force
-//! `Busy`). It reuses its encode and frame buffers across requests, so
-//! steady-state traffic allocates nothing per frame. [`run_client`] is
-//! the well-behaved driver on top: it runs a [`SessionWorkload`] — the
-//! *same* generator the in-process serve mode schedules — over the
-//! wire, acknowledging every applied turn, so a loopback run and an
-//! in-process run with the same seeds produce identical per-shard
-//! operation streams. [`run_clients`] multiplexes N such sessions
+//! `Busy`). It reads responses through the same [`FrameAssembler`] the
+//! server reads requests through, and reuses its encode, frame and read
+//! buffers across requests, so steady-state traffic allocates nothing
+//! per frame. [`run_client`] is the well-behaved driver on top: it runs
+//! a [`SessionWorkload`] — the *same* generator the in-process serve
+//! mode schedules — over the wire, acknowledging every applied turn, so
+//! a loopback run and an in-process run with the same seeds produce
+//! identical per-shard operation streams. [`run_clients`] multiplexes N such sessions
 //! round-robin from one process (one `Ops` in flight per connection,
 //! overlapping server-side work across connections), which is how one
 //! driver process exercises an event-loop server at high connection
 //! counts.
 
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use odbgc_engine::{SessionOp, SessionWorkload, WorkloadParams};
 
-use crate::proto::{read_frame_into, write_frame_with, ErrorCode, ProtoError, Request, Response};
+use crate::conn::FrameAssembler;
+use crate::proto::{frame_into, ErrorCode, ProtoError, Request, Response};
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -65,15 +68,22 @@ impl From<std::io::Error> for ClientError {
 
 /// One connection to a serve front-end, strict request/response.
 ///
-/// The request-body and wire-frame buffers live on the connection and
-/// are reused for every request and response, so a long-running client
-/// does not allocate per frame.
+/// The request-body, wire-frame and read buffers live on the connection
+/// and are reused for every request and response, so a long-running
+/// client does not allocate per frame. Received bytes stay in the
+/// assembler until they make a whole frame, so a read that times out
+/// mid-frame leaves the stream in step: the next read picks up where it
+/// stopped.
 pub struct Conn {
     stream: TcpStream,
-    /// Request/response body scratch (encode target, then decode source).
+    /// Request-body scratch (the encode target).
     body: Vec<u8>,
-    /// Framed-bytes scratch for single-write sends.
+    /// Framed-bytes scratch: a request goes out in one write.
     wire: Vec<u8>,
+    /// Received bytes, reassembled into response frames.
+    assembler: FrameAssembler,
+    /// Socket read scratch.
+    read_buf: Vec<u8>,
 }
 
 impl Conn {
@@ -85,6 +95,8 @@ impl Conn {
             stream,
             body: Vec::new(),
             wire: Vec::new(),
+            assembler: FrameAssembler::new(),
+            read_buf: vec![0u8; 64 * 1024],
         })
     }
 
@@ -99,14 +111,33 @@ impl Conn {
     /// turns across connections).
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
         req.encode_into(&mut self.body);
-        write_frame_with(&mut self.stream, &self.body, &mut self.wire)?;
+        self.wire.clear();
+        frame_into(&mut self.wire, &self.body);
+        self.stream.write_all(&self.wire)?;
         Ok(())
     }
 
     /// Reads the next response, handing back `Error` responses as data.
+    /// Reads what the socket has until a whole frame is buffered; a
+    /// timeout or error keeps the bytes read so far.
     pub fn read_response_raw(&mut self) -> Result<Response, ClientError> {
-        read_frame_into(&mut self.stream, &mut self.body)?;
-        Ok(Response::decode(&self.body)?)
+        loop {
+            if let Some(body) = self.assembler.next_frame()? {
+                return Ok(Response::decode(body)?);
+            }
+            match self.stream.read(&mut self.read_buf) {
+                Ok(0) => {
+                    let eof = std::io::Error::new(
+                        ErrorKind::UnexpectedEof,
+                        "the server closed the connection",
+                    );
+                    return Err(eof.into());
+                }
+                Ok(n) => self.assembler.extend(&self.read_buf[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 
     /// Reads the next response, lifting any [`Response::Error`] into
@@ -348,4 +379,44 @@ pub fn run_clients(
     Ok(MultiClientReport {
         reports: slots.into_iter().map(|s| s.report).collect(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_read_timeout_mid_frame_keeps_the_stream_in_step() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = Conn::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+
+        let sent = Response::OpsOk {
+            applied: 8,
+            created: 3,
+            garbage_created: 96,
+            in_flight: 1,
+            gc_stall_ns: 12_345,
+        };
+        let mut body = Vec::new();
+        sent.encode_into(&mut body);
+        let mut wire = Vec::new();
+        frame_into(&mut wire, &body);
+        // Past the length prefix, short of the CRC trailer.
+        let half = wire.len() / 2;
+        assert!(half > 4 && half < wire.len() - 4);
+
+        peer.write_all(&wire[..half]).unwrap();
+        conn.set_timeout(Some(Duration::from_millis(50))).unwrap();
+        match conn.read_response() {
+            Err(ClientError::Proto(ProtoError::Io(e)))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            other => panic!("want a read timeout, got {other:?}"),
+        }
+
+        peer.write_all(&wire[half..]).unwrap();
+        conn.set_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(conn.read_response().unwrap(), sent);
+    }
 }

@@ -7,9 +7,10 @@
 //!
 //! * [`FrameAssembler`] buffers raw received bytes and yields complete,
 //!   CRC-verified frame bodies — a frame split at *any* byte boundary
-//!   reassembles to exactly what a blocking [`read_frame_into`] of the same
-//!   bytes would return (the property test in `tests/net_event_loop.rs`
-//!   proves this for every boundary).
+//!   reassembles to exactly the body that was framed (the property test
+//!   in `tests/net_event_loop.rs` proves this for every boundary). It is
+//!   the crate's one frame decoder: the client's [`Conn`] reads its
+//!   responses through one too.
 //! * The write side is a plain buffer of fully framed responses; a short
 //!   write leaves the tail for the next `POLLOUT`. While more than
 //!   [`OUT_HIGH_WATER`] bytes of it are unflushed the connection stops
@@ -25,7 +26,7 @@
 //! request/response ordering. `Draining` is the `close_after_flush`
 //! flag: flush buffered responses, then close.
 //!
-//! [`read_frame_into`]: crate::proto::read_frame_into
+//! [`Conn`]: crate::client::Conn
 
 use std::net::TcpStream;
 use std::time::Instant;
@@ -47,8 +48,7 @@ pub(crate) const OUT_HIGH_WATER: usize = 2 * MAX_FRAME as usize;
 /// Feed received bytes with [`FrameAssembler::extend`]; pull complete
 /// frame bodies with [`FrameAssembler::next_frame`]. Errors are sticky
 /// in practice — a length-bound or CRC failure means the stream is out
-/// of sync and the caller closes the connection, exactly as the
-/// blocking reader treats the same corruption.
+/// of sync and the caller closes the connection.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
     buf: Vec<u8>,
@@ -80,10 +80,9 @@ impl FrameAssembler {
     /// Yields the next complete frame body, if one is fully buffered.
     ///
     /// `Ok(None)` means more bytes are needed (a partial frame is fine
-    /// and stays buffered). Errors mirror [`read_frame_into`]: an oversized
-    /// length prefix or a CRC mismatch, both fatal to the stream.
-    ///
-    /// [`read_frame_into`]: crate::proto::read_frame_into
+    /// and stays buffered). The errors are an oversized length prefix
+    /// (caught before the body arrives) or a CRC mismatch, both fatal to
+    /// the stream.
     pub fn next_frame(&mut self) -> Result<Option<&[u8]>, ProtoError> {
         let avail = self.buf.len() - self.start;
         if avail < 4 {

@@ -7,16 +7,17 @@
 //! * [`proto`] — the framed wire protocol: `[len][body][crc32]` frames
 //!   (OTBF's length-prefix + CRC conventions), varint-encoded session
 //!   ops addressed by per-session creation index, and admin ops
-//!   (stats, graceful shutdown). Framing and parsing both have
-//!   buffer-reusing entry points ([`proto::write_frame_with`],
-//!   [`proto::read_frame_into`]) so steady-state traffic allocates
-//!   nothing per frame.
+//!   (stats, graceful shutdown). [`proto::frame_into`] is the one frame
+//!   encoder and [`FrameAssembler`] the one decoder; both work in
+//!   caller-owned buffers, so steady-state traffic allocates nothing per
+//!   frame.
 //! * [`poll`] — a hand-rolled `poll(2)` binding (the crate's one
 //!   foreign call and one `unsafe` block, no external crates) plus the
 //!   self-wake descriptor each event loop registers in its own poll
 //!   set.
 //! * [`conn`] — per-connection state: [`FrameAssembler`] partial-frame
-//!   reassembly, the buffered write side, and the session binding.
+//!   reassembly (server and client alike), the buffered write side, and
+//!   the session binding.
 //! * [`server`] — [`NetServer`]: readiness-driven event loops, one per
 //!   shard by default ([`NetConfig::net_threads`] caps the count), each
 //!   polling thousands of non-blocking connections. The loop that owns a
@@ -26,8 +27,9 @@
 //!   `Busy` backpressure, idle-connection reaping, and graceful drain
 //!   that loses zero acknowledged operations all carry over from the
 //!   blocking server unchanged.
-//! * [`client`] — [`Conn`] (strict request/response primitive, reusing
-//!   its read/write buffers across requests), [`run_client`] (seeded
+//! * [`client`] — [`Conn`] (strict request/response primitive, reading
+//!   responses through a [`FrameAssembler`] and reusing its buffers
+//!   across requests), [`run_client`] (seeded
 //!   load driver running the same `SessionWorkload` the in-process
 //!   serve mode schedules, so loopback and in-process runs are
 //!   telemetry-identical for the same seeds), and [`run_clients`]
@@ -51,7 +53,6 @@ pub use client::{
 };
 pub use conn::FrameAssembler;
 pub use proto::{
-    frame_into, read_frame_into, write_frame_with, ClientCounters, ErrorCode, ProtoError, Request,
-    Response, ShardStats, StatsSnapshot,
+    frame_into, ClientCounters, ErrorCode, ProtoError, Request, Response, ShardStats, StatsSnapshot,
 };
 pub use server::{BindError, LoopStats, NetConfig, NetOutcome, NetServer};

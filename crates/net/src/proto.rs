@@ -13,8 +13,6 @@
 //! accounting deterministic: a [`Response::Busy`] depends only on the
 //! sequence of frames the client sent, never on timing.
 
-use std::io::{Read, Write};
-
 use odbgc_engine::{ObjRef, SessionOp};
 use odbgc_tracefile::crc32::crc32;
 use odbgc_tracefile::varint::{get_u64, put_u64};
@@ -107,58 +105,14 @@ impl From<std::io::Error> for ProtoError {
 
 /// Appends one complete frame — length prefix, body, CRC32 trailer — to
 /// `out`. This is the single serialization point every write path funnels
-/// through, so a frame always hits the socket as one contiguous buffer.
+/// through, so a frame always hits the socket as one contiguous buffer;
+/// [`FrameAssembler`](crate::conn::FrameAssembler) is the one reader.
 pub fn frame_into(out: &mut Vec<u8>, body: &[u8]) {
     debug_assert!(body.len() as u64 <= MAX_FRAME as u64);
     out.reserve(body.len() + FRAME_OVERHEAD as usize);
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
     out.extend_from_slice(body);
     out.extend_from_slice(&crc32(body).to_le_bytes());
-}
-
-/// Writes one frame through `scratch` as a single `write_all` — one
-/// syscall per frame instead of the three (length, body, CRC) the naive
-/// encoding would issue. `scratch` is cleared and reused; a caller that
-/// keeps one per connection writes every frame allocation-free.
-pub fn write_frame_with(
-    w: &mut impl Write,
-    body: &[u8],
-    scratch: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    scratch.clear();
-    frame_into(scratch, body);
-    w.write_all(scratch)?;
-    w.flush()
-}
-
-/// Reads one frame into a caller-owned buffer, verifying the length
-/// bound and the CRC trailer: `body` is cleared, resized to the frame's
-/// length, and filled — a connection that keeps one buffer reads every
-/// frame without allocating past its high-water mark.
-///
-/// A read timeout (or EOF) before the *first* byte of the length prefix
-/// surfaces as `ProtoError::Io` with nothing consumed. A timeout
-/// mid-frame also surfaces as `Io` but leaves the stream out of sync;
-/// callers treat any `Io` after partial progress as fatal to the
-/// connection.
-pub fn read_frame_into(r: &mut impl Read, body: &mut Vec<u8>) -> Result<(), ProtoError> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME {
-        return Err(ProtoError::TooLarge(len));
-    }
-    body.clear();
-    body.resize(len as usize, 0);
-    r.read_exact(body)?;
-    let mut crc_bytes = [0u8; 4];
-    r.read_exact(&mut crc_bytes)?;
-    let want = u32::from_le_bytes(crc_bytes);
-    let got = crc32(body);
-    if got != want {
-        return Err(ProtoError::Crc { got, want });
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -728,6 +682,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::FrameAssembler;
 
     fn round_trip_req(req: Request) {
         let mut body = Vec::new();
@@ -857,9 +812,10 @@ mod tests {
         );
         let mut wire = Vec::new();
         frame_into(&mut wire, &body);
-        let mut got = Vec::new();
-        read_frame_into(&mut wire.as_slice(), &mut got).expect("frame accepted");
-        assert_eq!(Response::decode(&got).unwrap(), Response::StatsOk(snap));
+        let mut frames = FrameAssembler::new();
+        frames.extend(&wire);
+        let got = frames.next_frame().expect("frame accepted").expect("whole");
+        assert_eq!(Response::decode(got).unwrap(), Response::StatsOk(snap));
     }
 
     #[test]
@@ -872,22 +828,25 @@ mod tests {
         let mut wire = Vec::new();
         frame_into(&mut wire, &body);
         assert_eq!(wire.len() as u64, body.len() as u64 + FRAME_OVERHEAD);
-        let mut got = Vec::new();
-        read_frame_into(&mut wire.as_slice(), &mut got).unwrap();
-        assert_eq!(got, body);
+        let read = |wire: &[u8]| {
+            let mut frames = FrameAssembler::new();
+            frames.extend(wire);
+            frames.next_frame().map(|body| body.map(<[u8]>::to_vec))
+        };
+        assert_eq!(read(&wire).unwrap(), Some(body));
 
         // Flip one body bit: the CRC must catch it.
         let mut corrupt = wire.clone();
         corrupt[5] ^= 0x40;
-        match read_frame_into(&mut corrupt.as_slice(), &mut got) {
+        match read(&corrupt) {
             Err(ProtoError::Crc { .. }) => {}
             other => panic!("corruption must fail CRC, got {other:?}"),
         }
 
-        // An absurd length prefix is rejected before allocation.
+        // An absurd length prefix is rejected before the body arrives.
         let mut huge = wire;
         huge[..4].copy_from_slice(&(MAX_FRAME + 1).to_le_bytes());
-        match read_frame_into(&mut huge.as_slice(), &mut got) {
+        match read(&huge) {
             Err(ProtoError::TooLarge(_)) => {}
             other => panic!("oversized frame must be rejected, got {other:?}"),
         }

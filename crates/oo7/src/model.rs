@@ -63,11 +63,6 @@ impl PartMirror {
         self.in_.iter().position(Option::is_none).map(|i| i as u32)
     }
 
-    /// Number of live in-connections.
-    pub fn in_degree(&self) -> usize {
-        self.in_.iter().flatten().count()
-    }
-
     /// Number of live out-connections.
     pub fn out_degree(&self) -> usize {
         self.out.iter().flatten().count()
@@ -195,7 +190,7 @@ mod tests {
         assert_eq!(m.in_.len(), 4);
         assert_eq!(m.free_out_slot(), Some(0));
         assert_eq!(m.free_in_slot(), Some(0));
-        assert_eq!(m.in_degree(), 0);
+        assert!(m.in_.iter().all(Option::is_none));
         assert_eq!(m.out_degree(), 0);
     }
 

@@ -107,6 +107,19 @@ impl Oo7Params {
         }
     }
 
+    /// OO7 Medium's composite parts on Small's assembly tree: 200 atomic
+    /// parts per composite, 20 000-byte documents and a 1 MiB manual,
+    /// with 500 composites under 7 assembly levels: the non-toy shape
+    /// replay is measured at.
+    pub fn medium(connectivity: u32) -> Self {
+        Oo7Params {
+            num_atomic_per_comp: 200,
+            document_size: 20_000,
+            manual_size: 1 << 20,
+            ..Oo7Params::small(connectivity)
+        }
+    }
+
     /// A miniature database for unit tests: 4 composites of 6 parts.
     pub fn tiny() -> Self {
         Oo7Params {
@@ -238,6 +251,28 @@ mod tests {
         p.validate();
         assert_eq!(p.num_comp_per_module, 500);
         assert_eq!(p.num_assm_levels, 7);
+    }
+
+    #[test]
+    fn medium_pins_the_replay_shape() {
+        let p = Oo7Params::medium(3);
+        p.validate();
+        assert_eq!(p.num_atomic_per_comp, 200);
+        assert_eq!(p.num_conn_per_atomic, 3);
+        assert_eq!(p.document_size, 20_000);
+        assert_eq!(p.manual_size, 1_048_576);
+        assert_eq!(p.num_comp_per_module, 500);
+        assert_eq!(p.num_assm_per_assm, 3);
+        assert_eq!(p.num_assm_levels, 7);
+        assert_eq!(p.num_comp_per_assm, 3);
+        assert_eq!(p.num_modules, 1);
+        assert_eq!(
+            Oo7Params {
+                num_conn_per_atomic: 3,
+                ..Oo7Params::medium(9)
+            },
+            p
+        );
     }
 
     #[test]

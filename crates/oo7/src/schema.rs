@@ -114,12 +114,6 @@ pub fn part_in_slot(p: &Oo7Params, index: u32) -> u32 {
     p.num_conn_per_atomic + index
 }
 
-/// Connection slot 0 = from part, slot 1 = to part (bidirectional style).
-/// Under [`ConnStyle::Forward`] the single slot 0 is the `to` pointer.
-pub const CONN_FROM_SLOT: u32 = 0;
-/// Connection slot 1 = to part (bidirectional style).
-pub const CONN_TO_SLOT: u32 = 1;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,4 @@
-//! Plain-text table and CSV rendering for experiment output.
-
-use crate::experiment::SweepPoint;
+//! Plain-text table rendering for experiment output.
 
 /// Renders rows as an aligned plain-text table.
 ///
@@ -41,33 +39,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Quotes one CSV cell per RFC 4180 when it needs it: cells containing
-/// commas, quotes, or newlines are wrapped in double quotes with inner
-/// quotes doubled. Policy labels like `saio(5.0%, c_hist=0)` contain
-/// commas, so unquoted emission would silently misalign rows.
-fn csv_cell(cell: &str) -> String {
-    if cell.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_owned()
-    }
-}
-
-/// Renders rows as RFC 4180 CSV, quoting cells that contain commas,
-/// quotes, or newlines.
-pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let render_row = |cells: &mut dyn Iterator<Item = &str>| -> String {
-        cells.map(csv_cell).collect::<Vec<_>>().join(",")
-    };
-    let mut out = render_row(&mut headers.iter().copied());
-    out.push('\n');
-    for row in rows {
-        out.push_str(&render_row(&mut row.iter().map(String::as_str)));
-        out.push('\n');
-    }
-    out
-}
-
 /// Formats a float with fixed precision, rendering NaN and ±∞ as "-"
 /// (an undefined or degenerate statistic, e.g. the min/max of an empty
 /// run set).
@@ -77,22 +48,6 @@ pub fn fmt_f(v: f64, prec: usize) -> String {
     } else {
         "-".to_owned()
     }
-}
-
-/// Standard table rows for a requested-vs-achieved sweep.
-pub fn sweep_rows(points: &[SweepPoint]) -> Vec<Vec<String>> {
-    points
-        .iter()
-        .map(|p| {
-            vec![
-                fmt_f(p.x, 1),
-                fmt_f(p.mean, 2),
-                fmt_f(p.min, 2),
-                fmt_f(p.max, 2),
-                p.runs.to_string(),
-            ]
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -141,41 +96,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trip_shape() {
-        let c = render_csv(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(c, "a,b\n1,2\n");
-    }
-
-    #[test]
-    fn csv_quotes_cells_with_commas_and_quotes() {
-        let c = render_csv(
-            &["label", "x"],
-            &[
-                vec!["saio(5.0%, c_hist=0)".into(), "1".into()],
-                vec!["say \"hi\"".into(), "2".into()],
-            ],
-        );
-        let lines: Vec<&str> = c.lines().collect();
-        assert_eq!(lines[0], "label,x");
-        assert_eq!(lines[1], "\"saio(5.0%, c_hist=0)\",1");
-        assert_eq!(lines[2], "\"say \"\"hi\"\"\",2");
-        // Every data row still has exactly two (quoted-aware) fields:
-        // naive comma counting would see three in row 1.
-        assert_eq!(lines[1].matches(',').count(), 2);
-    }
-
-    #[test]
     fn fmt_f_handles_nan_and_infinities() {
         assert_eq!(fmt_f(f64::NAN, 2), "-");
         assert_eq!(fmt_f(f64::INFINITY, 2), "-");
         assert_eq!(fmt_f(f64::NEG_INFINITY, 2), "-");
         assert_eq!(fmt_f(1.2345, 2), "1.23");
-    }
-
-    #[test]
-    fn sweep_rows_shape() {
-        let rows = sweep_rows(&[crate::experiment::sweep_point(5.0, &[4.0, 6.0])]);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0], vec!["5.0", "5.00", "4.00", "6.00", "2"]);
     }
 }

@@ -73,34 +73,6 @@ impl IoLedger {
             self.gc_total() as f64 / total as f64
         }
     }
-
-    /// A copyable snapshot, for computing deltas over an interval.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot { at: *self }
-    }
-}
-
-/// A point-in-time copy of an [`IoLedger`], used to measure an interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoSnapshot {
-    at: IoLedger,
-}
-
-impl IoSnapshot {
-    /// Application I/O performed since the snapshot.
-    pub fn app_delta(&self, now: &IoLedger) -> u64 {
-        now.app_total() - self.at.app_total()
-    }
-
-    /// Collector I/O performed since the snapshot.
-    pub fn gc_delta(&self, now: &IoLedger) -> u64 {
-        now.gc_total() - self.at.gc_total()
-    }
-
-    /// Total I/O performed since the snapshot.
-    pub fn total_delta(&self, now: &IoLedger) -> u64 {
-        now.total() - self.at.total()
-    }
 }
 
 #[cfg(test)]
@@ -127,13 +99,15 @@ mod tests {
 
     #[test]
     fn snapshot_deltas() {
+        // The ledger is `Copy`: a copy is the snapshot an interval's
+        // deltas are measured from.
         let mut l = IoLedger::new();
         l.charge_reads(IoClass::App, 5);
-        let snap = l.snapshot();
+        let snap = l;
         l.charge_reads(IoClass::App, 2);
         l.charge_writes(IoClass::Gc, 7);
-        assert_eq!(snap.app_delta(&l), 2);
-        assert_eq!(snap.gc_delta(&l), 7);
-        assert_eq!(snap.total_delta(&l), 9);
+        assert_eq!(l.app_total() - snap.app_total(), 2);
+        assert_eq!(l.gc_total() - snap.gc_total(), 7);
+        assert_eq!(l.total() - snap.total(), 9);
     }
 }

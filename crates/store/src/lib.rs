@@ -49,7 +49,7 @@ pub use config::{AllocPolicy, OverwriteSemantics, StoreConfig};
 pub use error::StoreError;
 pub use gcapi::{CollectionApplied, PartitionSnapshot};
 pub use ids::{PageKey, PartitionId};
-pub use io::{IoClass, IoLedger, IoSnapshot};
+pub use io::{IoClass, IoLedger};
 pub use store::{ApplyOutcome, ReachSet, Store, StoreView};
 
 pub use odbgc_trace::{Event, ObjectId, SlotIdx};

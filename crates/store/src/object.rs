@@ -144,11 +144,6 @@ impl ObjectInfo {
         self.state == ObjState::Garbage
     }
 
-    /// Physically reclaimed.
-    pub fn is_destroyed(&self) -> bool {
-        self.state == ObjState::Destroyed
-    }
-
     /// Physically present in storage (live or garbage, not yet reclaimed).
     pub fn is_present(&self) -> bool {
         self.state != ObjState::Destroyed
@@ -185,6 +180,6 @@ mod tests {
         o.state = ObjState::Garbage;
         assert!(o.is_garbage() && o.is_present() && !o.is_live());
         o.state = ObjState::Destroyed;
-        assert!(o.is_destroyed() && !o.is_present());
+        assert!(!o.is_present() && !o.is_garbage() && !o.is_live());
     }
 }

@@ -701,11 +701,6 @@ impl Store {
         self.alloc_clock
     }
 
-    /// Pointer overwrites into `p` since it was last collected.
-    pub fn partition_overwrites(&self, p: PartitionId) -> u64 {
-        self.partitions[p.index()].overwrites
-    }
-
     /// Sum of outstanding per-partition overwrite counters (the FGS state
     /// `Σ PO(p)`). O(1): maintained incrementally, not scanned.
     pub fn total_outstanding_overwrites(&self) -> u64 {
@@ -1945,7 +1940,7 @@ mod tests {
             new: None,
         })
         .unwrap();
-        assert_eq!(s.partition_overwrites(p_far), 1);
+        assert_eq!(s.partitions[p_far.index()].overwrites, 1);
         assert_eq!(s.total_outstanding_overwrites(), 1);
     }
 
@@ -2024,7 +2019,7 @@ mod tests {
         assert_eq!(s.garbage_bytes(), 0);
         assert_eq!(s.total_garbage_collected(), 60);
         assert_eq!(s.occupied_bytes(), 60);
-        assert_eq!(s.partition_overwrites(p), 0);
+        assert_eq!(s.partitions[p.index()].overwrites, 0);
         s.assert_garbage_exact();
 
         // Survivors were compacted in the given order.

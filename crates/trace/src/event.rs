@@ -61,18 +61,6 @@ pub enum Event {
 }
 
 impl Event {
-    /// True for events that mutate database state (creations, slot writes,
-    /// root changes); accesses and phase marks are not mutations.
-    pub fn is_mutation(&self) -> bool {
-        !matches!(self, Event::Access { .. } | Event::Phase { .. })
-    }
-
-    /// True for events a page server must perform I/O for (everything the
-    /// application does to objects; phase marks are free).
-    pub fn touches_storage(&self) -> bool {
-        !matches!(self, Event::Phase { .. })
-    }
-
     /// The primary object this event concerns, if any.
     pub fn subject(&self) -> Option<ObjectId> {
         match self {
@@ -145,37 +133,6 @@ mod tests {
 
     fn oid(n: u64) -> ObjectId {
         ObjectId::new(n)
-    }
-
-    #[test]
-    fn mutation_classification() {
-        assert!(Event::Create {
-            id: oid(1),
-            size: 10,
-            slots: Box::new([]),
-        }
-        .is_mutation());
-        assert!(Event::SlotWrite {
-            src: oid(1),
-            slot: SlotIdx::new(0),
-            new: None,
-        }
-        .is_mutation());
-        assert!(Event::RootAdd { id: oid(1) }.is_mutation());
-        assert!(!Event::Access { id: oid(1) }.is_mutation());
-        assert!(!Event::Phase {
-            id: PhaseId::new(0)
-        }
-        .is_mutation());
-    }
-
-    #[test]
-    fn storage_classification() {
-        assert!(Event::Access { id: oid(1) }.touches_storage());
-        assert!(!Event::Phase {
-            id: PhaseId::new(1)
-        }
-        .touches_storage());
     }
 
     #[test]

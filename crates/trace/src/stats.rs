@@ -28,34 +28,35 @@ impl TraceStats {
     /// Computes statistics for `trace`.
     pub fn of(trace: &Trace) -> TraceStats {
         let mut stats = TraceStats::default();
-        let mut current_phase: Option<usize> = None;
-        for ev in trace.iter() {
-            if let Event::Phase { id } = ev {
-                let name = trace.phase_name(*id).unwrap_or("<unknown>").to_owned();
-                stats.by_phase.push((name, BTreeMap::new()));
-                current_phase = Some(stats.by_phase.len() - 1);
-            }
-            *stats.by_kind.entry(ev.kind()).or_insert(0) += 1;
-            let phase_map = match current_phase {
-                Some(i) => &mut stats.by_phase[i].1,
-                None => {
-                    if stats.by_phase.is_empty() {
-                        stats.by_phase.push(("<pre>".to_owned(), BTreeMap::new()));
-                    }
-                    &mut stats.by_phase[0].1
-                }
-            };
-            *phase_map.entry(ev.kind()).or_insert(0) += 1;
-            match ev {
-                Event::Create { size, .. } => {
-                    stats.bytes_allocated += u64::from(*size);
-                    stats.objects_created += 1;
-                }
-                Event::SlotWrite { .. } => stats.slot_writes += 1,
-                _ => {}
-            }
+        for ev in trace {
+            stats.add(ev, trace.phase_names());
         }
         stats
+    }
+
+    /// Counts one more event, so a census can be taken block by block
+    /// without a whole [`Trace`]. A phase marker opens a new per-phase
+    /// row named from `phase_names`, the trace's side table in id order.
+    pub fn add(&mut self, ev: &Event, phase_names: &[String]) {
+        if let Event::Phase { id } = ev {
+            let name = phase_names
+                .get(id.index())
+                .map_or("<unknown>", String::as_str);
+            self.by_phase.push((name.to_owned(), BTreeMap::new()));
+        } else if self.by_phase.is_empty() {
+            self.by_phase.push(("<pre>".to_owned(), BTreeMap::new()));
+        }
+        *self.by_kind.entry(ev.kind()).or_insert(0) += 1;
+        let (_, phase) = self.by_phase.last_mut().expect("a row was just ensured");
+        *phase.entry(ev.kind()).or_insert(0) += 1;
+        match ev {
+            Event::Create { size, .. } => {
+                self.bytes_allocated += u64::from(*size);
+                self.objects_created += 1;
+            }
+            Event::SlotWrite { .. } => self.slot_writes += 1,
+            _ => {}
+        }
     }
 
     /// Count of events of one kind.

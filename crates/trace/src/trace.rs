@@ -175,12 +175,6 @@ impl TraceBuilder {
         self.events.is_empty()
     }
 
-    /// Direct access to the id generator, for generators that must mint ids
-    /// before emitting the creation event.
-    pub fn ids_mut(&mut self) -> &mut IdGen {
-        &mut self.ids
-    }
-
     /// Finishes recording.
     pub fn finish(self) -> Trace {
         Trace {

@@ -185,11 +185,6 @@ impl<W: Write> TraceWriter<W> {
         self.out.flush()?;
         Ok(self.out)
     }
-
-    /// Events written so far.
-    pub fn events_written(&self) -> u64 {
-        self.total_events
-    }
 }
 
 /// Writes one length-prefixed, checksummed block.
@@ -254,12 +249,15 @@ mod tests {
     #[test]
     fn events_written_counts() {
         let mut w = TraceWriter::new(Vec::new(), &[]).unwrap();
-        assert_eq!(w.events_written(), 0);
+        assert_eq!(w.total_events, 0);
         w.write_event(&Event::Access {
             id: ObjectId::new(5),
         })
         .unwrap();
-        assert_eq!(w.events_written(), 1);
-        w.finish().unwrap();
+        assert_eq!(w.total_events, 1);
+        // The count is what the end block declares.
+        let bytes = w.finish().unwrap();
+        let end = &bytes[bytes.len() - 4 - 1..bytes.len() - 4];
+        assert_eq!(end, [1]);
     }
 }

@@ -73,6 +73,22 @@ fn trace_format_and_corpus_options_are_refused_by_name() {
 }
 
 #[test]
+fn info_and_trace_verify_are_refused_by_name() {
+    // `trace stat` is the one census: it prints what `info` printed and
+    // verifies every block as `trace verify` did.
+    for (args, name) in [
+        ("info --trace t.otb", "unknown command \"info\""),
+        (
+            "trace verify --trace t.otb",
+            "unknown trace subcommand \"verify\"",
+        ),
+    ] {
+        let stderr = refused(&argv(args));
+        assert!(stderr.contains(name), "{args}: {stderr}");
+    }
+}
+
+#[test]
 fn a_text_trace_is_not_a_tracefile_to_any_reader() {
     let dir = std::env::temp_dir().join(format!("odbgc-text-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -82,7 +98,6 @@ fn a_text_trace_is_not_a_tracefile_to_any_reader() {
     let path = path.display().to_string();
     for args in [
         format!("run --policy saio:10% --store tiny --trace {path}"),
-        format!("info --trace {path}"),
         format!("trace stat --trace {path}"),
         format!("trace cat --trace {path}"),
     ] {

@@ -5,8 +5,8 @@
 //!
 //! 1. **Reassembly is split-agnostic** — a frame stream delivered with a
 //!    break at *every* byte boundary (checked exhaustively, then under
-//!    random chunkings) reassembles to exactly what a blocking read of
-//!    the same bytes yields.
+//!    random chunkings) reassembles to exactly the bodies that were
+//!    framed.
 //! 2. **The connection state machine survives trickled input** — a
 //!    client writing its frames one byte at a time still gets correct
 //!    responses end to end.
@@ -28,7 +28,7 @@
 //! whatever it pipelined behind its `Hello`, and what `gc_stall_ns`
 //! measures now that a loop runs its shards' collections itself.
 
-use std::io::{BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
 
 use odbgc_core::FixedRatePolicy;
@@ -89,11 +89,23 @@ fn frame_of(req: &Request) -> Vec<u8> {
     wire
 }
 
-/// Blocks for the next response frame on a raw stream.
-fn response(stream: &mut std::net::TcpStream) -> Response {
-    let mut body = Vec::new();
-    odbgc_net::read_frame_into(stream, &mut body).expect("response frame");
-    Response::decode(&body).expect("response decodes")
+/// Blocks for the next frame body on a raw stream, reassembled by
+/// `frames` (which keeps whatever arrives past it for the next call).
+fn next_body(stream: &mut impl Read, frames: &mut FrameAssembler) -> Vec<u8> {
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(body) = frames.next_frame().expect("clean stream") {
+            return body.to_vec();
+        }
+        let n = stream.read(&mut buf).expect("read");
+        assert!(n > 0, "stream ended mid-frame");
+        frames.extend(&buf[..n]);
+    }
+}
+
+/// Blocks for the next response on a raw stream.
+fn response(stream: &mut std::net::TcpStream, frames: &mut FrameAssembler) -> Response {
+    Response::decode(&next_body(stream, frames)).expect("response decodes")
 }
 
 /// A realistic mixed frame stream: requests and responses a connection
@@ -192,6 +204,7 @@ fn byte_trickled_requests_are_served() {
     let (addr, server) = spawn_server(net_config(1, 1));
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
     stream.set_nodelay(true).unwrap();
+    let mut frames = FrameAssembler::new();
 
     fn trickle(stream: &mut std::net::TcpStream, req: &Request) {
         for byte in &frame_of(req) {
@@ -207,7 +220,7 @@ fn byte_trickled_requests_are_served() {
             window: 2,
         },
     );
-    match response(&mut stream) {
+    match response(&mut stream, &mut frames) {
         Response::HelloOk { session: 3, .. } => {}
         other => panic!("want HelloOk, got {other:?}"),
     }
@@ -215,13 +228,13 @@ fn byte_trickled_requests_are_served() {
     let turn = SessionWorkload::new(3, WorkloadParams::default(), 16).next_turn(8);
     let turn_len = turn.len() as u64;
     trickle(&mut stream, &Request::Ops { ops: turn });
-    match response(&mut stream) {
+    match response(&mut stream, &mut frames) {
         Response::OpsOk { applied, .. } => assert_eq!(applied, turn_len),
         other => panic!("want OpsOk, got {other:?}"),
     }
 
     trickle(&mut stream, &Request::Bye);
-    match response(&mut stream) {
+    match response(&mut stream, &mut frames) {
         Response::ByeOk => {}
         other => panic!("want ByeOk, got {other:?}"),
     }
@@ -375,29 +388,31 @@ fn unread_replies_stall_the_peer_within_a_byte_budget() {
         }
     }
 
-    let mut replies = BufReader::with_capacity(64 * 1024, stream.try_clone().unwrap());
-    let (mut first, mut body) = (Vec::new(), Vec::new());
-    odbgc_net::read_frame_into(&mut replies, &mut first).expect("first reply");
+    let mut replies = stream.try_clone().unwrap();
+    let mut frames = FrameAssembler::new();
+    let first = next_body(&mut replies, &mut frames);
     match Response::decode(&first).expect("reply decodes") {
         Response::StatsOk(snap) => assert_eq!(snap.shards.len(), 1),
         other => panic!("want StatsOk, got {other:?}"),
     }
     let whole = written / frame.len();
     for i in 1..whole {
-        odbgc_net::read_frame_into(&mut replies, &mut body).expect("reply");
-        assert_eq!(body, first, "reply {i} of {whole}");
+        assert_eq!(
+            next_body(&mut replies, &mut frames),
+            first,
+            "reply {i} of {whole}"
+        );
     }
     // Finish the request the stall cut short; its reply and a clean
     // goodbye show the connection is in step.
     let cut = written % frame.len();
     if cut > 0 {
         stream.write_all(&frame[cut..]).unwrap();
-        odbgc_net::read_frame_into(&mut replies, &mut body).expect("last reply");
-        assert_eq!(body, first);
+        assert_eq!(next_body(&mut replies, &mut frames), first, "last reply");
     }
     stream.write_all(&frame_of(&Request::Bye)).unwrap();
-    odbgc_net::read_frame_into(&mut replies, &mut body).expect("bye reply");
-    assert_eq!(Response::decode(&body).unwrap(), Response::ByeOk);
+    let bye = next_body(&mut replies, &mut frames);
+    assert_eq!(Response::decode(&bye).unwrap(), Response::ByeOk);
     drop((replies, stream));
 
     shutdown(&addr);
@@ -574,7 +589,8 @@ fn hello_hands_pipelined_turns_to_the_owning_loop() {
     }
     stream.write_all(&wire).expect("one write");
 
-    match response(&mut stream) {
+    let mut frames = FrameAssembler::new();
+    match response(&mut stream, &mut frames) {
         Response::HelloOk {
             session: 1,
             shard: 1,
@@ -583,13 +599,13 @@ fn hello_hands_pipelined_turns_to_the_owning_loop() {
         other => panic!("want HelloOk on shard 1, got {other:?}"),
     }
     for turn in 1..=2 {
-        match response(&mut stream) {
+        match response(&mut stream, &mut frames) {
             Response::OpsOk { in_flight, .. } => assert_eq!(in_flight, turn),
             other => panic!("want OpsOk for turn {turn}, got {other:?}"),
         }
     }
     stream.write_all(&frame_of(&Request::Bye)).unwrap();
-    assert_eq!(response(&mut stream), Response::ByeOk);
+    assert_eq!(response(&mut stream, &mut frames), Response::ByeOk);
     drop(stream);
 
     shutdown(&addr);

@@ -188,9 +188,27 @@ mod tests {
         )))
         .unwrap();
         assert!(out.contains("telemetry written to"));
+        // The file is, byte for byte, the document an in-process replay
+        // of the same seed builds.
+        let mut policy = spec::build_policy("saio:10%").unwrap();
+        let mut expected = RunTelemetry::new(policy.name());
+        let trace = Oo7App::standard(spec::build_params(Some("tiny"), 3, None).unwrap(), 1)
+            .generate()
+            .0;
+        let config = SimConfig {
+            store: spec::store_config(Some("tiny"), "paper").unwrap(),
+            preamble_collections: 2,
+            ..SimConfig::default()
+        };
+        Simulator::new(config)
+            .replay(
+                &trace,
+                policy.as_mut(),
+                ReplayOptions::new().telemetry(&mut expected),
+            )
+            .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let doc = odbgc_sim::Json::parse(&text).expect("telemetry must parse");
-        assert_eq!(odbgc_sim::verify_header(&doc).as_deref(), Ok("run"));
+        assert_eq!(text, expected.to_json().to_string_pretty());
         // The decision log length matches the reported collection count.
         let colls: u64 = out
             .lines()
@@ -198,10 +216,7 @@ mod tests {
             .and_then(|l| l.split_whitespace().nth(1))
             .and_then(|v| v.parse().ok())
             .unwrap();
-        assert_eq!(
-            doc.get("decision_count").and_then(odbgc_sim::Json::as_u64),
-            Some(colls)
-        );
+        assert_eq!(expected.decisions.len() as u64, colls);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -167,6 +167,7 @@ fn clients_json(clients: &[odbgc_net::ClientCounters]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::{deterministic_lines, in_process_shard_documents};
     use odbgc_sim::engine::WorkloadParams;
 
     fn argv(s: &str) -> Vec<String> {
@@ -235,8 +236,10 @@ mod tests {
         );
         assert!(out.contains("net loop 0: "), "{out}");
         assert!(out.contains("net loop 1: "), "{out}");
-        let doc = odbgc_sim::Json::parse(&text).expect("telemetry parses");
-        assert_eq!(odbgc_sim::verify_header(&doc).as_deref(), Ok("run"));
+        // Past its net_ counters, shard 0's file is the document an
+        // in-process serve of the same session stream builds.
+        let expected = &in_process_shard_documents("fixed:25", 2, 200, 42)[0];
+        assert_eq!(deterministic_lines(&text), deterministic_lines(expected));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,6 +2,8 @@
 //! mode: N sessions submit live operations against sharded engines that
 //! collect between turns, under a seeded deterministic scheduler.
 
+use std::path::Path;
+
 use odbgc_sim::engine::{serve, ServeConfig, ShardOutcome, WorkloadParams};
 use odbgc_sim::{Json, RunTelemetry, SimConfig};
 
@@ -132,20 +134,26 @@ pub(crate) fn write_shard_telemetry(
 }
 
 /// The telemetry file of one shard: the given path verbatim for a
-/// single-shard run, otherwise `name-shardN[.ext]`.
+/// single-shard run, otherwise `name-shardN[.ext]` in the same directory
+/// (a dot in a directory name is not an extension).
 fn shard_telemetry_path(path: &str, shard: usize, shard_count: usize) -> String {
     if shard_count == 1 {
         return path.to_owned();
     }
-    match path.rsplit_once('.') {
-        Some((stem, ext)) => format!("{stem}-shard{shard}.{ext}"),
-        None => format!("{path}-shard{shard}"),
+    let path = Path::new(path);
+    let mut name = path.file_stem().unwrap_or_default().to_os_string();
+    name.push(format!("-shard{shard}"));
+    if let Some(ext) = path.extension() {
+        name.push(".");
+        name.push(ext);
     }
+    path.with_file_name(name).display().to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::in_process_shard_documents;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -163,22 +171,40 @@ mod tests {
 
     #[test]
     fn telemetry_files_verify_per_shard() {
+        // Each shard's file is, byte for byte, the run document built in
+        // process from a serve with the same seeds.
         let dir = std::env::temp_dir().join(format!("odbgc-serve-bench-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("serve.json");
         let out = run(&argv(&format!(
-            "--policy saio:10% --sessions 2 --shards 2 --ops 400 --telemetry {}",
+            "--policy saio:10% --sessions 2 --shards 2 --ops 400 --sched-seed 7 --telemetry {}",
             path.display()
         )))
         .unwrap();
         assert!(out.contains("telemetry written to"), "{out}");
-        for shard in 0..2 {
-            let shard_path = dir.join(format!("serve-shard{shard}.json"));
-            let text = std::fs::read_to_string(&shard_path).unwrap();
-            let doc = odbgc_sim::Json::parse(&text).expect("telemetry must parse");
-            assert_eq!(odbgc_sim::verify_header(&doc).as_deref(), Ok("run"));
+        let expected = in_process_shard_documents("saio:10%", 2, 400, 7);
+        for (i, expected) in expected.iter().enumerate() {
+            let text = std::fs::read_to_string(dir.join(format!("serve-shard{i}.json"))).unwrap();
+            assert_eq!(&text, expected, "shard {i}");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shard_suffix_goes_on_the_file_name_not_a_dotted_directory() {
+        assert_eq!(
+            shard_telemetry_path("/tmp/run.d/serve", 0, 2),
+            "/tmp/run.d/serve-shard0"
+        );
+        assert_eq!(
+            shard_telemetry_path("out.d/serve.json", 1, 2),
+            "out.d/serve-shard1.json"
+        );
+        assert_eq!(
+            shard_telemetry_path("serve.json", 1, 2),
+            "serve-shard1.json"
+        );
+        assert_eq!(shard_telemetry_path("run.d/serve", 0, 1), "run.d/serve");
     }
 
     #[test]

@@ -94,6 +94,15 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
     };
 
+    // A point outside its policy's range (`saio` (0, 100], `saga`
+    // [0, 100), `nan`) is a usage error caught before any trace is built:
+    // each cell's spec must pass the parser a `--policy` spec does.
+    for (pct, cell_spec) in &cells {
+        if let Err(e) = cell_spec.to_string().parse::<PolicySpec>() {
+            return Err(CliError(format!("--points {pct}: {e}")));
+        }
+    }
+
     let mut plan = ExperimentPlan::new(params, &seeds, config).cells(cells);
     if let Some((cell_index, seed)) = poison {
         plan = plan.inject_fault(FaultSpec {
@@ -213,6 +222,7 @@ fn parse_poison(v: &str) -> Result<(usize, u64), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::deterministic_lines;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -259,6 +269,30 @@ mod tests {
         assert_eq!(data(&serial), data(&parallel));
     }
 
+    /// The in-process twin of `--policy saio --points 10,20 --seeds 1..2
+    /// --params tiny --conn 2`, optionally poisoning one job.
+    fn tiny_saio_plan(poison: Option<(usize, u64)>) -> ExperimentPlan {
+        let params = spec::build_params(Some("tiny"), 2, None).unwrap();
+        let mut plan = ExperimentPlan::new(params, &[1, 2], SimConfig::default()).cells([
+            (10.0, PolicySpec::saio(0.10)),
+            (20.0, PolicySpec::saio(0.20)),
+        ]);
+        if let Some((cell_index, seed)) = poison {
+            plan = plan.inject_fault(FaultSpec {
+                cell_index,
+                seed,
+                kind: FaultKind::PoisonTrace,
+            });
+        }
+        plan
+    }
+
+    fn in_process_document(plan: &ExperimentPlan) -> String {
+        PlanTelemetry::from_outcome(plan, &plan.run())
+            .to_json()
+            .to_string_pretty()
+    }
+
     #[test]
     fn telemetry_flag_writes_plan_document() {
         let dir =
@@ -271,13 +305,12 @@ mod tests {
         )))
         .unwrap();
         assert!(out.contains("telemetry written to"));
+        // Apart from its wall-clock entries, the file is the document the
+        // same plan builds in process.
         let text = std::fs::read_to_string(&path).unwrap();
-        let doc = odbgc_sim::Json::parse(&text).expect("plan telemetry must parse");
-        assert_eq!(odbgc_sim::verify_header(&doc).as_deref(), Ok("plan"));
-        assert_eq!(
-            doc.get("failure_count").and_then(odbgc_sim::Json::as_u64),
-            Some(0)
-        );
+        let expected = in_process_document(&tiny_saio_plan(None));
+        assert_eq!(deterministic_lines(&text), deterministic_lines(&expected));
+        assert!(text.contains("\n  \"failure_count\": 0,\n"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -298,12 +331,27 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("1 job(s) failed"));
         let text = std::fs::read_to_string(&path).unwrap();
-        let doc = odbgc_sim::Json::parse(&text).unwrap();
-        assert_eq!(
-            doc.get("failure_count").and_then(odbgc_sim::Json::as_u64),
-            Some(1)
-        );
+        let expected = in_process_document(&tiny_saio_plan(Some((0, 1))));
+        assert_eq!(deterministic_lines(&text), deterministic_lines(&expected));
+        assert!(text.contains("\n  \"failure_count\": 1,\n"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn out_of_range_points_are_refused_before_any_work() {
+        for (args, value) in [
+            ("--policy saio --points 10,150", "--points 150:"),
+            ("--policy saio --points 0", "--points 0:"),
+            ("--policy saio --points nan", "--points NaN:"),
+            ("--policy saga --points 100", "--points 100:"),
+            ("--policy saga:fgs-hb --points -5", "--points -5:"),
+        ] {
+            let err = run(&argv(&format!("{args} --seeds 1..2 --params tiny")))
+                .unwrap_err()
+                .to_string();
+            assert!(err.starts_with(value), "{args}: {err}");
+            assert!(!err.contains("job(s) failed"), "{args}: {err}");
+        }
     }
 
     #[test]

@@ -67,7 +67,6 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
         "client" => commands::client::run(rest),
         "serve-bench" => commands::serve_bench::run(rest),
         "sweep" => commands::sweep::run(rest),
-        "telemetry" => commands::telemetry::run(rest),
         "trace" => commands::trace::run(rest),
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(CliError(format!(
@@ -83,7 +82,8 @@ odbgc — self-adaptive GC-rate control simulator (SIGMOD'96 reproduction)
 
 USAGE:
   odbgc generate --out <file> [--conn N] [--seed N] [--params small-prime|small|tiny] [--style bidir|forward]
-  odbgc run      (--trace <file> | [--conn N] [--seed N]) --policy <spec>
+  odbgc run      (--trace <file> | [--conn N] [--seed N] [--params small-prime|small|tiny]
+                 [--style bidir|forward]) --policy <spec>
                  [--selector updated-pointer|random|round-robin|most-garbage]
                  [--series <csv>] [--preamble N] [--store paper|tiny]
                  [--telemetry <json>]
@@ -96,9 +96,8 @@ USAGE:
   odbgc client   --connect HOST:PORT [--session N] [--ops N] [--batch N]
                  [--window N] [--seed N] [--connections N] [--shutdown true]
   odbgc sweep    --policy saio|saga[:estimator] --points a,b,c [--seeds A..B]
-                 [--conn N] [--csv <file>] [--jobs N]
-                 [--telemetry <json>] [--progress N]
-  odbgc telemetry verify --file <json>
+                 [--conn N] [--params small-prime|small|tiny] [--csv <file>]
+                 [--jobs N] [--telemetry <json>] [--progress N]
   odbgc trace    stat|cat --trace <file>   (cat: [--limit N])
 
 Traces are OTBF tracefiles: checksummed, varint/delta-encoded, and read
@@ -139,7 +138,9 @@ matches in-process telemetry after stripping volatile keys.
 
 --telemetry writes a versioned JSON document (policy decision log and
 per-phase accounting for `run`; per-job wall times, trace-cache counts,
-and the failure list for `sweep`); `odbgc telemetry verify` checks one.
+and the failure list for `sweep`) for external tools such as jq; odbgc
+never reads one back. Every document leads with \"schema\":
+\"odbgc-telemetry\", \"version\" and \"kind\".
 --progress N prints a stderr line every N completed sweep jobs."
         .to_owned()
 }
@@ -167,5 +168,23 @@ mod tests {
     fn unknown_command_errors() {
         let e = dispatch(&argv("frobnicate")).unwrap_err();
         assert!(e.to_string().contains("unknown command"));
+    }
+
+    #[test]
+    fn usage_lists_the_params_and_style_flags() {
+        let usage = usage();
+        let section = |cmd: &str| {
+            let start = usage.find(&format!("  odbgc {cmd} ")).expect(cmd);
+            let rest = &usage[start + 2..];
+            rest[..rest.find("\n  odbgc ").unwrap_or(rest.len())].to_owned()
+        };
+        let run = section("run");
+        assert!(run.contains("[--params small-prime|small|tiny]"), "{run}");
+        assert!(run.contains("[--style bidir|forward]"), "{run}");
+        let sweep = section("sweep");
+        assert!(
+            sweep.contains("[--params small-prime|small|tiny]"),
+            "{sweep}"
+        );
     }
 }

@@ -33,9 +33,7 @@ pub use runner::{
 pub use simulator::{
     BatchSource, ReplayError, ReplayOptions, RunResult, SimError, Simulator, TraceBatches,
 };
-pub use telemetry::{
-    verify_header, DecisionRecord, Json, JsonError, PhaseTelemetry, PlanTelemetry, RunTelemetry,
-};
+pub use telemetry::{DecisionRecord, Json, PhaseTelemetry, PlanTelemetry, RunTelemetry};
 
 pub use odbgc_engine as engine;
 pub use odbgc_engine::{CollectionRecord, RunMetrics};

@@ -22,19 +22,21 @@
 //! # Export format
 //!
 //! Everything exports as JSON through the dependency-free [`Json`] value
-//! type. Every document leads with a schema header, versioned like the
-//! binary tracefile format:
+//! type. Telemetry is export-only: odbgc writes these documents and
+//! never reads them back; they are for external tools (`jq`, Python).
+//! Every document leads with a schema header, versioned like the binary
+//! tracefile format:
 //!
 //! ```json
 //! { "schema": "odbgc-telemetry", "version": 1, "kind": "run", ... }
 //! ```
 //!
 //! Readers must reject documents whose `schema` is unknown or whose
-//! `version` is newer than theirs ([`verify_header`]). Nondeterministic
-//! values (wall times, worker counts, machine load) live exclusively
-//! under keys named `timing` or prefixed `wall_` / `net_`, so
-//! [`Json::strip_volatile`] yields a byte-identical document for any
-//! worker count — the property `odbgc sweep --telemetry` tests rely on.
+//! `version` is newer than theirs. Nondeterministic values (wall times,
+//! worker counts, machine load) live exclusively under keys named
+//! `timing` or prefixed `wall_` / `net_`, so [`Json::strip_volatile`]
+//! yields a byte-identical document for any worker count — the property
+//! `odbgc sweep --telemetry` tests rely on.
 
 use std::time::Duration;
 
@@ -54,9 +56,9 @@ pub const SCHEMA_VERSION: u64 = 1;
 // JSON value type (no external dependencies)
 // ---------------------------------------------------------------------
 
-/// A JSON value that round-trips exactly: numbers are kept as their raw
-/// source literal, so `parse` → `to_string` reproduces the input byte
-/// for byte (modulo whitespace normalization).
+/// A JSON value. Numbers are kept as the literal text their constructor
+/// formatted, so the writer emits integers beyond `f64`'s exact range
+/// (`u64::MAX`) digit for digit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -102,46 +104,6 @@ impl Json {
     /// A string value.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
-    }
-
-    /// Looks up a key of an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a u64, if it is an integer literal.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as an f64, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value's elements, if it is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
     }
 
     /// A copy with every nondeterministic field removed: object entries
@@ -221,23 +183,6 @@ impl Json {
             }
         }
     }
-
-    /// Parses a JSON document. Numbers keep their source literal, object
-    /// order is preserved, so `to_string_pretty` of the result
-    /// re-emits an equivalent document.
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing data after document"));
-        }
-        Ok(value)
-    }
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -262,226 +207,6 @@ fn write_escaped(out: &mut String, s: &str) {
         }
     }
     out.push('"');
-}
-
-/// A JSON parse failure with its byte offset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure.
-    pub offset: usize,
-    /// What went wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn error(&self, message: impl Into<String>) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.error(format!("expected {word}")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.error(format!("unexpected {:?}", c as char))),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        // Validate the token is a real number even though the raw text is
-        // what gets stored.
-        if text.parse::<f64>().is_err() {
-            return Err(self.error(format!("malformed number {text:?}")));
-        }
-        Ok(Json::Num(text.to_owned()))
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("malformed \\u escape"))?;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unmodified).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Checks a parsed document's schema header: `schema` must be
-/// [`SCHEMA_NAME`], `version` must be ≤ [`SCHEMA_VERSION`], and `kind`
-/// must be present. Returns the document's `kind`.
-pub fn verify_header(doc: &Json) -> Result<String, String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing \"schema\" field")?;
-    if schema != SCHEMA_NAME {
-        return Err(format!("unknown schema {schema:?} (want {SCHEMA_NAME:?})"));
-    }
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or("missing \"version\" field")?;
-    if version > SCHEMA_VERSION {
-        return Err(format!(
-            "document version {version} is newer than supported {SCHEMA_VERSION}"
-        ));
-    }
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("missing \"kind\" field")?;
-    Ok(kind.to_owned())
 }
 
 // ---------------------------------------------------------------------
@@ -885,14 +610,17 @@ impl PlanTelemetry {
 mod tests {
     use super::*;
 
-    fn doc() -> Json {
-        Json::Obj(vec![
+    #[test]
+    fn to_string_pretty_writes_the_expected_text() {
+        let doc = Json::Obj(vec![
             ("schema".into(), Json::str(SCHEMA_NAME)),
             ("version".into(), Json::u64(SCHEMA_VERSION)),
             ("kind".into(), Json::str("run")),
             ("pi".into(), Json::f64(3.25)),
             ("big".into(), Json::u64(u64::MAX)),
-            ("none".into(), Json::Null),
+            ("nan".into(), Json::f64(f64::NAN)),
+            ("inf".into(), Json::f64(f64::NEG_INFINITY)),
+            ("none".into(), Json::opt_u64(None)),
             ("ok".into(), Json::Bool(true)),
             (
                 "arr".into(),
@@ -900,24 +628,36 @@ mod tests {
             ),
             ("empty_arr".into(), Json::Arr(vec![])),
             ("empty_obj".into(), Json::Obj(vec![])),
-        ])
-    }
-
-    #[test]
-    fn json_round_trips_byte_identically() {
-        let text = doc().to_string_pretty();
-        let parsed = Json::parse(&text).expect("parses");
-        assert_eq!(parsed, doc());
-        assert_eq!(parsed.to_string_pretty(), text);
+        ]);
+        let expected = r#"{
+  "schema": "odbgc-telemetry",
+  "version": 1,
+  "kind": "run",
+  "pi": 3.25,
+  "big": 18446744073709551615,
+  "nan": null,
+  "inf": null,
+  "none": null,
+  "ok": true,
+  "arr": [
+    1,
+    "two\n\"quoted\""
+  ],
+  "empty_arr": [],
+  "empty_obj": {}
+}
+"#;
+        assert_eq!(doc.to_string_pretty(), expected);
     }
 
     #[test]
     fn u64_max_survives_round_trip() {
-        // f64 cannot represent u64::MAX; the raw-literal representation
-        // must preserve it exactly.
-        let text = Json::u64(u64::MAX).to_string_pretty();
-        let parsed = Json::parse(&text).expect("parses");
-        assert_eq!(parsed.as_u64(), Some(u64::MAX));
+        // f64 cannot represent u64::MAX; the literal-text representation
+        // must write it digit for digit.
+        assert_eq!(
+            Json::u64(u64::MAX).to_string_pretty(),
+            "18446744073709551615\n"
+        );
     }
 
     #[test]
@@ -928,16 +668,14 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\" 1}", "nul", "1 2", "\"unterminated"] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
-        }
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_unicode() {
-        let parsed = Json::parse(r#""a\n\t\"\\Aü""#).expect("parses");
-        assert_eq!(parsed.as_str(), Some("a\n\t\"\\Aü"));
+    fn writer_escapes_quotes_controls_and_unicode() {
+        let raw = "q\"b\\s\nn\rr\tt\u{1}c\u{1f}üé€";
+        let doc = Json::Obj(vec![(raw.into(), Json::str(raw))]);
+        let escaped = r#""q\"b\\s\nn\rr\tt\u0001c\u001füé€""#;
+        assert_eq!(
+            doc.to_string_pretty(),
+            format!("{{\n  {escaped}: {escaped}\n}}\n")
+        );
     }
 
     #[test]
@@ -970,26 +708,6 @@ mod tests {
                 ("corpus".into(), Json::Obj(vec![])),
             ])
         );
-    }
-
-    #[test]
-    fn verify_header_enforces_schema_and_version() {
-        assert_eq!(verify_header(&doc()).as_deref(), Ok("run"));
-        let wrong_schema = Json::Obj(vec![
-            ("schema".into(), Json::str("something-else")),
-            ("version".into(), Json::u64(1)),
-            ("kind".into(), Json::str("run")),
-        ]);
-        assert!(verify_header(&wrong_schema).is_err());
-        let future = Json::Obj(vec![
-            ("schema".into(), Json::str(SCHEMA_NAME)),
-            ("version".into(), Json::u64(SCHEMA_VERSION + 1)),
-            ("kind".into(), Json::str("run")),
-        ]);
-        assert!(verify_header(&future)
-            .unwrap_err()
-            .contains("newer than supported"));
-        assert!(verify_header(&Json::Obj(vec![])).is_err());
     }
 
     #[test]
@@ -1050,13 +768,23 @@ mod tests {
             estimated_garbage: None,
         };
         let t = RunTelemetry::from_decisions("live".into(), vec![rec]);
-        let doc = t.to_json();
-        assert_eq!(verify_header(&doc).as_deref(), Ok("run"));
-        assert_eq!(doc.get("policy").and_then(Json::as_str), Some("live"));
-        assert_eq!(doc.get("decision_count").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            doc.get("phases").and_then(Json::as_arr).map(<[_]>::len),
-            Some(0)
-        );
+        let text = t.to_json().to_string_pretty();
+        let head = r#"{
+  "schema": "odbgc-telemetry",
+  "version": 1,
+  "kind": "run",
+  "policy": "live",
+  "decision_count": 1,
+  "clamp_hits": {
+    "min": 0,
+    "max": 0
+  },
+  "phases": [],
+  "decisions": [
+    {
+      "index": 0,
+      "clamp": "none",
+"#;
+        assert!(text.starts_with(head), "{text}");
     }
 }

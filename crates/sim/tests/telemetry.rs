@@ -1,8 +1,8 @@
 //! Acceptance tests for the telemetry layer (ISSUE 4).
 //!
 //! These pin the contract the CLI and CI rely on: telemetry is a pure
-//! observer (identical `RunResult`), the decision log is complete, the
-//! JSON export round-trips byte-identically, and plan telemetry is
+//! observer (identical `RunResult`), the decision log is complete, every
+//! export leads with the versioned schema header, and plan telemetry is
 //! deterministic across worker counts once wall-clock fields are
 //! stripped.
 
@@ -11,10 +11,12 @@ use odbgc_sim::core_policies::{
 };
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
 use odbgc_sim::trace::Trace;
-use odbgc_sim::{
-    verify_header, ExperimentPlan, Json, PlanTelemetry, ReplayOptions, RunTelemetry, SimConfig,
-    Simulator,
-};
+use odbgc_sim::{ExperimentPlan, PlanTelemetry, ReplayOptions, RunTelemetry, SimConfig, Simulator};
+
+/// The first lines of every exported document of the given kind.
+fn header(kind: &str) -> String {
+    format!("{{\n  \"schema\": \"odbgc-telemetry\",\n  \"version\": 1,\n  \"kind\": \"{kind}\",\n")
+}
 
 fn tiny_trace(seed: u64) -> Trace {
     Oo7App::standard(Oo7Params::tiny(), seed).generate().0
@@ -46,7 +48,7 @@ fn telemetry_is_a_pure_observer_of_the_run() {
 }
 
 #[test]
-fn run_export_round_trips_byte_identically() {
+fn run_export_leads_with_the_header_and_counts_every_decision() {
     let trace = tiny_trace(12);
     let sim = Simulator::new(SimConfig::tiny());
     let mut policy = SagaPolicy::new(SagaConfig::new(0.10), EstimatorKind::CgsCb.build());
@@ -57,22 +59,14 @@ fn run_export_round_trips_byte_identically() {
         ReplayOptions::new().telemetry(&mut telemetry),
     )
     .expect("run");
-    let doc = telemetry.to_json();
-    let text = doc.to_string_pretty();
-    let reparsed = Json::parse(&text).expect("export must parse");
-    assert_eq!(
-        reparsed.to_string_pretty(),
-        text,
-        "parse → re-emit must be byte-identical"
-    );
-    assert_eq!(verify_header(&reparsed).as_deref(), Ok("run"));
-    // The exported decision count agrees with the in-memory log.
-    let decisions = reparsed.get("decisions").and_then(Json::as_arr).unwrap();
-    assert_eq!(decisions.len(), telemetry.decisions.len());
-    assert_eq!(
-        reparsed.get("decision_count").and_then(Json::as_u64),
-        Some(decisions.len() as u64)
-    );
+    let text = telemetry.to_json().to_string_pretty();
+    assert!(text.starts_with(&header("run")), "{text}");
+    // The exported decision count agrees with the in-memory log, and
+    // every decision is written as one record.
+    let n = telemetry.decisions.len();
+    assert!(n > 0);
+    assert!(text.contains(&format!("\n  \"decision_count\": {n},\n")));
+    assert_eq!(text.matches("\n      \"index\": ").count(), n);
 }
 
 #[test]
@@ -124,20 +118,20 @@ fn plan_telemetry_is_identical_across_worker_counts_modulo_wall_time() {
 }
 
 #[test]
-fn plan_export_parses_and_carries_the_header() {
+fn plan_export_carries_the_header_and_every_job() {
     let plan = tiny_plan();
     let outcome = plan.run();
-    let telemetry = PlanTelemetry::from_outcome(&plan, &outcome);
-    let text = telemetry.to_json().to_string_pretty();
-    let doc = Json::parse(&text).expect("plan export must parse");
-    assert_eq!(verify_header(&doc).as_deref(), Ok("plan"));
-    assert_eq!(doc.get("failure_count").and_then(Json::as_u64), Some(0));
-    let cells = doc.get("cells").and_then(Json::as_arr).unwrap();
-    assert_eq!(cells.len(), plan.cells.len());
-    for cell in cells {
-        let runs = cell.get("runs").and_then(Json::as_arr).unwrap();
-        assert_eq!(runs.len(), plan.seeds.len());
-    }
+    let text = PlanTelemetry::from_outcome(&plan, &outcome)
+        .to_json()
+        .to_string_pretty();
+    assert!(text.starts_with(&header("plan")), "{text}");
+    assert!(text.contains("\n  \"failure_count\": 0,\n"));
+    // One record per cell, one run per seed in each.
+    assert_eq!(text.matches("\n      \"spec\": ").count(), plan.cells.len());
+    assert_eq!(
+        text.matches("\n          \"seed\": ").count(),
+        plan.cells.len() * plan.seeds.len()
+    );
 }
 
 #[test]

@@ -75,12 +75,17 @@ fn trace_format_and_corpus_options_are_refused_by_name() {
 #[test]
 fn info_and_trace_verify_are_refused_by_name() {
     // `trace stat` is the one census: it prints what `info` printed and
-    // verifies every block as `trace verify` did.
+    // verifies every block as `trace verify` did. Telemetry is
+    // export-only: nothing in odbgc reads a document back.
     for (args, name) in [
         ("info --trace t.otb", "unknown command \"info\""),
         (
             "trace verify --trace t.otb",
             "unknown trace subcommand \"verify\"",
+        ),
+        (
+            "telemetry verify --file x.json",
+            "unknown command \"telemetry\"",
         ),
     ] {
         let stderr = refused(&argv(args));

@@ -28,18 +28,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let params_name = flags.get("params");
     let csv_path = flags.get("csv");
     let telemetry_path = flags.get("telemetry");
-    // `--progress N` prints a stderr line every N completed jobs.
-    let progress_every = match flags.get("progress") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                return Err(CliError(format!(
-                    "--progress needs a positive integer, got {v:?}"
-                )))
-            }
-        },
-        None => None,
-    };
     let jobs = match flags.get("jobs") {
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n >= 1 => Some(n),
@@ -111,23 +99,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             kind: FaultKind::PoisonTrace,
         });
     }
-    let outcome = match progress_every {
-        None => plan.run_with_jobs(jobs),
-        Some(every) => plan.run_with_jobs_and_progress(jobs, &move |p| {
-            if p.done % every == 0 || p.done == p.total {
-                eprintln!(
-                    "sweep: {}/{} jobs done{}",
-                    p.done,
-                    p.total,
-                    if p.failed > 0 {
-                        format!(", {} failed", p.failed)
-                    } else {
-                        String::new()
-                    }
-                );
-            }
-        }),
-    };
+    let outcome = plan.run_with_jobs(jobs);
     if let Some(path) = &telemetry_path {
         // Written before the failure early-return below: a partially
         // failed sweep still leaves a full telemetry record (including
@@ -352,22 +324,6 @@ mod tests {
             assert!(err.starts_with(value), "{args}: {err}");
             assert!(!err.contains("job(s) failed"), "{args}: {err}");
         }
-    }
-
-    #[test]
-    fn progress_flag_accepts_positive_counts_only() {
-        assert!(run(&argv(
-            "--policy saio --points 10 --seeds 1 --params tiny --conn 2 --progress 1"
-        ))
-        .is_ok());
-        assert!(run(&argv(
-            "--policy saio --points 10 --seeds 1 --params tiny --progress 0"
-        ))
-        .is_err());
-        assert!(run(&argv(
-            "--policy saio --points 10 --seeds 1 --params tiny --progress x"
-        ))
-        .is_err());
     }
 
     #[test]

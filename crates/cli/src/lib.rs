@@ -97,7 +97,7 @@ USAGE:
                  [--window N] [--seed N] [--connections N] [--shutdown true]
   odbgc sweep    --policy saio|saga[:estimator] --points a,b,c [--seeds A..B]
                  [--conn N] [--params small-prime|small|tiny] [--csv <file>]
-                 [--jobs N] [--telemetry <json>] [--progress N]
+                 [--jobs N] [--telemetry <json>]
   odbgc trace    stat|cat --trace <file>   (cat: [--limit N])
 
 Traces are OTBF tracefiles: checksummed, varint/delta-encoded, and read
@@ -140,8 +140,7 @@ matches in-process telemetry after stripping volatile keys.
 per-phase accounting for `run`; per-job wall times, trace-cache counts,
 and the failure list for `sweep`) for external tools such as jq; odbgc
 never reads one back. Every document leads with \"schema\":
-\"odbgc-telemetry\", \"version\" and \"kind\".
---progress N prints a stderr line every N completed sweep jobs."
+\"odbgc-telemetry\", \"version\" and \"kind\"."
         .to_owned()
 }
 

@@ -4,7 +4,7 @@ use odbgc_core::CollectionObservation;
 use odbgc_core::{GarbageEstimator, RatePolicy, Trigger, TriggerElapsed};
 use odbgc_gc::Collector;
 use odbgc_store::{ApplyOutcome, CollectionApplied, Store, StoreError};
-use odbgc_trace::{Event, ObjectId};
+use odbgc_trace::Event;
 
 use crate::config::EngineConfig;
 use crate::metrics::RunMetrics;
@@ -23,34 +23,24 @@ pub enum CollectMode {
     Inline,
     /// Operations never collect; the driver calls
     /// [`StoreEngine::collect_if_due`] at points of its choosing (serve
-    /// mode: on the background worker, between operation batches).
+    /// mode: the shard's owner, between two turns).
     Deferred,
-}
-
-/// What applying one operation did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventReport {
-    /// The store's per-event deltas.
-    pub outcome: ApplyOutcome,
-    /// The collection the operation triggered inline, if any (always
-    /// `None` in [`CollectMode::Deferred`]).
-    pub collected: Option<CollectionApplied>,
 }
 
 /// The live mutator/collector engine.
 ///
 /// Owns the store, the collector, the rate policy, and the trigger state
 /// the simulator's replay loop used to keep in local variables. Every
-/// driver — trace replay, direct [`Session`] clients, serve mode — goes
-/// through [`StoreEngine::apply_event`], so the per-operation sequence
-/// (apply → sample → deep-check → observe → trigger check) is identical
-/// everywhere by construction.
+/// driver — trace replay, [`Session`] clients, serve mode — goes through
+/// [`StoreEngine::apply_event`], the one place the per-operation
+/// sequence (apply → sample → deep-check → observe → trigger check)
+/// runs.
 ///
 /// The engine is generic over how it holds the policy: owned engines
 /// (serve mode) use the default `Box<dyn RatePolicy + Send>` — which
-/// makes the whole engine `Send`, so shards can live behind mutexes
-/// shared across threads — while the simulator lends a
-/// `&mut dyn RatePolicy` without giving up ownership or allocating.
+/// makes the whole engine `Send`, so a shard can move to the thread that
+/// owns it — while the simulator lends a `&mut dyn RatePolicy` without
+/// giving up ownership or allocating.
 pub struct StoreEngine<P: RatePolicy = Box<dyn RatePolicy + Send>> {
     config: EngineConfig,
     store: Store,
@@ -65,7 +55,6 @@ pub struct StoreEngine<P: RatePolicy = Box<dyn RatePolicy + Send>> {
     clock_base: u64,
     alloc_base: u64,
     events_applied: u64,
-    next_object_id: u64,
     mode: CollectMode,
 }
 
@@ -106,7 +95,6 @@ impl<P: RatePolicy> StoreEngine<P> {
             clock_base: 0,
             alloc_base: 0,
             events_applied: 0,
-            next_object_id: 0,
             mode: CollectMode::Inline,
         }
     }
@@ -119,17 +107,16 @@ impl<P: RatePolicy> StoreEngine<P> {
     /// Applies one event through the full per-operation sequence: store
     /// apply, metrics sample, optional deep check, observer note, and —
     /// in [`CollectMode::Inline`] — the trigger check and collection.
+    /// Returns the store's per-event deltas.
     ///
-    /// This is byte-for-byte the body of the old replay loop; the
-    /// simulator calls it per trace event, sessions per operation.
+    /// This is the only place that sequence runs: the simulator reaches
+    /// it per trace event through [`StoreEngine::apply_batch`], sessions
+    /// per operation through [`Session::apply_event`].
     pub fn apply_event(
         &mut self,
         ev: &Event,
         mut observer: Option<&mut (dyn EngineObserver + '_)>,
-    ) -> Result<EventReport, StoreError> {
-        if let Event::Create { id, .. } = ev {
-            self.next_object_id = self.next_object_id.max(id.raw() + 1);
-        }
+    ) -> Result<ApplyOutcome, StoreError> {
         let outcome = self.store.apply(ev)?;
         self.events_applied += 1;
 
@@ -145,70 +132,25 @@ impl<P: RatePolicy> StoreEngine<P> {
             o.note_event(self.counters());
         }
 
-        let collected = match self.mode {
-            CollectMode::Inline => self.collect_if_due(observer),
-            CollectMode::Deferred => None,
-        };
-        Ok(EventReport { outcome, collected })
+        if self.mode == CollectMode::Inline {
+            self.collect_if_due(observer);
+        }
+        Ok(outcome)
     }
 
-    /// Applies a decoded block of events through exactly the per-event
-    /// sequence of [`StoreEngine::apply_event`] — store apply, metrics
-    /// sample, optional deep check, observer note, inline trigger check.
-    ///
-    /// The trigger check and metrics sampling are *behavioral* (they
-    /// decide when collections fire), so they cannot move to batch
-    /// boundaries; what the batch form amortizes is the per-call
-    /// overhead around them — the collect-mode branch, the deep-check
-    /// flag load, and the observer `Option` re-borrow are all hoisted
-    /// out of the loop. Results are byte-identical to an `apply_event`
-    /// loop by construction.
+    /// Applies a decoded block of events, each through
+    /// [`StoreEngine::apply_event`].
     ///
     /// On failure, the error carries the offset *within `events`* of
     /// the event the store rejected; earlier events remain applied.
     pub fn apply_batch(
         &mut self,
         events: &[Event],
-        observer: Option<&mut (dyn EngineObserver + '_)>,
+        mut observer: Option<&mut (dyn EngineObserver + '_)>,
     ) -> Result<(), (usize, StoreError)> {
-        let inline = self.mode == CollectMode::Inline;
-        let deep = self.config.deep_checks;
-        match observer {
-            None => {
-                for (i, ev) in events.iter().enumerate() {
-                    if let Event::Create { id, .. } = ev {
-                        self.next_object_id = self.next_object_id.max(id.raw() + 1);
-                    }
-                    self.store.apply(ev).map_err(|e| (i, e))?;
-                    self.events_applied += 1;
-                    self.metrics
-                        .sample_event(self.store.garbage_bytes(), self.store.db_size_bytes());
-                    if deep {
-                        self.store.assert_counters_match();
-                    }
-                    if inline {
-                        self.collect_if_due(None);
-                    }
-                }
-            }
-            Some(o) => {
-                for (i, ev) in events.iter().enumerate() {
-                    if let Event::Create { id, .. } = ev {
-                        self.next_object_id = self.next_object_id.max(id.raw() + 1);
-                    }
-                    self.store.apply(ev).map_err(|e| (i, e))?;
-                    self.events_applied += 1;
-                    self.metrics
-                        .sample_event(self.store.garbage_bytes(), self.store.db_size_bytes());
-                    if deep {
-                        self.store.assert_counters_match();
-                    }
-                    o.note_event(self.counters());
-                    if inline {
-                        self.collect_if_due(Some(&mut *o));
-                    }
-                }
-            }
+        for (i, ev) in events.iter().enumerate() {
+            self.apply_event(ev, observer.as_deref_mut())
+                .map_err(|e| (i, e))?;
         }
         Ok(())
     }
@@ -329,11 +271,6 @@ impl<P: RatePolicy> StoreEngine<P> {
         }
     }
 
-    /// A session handle for issuing typed mutator operations.
-    pub fn session(&mut self, id: SessionId) -> Session<'_, P> {
-        Session::new(id, self, None)
-    }
-
     /// A session handle whose operations report to `observer`.
     pub fn session_with<'e>(
         &'e mut self,
@@ -341,15 +278,6 @@ impl<P: RatePolicy> StoreEngine<P> {
         observer: Option<&'e mut dyn EngineObserver>,
     ) -> Session<'e, P> {
         Session::new(id, self, observer)
-    }
-
-    /// An [`ObjectId`] no object in this engine has used yet. Ids are
-    /// allocated densely; replayed traces bump the watermark past every
-    /// id they mention, so replay and live creation can interleave.
-    pub fn fresh_object_id(&mut self) -> ObjectId {
-        let id = ObjectId::new(self.next_object_id);
-        self.next_object_id += 1;
-        id
     }
 
     /// Read access to the underlying store.
@@ -372,11 +300,6 @@ impl<P: RatePolicy> StoreEngine<P> {
     /// Collections performed so far.
     pub fn collection_count(&self) -> u64 {
         self.records.len() as u64
-    }
-
-    /// The per-collection series so far.
-    pub fn records(&self) -> &[CollectionRecord] {
-        &self.records
     }
 
     /// The policy's self-description.
@@ -412,25 +335,40 @@ impl<P: RatePolicy> StoreEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{apply_ops, ObjRef, SessionObjects, SessionOp};
     use odbgc_core::FixedRatePolicy;
+    use odbgc_trace::ObjectId;
 
     #[test]
     fn deferred_mode_never_collects_inline() {
         let mut engine = StoreEngine::new(EngineConfig::tiny(), Box::new(FixedRatePolicy::new(1)));
         engine.set_collect_mode(CollectMode::Deferred);
-        let mut sess = engine.session(SessionId::new(0));
-        let a = sess.create(40, 1).expect("create");
-        sess.add_root(a.id).expect("root");
-        let b = sess.create(40, 0).expect("create");
-        let w = sess
-            .overwrite(a.id, odbgc_trace::SlotIdx::new(0), Some(b.id))
-            .expect("link");
-        assert!(w.collected.is_none());
-        let w = sess
-            .overwrite(a.id, odbgc_trace::SlotIdx::new(0), None)
-            .expect("unlink");
-        assert!(w.counted_overwrite);
-        assert!(w.collected.is_none(), "deferred mode must not collect");
+        let slot0 = |target| SessionOp::Overwrite {
+            obj: ObjRef(0),
+            slot: 0,
+            target,
+        };
+        let ops = [
+            SessionOp::Create { size: 40, slots: 1 },
+            SessionOp::AddRoot { obj: ObjRef(0) },
+            SessionOp::Create { size: 40, slots: 0 },
+            slot0(Some(ObjRef(1))),
+            // The first counted overwrite: a rate-1 trigger is due.
+            slot0(None),
+        ];
+        let applied = apply_ops(
+            &mut engine.session_with(SessionId::new(0), None),
+            &mut SessionObjects::new(),
+            &ops,
+        )
+        .expect("turn applies");
+        assert_eq!(applied.garbage_created, 40);
+        assert_eq!(engine.store().overwrite_clock(), 1);
+        assert_eq!(
+            engine.collection_count(),
+            0,
+            "deferred mode must not collect"
+        );
         assert!(engine.collection_due(), "rate-1 trigger is due");
         let collected = engine.collect_if_due(None).expect("collects");
         assert!(collected.bytes_reclaimed > 0);
@@ -495,7 +433,17 @@ mod tests {
             slots: Box::new([]),
         };
         engine.apply_event(&ev, None).expect("apply");
-        assert_eq!(engine.fresh_object_id(), ObjectId::new(8));
-        assert_eq!(engine.fresh_object_id(), ObjectId::new(9));
+        let create = SessionOp::Create { size: 40, slots: 0 };
+        apply_ops(
+            &mut engine.session_with(SessionId::new(0), None),
+            &mut SessionObjects::new(),
+            &[create, create],
+        )
+        .expect("served creates");
+        let present: Vec<u64> = (0..12)
+            .filter(|&raw| engine.store().is_present(ObjectId::new(raw)))
+            .collect();
+        assert_eq!(present, [7, 8, 9], "served ids follow the replayed one");
+        assert_eq!(engine.store().object_table_len(), 10);
     }
 }

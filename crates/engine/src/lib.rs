@@ -4,17 +4,17 @@
 //! combination was [`Simulator::replay`] in `odbgc-sim`: a closed loop
 //! that consumed a recorded trace. This crate extracts that loop's core
 //! into a [`StoreEngine`] that owns the store, the collector, the policy,
-//! and the live I/O counters, and exposes a *mutator-facing* operation
-//! API — [`Session::create`] / [`Session::access`] /
-//! [`Session::overwrite`] / [`Session::add_root`] /
-//! [`Session::remove_root`] — so replay becomes one client among many:
+//! and the live I/O counters, and applies every event through one call,
+//! [`StoreEngine::apply_event`], so replay becomes one client among many:
 //!
-//! * the simulator feeds trace events through [`Session::apply_event`]
-//!   and stays byte-identical to the pre-split replay loop;
-//! * live clients issue typed operations, and GC triggering is driven by
-//!   the same [`odbgc_core::RatePolicy`] observations — sourced from the
-//!   engine's live counters rather than a replayed trace;
-//! * the [`serve`] module runs N concurrent sessions against a store
+//! * the simulator feeds trace events through
+//!   [`StoreEngine::apply_batch`], a loop over `apply_event`;
+//! * live clients submit [`SessionOp`]s, which [`apply_ops`] maps to the
+//!   events they stand for and applies through a [`Session`]; GC
+//!   triggering is driven by the same [`odbgc_core::RatePolicy`]
+//!   observations — sourced from the engine's live counters rather than
+//!   a replayed trace;
+//! * the [`serve`](mod@serve) module runs N concurrent sessions against a store
 //!   sharded by partition group, each shard draining its due collections
 //!   between turns, under a seeded deterministic scheduler.
 //!
@@ -37,7 +37,7 @@ pub mod serve;
 pub mod session;
 
 pub use config::EngineConfig;
-pub use engine::{CollectMode, EventReport, StoreEngine};
+pub use engine::{CollectMode, StoreEngine};
 pub use metrics::RunMetrics;
 pub use observer::{CounterSnapshot, DecisionLog, DecisionRecord, EngineObserver};
 pub use result::RunResult;
@@ -47,6 +47,4 @@ pub use serve::{
     SessionObjects, SessionOp, SessionWorkload, Shard, ShardOutcome, TurnApplied, TurnError,
     TurnErrorKind, WorkloadParams,
 };
-pub use session::{
-    Accessed, Created, OpError, Overwrote, RootAdded, RootRemoved, Session, SessionId,
-};
+pub use session::{OpError, Session, SessionId};

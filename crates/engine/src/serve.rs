@@ -4,20 +4,23 @@
 //! A [`Shard`] is one store, collector and policy (a [`StoreEngine`] in
 //! deferred-collection mode), its decision log, and a failure latch. It
 //! is a plain owned value with exactly one owner per mode: [`serve`]
-//! holds its shards on the calling thread; `odbgc-net` moves each shard
-//! into that shard's executor thread. The owner applies one turn of
-//! operations ([`Shard::turn`]) and then drains every due collection
-//! ([`Shard::collect_due`]) before it starts the shard's next
-//! turn — the order the paper's simulator uses between two application
-//! events — so collections land at deterministic points in each shard's
-//! operation stream with no lock, flag or second thread to enforce it.
+//! holds its shards on the calling thread; in `odbgc-net` each shard
+//! moves into the event loop that serves its connections. The owner
+//! applies one turn of operations ([`Shard::turn`]) and then drains
+//! every due collection ([`Shard::collect_due`]) before it starts the
+//! shard's next turn — the order the paper's simulator uses between two
+//! application events — so collections land at deterministic points in
+//! each shard's operation stream with no lock, flag or second thread to
+//! enforce it.
 //!
 //! Operations are plain data ([`SessionOp`]) that name objects by
 //! *creation index* within the issuing session ([`ObjRef`]), not by raw
 //! [`ObjectId`]. That makes an operation stream a pure function of its
-//! seed — generators never need to see engine-assigned ids — and is what
+//! seed — generators never need to see store-assigned ids — and is what
 //! lets the same [`SessionWorkload`] drive the in-process scheduler here
 //! and the wire protocol in `odbgc-net` with identical semantics.
+//! [`apply_ops`] turns each operation into the trace [`Event`] it stands
+//! for, so a served operation and a replayed event take one path.
 //!
 //! Failure is typed, never a panic cascade: turns and collections run
 //! under `catch_unwind`; a panic in either is captured with its payload
@@ -28,7 +31,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use odbgc_core::RatePolicy;
-use odbgc_trace::{ObjectId, SlotIdx};
+use odbgc_trace::{Event, ObjectId, SlotIdx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,7 +79,7 @@ impl Default for WorkloadParams {
 /// session created it (0 = the session's first `Create`).
 ///
 /// Operation streams address objects by creation index rather than by
-/// engine-assigned [`ObjectId`], so a stream can be generated — or sent
+/// store-assigned [`ObjectId`], so a stream can be generated — or sent
 /// over a wire — without waiting for any response. The applier resolves
 /// indices through the session's [`SessionObjects`] map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -85,9 +88,8 @@ pub struct ObjRef(pub u64);
 /// One mutator operation, as plain data.
 ///
 /// This is the unit the serve scheduler, the network protocol, and the
-/// workload generator all share. Applying a `SessionOp` through
-/// [`apply_ops`] funnels into the same typed [`Session`] methods a
-/// direct client would call.
+/// workload generator all share. [`apply_ops`] applies each one as the
+/// trace [`Event`] it stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionOp {
     /// Create a fresh object (`size` bytes, `slots` null pointer slots).
@@ -198,8 +200,12 @@ impl std::fmt::Display for TurnError {
 
 impl std::error::Error for TurnError {}
 
-/// Applies one turn of operations through a session, resolving
-/// [`ObjRef`]s via `objects` (and extending it at every `Create`).
+/// Applies one turn of operations through a session: each op becomes
+/// the [`Event`] it stands for, applied by [`Session::apply_event`].
+/// [`ObjRef`]s resolve via `objects`, which grows at every applied
+/// `Create`; a create takes the store's next unused id
+/// ([`Store::object_table_len`](odbgc_store::Store::object_table_len)),
+/// so a refused create's id goes to the next one.
 ///
 /// On failure the error carries the index of the offending operation;
 /// everything before it has been applied and `objects` reflects the
@@ -213,49 +219,36 @@ pub fn apply_ops<P: RatePolicy>(
     for (op_index, op) in ops.iter().enumerate() {
         let fail = |kind| TurnError { op_index, kind };
         let resolve = |r: ObjRef| {
-            objects.resolve(r).ok_or(TurnError {
-                op_index,
-                kind: TurnErrorKind::UnknownRef {
+            objects.resolve(r).ok_or_else(|| {
+                fail(TurnErrorKind::UnknownRef {
                     obj: r.0,
                     created: objects.created_count(),
-                },
+                })
             })
         };
-        match *op {
-            SessionOp::Create { size, slots } => {
-                let created = sess
-                    .create(size, slots)
-                    .map_err(|e| fail(TurnErrorKind::Op(e)))?;
-                objects.created.push(created.id);
-                out.created += 1;
-            }
-            SessionOp::Access { obj } => {
-                let id = resolve(obj)?;
-                sess.access(id).map_err(|e| fail(TurnErrorKind::Op(e)))?;
-            }
-            SessionOp::Overwrite { obj, slot, target } => {
-                let id = resolve(obj)?;
-                let new = match target {
-                    Some(t) => Some(resolve(t)?),
-                    None => None,
-                };
-                let w = sess
-                    .overwrite(id, SlotIdx::new(slot), new)
-                    .map_err(|e| fail(TurnErrorKind::Op(e)))?;
-                out.garbage_created += w.garbage_created;
-            }
-            SessionOp::AddRoot { obj } => {
-                let id = resolve(obj)?;
-                sess.add_root(id).map_err(|e| fail(TurnErrorKind::Op(e)))?;
-            }
-            SessionOp::RemoveRoot { obj } => {
-                let id = resolve(obj)?;
-                let r = sess
-                    .remove_root(id)
-                    .map_err(|e| fail(TurnErrorKind::Op(e)))?;
-                out.garbage_created += r.garbage_created;
-            }
+        let ev = match *op {
+            SessionOp::Create { size, slots } => Event::Create {
+                id: ObjectId::new(sess.engine.store().object_table_len()),
+                size,
+                slots: vec![None; slots as usize].into_boxed_slice(),
+            },
+            SessionOp::Access { obj } => Event::Access { id: resolve(obj)? },
+            SessionOp::Overwrite { obj, slot, target } => Event::SlotWrite {
+                src: resolve(obj)?,
+                slot: SlotIdx::new(slot),
+                new: target.map(resolve).transpose()?,
+            },
+            SessionOp::AddRoot { obj } => Event::RootAdd { id: resolve(obj)? },
+            SessionOp::RemoveRoot { obj } => Event::RootRemove { id: resolve(obj)? },
+        };
+        let outcome = sess
+            .apply_event(&ev)
+            .map_err(|e| fail(TurnErrorKind::Op(e)))?;
+        if let Event::Create { id, .. } = ev {
+            objects.created.push(id);
+            out.created += 1;
         }
+        out.garbage_created += outcome.garbage_created;
         out.applied += 1;
     }
     Ok(out)
@@ -298,11 +291,6 @@ impl SessionWorkload {
     /// Operations left in this session's budget.
     pub fn remaining(&self) -> u64 {
         self.remaining
-    }
-
-    /// The workload parameters this generator draws from.
-    pub fn params(&self) -> WorkloadParams {
-        self.params
     }
 
     /// Generates the next turn: whole actions only, at most
@@ -397,9 +385,8 @@ pub struct ServeError {
 /// The ways a serve run can fail.
 #[derive(Debug, Clone)]
 pub enum ServeErrorKind {
-    /// A session operation failed (the store's complaint, typed).
-    Op(OpError),
-    /// An operation stream named an unknown creation index.
+    /// An operation of a turn failed: the store refused it, or it named
+    /// an unknown creation index.
     Turn(TurnError),
     /// The shard panicked while collecting; the payload is captured here
     /// and the shard stops serving, while other shards continue.
@@ -414,7 +401,6 @@ pub enum ServeErrorKind {
 impl std::fmt::Display for ServeErrorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeErrorKind::Op(op) => write!(f, "{op}"),
             ServeErrorKind::Turn(t) => write!(f, "{t}"),
             ServeErrorKind::WorkerPanic(msg) => write!(f, "GC worker panicked: {msg}"),
             ServeErrorKind::TurnPanic(msg) => write!(f, "turn panicked: {msg}"),
@@ -431,7 +417,6 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match &self.kind {
-            ServeErrorKind::Op(op) => Some(op),
             ServeErrorKind::Turn(t) => Some(t),
             _ => None,
         }
@@ -707,14 +692,11 @@ pub fn serve(
                 per_session_ops[si] += applied.applied;
                 schedule.push(si as u32);
             }
-            // A session op the store rejects is fatal to the run.
+            // A failed turn is fatal to the run.
             Ok(Err(err)) => {
                 return Err(ServeError {
                     shard: shard_i,
-                    kind: match err.kind.clone() {
-                        TurnErrorKind::Op(op) => ServeErrorKind::Op(op),
-                        TurnErrorKind::UnknownRef { .. } => ServeErrorKind::Turn(err),
-                    },
+                    kind: ServeErrorKind::Turn(err),
                 });
             }
             Err(err) => {
@@ -998,7 +980,7 @@ mod tests {
             Box::new(FixedRatePolicy::new(1_000_000)),
         );
         let mut objects = SessionObjects::new();
-        let mut sess = engine.session(SessionId::new(0));
+        let mut sess = engine.session_with(SessionId::new(0), None);
         let err = apply_ops(
             &mut sess,
             &mut objects,
@@ -1011,5 +993,114 @@ mod tests {
             TurnErrorKind::UnknownRef { obj: 5, created: 0 }
         ));
         assert!(err.to_string().contains("unknown object ref 5"));
+    }
+
+    #[test]
+    fn a_refused_create_leaves_its_id_to_the_next_create() {
+        let mut engine: StoreEngine = StoreEngine::new(
+            EngineConfig::tiny(),
+            Box::new(FixedRatePolicy::new(1_000_000)),
+        );
+        let mut objects = SessionObjects::new();
+        let mut sess = engine.session_with(SessionId::new(0), None);
+        let create = |size| SessionOp::Create { size, slots: 0 };
+        apply_ops(&mut sess, &mut objects, &[create(64)]).expect("first create");
+        let err = apply_ops(&mut sess, &mut objects, &[create(u32::MAX)]).unwrap_err();
+        match err.kind {
+            TurnErrorKind::Op(OpError { cause, .. }) => assert_eq!(
+                cause,
+                StoreError::ObjectTooLarge {
+                    object: ObjectId::new(1),
+                    size: u32::MAX
+                }
+            ),
+            other => panic!("expected a typed op error, got {other:?}"),
+        }
+        apply_ops(&mut sess, &mut objects, &[create(64)]).expect("next create");
+        assert_eq!(objects.created_count(), 2, "only applied creates count");
+        assert_eq!(objects.resolve(ObjRef(1)), Some(ObjectId::new(1)));
+        assert!(engine.store().is_present(ObjectId::new(1)));
+        assert!(!engine.store().is_present(ObjectId::new(2)));
+    }
+
+    /// The reference mapping from a session's ops to trace events: the
+    /// engine hands out ids in creation order, across sessions.
+    fn event_of(op: SessionOp, created: &mut Vec<ObjectId>, next_id: &mut u64) -> Event {
+        let id = |r: ObjRef| created[r.0 as usize];
+        match op {
+            SessionOp::Create { size, slots } => {
+                let new = ObjectId::new(*next_id);
+                *next_id += 1;
+                created.push(new);
+                Event::Create {
+                    id: new,
+                    size,
+                    slots: vec![None; slots as usize].into_boxed_slice(),
+                }
+            }
+            SessionOp::Access { obj } => Event::Access { id: id(obj) },
+            SessionOp::Overwrite { obj, slot, target } => Event::SlotWrite {
+                src: id(obj),
+                slot: SlotIdx::new(slot),
+                new: target.map(id),
+            },
+            SessionOp::AddRoot { obj } => Event::RootAdd { id: id(obj) },
+            SessionOp::RemoveRoot { obj } => Event::RootRemove { id: id(obj) },
+        }
+    }
+
+    #[test]
+    fn a_served_op_is_the_event_it_names() {
+        // Two sessions alternate turns on each engine: `served` takes the
+        // ops through `apply_ops`, `replayed` the events they name through
+        // `apply_batch`. Both drain due collections after every turn.
+        let deferred = || {
+            let config = EngineConfig {
+                deep_checks: true,
+                ..EngineConfig::tiny()
+            };
+            let mut engine: StoreEngine =
+                StoreEngine::new(config, Box::new(FixedRatePolicy::new(20)));
+            engine.set_collect_mode(CollectMode::Deferred);
+            engine
+        };
+        let (mut served, mut replayed, mut by_event) = (deferred(), deferred(), deferred());
+        let mut workloads: Vec<SessionWorkload> = (0..2)
+            .map(|s| SessionWorkload::new(s, WorkloadParams::default(), 1_500))
+            .collect();
+        let mut objects = [SessionObjects::new(), SessionObjects::new()];
+        let mut created: [Vec<ObjectId>; 2] = Default::default();
+        let mut next_id = 0;
+        let (mut turn_garbage, mut event_garbage) = (0, 0);
+        for s in (0..2).cycle() {
+            let ops = workloads[s].next_turn(8);
+            if ops.is_empty() {
+                break;
+            }
+            let mut sess = served.session_with(SessionId::new(s as u32), None);
+            turn_garbage += apply_ops(&mut sess, &mut objects[s], &ops)
+                .expect("served turn")
+                .garbage_created;
+            let events: Vec<Event> = ops
+                .iter()
+                .map(|&op| event_of(op, &mut created[s], &mut next_id))
+                .collect();
+            replayed.apply_batch(&events, None).expect("replayed turn");
+            for ev in &events {
+                event_garbage += by_event
+                    .apply_event(ev, None)
+                    .expect("event")
+                    .garbage_created;
+            }
+            for engine in [&mut served, &mut replayed, &mut by_event] {
+                while engine.collect_if_due(None).is_some() {}
+            }
+        }
+        assert!(served.collection_count() > 0, "the run collects");
+        assert!(turn_garbage > 0, "the run makes garbage");
+        assert_eq!(turn_garbage, event_garbage);
+        let served = served.into_result(Vec::new());
+        assert_eq!(served, replayed.into_result(Vec::new()));
+        assert_eq!(served, by_event.into_result(Vec::new()));
     }
 }

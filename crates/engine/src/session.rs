@@ -1,18 +1,16 @@
-//! The mutator-facing operation API.
+//! The mutator-facing handle onto an engine.
 //!
-//! A [`Session`] is a client's handle onto a [`StoreEngine`]: it issues
-//! typed operations — create, access, overwrite, root add/remove — and
-//! gets typed results back, including whatever collection the operation
-//! triggered inline. Replay drives the same API through
-//! [`Session::apply_event`], which is how the simulator stays one client
-//! among many rather than a privileged code path.
+//! A [`Session`] is a client's handle onto a [`StoreEngine`]: it applies
+//! events through [`Session::apply_event`] — the engine's one apply
+//! path, the same the replay loop takes — and names itself in every
+//! error. [`apply_ops`](crate::serve::apply_ops) maps served operations
+//! onto it.
 
-use odbgc_store::{PartitionId, StoreError};
-use odbgc_trace::{Event, ObjectId, SlotIdx};
+use odbgc_store::{ApplyOutcome, StoreError};
+use odbgc_trace::Event;
 
-use crate::engine::{EventReport, StoreEngine};
+use crate::engine::StoreEngine;
 use crate::observer::EngineObserver;
-use odbgc_store::CollectionApplied;
 
 /// Identifier of one client session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -57,70 +55,14 @@ impl std::error::Error for OpError {
     }
 }
 
-/// Result of [`Session::create`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Created {
-    /// The new object's id.
-    pub id: ObjectId,
-    /// The partition the object was placed in.
-    pub partition: PartitionId,
-    /// Inline collection the operation triggered, if any.
-    pub collected: Option<CollectionApplied>,
-}
-
-/// Result of [`Session::access`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Accessed {
-    /// The object read.
-    pub id: ObjectId,
-    /// Inline collection the operation triggered, if any.
-    pub collected: Option<CollectionApplied>,
-}
-
-/// Result of [`Session::overwrite`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Overwrote {
-    /// The object whose slot was written.
-    pub src: ObjectId,
-    /// The slot written.
-    pub slot: SlotIdx,
-    /// Did the write overwrite a non-null pointer (the paper's unit of
-    /// collection-rate time)?
-    pub counted_overwrite: bool,
-    /// Bytes that became garbage as a direct consequence.
-    pub garbage_created: u64,
-    /// Inline collection the operation triggered, if any.
-    pub collected: Option<CollectionApplied>,
-}
-
-/// Result of [`Session::add_root`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RootAdded {
-    /// The object pinned as a root.
-    pub id: ObjectId,
-    /// Inline collection the operation triggered, if any.
-    pub collected: Option<CollectionApplied>,
-}
-
-/// Result of [`Session::remove_root`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RootRemoved {
-    /// The object unpinned.
-    pub id: ObjectId,
-    /// Bytes that became garbage as a direct consequence.
-    pub garbage_created: u64,
-    /// Inline collection the operation triggered, if any.
-    pub collected: Option<CollectionApplied>,
-}
-
 /// A client's handle onto an engine.
 ///
 /// Holds the engine mutably for its lifetime: one session operates at a
-/// time per engine, which is exactly the serialization the serve mode's
-/// per-shard locks provide.
+/// time per engine, which is the serialization a shard's single owner
+/// provides.
 pub struct Session<'e, P: odbgc_core::RatePolicy = Box<dyn odbgc_core::RatePolicy + Send>> {
     id: SessionId,
-    engine: &'e mut StoreEngine<P>,
+    pub(crate) engine: &'e mut StoreEngine<P>,
     observer: Option<&'e mut dyn EngineObserver>,
 }
 
@@ -137,97 +79,13 @@ impl<'e, P: odbgc_core::RatePolicy> Session<'e, P> {
         }
     }
 
-    /// This session's id.
-    pub fn id(&self) -> SessionId {
-        self.id
-    }
-
-    /// Creates a fresh object of `size` bytes with `slots` null pointer
-    /// slots. The id is allocated by the engine.
-    pub fn create(&mut self, size: u32, slots: u32) -> Result<Created, OpError> {
-        let id = self.engine.fresh_object_id();
-        let ev = Event::Create {
-            id,
-            size,
-            slots: vec![None; slots as usize].into_boxed_slice(),
-        };
-        let report = self.apply(&ev)?;
-        let partition = self
-            .engine
-            .store()
-            .partition_of(id)
-            .map_err(|cause| self.err(cause))?;
-        Ok(Created {
-            id,
-            partition,
-            collected: report.collected,
-        })
-    }
-
-    /// Reads an object (navigation), charging application I/O.
-    pub fn access(&mut self, id: ObjectId) -> Result<Accessed, OpError> {
-        let report = self.apply(&Event::Access { id })?;
-        Ok(Accessed {
-            id,
-            collected: report.collected,
-        })
-    }
-
-    /// Stores a pointer: `src.slots[slot] = new`. Overwriting a non-null
-    /// pointer advances the overwrite clock and may create garbage.
-    pub fn overwrite(
-        &mut self,
-        src: ObjectId,
-        slot: SlotIdx,
-        new: Option<ObjectId>,
-    ) -> Result<Overwrote, OpError> {
-        let report = self.apply(&Event::SlotWrite { src, slot, new })?;
-        Ok(Overwrote {
-            src,
-            slot,
-            counted_overwrite: report.outcome.overwrites > 0,
-            garbage_created: report.outcome.garbage_created,
-            collected: report.collected,
-        })
-    }
-
-    /// Adds an object to the persistent root set.
-    pub fn add_root(&mut self, id: ObjectId) -> Result<RootAdded, OpError> {
-        let report = self.apply(&Event::RootAdd { id })?;
-        Ok(RootAdded {
-            id,
-            collected: report.collected,
-        })
-    }
-
-    /// Removes an object from the persistent root set.
-    pub fn remove_root(&mut self, id: ObjectId) -> Result<RootRemoved, OpError> {
-        let report = self.apply(&Event::RootRemove { id })?;
-        Ok(RootRemoved {
-            id,
-            garbage_created: report.outcome.garbage_created,
-            collected: report.collected,
-        })
-    }
-
-    /// Applies a raw trace event through this session — the replay
-    /// entry point. Typed operations all funnel through here too.
-    pub fn apply_event(&mut self, ev: &Event) -> Result<EventReport, OpError> {
-        self.apply(ev)
-    }
-
-    fn apply(&mut self, ev: &Event) -> Result<EventReport, OpError> {
-        let id = self.id;
+    /// Applies one event through [`StoreEngine::apply_event`], reporting
+    /// to this session's observer.
+    pub fn apply_event(&mut self, ev: &Event) -> Result<ApplyOutcome, OpError> {
+        let session = self.id;
         self.engine
             .apply_event(ev, self.observer.as_deref_mut())
-            .map_err(|cause| OpError { session: id, cause })
-    }
-
-    fn err(&self, cause: StoreError) -> OpError {
-        OpError {
-            session: self.id,
-            cause,
-        }
+            .map_err(|cause| OpError { session, cause })
     }
 }
 
@@ -235,7 +93,10 @@ impl<'e, P: odbgc_core::RatePolicy> Session<'e, P> {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::observer::DecisionLog;
+    use crate::serve::{apply_ops, ObjRef, SessionObjects, SessionOp, TurnApplied, TurnErrorKind};
     use odbgc_core::FixedRatePolicy;
+    use odbgc_trace::{ObjectId, SlotIdx};
 
     fn engine(rate: u64) -> StoreEngine {
         StoreEngine::new(EngineConfig::tiny(), Box::new(FixedRatePolicy::new(rate)))
@@ -243,26 +104,38 @@ mod tests {
 
     #[test]
     fn typed_ops_round_trip() {
+        // One op per turn, so each turn reports what its op did.
         let mut e = engine(1_000_000);
-        let mut s = e.session(SessionId::new(3));
-        let anchor = s.create(40, 2).expect("create");
-        s.add_root(anchor.id).expect("root");
-        let child = s.create(64, 0).expect("create");
-        let w = s
-            .overwrite(anchor.id, SlotIdx::new(0), Some(child.id))
-            .expect("link");
-        assert!(!w.counted_overwrite, "initial store of a null slot");
-        assert_eq!(w.garbage_created, 0);
-        let a = s.access(child.id).expect("access");
-        assert_eq!(a.id, child.id);
-        let w = s
-            .overwrite(anchor.id, SlotIdx::new(0), None)
-            .expect("clear");
-        assert!(w.counted_overwrite);
-        assert_eq!(w.garbage_created, 64, "child died");
-        let r = s.remove_root(anchor.id).expect("unroot");
-        assert_eq!(r.garbage_created, 40, "anchor died");
-        let _ = s;
+        let mut objects = SessionObjects::new();
+        let (anchor, child) = (ObjRef(0), ObjRef(1));
+        let link = |target| SessionOp::Overwrite {
+            obj: anchor,
+            slot: 0,
+            target,
+        };
+        // (op, objects created, garbage created, overwrite clock after)
+        let steps = [
+            (SessionOp::Create { size: 40, slots: 2 }, 1, 0, 0),
+            (SessionOp::AddRoot { obj: anchor }, 0, 0, 0),
+            (SessionOp::Create { size: 64, slots: 0 }, 1, 0, 0),
+            // The initial store of a null slot is not an overwrite.
+            (link(Some(child)), 0, 0, 0),
+            (SessionOp::Access { obj: child }, 0, 0, 0),
+            (link(None), 0, 64, 1),
+            (SessionOp::RemoveRoot { obj: anchor }, 0, 40, 1),
+        ];
+        let mut s = e.session_with(SessionId::new(3), None);
+        for (op, created, garbage_created, clock) in steps {
+            let applied = apply_ops(&mut s, &mut objects, &[op]).expect("op applies");
+            let want = TurnApplied {
+                applied: 1,
+                created,
+                garbage_created,
+            };
+            assert_eq!(applied, want, "{op:?}");
+            assert_eq!(s.engine.store().overwrite_clock(), clock, "{op:?}");
+        }
+        assert_eq!(objects.created_count(), 2);
         assert_eq!(e.store().garbage_bytes(), 104);
         assert_eq!(e.events_applied(), 7);
     }
@@ -270,17 +143,33 @@ mod tests {
     #[test]
     fn op_errors_name_the_session() {
         let mut e = engine(1_000_000);
-        let mut s = e.session(SessionId::new(9));
-        let err = s.access(ObjectId::new(12345)).unwrap_err();
+        let mut s = e.session_with(SessionId::new(9), None);
+        let err = s
+            .apply_event(&Event::Access {
+                id: ObjectId::new(12345),
+            })
+            .unwrap_err();
         assert_eq!(err.session, SessionId::new(9));
         assert!(err.to_string().contains("session 9"));
+
+        // A served op the store refuses carries the same error, at its
+        // index in the turn.
+        let root = SessionOp::AddRoot { obj: ObjRef(0) };
+        let ops = [SessionOp::Create { size: 40, slots: 0 }, root, root];
+        let err = apply_ops(&mut s, &mut SessionObjects::new(), &ops).unwrap_err();
+        assert_eq!(err.op_index, 2);
+        assert!(
+            matches!(&err.kind, TurnErrorKind::Op(op) if op.session == SessionId::new(9)),
+            "{err:?}"
+        );
+        assert!(err.to_string().starts_with("op 2: session 9: "), "{err}");
     }
 
     #[test]
     fn apply_batch_matches_per_event_loop() {
         // A workload long enough to cross an inline collection trigger,
-        // so the batch path's amortized loop is exercised across a
-        // collection boundary, not just plain applies.
+        // so the batch is exercised across a collection boundary, not
+        // just plain applies.
         let mut events = Vec::new();
         let mut ids = Vec::new();
         for i in 0..40u32 {
@@ -313,41 +202,67 @@ mod tests {
         events.push(Event::RootRemove { id: ids[0] });
 
         let mut by_event = engine(4);
+        let mut event_log = DecisionLog::default();
         {
-            let mut s = by_event.session(SessionId::new(1));
+            let mut s = by_event.session_with(SessionId::new(1), Some(&mut event_log));
             for ev in &events {
                 s.apply_event(ev).expect("per-event apply");
             }
         }
         let mut by_batch = engine(4);
-        by_batch.apply_batch(&events, None).expect("batched apply");
+        let mut batch_log = DecisionLog::default();
+        by_batch
+            .apply_batch(&events, Some(&mut batch_log))
+            .expect("batched apply");
 
+        assert!(by_batch.collection_count() > 0, "the batch collects");
         assert_eq!(by_event.counters(), by_batch.counters());
-        assert_eq!(by_event.events_applied(), by_batch.events_applied());
-        assert_eq!(by_event.collection_count(), by_batch.collection_count());
         assert_eq!(
-            by_event.store().garbage_bytes(),
-            by_batch.store().garbage_bytes()
+            format!("{:?}", event_log.decisions),
+            format!("{:?}", batch_log.decisions)
+        );
+        assert_eq!(
+            by_event.into_result(Vec::new()),
+            by_batch.into_result(Vec::new())
         );
     }
 
     #[test]
     fn inline_mode_collects_from_live_counters() {
         let mut e = engine(1);
-        let mut s = e.session(SessionId::new(0));
-        let anchor = s.create(40, 1).expect("create");
-        s.add_root(anchor.id).expect("root");
-        let child = s.create(50, 0).expect("create");
-        s.overwrite(anchor.id, SlotIdx::new(0), Some(child.id))
-            .expect("link");
+        let mut objects = SessionObjects::new();
+        let mut turn = |e: &mut StoreEngine, ops: &[SessionOp]| {
+            apply_ops(
+                &mut e.session_with(SessionId::new(0), None),
+                &mut objects,
+                ops,
+            )
+            .expect("turn applies")
+        };
+        let anchor = ObjRef(0);
+        turn(
+            &mut e,
+            &[
+                SessionOp::Create { size: 40, slots: 1 },
+                SessionOp::AddRoot { obj: anchor },
+                SessionOp::Create { size: 50, slots: 0 },
+                SessionOp::Overwrite {
+                    obj: anchor,
+                    slot: 0,
+                    target: Some(ObjRef(1)),
+                },
+            ],
+        );
+        assert_eq!(e.collection_count(), 0);
         // The clear is the first counted overwrite; with rate 1 the
         // trigger fires inside this very operation.
-        let w = s
-            .overwrite(anchor.id, SlotIdx::new(0), None)
-            .expect("clear");
-        let collected = w.collected.expect("inline collection ran");
-        assert_eq!(collected.bytes_reclaimed, 50);
-        let _ = s;
+        let clear = SessionOp::Overwrite {
+            obj: anchor,
+            slot: 0,
+            target: None,
+        };
+        assert_eq!(turn(&mut e, &[clear]).garbage_created, 50);
         assert_eq!(e.collection_count(), 1);
+        assert_eq!(e.store().total_garbage_collected(), 50);
     }
 }

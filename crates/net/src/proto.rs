@@ -36,7 +36,10 @@ pub const STATS_MAX_CLIENTS: usize = 1 << 13;
 
 /// Most pointer slots a [`SessionOp::Create`] may ask for over the wire.
 /// The server allocates the slots before the store sees the op, so the
-/// bound is checked while decoding, before anything is allocated.
+/// bound is checked while decoding, before anything is allocated. The
+/// creates of one `Ops` body may together ask for no more slots than
+/// the body has bytes, so a frame costs the store's slot arena at most
+/// 8 bytes per wire byte.
 pub const MAX_CREATE_SLOTS: u32 = 1 << 16;
 
 /// Frame overhead outside the body: 4-byte length + 4-byte CRC.
@@ -337,8 +340,20 @@ impl Request {
                     return Err(ProtoError::BadValue("op count exceeds body"));
                 }
                 let mut ops = Vec::with_capacity(count as usize);
+                let mut slots = 0u64;
                 for _ in 0..count {
-                    ops.push(get_op(buf, &mut pos)?);
+                    let op = get_op(buf, &mut pos)?;
+                    if let SessionOp::Create { slots: n, .. } = op {
+                        slots += u64::from(n);
+                    }
+                    ops.push(op);
+                }
+                // Every declared slot costs the store 8 bytes before the
+                // turn is applied; a body may declare one per byte.
+                if slots > buf.len() as u64 {
+                    return Err(ProtoError::BadValue(
+                        "create slots exceed the body length (see MAX_CREATE_SLOTS)",
+                    ));
                 }
                 Request::Ops { ops }
             }
@@ -854,24 +869,32 @@ mod tests {
 
     #[test]
     fn create_beyond_the_protocol_bounds_is_rejected() {
-        let decode = |size, slots| {
+        let decode = |ops: &[SessionOp]| {
             let mut body = Vec::new();
-            Request::Ops {
-                ops: vec![SessionOp::Create { size, slots }],
-            }
-            .encode_into(&mut body);
+            Request::Ops { ops: ops.to_vec() }.encode_into(&mut body);
             Request::decode(&body)
         };
-        assert!(decode(MAX_CREATE_SIZE, MAX_CREATE_SLOTS).is_ok());
-        for (size, slots) in [
-            (MAX_CREATE_SIZE + 1, 0),
-            (u32::MAX, 0),
-            (64, MAX_CREATE_SLOTS + 1),
-            (64, u32::MAX),
+        let create = |size, slots| SessionOp::Create { size, slots };
+        // A create at both bounds passes in a body with a byte per slot.
+        let mut padded = vec![SessionOp::Access { obj: ObjRef(0) }; MAX_CREATE_SLOTS as usize / 2];
+        padded.push(create(MAX_CREATE_SIZE, MAX_CREATE_SLOTS));
+        assert!(decode(&padded).is_ok());
+        for ops in [
+            vec![create(MAX_CREATE_SIZE + 1, 0)],
+            vec![create(u32::MAX, 0)],
+            vec![create(64, MAX_CREATE_SLOTS + 1)],
+            vec![create(64, u32::MAX)],
+            // Each create within bounds; together about 100 slots, or
+            // 800 bytes of slot arena, per byte of the 5 KiB body.
+            vec![create(1, MAX_CREATE_SLOTS); 1024],
         ] {
-            match decode(size, slots) {
+            match decode(&ops) {
                 Err(ProtoError::BadValue(_)) => {}
-                other => panic!("create {size}/{slots} must be rejected, got {other:?}"),
+                other => panic!(
+                    "{} op(s) ending in {:?} must be rejected, got {other:?}",
+                    ops.len(),
+                    ops[ops.len() - 1]
+                ),
             }
         }
     }

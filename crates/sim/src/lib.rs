@@ -28,7 +28,7 @@ pub use config::SimConfig;
 pub use experiment::{run_single, sweep_point, ExperimentOutcome, SweepPoint};
 pub use runner::{
     default_jobs, CacheStats, CellOutcome, ExperimentPlan, FaultKind, FaultSpec, JobError,
-    JobErrorKind, PlanCell, PlanOutcome, PlanProgress, TraceCache,
+    JobErrorKind, PlanCell, PlanOutcome, TraceCache,
 };
 pub use simulator::{
     BatchSource, ReplayError, ReplayOptions, RunResult, SimError, Simulator, TraceBatches,

@@ -178,32 +178,8 @@ impl ExperimentPlan {
 
     /// Executes the plan on `jobs` workers (`None` → [`default_jobs`]).
     pub fn run_with_jobs(&self, jobs: Option<usize>) -> PlanOutcome {
-        run_plan(self, jobs, None)
+        run_plan(self, jobs)
     }
-
-    /// Like [`ExperimentPlan::run_with_jobs`], invoking `progress` after
-    /// every completed job with the counts so far. The callback runs on
-    /// worker threads (hence `Sync`) and must be cheap; it observes
-    /// execution without influencing results.
-    pub fn run_with_jobs_and_progress(
-        &self,
-        jobs: Option<usize>,
-        progress: &(dyn Fn(PlanProgress) + Sync),
-    ) -> PlanOutcome {
-        run_plan(self, jobs, Some(progress))
-    }
-}
-
-/// A snapshot of plan execution, handed to progress callbacks after each
-/// completed job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanProgress {
-    /// Jobs finished so far (successes and failures).
-    pub done: usize,
-    /// Total jobs in the plan (cells × seeds).
-    pub total: usize,
-    /// Failures so far.
-    pub failed: usize,
 }
 
 /// Trace-cache hit/miss counts for one plan execution.
@@ -368,11 +344,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn run_plan(
-    plan: &ExperimentPlan,
-    jobs: Option<usize>,
-    progress: Option<&(dyn Fn(PlanProgress) + Sync)>,
-) -> PlanOutcome {
+fn run_plan(plan: &ExperimentPlan, jobs: Option<usize>) -> PlanOutcome {
     let started = Instant::now();
     let n_seeds = plan.seeds.len();
     let n_jobs_total = plan.cells.len() * n_seeds;
@@ -389,8 +361,6 @@ fn run_plan(
     let slots: Vec<OnceLock<Result<(RunResult, Duration), JobError>>> =
         (0..n_jobs_total).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let failed = AtomicUsize::new(0);
 
     // One job, total over its own failures: a trace that will not replay
     // surfaces as `Sim`, a panic anywhere inside the policy, store,
@@ -439,19 +409,7 @@ fn run_plan(
                 if i >= n_jobs_total {
                     break;
                 }
-                let outcome = run_job(i);
-                if outcome.is_err() {
-                    failed.fetch_add(1, Ordering::Relaxed);
-                }
-                assert!(slots[i].set(outcome).is_ok(), "job slot written twice");
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(report) = progress {
-                    report(PlanProgress {
-                        done: finished,
-                        total: n_jobs_total,
-                        failed: failed.load(Ordering::Relaxed),
-                    });
-                }
+                assert!(slots[i].set(run_job(i)).is_ok(), "job slot written twice");
             });
         }
     });
@@ -656,47 +614,6 @@ mod tests {
             .map(|c| c.outcome.successes().count())
             .sum();
         assert_eq!(ok, 5, "all non-poisoned jobs must still run");
-    }
-
-    #[test]
-    fn progress_callback_reports_every_completion_and_failures() {
-        let seen = std::sync::Mutex::new(Vec::new());
-        let out = tiny_plan()
-            .inject_fault(FaultSpec {
-                cell_index: 0,
-                seed: 1,
-                kind: FaultKind::PoisonTrace,
-            })
-            .run_with_jobs_and_progress(Some(1), &|p| seen.lock().unwrap().push(p));
-        assert_eq!(out.failures.len(), 1);
-        let seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 6, "one report per job");
-        // Serial execution makes the sequence deterministic: done counts
-        // up, total is constant, and the poisoned first job is the one
-        // failure every later report carries.
-        for (i, p) in seen.iter().enumerate() {
-            assert_eq!(p.done, i + 1);
-            assert_eq!(p.total, 6);
-            assert_eq!(p.failed, 1);
-        }
-    }
-
-    #[test]
-    fn parallel_progress_reaches_total_exactly_once() {
-        let count = std::sync::atomic::AtomicUsize::new(0);
-        let out = tiny_plan().run_with_jobs_and_progress(Some(4), &|p| {
-            assert!(p.done <= p.total);
-            assert_eq!(p.failed, 0);
-            if p.done == p.total {
-                count.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(out.is_complete());
-        assert_eq!(
-            count.into_inner(),
-            1,
-            "exactly one report says done == total"
-        );
     }
 
     #[test]

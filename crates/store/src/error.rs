@@ -25,9 +25,9 @@ pub enum StoreError {
         /// How many slots the object actually has.
         slot_count: usize,
     },
-    /// Created object with size 0 (objects must occupy storage).
+    /// A `Create` of size 0 (objects must occupy storage).
     ZeroSizeObject(ObjectId),
-    /// Created object so large that the whole pages holding it pass the
+    /// A `Create` so large that the whole pages holding it pass the
     /// `u32` a partition's capacity is kept in.
     ObjectTooLarge {
         /// The object that was to be created.

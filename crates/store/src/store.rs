@@ -761,6 +761,14 @@ impl Store {
         self.present_objects
     }
 
+    /// Length of the object table: one past the largest id an applied
+    /// `Create` has used, so the smallest id no object has ever held.
+    /// Destroying objects never shrinks it, and a refused `Create`
+    /// leaves it unchanged.
+    pub fn object_table_len(&self) -> u64 {
+        self.objects.len() as u64
+    }
+
     /// Current root set, in id order.
     pub fn roots(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.roots.iter().copied()

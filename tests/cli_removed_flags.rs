@@ -73,6 +73,16 @@ fn trace_format_and_corpus_options_are_refused_by_name() {
 }
 
 #[test]
+fn sweep_progress_is_refused_by_name() {
+    // A sweep of the paper's size takes seconds; it prints its table
+    // when done and nothing along the way.
+    let stderr = refused(&argv(
+        "sweep --policy saio --points 5,10 --seeds 1..2 --params tiny --progress 2",
+    ));
+    assert!(stderr.contains("unknown flag --progress"), "{stderr}");
+}
+
+#[test]
 fn info_and_trace_verify_are_refused_by_name() {
     // `trace stat` is the one census: it prints what `info` printed and
     // verifies every block as `trace verify` did. Telemetry is

@@ -21,7 +21,7 @@ use odbgc_core::FixedRatePolicy;
 use odbgc_engine::{
     serve, EngineConfig, GcFault, ObjRef, ServeConfig, SessionOp, SessionWorkload, WorkloadParams,
 };
-use odbgc_net::proto::STATS_MAX_CLIENTS;
+use odbgc_net::proto::{MAX_CREATE_SLOTS, STATS_MAX_CLIENTS};
 use odbgc_net::{
     run_client, ClientConfig, ClientError, Conn, ErrorCode, NetConfig, NetOutcome, NetServer,
     Request, Response,
@@ -445,7 +445,8 @@ fn second_hello_is_refused_and_the_binding_is_kept() {
     assert_eq!((bound.session, bound.turns, bound.ops), (0, 2, 3));
 }
 
-/// (5) A `Create` no store could honour is refused at the decoder: the
+/// (5) A `Create` no store could honour, or a frame whose creates
+/// declare more slots than it has bytes, is refused at the decoder: the
 /// sender gets a `Protocol` error and loses its connection, nothing
 /// reaches the shard, and the shard's other sessions never notice.
 #[test]
@@ -468,17 +469,32 @@ fn hostile_create_is_a_protocol_error_and_the_shard_keeps_serving() {
     hello(&mut hostile, 0);
     hello(&mut bystander, 1);
 
-    for (size, slots) in [(u32::MAX, 0), (64, u32::MAX)] {
-        let ops = vec![
+    let after_a_create = |size, slots| {
+        vec![
             SessionOp::Create { size: 64, slots: 0 },
             SessionOp::Create { size, slots },
-        ];
+        ]
+    };
+    for ops in [
+        after_a_create(u32::MAX, 0),
+        after_a_create(64, u32::MAX),
+        // Each create within bounds, but together they would take
+        // 512 MiB of slot arena from a 5 KiB frame.
+        vec![
+            SessionOp::Create {
+                size: 1,
+                slots: MAX_CREATE_SLOTS
+            };
+            1024
+        ],
+    ] {
+        let what = format!("{} op(s) ending in {:?}", ops.len(), ops[ops.len() - 1]);
         match hostile.request_raw(&Request::Ops { ops }) {
             Ok(Response::Error { code, message }) => {
                 assert_eq!(code, ErrorCode::Protocol);
                 assert!(message.contains("MAX_CREATE"), "{message}");
             }
-            other => panic!("want a Protocol error for create {size}/{slots}, got {other:?}"),
+            other => panic!("want a Protocol error for {what}, got {other:?}"),
         }
         // Closed after the error was flushed, like any undecodable frame.
         assert!(hostile.request_raw(&Request::Stats).is_err());

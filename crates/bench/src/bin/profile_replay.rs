@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_store::{AllocPolicy, Event, Store, StoreConfig};
+use odbgc_store::{Event, Store, StoreConfig};
 
 const USAGE: &str = "usage: profile_replay [--params small-prime|small|medium]";
 
@@ -55,13 +55,6 @@ fn main() {
             },
         ),
         (
-            "append_only",
-            StoreConfig {
-                alloc_policy: AllocPolicy::AppendOnly,
-                ..StoreConfig::default()
-            },
-        ),
-        (
             "page_4k",
             StoreConfig {
                 page_size: 4096,
@@ -73,7 +66,6 @@ fn main() {
         "{:<12} {:>10} {:>9} {:>10}",
         "variant", "best ms", "ns/event", "partitions"
     );
-    let mut ns_per_event = std::collections::HashMap::new();
     for (name, cfg) in &variants {
         let mut best = u128::MAX;
         let mut partitions = 0;
@@ -87,19 +79,11 @@ fn main() {
             partitions = store.partition_count();
         }
         let per_event = best as f64 / events;
-        ns_per_event.insert(*name, per_event);
         println!(
             "{name:<12} {:>10.3} {per_event:>9.1} {partitions:>10}",
             best as f64 / 1e6
         );
     }
-    // `append_only` never searches, but it places differently (no
-    // backfilling, more partitions), so this bounds the search's cost
-    // rather than measuring it.
-    println!(
-        "placement search costs at most default - append_only = {:.1} ns per event",
-        ns_per_event["default"] - ns_per_event["append_only"]
-    );
     let t = Instant::now();
     let mut acc = 0u64;
     for _ in 0..5 {

@@ -50,9 +50,9 @@ pub fn run(scale: Scale) -> (RunResult, RunResult) {
         stats.bytes_allocated
     };
     let bytes_per_coll = (total_alloc / by_overwrites.collection_count().max(1)).max(1);
-    let mut alloc_policy = AllocationRatePolicy::new(bytes_per_coll);
+    let mut allocation_policy = AllocationRatePolicy::new(bytes_per_coll);
     let by_allocation =
-        run_single(&trace, &config, &mut alloc_policy).expect("OO7 trace replays cleanly");
+        run_single(&trace, &config, &mut allocation_policy).expect("OO7 trace replays cleanly");
     (by_overwrites, by_allocation)
 }
 

@@ -8,6 +8,7 @@
 //! the application's lifetime).
 
 use odbgc_sim::core_policies::FixedRatePolicy;
+use odbgc_sim::oo7::params::NUM_MODULES;
 use odbgc_sim::oo7::{Kind, Oo7App};
 use odbgc_sim::report::{fmt_f, render_table};
 use odbgc_sim::{SimConfig, Simulator};
@@ -29,7 +30,7 @@ pub fn report(scale: Scale) -> String {
         vec!["NumAssmPerAssm".into(), p.num_assm_per_assm.to_string()],
         vec!["NumAssmLevels".into(), p.num_assm_levels.to_string()],
         vec!["NumCompPerAssm".into(), p.num_comp_per_assm.to_string()],
-        vec!["NumModules".into(), p.num_modules.to_string()],
+        vec!["NumModules".into(), NUM_MODULES.to_string()],
     ];
 
     let connectivities: Vec<u32> = match scale {

@@ -43,10 +43,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         ops,
         batch,
         window,
-        workload: WorkloadParams {
-            seed,
-            ..WorkloadParams::default()
-        },
+        workload: WorkloadParams { seed },
         shutdown_after,
     };
 

@@ -85,6 +85,23 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_conn_is_refused() {
+        for (args, message) in [
+            (
+                "--conn 0",
+                "--conn 0: small-prime connectivity must be in 1..=19",
+            ),
+            (
+                "--params small --conn 20",
+                "--conn 20: small connectivity must be in 1..=19",
+            ),
+        ] {
+            let err = run(&argv(&format!("--out never-written.odbgc {args}"))).unwrap_err();
+            assert_eq!(err.to_string(), message, "{args}");
+        }
+    }
+
+    #[test]
     fn missing_out_flag_errors() {
         assert!(run(&argv("--conn 3"))
             .unwrap_err()

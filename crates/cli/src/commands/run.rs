@@ -311,6 +311,23 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_conn_is_refused() {
+        for (args, message) in [
+            (
+                "--conn 20",
+                "--conn 20: small-prime connectivity must be in 1..=19",
+            ),
+            (
+                "--params small --conn 0",
+                "--conn 0: small connectivity must be in 1..=19",
+            ),
+        ] {
+            let err = run(&argv(&format!("--policy saio:10% {args}"))).unwrap_err();
+            assert_eq!(err.to_string(), message, "{args}");
+        }
+    }
+
+    #[test]
     fn unknown_store_geometry_errors() {
         assert!(run(&argv("--policy saio:10% --store huge")).is_err());
     }

@@ -53,7 +53,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         scheduler_seed: sched_seed,
         workload: WorkloadParams {
             seed: workload_seed,
-            ..WorkloadParams::default()
         },
         gc_fault: None,
     };

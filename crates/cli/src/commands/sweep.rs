@@ -2,9 +2,7 @@
 
 use odbgc_core::{EstimatorKind, PolicySpec};
 use odbgc_sim::report::fmt_f;
-use odbgc_sim::{
-    sweep_point, ExperimentPlan, FaultKind, FaultSpec, PlanTelemetry, SimConfig, SweepPoint,
-};
+use odbgc_sim::{sweep_point, ExperimentPlan, PlanOutcome, PlanTelemetry, SimConfig, SweepPoint};
 
 use crate::flags::{parse_number_list, parse_seed_range, Flags};
 use crate::spec;
@@ -28,23 +26,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let params_name = flags.get("params");
     let csv_path = flags.get("csv");
     let telemetry_path = flags.get("telemetry");
-    let jobs = match flags.get("jobs") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                return Err(CliError(format!(
-                    "--jobs needs a positive integer, got {v:?}"
-                )))
-            }
-        },
-        None => None,
-    };
-    // Test rig: `--poison CELL:SEED` deterministically corrupts one job's
-    // trace so the failure-reporting path can be exercised end to end.
-    let poison = match flags.get("poison") {
-        Some(v) => Some(parse_poison(&v)?),
-        None => None,
-    };
     flags.finish()?;
 
     let params = spec::build_params(params_name.as_deref(), conn, None)?;
@@ -91,20 +72,36 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
     }
 
-    let mut plan = ExperimentPlan::new(params, &seeds, config).cells(cells);
-    if let Some((cell_index, seed)) = poison {
-        plan = plan.inject_fault(FaultSpec {
-            cell_index,
-            seed,
-            kind: FaultKind::PoisonTrace,
-        });
-    }
-    let outcome = plan.run_with_jobs(jobs);
-    if let Some(path) = &telemetry_path {
+    let plan = ExperimentPlan::new(params, &seeds, config).cells(cells);
+    report(
+        &plan,
+        &plan.run(),
+        &policy,
+        conn,
+        &axis,
+        csv_path.as_deref(),
+        telemetry_path.as_deref(),
+    )
+}
+
+/// Renders a sweep's table from its plan and outcome, and writes the
+/// `--csv` and `--telemetry` files. A sweep with failed jobs still writes
+/// both files, then errors with the partial table and one line per
+/// failed job.
+fn report(
+    plan: &ExperimentPlan,
+    outcome: &PlanOutcome,
+    policy: &str,
+    conn: u32,
+    axis: &Axis,
+    csv_path: Option<&str>,
+    telemetry_path: Option<&str>,
+) -> Result<String, CliError> {
+    if let Some(path) = telemetry_path {
         // Written before the failure early-return below: a partially
         // failed sweep still leaves a full telemetry record (including
         // the failure list) on disk for inspection.
-        let telemetry = PlanTelemetry::from_outcome(&plan, &outcome);
+        let telemetry = PlanTelemetry::from_outcome(plan, outcome);
         std::fs::write(path, telemetry.to_json().to_string_pretty())
             .map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
     }
@@ -125,7 +122,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 
     let mut out = format!(
         "sweep of {policy} over {} seeds (conn {conn}, {} workers)\nrequested  achieved.mean  achieved.min  achieved.max  runs  wall.s\n",
-        seeds.len(),
+        plan.seeds.len(),
         outcome.jobs,
     );
     let mut csv = String::from("requested,mean,min,max,runs,wall_s\n");
@@ -158,10 +155,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         outcome.elapsed.as_secs_f64(),
     ));
     if let Some(path) = csv_path {
-        std::fs::write(&path, csv).map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
+        std::fs::write(path, csv).map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
         out.push_str(&format!("csv written to {path}\n"));
     }
-    if let Some(path) = &telemetry_path {
+    if let Some(path) = telemetry_path {
         out.push_str(&format!("telemetry written to {path}\n"));
     }
     if !outcome.failures.is_empty() {
@@ -177,24 +174,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parses `--poison CELL:SEED` (both decimal integers).
-fn parse_poison(v: &str) -> Result<(usize, u64), CliError> {
-    let bad = || {
-        CliError(format!(
-            "--poison wants CELL:SEED (two integers), got {v:?}"
-        ))
-    };
-    let (cell, seed) = v.split_once(':').ok_or_else(bad)?;
-    Ok((
-        cell.trim().parse().map_err(|_| bad())?,
-        seed.trim().parse().map_err(|_| bad())?,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::commands::deterministic_lines;
+    use odbgc_sim::{FaultKind, FaultSpec};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -220,27 +204,6 @@ mod tests {
         assert!(out.contains("10.0"));
     }
 
-    #[test]
-    fn jobs_flag_does_not_change_results() {
-        let serial = run(&argv(
-            "--policy saio --points 10,20 --seeds 1..3 --params tiny --conn 2 --jobs 1",
-        ))
-        .unwrap();
-        let parallel = run(&argv(
-            "--policy saio --points 10,20 --seeds 1..3 --params tiny --conn 2 --jobs 8",
-        ))
-        .unwrap();
-        // Wall-time columns differ run to run; the data rows must not.
-        let data = |s: &str| -> Vec<String> {
-            s.lines()
-                .skip(2)
-                .take(2)
-                .map(|l| l.split_whitespace().take(4).collect::<Vec<_>>().join(" "))
-                .collect()
-        };
-        assert_eq!(data(&serial), data(&parallel));
-    }
-
     /// The in-process twin of `--policy saio --points 10,20 --seeds 1..2
     /// --params tiny --conn 2`, optionally poisoning one job.
     fn tiny_saio_plan(poison: Option<(usize, u64)>) -> ExperimentPlan {
@@ -257,6 +220,34 @@ mod tests {
             });
         }
         plan
+    }
+
+    /// `sweep`'s report step on `plan`, as `--policy saio --conn 2`
+    /// renders it.
+    fn tiny_saio_report(
+        plan: &ExperimentPlan,
+        outcome: &PlanOutcome,
+        telemetry_path: Option<&str>,
+    ) -> Result<String, CliError> {
+        report(plan, outcome, "saio", 2, &Axis::GcIo, None, telemetry_path)
+    }
+
+    #[test]
+    fn worker_count_does_not_change_results() {
+        let plan = tiny_saio_plan(None);
+        let serial = tiny_saio_report(&plan, &plan.run_with_jobs(Some(1)), None).unwrap();
+        let parallel = tiny_saio_report(&plan, &plan.run_with_jobs(Some(8)), None).unwrap();
+        assert!(serial.contains("1 workers"), "{serial}");
+        assert!(parallel.contains("4 workers"), "{parallel}");
+        // Wall-time columns differ run to run; the data rows must not.
+        let data = |s: &str| -> Vec<String> {
+            s.lines()
+                .skip(2)
+                .take(2)
+                .map(|l| l.split_whitespace().take(4).collect::<Vec<_>>().join(" "))
+                .collect()
+        };
+        assert_eq!(data(&serial), data(&parallel));
     }
 
     fn in_process_document(plan: &ExperimentPlan) -> String {
@@ -296,14 +287,11 @@ mod tests {
         let path = dir.join("plan.json");
         // The sweep errors (poisoned job ⇒ nonzero exit) but the
         // telemetry file must still be written, recording the failure.
-        let err = run(&argv(&format!(
-            "--policy saio --points 10,20 --seeds 1..2 --params tiny --conn 2 --poison 0:1 --telemetry {}",
-            path.display()
-        )))
-        .unwrap_err();
+        let plan = tiny_saio_plan(Some((0, 1)));
+        let err = tiny_saio_report(&plan, &plan.run(), path.to_str()).unwrap_err();
         assert!(err.to_string().contains("1 job(s) failed"));
         let text = std::fs::read_to_string(&path).unwrap();
-        let expected = in_process_document(&tiny_saio_plan(Some((0, 1))));
+        let expected = in_process_document(&plan);
         assert_eq!(deterministic_lines(&text), deterministic_lines(&expected));
         assert!(text.contains("\n  \"failure_count\": 1,\n"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
@@ -328,14 +316,14 @@ mod tests {
 
     #[test]
     fn bad_jobs_flag_errors() {
-        assert!(run(&argv(
-            "--policy saio --points 10 --seeds 1 --params tiny --jobs 0"
-        ))
-        .is_err());
-        assert!(run(&argv(
-            "--policy saio --points 10 --seeds 1 --params tiny --jobs x"
-        ))
-        .is_err());
+        // The worker count comes from ODBGC_JOBS alone.
+        for jobs in ["0", "x", "2"] {
+            let err = run(&argv(&format!(
+                "--policy saio --points 10 --seeds 1 --params tiny --jobs {jobs}"
+            )))
+            .unwrap_err();
+            assert_eq!(err.to_string(), "unknown flag --jobs");
+        }
     }
 
     #[test]
@@ -345,10 +333,8 @@ mod tests {
 
     #[test]
     fn poisoned_job_reports_failure_and_errors() {
-        let err = run(&argv(
-            "--policy saio --points 10,20 --seeds 1..3 --params tiny --conn 2 --poison 1:2",
-        ))
-        .unwrap_err();
+        let plan = tiny_saio_plan(Some((1, 2)));
+        let err = tiny_saio_report(&plan, &plan.run(), None).unwrap_err();
         let text = err.to_string();
         // The healthy cells still render…
         assert!(
@@ -365,7 +351,38 @@ mod tests {
 
     #[test]
     fn bad_poison_flag_errors() {
-        assert!(run(&argv("--policy saio --points 10 --seeds 1 --poison nope")).is_err());
-        assert!(run(&argv("--policy saio --points 10 --seeds 1 --poison 1")).is_err());
+        // Faults reach a plan only through `ExperimentPlan::inject_fault`.
+        for poison in ["nope", "1", "0:1"] {
+            let err = run(&argv(&format!(
+                "--policy saio --points 10 --seeds 1 --poison {poison}"
+            )))
+            .unwrap_err();
+            assert_eq!(err.to_string(), "unknown flag --poison");
+        }
+    }
+
+    #[test]
+    fn out_of_range_conn_and_seeds_are_refused_before_any_work() {
+        for (args, message) in [
+            (
+                "--conn 0",
+                "--conn 0: small-prime connectivity must be in 1..=19",
+            ),
+            (
+                "--conn 20",
+                "--conn 20: small-prime connectivity must be in 1..=19",
+            ),
+            (
+                "--params small --conn 25",
+                "--conn 25: small connectivity must be in 1..=19",
+            ),
+            (
+                "--seeds 1..18446744073709551615",
+                "seed range \"1..18446744073709551615\" names more than 10000 seeds",
+            ),
+        ] {
+            let err = run(&argv(&format!("--policy saio --points 10 {args}"))).unwrap_err();
+            assert_eq!(err.to_string(), message, "{args}");
+        }
     }
 }

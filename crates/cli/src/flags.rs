@@ -68,7 +68,12 @@ impl Flags {
     }
 }
 
-/// Parses a seed range: `5` (one seed) or `1..10` (inclusive).
+/// The most seeds one range may name. Every seed is a job per cell and a
+/// trace held in memory for the whole sweep.
+pub const MAX_SEEDS: u64 = 10_000;
+
+/// Parses a seed range: `5` (one seed) or `1..10` (inclusive), of at
+/// most [`MAX_SEEDS`] seeds.
 pub fn parse_seed_range(s: &str) -> Result<Vec<u64>, CliError> {
     if let Some((a, b)) = s.split_once("..") {
         let a: u64 = a
@@ -79,6 +84,11 @@ pub fn parse_seed_range(s: &str) -> Result<Vec<u64>, CliError> {
             .map_err(|_| CliError(format!("bad seed range end {b:?}")))?;
         if a > b {
             return Err(CliError(format!("empty seed range {s:?}")));
+        }
+        if b - a >= MAX_SEEDS {
+            return Err(CliError(format!(
+                "seed range {s:?} names more than {MAX_SEEDS} seeds"
+            )));
         }
         Ok((a..=b).collect())
     } else {
@@ -140,6 +150,13 @@ mod tests {
         assert_eq!(parse_seed_range("5").unwrap(), vec![5]);
         assert_eq!(parse_seed_range("1..4").unwrap(), vec![1, 2, 3, 4]);
         assert!(parse_seed_range("4..1").is_err());
+        assert_eq!(parse_seed_range("1..10000").unwrap().len(), 10_000);
+        assert!(parse_seed_range("1..10001")
+            .unwrap_err()
+            .to_string()
+            .contains("more than 10000 seeds"));
+        assert!(parse_seed_range("1..18446744073709551615").is_err());
+        assert!(parse_seed_range("0..18446744073709551615").is_err());
         assert!(parse_seed_range("x").is_err());
     }
 

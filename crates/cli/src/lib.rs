@@ -24,8 +24,8 @@
 //!
 //! The grammar lives in `odbgc_core::spec` ([`odbgc_core::PolicySpec`]):
 //! specs are data, parse/`Display` round-trip, and sweeps execute them as
-//! an `ExperimentPlan` on a worker pool sized by `--jobs` (or the
-//! `ODBGC_JOBS` environment variable, default: all cores).
+//! an `ExperimentPlan` on a worker pool sized by the `ODBGC_JOBS`
+//! environment variable (default: all cores).
 //!
 //! Everything is deterministic in `--seed`, whatever the worker count.
 
@@ -97,7 +97,7 @@ USAGE:
                  [--window N] [--seed N] [--connections N] [--shutdown true]
   odbgc sweep    --policy saio|saga[:estimator] --points a,b,c [--seeds A..B]
                  [--conn N] [--params small-prime|small|tiny] [--csv <file>]
-                 [--jobs N] [--telemetry <json>]
+                 [--telemetry <json>]
   odbgc trace    stat|cat --trace <file>   (cat: [--limit N])
 
 Traces are OTBF tracefiles: checksummed, varint/delta-encoded, and read
@@ -113,8 +113,8 @@ POLICY SPECS:
   coupled:10%:floor=5%[:stretch=X]
   quiescent:idle=N:<spec>
 
-Sweeps run cell × seed on --jobs worker threads (or ODBGC_JOBS; default:
-all cores). Results are independent of the worker count.
+Sweeps run cell × seed on ODBGC_JOBS worker threads (default: all
+cores). Results are independent of the worker count.
 Everything is deterministic in --seed (default 1).
 
 serve-bench drives N live sessions (default 4) against engines sharded

@@ -51,12 +51,15 @@ pub fn store_config(flag: Option<&str>, default: &str) -> Result<StoreConfig, Cl
 }
 
 /// Builds OO7 parameters from `--params`, `--conn`, `--style` values.
+/// `tiny` clamps the connectivity; the other presets refuse one outside
+/// `1..parts-per-composite`.
 pub fn build_params(
     params: Option<&str>,
     conn: u32,
     style: Option<&str>,
 ) -> Result<Oo7Params, CliError> {
-    let mut p = match params.unwrap_or("small-prime") {
+    let name = params.unwrap_or("small-prime");
+    let mut p = match name {
         "small-prime" => Oo7Params::small_prime(conn),
         "small" => Oo7Params::small(conn),
         "tiny" => {
@@ -70,6 +73,13 @@ pub fn build_params(
             )))
         }
     };
+    let parts = p.num_atomic_per_comp;
+    if !(1..parts).contains(&p.num_conn_per_atomic) {
+        return Err(CliError(format!(
+            "--conn {conn}: {name} connectivity must be in 1..={}",
+            parts - 1
+        )));
+    }
     p.conn_style = match style.unwrap_or("bidir") {
         "bidir" | "bidirectional" => ConnStyle::Bidirectional,
         "forward" => ConnStyle::Forward,
@@ -171,5 +181,20 @@ mod tests {
         assert!(p.num_conn_per_atomic < p.num_atomic_per_comp);
         assert!(build_params(Some("huge"), 3, None).is_err());
         assert!(build_params(None, 3, Some("sideways")).is_err());
+        for (name, conn) in [
+            (None, 0),
+            (None, 20),
+            (Some("small"), 0),
+            (Some("small"), 20),
+        ] {
+            let err = build_params(name, conn, None).unwrap_err().to_string();
+            assert!(err.contains("must be in 1..=19"), "{name:?} {conn}: {err}");
+        }
+        assert_eq!(
+            build_params(Some("small"), 19, None)
+                .unwrap()
+                .num_conn_per_atomic,
+            19
+        );
     }
 }

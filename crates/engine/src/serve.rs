@@ -54,26 +54,22 @@ use crate::session::{OpError, Session, SessionId};
 /// whole workload is a pure function of the configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkloadParams {
-    /// Size of each rooted anchor object, bytes.
-    pub anchor_size: u32,
-    /// Pointer slots per anchor.
-    pub anchor_slots: u32,
-    /// Size of each linked child object, bytes.
-    pub child_size: u32,
     /// Base RNG seed; session `i` uses `seed + i`.
     pub seed: u64,
 }
 
 impl Default for WorkloadParams {
     fn default() -> Self {
-        WorkloadParams {
-            anchor_size: 64,
-            anchor_slots: 4,
-            child_size: 48,
-            seed: 0xD15EA5E,
-        }
+        WorkloadParams { seed: 0xD15EA5E }
     }
 }
+
+/// Size of each rooted anchor object, bytes.
+const ANCHOR_SIZE: u32 = 64;
+/// Pointer slots per anchor.
+const ANCHOR_SLOTS: u32 = 4;
+/// Size of each linked child object, bytes.
+const CHILD_SIZE: u32 = 48;
 
 /// A session-local object name: the index of the object in the order the
 /// session created it (0 = the session's first `Create`).
@@ -268,12 +264,11 @@ pub fn apply_ops<P: RatePolicy>(
 #[derive(Debug)]
 pub struct SessionWorkload {
     rng: StdRng,
-    /// Rooted anchors this session created: `(creation index, slots)`.
-    anchors: Vec<(ObjRef, u32)>,
+    /// Rooted anchors this session created, by creation index.
+    anchors: Vec<ObjRef>,
     /// Objects generated so far (the next `Create`'s [`ObjRef`]).
     generated: u64,
     remaining: u64,
-    params: WorkloadParams,
 }
 
 impl SessionWorkload {
@@ -284,7 +279,6 @@ impl SessionWorkload {
             anchors: Vec::new(),
             generated: 0,
             remaining: ops,
-            params,
         }
     }
 
@@ -309,7 +303,6 @@ impl SessionWorkload {
     /// Appends one action (1 or 2 operations, never more than `room`)
     /// and returns the number of operations appended.
     fn push_action(&mut self, ops: &mut Vec<SessionOp>, room: u64) -> u64 {
-        let params = self.params;
         let roll = self.rng.random_range(0u32..100);
         // Composite actions need room for both halves in this turn.
         if room >= 2 && (self.anchors.is_empty() || roll < 10) {
@@ -317,11 +310,11 @@ impl SessionWorkload {
             let a = ObjRef(self.generated);
             self.generated += 1;
             ops.push(SessionOp::Create {
-                size: params.anchor_size,
-                slots: params.anchor_slots,
+                size: ANCHOR_SIZE,
+                slots: ANCHOR_SLOTS,
             });
             ops.push(SessionOp::AddRoot { obj: a });
-            self.anchors.push((a, params.anchor_slots));
+            self.anchors.push(a);
             return 2;
         }
         if self.anchors.is_empty() {
@@ -330,12 +323,12 @@ impl SessionWorkload {
             // job is exactly to find it).
             self.generated += 1;
             ops.push(SessionOp::Create {
-                size: params.child_size,
+                size: CHILD_SIZE,
                 slots: 0,
             });
             return 1;
         }
-        let (anchor, slots) = self.anchors[self.rng.random_range(0..self.anchors.len())];
+        let anchor = self.anchors[self.rng.random_range(0..self.anchors.len())];
         if room >= 2 && roll < 45 {
             // Create a child and link it into a random anchor slot,
             // atomically within this turn. Overwriting an existing
@@ -343,12 +336,12 @@ impl SessionWorkload {
             let c = ObjRef(self.generated);
             self.generated += 1;
             ops.push(SessionOp::Create {
-                size: params.child_size,
+                size: CHILD_SIZE,
                 slots: 0,
             });
             ops.push(SessionOp::Overwrite {
                 obj: anchor,
-                slot: self.rng.random_range(0..slots),
+                slot: self.rng.random_range(0..ANCHOR_SLOTS),
                 target: Some(c),
             });
             return 2;
@@ -357,7 +350,7 @@ impl SessionWorkload {
             // Clear a random slot (may orphan a child).
             ops.push(SessionOp::Overwrite {
                 obj: anchor,
-                slot: self.rng.random_range(0..slots),
+                slot: self.rng.random_range(0..ANCHOR_SLOTS),
                 target: None,
             });
             return 1;
@@ -390,7 +383,7 @@ pub enum ServeErrorKind {
     Turn(TurnError),
     /// The shard panicked while collecting; the payload is captured here
     /// and the shard stops serving, while other shards continue.
-    WorkerPanic(String),
+    CollectPanic(String),
     /// The shard panicked while applying a turn; captured and latched
     /// the same way.
     TurnPanic(String),
@@ -402,7 +395,7 @@ impl std::fmt::Display for ServeErrorKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeErrorKind::Turn(t) => write!(f, "{t}"),
-            ServeErrorKind::WorkerPanic(msg) => write!(f, "GC worker panicked: {msg}"),
+            ServeErrorKind::CollectPanic(msg) => write!(f, "collection panicked: {msg}"),
             ServeErrorKind::TurnPanic(msg) => write!(f, "turn panicked: {msg}"),
         }
     }
@@ -442,8 +435,10 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Kill-one-collection fault injection: the named shard panics when it
 /// is asked to collect after it has completed `after_collections`
-/// collections. For robustness tests — proves a death while collecting
-/// surfaces as a typed [`ServeError`] while other shards drain cleanly.
+/// collections. For robustness tests of [`serve`] — proves a death
+/// while collecting surfaces as a typed [`ServeError`] while other
+/// shards drain cleanly. A panic from inside a collection needs no
+/// seam: a policy that panics in `after_collection` raises one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcFault {
     /// The shard whose collection dies.
@@ -533,12 +528,12 @@ impl Shard {
         let (engine, log, index) = (&mut self.engine, &mut self.log, self.index);
         let drained = catch_unwind(AssertUnwindSafe(|| {
             if fault_due {
-                panic!("injected GC worker fault on shard {index}");
+                panic!("injected collection fault on shard {index}");
             }
             while engine.collect_if_due(Some(log)).is_some() {}
         }));
         if let Err(payload) = drained {
-            self.failed = Some(ServeErrorKind::WorkerPanic(panic_message(payload)));
+            self.failed = Some(ServeErrorKind::CollectPanic(panic_message(payload)));
         }
         true
     }
@@ -840,7 +835,7 @@ mod tests {
 
     #[test]
     fn gc_worker_fault_is_typed_and_other_shards_drain() {
-        // Kill shard 0's GC worker at its first collection. Sessions 0
+        // Fail shard 0 at its first collection. Sessions 0
         // and 2 (mapped to shard 0) stop; session 1 (shard 1) must
         // complete every operation, and the failure must surface as a
         // typed ServeError, not a panic or a poisoned-lock abort.
@@ -856,17 +851,17 @@ mod tests {
         let failure = &out.failures[0];
         assert_eq!(failure.shard, 0);
         match &failure.kind {
-            ServeErrorKind::WorkerPanic(msg) => {
-                assert!(msg.contains("injected GC worker fault"), "{msg}");
+            ServeErrorKind::CollectPanic(msg) => {
+                assert!(msg.contains("injected collection fault"), "{msg}");
             }
-            other => panic!("expected WorkerPanic, got {other:?}"),
+            other => panic!("expected CollectPanic, got {other:?}"),
         }
         // Shard 1's only session (session 1) drained cleanly.
         assert_eq!(out.per_session_ops[1], 300);
         assert!(out.shards[1].failed.is_none());
         assert!(out.shards[0].failed.is_some());
         // And the failure is printable without touching the panic path.
-        assert!(failure.to_string().contains("GC worker panicked"));
+        assert!(failure.to_string().contains("collection panicked"));
     }
 
     #[test]
@@ -886,10 +881,59 @@ mod tests {
         assert_eq!(out.shards[0].decisions.len(), 1);
         assert_eq!(
             out.shards[0].failed.as_deref(),
-            Some("GC worker panicked: injected GC worker fault on shard 0")
+            Some("collection panicked: injected collection fault on shard 0")
         );
         assert_eq!(out.per_session_ops[1], 300);
         assert!(out.shards[1].failed.is_none());
+    }
+
+    /// Rate 20 until its first collection finishes, then a panic in
+    /// `after_collection`: a failure from inside a real collection.
+    struct DiesAfterCollecting(FixedRatePolicy);
+
+    impl RatePolicy for DiesAfterCollecting {
+        fn initial_trigger(&mut self) -> odbgc_core::Trigger {
+            self.0.initial_trigger()
+        }
+
+        fn after_collection(
+            &mut self,
+            obs: &odbgc_core::CollectionObservation,
+        ) -> odbgc_core::Trigger {
+            panic!("policy died after collection {}", obs.collection_index)
+        }
+
+        fn name(&self) -> String {
+            self.0.name()
+        }
+    }
+
+    #[test]
+    fn a_panic_inside_a_collection_latches_its_shard() {
+        let out = serve(tiny_serve(7), |shard| -> Box<dyn RatePolicy + Send> {
+            match shard {
+                0 => Box::new(DiesAfterCollecting(FixedRatePolicy::new(20))),
+                _ => Box::new(FixedRatePolicy::new(20)),
+            }
+        })
+        .expect("serve survives");
+        // Shard 0's notice carries the payload; the collection ran, its
+        // decision was never made.
+        let notice = "collection panicked: policy died after collection 0";
+        assert_eq!(out.shards[0].failed.as_deref(), Some(notice));
+        assert_eq!(out.failures.len(), 1);
+        assert_eq!(out.failures[0].to_string(), format!("shard 0: {notice}"));
+        assert_eq!(out.shards[0].result.collection_count(), 1);
+        assert!(out.shards[0].decisions.is_empty());
+        // Shard 1 drains: its session's whole budget, every collection
+        // with its decision.
+        assert_eq!(out.per_session_ops[1], 300);
+        assert!(out.shards[1].failed.is_none());
+        assert!(out.shards[1].result.collection_count() > 0);
+        assert_eq!(
+            out.shards[1].decisions.len() as u64,
+            out.shards[1].result.collection_count()
+        );
     }
 
     #[test]

@@ -390,8 +390,8 @@ pub enum ErrorCode {
     Protocol,
     /// The store rejected an operation in the turn.
     Op,
-    /// The session's shard has failed (GC worker panic, poisoned lock);
-    /// the connection can no longer apply turns.
+    /// The session's shard has failed (a panic in a turn or a
+    /// collection); the connection can no longer apply turns.
     ShardFailed,
     /// The server is draining; no new turns are accepted.
     Draining,
@@ -770,7 +770,7 @@ mod tests {
                 ShardStats {
                     shard: 1,
                     collections: 4,
-                    failed: Some("GC worker panicked: injected".into()),
+                    failed: Some("collection panicked: injected".into()),
                 },
             ],
             clients: vec![ClientCounters {

@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use odbgc_core::RatePolicy;
 use odbgc_engine::{
-    apply_ops, EngineConfig, GcFault, SessionId, SessionOp, Shard, ShardOutcome, TurnErrorKind,
+    apply_ops, EngineConfig, SessionId, SessionOp, Shard, ShardOutcome, TurnErrorKind,
 };
 
 use crate::conn::Connection;
@@ -92,8 +92,6 @@ pub struct NetConfig {
     /// Net loops, capped at `shards`. `0` means one loop per shard. Loop
     /// count is fixed at bind and independent of connection count.
     pub net_threads: usize,
-    /// Optional kill-one-collection fault injection (robustness tests).
-    pub gc_fault: Option<GcFault>,
 }
 
 impl Default for NetConfig {
@@ -104,7 +102,6 @@ impl Default for NetConfig {
             window_max: 64,
             idle_timeout: Duration::from_secs(30),
             net_threads: 0,
-            gc_fault: None,
         }
     }
 }
@@ -226,7 +223,7 @@ impl NetServer {
             progress: (0..shard_count).map(|_| ShardProgress::default()).collect(),
         };
         let shards = (0..shard_count)
-            .map(|i| Shard::new(i, &config.engine, make_policy(i as u32), config.gc_fault))
+            .map(|i| Shard::new(i, &config.engine, make_policy(i as u32), None))
             .collect();
         Ok(NetServer {
             listener,

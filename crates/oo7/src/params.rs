@@ -21,6 +21,13 @@ pub enum ConnStyle {
     Forward,
 }
 
+/// Modules in the database (Table 1: 1); the generator builds exactly one.
+pub const NUM_MODULES: u32 = 1;
+
+/// In-connection slot capacity per atomic part, as a multiple of the
+/// out-connection count. 2 is always sufficient in aggregate.
+const IN_CONN_CAPACITY_FACTOR: u32 = 2;
+
 /// OO7 benchmark parameters plus the object-size model.
 ///
 /// The structural parameters mirror Table 1; the byte sizes are chosen so
@@ -45,8 +52,6 @@ pub struct Oo7Params {
     pub num_assm_levels: u32,
     /// Composite parts referenced per base assembly (Table 1: 3).
     pub num_comp_per_assm: u32,
-    /// Modules (Table 1: 1).
-    pub num_modules: u32,
 
     // -- object-size model -------------------------------------------------
     /// Atomic part bytes.
@@ -61,13 +66,6 @@ pub struct Oo7Params {
     pub module_size: u32,
 
     // -- workload options ---------------------------------------------------
-    /// Replace each composite's document during reorganizations: one
-    /// pointer overwrite that disconnects a large object, the behavior
-    /// §2.1 cites when explaining why size-based heuristics fail.
-    pub replace_documents: bool,
-    /// In-connection slot capacity per atomic part, as a multiple of the
-    /// out-connection count. 2 is always sufficient in aggregate.
-    pub in_conn_capacity_factor: u32,
     /// Connection reference style (see [`ConnStyle`]).
     pub conn_style: ConnStyle,
 }
@@ -85,14 +83,11 @@ impl Oo7Params {
             num_assm_per_assm: 3,
             num_assm_levels: 6,
             num_comp_per_assm: 3,
-            num_modules: 1,
             atomic_part_size: 200,
             connection_size: 100,
             composite_size: 250,
             assembly_size: 150,
             module_size: 500,
-            replace_documents: true,
-            in_conn_capacity_factor: 2,
             conn_style: ConnStyle::Bidirectional,
         }
     }
@@ -131,21 +126,17 @@ impl Oo7Params {
             num_assm_per_assm: 2,
             num_assm_levels: 2,
             num_comp_per_assm: 2,
-            num_modules: 1,
             atomic_part_size: 40,
             connection_size: 16,
             composite_size: 48,
             assembly_size: 24,
             module_size: 64,
-            replace_documents: true,
-            in_conn_capacity_factor: 2,
             conn_style: ConnStyle::Bidirectional,
         }
     }
 
     /// Panics if the parameters are structurally unusable.
     pub fn validate(&self) {
-        assert!(self.num_modules == 1, "multi-module databases unsupported");
         assert!(
             self.num_atomic_per_comp >= 2,
             "need ≥ 2 parts per composite"
@@ -157,10 +148,6 @@ impl Oo7Params {
         assert!(self.num_assm_levels >= 1);
         assert!(self.num_assm_per_assm >= 1);
         assert!(self.num_comp_per_module >= 1);
-        assert!(
-            self.in_conn_capacity_factor >= 2,
-            "in-slot capacity too small"
-        );
         for size in [
             self.document_size,
             self.manual_size,
@@ -204,7 +191,7 @@ impl Oo7Params {
 
     /// In-connection slot capacity per atomic part.
     pub fn in_conn_capacity(&self) -> u32 {
-        self.num_conn_per_atomic * self.in_conn_capacity_factor
+        self.num_conn_per_atomic * IN_CONN_CAPACITY_FACTOR
     }
 
     /// Parts deleted (and reinserted) per composite during a
@@ -242,7 +229,6 @@ mod tests {
         assert_eq!(p.num_assm_per_assm, 3);
         assert_eq!(p.num_assm_levels, 6);
         assert_eq!(p.num_comp_per_assm, 3);
-        assert_eq!(p.num_modules, 1);
     }
 
     #[test]
@@ -265,7 +251,6 @@ mod tests {
         assert_eq!(p.num_assm_per_assm, 3);
         assert_eq!(p.num_assm_levels, 7);
         assert_eq!(p.num_comp_per_assm, 3);
-        assert_eq!(p.num_modules, 1);
         assert_eq!(
             Oo7Params {
                 num_conn_per_atomic: 3,

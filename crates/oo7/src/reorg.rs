@@ -18,15 +18,13 @@ use crate::builder::add_connection;
 use crate::model::GenState;
 use crate::schema::{composite_part_slot, part_in_slot, part_out_slot, Kind, COMPOSITE_DOC_SLOT};
 
-/// Runs Reorg1: per composite — optionally replace the document, delete
+/// Runs Reorg1: per composite — replace the document, delete
 /// half the parts, reinsert them immediately (clustered allocation).
 pub fn reorg_clustered(state: &mut GenState) {
     state.trace.phase("Reorg1");
     let n_comps = state.module.composites.len() as u32;
     for ci in 0..n_comps {
-        if state.params.replace_documents {
-            replace_document(state, ci);
-        }
+        replace_document(state, ci);
         let victims = choose_victims(state, ci);
         for &pi in &victims {
             delete_part(state, ci, pi);
@@ -45,9 +43,7 @@ pub fn reorg_declustered(state: &mut GenState) {
     let n_comps = state.module.composites.len() as u32;
     let mut victim_sets: Vec<Vec<u32>> = Vec::with_capacity(n_comps as usize);
     for ci in 0..n_comps {
-        if state.params.replace_documents {
-            replace_document(state, ci);
-        }
+        replace_document(state, ci);
         let victims = choose_victims(state, ci);
         for &pi in &victims {
             delete_part(state, ci, pi);
@@ -75,7 +71,8 @@ fn choose_victims(state: &mut GenState, ci: u32) -> Vec<u32> {
 }
 
 /// Replaces composite `ci`'s document: one pointer overwrite that turns
-/// the old (large) document into garbage.
+/// the old (large) document into garbage, the behavior §2.1 cites when
+/// explaining why size-based heuristics fail.
 pub fn replace_document(state: &mut GenState, ci: u32) {
     let new_doc = state.create_unlinked(Kind::Document);
     let comp_id = state.module.composites[ci as usize].id;

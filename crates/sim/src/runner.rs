@@ -17,8 +17,8 @@
 //!   property.
 //! * **Deterministic reduction.** Results land in pre-assigned slots and
 //!   are reduced in (cell, seed) order, so the outcome is identical for
-//!   any thread count — `--jobs 1` and `--jobs 8` agree byte for byte,
-//!   including the failure list.
+//!   any thread count — 1 and 8 workers agree byte for byte, including
+//!   the failure list.
 //! * **Fault tolerance.** Plan execution is *total* over job failures: a
 //!   [`SimError`] or a panic inside one (cell, seed) job becomes a
 //!   structured [`JobError`] in that job's slot instead of unwinding the
@@ -65,10 +65,10 @@ pub enum FaultKind {
 /// A deliberate fault wired into one (cell, seed) job.
 ///
 /// This is the injection side of the failure machinery: production plans
-/// carry no faults, and tests (or `odbgc sweep --poison`) use it to
-/// exercise degrade-and-report behavior on real execution paths — the
-/// poisoned trace really is replayed by the [`Simulator`], and the panic
-/// really unwinds through the worker.
+/// carry no faults, and tests use it to exercise degrade-and-report
+/// behavior on real execution paths — the poisoned trace really is
+/// replayed by the [`Simulator`], and the panic really unwinds through
+/// the worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Index into [`ExperimentPlan::cells`] of the job to sabotage.

@@ -18,7 +18,7 @@
 //! partition a linear scan would stop at. Placements, partition counts,
 //! page I/O and every recorded number are those of the scan.
 
-use crate::config::{AllocPolicy, StoreConfig};
+use crate::config::StoreConfig;
 use crate::ids::PartitionId;
 use crate::partition::Partition;
 
@@ -168,11 +168,9 @@ impl FreeIndex {
 ///
 /// `free` mirrors each partition's free bytes, kept in lockstep with
 /// `partitions` (here on placement and append, by the store after a
-/// collection or grow). Under [`AllocPolicy::FirstFit`] it is searched
-/// for the leftmost partition with room — one root check and one descent,
-/// ⌈log2 partitions⌉ + 1 nodes — and updated along one leaf-to-root path;
-/// [`AllocPolicy::AppendOnly`] only ever asks the last partition and
-/// keeps that one leaf current.
+/// collection or grow). It is searched for the leftmost partition with
+/// room — one root check and one descent, ⌈log2 partitions⌉ + 1 nodes —
+/// and updated along one leaf-to-root path.
 pub fn place(
     partitions: &mut Vec<Partition>,
     free: &mut FreeIndex,
@@ -181,14 +179,7 @@ pub fn place(
 ) -> Option<(PartitionId, u32)> {
     debug_assert!(size >= 1);
     debug_assert_eq!(free.len(), partitions.len(), "free index out of sync");
-    let home = match config.alloc_policy {
-        AllocPolicy::FirstFit => free.first_fit(size),
-        AllocPolicy::AppendOnly => partitions
-            .last()
-            .is_some_and(|p| p.fits(size))
-            .then(|| partitions.len() - 1),
-    };
-    if let Some(i) = home {
+    if let Some(i) = free.first_fit(size) {
         let offset = partitions[i].append(size);
         free.set(i, partitions[i].free_bytes());
         return Some((PartitionId::new(i as u32), offset));
@@ -251,19 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn append_only_never_backfills() {
-        let mut s = Placer::new(StoreConfig {
-            alloc_policy: AllocPolicy::AppendOnly,
-            ..cfg()
-        });
-        s.place(100);
-        s.place(200); // forces partition 1
-        assert_eq!(s.place(56), Some((1, 200))); // would fit in 0; goes to 1
-        assert_eq!(s.parts.len(), 2);
-        assert_eq!(s.free.probes(), 0, "nothing is searched");
-    }
-
-    #[test]
     fn oversized_objects_get_dedicated_partition() {
         let mut s = Placer::new(cfg());
         assert_eq!(s.place(1000), Some((0, 0))); // > 256 bytes
@@ -284,20 +262,15 @@ mod tests {
 
     #[test]
     fn a_size_no_partition_can_hold_places_nothing() {
-        for policy in [AllocPolicy::FirstFit, AllocPolicy::AppendOnly] {
-            let mut s = Placer::new(StoreConfig {
-                alloc_policy: policy,
-                ..cfg()
-            });
-            s.place(100);
-            // Whole pages up to u32::MAX: 64 * 67_108_863.
-            let largest = u32::MAX - 63;
-            assert_eq!(s.place(largest + 1), None);
-            assert_eq!(s.place(u32::MAX), None);
-            assert_eq!((s.parts.len(), s.free.len()), (1, 1));
-            assert_eq!(s.place(largest), Some((1, 0)));
-            assert_eq!(s.parts[1].free_bytes(), 0);
-        }
+        let mut s = Placer::new(cfg());
+        s.place(100);
+        // Whole pages up to u32::MAX: 64 * 67_108_863.
+        let largest = u32::MAX - 63;
+        assert_eq!(s.place(largest + 1), None);
+        assert_eq!(s.place(u32::MAX), None);
+        assert_eq!((s.parts.len(), s.free.len()), (1, 1));
+        assert_eq!(s.place(largest), Some((1, 0)));
+        assert_eq!(s.parts[1].free_bytes(), 0);
     }
 
     #[test]

@@ -19,19 +19,6 @@ pub enum OverwriteSemantics {
     AllStores,
 }
 
-/// Where newly created objects are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocPolicy {
-    /// First partition (in id order) with enough free tail space; append a
-    /// new partition if none fits (the paper's model; default).
-    #[default]
-    FirstFit,
-    /// Only the most recently added partition is considered; append a new
-    /// partition when it is full. Keeps creation order perfectly clustered
-    /// (ablation mode).
-    AppendOnly,
-}
-
 /// Static configuration of a [`crate::Store`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
@@ -43,8 +30,6 @@ pub struct StoreConfig {
     pub buffer_pages: u32,
     /// Overwrite-clock semantics.
     pub overwrite_semantics: OverwriteSemantics,
-    /// Object placement policy.
-    pub alloc_policy: AllocPolicy,
 }
 
 impl Default for StoreConfig {
@@ -56,7 +41,6 @@ impl Default for StoreConfig {
             pages_per_partition: 12,
             buffer_pages: 12,
             overwrite_semantics: OverwriteSemantics::default(),
-            alloc_policy: AllocPolicy::default(),
         }
     }
 }
@@ -101,7 +85,6 @@ mod tests {
         assert_eq!(c.buffer_pages, 12);
         assert_eq!(c.partition_bytes(), 96 * 1024);
         assert_eq!(c.overwrite_semantics, OverwriteSemantics::NonNullOld);
-        assert_eq!(c.alloc_policy, AllocPolicy::FirstFit);
         c.validate();
     }
 

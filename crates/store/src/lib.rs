@@ -45,7 +45,7 @@ pub mod remset;
 pub mod store;
 pub mod tracker;
 
-pub use config::{AllocPolicy, OverwriteSemantics, StoreConfig};
+pub use config::{OverwriteSemantics, StoreConfig};
 pub use error::StoreError;
 pub use gcapi::{CollectionApplied, PartitionSnapshot};
 pub use ids::{PageKey, PartitionId};

@@ -10,12 +10,11 @@
 //!
 //! `bench-compare --check` is the CI ratchet: it runs the same suite and
 //! comparison but *never rewrites the baseline*, and exits nonzero when
-//! any tracked benchmark's median regresses beyond `--threshold` (a
-//! ratio; default 4.0, i.e. fail at >4× the baseline median — generous
-//! because CI hardware differs from the machine that blessed the
-//! baseline). Benchmarks whose baseline median is below `--min-ns`
-//! (default 20 ns) are reported but never fail the check: at that scale
-//! the shim's medians are dominated by timer noise.
+//! any tracked benchmark's median regresses beyond [`THRESHOLD`] (fail
+//! at >4× the baseline median — generous because CI hardware differs
+//! from the machine that blessed the baseline). Benchmarks whose
+//! baseline median is below [`MIN_NS`] are reported but never fail the
+//! check: at that scale the shim's medians are dominated by timer noise.
 
 #![forbid(unsafe_code)]
 
@@ -23,66 +22,42 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
+/// The ratchet fails a benchmark whose fresh median exceeds its
+/// baseline median times this ratio.
+const THRESHOLD: f64 = 4.0;
+
+/// Baselines faster than this many nanoseconds are exempt from failing
+/// (timer noise).
+const MIN_NS: f64 = 20.0;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("bench-compare") => match CheckOptions::parse(&args[1..]) {
-            Ok(opts) => bench_compare(opts),
+        Some("bench-compare") => match parse_check(&args[1..]) {
+            Ok(check) => bench_compare(check),
             Err(e) => {
                 eprintln!("{e}");
                 std::process::exit(2);
             }
         },
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- bench-compare \
-                 [--check] [--threshold RATIO] [--min-ns NS]"
-            );
+            eprintln!("usage: cargo run -p xtask -- bench-compare [--check]");
             std::process::exit(2);
         }
     }
 }
 
-/// How `bench-compare` treats the baseline.
-struct CheckOptions {
-    /// Ratchet mode: compare only, never rewrite, exit 1 on regression.
-    check: bool,
-    /// Fail when `new_median > old_median * threshold`.
-    threshold: f64,
-    /// Baselines faster than this are exempt from failing (timer noise).
-    min_ns: f64,
-}
-
-impl CheckOptions {
-    fn parse(args: &[String]) -> Result<CheckOptions, String> {
-        let mut opts = CheckOptions {
-            check: false,
-            threshold: 4.0,
-            min_ns: 20.0,
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--check" => opts.check = true,
-                "--threshold" => {
-                    opts.threshold = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|v: &f64| *v >= 1.0)
-                        .ok_or("--threshold wants a ratio >= 1.0")?;
-                }
-                "--min-ns" => {
-                    opts.min_ns = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|v: &f64| *v >= 0.0)
-                        .ok_or("--min-ns wants a non-negative number")?;
-                }
-                other => return Err(format!("unknown bench-compare flag {other:?}")),
-            }
+/// Parses `bench-compare`'s arguments: whether `--check` (ratchet mode:
+/// compare only, never rewrite, exit 1 on regression) was given.
+fn parse_check(args: &[String]) -> Result<bool, String> {
+    let mut check = false;
+    for arg in args {
+        match arg.as_str() {
+            "--check" => check = true,
+            other => return Err(format!("unknown bench-compare flag {other:?}")),
         }
-        Ok(opts)
     }
+    Ok(check)
 }
 
 /// A benchmark line: name plus lower/median/upper estimates in ns.
@@ -101,23 +76,18 @@ struct Regression {
 }
 
 /// The ratchet comparison: every baseline benchmark that is present in
-/// the fresh run, at or above the noise floor, and slower than
-/// `threshold ×` its baseline median.
-fn find_regressions(
-    old: &[Sample],
-    new: &[Sample],
-    threshold: f64,
-    min_ns: f64,
-) -> Vec<Regression> {
+/// the fresh run, at or above [`MIN_NS`], and slower than [`THRESHOLD`]
+/// × its baseline median.
+fn find_regressions(old: &[Sample], new: &[Sample]) -> Vec<Regression> {
     let mut out = Vec::new();
     for o in old {
-        if o.med_ns < min_ns {
+        if o.med_ns < MIN_NS {
             continue;
         }
         let Some(n) = new.iter().find(|n| n.name == o.name) else {
             continue;
         };
-        if n.med_ns > o.med_ns * threshold {
+        if n.med_ns > o.med_ns * THRESHOLD {
             out.push(Regression {
                 name: o.name.clone(),
                 old_ns: o.med_ns,
@@ -128,14 +98,14 @@ fn find_regressions(
     out
 }
 
-fn bench_compare(opts: CheckOptions) {
+fn bench_compare(check: bool) {
     let root = repo_root();
     let summary_path = root.join("reports/bench_summary.txt");
 
     let old = std::fs::read_to_string(&summary_path)
         .map(|s| parse_samples(&s))
         .unwrap_or_default();
-    if opts.check && old.is_empty() {
+    if check && old.is_empty() {
         eprintln!(
             "--check needs a baseline in {}; generate one with \
              `cargo run -p xtask -- bench-compare`",
@@ -179,21 +149,19 @@ fn bench_compare(opts: CheckOptions) {
         );
     }
 
-    if opts.check {
+    if check {
         // Ratchet mode: judge, never rewrite.
-        let regressions = find_regressions(&old, &new, opts.threshold, opts.min_ns);
+        let regressions = find_regressions(&old, &new);
         if regressions.is_empty() {
             eprintln!(
-                "bench ratchet OK: no tracked median beyond {:.2}x baseline \
-                 (noise floor {} ns)",
-                opts.threshold, opts.min_ns
+                "bench ratchet OK: no tracked median beyond {THRESHOLD:.2}x baseline \
+                 (noise floor {MIN_NS} ns)"
             );
             return;
         }
         eprintln!(
-            "bench ratchet FAILED: {} tracked benchmark(s) beyond {:.2}x baseline:",
+            "bench ratchet FAILED: {} tracked benchmark(s) beyond {THRESHOLD:.2}x baseline:",
             regressions.len(),
-            opts.threshold
         );
         for r in &regressions {
             eprintln!(
@@ -348,7 +316,7 @@ mod tests {
             sample("g/fast", 350.0),  // 3.5x: within a 4x ratchet
             sample("g/slow", 4100.0), // 4.1x: beyond it
         ];
-        let r = find_regressions(&old, &new, 4.0, 20.0);
+        let r = find_regressions(&old, &new);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].name, "g/slow");
         assert_eq!(r[0].new_ns, 4100.0);
@@ -359,28 +327,32 @@ mod tests {
         // 5 ns baseline: below the 20 ns floor, can never fail.
         let old = vec![sample("g/tiny", 5.0), sample("g/gone", 500.0)];
         let new = vec![sample("g/tiny", 500.0), sample("g/new", 1.0)];
-        assert!(find_regressions(&old, &new, 4.0, 20.0).is_empty());
-        // Lowering the floor brings the tiny benchmark into scope.
-        let r = find_regressions(&old, &new, 4.0, 0.0);
+        assert!(find_regressions(&old, &new).is_empty());
+        // A baseline at the floor is in scope.
+        let r = find_regressions(&[sample("g/floor", 20.0)], &[sample("g/floor", 81.0)]);
         assert_eq!(r.len(), 1);
-        assert_eq!(r[0].name, "g/tiny");
+        assert_eq!(r[0].name, "g/floor");
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
     fn check_options_parse_and_reject() {
-        let args: Vec<String> = ["--check", "--threshold", "2.5", "--min-ns", "50"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = CheckOptions::parse(&args).unwrap();
-        assert!(o.check);
-        assert_eq!(o.threshold, 2.5);
-        assert_eq!(o.min_ns, 50.0);
+        assert_eq!(parse_check(&args(&["--check"])), Ok(true));
+        assert_eq!(parse_check(&[]), Ok(false));
+        assert!(parse_check(&args(&["--bogus"])).is_err());
+    }
 
-        assert!(CheckOptions::parse(&["--threshold".into(), "0.5".into()]).is_err());
-        assert!(CheckOptions::parse(&["--bogus".into()]).is_err());
-        let d = CheckOptions::parse(&[]).unwrap();
-        assert!(!d.check);
-        assert_eq!(d.threshold, 4.0);
+    #[test]
+    fn threshold_and_min_ns_are_unknown_flags() {
+        // The ratchet's bounds are the constants THRESHOLD and MIN_NS.
+        for flag in ["--threshold", "--min-ns"] {
+            assert_eq!(
+                parse_check(&args(&[flag, "2"])),
+                Err(format!("unknown bench-compare flag \"{flag}\""))
+            );
+        }
     }
 }

@@ -83,6 +83,21 @@ fn sweep_progress_is_refused_by_name() {
 }
 
 #[test]
+fn sweep_jobs_and_poison_are_refused_by_name() {
+    // ODBGC_JOBS is the one worker-count control; faults reach a plan
+    // only through `ExperimentPlan::inject_fault`.
+    for (flag, value) in [("jobs", "2"), ("poison", "0:1")] {
+        let stderr = refused(&argv(&format!(
+            "sweep --policy saio --points 5,10 --seeds 1..2 --params tiny --{flag} {value}"
+        )));
+        assert!(
+            stderr.contains(&format!("unknown flag --{flag}")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn info_and_trace_verify_are_refused_by_name() {
     // `trace stat` is the one census: it prints what `info` printed and
     // verifies every block as `trace verify` did. Telemetry is

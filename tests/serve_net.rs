@@ -17,9 +17,9 @@
 
 use std::time::Duration;
 
-use odbgc_core::FixedRatePolicy;
+use odbgc_core::{CollectionObservation, FixedRatePolicy, RatePolicy, Trigger};
 use odbgc_engine::{
-    serve, EngineConfig, GcFault, ObjRef, ServeConfig, SessionOp, SessionWorkload, WorkloadParams,
+    serve, EngineConfig, ObjRef, ServeConfig, SessionOp, SessionWorkload, WorkloadParams,
 };
 use odbgc_net::proto::{MAX_CREATE_SLOTS, STATS_MAX_CLIENTS};
 use odbgc_net::{
@@ -225,19 +225,45 @@ fn window_of_one_rejects_unacked_turns() {
     );
 }
 
-/// (3a) Typed shard failure over the wire: shard 0 dies on its first
-/// collection; its client gets `ShardFailed` (not a hang, not a dropped
-/// connection), while shard 1's client completes everything. `Stats`
-/// reports what each shard's executor published: the failure notice and
-/// the collection count the drain outcome later confirms.
+/// Rate 20 until its first collection finishes, then a panic in
+/// `after_collection`: a failure from inside a real collection.
+struct DiesAfterCollecting(FixedRatePolicy);
+
+impl RatePolicy for DiesAfterCollecting {
+    fn initial_trigger(&mut self) -> Trigger {
+        self.0.initial_trigger()
+    }
+
+    fn after_collection(&mut self, obs: &CollectionObservation) -> Trigger {
+        panic!("policy died after collection {}", obs.collection_index)
+    }
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+}
+
+/// (3a) Typed shard failure over the wire: shard 0's policy panics
+/// inside its first collection; its client gets `ShardFailed` (not a
+/// hang, not a dropped connection), while shard 1's client completes
+/// everything. `Stats` reports what each shard's loop published: the
+/// failure notice and the collection count the drain outcome later
+/// confirms.
 #[test]
 fn gc_worker_death_is_a_typed_wire_error_and_other_shard_drains() {
-    let mut config = net_config(2);
-    config.gc_fault = Some(GcFault {
-        shard: 0,
-        after_collections: 0,
-    });
-    let (addr, server) = spawn_server(config);
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        net_config(2),
+        |shard| -> Box<dyn RatePolicy + Send> {
+            match shard {
+                0 => Box::new(DiesAfterCollecting(FixedRatePolicy::new(20))),
+                _ => Box::new(FixedRatePolicy::new(20)),
+            }
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let server = std::thread::spawn(move || server.run());
 
     // Session 1 → shard 1: unaffected, must finish its whole budget.
     let healthy = {
@@ -250,7 +276,10 @@ fn gc_worker_death_is_a_typed_wire_error_and_other_shard_drains() {
     match err {
         ClientError::Server { code, message } => {
             assert_eq!(code, ErrorCode::ShardFailed);
-            assert!(message.contains("injected GC worker fault"), "{message}");
+            assert!(
+                message.contains("policy died after collection 0"),
+                "{message}"
+            );
         }
         other => panic!("want a typed server error, got {other}"),
     }
@@ -258,10 +287,10 @@ fn gc_worker_death_is_a_typed_wire_error_and_other_shard_drains() {
     let healthy_report = healthy.join().unwrap();
     assert_eq!(healthy_report.ops_applied, OPS);
 
-    // An executor publishes after each collection drain and before it
-    // takes its next job, so the reply to an empty turn on shard 1 means
-    // the drain behind session 1's last turn has been published. Shard
-    // 0's notice was published before the turn that reported it.
+    // A loop publishes after each collection drain and before it applies
+    // the shard's next turn, so the reply to an empty turn on shard 1
+    // means the drain behind session 1's last turn has been published.
+    // Shard 0's notice was published before the turn that reported it.
     let mut probe = Conn::connect(&addr).expect("probe connect");
     probe
         .request(&Request::Hello {
@@ -287,11 +316,9 @@ fn gc_worker_death_is_a_typed_wire_error_and_other_shard_drains() {
 
     shutdown(&addr);
     let outcome = server.join().unwrap();
-    assert!(
-        outcome.shards[0]
-            .failed
-            .as_deref()
-            .is_some_and(|m| m.contains("injected")),
+    assert_eq!(
+        outcome.shards[0].failed.as_deref(),
+        Some("collection panicked: policy died after collection 0"),
         "shard 0 outcome records the panic payload"
     );
     assert!(outcome.shards[1].failed.is_none());

@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use odbgc_core::{
-    CollectionObservation, EstimatorKind, FixedRatePolicy, HistoryLen, RatePolicy, SagaConfig,
-    SagaPolicy, SaioConfig, SaioPolicy,
+    CollectionObservation, EstimatorKind, FixedRatePolicy, HistoryLen, RatePolicy, SagaPolicy,
+    SaioPolicy,
 };
 
 fn obs(i: u64) -> CollectionObservation {
@@ -49,7 +49,7 @@ fn bench_policies(c: &mut Criterion) {
     });
 
     group.bench_function("saio_history_64", |b| {
-        let mut p = SaioPolicy::new(SaioConfig::new(0.10).with_history(HistoryLen::Fixed(64)));
+        let mut p = SaioPolicy::new(0.10, HistoryLen::Fixed(64));
         let mut i = 0;
         b.iter(|| {
             i += 1;
@@ -58,7 +58,7 @@ fn bench_policies(c: &mut Criterion) {
     });
 
     group.bench_function("saga_oracle", |b| {
-        let mut p = SagaPolicy::new(SagaConfig::new(0.10), EstimatorKind::Oracle.build());
+        let mut p = SagaPolicy::new(0.10, None, EstimatorKind::Oracle.build());
         let mut i = 0;
         b.iter(|| {
             i += 1;
@@ -67,10 +67,7 @@ fn bench_policies(c: &mut Criterion) {
     });
 
     group.bench_function("saga_fgs_hb", |b| {
-        let mut p = SagaPolicy::new(
-            SagaConfig::new(0.10),
-            EstimatorKind::fgs_hb_default().build(),
-        );
+        let mut p = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
         let mut i = 0;
         b.iter(|| {
             i += 1;

@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn saio_sweep_produces_point_per_fraction() {
-        let pts = saio_sweep(Scale::Test, 2, &[10.0, 20.0], HistoryLen::None);
+        let pts = saio_sweep(Scale::Test, 2, &[10.0, 20.0], HistoryLen::Fixed(0));
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].x, 10.0);
         assert!(pts[0].mean.is_finite());

@@ -9,7 +9,7 @@
 //! 3. **Buffer size** — §3.1 sets buffer = partition size; smaller and
 //!    larger buffers shift application I/O.
 
-use odbgc_sim::core_policies::{FixedRatePolicy, SagaPolicy};
+use odbgc_sim::core_policies::{EstimatorKind, FixedRatePolicy};
 use odbgc_sim::gc::SelectorKind;
 use odbgc_sim::oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
@@ -84,11 +84,8 @@ pub fn semantics_report(scale: Scale) -> String {
     .map(|(name, semantics)| {
         let mut config = scale.sim_config();
         config.store.overwrite_semantics = semantics;
-        let mut policy = SagaPolicy::new(
-            scale.saga_config(0.10),
-            odbgc_sim::core_policies::EstimatorKind::Oracle.build(),
-        );
-        let r = run_single(&trace, &config, &mut policy).expect("OO7 trace replays cleanly");
+        let mut policy = scale.saga_spec(0.10, EstimatorKind::Oracle).build();
+        let r = run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly");
         vec![
             name.to_string(),
             r.overwrite_clock.to_string(),
@@ -184,11 +181,9 @@ pub fn partition_report(scale: Scale) -> String {
         .map(|pages| {
             let mut config = scale.sim_config();
             config.store.pages_per_partition = pages;
-            let mut policy = SagaPolicy::new(
-                scale.saga_config(0.10),
-                odbgc_sim::core_policies::EstimatorKind::Oracle.build(),
-            );
-            let r = run_single(&trace, &config, &mut policy).expect("OO7 trace replays cleanly");
+            let mut policy = scale.saga_spec(0.10, EstimatorKind::Oracle).build();
+            let r =
+                run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly");
             let yield_per_coll = if r.collection_count() == 0 {
                 0.0
             } else {
@@ -214,11 +209,11 @@ pub fn partition_report(scale: Scale) -> String {
 /// SAIO history-length sweep at the extreme requested fraction, where
 /// §4.1.1 says history ameliorates the non-cancelling drift errors.
 pub fn saio_history_report(scale: Scale) -> String {
-    use odbgc_sim::core_policies::{HistoryLen, SaioConfig, SaioPolicy};
+    use odbgc_sim::core_policies::{HistoryLen, SaioPolicy};
     let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
     let requested = 50.0;
     let rows: Vec<Vec<String>> = [
-        ("0", HistoryLen::None),
+        ("0", HistoryLen::Fixed(0)),
         ("1", HistoryLen::Fixed(1)),
         ("4", HistoryLen::Fixed(4)),
         ("16", HistoryLen::Fixed(16)),
@@ -226,7 +221,7 @@ pub fn saio_history_report(scale: Scale) -> String {
     ]
     .into_iter()
     .map(|(name, hist)| {
-        let mut policy = SaioPolicy::new(SaioConfig::new(requested / 100.0).with_history(hist));
+        let mut policy = SaioPolicy::new(requested / 100.0, hist);
         let r = run_single(&trace, &scale.sim_config(), &mut policy)
             .expect("OO7 trace replays cleanly");
         let achieved = crate::common::adaptive_gc_io_pct(&r, scale.preamble());

@@ -11,8 +11,7 @@
 //!   cost-ineffective, reducing GC I/O at little garbage cost.
 
 use odbgc_sim::core_policies::{
-    CoupledConfig, CoupledSaioPolicy, EstimatorKind, OpportunisticConfig, OpportunisticPolicy,
-    RatePolicy, SagaPolicy, SaioPolicy,
+    CoupledSaioPolicy, EstimatorKind, PolicySpec, RatePolicy, SaioPolicy,
 };
 use odbgc_sim::oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
@@ -45,20 +44,17 @@ pub fn traverse_collections(r: &RunResult) -> u64 {
 
 /// Renders the opportunistic demonstration.
 pub fn opportunistic_report(scale: Scale) -> String {
-    let quiescence_io = match scale {
+    let idle = match scale {
         Scale::Test => 50,
         _ => 200,
     };
-    let mut plain = SagaPolicy::new(scale.saga_config(0.10), EstimatorKind::Oracle.build());
-    let plain_run = run_policy(scale, &mut plain);
-    let mut opp = OpportunisticPolicy::new(
-        Box::new(SagaPolicy::new(
-            scale.saga_config(0.10),
-            EstimatorKind::Oracle.build(),
-        )),
-        OpportunisticConfig { quiescence_io },
-    );
-    let opp_run = run_policy(scale, &mut opp);
+    let saga = scale.saga_spec(0.10, EstimatorKind::Oracle);
+    let plain_run = run_policy(scale, saga.build().as_mut());
+    let opp = PolicySpec::Quiescent {
+        idle,
+        inner: Box::new(saga),
+    };
+    let opp_run = run_policy(scale, opp.build().as_mut());
 
     let rows = vec![
         vec![
@@ -68,7 +64,7 @@ pub fn opportunistic_report(scale: Scale) -> String {
             fmt_f(plain_run.garbage_pct_mean.unwrap_or(f64::NAN), 2),
         ],
         vec![
-            format!("opportunistic (idle={quiescence_io} I/Os)"),
+            format!("opportunistic (idle={idle} I/Os)"),
             traverse_collections(&opp_run).to_string(),
             opp_run.collection_count().to_string(),
             fmt_f(opp_run.garbage_pct_mean.unwrap_or(f64::NAN), 2),
@@ -87,7 +83,7 @@ pub fn opportunistic_report(scale: Scale) -> String {
 pub fn coupled_report(scale: Scale) -> String {
     let mut plain = SaioPolicy::with_frac(0.10);
     let plain_run = run_policy(scale, &mut plain);
-    let mut coupled = CoupledSaioPolicy::new(CoupledConfig::new(0.10, 0.05));
+    let mut coupled = CoupledSaioPolicy::new(0.10, 0.05, CoupledSaioPolicy::DEFAULT_STRETCH);
     let coupled_run = run_policy(scale, &mut coupled);
 
     let rows = vec![
@@ -125,17 +121,13 @@ mod tests {
 
     #[test]
     fn opportunistic_collects_during_traverse() {
-        let mut plain =
-            SagaPolicy::new(Scale::Test.saga_config(0.10), EstimatorKind::Oracle.build());
-        let plain_run = run_policy(Scale::Test, &mut plain);
-        let mut opp = OpportunisticPolicy::new(
-            Box::new(SagaPolicy::new(
-                Scale::Test.saga_config(0.10),
-                EstimatorKind::Oracle.build(),
-            )),
-            OpportunisticConfig { quiescence_io: 20 },
-        );
-        let opp_run = run_policy(Scale::Test, &mut opp);
+        let saga = Scale::Test.saga_spec(0.10, EstimatorKind::Oracle);
+        let plain_run = run_policy(Scale::Test, saga.build().as_mut());
+        let opp = PolicySpec::Quiescent {
+            idle: 20,
+            inner: Box::new(saga),
+        };
+        let opp_run = run_policy(Scale::Test, opp.build().as_mut());
         assert!(
             traverse_collections(&opp_run) >= traverse_collections(&plain_run),
             "opportunistic must not collect less during Traverse"
@@ -147,7 +139,7 @@ mod tests {
     fn coupled_spends_no_more_gc_io_than_plain() {
         let mut plain = SaioPolicy::with_frac(0.10);
         let plain_run = run_policy(Scale::Test, &mut plain);
-        let mut coupled = CoupledSaioPolicy::new(CoupledConfig::new(0.10, 0.05));
+        let mut coupled = CoupledSaioPolicy::new(0.10, 0.05, CoupledSaioPolicy::DEFAULT_STRETCH);
         let coupled_run = run_policy(Scale::Test, &mut coupled);
         assert!(coupled_run.gc_io_total <= plain_run.gc_io_total);
     }

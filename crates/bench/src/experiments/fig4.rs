@@ -29,7 +29,7 @@ pub fn run(scale: Scale) -> Fig4Data {
         _ => grids::FIG4_FRACS.to_vec(),
     };
     Fig4Data {
-        no_history: saio_sweep(scale, 3, &fracs, HistoryLen::None),
+        no_history: saio_sweep(scale, 3, &fracs, HistoryLen::Fixed(0)),
         infinite_history: saio_sweep(scale, 3, &fracs, HistoryLen::Infinite),
     }
 }

@@ -6,7 +6,7 @@
 //! overestimates; FGS/HB (6b) tracks the actual garbage closely even
 //! across the Reorg1 → Traverse → Reorg2 transition.
 
-use odbgc_sim::core_policies::{EstimatorKind, SagaPolicy};
+use odbgc_sim::core_policies::EstimatorKind;
 use odbgc_sim::oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
 use odbgc_sim::{run_single, RunResult, SimConfig};
@@ -24,8 +24,8 @@ pub fn run_series(scale: Scale, estimator: EstimatorKind) -> RunResult {
         shadow_estimator: Some(estimator),
         ..scale.sim_config()
     };
-    let mut policy = SagaPolicy::new(scale.saga_config(REQUESTED_PCT / 100.0), estimator.build());
-    run_single(&trace, &config, &mut policy).expect("OO7 trace replays cleanly")
+    let mut policy = scale.saga_spec(REQUESTED_PCT / 100.0, estimator).build();
+    run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly")
 }
 
 fn series_table(result: &RunResult) -> String {

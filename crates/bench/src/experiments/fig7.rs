@@ -11,7 +11,7 @@
 //! `h = 0.8`. Expected: high cold-start rates, a settling interval, and a
 //! yield drop when Reorg2's less-clustered garbage arrives.
 
-use odbgc_sim::core_policies::{EstimatorKind, SagaPolicy};
+use odbgc_sim::core_policies::EstimatorKind;
 use odbgc_sim::oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
 use odbgc_sim::{run_single, RunResult, SimConfig};
@@ -31,8 +31,8 @@ pub fn run_with_h(scale: Scale, h: f64) -> RunResult {
         shadow_estimator: Some(kind),
         ..scale.sim_config()
     };
-    let mut policy = SagaPolicy::new(scale.saga_config(REQUESTED_PCT / 100.0), kind.build());
-    run_single(&trace, &config, &mut policy).expect("OO7 trace replays cleanly")
+    let mut policy = scale.saga_spec(REQUESTED_PCT / 100.0, kind).build();
+    run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly")
 }
 
 /// Renders Figure 7a.

@@ -34,7 +34,7 @@ pub fn run(scale: Scale) -> Fig8Data {
         .map(|conn| {
             (
                 conn,
-                saio_sweep_seeded(scale, conn, &saio_fracs, HistoryLen::None, &seeds),
+                saio_sweep_seeded(scale, conn, &saio_fracs, HistoryLen::Fixed(0), &seeds),
                 saga_sweep_seeded(
                     scale,
                     conn,

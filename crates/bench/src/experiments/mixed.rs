@@ -11,7 +11,7 @@
 //! user-requested level, because the policies adapt to the *observed*
 //! aggregate behavior rather than any per-application profile.
 
-use odbgc_sim::core_policies::{EstimatorKind, SagaPolicy, SaioPolicy};
+use odbgc_sim::core_policies::{EstimatorKind, SaioPolicy};
 use odbgc_sim::oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
 use odbgc_sim::trace::merge::interleave;
@@ -43,11 +43,10 @@ pub fn report(scale: Scale) -> String {
     let trace = mixed_trace(scale);
     let mut saio = SaioPolicy::with_frac(0.10);
     let saio_run = simulate(scale, &trace, &mut saio);
-    let mut saga = SagaPolicy::new(
-        scale.saga_config(0.10),
-        EstimatorKind::fgs_hb_default().build(),
-    );
-    let saga_run = simulate(scale, &trace, &mut saga);
+    let mut saga = scale
+        .saga_spec(0.10, EstimatorKind::fgs_hb_default())
+        .build();
+    let saga_run = simulate(scale, &trace, saga.as_mut());
 
     let rows = vec![
         vec![

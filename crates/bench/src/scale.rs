@@ -67,19 +67,10 @@ impl Scale {
         self.sim_config().preamble_collections
     }
 
-    /// SAGA configuration for a requested garbage fraction. Full/Quick use
-    /// the paper's clamps (Δt ∈ [2, 1000] overwrites); the miniature test
-    /// database produces only a few hundred overwrites in total, so its
-    /// Δt_max shrinks proportionally.
-    pub fn saga_config(self, frac: f64) -> odbgc_core::SagaConfig {
-        let mut cfg = odbgc_core::SagaConfig::new(frac);
-        if self == Scale::Test {
-            cfg.dt_max = 20;
-        }
-        cfg
-    }
-
-    /// [`Self::saga_config`] as a plan cell spec.
+    /// SAGA at a requested garbage fraction. Full/Quick use the paper's
+    /// clamps (Δt ∈ [2, 1000] overwrites); the miniature test database
+    /// produces only a few hundred overwrites in total, so its Δt_max
+    /// shrinks proportionally to 20.
     pub fn saga_spec(
         self,
         frac: f64,

@@ -294,6 +294,20 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_stretch_is_refused_by_token() {
+        for tok in ["nan", "inf", "1e999"] {
+            let err = crate::dispatch(&argv(&format!(
+                "run --policy coupled:10%:floor=5%:stretch={tok} --params tiny"
+            )))
+            .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("stretch {tok:?} must be a finite number > 1")
+            );
+        }
+    }
+
+    #[test]
     fn tiny_store_geometry_enables_tiny_workloads() {
         let out = run(&argv(
             "--policy saio:10% --params tiny --store tiny --preamble 2",

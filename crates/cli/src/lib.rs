@@ -19,7 +19,7 @@
 //! | `saga:5%:cgs-cb` | SAGA with CGS/CB |
 //! | `fixed:200` | collect every 200 pointer overwrites |
 //! | `alloc:98304` | collect every 96 KiB allocated |
-//! | `coupled:10%:floor=5%[:stretch=X]` | SAIO stretched when garbage < floor |
+//! | `coupled:10%:floor=5%[:stretch=X]` | SAIO stretched ×X (default 4; finite and > 1) when garbage < floor |
 //! | `quiescent:idle=N:<spec>` | any policy + opportunistic idle collection |
 //!
 //! The grammar lives in `odbgc_core::spec` ([`odbgc_core::PolicySpec`]):
@@ -108,9 +108,9 @@ every block on the way; `trace cat` prints it as text. Without --trace,
 `run` and `sweep` generate the OO7 trace in process, once per seed.
 
 POLICY SPECS:
-  saio:10%[:hist=N|inf]   saga:5%[:oracle|fgs-hb[@h]|cgs-cb]
+  saio:10%[:hist=N|inf]   saga:5%[:oracle|fgs-hb[@h]|cgs-cb][:dtmax=N]
   fixed:<overwrites>      alloc:<bytes>
-  coupled:10%:floor=5%[:stretch=X]
+  coupled:10%:floor=5%[:stretch=X]   (X finite and > 1, default 4)
   quiescent:idle=N:<spec>
 
 Sweeps run cell × seed on ODBGC_JOBS worker threads (default: all

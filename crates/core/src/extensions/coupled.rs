@@ -10,65 +10,49 @@
 //! FGS/HB-style garbage estimate: when the estimated garbage is below a
 //! floor fraction of the database, each further collection is judged
 //! cost-ineffective and the interval is stretched by a configurable
-//! factor, returning the saved I/O to the application.
+//! factor ([`CoupledSaioPolicy::DEFAULT_STRETCH`] unless given), returning
+//! the saved I/O to the application. The SAIO part runs with no history,
+//! and the estimate uses the paper's `h` ([`FgsHb::PAPER_H`]).
 
 use crate::estimator::GarbageEstimator;
 use crate::estimators::fgs_hb::FgsHb;
 use crate::policy::{ClampHit, CollectionObservation, RatePolicy, Trigger};
-use crate::saio::{SaioConfig, SaioPolicy};
-
-/// Configuration for [`CoupledSaioPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CoupledConfig {
-    /// The underlying SAIO configuration.
-    pub saio: SaioConfig,
-    /// Below this estimated-garbage fraction of the database, collections
-    /// are considered cost-ineffective.
-    pub garbage_floor: f64,
-    /// Interval stretch factor applied while under the floor (> 1).
-    pub stretch: f64,
-    /// History factor of the internal FGS/HB estimate.
-    pub estimator_h: f64,
-}
-
-impl CoupledConfig {
-    /// Defaults (stretch 4, FGS/HB h = 0.8) around the given fractions.
-    pub fn new(io_frac: f64, garbage_floor: f64) -> Self {
-        CoupledConfig {
-            saio: SaioConfig::new(io_frac),
-            garbage_floor,
-            stretch: 4.0,
-            estimator_h: FgsHb::PAPER_H,
-        }
-    }
-
-    fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.garbage_floor),
-            "garbage floor must be in [0,1)"
-        );
-        assert!(self.stretch > 1.0, "stretch must exceed 1");
-    }
-}
+use crate::saio::SaioPolicy;
 
 /// SAIO with a garbage-aware cost-effectiveness brake.
 #[derive(Debug)]
 pub struct CoupledSaioPolicy {
     saio: SaioPolicy,
     estimator: FgsHb,
-    config: CoupledConfig,
+    /// Below this estimated-garbage fraction of the database, collections
+    /// are considered cost-ineffective.
+    garbage_floor: f64,
+    /// Interval stretch factor applied while under the floor (finite, > 1).
+    stretch: f64,
     /// Last decision's view, for diagnostics.
     last_estimate: f64,
 }
 
 impl CoupledSaioPolicy {
-    /// A policy with the given configuration.
-    pub fn new(config: CoupledConfig) -> Self {
-        config.validate();
+    /// The stretch factor a spec gets when it names none.
+    pub const DEFAULT_STRETCH: f64 = 4.0;
+
+    /// SAIO at `io_frac`, with intervals stretched by `stretch` while the
+    /// estimated garbage is below `garbage_floor` of the database.
+    pub fn new(io_frac: f64, garbage_floor: f64, stretch: f64) -> Self {
+        assert!(
+            (0.0..1.0).contains(&garbage_floor),
+            "garbage floor must be in [0,1)"
+        );
+        assert!(
+            stretch.is_finite() && stretch > 1.0,
+            "stretch must be finite and exceed 1"
+        );
         CoupledSaioPolicy {
-            saio: SaioPolicy::new(config.saio),
-            estimator: FgsHb::new(config.estimator_h),
-            config,
+            saio: SaioPolicy::with_frac(io_frac),
+            estimator: FgsHb::new(FgsHb::PAPER_H),
+            garbage_floor,
+            stretch,
             last_estimate: 0.0,
         }
     }
@@ -87,11 +71,11 @@ impl RatePolicy for CoupledSaioPolicy {
     fn after_collection(&mut self, obs: &CollectionObservation) -> Trigger {
         let base = self.saio.after_collection(obs);
         self.last_estimate = self.estimator.estimate(obs);
-        let floor = obs.db_size as f64 * self.config.garbage_floor;
+        let floor = obs.db_size as f64 * self.garbage_floor;
         if self.last_estimate < floor {
             let stretched = base
                 .app_io
-                .map(|n| ((n as f64) * self.config.stretch).round() as u64);
+                .map(|n| ((n as f64) * self.stretch).round() as u64);
             Trigger {
                 app_io: stretched,
                 ..base
@@ -105,8 +89,8 @@ impl RatePolicy for CoupledSaioPolicy {
         format!(
             "coupled({}, floor={:.1}%, stretch={:.1})",
             self.saio.name(),
-            self.config.garbage_floor * 100.0,
-            self.config.stretch
+            self.garbage_floor * 100.0,
+            self.stretch
         )
     }
 
@@ -140,7 +124,7 @@ mod tests {
 
     #[test]
     fn stretches_when_garbage_is_scarce() {
-        let mut p = CoupledSaioPolicy::new(CoupledConfig::new(0.10, 0.05));
+        let mut p = CoupledSaioPolicy::new(0.10, 0.05, CoupledSaioPolicy::DEFAULT_STRETCH);
         // Estimator learns GPPO = 100 B/overwrite; almost nothing is
         // outstanding → estimated garbage ≈ 100 B of a 1 MB database.
         let t = p.after_collection(&obs(0, 90, 600, 6, 1, 1_000_000));
@@ -151,7 +135,7 @@ mod tests {
 
     #[test]
     fn no_stretch_when_garbage_is_plentiful() {
-        let mut p = CoupledSaioPolicy::new(CoupledConfig::new(0.10, 0.05));
+        let mut p = CoupledSaioPolicy::new(0.10, 0.05, CoupledSaioPolicy::DEFAULT_STRETCH);
         // 600 bytes / 6 overwrites, with 10 000 outstanding overwrites →
         // estimate 1 MB garbage in a 1 MB database: way over the floor.
         let t = p.after_collection(&obs(0, 90, 600, 6, 10_000, 1_000_000));
@@ -164,7 +148,7 @@ mod tests {
         // fewer collections per unit of application work.
         let run = |coupled: bool| -> u64 {
             let mut plain = SaioPolicy::with_frac(0.10);
-            let mut brake = CoupledSaioPolicy::new(CoupledConfig::new(0.10, 0.05));
+            let mut brake = CoupledSaioPolicy::new(0.10, 0.05, CoupledSaioPolicy::DEFAULT_STRETCH);
             let mut total_app = 0u64;
             let mut collections = 0u64;
             let mut trig = if coupled {
@@ -197,15 +181,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "stretch")]
     fn stretch_must_exceed_one() {
-        CoupledSaioPolicy::new(CoupledConfig {
-            stretch: 1.0,
-            ..CoupledConfig::new(0.1, 0.05)
-        });
+        CoupledSaioPolicy::new(0.1, 0.05, 1.0);
     }
 
     #[test]
     fn name_reports_all_parameters() {
-        let p = CoupledSaioPolicy::new(CoupledConfig::new(0.10, 0.05));
+        let p = CoupledSaioPolicy::new(0.10, 0.05, CoupledSaioPolicy::DEFAULT_STRETCH);
         assert_eq!(
             p.name(),
             "coupled(saio(10.0%, c_hist=0), floor=5.0%, stretch=4.0)"

@@ -10,52 +10,36 @@
 
 use crate::policy::{ClampHit, CollectionObservation, RatePolicy, Trigger};
 
-/// Configuration for [`OpportunisticPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpportunisticConfig {
-    /// Application I/O operations without an inner-policy firing after
-    /// which the workload is considered quiescent and a collection runs
-    /// opportunistically.
-    pub quiescence_io: u64,
-}
-
-impl Default for OpportunisticConfig {
-    fn default() -> Self {
-        OpportunisticConfig {
-            quiescence_io: 2_000,
-        }
-    }
-}
-
 /// Wraps any rate policy with an opportunistic quiescence bound.
 pub struct OpportunisticPolicy {
     inner: Box<dyn RatePolicy + Send>,
-    config: OpportunisticConfig,
+    /// Application I/O operations without an inner-policy firing after
+    /// which the workload is considered quiescent and a collection runs
+    /// opportunistically.
+    idle: u64,
 }
 
 impl std::fmt::Debug for OpportunisticPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OpportunisticPolicy")
             .field("inner", &self.inner.name())
-            .field("config", &self.config)
+            .field("idle", &self.idle)
             .finish()
     }
 }
 
 impl OpportunisticPolicy {
-    /// Wraps `inner` with the quiescence bound in `config`.
-    pub fn new(inner: Box<dyn RatePolicy + Send>, config: OpportunisticConfig) -> Self {
-        assert!(config.quiescence_io >= 1);
-        OpportunisticPolicy { inner, config }
+    /// Wraps `inner` with a bound of `idle` application I/Os (≥ 1).
+    pub fn new(inner: Box<dyn RatePolicy + Send>, idle: u64) -> Self {
+        assert!(idle >= 1, "idle must be >= 1");
+        OpportunisticPolicy { inner, idle }
     }
 
     fn augment(&self, t: Trigger) -> Trigger {
         Trigger {
             // Keep the tighter of the inner app-I/O bound (if any) and the
             // quiescence bound.
-            app_io: Some(t.app_io.map_or(self.config.quiescence_io, |n| {
-                n.min(self.config.quiescence_io)
-            })),
+            app_io: Some(t.app_io.map_or(self.idle, |n| n.min(self.idle))),
             ..t
         }
     }
@@ -73,11 +57,7 @@ impl RatePolicy for OpportunisticPolicy {
     }
 
     fn name(&self) -> String {
-        format!(
-            "opportunistic({}, idle={})",
-            self.inner.name(),
-            self.config.quiescence_io
-        )
+        format!("opportunistic({}, idle={})", self.inner.name(), self.idle)
     }
 
     fn last_clamp(&self) -> ClampHit {
@@ -90,13 +70,12 @@ mod tests {
     use super::*;
     use crate::estimators::oracle::Oracle;
     use crate::fixed::FixedRatePolicy;
-    use crate::saga::{SagaConfig, SagaPolicy};
+    use crate::saga::SagaPolicy;
 
     #[test]
     fn adds_quiescence_bound_to_overwrite_trigger() {
-        let saga = SagaPolicy::new(SagaConfig::new(0.1), Box::new(Oracle));
-        let mut p =
-            OpportunisticPolicy::new(Box::new(saga), OpportunisticConfig { quiescence_io: 500 });
+        let saga = SagaPolicy::new(0.1, None, Box::new(Oracle));
+        let mut p = OpportunisticPolicy::new(Box::new(saga), 500);
         let t = p.initial_trigger();
         assert_eq!(t.overwrites, Some(2)); // SAGA dt_min
         assert_eq!(t.app_io, Some(500));
@@ -121,20 +100,15 @@ mod tests {
                 "fake".into()
             }
         }
-        let mut p =
-            OpportunisticPolicy::new(Box::new(Fake), OpportunisticConfig { quiescence_io: 500 });
+        let mut p = OpportunisticPolicy::new(Box::new(Fake), 500);
         assert_eq!(p.initial_trigger().app_io, Some(100));
-        let mut p =
-            OpportunisticPolicy::new(Box::new(Fake), OpportunisticConfig { quiescence_io: 50 });
+        let mut p = OpportunisticPolicy::new(Box::new(Fake), 50);
         assert_eq!(p.initial_trigger().app_io, Some(50));
     }
 
     #[test]
     fn after_collection_also_augmented() {
-        let mut p = OpportunisticPolicy::new(
-            Box::new(FixedRatePolicy::new(200)),
-            OpportunisticConfig::default(),
-        );
+        let mut p = OpportunisticPolicy::new(Box::new(FixedRatePolicy::new(200)), 2_000);
         let t = p.after_collection(&CollectionObservation::zero());
         assert_eq!(t.overwrites, Some(200));
         assert_eq!(t.app_io, Some(2_000));
@@ -142,10 +116,7 @@ mod tests {
 
     #[test]
     fn name_nests_inner_policy() {
-        let p = OpportunisticPolicy::new(
-            Box::new(FixedRatePolicy::new(7)),
-            OpportunisticConfig { quiescence_io: 9 },
-        );
+        let p = OpportunisticPolicy::new(Box::new(FixedRatePolicy::new(7)), 9);
         assert_eq!(p.name(), "opportunistic(fixed(7), idle=9)");
     }
 }

@@ -23,6 +23,16 @@
 //! * [`OpportunisticPolicy`] and [`CoupledSaioPolicy`] — the paper's §5
 //!   future-work directions, implemented as composable wrappers.
 //!
+//! A policy's settings are exactly the fields of its [`PolicySpec`]
+//! variant, and each constructor takes those and nothing else. What the
+//! paper fixes is a constant beside the code that reads it:
+//! [`SaioPolicy::INITIAL_INTERVAL`], [`SaioPolicy::MIN_INTERVAL`] and
+//! [`SaioPolicy::MAX_INTERVAL`]; SAGA's slope weight
+//! [`WeightedSlope::PAPER_WEIGHT`], its lower clamp [`SagaPolicy::DT_MIN`]
+//! and its default upper clamp [`SagaPolicy::PAPER_DT_MAX`]; the coupled
+//! policy's [`CoupledSaioPolicy::DEFAULT_STRETCH`] and its estimator's
+//! [`FgsHb::PAPER_H`].
+//!
 //! The crate is pure control logic: it depends on nothing but the
 //! [`CollectionObservation`] fed to it after every collection, and returns
 //! a [`Trigger`] saying when the next collection should run. This keeps
@@ -47,13 +57,13 @@ pub use estimators::cgs_cb::CgsCb;
 pub use estimators::fgs_hb::FgsHb;
 pub use estimators::oracle::Oracle;
 pub use ewma::Ewma;
-pub use extensions::coupled::{CoupledConfig, CoupledSaioPolicy};
-pub use extensions::opportunistic::{OpportunisticConfig, OpportunisticPolicy};
+pub use extensions::coupled::CoupledSaioPolicy;
+pub use extensions::opportunistic::OpportunisticPolicy;
 pub use fixed::{connectivity_heuristic_rate, AllocationRatePolicy, FixedRatePolicy};
 pub use policy::{
     ClampHit, CollectionObservation, HistoryLen, RatePolicy, Trigger, TriggerElapsed,
 };
-pub use saga::{SagaConfig, SagaPolicy};
-pub use saio::{SaioConfig, SaioPolicy};
+pub use saga::SagaPolicy;
+pub use saio::SaioPolicy;
 pub use slope::WeightedSlope;
 pub use spec::{PolicySpec, SpecError};

@@ -153,23 +153,26 @@ impl CollectionObservation {
 
 /// How many past inter-collection intervals a policy remembers
 /// (the paper's `c_hist`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistoryLen {
-    /// No history: decide from the current collection only (`c_hist = 0`,
-    /// the paper's default — maximally responsive).
-    #[default]
-    None,
-    /// Remember the last `n` intervals.
+    /// Remember the last `n` intervals. `Fixed(0)`, the default, is the
+    /// paper's `c_hist = 0`: decide from the current collection only
+    /// (maximally responsive).
     Fixed(usize),
     /// Remember everything (`c_hist = ∞`).
     Infinite,
+}
+
+impl Default for HistoryLen {
+    fn default() -> Self {
+        HistoryLen::Fixed(0)
+    }
 }
 
 impl HistoryLen {
     /// The retention limit as an optional count.
     pub fn limit(self) -> Option<usize> {
         match self {
-            HistoryLen::None => Some(0),
             HistoryLen::Fixed(n) => Some(n),
             HistoryLen::Infinite => None,
         }
@@ -311,7 +314,8 @@ mod tests {
 
     #[test]
     fn history_limits() {
-        assert_eq!(HistoryLen::None.limit(), Some(0));
+        assert_eq!(HistoryLen::default(), HistoryLen::Fixed(0));
+        assert_eq!(HistoryLen::default().limit(), Some(0));
         assert_eq!(HistoryLen::Fixed(3).limit(), Some(3));
         assert_eq!(HistoryLen::Infinite.limit(), None);
     }

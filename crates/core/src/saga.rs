@@ -16,9 +16,14 @@
 //! as the current one (`CurrColl`) and that the database does not grow
 //! appreciably between collections. `TotGarb'(t)` — the garbage creation
 //! rate — is estimated by an exponentially weighted slope with
-//! `Weight = 0.7` (§2.3). Because `Δt` blows up when the slope approaches
-//! zero (or goes negative), it is clamped to `[Δt_min, Δt_max] = [2, 1000]`
-//! overwrites; §2.3 notes the clamps are rarely hit in practice.
+//! `Weight = 0.7` ([`WeightedSlope::PAPER_WEIGHT`], §2.3). Because `Δt`
+//! blows up when the slope approaches zero (or goes negative), it is
+//! clamped to `[Δt_min, Δt_max] = [2, 1000]` overwrites; §2.3 notes the
+//! clamps are rarely hit in practice.
+//!
+//! `SAGA_Frac`, the estimator and `Δt_max` are the only settings: the
+//! weight and [`SagaPolicy::DT_MIN`] are fixed, and `Δt_max` defaults to
+//! [`SagaPolicy::PAPER_DT_MAX`] (small traces tighten it).
 //!
 //! `ActGarb(t)` is unobservable without a database scan, so it comes from
 //! a pluggable [`GarbageEstimator`] (§2.4).
@@ -27,46 +32,13 @@ use crate::estimator::GarbageEstimator;
 use crate::policy::{ClampHit, CollectionObservation, RatePolicy, Trigger};
 use crate::slope::WeightedSlope;
 
-/// SAGA configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SagaConfig {
-    /// Requested garbage share of database size, in `[0, 1)`.
-    pub frac: f64,
-    /// Slope-smoothing weight (paper: 0.7).
-    pub weight: f64,
-    /// Lower clamp on `Δt` in overwrites (paper: 2).
-    pub dt_min: u64,
-    /// Upper clamp on `Δt` in overwrites (paper: 1000).
-    pub dt_max: u64,
-}
-
-impl SagaConfig {
-    /// The paper's parameters for a requested garbage fraction.
-    pub fn new(frac: f64) -> Self {
-        SagaConfig {
-            frac,
-            weight: WeightedSlope::PAPER_WEIGHT,
-            dt_min: 2,
-            dt_max: 1000,
-        }
-    }
-
-    fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.frac),
-            "SAGA_Frac must be in [0, 1)"
-        );
-        assert!(self.dt_min >= 1 && self.dt_max >= self.dt_min);
-    }
-}
-
 /// The SAGA rate policy.
 ///
 /// ```
-/// use odbgc_core::{CollectionObservation, Oracle, RatePolicy, SagaConfig, SagaPolicy};
+/// use odbgc_core::{CollectionObservation, Oracle, RatePolicy, SagaPolicy};
 ///
 /// // "At most 10% of the database may be garbage."
-/// let mut policy = SagaPolicy::new(SagaConfig::new(0.10), Box::new(Oracle));
+/// let mut policy = SagaPolicy::new(0.10, None, Box::new(Oracle));
 /// // Cold start: collect as soon as garbage can exist (Δt_min = 2).
 /// assert_eq!(policy.initial_trigger().overwrites, Some(2));
 /// // After observing a collection, the interval adapts to the measured
@@ -83,7 +55,10 @@ impl SagaConfig {
 /// assert!((2..=1000).contains(&dt));
 /// ```
 pub struct SagaPolicy {
-    config: SagaConfig,
+    /// Requested garbage share of database size, in `[0, 1)`.
+    frac: f64,
+    /// Upper clamp on `Δt` in overwrites.
+    dt_max: u64,
     slope: WeightedSlope,
     estimator: Box<dyn GarbageEstimator + Send>,
     /// Whether the last `Δt` computation hit `dt_min` or `dt_max`.
@@ -93,27 +68,37 @@ pub struct SagaPolicy {
 impl std::fmt::Debug for SagaPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SagaPolicy")
-            .field("config", &self.config)
+            .field("frac", &self.frac)
+            .field("dt_max", &self.dt_max)
             .field("estimator", &self.estimator.name())
             .finish()
     }
 }
 
 impl SagaPolicy {
-    /// A policy with the given configuration and garbage estimator.
-    pub fn new(config: SagaConfig, estimator: Box<dyn GarbageEstimator + Send>) -> Self {
-        config.validate();
+    /// Lower clamp on `Δt` in overwrites (paper: 2).
+    pub const DT_MIN: u64 = 2;
+    /// Upper clamp on `Δt` in overwrites unless overridden (paper: 1000).
+    pub const PAPER_DT_MAX: u64 = 1000;
+
+    /// A policy holding garbage at `frac` of the database, with `Δt`
+    /// clamped to `[DT_MIN, dt_max]` (`None`: [`Self::PAPER_DT_MAX`]) and
+    /// `ActGarb` taken from `estimator`.
+    pub fn new(
+        frac: f64,
+        dt_max: Option<u64>,
+        estimator: Box<dyn GarbageEstimator + Send>,
+    ) -> Self {
+        assert!((0.0..1.0).contains(&frac), "SAGA_Frac must be in [0, 1)");
+        let dt_max = dt_max.unwrap_or(Self::PAPER_DT_MAX);
+        assert!(dt_max >= Self::DT_MIN, "dt_max must be >= DT_MIN");
         SagaPolicy {
-            slope: WeightedSlope::new(config.weight),
-            config,
+            frac,
+            dt_max,
+            slope: WeightedSlope::new(),
             estimator,
             last_clamp: ClampHit::None,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &SagaConfig {
-        &self.config
     }
 }
 
@@ -121,7 +106,7 @@ impl RatePolicy for SagaPolicy {
     fn initial_trigger(&mut self) -> Trigger {
         // Cold start: collect as soon as the first garbage can exist.
         // Figure 7b's "initially high rates" come from exactly this.
-        Trigger::after_overwrites(self.config.dt_min)
+        Trigger::after_overwrites(Self::DT_MIN)
     }
 
     fn after_collection(&mut self, obs: &CollectionObservation) -> Trigger {
@@ -131,7 +116,7 @@ impl RatePolicy for SagaPolicy {
         let tot_garb = obs.total_collected as f64 + act_garb;
         let rate = self.slope.update(obs.overwrite_clock as f64, tot_garb);
 
-        let target = obs.db_size as f64 * self.config.frac;
+        let target = obs.db_size as f64 * self.frac;
         let garb_diff = act_garb - target;
         let numer = obs.bytes_reclaimed as f64 - garb_diff;
 
@@ -139,27 +124,27 @@ impl RatePolicy for SagaPolicy {
             // Already over target even after assuming the next collection
             // reclaims CurrColl: collect as soon as possible.
             self.last_clamp = ClampHit::Min;
-            self.config.dt_min
+            Self::DT_MIN
         } else if rate > f64::EPSILON {
             let raw = numer / rate;
             if raw.is_finite() && raw >= 0.0 {
                 let rounded = raw.round() as u64;
-                self.last_clamp = if rounded < self.config.dt_min {
+                self.last_clamp = if rounded < Self::DT_MIN {
                     ClampHit::Min
-                } else if rounded > self.config.dt_max {
+                } else if rounded > self.dt_max {
                     ClampHit::Max
                 } else {
                     ClampHit::None
                 };
-                rounded.clamp(self.config.dt_min, self.config.dt_max)
+                rounded.clamp(Self::DT_MIN, self.dt_max)
             } else {
                 self.last_clamp = ClampHit::Max;
-                self.config.dt_max
+                self.dt_max
             }
         } else {
             // No measured garbage growth: back off to the maximum.
             self.last_clamp = ClampHit::Max;
-            self.config.dt_max
+            self.dt_max
         };
         Trigger::after_overwrites(dt)
     }
@@ -169,11 +154,7 @@ impl RatePolicy for SagaPolicy {
     }
 
     fn name(&self) -> String {
-        format!(
-            "saga({:.1}%, {})",
-            self.config.frac * 100.0,
-            self.estimator.name()
-        )
+        format!("saga({:.1}%, {})", self.frac * 100.0, self.estimator.name())
     }
 }
 
@@ -183,7 +164,7 @@ mod tests {
     use crate::estimators::oracle::Oracle;
 
     fn oracle_saga(frac: f64) -> SagaPolicy {
-        SagaPolicy::new(SagaConfig::new(frac), Box::new(Oracle))
+        SagaPolicy::new(frac, None, Box::new(Oracle))
     }
 
     /// Closed-loop miniature world: garbage grows at `g` bytes/overwrite,
@@ -326,16 +307,11 @@ mod tests {
 
     #[test]
     fn dt_respects_clamps() {
-        let mut p = SagaPolicy::new(
-            SagaConfig {
-                frac: 0.10,
-                weight: 0.7,
-                dt_min: 5,
-                dt_max: 50,
-            },
-            Box::new(Oracle),
+        let mut p = SagaPolicy::new(0.10, Some(50), Box::new(Oracle));
+        assert_eq!(
+            p.initial_trigger(),
+            Trigger::after_overwrites(SagaPolicy::DT_MIN)
         );
-        assert_eq!(p.initial_trigger(), Trigger::after_overwrites(5));
         // Huge reclaim + tiny rate → raw Δt enormous → clamp to 50.
         p.after_collection(&CollectionObservation {
             overwrite_clock: 100,
@@ -353,6 +329,23 @@ mod tests {
             ..CollectionObservation::zero()
         });
         assert_eq!(t, Trigger::after_overwrites(50));
+        // At target, reclaiming 1 000 B against a 1 000 B/overwrite slope →
+        // raw Δt 1, below DT_MIN → lower clamp.
+        let mut q = oracle_saga(0.10);
+        q.after_collection(&CollectionObservation {
+            overwrite_clock: 100,
+            db_size: 1_000_000,
+            ..CollectionObservation::zero()
+        });
+        let t = q.after_collection(&CollectionObservation {
+            overwrite_clock: 200,
+            exact_garbage: 100_000,
+            db_size: 1_000_000,
+            bytes_reclaimed: 1_000,
+            ..CollectionObservation::zero()
+        });
+        assert_eq!(t, Trigger::after_overwrites(SagaPolicy::DT_MIN));
+        assert_eq!(q.last_clamp(), ClampHit::Min);
     }
 
     #[test]

@@ -20,54 +20,14 @@
 //! policy reacts instantly to changes in collection cost; §4.1.1 shows
 //! history mainly helps at extreme requested fractions, where the
 //! cost-constancy assumption's errors do not cancel.
+//!
+//! `SAIO_Frac` and `c_hist` are the only settings. The cold-start interval
+//! ([`SaioPolicy::INITIAL_INTERVAL`]) and the clamps on the solved interval
+//! ([`SaioPolicy::MIN_INTERVAL`], [`SaioPolicy::MAX_INTERVAL`]) are fixed.
 
 use std::collections::VecDeque;
 
 use crate::policy::{ClampHit, CollectionObservation, HistoryLen, RatePolicy, Trigger};
-
-/// SAIO configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SaioConfig {
-    /// Requested collector share of total I/O, in `(0, 1]`.
-    pub frac: f64,
-    /// `c_hist`: how many observed inter-collection intervals to include.
-    pub history: HistoryLen,
-    /// Application I/O operations before the very first collection.
-    pub initial_interval: u64,
-    /// Lower clamp on the computed interval.
-    pub min_interval: u64,
-    /// Upper clamp on the computed interval.
-    pub max_interval: u64,
-}
-
-impl SaioConfig {
-    /// The paper's setup for a requested fraction: no history, modest cold
-    /// start, effectively unclamped.
-    pub fn new(frac: f64) -> Self {
-        SaioConfig {
-            frac,
-            history: HistoryLen::None,
-            initial_interval: 100,
-            min_interval: 1,
-            max_interval: u64::MAX / 2,
-        }
-    }
-
-    /// Sets the `c_hist` history window.
-    pub fn with_history(mut self, history: HistoryLen) -> Self {
-        self.history = history;
-        self
-    }
-
-    fn validate(&self) {
-        assert!(
-            self.frac > 0.0 && self.frac <= 1.0,
-            "SAIO_Frac must be in (0, 1]"
-        );
-        assert!(self.min_interval >= 1);
-        assert!(self.max_interval >= self.min_interval);
-    }
-}
 
 /// The SAIO rate policy.
 ///
@@ -87,7 +47,10 @@ impl SaioConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SaioPolicy {
-    config: SaioConfig,
+    /// Requested collector share of total I/O, in `(0, 1]`.
+    frac: f64,
+    /// `c_hist`: how many observed inter-collection intervals to include.
+    history: HistoryLen,
     /// Observed (app_io, gc_io) intervals, newest at the back, trimmed to
     /// the history limit.
     intervals: VecDeque<(u64, u64)>,
@@ -99,25 +62,29 @@ pub struct SaioPolicy {
 }
 
 impl SaioPolicy {
-    /// A policy with the given configuration.
-    pub fn new(config: SaioConfig) -> Self {
-        config.validate();
+    /// Application I/O operations before the very first collection.
+    pub const INITIAL_INTERVAL: u64 = 100;
+    /// Lower clamp on the solved interval.
+    pub const MIN_INTERVAL: u64 = 1;
+    /// Upper clamp on the solved interval: effectively unclamped.
+    pub const MAX_INTERVAL: u64 = u64::MAX / 2;
+
+    /// A policy holding GC I/O at `frac` of total I/O, averaged over a
+    /// `history` window of past intervals.
+    pub fn new(frac: f64, history: HistoryLen) -> Self {
+        assert!(frac > 0.0 && frac <= 1.0, "SAIO_Frac must be in (0, 1]");
         SaioPolicy {
-            config,
+            frac,
+            history,
             intervals: VecDeque::new(),
             hist_sums: (0, 0),
             last_clamp: ClampHit::None,
         }
     }
 
-    /// Convenience constructor from a requested fraction with defaults.
+    /// The paper's setup for a requested fraction: no history.
     pub fn with_frac(frac: f64) -> Self {
-        SaioPolicy::new(SaioConfig::new(frac))
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &SaioConfig {
-        &self.config
+        SaioPolicy::new(frac, HistoryLen::default())
     }
 
     fn history_sums(&self) -> (u64, u64) {
@@ -147,14 +114,14 @@ impl SaioPolicy {
 
 impl RatePolicy for SaioPolicy {
     fn initial_trigger(&mut self) -> Trigger {
-        Trigger::after_app_io(self.config.initial_interval)
+        Trigger::after_app_io(Self::INITIAL_INTERVAL)
     }
 
     fn after_collection(&mut self, obs: &CollectionObservation) -> Trigger {
         // The interval that just ended enters the history window; with
         // c_hist = 0 nothing is retained and only the cost assumption
         // (ΔGCIO = CurrGCIO) drives the next interval.
-        if let Some(limit) = self.config.history.limit() {
+        if let Some(limit) = self.history.limit() {
             while self.intervals.len() >= limit.max(1) {
                 self.pop_interval();
             }
@@ -167,22 +134,22 @@ impl RatePolicy for SaioPolicy {
 
         let (app_hist, gc_hist) = self.history_sums();
         let predicted_gc = (gc_hist + obs.gc_io) as f64;
-        let raw = predicted_gc * (1.0 - self.config.frac) / self.config.frac - app_hist as f64;
+        let raw = predicted_gc * (1.0 - self.frac) / self.frac - app_hist as f64;
         let interval = if raw.is_finite() && raw > 0.0 {
             let rounded = raw.round() as u64;
-            self.last_clamp = if rounded < self.config.min_interval {
+            self.last_clamp = if rounded < Self::MIN_INTERVAL {
                 ClampHit::Min
-            } else if rounded > self.config.max_interval {
+            } else if rounded > Self::MAX_INTERVAL {
                 ClampHit::Max
             } else {
                 ClampHit::None
             };
-            rounded.clamp(self.config.min_interval, self.config.max_interval)
+            rounded.clamp(Self::MIN_INTERVAL, Self::MAX_INTERVAL)
         } else {
             // A non-positive solution means the budget is already spent:
             // collecting at the minimum interval is a lower-clamp decision.
             self.last_clamp = ClampHit::Min;
-            self.config.min_interval
+            Self::MIN_INTERVAL
         };
         Trigger::after_app_io(interval)
     }
@@ -192,12 +159,11 @@ impl RatePolicy for SaioPolicy {
     }
 
     fn name(&self) -> String {
-        let hist = match self.config.history {
-            HistoryLen::None => "0".to_owned(),
+        let hist = match self.history {
             HistoryLen::Fixed(n) => n.to_string(),
             HistoryLen::Infinite => "inf".to_owned(),
         };
-        format!("saio({:.1}%, c_hist={hist})", self.config.frac * 100.0)
+        format!("saio({:.1}%, c_hist={hist})", self.frac * 100.0)
     }
 }
 
@@ -264,8 +230,7 @@ mod tests {
         // share and collects again immediately to make up the shortfall —
         // this is why §4.1.1 says history reduces the drift error at high
         // requested percentages.
-        let cfg = SaioConfig::new(0.10).with_history(HistoryLen::Fixed(2));
-        let mut p = SaioPolicy::new(cfg);
+        let mut p = SaioPolicy::new(0.10, HistoryLen::Fixed(2));
         p.after_collection(&obs(810, 90));
         p.after_collection(&obs(810, 90));
         let with_hist = p.after_collection(&obs(810, 9)).app_io.unwrap();
@@ -280,8 +245,7 @@ mod tests {
 
     #[test]
     fn infinite_history_retains_everything() {
-        let cfg = SaioConfig::new(0.5).with_history(HistoryLen::Infinite);
-        let mut p = SaioPolicy::new(cfg);
+        let mut p = SaioPolicy::new(0.5, HistoryLen::Infinite);
         for _ in 0..100 {
             p.after_collection(&obs(10, 10));
         }
@@ -292,8 +256,7 @@ mod tests {
     fn over_budget_history_clamps_to_min() {
         // History says the app already did far more GC I/O than the budget
         // allows; the solved interval is negative → clamp to min.
-        let cfg = SaioConfig::new(0.5).with_history(HistoryLen::Fixed(4));
-        let mut p = SaioPolicy::new(cfg);
+        let mut p = SaioPolicy::new(0.5, HistoryLen::Fixed(4));
         p.after_collection(&obs(1_000, 1));
         let t = p.after_collection(&obs(1_000, 1));
         assert_eq!(t, Trigger::after_app_io(1));
@@ -321,31 +284,33 @@ mod tests {
 
     #[test]
     fn clamp_hits_are_recorded_per_decision() {
-        let cfg = SaioConfig {
-            min_interval: 10,
-            max_interval: 100,
-            ..SaioConfig::new(0.10)
-        };
-        let mut p = SaioPolicy::new(cfg);
+        let mut p = SaioPolicy::with_frac(0.10);
         assert_eq!(p.last_clamp(), ClampHit::None);
-        // 90 gc I/O → raw 810, above max 100 → upper clamp.
-        assert_eq!(p.after_collection(&obs(0, 90)), Trigger::after_app_io(100));
+        // 2·10¹⁸ gc I/O → raw 1.8·10¹⁹, above MAX_INTERVAL → upper clamp.
+        assert_eq!(
+            p.after_collection(&obs(0, 2_000_000_000_000_000_000)),
+            Trigger::after_app_io(SaioPolicy::MAX_INTERVAL)
+        );
         assert_eq!(p.last_clamp(), ClampHit::Max);
-        // 1 gc I/O → raw 9, below min 10 → lower clamp.
-        assert_eq!(p.after_collection(&obs(0, 1)), Trigger::after_app_io(10));
-        assert_eq!(p.last_clamp(), ClampHit::Min);
-        // 5 gc I/O → raw 45, inside [10, 100] → no clamp.
+        // 5 gc I/O → raw 45, inside the clamps → no clamp.
         assert_eq!(p.after_collection(&obs(0, 5)), Trigger::after_app_io(45));
         assert_eq!(p.last_clamp(), ClampHit::None);
         // Zero-cost collection → degenerate raw → lower clamp.
         p.after_collection(&obs(500, 0));
         assert_eq!(p.last_clamp(), ClampHit::Min);
+        // At 90%, 1 gc I/O → raw 1/9, rounds below MIN_INTERVAL → lower clamp.
+        let mut q = SaioPolicy::with_frac(0.90);
+        assert_eq!(
+            q.after_collection(&obs(0, 1)),
+            Trigger::after_app_io(SaioPolicy::MIN_INTERVAL)
+        );
+        assert_eq!(q.last_clamp(), ClampHit::Min);
     }
 
     #[test]
     fn name_reports_parameters() {
         assert_eq!(SaioPolicy::with_frac(0.05).name(), "saio(5.0%, c_hist=0)");
-        let p = SaioPolicy::new(SaioConfig::new(0.1).with_history(HistoryLen::Infinite));
+        let p = SaioPolicy::new(0.1, HistoryLen::Infinite);
         assert_eq!(p.name(), "saio(10.0%, c_hist=inf)");
     }
 }

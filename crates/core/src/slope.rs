@@ -9,34 +9,24 @@
 //! ```
 //!
 //! `Weight` buffers the policy from rapid slope changes; the paper sets it
-//! to 0.7.
+//! to 0.7 ([`WeightedSlope::PAPER_WEIGHT`]).
 
 /// Exponentially weighted estimate of `dy/dt` from a stream of `(t, y)`
 /// points.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WeightedSlope {
-    weight: f64,
     slope: f64,
     prev: Option<(f64, f64)>,
     initialized: bool,
 }
 
 impl WeightedSlope {
-    /// The paper's smoothing weight.
+    /// The paper's smoothing weight, in `[0, 1)`.
     pub const PAPER_WEIGHT: f64 = 0.7;
 
-    /// Creates an estimator with smoothing `weight ∈ [0, 1)`.
-    pub fn new(weight: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&weight),
-            "slope weight must be in [0,1)"
-        );
-        WeightedSlope {
-            weight,
-            slope: 0.0,
-            prev: None,
-            initialized: false,
-        }
+    /// Creates an estimator with the paper's smoothing weight.
+    pub fn new() -> Self {
+        WeightedSlope::default()
     }
 
     /// Feeds a data point; returns the updated slope estimate.
@@ -54,7 +44,7 @@ impl WeightedSlope {
                 if t > tp {
                     let raw = (y - yp) / (t - tp);
                     self.slope = if self.initialized {
-                        self.weight * self.slope + (1.0 - self.weight) * raw
+                        Self::PAPER_WEIGHT * self.slope + (1.0 - Self::PAPER_WEIGHT) * raw
                     } else {
                         self.initialized = true;
                         raw
@@ -80,14 +70,14 @@ mod tests {
 
     #[test]
     fn needs_two_points() {
-        let mut s = WeightedSlope::new(0.7);
+        let mut s = WeightedSlope::new();
         assert_eq!(s.update(0.0, 0.0), 0.0);
         assert_eq!(s.update(10.0, 50.0), 5.0); // first real slope, unsmoothed
     }
 
     #[test]
     fn smooths_subsequent_slopes() {
-        let mut s = WeightedSlope::new(0.7);
+        let mut s = WeightedSlope::new();
         s.update(0.0, 0.0);
         s.update(10.0, 50.0); // slope 5
         let v = s.update(20.0, 50.0); // raw slope 0
@@ -96,7 +86,7 @@ mod tests {
 
     #[test]
     fn constant_growth_converges_to_true_slope() {
-        let mut s = WeightedSlope::new(0.7);
+        let mut s = WeightedSlope::new();
         for i in 0..200 {
             s.update(i as f64, 3.0 * i as f64);
         }
@@ -105,7 +95,7 @@ mod tests {
 
     #[test]
     fn stalled_time_keeps_slope_but_refreshes_baseline() {
-        let mut s = WeightedSlope::new(0.7);
+        let mut s = WeightedSlope::new();
         s.update(0.0, 0.0);
         s.update(10.0, 100.0); // slope 10
                                // Read-only phase: time stuck at 10, y moves down (a collection
@@ -119,14 +109,10 @@ mod tests {
 
     #[test]
     fn negative_slopes_are_representable() {
-        let mut s = WeightedSlope::new(0.0);
+        let mut s = WeightedSlope::new();
         s.update(0.0, 100.0);
         assert_eq!(s.update(10.0, 0.0), -10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "slope weight")]
-    fn invalid_weight_rejected() {
-        WeightedSlope::new(1.0);
+        let v = s.update(20.0, -200.0); // raw slope −20
+        assert!((v - (0.7 * -10.0 + 0.3 * -20.0)).abs() < 1e-12);
     }
 }

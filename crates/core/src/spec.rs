@@ -32,12 +32,12 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::estimator::EstimatorKind;
-use crate::extensions::coupled::{CoupledConfig, CoupledSaioPolicy};
-use crate::extensions::opportunistic::{OpportunisticConfig, OpportunisticPolicy};
+use crate::extensions::coupled::CoupledSaioPolicy;
+use crate::extensions::opportunistic::OpportunisticPolicy;
 use crate::fixed::{AllocationRatePolicy, FixedRatePolicy};
 use crate::policy::{HistoryLen, RatePolicy};
-use crate::saga::{SagaConfig, SagaPolicy};
-use crate::saio::{SaioConfig, SaioPolicy};
+use crate::saga::SagaPolicy;
+use crate::saio::SaioPolicy;
 
 /// A malformed or out-of-range policy spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,7 +87,8 @@ pub enum PolicySpec {
         /// How `ActGarb` is estimated (§2.4).
         estimator: EstimatorKind,
         /// Override of the `Δt` upper clamp; `None` keeps the paper's
-        /// 1000 overwrites. Small traces use a tighter clamp.
+        /// [`SagaPolicy::PAPER_DT_MAX`] overwrites. Small traces use a
+        /// tighter clamp.
         dt_max: Option<u64>,
     },
     /// Coupled SAIO × SAGA cost-effectiveness policy (§5).
@@ -97,7 +98,8 @@ pub enum PolicySpec {
         /// Below this estimated-garbage fraction, collections are judged
         /// cost-ineffective; in `[0, 1)`.
         garbage_floor: f64,
-        /// Interval stretch factor applied under the floor (> 1).
+        /// Interval stretch factor applied under the floor (finite, > 1;
+        /// [`CoupledSaioPolicy::DEFAULT_STRETCH`] unless the spec names one).
         stretch: f64,
     },
     /// Opportunistic quiescence wrapper around another policy (§5).
@@ -125,7 +127,7 @@ impl PolicySpec {
     pub fn saio(frac: f64) -> Self {
         PolicySpec::Saio {
             frac,
-            history: HistoryLen::None,
+            history: HistoryLen::default(),
         }
     }
 
@@ -161,35 +163,20 @@ impl PolicySpec {
         match self {
             PolicySpec::Fixed { rate } => Box::new(FixedRatePolicy::new(*rate)),
             PolicySpec::Allocation { bytes } => Box::new(AllocationRatePolicy::new(*bytes)),
-            PolicySpec::Saio { frac, history } => Box::new(SaioPolicy::new(
-                SaioConfig::new(*frac).with_history(*history),
-            )),
+            PolicySpec::Saio { frac, history } => Box::new(SaioPolicy::new(*frac, *history)),
             PolicySpec::Saga {
                 frac,
                 estimator,
                 dt_max,
-            } => {
-                let mut config = SagaConfig::new(*frac);
-                if let Some(m) = dt_max {
-                    config.dt_max = *m;
-                }
-                Box::new(SagaPolicy::new(config, estimator.build()))
-            }
+            } => Box::new(SagaPolicy::new(*frac, *dt_max, estimator.build())),
             PolicySpec::Coupled {
                 io_frac,
                 garbage_floor,
                 stretch,
-            } => {
-                let mut config = CoupledConfig::new(*io_frac, *garbage_floor);
-                config.stretch = *stretch;
-                Box::new(CoupledSaioPolicy::new(config))
+            } => Box::new(CoupledSaioPolicy::new(*io_frac, *garbage_floor, *stretch)),
+            PolicySpec::Quiescent { idle, inner } => {
+                Box::new(OpportunisticPolicy::new(inner.build(), *idle))
             }
-            PolicySpec::Quiescent { idle, inner } => Box::new(OpportunisticPolicy::new(
-                inner.build(),
-                OpportunisticConfig {
-                    quiescence_io: *idle,
-                },
-            )),
         }
     }
 }
@@ -260,7 +247,7 @@ impl fmt::Display for PolicySpec {
             PolicySpec::Saio { frac, history } => {
                 write!(f, "saio:{}", fmt_fraction(*frac))?;
                 match history {
-                    HistoryLen::None => Ok(()),
+                    HistoryLen::Fixed(0) => Ok(()),
                     HistoryLen::Fixed(n) => write!(f, ":hist={n}"),
                     HistoryLen::Infinite => write!(f, ":hist=inf"),
                 }
@@ -292,7 +279,7 @@ impl fmt::Display for PolicySpec {
                     fmt_fraction(*io_frac),
                     fmt_fraction(*garbage_floor)
                 )?;
-                if *stretch != 4.0 {
+                if *stretch != CoupledSaioPolicy::DEFAULT_STRETCH {
                     write!(f, ":stretch={stretch}")?;
                 }
                 Ok(())
@@ -342,7 +329,7 @@ impl FromStr for PolicySpec {
                 if frac <= 0.0 {
                     return err("SAIO fraction must be > 0");
                 }
-                let mut history = HistoryLen::None;
+                let mut history = HistoryLen::default();
                 if let Some(opt) = parts.next() {
                     let hist = match opt.strip_prefix("hist=") {
                         Some(h) => h,
@@ -384,8 +371,8 @@ impl FromStr for PolicySpec {
                         Some(m) => m,
                         None => return err(format!("bad saga option {opt:?}")),
                     };
-                    if m < 2 {
-                        return err("dtmax must be >= 2");
+                    if m < SagaPolicy::DT_MIN {
+                        return err(format!("dtmax must be >= {}", SagaPolicy::DT_MIN));
                     }
                     dt_max = Some(m);
                 }
@@ -415,15 +402,16 @@ impl FromStr for PolicySpec {
                 if garbage_floor >= 1.0 {
                     return err("coupled floor must be < 1");
                 }
-                let mut stretch = 4.0;
+                let mut stretch = CoupledSaioPolicy::DEFAULT_STRETCH;
                 if let Some(opt) = parts.next() {
-                    stretch = match opt.strip_prefix("stretch=").and_then(|s| s.parse().ok()) {
-                        Some(s) => s,
+                    let tok = match opt.strip_prefix("stretch=") {
+                        Some(t) => t,
                         None => return err(format!("bad coupled option {opt:?}")),
                     };
-                    if stretch <= 1.0 {
-                        return err("stretch must exceed 1");
-                    }
+                    stretch = match tok.parse::<f64>() {
+                        Ok(s) if s.is_finite() && s > 1.0 => s,
+                        _ => return err(format!("stretch {tok:?} must be a finite number > 1")),
+                    };
                 }
                 if let Some(extra) = parts.next() {
                     return err(format!("unexpected coupled option {extra:?}"));
@@ -478,16 +466,72 @@ mod tests {
 
     #[test]
     fn specs_build_the_named_policies() {
-        let spec: PolicySpec = "saio:10%".parse().unwrap();
-        assert_eq!(spec.build().name(), "saio(10.0%, c_hist=0)");
-        let spec: PolicySpec = "saio:10%:hist=inf".parse().unwrap();
-        assert_eq!(spec.build().name(), "saio(10.0%, c_hist=inf)");
-        let spec: PolicySpec = "saga:5%:fgs-hb@0.5".parse().unwrap();
-        assert_eq!(spec.build().name(), "saga(5.0%, fgs-hb(h=0.50))");
-        let spec: PolicySpec = "fixed:200".parse().unwrap();
-        assert_eq!(spec.build().name(), "fixed(200)");
-        let spec: PolicySpec = "alloc:98304".parse().unwrap();
-        assert_eq!(spec.build().name(), "alloc-fixed(98304B)");
+        // Policy names appear in reports and telemetry: one spec per
+        // variant pins them byte for byte.
+        for (spec, name) in [
+            ("saio:10%", "saio(10.0%, c_hist=0)"),
+            ("saio:10%:hist=0", "saio(10.0%, c_hist=0)"),
+            ("saio:10%:hist=inf", "saio(10.0%, c_hist=inf)"),
+            ("saga:5%", "saga(5.0%, oracle)"),
+            ("saga:5%:fgs-hb@0.5", "saga(5.0%, fgs-hb(h=0.50))"),
+            ("saga:5%:cgs-cb:dtmax=20", "saga(5.0%, cgs-cb)"),
+            ("fixed:200", "fixed(200)"),
+            ("alloc:98304", "alloc-fixed(98304B)"),
+            (
+                "coupled:10%:floor=5%",
+                "coupled(saio(10.0%, c_hist=0), floor=5.0%, stretch=4.0)",
+            ),
+            (
+                "coupled:10%:floor=5%:stretch=8",
+                "coupled(saio(10.0%, c_hist=0), floor=5.0%, stretch=8.0)",
+            ),
+            (
+                "quiescent:idle=500:coupled:10%:floor=5%",
+                "opportunistic(coupled(saio(10.0%, c_hist=0), floor=5.0%, stretch=4.0), idle=500)",
+            ),
+        ] {
+            let parsed: PolicySpec = spec.parse().unwrap();
+            assert_eq!(parsed.build().name(), name, "{spec}");
+        }
+    }
+
+    #[test]
+    fn hostile_numeric_tokens_parse_to_err_or_a_buildable_spec() {
+        // Every numeric field, alone and nested inside `quiescent:`.
+        let templates = [
+            "saio:{}",
+            "saio:10%:hist={}",
+            "saga:{}",
+            "saga:5%:fgs-hb@{}",
+            "saga:5%:dtmax={}",
+            "fixed:{}",
+            "alloc:{}",
+            "coupled:{}:floor=5%",
+            "coupled:10%:floor={}",
+            "coupled:10%:floor=5%:stretch={}",
+            "quiescent:idle={}:saga:5%",
+            "quiescent:idle=500:saga:{}:fgs-hb",
+            "quiescent:idle=500:coupled:10%:floor=5%:stretch={}",
+        ];
+        let tokens = ["nan", "NaN", "inf", "-inf", "infinity", "1e999", "-0", ""];
+        for template in templates {
+            for tok in tokens {
+                let text = template.replace("{}", tok);
+                let Ok(spec) = text.parse::<PolicySpec>() else {
+                    continue;
+                };
+                let mut policy = spec.build();
+                let trigger = policy.initial_trigger();
+                assert!(
+                    trigger.overwrites.is_some() || trigger.app_io.is_some(),
+                    "{text:?}: initial trigger bounds nothing"
+                );
+                let printed = spec.to_string();
+                let reparsed: PolicySpec = printed.parse().unwrap();
+                assert_eq!(reparsed, spec, "{text:?} round-trips through {printed:?}");
+                assert_eq!(reparsed.to_string(), printed, "{text:?}");
+            }
+        }
     }
 
     #[test]
@@ -511,7 +555,7 @@ mod tests {
             PolicySpec::Coupled {
                 io_frac: 0.10,
                 garbage_floor: 0.05,
-                stretch: 4.0,
+                stretch: CoupledSaioPolicy::DEFAULT_STRETCH,
             }
             .to_string(),
             "coupled:10%:floor=5%"
@@ -559,6 +603,10 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(b, c);
         assert_eq!(c.to_string(), "saio:10%");
+        // c_hist = 0 has one spelling: the default, printed as nothing.
+        let e: PolicySpec = "saio:10%:hist=0".parse().unwrap();
+        assert_eq!(e, c);
+        assert_eq!(e.to_string(), "saio:10%");
         let d: PolicySpec = "saga:5%:fgs-hb".parse().unwrap();
         assert_eq!(d, PolicySpec::saga(0.05, EstimatorKind::FgsHb { h: 0.8 }));
     }
@@ -577,6 +625,15 @@ mod tests {
             "saga:100%",
             "coupled:10%",
             "coupled:10%:floor=5%:stretch=0.5",
+            "coupled:10%:floor=5%:stretch=1",
+            "coupled:10%:floor=5%:stretch=nan",
+            "coupled:10%:floor=5%:stretch=NaN",
+            "coupled:10%:floor=5%:stretch=inf",
+            "coupled:10%:floor=5%:stretch=infinity",
+            "coupled:10%:floor=5%:stretch=1e999",
+            "coupled:10%:floor=5%:stretch=-inf",
+            "quiescent:idle=500:coupled:10%:floor=5%:stretch=nan",
+            "saga:5%:dtmax=1",
             "quiescent:idle=0:fixed:200",
             "quiescent:idle=5",
             "saio:10%:hist=4:extra",

@@ -7,8 +7,7 @@ use odbgc_core::{EstimatorKind, HistoryLen, PolicySpec};
 
 fn arb_history() -> impl Strategy<Value = HistoryLen> {
     prop_oneof![
-        Just(HistoryLen::None),
-        (1usize..64).prop_map(HistoryLen::Fixed),
+        (0usize..64).prop_map(HistoryLen::Fixed),
         Just(HistoryLen::Infinite),
     ]
 }

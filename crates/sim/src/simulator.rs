@@ -318,7 +318,7 @@ mod tests {
     use super::*;
     use odbgc_core::{CollectionObservation, Trigger};
     use odbgc_core::{EstimatorKind, Oracle};
-    use odbgc_core::{FixedRatePolicy, SagaConfig, SagaPolicy, SaioPolicy};
+    use odbgc_core::{FixedRatePolicy, SagaPolicy, SaioPolicy};
     use odbgc_oo7::{Oo7App, Oo7Params};
 
     fn tiny_trace(seed: u64) -> Trace {
@@ -361,7 +361,7 @@ mod tests {
         let mut cfg = SimConfig::tiny();
         cfg.shadow_estimator = Some(EstimatorKind::Oracle);
         let sim = Simulator::new(cfg);
-        let mut policy = SagaPolicy::new(SagaConfig::new(0.10), Box::new(Oracle));
+        let mut policy = SagaPolicy::new(0.10, None, Box::new(Oracle));
         let r = replay(&sim, &trace, &mut policy);
         assert!(r.collection_count() > 0);
         // Shadow oracle estimates equal the recorded actual garbage.

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use odbgc_sim::core_policies::{
-    EstimatorKind, FixedRatePolicy, RatePolicy, SagaConfig, SagaPolicy, SaioPolicy,
+    EstimatorKind, FixedRatePolicy, RatePolicy, SagaPolicy, SaioPolicy,
 };
 use odbgc_sim::gc::SelectorKind;
 use odbgc_sim::store::StoreConfig;
@@ -20,17 +20,13 @@ fn build_policy(which: usize, frac: f64, rate: u64) -> Box<dyn RatePolicy> {
         0 => Box::new(FixedRatePolicy::new(rate)),
         1 => Box::new(SaioPolicy::with_frac(frac)),
         2 => Box::new(SagaPolicy::new(
-            SagaConfig {
-                dt_max: 64,
-                ..SagaConfig::new(frac.min(0.5))
-            },
+            frac.min(0.5),
+            Some(64),
             EstimatorKind::Oracle.build(),
         )),
         _ => Box::new(SagaPolicy::new(
-            SagaConfig {
-                dt_max: 64,
-                ..SagaConfig::new(frac.min(0.5))
-            },
+            frac.min(0.5),
+            Some(64),
             EstimatorKind::fgs_hb_default().build(),
         )),
     }

@@ -6,9 +6,7 @@
 //! deterministic across worker counts once wall-clock fields are
 //! stripped.
 
-use odbgc_sim::core_policies::{
-    EstimatorKind, PolicySpec, RatePolicy, SagaConfig, SagaPolicy, SaioPolicy,
-};
+use odbgc_sim::core_policies::{EstimatorKind, PolicySpec, RatePolicy, SagaPolicy, SaioPolicy};
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
 use odbgc_sim::trace::Trace;
 use odbgc_sim::{ExperimentPlan, PlanTelemetry, ReplayOptions, RunTelemetry, SimConfig, Simulator};
@@ -51,7 +49,7 @@ fn telemetry_is_a_pure_observer_of_the_run() {
 fn run_export_leads_with_the_header_and_counts_every_decision() {
     let trace = tiny_trace(12);
     let sim = Simulator::new(SimConfig::tiny());
-    let mut policy = SagaPolicy::new(SagaConfig::new(0.10), EstimatorKind::CgsCb.build());
+    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::CgsCb.build());
     let mut telemetry = RunTelemetry::new(policy.name());
     sim.replay(
         &trace,

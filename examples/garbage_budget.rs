@@ -11,7 +11,7 @@
 //! cargo run --release -p odbgc-sim --example garbage_budget
 //! ```
 
-use odbgc_sim::core_policies::{EstimatorKind, SagaConfig, SagaPolicy};
+use odbgc_sim::core_policies::{EstimatorKind, SagaPolicy};
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
 use odbgc_sim::{SimConfig, Simulator};
 
@@ -27,7 +27,9 @@ fn main() {
         ("cgs-cb", EstimatorKind::CgsCb),
         ("fgs-hb", EstimatorKind::fgs_hb_default()),
     ] {
-        let mut policy = SagaPolicy::new(SagaConfig::new(requested / 100.0), kind.build());
+        // The requested level is SAGA's only setting besides the estimator;
+        // `None` keeps the paper's Δt clamp of [2, 1000] overwrites.
+        let mut policy = SagaPolicy::new(requested / 100.0, None, kind.build());
         let r = sim
             .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
             .expect("trace replays");

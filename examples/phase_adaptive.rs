@@ -11,7 +11,7 @@
 //! cargo run --release -p odbgc-sim --example phase_adaptive
 //! ```
 
-use odbgc_sim::core_policies::{EstimatorKind, SagaConfig, SagaPolicy};
+use odbgc_sim::core_policies::{EstimatorKind, SagaPolicy};
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
 use odbgc_sim::{SimConfig, Simulator};
 
@@ -21,10 +21,8 @@ fn main() {
         shadow_estimator: Some(EstimatorKind::fgs_hb_default()),
         ..SimConfig::default()
     };
-    let mut policy = SagaPolicy::new(
-        SagaConfig::new(0.10),
-        EstimatorKind::fgs_hb_default().build(),
-    );
+    // 10% garbage, the paper's Δt clamp of [2, 1000] overwrites (`None`).
+    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
     let r = Simulator::new(config)
         .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
         .expect("trace replays");

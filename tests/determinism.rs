@@ -1,7 +1,7 @@
 //! Reproducibility: the entire pipeline — generation, replay, policy
 //! decisions, selection — is a pure function of (parameters, seed).
 
-use odbgc_sim::core_policies::{EstimatorKind, PolicySpec, SagaConfig, SagaPolicy, SaioPolicy};
+use odbgc_sim::core_policies::{EstimatorKind, PolicySpec, SagaPolicy, SaioPolicy};
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
 use odbgc_sim::{ExperimentPlan, SimConfig, Simulator};
 
@@ -36,10 +36,7 @@ fn full_trace_survives_codec_round_trip() {
 fn simulation_results_are_identical_across_repeated_runs() {
     let trace = Oo7App::standard(Oo7Params::small_prime(3), 2).generate().0;
     let run = || {
-        let mut p = SagaPolicy::new(
-            SagaConfig::new(0.10),
-            EstimatorKind::fgs_hb_default().build(),
-        );
+        let mut p = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
         Simulator::new(SimConfig::default())
             .replay(&trace, &mut p, odbgc_sim::ReplayOptions::new())
             .expect("replays")

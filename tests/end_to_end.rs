@@ -3,7 +3,7 @@
 //! accounting invariants.
 
 use odbgc_sim::core_policies::{
-    EstimatorKind, FixedRatePolicy, RatePolicy, SagaConfig, SagaPolicy, SaioPolicy,
+    EstimatorKind, FixedRatePolicy, RatePolicy, SagaPolicy, SaioPolicy,
 };
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
 use odbgc_sim::{RunResult, SimConfig, Simulator};
@@ -62,7 +62,7 @@ fn saio_full_scale() {
 
 #[test]
 fn saga_oracle_full_scale() {
-    let mut policy = SagaPolicy::new(SagaConfig::new(0.10), EstimatorKind::Oracle.build());
+    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::Oracle.build());
     let r = run_small_prime(&mut policy);
     check_accounting(&r);
     let achieved = r.garbage_pct_mean.expect("run leaves preamble");
@@ -77,10 +77,7 @@ fn saga_oracle_full_scale() {
 
 #[test]
 fn saga_fgs_hb_full_scale() {
-    let mut policy = SagaPolicy::new(
-        SagaConfig::new(0.10),
-        EstimatorKind::fgs_hb_default().build(),
-    );
+    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
     let r = run_small_prime(&mut policy);
     check_accounting(&r);
     let achieved = r.garbage_pct_mean.expect("run leaves preamble");

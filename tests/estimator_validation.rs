@@ -1,7 +1,7 @@
 //! Validation of the garbage estimators against exact garbage on the full
 //! workload (the substance of Figures 6 and 7a).
 
-use odbgc_sim::core_policies::{EstimatorKind, SagaConfig, SagaPolicy};
+use odbgc_sim::core_policies::{EstimatorKind, SagaPolicy};
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
 use odbgc_sim::{RunResult, SimConfig, Simulator};
 
@@ -12,7 +12,7 @@ fn run_with(kind: EstimatorKind) -> RunResult {
         shadow_estimator: Some(kind),
         ..SimConfig::default()
     };
-    let mut policy = SagaPolicy::new(SagaConfig::new(0.10), kind.build());
+    let mut policy = SagaPolicy::new(0.10, None, kind.build());
     Simulator::new(config)
         .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
         .expect("trace replays")

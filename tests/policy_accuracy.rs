@@ -4,7 +4,7 @@
 //! Single-seed runs keep the suite fast; the bench binaries run the full
 //! 10-seed protocol.
 
-use odbgc_sim::core_policies::{EstimatorKind, RatePolicy, SagaConfig, SagaPolicy, SaioPolicy};
+use odbgc_sim::core_policies::{EstimatorKind, RatePolicy, SagaPolicy, SaioPolicy};
 use odbgc_sim::oo7::{Oo7App, Oo7Params};
 use odbgc_sim::trace::Trace;
 use odbgc_sim::{RunResult, SimConfig, Simulator};
@@ -57,10 +57,7 @@ fn figure4_drift_grows_at_extreme_fractions() {
 fn figure5_oracle_saga_is_most_accurate() {
     let trace = small_prime_trace(3, 1);
     for requested in [5.0, 8.0, 10.0, 12.0] {
-        let mut policy = SagaPolicy::new(
-            SagaConfig::new(requested / 100.0),
-            EstimatorKind::Oracle.build(),
-        );
+        let mut policy = SagaPolicy::new(requested / 100.0, None, EstimatorKind::Oracle.build());
         let r = run(&trace, &mut policy);
         let achieved = r.garbage_pct_mean.expect("window exists");
         assert!(
@@ -80,7 +77,7 @@ fn figure5_estimator_quality_ordering() {
         let total: f64 = requests
             .iter()
             .map(|&req| {
-                let mut policy = SagaPolicy::new(SagaConfig::new(req / 100.0), kind.build());
+                let mut policy = SagaPolicy::new(req / 100.0, None, kind.build());
                 let r = run(&trace, &mut policy);
                 (r.garbage_pct_mean.expect("window") - req).abs()
             })
@@ -103,12 +100,10 @@ fn figure5_cgs_cb_over_collects() {
     // level lands well below the request, at a higher I/O bill.
     let trace = small_prime_trace(3, 1);
     let requested = 15.0;
-    let mut cgs = SagaPolicy::new(
-        SagaConfig::new(requested / 100.0),
-        EstimatorKind::CgsCb.build(),
-    );
+    let mut cgs = SagaPolicy::new(requested / 100.0, None, EstimatorKind::CgsCb.build());
     let mut fgs = SagaPolicy::new(
-        SagaConfig::new(requested / 100.0),
+        requested / 100.0,
+        None,
         EstimatorKind::fgs_hb_default().build(),
     );
     let r_cgs = run(&trace, &mut cgs);
@@ -137,10 +132,7 @@ fn figure8_conclusions_hold_across_connectivities() {
             "conn {connectivity}: SAIO achieved {achieved}%"
         );
         // SAGA with FGS/HB stays in the neighborhood.
-        let mut saga = SagaPolicy::new(
-            SagaConfig::new(0.10),
-            EstimatorKind::fgs_hb_default().build(),
-        );
+        let mut saga = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
         let r = run(&trace, &mut saga);
         let achieved = r.garbage_pct_mean.expect("window");
         assert!(
@@ -170,10 +162,7 @@ fn section1_mixed_workload_policies_still_hit_targets() {
         "mixed workload: SAIO achieved {achieved}%"
     );
 
-    let mut saga = SagaPolicy::new(
-        SagaConfig::new(0.10),
-        EstimatorKind::fgs_hb_default().build(),
-    );
+    let mut saga = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
     let r = run(&mixed, &mut saga);
     let achieved = r.garbage_pct_mean.expect("window exists");
     assert!(

@@ -7,8 +7,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use odbgc_core::{RatePolicy, SaioPolicy};
+use odbgc_engine::EngineConfig;
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{ReplayOptions, RunTelemetry, SimConfig, Simulator};
+use odbgc_sim::{ReplayOptions, RunTelemetry, Simulator};
 use odbgc_trace::Trace;
 
 fn bench_trace() -> Trace {
@@ -17,7 +18,7 @@ fn bench_trace() -> Trace {
 
 fn bench_replay(c: &mut Criterion) {
     let trace = bench_trace();
-    let sim = Simulator::new(SimConfig::tiny());
+    let sim = Simulator::new(EngineConfig::tiny());
 
     c.bench_function("replay_hot_path/telemetry_off", |b| {
         b.iter(|| {

@@ -8,17 +8,16 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use odbgc_core::FixedRatePolicy;
+use odbgc_engine::{serve, EngineConfig, ServeConfig, WorkloadParams};
 use odbgc_net::{run_client, ClientConfig, NetConfig, NetServer, Request};
-use odbgc_sim::engine::{serve, ServeConfig, WorkloadParams};
-use odbgc_sim::SimConfig;
 
 const OPS: u64 = 1_000;
 const BATCH: u64 = 8;
 
-fn tiny_engine() -> SimConfig {
-    SimConfig {
-        store: odbgc_sim::store::StoreConfig::tiny(),
-        ..SimConfig::default()
+fn tiny_engine() -> EngineConfig {
+    EngineConfig {
+        store: odbgc_store::StoreConfig::tiny(),
+        ..EngineConfig::default()
     }
 }
 
@@ -77,8 +76,7 @@ fn bench_serve_net(c: &mut Criterion) {
         // The pure protocol cost of one 8-op turn, no socket: encode_into
         // + frame_into into persistent scratch, then decode — the
         // steady-state per-frame cost with no allocation.
-        let mut workload =
-            odbgc_sim::engine::SessionWorkload::new(0, WorkloadParams::default(), OPS);
+        let mut workload = odbgc_engine::SessionWorkload::new(0, WorkloadParams::default(), OPS);
         let turn = workload.next_turn(BATCH);
         let req = Request::Ops { ops: turn };
         let mut body = Vec::new();

@@ -10,17 +10,16 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use odbgc_core::FixedRatePolicy;
+use odbgc_engine::{EngineConfig, WorkloadParams};
 use odbgc_net::{run_clients, ClientConfig, NetConfig, NetServer};
-use odbgc_sim::engine::WorkloadParams;
-use odbgc_sim::SimConfig;
 
 const TOTAL_OPS: u64 = 512;
 const BATCH: u64 = 8;
 
-fn tiny_engine() -> SimConfig {
-    SimConfig {
-        store: odbgc_sim::store::StoreConfig::tiny(),
-        ..SimConfig::default()
+fn tiny_engine() -> EngineConfig {
+    EngineConfig {
+        store: odbgc_store::StoreConfig::tiny(),
+        ..EngineConfig::default()
     }
 }
 

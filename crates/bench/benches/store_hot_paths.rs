@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_store::{Event, PartitionId, Store, StoreConfig};
-use odbgc_trace::{ObjectId, SlotIdx, TraceBuilder};
+use odbgc_store::{PartitionId, Store, StoreConfig};
+use odbgc_trace::{Event, ObjectId, SlotIdx, TraceBuilder};
 
 fn bench_store(c: &mut Criterion) {
     // Single-event costs on a pre-populated store.

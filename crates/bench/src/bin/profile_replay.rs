@@ -8,7 +8,8 @@
 use std::time::Instant;
 
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_store::{Event, Store, StoreConfig};
+use odbgc_store::{Store, StoreConfig};
+use odbgc_trace::Event;
 
 const USAGE: &str = "usage: profile_replay [--params small-prime|small|medium]";
 

@@ -5,8 +5,9 @@
 //! so traces are generated once per seed and the (cell × seed) grid runs
 //! on the shared worker pool.
 
-use odbgc_sim::core_policies::{EstimatorKind, HistoryLen, PolicySpec};
-use odbgc_sim::{sweep_point, ExperimentPlan, RunResult, SweepPoint};
+use odbgc_core::{EstimatorKind, HistoryLen, PolicySpec};
+use odbgc_engine::RunResult;
+use odbgc_sim::{sweep_point, ExperimentPlan, SweepPoint};
 
 use crate::scale::Scale;
 
@@ -30,7 +31,7 @@ pub fn sweep_plan(
     seeds: &[u64],
     cells: impl IntoIterator<Item = (f64, PolicySpec)>,
 ) -> ExperimentPlan {
-    ExperimentPlan::new(scale.params(connectivity), seeds, scale.sim_config()).cells(cells)
+    ExperimentPlan::new(scale.params(connectivity), seeds, scale.engine_config()).cells(cells)
 }
 
 /// Sweeps SAIO over requested I/O percentages; returns one aggregated

@@ -9,12 +9,13 @@
 //! 3. **Buffer size** — §3.1 sets buffer = partition size; smaller and
 //!    larger buffers shift application I/O.
 
-use odbgc_sim::core_policies::{EstimatorKind, FixedRatePolicy};
-use odbgc_sim::gc::SelectorKind;
-use odbgc_sim::oo7::Oo7App;
+use odbgc_core::{EstimatorKind, FixedRatePolicy};
+use odbgc_engine::EngineConfig;
+use odbgc_gc::SelectorKind;
+use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
-use odbgc_sim::store::OverwriteSemantics;
-use odbgc_sim::{run_single, SimConfig};
+use odbgc_sim::run_single;
+use odbgc_store::OverwriteSemantics;
 
 use crate::scale::Scale;
 
@@ -37,10 +38,10 @@ pub fn selection_report(scale: Scale) -> String {
     ]
     .into_iter()
     .map(|kind| {
-        let config = SimConfig {
+        let config = EngineConfig {
             selector: kind,
             selector_seed: 42,
-            ..scale.sim_config()
+            ..scale.engine_config()
         };
         let mut policy = FixedRatePolicy::new(rate);
         let r = run_single(&trace, &config, &mut policy).expect("OO7 trace replays cleanly");
@@ -82,7 +83,7 @@ pub fn semantics_report(scale: Scale) -> String {
     ]
     .into_iter()
     .map(|(name, semantics)| {
-        let mut config = scale.sim_config();
+        let mut config = scale.engine_config();
         config.store.overwrite_semantics = semantics;
         let mut policy = scale.saga_spec(0.10, EstimatorKind::Oracle).build();
         let r = run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly");
@@ -103,14 +104,14 @@ pub fn semantics_report(scale: Scale) -> String {
 /// Buffer-size sensitivity under SAIO.
 pub fn buffer_report(scale: Scale) -> String {
     let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
-    let base_pages = scale.sim_config().store.buffer_pages;
+    let base_pages = scale.engine_config().store.buffer_pages;
     let rows: Vec<Vec<String>> = [base_pages / 2, base_pages, base_pages * 4]
         .into_iter()
         .filter(|&p| p >= 1)
         .map(|pages| {
-            let mut config = scale.sim_config();
+            let mut config = scale.engine_config();
             config.store.buffer_pages = pages;
-            let mut policy = odbgc_sim::core_policies::SaioPolicy::with_frac(0.10);
+            let mut policy = odbgc_core::SaioPolicy::with_frac(0.10);
             let r = run_single(&trace, &config, &mut policy).expect("OO7 trace replays cleanly");
             vec![
                 pages.to_string(),
@@ -128,7 +129,7 @@ pub fn buffer_report(scale: Scale) -> String {
 
 /// Connection-schema comparison: how much garbage one overwrite detaches.
 pub fn schema_report(scale: Scale) -> String {
-    use odbgc_sim::oo7::ConnStyle;
+    use odbgc_oo7::ConnStyle;
     let rows: Vec<Vec<String>> = [
         ("bidirectional (default)", ConnStyle::Bidirectional),
         ("forward-only", ConnStyle::Forward),
@@ -139,7 +140,7 @@ pub fn schema_report(scale: Scale) -> String {
         params.conn_style = style;
         let (trace, chars) = Oo7App::standard(params, scale.series_seed()).generate();
         let mut policy = FixedRatePolicy::new(fixed_rate_for(scale));
-        let r = run_single(&trace, &scale.sim_config(), &mut policy)
+        let r = run_single(&trace, &scale.engine_config(), &mut policy)
             .expect("OO7 trace replays cleanly");
         let gpo = if r.overwrite_clock == 0 {
             0.0
@@ -174,12 +175,12 @@ pub fn schema_report(scale: Scale) -> String {
 /// with the partition, which moves the steady-state interval.
 pub fn partition_report(scale: Scale) -> String {
     let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
-    let base = scale.sim_config().store.pages_per_partition;
+    let base = scale.engine_config().store.pages_per_partition;
     let rows: Vec<Vec<String>> = [base / 2, base, base * 2]
         .into_iter()
         .filter(|&p| p >= 1)
         .map(|pages| {
-            let mut config = scale.sim_config();
+            let mut config = scale.engine_config();
             config.store.pages_per_partition = pages;
             let mut policy = scale.saga_spec(0.10, EstimatorKind::Oracle).build();
             let r =
@@ -209,7 +210,7 @@ pub fn partition_report(scale: Scale) -> String {
 /// SAIO history-length sweep at the extreme requested fraction, where
 /// §4.1.1 says history ameliorates the non-cancelling drift errors.
 pub fn saio_history_report(scale: Scale) -> String {
-    use odbgc_sim::core_policies::{HistoryLen, SaioPolicy};
+    use odbgc_core::{HistoryLen, SaioPolicy};
     let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
     let requested = 50.0;
     let rows: Vec<Vec<String>> = [
@@ -222,7 +223,7 @@ pub fn saio_history_report(scale: Scale) -> String {
     .into_iter()
     .map(|(name, hist)| {
         let mut policy = SaioPolicy::new(requested / 100.0, hist);
-        let r = run_single(&trace, &scale.sim_config(), &mut policy)
+        let r = run_single(&trace, &scale.engine_config(), &mut policy)
             .expect("OO7 trace replays cleanly");
         let achieved = crate::common::adaptive_gc_io_pct(&r, scale.preamble());
         vec![

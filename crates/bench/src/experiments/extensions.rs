@@ -10,18 +10,17 @@
 //!   its interval when the FGS/HB estimate says collections are
 //!   cost-ineffective, reducing GC I/O at little garbage cost.
 
-use odbgc_sim::core_policies::{
-    CoupledSaioPolicy, EstimatorKind, PolicySpec, RatePolicy, SaioPolicy,
-};
-use odbgc_sim::oo7::Oo7App;
+use odbgc_core::{CoupledSaioPolicy, EstimatorKind, PolicySpec, RatePolicy, SaioPolicy};
+use odbgc_engine::RunResult;
+use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
-use odbgc_sim::{run_single, RunResult};
+use odbgc_sim::run_single;
 
 use crate::scale::Scale;
 
 fn run_policy(scale: Scale, policy: &mut dyn RatePolicy) -> RunResult {
     let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
-    run_single(&trace, &scale.sim_config(), policy).expect("OO7 trace replays cleanly")
+    run_single(&trace, &scale.engine_config(), policy).expect("OO7 trace replays cleanly")
 }
 
 /// Collections performed during the Traverse phase of a run.

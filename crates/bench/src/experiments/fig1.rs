@@ -6,7 +6,7 @@
 //! I/O operations; infrequent collection (large rate) collects little of
 //! the garbage — the time/space trade-off motivating the whole paper.
 
-use odbgc_sim::core_policies::PolicySpec;
+use odbgc_core::PolicySpec;
 use odbgc_sim::report::{fmt_f, render_table};
 use odbgc_sim::sweep_point;
 

@@ -5,9 +5,9 @@
 //! behavior: GenDB only creates, the reorganizations mix deletion
 //! (overwrites) with reinsertion (creations), and Traverse is read-only.
 
-use odbgc_sim::oo7::Oo7App;
+use odbgc_oo7::Oo7App;
 use odbgc_sim::report::render_table;
-use odbgc_sim::trace::EventKind;
+use odbgc_trace::EventKind;
 
 use crate::scale::Scale;
 

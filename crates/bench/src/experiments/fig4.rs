@@ -7,7 +7,7 @@
 //! bars at the largest fractions for `c_hist = 0` (the non-cancelling
 //! misprediction errors of §4.1.1), which history ameliorates.
 
-use odbgc_sim::core_policies::HistoryLen;
+use odbgc_core::HistoryLen;
 use odbgc_sim::report::{fmt_f, render_table};
 use odbgc_sim::SweepPoint;
 

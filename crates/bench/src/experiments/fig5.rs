@@ -8,7 +8,7 @@
 //! so it *overestimates* garbage, collects too eagerly, and achieves far
 //! less garbage than requested, with wide error bars.
 
-use odbgc_sim::core_policies::EstimatorKind;
+use odbgc_core::EstimatorKind;
 use odbgc_sim::report::{fmt_f, render_table};
 use odbgc_sim::SweepPoint;
 

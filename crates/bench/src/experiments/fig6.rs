@@ -6,10 +6,11 @@
 //! overestimates; FGS/HB (6b) tracks the actual garbage closely even
 //! across the Reorg1 → Traverse → Reorg2 transition.
 
-use odbgc_sim::core_policies::EstimatorKind;
-use odbgc_sim::oo7::Oo7App;
+use odbgc_core::EstimatorKind;
+use odbgc_engine::{EngineConfig, RunResult};
+use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
-use odbgc_sim::{run_single, RunResult, SimConfig};
+use odbgc_sim::run_single;
 
 use crate::scale::Scale;
 
@@ -20,9 +21,9 @@ pub const REQUESTED_PCT: f64 = 10.0;
 pub fn run_series(scale: Scale, estimator: EstimatorKind) -> RunResult {
     let params = scale.params(3);
     let (trace, _) = Oo7App::standard(params, scale.series_seed()).generate();
-    let config = SimConfig {
+    let config = EngineConfig {
         shadow_estimator: Some(estimator),
-        ..scale.sim_config()
+        ..scale.engine_config()
     };
     let mut policy = scale.saga_spec(REQUESTED_PCT / 100.0, estimator).build();
     run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly")

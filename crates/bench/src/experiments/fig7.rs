@@ -11,10 +11,11 @@
 //! `h = 0.8`. Expected: high cold-start rates, a settling interval, and a
 //! yield drop when Reorg2's less-clustered garbage arrives.
 
-use odbgc_sim::core_policies::EstimatorKind;
-use odbgc_sim::oo7::Oo7App;
+use odbgc_core::EstimatorKind;
+use odbgc_engine::{EngineConfig, RunResult};
+use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
-use odbgc_sim::{run_single, RunResult, SimConfig};
+use odbgc_sim::run_single;
 
 use crate::common::grids;
 use crate::scale::Scale;
@@ -27,9 +28,9 @@ pub fn run_with_h(scale: Scale, h: f64) -> RunResult {
     let params = scale.params(3);
     let (trace, _) = Oo7App::standard(params, scale.series_seed()).generate();
     let kind = EstimatorKind::FgsHb { h };
-    let config = SimConfig {
+    let config = EngineConfig {
         shadow_estimator: Some(kind),
-        ..scale.sim_config()
+        ..scale.engine_config()
     };
     let mut policy = scale.saga_spec(REQUESTED_PCT / 100.0, kind).build();
     run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly")

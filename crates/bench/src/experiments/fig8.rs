@@ -5,7 +5,7 @@
 //! paper — and expects the same requested-tracks-achieved shape as at
 //! connectivity 3 (Figures 4 and 5).
 
-use odbgc_sim::core_policies::{EstimatorKind, HistoryLen};
+use odbgc_core::{EstimatorKind, HistoryLen};
 use odbgc_sim::report::{fmt_f, render_table};
 use odbgc_sim::SweepPoint;
 

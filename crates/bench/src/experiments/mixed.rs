@@ -11,12 +11,13 @@
 //! user-requested level, because the policies adapt to the *observed*
 //! aggregate behavior rather than any per-application profile.
 
-use odbgc_sim::core_policies::{EstimatorKind, SaioPolicy};
-use odbgc_sim::oo7::Oo7App;
+use odbgc_core::{EstimatorKind, SaioPolicy};
+use odbgc_engine::RunResult;
+use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
-use odbgc_sim::trace::merge::interleave;
-use odbgc_sim::trace::Trace;
-use odbgc_sim::{RunResult, Simulator};
+use odbgc_sim::Simulator;
+use odbgc_trace::merge::interleave;
+use odbgc_trace::Trace;
 
 use crate::scale::Scale;
 
@@ -28,12 +29,8 @@ pub fn mixed_trace(scale: Scale) -> Trace {
     interleave(&[a, b], 42)
 }
 
-fn simulate(
-    scale: Scale,
-    trace: &Trace,
-    policy: &mut dyn odbgc_sim::core_policies::RatePolicy,
-) -> RunResult {
-    Simulator::new(scale.sim_config())
+fn simulate(scale: Scale, trace: &Trace, policy: &mut dyn odbgc_core::RatePolicy) -> RunResult {
+    Simulator::new(scale.engine_config())
         .replay(trace, policy, odbgc_sim::ReplayOptions::new())
         .expect("mixed trace replays cleanly")
 }

@@ -14,10 +14,11 @@
 //! GenDB phase), how many reclaim nothing at all, and the garbage level
 //! each achieves for its I/O.
 
-use odbgc_sim::core_policies::{AllocationRatePolicy, FixedRatePolicy};
-use odbgc_sim::oo7::Oo7App;
+use odbgc_core::{AllocationRatePolicy, FixedRatePolicy};
+use odbgc_engine::RunResult;
+use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
-use odbgc_sim::{run_single, RunResult};
+use odbgc_sim::run_single;
 
 use crate::scale::Scale;
 
@@ -35,7 +36,7 @@ pub fn collections_during_gendb(r: &RunResult) -> u64 {
 /// overwrite policy's collection count.
 pub fn run(scale: Scale) -> (RunResult, RunResult) {
     let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
-    let config = scale.sim_config();
+    let config = scale.engine_config();
     let rate = match scale {
         Scale::Test => 25,
         _ => 200,

@@ -9,10 +9,11 @@
 //! This experiment measures both quantities and shows the garbage level
 //! the mispredicted rate leads to.
 
-use odbgc_sim::core_policies::{connectivity_heuristic_rate, FixedRatePolicy};
-use odbgc_sim::oo7::Oo7App;
+use odbgc_core::{connectivity_heuristic_rate, FixedRatePolicy};
+use odbgc_engine::RunResult;
+use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
-use odbgc_sim::{run_single, RunResult};
+use odbgc_sim::run_single;
 
 use crate::scale::Scale;
 
@@ -35,7 +36,7 @@ pub fn run(scale: Scale) -> StrawmanData {
     let params = scale.params(3);
     let app = Oo7App::standard(params, scale.series_seed());
     let (trace, chars) = app.generate();
-    let config = scale.sim_config();
+    let config = scale.engine_config();
 
     let partition_bytes = u64::from(config.store.partition_bytes());
     let heuristic_rate = connectivity_heuristic_rate(

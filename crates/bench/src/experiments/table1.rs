@@ -7,11 +7,12 @@
 //! database size range (paper: ≈ 3.7–7.9 MB of allocated storage over
 //! the application's lifetime).
 
-use odbgc_sim::core_policies::FixedRatePolicy;
-use odbgc_sim::oo7::params::NUM_MODULES;
-use odbgc_sim::oo7::{Kind, Oo7App};
+use odbgc_core::FixedRatePolicy;
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::params::NUM_MODULES;
+use odbgc_oo7::{Kind, Oo7App};
 use odbgc_sim::report::{fmt_f, render_table};
-use odbgc_sim::{SimConfig, Simulator};
+use odbgc_sim::Simulator;
 
 use crate::scale::Scale;
 
@@ -45,9 +46,9 @@ pub fn report(scale: Scale) -> String {
         // Allocated-storage footprint over the run (DBSize at the end),
         // measured with a collector running at a moderate fixed rate.
         let mut policy = FixedRatePolicy::new(200);
-        let config = SimConfig {
-            store: scale.sim_config().store,
-            ..SimConfig::default()
+        let config = EngineConfig {
+            store: scale.engine_config().store,
+            ..EngineConfig::default()
         };
         let result = Simulator::new(config)
             .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())

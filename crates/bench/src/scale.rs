@@ -1,7 +1,7 @@
 //! Experiment scale control.
 
-use odbgc_sim::oo7::Oo7Params;
-use odbgc_sim::SimConfig;
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::Oo7Params;
 
 /// How big an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,16 +55,16 @@ impl Scale {
 
     /// Simulation configuration (paper store geometry; shorter preamble at
     /// test scale where runs have few collections).
-    pub fn sim_config(self) -> SimConfig {
+    pub fn engine_config(self) -> EngineConfig {
         match self {
-            Scale::Full | Scale::Quick => SimConfig::default(),
-            Scale::Test => SimConfig::tiny(),
+            Scale::Full | Scale::Quick => EngineConfig::default(),
+            Scale::Test => EngineConfig::tiny(),
         }
     }
 
     /// Preamble used for post-hoc windowed statistics.
     pub fn preamble(self) -> u64 {
-        self.sim_config().preamble_collections
+        self.engine_config().preamble_collections
     }
 
     /// SAGA at a requested garbage fraction. Full/Quick use the paper's

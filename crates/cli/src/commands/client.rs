@@ -11,8 +11,8 @@
 //! finishing its workload — the usual way a multi-client script ends a
 //! serve run.
 
+use odbgc_engine::WorkloadParams;
 use odbgc_net::{run_client, run_clients, ClientConfig};
-use odbgc_sim::engine::WorkloadParams;
 
 use crate::flags::Flags;
 use crate::CliError;

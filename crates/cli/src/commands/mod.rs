@@ -33,13 +33,13 @@ pub(crate) fn in_process_shard_documents(
     ops: u64,
     scheduler_seed: u64,
 ) -> Vec<String> {
-    use odbgc_sim::engine::{serve, ServeConfig, WorkloadParams};
-    use odbgc_sim::{RunTelemetry, SimConfig};
+    use odbgc_engine::{serve, EngineConfig, ServeConfig, WorkloadParams};
+    use odbgc_sim::RunTelemetry;
 
     let config = ServeConfig {
-        engine: SimConfig {
+        engine: EngineConfig {
             store: crate::spec::store_config(None, "tiny").unwrap(),
-            ..SimConfig::default()
+            ..EngineConfig::default()
         },
         sessions,
         shards: sessions,

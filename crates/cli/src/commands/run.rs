@@ -1,9 +1,8 @@
 //! `odbgc run` — simulate one policy over a trace.
 
+use odbgc_engine::{EngineConfig, RunResult};
 use odbgc_oo7::Oo7App;
-use odbgc_sim::{
-    BatchSource, ReplayOptions, RunResult, RunTelemetry, SimConfig, Simulator, TraceBatches,
-};
+use odbgc_sim::{BatchSource, ReplayOptions, RunTelemetry, Simulator, TraceBatches};
 
 use crate::commands::open_tracefile;
 use crate::flags::Flags;
@@ -15,6 +14,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let policy_spec = flags.require("policy")?;
     let trace_path = flags.get("trace");
+    // A tracefile fixes its workload, so the flags that shape a generated
+    // one would be silently ignored. `--seed` also seeds `--selector`.
+    if trace_path.is_some() {
+        for flag in ["params", "conn", "style"] {
+            if flags.get(flag).is_some() {
+                return Err(CliError(format!(
+                    "--{flag} does not apply to --trace: a tracefile fixes its workload"
+                )));
+            }
+        }
+    }
     let conn: u32 = flags.get_or("conn", 3)?;
     let seed: u64 = flags.get_or("seed", 1)?;
     let params_name = flags.get("params");
@@ -26,10 +36,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let store_geometry = flags.get("store");
     flags.finish()?;
 
-    let mut config = SimConfig {
+    let mut config = EngineConfig {
         store: spec::store_config(store_geometry.as_deref(), "paper")?,
         preamble_collections: preamble,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
     if let Some(sel) = selector {
         config.selector = spec::parse_selector(&sel)?;
@@ -128,7 +138,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 fn replay<B: BatchSource>(
     sim: &Simulator,
     source: B,
-    policy: &mut dyn odbgc_sim::core_policies::RatePolicy,
+    policy: &mut dyn odbgc_core::RatePolicy,
     telemetry: Option<&mut RunTelemetry>,
 ) -> Result<RunResult, CliError>
 where
@@ -195,10 +205,10 @@ mod tests {
         let trace = Oo7App::standard(spec::build_params(Some("tiny"), 3, None).unwrap(), 1)
             .generate()
             .0;
-        let config = SimConfig {
+        let config = EngineConfig {
             store: spec::store_config(Some("tiny"), "paper").unwrap(),
             preamble_collections: 2,
-            ..SimConfig::default()
+            ..EngineConfig::default()
         };
         Simulator::new(config)
             .replay(
@@ -242,6 +252,37 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert_eq!(plain, stripped);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn workload_flags_are_refused_with_a_tracefile() {
+        let dir = std::env::temp_dir().join(format!(
+            "odbgc-cli-test-run-file-flags-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let otb = dir.join("t.otb");
+        crate::commands::generate::run(&argv(&format!(
+            "--out {} --params tiny --conn 2",
+            otb.display()
+        )))
+        .unwrap();
+        let base = format!("--policy saio:10% --store tiny --trace {}", otb.display());
+        for (extra, flag) in [
+            ("--params bogus", "params"),
+            ("--params tiny", "params"),
+            ("--conn 999", "conn"),
+            ("--style sideways", "style"),
+        ] {
+            let err = run(&argv(&format!("{base} {extra}"))).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("--{flag} does not apply to --trace: a tracefile fixes its workload"),
+            );
+        }
+        // `--seed` still seeds the partition selector.
+        run(&argv(&format!("{base} --seed 3 --selector random"))).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,8 +7,9 @@
 //! scripts using `--listen 127.0.0.1:0` can discover the ephemeral
 //! port; stdout carries the end-of-run report only.
 
+use odbgc_engine::EngineConfig;
 use odbgc_net::{NetConfig, NetServer};
-use odbgc_sim::{Json, SimConfig};
+use odbgc_sim::Json;
 
 use super::serve_bench::{push_shard_report, write_shard_telemetry};
 use crate::flags::Flags;
@@ -38,9 +39,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // Validate the spec once up front so a bad spec fails before bind.
     spec::build_policy(&policy_spec)?;
 
-    let engine_config = SimConfig {
+    let engine_config = EngineConfig {
         store: spec::store_config(store_geometry.as_deref(), "tiny")?,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
 
     let config = NetConfig {
@@ -168,7 +169,7 @@ fn clients_json(clients: &[odbgc_net::ClientCounters]) -> Json {
 mod tests {
     use super::*;
     use crate::commands::{deterministic_lines, in_process_shard_documents};
-    use odbgc_sim::engine::WorkloadParams;
+    use odbgc_engine::WorkloadParams;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()

@@ -4,8 +4,8 @@
 
 use std::path::Path;
 
-use odbgc_sim::engine::{serve, ServeConfig, ShardOutcome, WorkloadParams};
-use odbgc_sim::{Json, RunTelemetry, SimConfig};
+use odbgc_engine::{serve, EngineConfig, ServeConfig, ShardOutcome, WorkloadParams};
+use odbgc_sim::{Json, RunTelemetry};
 
 use crate::flags::Flags;
 use crate::spec;
@@ -39,9 +39,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // threads spin up.
     spec::build_policy(&policy_spec)?;
 
-    let engine_config = SimConfig {
+    let engine_config = EngineConfig {
         store: spec::store_config(store_geometry.as_deref(), "tiny")?,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
 
     let config = ServeConfig {

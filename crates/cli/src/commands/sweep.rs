@@ -1,8 +1,9 @@
 //! `odbgc sweep` — requested-vs-achieved sweeps over seeds.
 
 use odbgc_core::{EstimatorKind, PolicySpec};
+use odbgc_engine::EngineConfig;
 use odbgc_sim::report::fmt_f;
-use odbgc_sim::{sweep_point, ExperimentPlan, PlanOutcome, PlanTelemetry, SimConfig, SweepPoint};
+use odbgc_sim::{sweep_point, ExperimentPlan, PlanOutcome, PlanTelemetry, SweepPoint};
 
 use crate::flags::{parse_number_list, parse_seed_range, Flags};
 use crate::spec;
@@ -29,7 +30,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     flags.finish()?;
 
     let params = spec::build_params(params_name.as_deref(), conn, None)?;
-    let config = SimConfig::default();
+    let config = EngineConfig::default();
 
     // The sweep axis: `saio` sweeps requested I/O%, `saga[:estimator]`
     // sweeps requested garbage%.
@@ -62,6 +63,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             )))
         }
     };
+    // `--points` sets each cell's rate, and nothing else of a spec is
+    // swept: a further token would be silently dropped.
+    if let Some(extra) = spec_parts.next() {
+        return Err(CliError(format!(
+            "--policy {policy}: unexpected token {extra:?}; sweep supports saio or saga[:estimator]"
+        )));
+    }
 
     // A point outside its policy's range (`saio` (0, 100], `saga`
     // [0, 100), `nan`) is a usage error caught before any trace is built:
@@ -208,7 +216,7 @@ mod tests {
     /// --params tiny --conn 2`, optionally poisoning one job.
     fn tiny_saio_plan(poison: Option<(usize, u64)>) -> ExperimentPlan {
         let params = spec::build_params(Some("tiny"), 2, None).unwrap();
-        let mut plan = ExperimentPlan::new(params, &[1, 2], SimConfig::default()).cells([
+        let mut plan = ExperimentPlan::new(params, &[1, 2], EngineConfig::default()).cells([
             (10.0, PolicySpec::saio(0.10)),
             (20.0, PolicySpec::saio(0.20)),
         ]);
@@ -323,6 +331,30 @@ mod tests {
             )))
             .unwrap_err();
             assert_eq!(err.to_string(), "unknown flag --jobs");
+        }
+    }
+
+    #[test]
+    fn tokens_past_the_sweep_axis_are_refused_by_name() {
+        for (policy, token) in [
+            ("saio:hist=4", "hist=4"),
+            ("saio:junk", "junk"),
+            ("saio:10%", "10%"),
+            ("saga:fgs-hb:dtmax=50", "dtmax=50"),
+            ("saga:oracle:junk", "junk"),
+        ] {
+            let err = run(&argv(&format!(
+                "--policy {policy} --points 5 --seeds 1..1 --params tiny"
+            )))
+            .unwrap_err()
+            .to_string();
+            assert_eq!(
+                err,
+                format!(
+                    "--policy {policy}: unexpected token {token:?}; \
+                     sweep supports saio or saga[:estimator]"
+                ),
+            );
         }
     }
 

@@ -1,11 +1,9 @@
 //! The mutator/collector engine: a live store behind a session API.
 //!
-//! Historically the only way to drive the store + collector + rate-policy
-//! combination was [`Simulator::replay`] in `odbgc-sim`: a closed loop
-//! that consumed a recorded trace. This crate extracts that loop's core
-//! into a [`StoreEngine`] that owns the store, the collector, the policy,
-//! and the live I/O counters, and applies every event through one call,
-//! [`StoreEngine::apply_event`], so replay becomes one client among many:
+//! A [`StoreEngine`] owns the store, the collector, the rate policy and
+//! the live I/O counters, and applies every event through one call,
+//! [`StoreEngine::apply_event`]. Trace replay (`Simulator::replay` in
+//! `odbgc-sim`) is one client among many:
 //!
 //! * the simulator feeds trace events through
 //!   [`StoreEngine::apply_batch`], a loop over `apply_event`;
@@ -21,8 +19,6 @@
 //! The engine does not know about telemetry documents; it reports
 //! decisions through the [`EngineObserver`] trait, which the simulator's
 //! telemetry sink and the serve mode's [`DecisionLog`] both implement.
-//!
-//! [`Simulator::replay`]: https://docs.rs/odbgc-sim
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

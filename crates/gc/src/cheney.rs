@@ -75,8 +75,8 @@ pub fn plan_survivors(store: &mut Store, p: PartitionId) -> Vec<ObjectId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odbgc_store::{Event, StoreConfig};
-    use odbgc_trace::{SlotIdx, TraceBuilder};
+    use odbgc_store::StoreConfig;
+    use odbgc_trace::{Event, SlotIdx, TraceBuilder};
 
     fn replay(store: &mut Store, trace: &odbgc_trace::Trace) {
         for ev in trace.iter() {

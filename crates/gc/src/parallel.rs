@@ -8,7 +8,7 @@
 //! compaction layout, and layout feeds every downstream page count. The
 //! construction that guarantees this is a level-synchronized BFS:
 //!
-//! 1. **Trace buckets are read-only.** A [`TracePacket`] walks its chunk
+//! 1. **Trace buckets are read-only.** A `TracePacket` walks its chunk
 //!    of the current frontier through [`StoreView`], *reading* visit
 //!    marks but never writing them (marks were last written before the
 //!    bucket opened, so concurrent packets observe a frozen snapshot).

@@ -12,8 +12,9 @@ use std::collections::{HashSet, VecDeque};
 use proptest::prelude::*;
 
 use odbgc_gc::{plan_survivors_into, CollectScratch};
-use odbgc_store::{ObjectId, PartitionId, Store, StoreConfig};
+use odbgc_store::{PartitionId, Store, StoreConfig};
 use odbgc_trace::synthetic::{churn, ChurnConfig};
+use odbgc_trace::ObjectId;
 
 /// The pre-optimization planner, reconstructed as an oracle.
 fn oracle_plan(store: &Store, p: PartitionId) -> Vec<ObjectId> {

@@ -13,7 +13,7 @@
 //!   responses through one too.
 //! * The write side is a plain buffer of fully framed responses; a short
 //!   write leaves the tail for the next `POLLOUT`. While more than
-//!   [`OUT_HIGH_WATER`] bytes of it are unflushed the connection stops
+//!   `OUT_HIGH_WATER` bytes of it are unflushed the connection stops
 //!   reading and decoding requests, so a peer that never reads its
 //!   replies is held to a bounded buffer, not served without limit.
 //!

@@ -373,7 +373,7 @@ pub mod collection {
     use super::{StdRng, Strategy};
     use rand::Rng;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -14,11 +14,11 @@
 //! `run()`.
 
 use odbgc_core::RatePolicy;
+use odbgc_engine::{EngineConfig, RunResult};
 use odbgc_trace::Trace;
 
-use crate::config::SimConfig;
 use crate::runner::JobError;
-use crate::simulator::{RunResult, SimError, Simulator};
+use crate::simulator::{SimError, Simulator};
 
 /// One aggregated sweep point: requested setting `x`, achieved
 /// min/mean/max across seeds.
@@ -106,7 +106,7 @@ impl ExperimentOutcome {
 /// whether a malformed trace is fatal.
 pub fn run_single(
     trace: &Trace,
-    config: &SimConfig,
+    config: &EngineConfig,
     policy: &mut dyn RatePolicy,
 ) -> Result<RunResult, SimError> {
     Simulator::new(config.clone()).replay(trace, policy, crate::simulator::ReplayOptions::new())
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn multi_seed_plan_produces_one_run_per_seed() {
-        let outcome = ExperimentPlan::new(Oo7Params::tiny(), &[1, 2, 3], SimConfig::tiny())
+        let outcome = ExperimentPlan::new(Oo7Params::tiny(), &[1, 2, 3], EngineConfig::tiny())
             .cell(10.0, PolicySpec::saio(0.10))
             .run();
         let cell = &outcome.cells[0].outcome;
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn experiment_is_reproducible() {
         let run = || {
-            ExperimentPlan::new(Oo7Params::tiny(), &[5, 6], SimConfig::tiny())
+            ExperimentPlan::new(Oo7Params::tiny(), &[5, 6], EngineConfig::tiny())
                 .cell(5.0, PolicySpec::saio(0.05))
                 .run()
         };
@@ -180,7 +180,7 @@ mod tests {
         };
         let (trace, _) = Oo7App::standard(Oo7Params::tiny(), 1).generate();
         let mut policy = SaioPolicy::with_frac(0.10);
-        let good = run_single(&trace, &SimConfig::tiny(), &mut policy).expect("replays");
+        let good = run_single(&trace, &EngineConfig::tiny(), &mut policy).expect("replays");
         let outcome = ExperimentOutcome {
             runs: vec![Ok(good), Err(sim_fail())],
         };
@@ -198,7 +198,7 @@ mod tests {
         b.access(odbgc_trace::ObjectId::new(42));
         let trace = b.finish();
         let mut policy = SaioPolicy::with_frac(0.10);
-        let e = run_single(&trace, &SimConfig::tiny(), &mut policy).unwrap_err();
+        let e = run_single(&trace, &EngineConfig::tiny(), &mut policy).unwrap_err();
         assert_eq!(e.event_index, 0);
     }
 }

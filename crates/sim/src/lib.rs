@@ -13,33 +13,31 @@
 //! (paper: 10–30, usually near 10) — from the measured remainder, and
 //! experiments aggregate means over multiple seeds, reporting min/mean/max
 //! (the paper's error bars).
+//!
+//! This crate re-exports nothing it does not define: the run
+//! configuration and results ([`odbgc_engine::EngineConfig`],
+//! [`odbgc_engine::RunResult`]), the policies (`odbgc_core`), the store,
+//! the collector, the workload and the trace model are imported from
+//! their own crates.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod config;
 pub mod experiment;
 pub mod report;
 pub mod runner;
 pub mod simulator;
 pub mod telemetry;
 
-pub use config::SimConfig;
 pub use experiment::{run_single, sweep_point, ExperimentOutcome, SweepPoint};
 pub use runner::{
     default_jobs, CacheStats, CellOutcome, ExperimentPlan, FaultKind, FaultSpec, JobError,
     JobErrorKind, PlanCell, PlanOutcome, TraceCache,
 };
-pub use simulator::{
-    BatchSource, ReplayError, ReplayOptions, RunResult, SimError, Simulator, TraceBatches,
-};
-pub use telemetry::{DecisionRecord, Json, PhaseTelemetry, PlanTelemetry, RunTelemetry};
+pub use simulator::{BatchSource, ReplayError, ReplayOptions, SimError, Simulator, TraceBatches};
+pub use telemetry::{Json, PhaseTelemetry, PlanTelemetry, RunTelemetry};
 
-pub use odbgc_engine as engine;
-pub use odbgc_engine::{CollectionRecord, RunMetrics};
-
-pub use odbgc_core as core_policies;
-pub use odbgc_gc as gc;
-pub use odbgc_oo7 as oo7;
-pub use odbgc_store as store;
-pub use odbgc_trace as trace;
+// Compiles and runs README.md's Rust blocks as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

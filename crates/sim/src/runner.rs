@@ -34,12 +34,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use odbgc_core::PolicySpec;
+use odbgc_engine::{EngineConfig, RunResult};
 use odbgc_oo7::{Oo7App, Oo7Params};
 use odbgc_trace::Trace;
 
-use crate::config::SimConfig;
 use crate::experiment::ExperimentOutcome;
-use crate::simulator::{RunResult, SimError, Simulator};
+use crate::simulator::{SimError, Simulator};
 
 /// One cell of an experiment grid: a requested setting and the policy
 /// that should achieve it.
@@ -132,7 +132,7 @@ pub struct ExperimentPlan {
     /// Seeds, one trace per seed (shared by every cell).
     pub seeds: Vec<u64>,
     /// Simulator configuration (shared by every cell).
-    pub config: SimConfig,
+    pub config: EngineConfig,
     /// The grid cells, in report order.
     pub cells: Vec<PlanCell>,
     /// Deliberate faults for testing the failure machinery (empty in
@@ -142,7 +142,7 @@ pub struct ExperimentPlan {
 
 impl ExperimentPlan {
     /// A plan with no cells yet.
-    pub fn new(params: Oo7Params, seeds: &[u64], config: SimConfig) -> Self {
+    pub fn new(params: Oo7Params, seeds: &[u64], config: EngineConfig) -> Self {
         ExperimentPlan {
             params,
             seeds: seeds.to_vec(),
@@ -461,7 +461,7 @@ mod tests {
     use odbgc_core::EstimatorKind;
 
     fn tiny_plan() -> ExperimentPlan {
-        ExperimentPlan::new(Oo7Params::tiny(), &[1, 2, 3], SimConfig::tiny()).cells([
+        ExperimentPlan::new(Oo7Params::tiny(), &[1, 2, 3], EngineConfig::tiny()).cells([
             (10.0, PolicySpec::saio(0.10)),
             (
                 5.0,
@@ -505,7 +505,7 @@ mod tests {
         // parallel outcome must be identical to the serial one.
         let fracs = [0.02, 0.05, 0.08, 0.10, 0.15, 0.20, 0.30, 0.40, 0.50];
         let seeds: Vec<u64> = (1..=10).collect();
-        let plan = ExperimentPlan::new(Oo7Params::tiny(), &seeds, SimConfig::tiny()).cells(
+        let plan = ExperimentPlan::new(Oo7Params::tiny(), &seeds, EngineConfig::tiny()).cells(
             fracs
                 .iter()
                 .map(|&frac| (frac * 100.0, PolicySpec::saio(frac))),

@@ -10,14 +10,11 @@
 use std::convert::Infallible;
 
 use odbgc_core::RatePolicy;
-use odbgc_engine::{EngineObserver, StoreEngine};
+use odbgc_engine::{EngineConfig, EngineObserver, RunResult, StoreEngine};
 use odbgc_store::StoreError;
 use odbgc_trace::{Event, Trace};
 
-use crate::config::SimConfig;
 use crate::telemetry::RunTelemetry;
-
-pub use odbgc_engine::RunResult;
 
 /// A simulation failure: the trace could not be replayed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,14 +175,15 @@ impl<'t> ReplayOptions<'t> {
 /// The trace-driven simulator.
 ///
 /// ```
-/// use odbgc_sim::core_policies::SaioPolicy;
-/// use odbgc_sim::oo7::{Oo7App, Oo7Params};
+/// use odbgc_core::SaioPolicy;
+/// use odbgc_oo7::{Oo7App, Oo7Params};
 /// use odbgc_sim::simulator::ReplayOptions;
-/// use odbgc_sim::{SimConfig, Simulator};
+/// use odbgc_engine::EngineConfig;
+/// use odbgc_sim::Simulator;
 ///
 /// let (trace, _) = Oo7App::standard(Oo7Params::tiny(), 1).generate();
 /// let mut policy = SaioPolicy::with_frac(0.10);
-/// let result = Simulator::new(SimConfig::tiny())
+/// let result = Simulator::new(EngineConfig::tiny())
 ///     .replay(&trace, &mut policy, ReplayOptions::new())
 ///     .expect("trace replays cleanly");
 /// assert!(result.collection_count() > 0);
@@ -195,12 +193,12 @@ impl<'t> ReplayOptions<'t> {
 /// );
 /// ```
 pub struct Simulator {
-    config: SimConfig,
+    config: EngineConfig,
 }
 
 impl Simulator {
     /// A simulator with the given configuration.
-    pub fn new(config: SimConfig) -> Self {
+    pub fn new(config: EngineConfig) -> Self {
         Simulator { config }
     }
 
@@ -333,7 +331,7 @@ mod tests {
     #[test]
     fn fixed_rate_collects_on_schedule() {
         let trace = tiny_trace(1);
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let mut policy = FixedRatePolicy::new(20);
         let r = replay(&sim, &trace, &mut policy);
         assert!(r.collection_count() > 0, "reorgs must trigger collections");
@@ -347,7 +345,7 @@ mod tests {
     #[test]
     fn saio_policy_runs_and_spends_gc_io() {
         let trace = tiny_trace(2);
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let mut policy = SaioPolicy::with_frac(0.10);
         let r = replay(&sim, &trace, &mut policy);
         assert!(r.collection_count() > 2);
@@ -358,7 +356,7 @@ mod tests {
     #[test]
     fn saga_oracle_policy_runs() {
         let trace = tiny_trace(3);
-        let mut cfg = SimConfig::tiny();
+        let mut cfg = EngineConfig::tiny();
         cfg.shadow_estimator = Some(EstimatorKind::Oracle);
         let sim = Simulator::new(cfg);
         let mut policy = SagaPolicy::new(0.10, None, Box::new(Oracle));
@@ -373,7 +371,7 @@ mod tests {
     #[test]
     fn phases_are_recorded_in_order() {
         let trace = tiny_trace(4);
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let mut policy = FixedRatePolicy::new(50);
         let r = replay(&sim, &trace, &mut policy);
         let names: Vec<&str> = r.phases.iter().map(|(n, _, _)| n.as_str()).collect();
@@ -385,7 +383,7 @@ mod tests {
     #[test]
     fn never_collecting_policy_accumulates_all_garbage() {
         let trace = tiny_trace(5);
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let mut policy = FixedRatePolicy::new(u64::MAX / 4);
         let r = replay(&sim, &trace, &mut policy);
         assert_eq!(r.collection_count(), 0);
@@ -396,7 +394,7 @@ mod tests {
     #[test]
     fn simulation_is_deterministic() {
         let trace = tiny_trace(6);
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let run = || {
             let mut policy = SaioPolicy::with_frac(0.05);
             replay(&sim, &trace, &mut policy)
@@ -412,7 +410,7 @@ mod tests {
         let mut b = odbgc_trace::TraceBuilder::new();
         b.access(odbgc_trace::ObjectId::new(99));
         let trace = b.finish();
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let mut policy = FixedRatePolicy::new(10);
         let e = sim
             .replay(&trace, &mut policy, ReplayOptions::new())
@@ -484,7 +482,7 @@ mod tests {
     #[test]
     fn batched_replay_matches_streaming_replay() {
         let trace = tiny_trace(13);
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let single = {
             let mut p = SaioPolicy::with_frac(0.10);
             replay(&sim, &trace, &mut p)
@@ -519,7 +517,7 @@ mod tests {
     #[test]
     fn batched_replay_telemetry_matches_streaming() {
         let trace = tiny_trace(14);
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let run = |batches: Vec<std::ops::Range<usize>>| {
             let mut p = SaioPolicy::with_frac(0.10);
             let mut sink = RunTelemetry::new(p.name());
@@ -553,7 +551,7 @@ mod tests {
         let mut source = Rechunked::new(&trace, vec![0..7, 7..n]);
         source.then_fail = true;
         let mut p = SaioPolicy::with_frac(0.10);
-        let err = Simulator::new(SimConfig::tiny())
+        let err = Simulator::new(EngineConfig::tiny())
             .replay_batched(source, &mut p, ReplayOptions::new())
             .unwrap_err();
         match err {
@@ -573,7 +571,7 @@ mod tests {
         b.access(odbgc_trace::ObjectId::new(4242)); // event 2: bogus
         b.root_add(root);
         let trace = b.finish();
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let mut p = FixedRatePolicy::new(1_000_000);
         let err = sim
             .replay(&trace, &mut p, ReplayOptions::new())
@@ -634,7 +632,7 @@ mod tests {
         let trace = b.finish();
 
         let mut policy = EagerPolicy { initial_calls: 0 };
-        let r = replay(&Simulator::new(SimConfig::tiny()), &trace, &mut policy);
+        let r = replay(&Simulator::new(EngineConfig::tiny()), &trace, &mut policy);
         assert_eq!(
             policy.initial_calls,
             1 + 5,
@@ -647,7 +645,7 @@ mod tests {
     #[test]
     fn windowed_gc_io_pct_matches_metrics_window() {
         let trace = tiny_trace(8);
-        let cfg = SimConfig::tiny(); // preamble 2
+        let cfg = EngineConfig::tiny(); // preamble 2
         let sim = Simulator::new(cfg);
         let mut policy = SaioPolicy::with_frac(0.10);
         let r = replay(&sim, &trace, &mut policy);
@@ -665,7 +663,7 @@ mod tests {
     #[test]
     fn telemetry_run_matches_plain_run_and_counts_decisions() {
         let trace = tiny_trace(9);
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let plain = {
             let mut p = SaioPolicy::with_frac(0.10);
             replay(&sim, &trace, &mut p)
@@ -698,7 +696,7 @@ mod tests {
     #[test]
     fn higher_fixed_rate_means_fewer_collections_and_less_gc_io() {
         let trace = tiny_trace(7);
-        let sim = Simulator::new(SimConfig::tiny());
+        let sim = Simulator::new(EngineConfig::tiny());
         let run = |rate| {
             let mut p = FixedRatePolicy::new(rate);
             replay(&sim, &trace, &mut p)

@@ -1,13 +1,15 @@
 //! Run- and plan-level telemetry with a versioned JSON export.
 //!
-//! The simulator's [`crate::RunResult`] carries the *answers* (achieved
-//! fractions, totals, series); telemetry carries the *explanations*:
+//! The simulator's [`RunResult`](odbgc_engine::RunResult) carries the
+//! *answers* (achieved fractions, totals, series); telemetry carries the
+//! *explanations*:
 //!
 //! * a **policy decision log** — one [`DecisionRecord`] per trigger
-//!   decision, capturing the [`CollectionObservation`] the policy saw,
-//!   the [`Trigger`] it chose, whether a configured clamp was hit
-//!   ([`ClampHit`]), and the shadow estimator's `ActGarb` error against
-//!   the oracle's `exact_garbage`;
+//!   decision, capturing the
+//!   [`CollectionObservation`](odbgc_core::CollectionObservation) the
+//!   policy saw, the [`Trigger`](odbgc_core::Trigger) it chose, whether a
+//!   configured clamp was hit ([`ClampHit`]), and the shadow estimator's
+//!   `ActGarb` error against the oracle's `exact_garbage`;
 //! * **per-phase accounting** — application I/O, GC I/O, overwrites,
 //!   collections, and the event-sampled garbage-percentage mean split by
 //!   OO7 phase ([`PhaseTelemetry`]);
@@ -41,11 +43,9 @@
 use std::time::Duration;
 
 use odbgc_core::ClampHit;
-use odbgc_engine::{CounterSnapshot, EngineObserver};
+use odbgc_engine::{CounterSnapshot, DecisionRecord, EngineObserver};
 
 use crate::runner::{ExperimentPlan, PlanOutcome};
-
-pub use odbgc_engine::DecisionRecord;
 
 /// Schema identifier every telemetry document leads with.
 pub const SCHEMA_NAME: &str = "odbgc-telemetry";

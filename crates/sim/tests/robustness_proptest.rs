@@ -3,13 +3,12 @@
 
 use proptest::prelude::*;
 
-use odbgc_sim::core_policies::{
-    EstimatorKind, FixedRatePolicy, RatePolicy, SagaPolicy, SaioPolicy,
-};
-use odbgc_sim::gc::SelectorKind;
-use odbgc_sim::store::StoreConfig;
-use odbgc_sim::trace::synthetic::{churn, ChurnConfig};
-use odbgc_sim::{SimConfig, Simulator};
+use odbgc_core::{EstimatorKind, FixedRatePolicy, RatePolicy, SagaPolicy, SaioPolicy};
+use odbgc_engine::EngineConfig;
+use odbgc_gc::SelectorKind;
+use odbgc_sim::Simulator;
+use odbgc_store::StoreConfig;
+use odbgc_trace::synthetic::{churn, ChurnConfig};
 
 fn arb_policy() -> impl Strategy<Value = usize> {
     0usize..4
@@ -55,7 +54,7 @@ proptest! {
     ) {
         let cfg = ChurnConfig { steps, ..ChurnConfig::default() };
         let trace = churn(&cfg, seed);
-        let sim_config = SimConfig {
+        let engine_config = EngineConfig {
             store: StoreConfig::tiny(),
             selector,
             selector_seed: seed,
@@ -68,7 +67,7 @@ proptest! {
             gc_workers: None,
         };
         let mut policy = build_policy(which, frac, rate);
-        let r = Simulator::new(sim_config)
+        let r = Simulator::new(engine_config)
             .replay(&trace, policy.as_mut(), odbgc_sim::ReplayOptions::new())
             .expect("synthetic workloads always replay");
         // Conservation holds for every combination.
@@ -99,17 +98,17 @@ proptest! {
     ) {
         let cfg = ChurnConfig { steps, ..ChurnConfig::default() };
         let trace = churn(&cfg, seed);
-        let base = SimConfig {
+        let base = EngineConfig {
             store: StoreConfig::tiny(),
             selector,
             selector_seed: seed,
             preamble_collections: 2,
             deep_checks: true,
-            ..SimConfig::default()
+            ..EngineConfig::default()
         };
         let run = |gc_workers: usize| {
             let mut policy = build_policy(which, frac, rate);
-            Simulator::new(SimConfig { gc_workers: Some(gc_workers), ..base.clone() })
+            Simulator::new(EngineConfig { gc_workers: Some(gc_workers), ..base.clone() })
                 .replay(&trace, policy.as_mut(), odbgc_sim::ReplayOptions::new())
                 .expect("synthetic workloads always replay")
         };
@@ -127,13 +126,13 @@ proptest! {
         let cfg = ChurnConfig { steps: 150, ..ChurnConfig::default() };
         let a = churn(&cfg, seed_a);
         let b = churn(&cfg, seed_b);
-        let merged = odbgc_sim::trace::merge::interleave(&[a, b], interleave_seed);
+        let merged = odbgc_trace::merge::interleave(&[a, b], interleave_seed);
         let mut policy = SaioPolicy::with_frac(0.1);
-        let r = Simulator::new(SimConfig {
+        let r = Simulator::new(EngineConfig {
             store: StoreConfig::tiny(),
             preamble_collections: 2,
             deep_checks: true,
-            ..SimConfig::default()
+            ..EngineConfig::default()
         })
         .replay(&merged, &mut policy, odbgc_sim::ReplayOptions::new())
         .expect("merged synthetic workloads replay");

@@ -6,10 +6,11 @@
 //! deterministic across worker counts once wall-clock fields are
 //! stripped.
 
-use odbgc_sim::core_policies::{EstimatorKind, PolicySpec, RatePolicy, SagaPolicy, SaioPolicy};
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::trace::Trace;
-use odbgc_sim::{ExperimentPlan, PlanTelemetry, ReplayOptions, RunTelemetry, SimConfig, Simulator};
+use odbgc_core::{EstimatorKind, PolicySpec, RatePolicy, SagaPolicy, SaioPolicy};
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::{ExperimentPlan, PlanTelemetry, ReplayOptions, RunTelemetry, Simulator};
+use odbgc_trace::Trace;
 
 /// The first lines of every exported document of the given kind.
 fn header(kind: &str) -> String {
@@ -23,7 +24,7 @@ fn tiny_trace(seed: u64) -> Trace {
 #[test]
 fn telemetry_is_a_pure_observer_of_the_run() {
     let trace = tiny_trace(11);
-    let sim = Simulator::new(SimConfig::tiny());
+    let sim = Simulator::new(EngineConfig::tiny());
     let plain = {
         let mut p = SaioPolicy::with_frac(0.08);
         sim.replay(&trace, &mut p, ReplayOptions::new())
@@ -48,7 +49,7 @@ fn telemetry_is_a_pure_observer_of_the_run() {
 #[test]
 fn run_export_leads_with_the_header_and_counts_every_decision() {
     let trace = tiny_trace(12);
-    let sim = Simulator::new(SimConfig::tiny());
+    let sim = Simulator::new(EngineConfig::tiny());
     let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::CgsCb.build());
     let mut telemetry = RunTelemetry::new(policy.name());
     sim.replay(
@@ -70,7 +71,7 @@ fn run_export_leads_with_the_header_and_counts_every_decision() {
 #[test]
 fn decision_records_expose_estimator_error_against_exact_garbage() {
     let trace = tiny_trace(13);
-    let mut cfg = SimConfig::tiny();
+    let mut cfg = EngineConfig::tiny();
     cfg.shadow_estimator = Some(EstimatorKind::Oracle);
     let sim = Simulator::new(cfg);
     let mut policy = SaioPolicy::with_frac(0.10);
@@ -89,7 +90,7 @@ fn decision_records_expose_estimator_error_against_exact_garbage() {
 }
 
 fn tiny_plan() -> ExperimentPlan {
-    ExperimentPlan::new(Oo7Params::tiny(), &[1, 2, 3], SimConfig::tiny()).cells([
+    ExperimentPlan::new(Oo7Params::tiny(), &[1, 2, 3], EngineConfig::tiny()).cells([
         (5.0, PolicySpec::saio(0.05)),
         (10.0, PolicySpec::saio(0.10)),
         (

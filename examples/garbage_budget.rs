@@ -11,13 +11,14 @@
 //! cargo run --release -p odbgc-sim --example garbage_budget
 //! ```
 
-use odbgc_sim::core_policies::{EstimatorKind, SagaPolicy};
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{SimConfig, Simulator};
+use odbgc_core::{EstimatorKind, SagaPolicy};
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::Simulator;
 
 fn main() {
     let (trace, _) = Oo7App::standard(Oo7Params::small_prime(3), 1).generate();
-    let sim = Simulator::new(SimConfig::default());
+    let sim = Simulator::new(EngineConfig::default());
     let requested = 10.0;
 
     println!("requested garbage level: {requested}% of database size\n");

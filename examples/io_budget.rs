@@ -10,13 +10,14 @@
 //! cargo run --release -p odbgc-sim --example io_budget
 //! ```
 
-use odbgc_sim::core_policies::SaioPolicy;
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{SimConfig, Simulator};
+use odbgc_core::SaioPolicy;
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::Simulator;
 
 fn main() {
     let (trace, _) = Oo7App::standard(Oo7Params::small_prime(3), 1).generate();
-    let sim = Simulator::new(SimConfig::default());
+    let sim = Simulator::new(EngineConfig::default());
 
     println!("requested%  achieved%  collections  garbage-left(KiB)  db-size(MB)");
     for requested in [2.0, 5.0, 10.0, 20.0, 35.0, 50.0] {

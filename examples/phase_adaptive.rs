@@ -11,15 +11,16 @@
 //! cargo run --release -p odbgc-sim --example phase_adaptive
 //! ```
 
-use odbgc_sim::core_policies::{EstimatorKind, SagaPolicy};
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{SimConfig, Simulator};
+use odbgc_core::{EstimatorKind, SagaPolicy};
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::Simulator;
 
 fn main() {
     let (trace, _) = Oo7App::standard(Oo7Params::small_prime(3), 1).generate();
-    let config = SimConfig {
+    let config = EngineConfig {
         shadow_estimator: Some(EstimatorKind::fgs_hb_default()),
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
     // 10% garbage, the paper's Δt clamp of [2, 1000] overwrites (`None`).
     let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());

@@ -5,9 +5,10 @@
 //! cargo run --release -p odbgc-sim --example quickstart
 //! ```
 
-use odbgc_sim::core_policies::SaioPolicy;
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{SimConfig, Simulator};
+use odbgc_core::SaioPolicy;
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::Simulator;
 
 fn main() {
     // 1. Generate the workload: the paper's Small' OO7 database at
@@ -31,7 +32,7 @@ fn main() {
 
     // 3. Simulate: 8 KiB pages, 12-page partitions and buffer, the
     //    UPDATEDPOINTER partition-selection policy — the paper's setup.
-    let result = Simulator::new(SimConfig::default())
+    let result = Simulator::new(EngineConfig::default())
         .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
         .expect("trace replays cleanly");
 

@@ -2,8 +2,9 @@
 //! own count of free-index nodes read (`Store::placement_probes`) rather
 //! than on a clock.
 
-use odbgc_sim::oo7::{builder, Oo7Params};
-use odbgc_sim::store::{Event, ObjectId, Store, StoreConfig};
+use odbgc_oo7::{builder, Oo7Params};
+use odbgc_store::{Store, StoreConfig};
+use odbgc_trace::{Event, ObjectId};
 
 /// Applies `ev`, a create, and holds the search it took to
 /// ⌈log2 partitions⌉ + 2 node reads.

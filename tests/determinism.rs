@@ -1,9 +1,10 @@
 //! Reproducibility: the entire pipeline — generation, replay, policy
 //! decisions, selection — is a pure function of (parameters, seed).
 
-use odbgc_sim::core_policies::{EstimatorKind, PolicySpec, SagaPolicy, SaioPolicy};
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{ExperimentPlan, SimConfig, Simulator};
+use odbgc_core::{EstimatorKind, PolicySpec, SagaPolicy, SaioPolicy};
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::{ExperimentPlan, Simulator};
 
 #[test]
 fn trace_generation_is_a_pure_function_of_seed() {
@@ -23,7 +24,7 @@ fn full_trace_survives_codec_round_trip() {
     // And the decoded trace simulates identically.
     let run = |t| {
         let mut p = SaioPolicy::with_frac(0.10);
-        Simulator::new(SimConfig::default())
+        Simulator::new(EngineConfig::default())
             .replay(t, &mut p, odbgc_sim::ReplayOptions::new())
             .expect("replays")
     };
@@ -37,7 +38,7 @@ fn simulation_results_are_identical_across_repeated_runs() {
     let trace = Oo7App::standard(Oo7Params::small_prime(3), 2).generate().0;
     let run = || {
         let mut p = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
-        Simulator::new(SimConfig::default())
+        Simulator::new(EngineConfig::default())
             .replay(&trace, &mut p, odbgc_sim::ReplayOptions::new())
             .expect("replays")
     };
@@ -55,7 +56,7 @@ fn parallel_experiment_matches_sequential_runs() {
     // The plan runner distributes (cell × seed) jobs over a worker pool;
     // results must match running each seed alone.
     let params = Oo7Params::small_prime(3);
-    let config = SimConfig::default();
+    let config = EngineConfig::default();
     let outcome = ExperimentPlan::new(params, &[1, 2, 3], config.clone())
         .cell(5.0, PolicySpec::saio(0.05))
         .run();
@@ -80,7 +81,7 @@ fn different_seeds_vary_but_agree_qualitatively() {
     let outcome = ExperimentPlan::new(
         Oo7Params::small_prime(3),
         &[1, 2, 3, 4, 5],
-        SimConfig::default(),
+        EngineConfig::default(),
     )
     .cell(10.0, PolicySpec::saio(0.10))
     .run();

@@ -2,15 +2,14 @@
 //! the OO7 trace, replay it under each policy family, and check global
 //! accounting invariants.
 
-use odbgc_sim::core_policies::{
-    EstimatorKind, FixedRatePolicy, RatePolicy, SagaPolicy, SaioPolicy,
-};
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{RunResult, SimConfig, Simulator};
+use odbgc_core::{EstimatorKind, FixedRatePolicy, RatePolicy, SagaPolicy, SaioPolicy};
+use odbgc_engine::{EngineConfig, RunResult};
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::Simulator;
 
 fn run_small_prime(policy: &mut dyn RatePolicy) -> RunResult {
     let (trace, _) = Oo7App::standard(Oo7Params::small_prime(3), 1).generate();
-    Simulator::new(SimConfig::default())
+    Simulator::new(EngineConfig::default())
         .replay(&trace, policy, odbgc_sim::ReplayOptions::new())
         .expect("Small' trace replays cleanly")
 }
@@ -119,9 +118,9 @@ fn all_phases_execute_and_overwrites_only_in_reorgs() {
 #[test]
 fn connectivity_9_replays_cleanly() {
     let (trace, chars) = Oo7App::standard(Oo7Params::small_prime(9), 2).generate();
-    assert_eq!(chars.counts[&odbgc_sim::oo7::Kind::Connection], 27_000);
+    assert_eq!(chars.counts[&odbgc_oo7::Kind::Connection], 27_000);
     let mut policy = SaioPolicy::with_frac(0.10);
-    let r = Simulator::new(SimConfig::default())
+    let r = Simulator::new(EngineConfig::default())
         .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
         .expect("conn-9 trace replays");
     check_accounting(&r);
@@ -132,9 +131,9 @@ fn deep_checked_full_run_stays_structurally_consistent() {
     // Audit the store (remsets, refcounts, layout extents, byte ledgers)
     // after every single collection of a full Small' run.
     let (trace, _) = Oo7App::standard(Oo7Params::small_prime(3), 3).generate();
-    let config = SimConfig {
+    let config = EngineConfig {
         deep_checks: true,
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
     let mut policy = SaioPolicy::with_frac(0.10);
     let r = Simulator::new(config)

@@ -1,16 +1,17 @@
 //! Validation of the garbage estimators against exact garbage on the full
 //! workload (the substance of Figures 6 and 7a).
 
-use odbgc_sim::core_policies::{EstimatorKind, SagaPolicy};
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{RunResult, SimConfig, Simulator};
+use odbgc_core::{EstimatorKind, SagaPolicy};
+use odbgc_engine::{EngineConfig, RunResult};
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::Simulator;
 
 /// Runs SAGA at 10% with the given estimator, shadow-recording estimates.
 fn run_with(kind: EstimatorKind) -> RunResult {
     let (trace, _) = Oo7App::standard(Oo7Params::small_prime(3), 1).generate();
-    let config = SimConfig {
+    let config = EngineConfig {
         shadow_estimator: Some(kind),
-        ..SimConfig::default()
+        ..EngineConfig::default()
     };
     let mut policy = SagaPolicy::new(0.10, None, kind.build());
     Simulator::new(config)
@@ -91,13 +92,13 @@ fn figure7a_history_damps_estimate_noise() {
     let err_var = |h: f64| {
         let (trace, _) = Oo7App::standard(Oo7Params::small_prime(3), 1).generate();
         let kind = EstimatorKind::FgsHb { h };
-        let config = SimConfig {
+        let config = EngineConfig {
             shadow_estimator: Some(kind),
-            ..SimConfig::default()
+            ..EngineConfig::default()
         };
         // Fixed-rate policy: identical collection schedule for every h,
         // so the estimator comparison is apples to apples.
-        let mut policy = odbgc_sim::core_policies::FixedRatePolicy::new(200);
+        let mut policy = odbgc_core::FixedRatePolicy::new(200);
         let r = Simulator::new(config)
             .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
             .expect("replays");

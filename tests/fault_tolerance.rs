@@ -6,17 +6,16 @@
 //! captured instead of aborting the process, and the reduction is
 //! byte-identical across worker counts — including the failure list.
 
-use odbgc_sim::core_policies::PolicySpec;
-use odbgc_sim::oo7::Oo7Params;
-use odbgc_sim::{
-    ExperimentPlan, FaultKind, FaultSpec, JobError, JobErrorKind, PlanOutcome, SimConfig,
-};
+use odbgc_core::PolicySpec;
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::Oo7Params;
+use odbgc_sim::{ExperimentPlan, FaultKind, FaultSpec, JobError, JobErrorKind, PlanOutcome};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 
 /// A 3-cell × 3-seed plan with one poisoned (cell 1, seed 2) job.
 fn poisoned_plan() -> ExperimentPlan {
-    ExperimentPlan::new(Oo7Params::small_prime(2), &SEEDS, SimConfig::default())
+    ExperimentPlan::new(Oo7Params::small_prime(2), &SEEDS, EngineConfig::default())
         .cell(5.0, PolicySpec::saio(0.05))
         .cell(10.0, PolicySpec::saio(0.10))
         .cell(20.0, PolicySpec::saio(0.20))
@@ -99,7 +98,7 @@ fn outcome_is_identical_across_worker_counts_including_failures() {
 
 #[test]
 fn mid_plan_panic_is_reported_not_fatal() {
-    let out = ExperimentPlan::new(Oo7Params::small_prime(2), &SEEDS, SimConfig::default())
+    let out = ExperimentPlan::new(Oo7Params::small_prime(2), &SEEDS, EngineConfig::default())
         .cell(5.0, PolicySpec::saio(0.05))
         .cell(10.0, PolicySpec::saio(0.10))
         .inject_fault(FaultSpec {

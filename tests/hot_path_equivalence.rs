@@ -22,10 +22,10 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use odbgc_core::EstimatorKind;
-use odbgc_sim::core_policies::PolicySpec;
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{ExperimentPlan, PlanTelemetry, ReplayOptions, RunTelemetry, SimConfig, Simulator};
+use odbgc_core::{EstimatorKind, PolicySpec};
+use odbgc_engine::EngineConfig;
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::{ExperimentPlan, PlanTelemetry, ReplayOptions, RunTelemetry, Simulator};
 
 const SEEDS: [u64; 3] = [11, 22, 33];
 
@@ -51,7 +51,7 @@ fn transcript() -> String {
     for spec in specs() {
         for seed in SEEDS {
             let (trace, _) = Oo7App::standard(Oo7Params::tiny(), seed).generate();
-            let sim = Simulator::new(SimConfig::tiny());
+            let sim = Simulator::new(EngineConfig::tiny());
             let mut policy = spec.build();
             let mut telemetry = RunTelemetry::new(policy.name());
             let result = sim
@@ -76,7 +76,7 @@ fn transcript() -> String {
     // The same grid through the plan runner, serial and parallel: both
     // must agree with each other, and the serial stripped telemetry goes
     // into the transcript.
-    let plan = ExperimentPlan::new(Oo7Params::tiny(), &SEEDS, SimConfig::tiny())
+    let plan = ExperimentPlan::new(Oo7Params::tiny(), &SEEDS, EngineConfig::tiny())
         .cells(specs().into_iter().enumerate().map(|(i, s)| (i as f64, s)));
     let serial = plan.run_with_jobs(Some(1));
     let parallel = plan.run_with_jobs(Some(8));
@@ -126,7 +126,7 @@ fn direct_transcript_batched() -> String {
             std::fs::write(&path, odbgc_tracefile::encode(&trace)).unwrap();
             drop(trace);
             let reader = odbgc_tracefile::open_batches(&path).expect("open tracefile");
-            let sim = Simulator::new(SimConfig::tiny());
+            let sim = Simulator::new(EngineConfig::tiny());
             let mut policy = spec.build();
             let mut telemetry = RunTelemetry::new(policy.name());
             let result = sim
@@ -160,9 +160,9 @@ fn direct_transcript_with_workers(workers: usize) -> String {
     for spec in specs() {
         for seed in SEEDS {
             let (trace, _) = Oo7App::standard(Oo7Params::tiny(), seed).generate();
-            let sim = Simulator::new(SimConfig {
+            let sim = Simulator::new(EngineConfig {
                 gc_workers: Some(workers),
-                ..SimConfig::tiny()
+                ..EngineConfig::tiny()
             });
             let mut policy = spec.build();
             let mut telemetry = RunTelemetry::new(policy.name());

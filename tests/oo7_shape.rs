@@ -2,9 +2,9 @@
 //! §3.3–3.4 of the paper (Table 1, Figure 3), including the physical
 //! clustering contrast between the two reorganizations.
 
-use odbgc_sim::oo7::{Kind, Oo7App, Oo7Params, Phase};
-use odbgc_sim::store::{Store, StoreConfig};
-use odbgc_sim::trace::{Event, Trace};
+use odbgc_oo7::{Kind, Oo7App, Oo7Params, Phase};
+use odbgc_store::{Store, StoreConfig};
+use odbgc_trace::{Event, Trace};
 
 fn replay(trace: &Trace) -> Store {
     let mut store = Store::new(StoreConfig::default());

@@ -4,10 +4,11 @@
 //! Single-seed runs keep the suite fast; the bench binaries run the full
 //! 10-seed protocol.
 
-use odbgc_sim::core_policies::{EstimatorKind, RatePolicy, SagaPolicy, SaioPolicy};
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::trace::Trace;
-use odbgc_sim::{RunResult, SimConfig, Simulator};
+use odbgc_core::{EstimatorKind, RatePolicy, SagaPolicy, SaioPolicy};
+use odbgc_engine::{EngineConfig, RunResult};
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::Simulator;
+use odbgc_trace::Trace;
 
 fn small_prime_trace(connectivity: u32, seed: u64) -> Trace {
     Oo7App::standard(Oo7Params::small_prime(connectivity), seed)
@@ -16,7 +17,7 @@ fn small_prime_trace(connectivity: u32, seed: u64) -> Trace {
 }
 
 fn run(trace: &Trace, policy: &mut dyn RatePolicy) -> RunResult {
-    Simulator::new(SimConfig::default())
+    Simulator::new(EngineConfig::default())
         .replay(trace, policy, odbgc_sim::ReplayOptions::new())
         .expect("trace replays")
 }
@@ -148,7 +149,7 @@ fn section1_mixed_workload_policies_still_hit_targets() {
     // database (§1's "other applications manipulating the same database"):
     // the adaptive policies meet the request without any per-application
     // profile.
-    use odbgc_sim::trace::merge::interleave;
+    use odbgc_trace::merge::interleave;
     let params = Oo7Params::small_prime(3);
     let (a, _) = Oo7App::standard(params, 1).generate();
     let (b, _) = Oo7App::standard(params, 101).generate();

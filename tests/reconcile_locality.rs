@@ -2,12 +2,12 @@
 //! since the last one, asserted on the store's own count of pointers
 //! followed (`Store::reconcile_visited`) rather than on a clock.
 
-use odbgc_sim::core_policies::{RatePolicy, SaioPolicy};
-use odbgc_sim::engine::{
+use odbgc_core::{RatePolicy, SaioPolicy};
+use odbgc_engine::{
     apply_ops, EngineConfig, SessionId, SessionObjects, SessionWorkload, StoreEngine,
     WorkloadParams,
 };
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
+use odbgc_oo7::{Oo7App, Oo7Params};
 
 fn saio_engine() -> StoreEngine {
     let policy: Box<dyn RatePolicy + Send> = Box::new(SaioPolicy::with_frac(0.10));

@@ -13,13 +13,12 @@
 //!    exact-garbage oracle after every collection, complete every
 //!    operation; and the whole run is a pure function of its seeds.
 
-use odbgc_core::EstimatorKind;
-use odbgc_sim::core_policies::PolicySpec;
-use odbgc_sim::engine::{
-    serve, RunResult, ServeConfig, ServeOutcome, SessionId, Shard, WorkloadParams,
+use odbgc_core::{EstimatorKind, PolicySpec};
+use odbgc_engine::{
+    serve, EngineConfig, RunResult, ServeConfig, ServeOutcome, SessionId, Shard, WorkloadParams,
 };
-use odbgc_sim::oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{ReplayOptions, SimConfig, Simulator};
+use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_sim::{ReplayOptions, Simulator};
 use odbgc_trace::{Event, Trace};
 
 const SEEDS: [u64; 3] = [11, 22, 33];
@@ -37,7 +36,7 @@ fn specs() -> Vec<PolicySpec> {
 /// so collections fall between the same pair of events as in the inline
 /// loop (fresh triggers are clamped to ≥ 1 elapsed unit, so the drain
 /// never fires a second real collection).
-fn replay_on_shard(config: SimConfig, trace: &Trace, spec: &PolicySpec) -> RunResult {
+fn replay_on_shard(config: EngineConfig, trace: &Trace, spec: &PolicySpec) -> RunResult {
     let mut shard = Shard::new(0, &config, spec.build(), None);
     let mut phases: Vec<(String, u64, u64)> = Vec::new();
     for (i, ev) in trace.iter().enumerate() {
@@ -65,11 +64,11 @@ fn single_session_serve_replay_matches_simulator() {
             let (trace, _) = Oo7App::standard(Oo7Params::tiny(), seed).generate();
 
             let mut policy = spec.build();
-            let inline = Simulator::new(SimConfig::tiny())
+            let inline = Simulator::new(EngineConfig::tiny())
                 .replay(&trace, policy.as_mut(), ReplayOptions::new())
                 .expect("inline replay");
 
-            let served = replay_on_shard(SimConfig::tiny(), &trace, &spec);
+            let served = replay_on_shard(EngineConfig::tiny(), &trace, &spec);
 
             assert_eq!(
                 format!("{inline:#?}"),
@@ -83,9 +82,9 @@ fn single_session_serve_replay_matches_simulator() {
 
 fn audited_config(sessions: u32, shards: u32, scheduler_seed: u64) -> ServeConfig {
     ServeConfig {
-        engine: SimConfig {
+        engine: EngineConfig {
             deep_checks: true,
-            ..SimConfig::tiny()
+            ..EngineConfig::tiny()
         },
         sessions,
         shards,

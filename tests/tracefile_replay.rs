@@ -9,8 +9,9 @@
 //!   at the exact event position.
 
 use odbgc_core::PolicySpec;
+use odbgc_engine::EngineConfig;
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{SimConfig, Simulator};
+use odbgc_sim::Simulator;
 use odbgc_trace::codec;
 use odbgc_tracefile::{BatchReader, SliceBlocks};
 
@@ -45,13 +46,13 @@ fn batched_corpus_replay_matches_in_memory() {
         .unwrap();
 
     let mut policy = PolicySpec::saio(0.10).build();
-    let in_memory = Simulator::new(SimConfig::tiny())
+    let in_memory = Simulator::new(EngineConfig::tiny())
         .replay(&trace, policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap();
 
     let reader = odbgc_tracefile::open_batches(&path).unwrap();
     let mut policy = PolicySpec::saio(0.10).build();
-    let batched = Simulator::new(SimConfig::tiny())
+    let batched = Simulator::new(EngineConfig::tiny())
         .replay_batched(reader, policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap();
 
@@ -86,7 +87,7 @@ fn streaming_replay_needs_no_in_memory_trace() {
 
     // In-memory replay of the materialized trace…
     let mut policy = PolicySpec::saio(0.10).build();
-    let in_memory = Simulator::new(SimConfig::tiny())
+    let in_memory = Simulator::new(EngineConfig::tiny())
         .replay(&trace, policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap();
 
@@ -95,7 +96,7 @@ fn streaming_replay_needs_no_in_memory_trace() {
     drop(trace);
     let reader = odbgc_tracefile::open_batches(&path).unwrap();
     let mut policy = PolicySpec::saio(0.10).build();
-    let streamed = Simulator::new(SimConfig::tiny())
+    let streamed = Simulator::new(EngineConfig::tiny())
         .replay_batched(reader, policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap();
 
@@ -125,7 +126,7 @@ fn streaming_replay_surfaces_source_errors_with_position() {
     );
 
     let mut policy = PolicySpec::saio(0.10).build();
-    let err = Simulator::new(SimConfig::tiny())
+    let err = Simulator::new(EngineConfig::tiny())
         .replay_batched(open(), policy.as_mut(), odbgc_sim::ReplayOptions::new())
         .unwrap_err();
     match err {

@@ -58,7 +58,7 @@ fn bench_policies(c: &mut Criterion) {
     });
 
     group.bench_function("saga_oracle", |b| {
-        let mut p = SagaPolicy::new(0.10, None, EstimatorKind::Oracle.build());
+        let mut p = SagaPolicy::new(0.10, None, EstimatorKind::Oracle);
         let mut i = 0;
         b.iter(|| {
             i += 1;
@@ -67,7 +67,7 @@ fn bench_policies(c: &mut Criterion) {
     });
 
     group.bench_function("saga_fgs_hb", |b| {
-        let mut p = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
+        let mut p = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default());
         let mut i = 0;
         b.iter(|| {
             i += 1;

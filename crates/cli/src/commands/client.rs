@@ -30,6 +30,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let shutdown_after: bool = flags.get_or("shutdown", false)?;
     flags.finish()?;
 
+    if batch < 2 {
+        // A turn must hold a whole create-and-link action.
+        return Err(CliError(format!("--batch must be at least 2, got {batch}")));
+    }
     if window == 0 {
         return Err(CliError("--window must be at least 1".into()));
     }
@@ -101,6 +105,18 @@ mod tests {
         assert!(run(&argv("--connect 127.0.0.1:1 --window 0")).is_err());
         assert!(run(&argv("--connect 127.0.0.1:1 --connections 0")).is_err());
         assert!(run(&argv("--connect 127.0.0.1:1 --tpyo 1")).is_err());
+    }
+
+    #[test]
+    fn batch_below_two_is_refused_by_name() {
+        // Refused before connecting: port 1 is never reached.
+        for batch in [0, 1] {
+            let err = run(&argv(&format!("--connect 127.0.0.1:1 --batch {batch}"))).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("--batch must be at least 2, got {batch}")
+            );
+        }
     }
 
     #[test]

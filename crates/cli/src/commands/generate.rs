@@ -95,6 +95,14 @@ mod tests {
                 "--params small --conn 20",
                 "--conn 20: small connectivity must be in 1..=19",
             ),
+            (
+                "--params tiny --conn 9",
+                "--conn 9: tiny connectivity must be in 1..=5",
+            ),
+            (
+                "--params tiny --conn 0",
+                "--conn 0: tiny connectivity must be in 1..=5",
+            ),
         ] {
             let err = run(&argv(&format!("--out never-written.odbgc {args}"))).unwrap_err();
             assert_eq!(err.to_string(), message, "{args}");

@@ -29,6 +29,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     if sessions == 0 {
         return Err(CliError("--sessions must be at least 1".into()));
     }
+    if batch < 2 {
+        // A turn must hold a whole create-and-link action.
+        return Err(CliError(format!("--batch must be at least 2, got {batch}")));
+    }
     if shards == 0 || shards > sessions {
         return Err(CliError(format!(
             "--shards must be in 1..=sessions ({sessions}), got {shards}"
@@ -204,6 +208,17 @@ mod tests {
             "serve-shard1.json"
         );
         assert_eq!(shard_telemetry_path("run.d/serve", 0, 1), "run.d/serve");
+    }
+
+    #[test]
+    fn rejects_batch_below_two_by_name() {
+        for batch in [0, 1] {
+            let err = run(&argv(&format!("--policy saio:10% --batch {batch}"))).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("--batch must be at least 2, got {batch}")
+            );
+        }
     }
 
     #[test]

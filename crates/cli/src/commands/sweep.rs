@@ -409,6 +409,10 @@ mod tests {
                 "--conn 25: small connectivity must be in 1..=19",
             ),
             (
+                "--params tiny --conn 9",
+                "--conn 9: tiny connectivity must be in 1..=5",
+            ),
+            (
                 "--seeds 1..18446744073709551615",
                 "seed range \"1..18446744073709551615\" names more than 10000 seeds",
             ),

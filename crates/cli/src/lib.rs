@@ -106,6 +106,8 @@ every --trace reads one; anything else is refused as `not a tracefile`.
 `trace stat` counts a tracefile by event kind and by phase, verifying
 every block on the way; `trace cat` prints it as text. Without --trace,
 `run` and `sweep` generate the OO7 trace in process, once per seed.
+--conn must be in 1..=19 for small-prime and small, 1..=5 for tiny;
+--batch (serve-bench, client) must be at least 2. Anything else exits 2.
 
 POLICY SPECS:
   saio:10%[:hist=N|inf]   saga:5%[:oracle|fgs-hb[@h]|cgs-cb][:dtmax=N]

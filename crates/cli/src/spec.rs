@@ -51,8 +51,8 @@ pub fn store_config(flag: Option<&str>, default: &str) -> Result<StoreConfig, Cl
 }
 
 /// Builds OO7 parameters from `--params`, `--conn`, `--style` values.
-/// `tiny` clamps the connectivity; the other presets refuse one outside
-/// `1..parts-per-composite`.
+/// Every preset refuses a connectivity outside `1..parts-per-composite`:
+/// `1..=5` for `tiny`, `1..=19` for `small-prime` and `small`.
 pub fn build_params(
     params: Option<&str>,
     conn: u32,
@@ -62,11 +62,10 @@ pub fn build_params(
     let mut p = match name {
         "small-prime" => Oo7Params::small_prime(conn),
         "small" => Oo7Params::small(conn),
-        "tiny" => {
-            let mut t = Oo7Params::tiny();
-            t.num_conn_per_atomic = conn.min(t.num_atomic_per_comp - 2).max(1);
-            t
-        }
+        "tiny" => Oo7Params {
+            num_conn_per_atomic: conn,
+            ..Oo7Params::tiny()
+        },
         other => {
             return Err(CliError(format!(
                 "unknown params {other:?} (small-prime | small | tiny)"
@@ -176,9 +175,19 @@ mod tests {
         let p = build_params(None, 3, None).unwrap();
         assert_eq!(p.num_comp_per_module, 150);
         assert_eq!(p.conn_style, ConnStyle::Bidirectional);
-        let p = build_params(Some("tiny"), 9, Some("forward")).unwrap();
+        let p = build_params(Some("tiny"), 5, Some("forward")).unwrap();
         assert_eq!(p.conn_style, ConnStyle::Forward);
-        assert!(p.num_conn_per_atomic < p.num_atomic_per_comp);
+        assert_eq!(p.num_conn_per_atomic, 5);
+        // Tiny refuses what it cannot build rather than clamping it.
+        for conn in [0, 6, 9] {
+            let err = build_params(Some("tiny"), conn, None)
+                .unwrap_err()
+                .to_string();
+            assert_eq!(
+                err,
+                format!("--conn {conn}: tiny connectivity must be in 1..=5")
+            );
+        }
         assert!(build_params(Some("huge"), 3, None).is_err());
         assert!(build_params(None, 3, Some("sideways")).is_err());
         for (name, conn) in [

@@ -16,7 +16,6 @@
 //! The estimator is very cheap: one smoothed scalar plus counters the
 //! UPDATEDPOINTER selection policy maintains anyway.
 
-use crate::estimator::GarbageEstimator;
 use crate::ewma::Ewma;
 use crate::policy::CollectionObservation;
 
@@ -40,10 +39,10 @@ impl FgsHb {
     pub fn gppo(&self) -> Option<f64> {
         self.gppo.value()
     }
-}
 
-impl GarbageEstimator for FgsHb {
-    fn estimate(&mut self, obs: &CollectionObservation) -> f64 {
+    /// Consumes the post-collection observation and returns the estimate
+    /// of `ActGarb` in bytes.
+    pub fn estimate(&mut self, obs: &CollectionObservation) -> f64 {
         // A collection of a partition with no recorded overwrites carries
         // no behavior signal (GPPO undefined); keep the current history.
         if obs.overwrites_of_collected > 0 {
@@ -54,7 +53,8 @@ impl GarbageEstimator for FgsHb {
         gppo * obs.total_outstanding_overwrites as f64
     }
 
-    fn name(&self) -> String {
+    /// Estimator name for reports.
+    pub fn name(&self) -> String {
         format!("fgs-hb(h={:.2})", self.gppo.h())
     }
 }

@@ -1,5 +1,4 @@
-//! Concrete garbage estimators (§2.4 of the paper).
+//! Estimator state kept across collections (§2.4): only FGS/HB carries
+//! any; Oracle and CGS/CB are stateless arms of [`crate::Estimator`].
 
-pub mod cgs_cb;
 pub mod fgs_hb;
-pub mod oracle;

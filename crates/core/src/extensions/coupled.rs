@@ -14,7 +14,6 @@
 //! the saved I/O to the application. The SAIO part runs with no history,
 //! and the estimate uses the paper's `h` ([`FgsHb::PAPER_H`]).
 
-use crate::estimator::GarbageEstimator;
 use crate::estimators::fgs_hb::FgsHb;
 use crate::policy::{ClampHit, CollectionObservation, RatePolicy, Trigger};
 use crate::saio::SaioPolicy;

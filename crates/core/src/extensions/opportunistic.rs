@@ -68,13 +68,13 @@ impl RatePolicy for OpportunisticPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimators::oracle::Oracle;
+    use crate::estimator::EstimatorKind;
     use crate::fixed::FixedRatePolicy;
     use crate::saga::SagaPolicy;
 
     #[test]
     fn adds_quiescence_bound_to_overwrite_trigger() {
-        let saga = SagaPolicy::new(0.1, None, Box::new(Oracle));
+        let saga = SagaPolicy::new(0.1, None, EstimatorKind::Oracle);
         let mut p = OpportunisticPolicy::new(Box::new(saga), 500);
         let t = p.initial_trigger();
         assert_eq!(t.overwrites, Some(2)); // SAGA dt_min

@@ -15,9 +15,11 @@
 //!   a requested fraction of total I/O operations.
 //! * [`SagaPolicy`] — "Semi-Automatic GArbage": hold database garbage at a
 //!   requested fraction of database size. SAGA cannot observe garbage
-//!   directly, so it consults a [`GarbageEstimator`]: the exact [`Oracle`]
-//!   (simulator-only), [`CgsCb`] (coarse-grain state / current behavior),
-//!   or [`FgsHb`] (fine-grain state / history behavior) heuristics (§2.4).
+//!   directly, so it consults the [`Estimator`] its [`EstimatorKind`]
+//!   names, one `match` over the paper's closed set (§2.4): the exact
+//!   [`Estimator::Oracle`] (simulator-only), [`Estimator::CgsCb`]
+//!   (coarse-grain state / current behavior), or [`Estimator::FgsHb`]
+//!   (fine-grain state / history behavior, state in [`FgsHb`]).
 //! * [`FixedRatePolicy`] and [`connectivity_heuristic_rate`] — the
 //!   non-adaptive baselines §2.1 shows to be inadequate.
 //! * [`OpportunisticPolicy`] and [`CoupledSaioPolicy`] — the paper's §5
@@ -52,10 +54,8 @@ pub mod saio;
 pub mod slope;
 pub mod spec;
 
-pub use estimator::{EstimatorKind, GarbageEstimator};
-pub use estimators::cgs_cb::CgsCb;
+pub use estimator::{Estimator, EstimatorKind};
 pub use estimators::fgs_hb::FgsHb;
-pub use estimators::oracle::Oracle;
 pub use ewma::Ewma;
 pub use extensions::coupled::CoupledSaioPolicy;
 pub use extensions::opportunistic::OpportunisticPolicy;

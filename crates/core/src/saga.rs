@@ -26,19 +26,19 @@
 //! [`SagaPolicy::PAPER_DT_MAX`] (small traces tighten it).
 //!
 //! `ActGarb(t)` is unobservable without a database scan, so it comes from
-//! a pluggable [`GarbageEstimator`] (§2.4).
+//! the [`Estimator`] its [`EstimatorKind`] names (§2.4).
 
-use crate::estimator::GarbageEstimator;
+use crate::estimator::{Estimator, EstimatorKind};
 use crate::policy::{ClampHit, CollectionObservation, RatePolicy, Trigger};
 use crate::slope::WeightedSlope;
 
 /// The SAGA rate policy.
 ///
 /// ```
-/// use odbgc_core::{CollectionObservation, Oracle, RatePolicy, SagaPolicy};
+/// use odbgc_core::{CollectionObservation, EstimatorKind, RatePolicy, SagaPolicy};
 ///
 /// // "At most 10% of the database may be garbage."
-/// let mut policy = SagaPolicy::new(0.10, None, Box::new(Oracle));
+/// let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::Oracle);
 /// // Cold start: collect as soon as garbage can exist (Δt_min = 2).
 /// assert_eq!(policy.initial_trigger().overwrites, Some(2));
 /// // After observing a collection, the interval adapts to the measured
@@ -60,7 +60,7 @@ pub struct SagaPolicy {
     /// Upper clamp on `Δt` in overwrites.
     dt_max: u64,
     slope: WeightedSlope,
-    estimator: Box<dyn GarbageEstimator + Send>,
+    estimator: Estimator,
     /// Whether the last `Δt` computation hit `dt_min` or `dt_max`.
     last_clamp: ClampHit,
 }
@@ -83,12 +83,8 @@ impl SagaPolicy {
 
     /// A policy holding garbage at `frac` of the database, with `Δt`
     /// clamped to `[DT_MIN, dt_max]` (`None`: [`Self::PAPER_DT_MAX`]) and
-    /// `ActGarb` taken from `estimator`.
-    pub fn new(
-        frac: f64,
-        dt_max: Option<u64>,
-        estimator: Box<dyn GarbageEstimator + Send>,
-    ) -> Self {
+    /// `ActGarb` taken from the `estimator` it names.
+    pub fn new(frac: f64, dt_max: Option<u64>, estimator: EstimatorKind) -> Self {
         assert!((0.0..1.0).contains(&frac), "SAGA_Frac must be in [0, 1)");
         let dt_max = dt_max.unwrap_or(Self::PAPER_DT_MAX);
         assert!(dt_max >= Self::DT_MIN, "dt_max must be >= DT_MIN");
@@ -96,7 +92,7 @@ impl SagaPolicy {
             frac,
             dt_max,
             slope: WeightedSlope::new(),
-            estimator,
+            estimator: estimator.build(),
             last_clamp: ClampHit::None,
         }
     }
@@ -161,10 +157,9 @@ impl RatePolicy for SagaPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimators::oracle::Oracle;
 
     fn oracle_saga(frac: f64) -> SagaPolicy {
-        SagaPolicy::new(frac, None, Box::new(Oracle))
+        SagaPolicy::new(frac, None, EstimatorKind::Oracle)
     }
 
     /// Closed-loop miniature world: garbage grows at `g` bytes/overwrite,
@@ -307,7 +302,7 @@ mod tests {
 
     #[test]
     fn dt_respects_clamps() {
-        let mut p = SagaPolicy::new(0.10, Some(50), Box::new(Oracle));
+        let mut p = SagaPolicy::new(0.10, Some(50), EstimatorKind::Oracle);
         assert_eq!(
             p.initial_trigger(),
             Trigger::after_overwrites(SagaPolicy::DT_MIN)

@@ -168,7 +168,7 @@ impl PolicySpec {
                 frac,
                 estimator,
                 dt_max,
-            } => Box::new(SagaPolicy::new(*frac, *dt_max, estimator.build())),
+            } => Box::new(SagaPolicy::new(*frac, *dt_max, *estimator)),
             PolicySpec::Coupled {
                 io_frac,
                 garbage_floor,

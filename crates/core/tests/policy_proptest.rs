@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 
 use odbgc_core::{
-    CollectionObservation, Ewma, HistoryLen, RatePolicy, SagaPolicy, SaioPolicy, WeightedSlope,
-    {EstimatorKind, Oracle},
+    CollectionObservation, EstimatorKind, Ewma, HistoryLen, RatePolicy, SagaPolicy, SaioPolicy,
+    WeightedSlope,
 };
 
 fn arb_obs() -> impl Strategy<Value = CollectionObservation> {
@@ -164,7 +164,7 @@ proptest! {
         dt_max in proptest::option::of(SagaPolicy::DT_MIN..2_000),
         observations in proptest::collection::vec(arb_obs(), 1..50),
     ) {
-        let mut p = SagaPolicy::new(frac, dt_max, Box::new(Oracle));
+        let mut p = SagaPolicy::new(frac, dt_max, EstimatorKind::Oracle);
         let max = dt_max.unwrap_or(SagaPolicy::PAPER_DT_MAX);
         for obs in &observations {
             let t = p.after_collection(obs);
@@ -180,7 +180,7 @@ proptest! {
         reclaim in 10_000f64..100_000.0,
     ) {
         let db_size = 2_000_000u64;
-        let mut p = SagaPolicy::new(frac, None, Box::new(Oracle));
+        let mut p = SagaPolicy::new(frac, None, EstimatorKind::Oracle);
         let mut clock = 0u64;
         let mut garbage = 0.0f64;
         let mut collected_total = 0.0f64;

@@ -1,7 +1,7 @@
 //! The engine core: store + collector + policy + live counters.
 
 use odbgc_core::CollectionObservation;
-use odbgc_core::{GarbageEstimator, RatePolicy, Trigger, TriggerElapsed};
+use odbgc_core::{Estimator, RatePolicy, Trigger, TriggerElapsed};
 use odbgc_gc::Collector;
 use odbgc_store::{ApplyOutcome, CollectionApplied, Store, StoreError};
 use odbgc_trace::Event;
@@ -46,7 +46,7 @@ pub struct StoreEngine<P: RatePolicy = Box<dyn RatePolicy + Send>> {
     store: Store,
     collector: Collector,
     policy: P,
-    shadow: Option<Box<dyn GarbageEstimator + Send>>,
+    shadow: Option<Estimator>,
     metrics: RunMetrics,
     records: Vec<CollectionRecord>,
     trigger: Trigger,
@@ -79,8 +79,7 @@ impl<P: RatePolicy> StoreEngine<P> {
             config.gc_workers.unwrap_or(1),
         );
         let metrics = RunMetrics::new(config.preamble_collections);
-        let shadow: Option<Box<dyn GarbageEstimator + Send>> =
-            config.shadow_estimator.map(|k| k.build());
+        let shadow = config.shadow_estimator.map(|k| k.build());
         let trigger = policy.initial_trigger();
         StoreEngine {
             config,
@@ -110,8 +109,8 @@ impl<P: RatePolicy> StoreEngine<P> {
     /// Returns the store's per-event deltas.
     ///
     /// This is the only place that sequence runs: the simulator reaches
-    /// it per trace event through [`StoreEngine::apply_batch`], sessions
-    /// per operation through [`Session::apply_event`].
+    /// it per trace event directly, sessions per operation through
+    /// [`Session::apply_event`].
     pub fn apply_event(
         &mut self,
         ev: &Event,
@@ -139,7 +138,8 @@ impl<P: RatePolicy> StoreEngine<P> {
     }
 
     /// Applies a decoded block of events, each through
-    /// [`StoreEngine::apply_event`].
+    /// [`StoreEngine::apply_event`]. A convenience for callers holding a
+    /// slice; it amortizes nothing.
     ///
     /// On failure, the error carries the offset *within `events`* of
     /// the event the store rejected; earlier events remain applied.

@@ -5,8 +5,8 @@
 //! [`StoreEngine::apply_event`]. Trace replay (`Simulator::replay` in
 //! `odbgc-sim`) is one client among many:
 //!
-//! * the simulator feeds trace events through
-//!   [`StoreEngine::apply_batch`], a loop over `apply_event`;
+//! * the simulator feeds trace events, phase markers included, through
+//!   `apply_event` one at a time;
 //! * live clients submit [`SessionOp`]s, which [`apply_ops`] maps to the
 //!   events they stand for and applies through a [`Session`]; GC
 //!   triggering is driven by the same [`odbgc_core::RatePolicy`]

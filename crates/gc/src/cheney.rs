@@ -1,18 +1,16 @@
 //! Breadth-first (Cheney-order) survivor planning for one partition.
 
-use std::collections::VecDeque;
-
 use odbgc_store::{ObjectId, PartitionId, Store};
 
 /// Reusable traversal buffers for survivor planning. Owned by the
 /// [`Collector`](crate::Collector) (one per collector, reused across
 /// collections) so a steady-state collection allocates nothing: the
-/// visited set lives in the store's per-object epoch marks, and the root
-/// list and Cheney scan queue live here.
+/// visited set lives in the store's per-object epoch marks, the root
+/// list lives here, and the survivor list doubles as the Cheney scan
+/// queue.
 #[derive(Debug, Default)]
 pub struct CollectScratch {
     roots: Vec<ObjectId>,
-    queue: VecDeque<ObjectId>,
 }
 
 impl CollectScratch {
@@ -42,24 +40,20 @@ pub fn plan_survivors_into(
     survivors.clear();
     let epoch = store.begin_visit_epoch();
     store.partition_roots_into(p, &mut scratch.roots);
-    scratch.queue.clear();
     for i in 0..scratch.roots.len() {
         let r = scratch.roots[i];
         debug_assert_eq!(store.partition_of(r), Ok(p), "root outside partition");
         if store.try_mark(r, epoch) {
-            scratch.queue.push_back(r);
             survivors.push(r);
         }
     }
 
-    // Cheney scan: survivors double as the scan queue; children are
-    // appended as they are discovered.
-    while let Some(cur) = scratch.queue.pop_front() {
-        let queue = &mut scratch.queue;
-        store.mark_unvisited_children(cur, p, epoch, |target| {
-            queue.push_back(target);
-            survivors.push(target);
-        });
+    // Cheney scan: survivors double as the scan queue, scanned in index
+    // order; children are appended as they are discovered.
+    let mut scan = 0;
+    while let Some(&cur) = survivors.get(scan) {
+        scan += 1;
+        store.mark_unvisited_children(cur, p, epoch, |target| survivors.push(target));
     }
 }
 

@@ -5,7 +5,7 @@ use odbgc_store::{CollectionApplied, ObjectId, PartitionId, Store};
 
 use crate::cheney::{plan_survivors, plan_survivors_into, CollectScratch};
 use crate::parallel::plan_survivors_parallel;
-use crate::selection::PartitionSelector;
+use crate::selection::Selector;
 
 /// Collects one specific partition: plans survivors by Cheney traversal
 /// from the partition's roots and applies the compaction to the store.
@@ -39,9 +39,10 @@ pub fn collect_partition(store: &mut Store, p: PartitionId) -> CollectionApplied
 /// A collector bound to a partition-selection policy.
 ///
 /// Owns the reusable planning buffers ([`CollectScratch`] plus the
-/// survivor list), so steady-state collections through
-/// [`Collector::collect_once`] allocate nothing on the single-worker
-/// path.
+/// survivor list), and selection reads the store's per-partition
+/// counters through a borrowed iterator, so steady-state collections
+/// through [`Collector::collect_once`] allocate nothing on the
+/// single-worker path.
 ///
 /// With [`Collector::with_workers`] the collector plans survivors
 /// through the packet-graph scheduler (`odbgc-sched`): root-scan and
@@ -49,7 +50,7 @@ pub fn collect_partition(store: &mut Store, p: PartitionId) -> CollectionApplied
 /// byte-identical at any worker count; only the volatile scheduler
 /// totals ([`Collector::sched_totals`]) vary.
 pub struct Collector {
-    selector: Box<dyn PartitionSelector + Send>,
+    selector: Selector,
     collections: u64,
     scratch: CollectScratch,
     survivors: Vec<ObjectId>,
@@ -69,14 +70,14 @@ impl std::fmt::Debug for Collector {
 
 impl Collector {
     /// A single-worker collector using the given selection policy.
-    pub fn new(selector: Box<dyn PartitionSelector + Send>) -> Self {
+    pub fn new(selector: Selector) -> Self {
         Self::with_workers(selector, 1)
     }
 
     /// A collector planning survivors on a pool of `workers` collector
     /// workers (clamped to ≥ 1). `workers == 1` is exactly [`Collector::new`]:
     /// the sequential planner, no packets, no spawns.
-    pub fn with_workers(selector: Box<dyn PartitionSelector + Send>, workers: usize) -> Self {
+    pub fn with_workers(selector: Selector, workers: usize) -> Self {
         Collector {
             selector,
             collections: 0,
@@ -90,8 +91,7 @@ impl Collector {
     /// Performs one policy-directed collection. Returns `None` when the
     /// store has no partitions yet.
     pub fn collect_once(&mut self, store: &mut Store) -> Option<CollectionApplied> {
-        let snapshots = store.partition_snapshots();
-        let p = self.selector.select(&snapshots)?;
+        let p = self.selector.select(store.partition_snapshots())?;
         self.collections += 1;
         if self.sched.workers() == 1 {
             plan_survivors_into(store, p, &mut self.scratch, &mut self.survivors);
@@ -118,7 +118,7 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selection::{SelectorKind, UpdatedPointerSelector};
+    use crate::selection::SelectorKind;
     use odbgc_store::StoreConfig;
     use odbgc_trace::{SlotIdx, TraceBuilder};
 
@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn collect_once_on_empty_store_is_none() {
         let mut s = Store::new(StoreConfig::tiny());
-        let mut c = Collector::new(Box::new(UpdatedPointerSelector));
+        let mut c = Collector::new(SelectorKind::UpdatedPointer.build(0));
         assert!(c.collect_once(&mut s).is_none());
         assert_eq!(c.collections(), 0);
     }

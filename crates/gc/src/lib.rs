@@ -9,11 +9,12 @@
 //! reclaimed — including cyclic garbage local to the partition, which the
 //! store's incremental reference-count tracker cannot see on its own.
 //!
-//! Which partition to collect is decided by a [`PartitionSelector`]. The
-//! paper's experiments use UPDATEDPOINTER (the partition with the most
-//! pointer overwrites since its last collection); Random, RoundRobin, and
-//! an oracle MostGarbage selector are provided as baselines and for
-//! ablation studies.
+//! Which partition to collect is decided by a [`Selector`], built from
+//! its [`SelectorKind`] and dispatched by `match` over the paper's closed
+//! set. The paper's experiments use UPDATEDPOINTER (the partition with
+//! the most pointer overwrites since its last collection); Random,
+//! RoundRobin, and an oracle MostGarbage selector are provided as
+//! baselines and for ablation studies.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,7 +28,4 @@ pub use cheney::{plan_survivors, plan_survivors_into, CollectScratch};
 pub use collector::{collect_partition, Collector};
 pub use odbgc_sched::{SchedStats, SchedTotals, Scheduler};
 pub use parallel::plan_survivors_parallel;
-pub use selection::{
-    MostGarbageOracle, PartitionSelector, RandomSelector, RoundRobinSelector, SelectorKind,
-    UpdatedPointerSelector,
-};
+pub use selection::{Selector, SelectorKind};

@@ -5,122 +5,12 @@
 //! (from the authors' SIGMOD'94 partition-selection study): collect the
 //! partition whose objects lost the most pointers since it was last
 //! collected, because pointer overwrites correlate strongly with garbage.
+//! Random, RoundRobin and an oracle MostGarbage selector are the
+//! baselines of the ablation study.
 
 use odbgc_store::{PartitionId, PartitionSnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A policy choosing which partition to collect next.
-///
-/// `select` returns `None` only when there are no partitions at all; with
-/// at least one partition every policy returns a choice (a policy-directed
-/// collection always runs, even if it turns out to reclaim nothing — the
-/// I/O it spends is real and the rate policies must observe it).
-pub trait PartitionSelector {
-    /// Chooses the partition the next collection should process.
-    fn select(&mut self, partitions: &[PartitionSnapshot]) -> Option<PartitionId>;
-
-    /// Human-readable policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-/// UPDATEDPOINTER: the partition with the most pointer overwrites since
-/// its last collection. Ties go to the least-recently-collected partition,
-/// then to the lowest id, which keeps the policy deterministic.
-#[derive(Debug, Default, Clone)]
-pub struct UpdatedPointerSelector;
-
-impl PartitionSelector for UpdatedPointerSelector {
-    fn select(&mut self, partitions: &[PartitionSnapshot]) -> Option<PartitionId> {
-        partitions
-            .iter()
-            .max_by(|a, b| {
-                a.overwrites
-                    .cmp(&b.overwrites)
-                    // fewer past collections = staler = preferred on ties
-                    .then(b.collections.cmp(&a.collections))
-                    .then(b.id.cmp(&a.id))
-            })
-            .map(|s| s.id)
-    }
-
-    fn name(&self) -> &'static str {
-        "updated-pointer"
-    }
-}
-
-/// Uniform random selection (the baseline the paper contrasts with when
-/// explaining CGS/CB's bias in §4.1.2).
-#[derive(Debug)]
-pub struct RandomSelector {
-    rng: StdRng,
-}
-
-impl RandomSelector {
-    /// A selector with its own seeded RNG.
-    pub fn new(seed: u64) -> Self {
-        RandomSelector {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl PartitionSelector for RandomSelector {
-    fn select(&mut self, partitions: &[PartitionSnapshot]) -> Option<PartitionId> {
-        if partitions.is_empty() {
-            None
-        } else {
-            let i = self.rng.random_range(0..partitions.len());
-            Some(partitions[i].id)
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
-}
-
-/// Cycles through partitions in id order.
-#[derive(Debug, Default, Clone)]
-pub struct RoundRobinSelector {
-    next: u32,
-}
-
-impl PartitionSelector for RoundRobinSelector {
-    fn select(&mut self, partitions: &[PartitionSnapshot]) -> Option<PartitionId> {
-        if partitions.is_empty() {
-            return None;
-        }
-        // Partitions are dense 0..n; wrap the cursor.
-        let n = partitions.len() as u32;
-        let choice = self.next % n;
-        self.next = (choice + 1) % n;
-        Some(PartitionId::new(choice))
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Oracle: the partition holding the most actual garbage bytes. Not
-/// realizable (requires exact per-partition garbage knowledge); used as an
-/// upper-bound baseline in ablation studies.
-#[derive(Debug, Default, Clone)]
-pub struct MostGarbageOracle;
-
-impl PartitionSelector for MostGarbageOracle {
-    fn select(&mut self, partitions: &[PartitionSnapshot]) -> Option<PartitionId> {
-        partitions
-            .iter()
-            .max_by(|a, b| a.garbage_bytes.cmp(&b.garbage_bytes).then(b.id.cmp(&a.id)))
-            .map(|s| s.id)
-    }
-
-    fn name(&self) -> &'static str {
-        "most-garbage-oracle"
-    }
-}
 
 /// Enumerable selector configuration, convenient for experiment sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -137,13 +27,94 @@ pub enum SelectorKind {
 }
 
 impl SelectorKind {
-    /// Instantiates the selector. `seed` is used only by [`RandomSelector`].
-    pub fn build(self, seed: u64) -> Box<dyn PartitionSelector + Send> {
+    /// Instantiates the selector. `seed` is used only by
+    /// [`Selector::Random`].
+    pub fn build(self, seed: u64) -> Selector {
         match self {
-            SelectorKind::UpdatedPointer => Box::new(UpdatedPointerSelector),
-            SelectorKind::Random => Box::new(RandomSelector::new(seed)),
-            SelectorKind::RoundRobin => Box::new(RoundRobinSelector::default()),
-            SelectorKind::MostGarbageOracle => Box::new(MostGarbageOracle),
+            SelectorKind::UpdatedPointer => Selector::UpdatedPointer,
+            SelectorKind::Random => Selector::Random(StdRng::seed_from_u64(seed)),
+            SelectorKind::RoundRobin => Selector::RoundRobin { next: 0 },
+            SelectorKind::MostGarbageOracle => Selector::MostGarbageOracle,
+        }
+    }
+}
+
+/// A partition-selection policy and its running state, built by
+/// [`SelectorKind::build`].
+#[derive(Debug)]
+pub enum Selector {
+    /// UPDATEDPOINTER: the partition with the most pointer overwrites
+    /// since its last collection. Ties go to the least-recently-collected
+    /// partition, then to the lowest id, which keeps the policy
+    /// deterministic.
+    UpdatedPointer,
+    /// Uniform random selection from a seeded RNG (the baseline the paper
+    /// contrasts with when explaining CGS/CB's bias in §4.1.2).
+    Random(StdRng),
+    /// Cycles through partitions in id order.
+    RoundRobin {
+        /// The id to choose next, wrapped at the current count.
+        next: u32,
+    },
+    /// Oracle: the partition holding the most actual garbage bytes, ties
+    /// to the lowest id. Not realizable (requires exact per-partition
+    /// garbage knowledge); an upper-bound baseline in ablation studies.
+    MostGarbageOracle,
+}
+
+impl Selector {
+    /// Chooses the partition the next collection should process from the
+    /// per-partition facts in id order ([`odbgc_store::Store::partition_snapshots`]).
+    ///
+    /// Returns `None` only when there are no partitions at all; with at
+    /// least one partition every policy returns a choice (a
+    /// policy-directed collection always runs, even if it turns out to
+    /// reclaim nothing — the I/O it spends is real and the rate policies
+    /// must observe it).
+    pub fn select(
+        &mut self,
+        mut partitions: impl ExactSizeIterator<Item = PartitionSnapshot>,
+    ) -> Option<PartitionId> {
+        match self {
+            Selector::UpdatedPointer => partitions
+                .max_by(|a, b| {
+                    a.overwrites
+                        .cmp(&b.overwrites)
+                        // fewer past collections = staler = preferred on ties
+                        .then(b.collections.cmp(&a.collections))
+                        .then(b.id.cmp(&a.id))
+                })
+                .map(|s| s.id),
+            Selector::Random(rng) => {
+                if partitions.len() == 0 {
+                    return None;
+                }
+                let i = rng.random_range(0..partitions.len());
+                partitions.nth(i).map(|s| s.id)
+            }
+            Selector::RoundRobin { next } => {
+                // Partitions are dense 0..n; wrap the cursor.
+                let n = partitions.len() as u32;
+                if n == 0 {
+                    return None;
+                }
+                let choice = *next % n;
+                *next = (choice + 1) % n;
+                Some(PartitionId::new(choice))
+            }
+            Selector::MostGarbageOracle => partitions
+                .max_by(|a, b| a.garbage_bytes.cmp(&b.garbage_bytes).then(b.id.cmp(&a.id)))
+                .map(|s| s.id),
+        }
+    }
+
+    /// Human-readable policy name for reports.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Selector::UpdatedPointer => "updated-pointer",
+            Selector::Random(_) => "random",
+            Selector::RoundRobin { .. } => "round-robin",
+            Selector::MostGarbageOracle => "most-garbage-oracle",
         }
     }
 }
@@ -167,62 +138,72 @@ mod tests {
 
     #[test]
     fn updated_pointer_picks_max_overwrites() {
-        let mut sel = UpdatedPointerSelector;
-        let parts = vec![snap(0, 5, 0, 0), snap(1, 9, 0, 0), snap(2, 3, 0, 0)];
-        assert_eq!(sel.select(&parts), Some(PartitionId::new(1)));
+        let mut sel = SelectorKind::UpdatedPointer.build(0);
+        let parts = [snap(0, 5, 0, 0), snap(1, 9, 0, 0), snap(2, 3, 0, 0)];
+        assert_eq!(sel.select(parts.iter().copied()), Some(PartitionId::new(1)));
     }
 
     #[test]
     fn updated_pointer_tie_break_prefers_stale_then_low_id() {
-        let mut sel = UpdatedPointerSelector;
-        let parts = vec![snap(0, 5, 0, 3), snap(1, 5, 0, 1), snap(2, 5, 0, 1)];
+        let mut sel = SelectorKind::UpdatedPointer.build(0);
+        let parts = [snap(0, 5, 0, 3), snap(1, 5, 0, 1), snap(2, 5, 0, 1)];
         // Partitions 1 and 2 are equally stale; lowest id wins.
-        assert_eq!(sel.select(&parts), Some(PartitionId::new(1)));
+        assert_eq!(sel.select(parts.iter().copied()), Some(PartitionId::new(1)));
     }
 
     #[test]
     fn updated_pointer_with_no_overwrites_still_selects() {
-        let mut sel = UpdatedPointerSelector;
-        let parts = vec![snap(0, 0, 0, 2), snap(1, 0, 0, 0)];
-        assert_eq!(sel.select(&parts), Some(PartitionId::new(1)));
+        let mut sel = SelectorKind::UpdatedPointer.build(0);
+        let parts = [snap(0, 0, 0, 2), snap(1, 0, 0, 0)];
+        assert_eq!(sel.select(parts.iter().copied()), Some(PartitionId::new(1)));
     }
 
     #[test]
     fn selectors_return_none_without_partitions() {
-        assert_eq!(UpdatedPointerSelector.select(&[]), None);
-        assert_eq!(RandomSelector::new(1).select(&[]), None);
-        assert_eq!(RoundRobinSelector::default().select(&[]), None);
-        assert_eq!(MostGarbageOracle.select(&[]), None);
+        for kind in [
+            SelectorKind::UpdatedPointer,
+            SelectorKind::Random,
+            SelectorKind::RoundRobin,
+            SelectorKind::MostGarbageOracle,
+        ] {
+            assert_eq!(kind.build(1).select(std::iter::empty()), None, "{kind:?}");
+        }
     }
 
     #[test]
     fn round_robin_cycles() {
-        let mut sel = RoundRobinSelector::default();
-        let parts = vec![snap(0, 0, 0, 0), snap(1, 0, 0, 0), snap(2, 0, 0, 0)];
-        let picks: Vec<u32> = (0..5).map(|_| sel.select(&parts).unwrap().raw()).collect();
+        let mut sel = SelectorKind::RoundRobin.build(0);
+        let parts = [snap(0, 0, 0, 0), snap(1, 0, 0, 0), snap(2, 0, 0, 0)];
+        let picks: Vec<u32> = (0..5)
+            .map(|_| sel.select(parts.iter().copied()).unwrap().raw())
+            .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1]);
     }
 
     #[test]
     fn round_robin_handles_shrinking_view() {
-        let mut sel = RoundRobinSelector::default();
-        let three = vec![snap(0, 0, 0, 0), snap(1, 0, 0, 0), snap(2, 0, 0, 0)];
-        sel.select(&three);
-        sel.select(&three);
-        let one = vec![snap(0, 0, 0, 0)];
-        assert_eq!(sel.select(&one), Some(PartitionId::new(0)));
+        let mut sel = SelectorKind::RoundRobin.build(0);
+        let three = [snap(0, 0, 0, 0), snap(1, 0, 0, 0), snap(2, 0, 0, 0)];
+        sel.select(three.iter().copied());
+        sel.select(three.iter().copied());
+        let one = [snap(0, 0, 0, 0)];
+        assert_eq!(sel.select(one.iter().copied()), Some(PartitionId::new(0)));
     }
 
     #[test]
     fn random_is_deterministic_per_seed_and_in_range() {
-        let parts = vec![snap(0, 0, 0, 0), snap(1, 0, 0, 0)];
+        let parts = [snap(0, 0, 0, 0), snap(1, 0, 0, 0)];
         let a: Vec<u32> = {
-            let mut s = RandomSelector::new(42);
-            (0..10).map(|_| s.select(&parts).unwrap().raw()).collect()
+            let mut s = SelectorKind::Random.build(42);
+            (0..10)
+                .map(|_| s.select(parts.iter().copied()).unwrap().raw())
+                .collect()
         };
         let b: Vec<u32> = {
-            let mut s = RandomSelector::new(42);
-            (0..10).map(|_| s.select(&parts).unwrap().raw()).collect()
+            let mut s = SelectorKind::Random.build(42);
+            (0..10)
+                .map(|_| s.select(parts.iter().copied()).unwrap().raw())
+                .collect()
         };
         assert_eq!(a, b);
         assert!(a.iter().all(|&x| x < 2));
@@ -230,9 +211,40 @@ mod tests {
 
     #[test]
     fn most_garbage_oracle_picks_max_garbage() {
-        let mut sel = MostGarbageOracle;
-        let parts = vec![snap(0, 9, 10, 0), snap(1, 0, 99, 0), snap(2, 1, 50, 0)];
-        assert_eq!(sel.select(&parts), Some(PartitionId::new(1)));
+        let mut sel = SelectorKind::MostGarbageOracle.build(0);
+        let parts = [snap(0, 9, 10, 0), snap(1, 0, 99, 0), snap(2, 1, 50, 0)];
+        assert_eq!(sel.select(parts.iter().copied()), Some(PartitionId::new(1)));
+    }
+
+    #[test]
+    fn most_garbage_oracle_tie_goes_to_lowest_id() {
+        // Overwrites and staleness do not break the oracle's ties.
+        let mut sel = SelectorKind::MostGarbageOracle.build(0);
+        let parts = [
+            snap(0, 0, 10, 0),
+            snap(1, 0, 50, 4),
+            snap(2, 9, 50, 0),
+            snap(3, 0, 50, 0),
+        ];
+        assert_eq!(sel.select(parts.iter().copied()), Some(PartitionId::new(1)));
+    }
+
+    #[test]
+    fn random_and_round_robin_stay_in_range_as_partitions_grow() {
+        let mut random = SelectorKind::Random.build(7);
+        let mut rr = SelectorKind::RoundRobin.build(0);
+        let mut rr_picks = Vec::new();
+        for n in [1u32, 2, 3, 5, 8] {
+            let parts: Vec<_> = (0..n).map(|i| snap(i, 0, 0, 0)).collect();
+            for _ in 0..3 {
+                assert!(random.select(parts.iter().copied()).unwrap().raw() < n);
+                let pick = rr.select(parts.iter().copied()).unwrap().raw();
+                assert!(pick < n);
+                rr_picks.push(pick);
+            }
+        }
+        // The cursor wraps at the count it last saw, then resumes there.
+        assert_eq!(rr_picks, vec![0, 0, 0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6]);
     }
 
     #[test]

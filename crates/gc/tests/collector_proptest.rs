@@ -32,8 +32,9 @@ proptest! {
     #[test]
     fn survivor_plans_are_well_formed(cfg in arb_config(), seed in any::<u64>()) {
         let mut store = loaded_store(&cfg, seed);
-        for snap in store.partition_snapshots() {
-            let plan = plan_survivors(&mut store, snap.id);
+        for p in 0..store.partition_count() as u32 {
+            let p = PartitionId::new(p);
+            let plan = plan_survivors(&mut store, p);
             // No duplicates.
             let mut sorted = plan.clone();
             sorted.sort_unstable();
@@ -41,12 +42,12 @@ proptest! {
             prop_assert_eq!(sorted.len(), plan.len(), "duplicates in plan");
             // Subset of residents.
             let residents: std::collections::HashSet<_> =
-                store.residents_of(snap.id).iter().copied().collect();
+                store.residents_of(p).iter().copied().collect();
             for s in &plan {
                 prop_assert!(residents.contains(s));
             }
             // Every partition root is planned.
-            for root in store.partition_roots(snap.id) {
+            for root in store.partition_roots(p) {
                 prop_assert!(plan.contains(&root), "root {} missing from plan", root);
             }
         }

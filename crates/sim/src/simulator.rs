@@ -84,8 +84,8 @@ impl<E: std::error::Error + 'static> std::error::Error for ReplayError<E> {
 /// decoded event batches, borrowed one batch at a time.
 ///
 /// The source lends whole decoded batches (backed by a reusable arena in
-/// the tracefile reader), so the replay loop pays its dispatch and
-/// error-handling costs once per block rather than once per event.
+/// the tracefile reader), so decoding allocates nothing per event and
+/// the source is consulted once per block rather than once per event.
 /// Implemented for [`odbgc_tracefile::BatchReader`] (one batch per
 /// on-disk block) and [`TraceBatches`] (an in-memory trace as a single
 /// batch); batch boundaries never change the result.
@@ -219,13 +219,13 @@ impl Simulator {
     /// Replays a [`BatchSource`] under `policy`, collecting per the
     /// configuration. This is the one replay loop.
     ///
-    /// Per-event triggers, metrics sampling, and observer calls all fire
-    /// in event order, so the [`RunResult`] does not depend on where the
-    /// source cuts its batches; the loop hands whole phase-free spans to
-    /// [`StoreEngine::apply_batch`], amortizing per-event dispatch, and
-    /// handles [`Event::Phase`] markers individually between spans. A
-    /// source error aborts the replay with [`ReplayError::Source`]
-    /// carrying the number of events consumed before it.
+    /// Every event goes through [`StoreEngine::apply_event`] in trace
+    /// order; an [`Event::Phase`] marker first records its phase. So
+    /// per-event triggers, metrics sampling, and observer calls all fire
+    /// in event order, and the [`RunResult`] does not depend on where the
+    /// source cuts its batches. A source error aborts the replay with
+    /// [`ReplayError::Source`] carrying the number of events consumed
+    /// before it.
     pub fn replay_batched<B: BatchSource>(
         &self,
         mut source: B,
@@ -251,31 +251,8 @@ impl Simulator {
                     })
                 }
             };
-            let mut i = 0;
-            while i < batch.len() {
-                // The phase-free span starting at `i` goes through the
-                // engine's batch path in one call.
-                let span_end = batch[i..]
-                    .iter()
-                    .position(|ev| matches!(ev, Event::Phase { .. }))
-                    .map_or(batch.len(), |p| i + p);
-                if i < span_end {
-                    engine
-                        .apply_batch(
-                            &batch[i..span_end],
-                            telemetry
-                                .as_deref_mut()
-                                .map(|t| t as &mut dyn EngineObserver),
-                        )
-                        .map_err(|(off, cause)| {
-                            ReplayError::Sim(SimError {
-                                event_index: base + i + off,
-                                cause,
-                            })
-                        })?;
-                    i = span_end;
-                }
-                if let Some(ev @ Event::Phase { id }) = batch.get(i) {
+            for (i, ev) in batch.iter().enumerate() {
+                if let Event::Phase { id } = ev {
                     let name = phase_names
                         .get(id.index())
                         .map(String::as_str)
@@ -285,21 +262,20 @@ impl Simulator {
                         t.enter_phase(&name, engine.counters());
                     }
                     phases.push((name, (base + i) as u64, engine.collection_count()));
-                    engine
-                        .apply_event(
-                            ev,
-                            telemetry
-                                .as_deref_mut()
-                                .map(|t| t as &mut dyn EngineObserver),
-                        )
-                        .map_err(|cause| {
-                            ReplayError::Sim(SimError {
-                                event_index: base + i,
-                                cause,
-                            })
-                        })?;
-                    i += 1;
                 }
+                engine
+                    .apply_event(
+                        ev,
+                        telemetry
+                            .as_deref_mut()
+                            .map(|t| t as &mut dyn EngineObserver),
+                    )
+                    .map_err(|cause| {
+                        ReplayError::Sim(SimError {
+                            event_index: base + i,
+                            cause,
+                        })
+                    })?;
             }
             base += batch.len();
         }
@@ -314,8 +290,8 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odbgc_core::EstimatorKind;
     use odbgc_core::{CollectionObservation, Trigger};
-    use odbgc_core::{EstimatorKind, Oracle};
     use odbgc_core::{FixedRatePolicy, SagaPolicy, SaioPolicy};
     use odbgc_oo7::{Oo7App, Oo7Params};
 
@@ -359,7 +335,7 @@ mod tests {
         let mut cfg = EngineConfig::tiny();
         cfg.shadow_estimator = Some(EstimatorKind::Oracle);
         let sim = Simulator::new(cfg);
-        let mut policy = SagaPolicy::new(0.10, None, Box::new(Oracle));
+        let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::Oracle);
         let r = replay(&sim, &trace, &mut policy);
         assert!(r.collection_count() > 0);
         // Shadow oracle estimates equal the recorded actual garbage.

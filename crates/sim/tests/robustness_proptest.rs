@@ -21,12 +21,12 @@ fn build_policy(which: usize, frac: f64, rate: u64) -> Box<dyn RatePolicy> {
         2 => Box::new(SagaPolicy::new(
             frac.min(0.5),
             Some(64),
-            EstimatorKind::Oracle.build(),
+            EstimatorKind::Oracle,
         )),
         _ => Box::new(SagaPolicy::new(
             frac.min(0.5),
             Some(64),
-            EstimatorKind::fgs_hb_default().build(),
+            EstimatorKind::fgs_hb_default(),
         )),
     }
 }

@@ -50,7 +50,7 @@ fn telemetry_is_a_pure_observer_of_the_run() {
 fn run_export_leads_with_the_header_and_counts_every_decision() {
     let trace = tiny_trace(12);
     let sim = Simulator::new(EngineConfig::tiny());
-    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::CgsCb.build());
+    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::CgsCb);
     let mut telemetry = RunTelemetry::new(policy.name());
     sim.replay(
         &trace,

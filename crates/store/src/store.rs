@@ -838,8 +838,9 @@ impl Store {
         out.dedup();
     }
 
-    /// Per-partition facts for selection policies.
-    pub fn partition_snapshots(&self) -> Vec<PartitionSnapshot> {
+    /// Per-partition facts for selection policies, in id order, read
+    /// from the maintained counters without allocating.
+    pub fn partition_snapshots(&self) -> impl ExactSizeIterator<Item = PartitionSnapshot> + '_ {
         self.partitions
             .iter()
             .enumerate()
@@ -853,7 +854,6 @@ impl Store {
                 garbage_bytes: p.garbage_bytes,
                 live_bytes: p.live_bytes,
             })
-            .collect()
     }
 
     /// Total remembered-set entries (space-overhead metric).

@@ -48,11 +48,7 @@ fn check_invariants(store: &Store) {
     assert_eq!(resident_bytes, store.occupied_bytes());
     // Maintained O(1) counters agree with fresh scans.
     store.assert_counters_match();
-    let scanned_po: u64 = store
-        .partition_snapshots()
-        .iter()
-        .map(|s| s.overwrites)
-        .sum();
+    let scanned_po: u64 = store.partition_snapshots().map(|s| s.overwrites).sum();
     assert_eq!(scanned_po, store.total_outstanding_overwrites());
 }
 

@@ -30,7 +30,7 @@ fn main() {
     ] {
         // The requested level is SAGA's only setting besides the estimator;
         // `None` keeps the paper's Δt clamp of [2, 1000] overwrites.
-        let mut policy = SagaPolicy::new(requested / 100.0, None, kind.build());
+        let mut policy = SagaPolicy::new(requested / 100.0, None, kind);
         let r = sim
             .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
             .expect("trace replays");

@@ -23,7 +23,7 @@ fn main() {
         ..EngineConfig::default()
     };
     // 10% garbage, the paper's Δt clamp of [2, 1000] overwrites (`None`).
-    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
+    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default());
     let r = Simulator::new(config)
         .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
         .expect("trace replays");

@@ -38,7 +38,7 @@ fn every_partition_keeping_a_small_tail_does_not_lengthen_the_search() {
     }
     let snapshots = store.partition_snapshots();
     assert!(snapshots.len() >= 2_000);
-    for snap in &snapshots {
+    for snap in snapshots {
         let tail = snap.capacity - snap.occupied_bytes;
         assert!((1..SIZE).contains(&tail), "{} keeps {tail} bytes", snap.id);
     }

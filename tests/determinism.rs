@@ -37,7 +37,7 @@ fn full_trace_survives_codec_round_trip() {
 fn simulation_results_are_identical_across_repeated_runs() {
     let trace = Oo7App::standard(Oo7Params::small_prime(3), 2).generate().0;
     let run = || {
-        let mut p = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
+        let mut p = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default());
         Simulator::new(EngineConfig::default())
             .replay(&trace, &mut p, odbgc_sim::ReplayOptions::new())
             .expect("replays")

@@ -61,7 +61,7 @@ fn saio_full_scale() {
 
 #[test]
 fn saga_oracle_full_scale() {
-    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::Oracle.build());
+    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::Oracle);
     let r = run_small_prime(&mut policy);
     check_accounting(&r);
     let achieved = r.garbage_pct_mean.expect("run leaves preamble");
@@ -76,7 +76,7 @@ fn saga_oracle_full_scale() {
 
 #[test]
 fn saga_fgs_hb_full_scale() {
-    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
+    let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default());
     let r = run_small_prime(&mut policy);
     check_accounting(&r);
     let achieved = r.garbage_pct_mean.expect("run leaves preamble");

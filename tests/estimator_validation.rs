@@ -13,7 +13,7 @@ fn run_with(kind: EstimatorKind) -> RunResult {
         shadow_estimator: Some(kind),
         ..EngineConfig::default()
     };
-    let mut policy = SagaPolicy::new(0.10, None, kind.build());
+    let mut policy = SagaPolicy::new(0.10, None, kind);
     Simulator::new(config)
         .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
         .expect("trace replays")

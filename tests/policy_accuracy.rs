@@ -58,7 +58,7 @@ fn figure4_drift_grows_at_extreme_fractions() {
 fn figure5_oracle_saga_is_most_accurate() {
     let trace = small_prime_trace(3, 1);
     for requested in [5.0, 8.0, 10.0, 12.0] {
-        let mut policy = SagaPolicy::new(requested / 100.0, None, EstimatorKind::Oracle.build());
+        let mut policy = SagaPolicy::new(requested / 100.0, None, EstimatorKind::Oracle);
         let r = run(&trace, &mut policy);
         let achieved = r.garbage_pct_mean.expect("window exists");
         assert!(
@@ -78,7 +78,7 @@ fn figure5_estimator_quality_ordering() {
         let total: f64 = requests
             .iter()
             .map(|&req| {
-                let mut policy = SagaPolicy::new(req / 100.0, None, kind.build());
+                let mut policy = SagaPolicy::new(req / 100.0, None, kind);
                 let r = run(&trace, &mut policy);
                 (r.garbage_pct_mean.expect("window") - req).abs()
             })
@@ -101,12 +101,8 @@ fn figure5_cgs_cb_over_collects() {
     // level lands well below the request, at a higher I/O bill.
     let trace = small_prime_trace(3, 1);
     let requested = 15.0;
-    let mut cgs = SagaPolicy::new(requested / 100.0, None, EstimatorKind::CgsCb.build());
-    let mut fgs = SagaPolicy::new(
-        requested / 100.0,
-        None,
-        EstimatorKind::fgs_hb_default().build(),
-    );
+    let mut cgs = SagaPolicy::new(requested / 100.0, None, EstimatorKind::CgsCb);
+    let mut fgs = SagaPolicy::new(requested / 100.0, None, EstimatorKind::fgs_hb_default());
     let r_cgs = run(&trace, &mut cgs);
     let r_fgs = run(&trace, &mut fgs);
     let cgs_pct = r_cgs.garbage_pct_mean.expect("window");
@@ -133,7 +129,7 @@ fn figure8_conclusions_hold_across_connectivities() {
             "conn {connectivity}: SAIO achieved {achieved}%"
         );
         // SAGA with FGS/HB stays in the neighborhood.
-        let mut saga = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
+        let mut saga = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default());
         let r = run(&trace, &mut saga);
         let achieved = r.garbage_pct_mean.expect("window");
         assert!(
@@ -163,7 +159,7 @@ fn section1_mixed_workload_policies_still_hit_targets() {
         "mixed workload: SAIO achieved {achieved}%"
     );
 
-    let mut saga = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default().build());
+    let mut saga = SagaPolicy::new(0.10, None, EstimatorKind::fgs_hb_default());
     let r = run(&mixed, &mut saga);
     let achieved = r.garbage_pct_mean.expect("window exists");
     assert!(

@@ -1,9 +1,15 @@
 //! Collector micro-benchmarks: survivor planning and full collection of a
-//! partition under varying garbage ratios.
+//! partition under varying garbage ratios, and of a served partition.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::cell::RefCell;
 use std::hint::black_box;
 
+use odbgc_core::PolicySpec;
+use odbgc_engine::{
+    apply_ops, EngineConfig, SessionId, SessionObjects, SessionWorkload, StoreEngine,
+    WorkloadParams,
+};
 use odbgc_gc::{collect_partition, plan_survivors};
 use odbgc_store::{PartitionId, Store, StoreConfig};
 use odbgc_trace::{SlotIdx, TraceBuilder};
@@ -31,6 +37,36 @@ fn loaded_store(n_objects: usize, garbage_ratio: f64) -> Store {
     store
 }
 
+/// Operations the served store is built from.
+const SERVED_OPS: u64 = 50_000;
+
+/// A store in the shape `serve` leaves it: one session's generated
+/// turns applied through `apply_ops` on the default geometry under
+/// `saio:10%`, so its partitions hold hundreds of rooted anchors and
+/// remembered references each. Returns it with the partition that has
+/// the most collection roots.
+fn served_store() -> (Store, PartitionId) {
+    let policy = "saio:10%".parse::<PolicySpec>().expect("spec parses");
+    let mut engine = StoreEngine::new(EngineConfig::default(), policy.build());
+    let mut workload = SessionWorkload::new(0, WorkloadParams::default(), SERVED_OPS);
+    let mut objects = SessionObjects::new();
+    loop {
+        let ops = workload.next_turn(8);
+        if ops.is_empty() {
+            break;
+        }
+        let mut sess = engine.session_with(SessionId::new(0), None);
+        apply_ops(&mut sess, &mut objects, &ops).expect("served turn applies");
+    }
+    let store = engine.store().clone();
+    let p = store
+        .partition_snapshots()
+        .map(|s| s.id)
+        .max_by_key(|&p| (store.partition_roots(p).len(), std::cmp::Reverse(p)))
+        .expect("the served store has partitions");
+    (store, p)
+}
+
 fn bench_collector(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_survivors");
     for &n in &[100usize, 1000] {
@@ -55,6 +91,23 @@ fn bench_collector(c: &mut Criterion) {
             },
         );
     }
+    let (served, p) = served_store();
+    // The collected store is parked here and dropped by the next setup,
+    // so freeing its tables is not timed.
+    let spent: RefCell<Option<Store>> = RefCell::new(None);
+    group.bench_function("served", |b| {
+        b.iter_batched(
+            || {
+                spent.take();
+                served.clone()
+            },
+            |mut store| {
+                black_box(collect_partition(&mut store, p));
+                spent.replace(Some(store));
+            },
+            criterion::BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

@@ -55,7 +55,7 @@ impl BufferStats {
 }
 
 /// Fixed-capacity LRU page buffer with dirty-bit tracking.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BufferPool {
     /// Frame slab; slots are recycled via `free`, never shrunk.
     frames: Vec<Frame>,

@@ -56,9 +56,11 @@ const TOMBSTONE: u8 = 2;
 ///
 /// Invariants: `ctrl`, `keys`, and `vals` always have identical length,
 /// a power of two; `len` counts FULL slots; `used` counts FULL +
-/// TOMBSTONE slots and triggers a rehash (which drops tombstones) when
-/// it exceeds 7/8 of capacity.
-#[derive(Debug, Default)]
+/// TOMBSTONE slots and triggers a rehash when it exceeds 7/8 of
+/// capacity. The rehash drops tombstones and sizes the new table from
+/// `len` alone, so capacity follows the live entries, not the churn
+/// that filled the old table with tombstones.
+#[derive(Debug, Clone, Default)]
 struct RemTable {
     ctrl: Vec<u8>,
     keys: Vec<(u64, u32)>,
@@ -101,8 +103,14 @@ impl RemTable {
         }
     }
 
-    fn grow(&mut self) {
-        let new_cap = (self.ctrl.len() * 2).max(Self::MIN_CAPACITY);
+    /// Rehashes the FULL entries into a table of at least twice `len + 1`
+    /// slots: double when the table is full of live entries, the same or
+    /// smaller when it is full of tombstones. Either way the new table is
+    /// at most half used, so insert stays amortised O(1).
+    fn rehash(&mut self) {
+        let new_cap = ((self.len + 1) * 2)
+            .next_power_of_two()
+            .max(Self::MIN_CAPACITY);
         let old_ctrl = std::mem::replace(&mut self.ctrl, vec![EMPTY; new_cap]);
         let old_keys = std::mem::replace(&mut self.keys, vec![(0, 0); new_cap]);
         let old_vals = std::mem::replace(&mut self.vals, vec![ObjectId::new(0); new_cap]);
@@ -125,7 +133,7 @@ impl RemTable {
 
     fn insert(&mut self, key: (u64, u32), val: ObjectId) {
         if self.ctrl.is_empty() || (self.used + 1) * 8 > self.ctrl.len() * 7 {
-            self.grow();
+            self.rehash();
         }
         let (found, at) = self.probe(key);
         if found.is_some() {
@@ -160,12 +168,22 @@ impl RemTable {
         }
     }
 
+    /// Appends the target of every FULL slot to `out`, in table order.
+    /// Branch-free: every slot's value is written at the cursor, and the
+    /// cursor advances only past a FULL slot, so the next write replaces
+    /// the value of a slot that is not. The cursor ends at `len`; one
+    /// spare element takes the writes made there.
     fn values_into(&self, out: &mut Vec<ObjectId>) {
-        for (i, &c) in self.ctrl.iter().enumerate() {
-            if c == FULL {
-                out.push(self.vals[i]);
-            }
+        let start = out.len();
+        out.resize(start + self.len + 1, ObjectId::new(0));
+        let dst = &mut out[start..];
+        let mut cursor = 0;
+        for (&c, &val) in self.ctrl.iter().zip(&self.vals) {
+            dst[cursor] = val;
+            cursor += usize::from(c == FULL);
         }
+        debug_assert_eq!(cursor, self.len);
+        out.truncate(start + self.len);
     }
 
     /// Structural audit: verifies the open-addressing invariants hold —
@@ -215,7 +233,7 @@ impl RemTable {
 }
 
 /// Remembered sets for all partitions.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RemSets {
     /// `sets[p]` maps (src, slot) → target for every cross-partition
     /// pointer into partition `p`.
@@ -266,8 +284,7 @@ impl RemSets {
     pub fn external_targets(&self, p: PartitionId) -> Vec<ObjectId> {
         let mut v = Vec::new();
         self.external_targets_into(p, &mut v);
-        v.sort_unstable();
-        v.dedup();
+        crate::radix::sort_dedup(&mut v);
         v
     }
 
@@ -407,6 +424,28 @@ mod tests {
         }
         rs.retain_targets(pid(1), |t| t.raw() % 2 == 0);
         rs.check_structure().expect("audit after retain");
+    }
+
+    #[test]
+    fn capacity_follows_live_entries_not_churn() {
+        const LIVE: u64 = 1_000;
+        let mut rs = RemSets::new();
+        for i in 0..LIVE {
+            rs.insert(oid(i), s(0), pid(0), oid(i), pid(1));
+        }
+        // Each pair retires the oldest entry and remembers a fresh
+        // (src, slot): the live count stays put while tombstones pile up.
+        for i in 0..200_000u64 {
+            rs.remove(oid(i), s(0), pid(1));
+            rs.insert(oid(LIVE + i), s(0), pid(0), oid(i), pid(1));
+        }
+        assert_eq!(rs.entry_count(pid(1)), LIVE as usize);
+        let capacity = rs.sets[1].ctrl.len();
+        assert!(
+            capacity <= 4 * LIVE as usize + RemTable::MIN_CAPACITY,
+            "{capacity} slots for {LIVE} live entries"
+        );
+        rs.check_structure().expect("audit after churn");
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::ids::{page_span, PageKey, PartitionId};
 use crate::io::{IoClass, IoLedger};
 use crate::object::{CycleState, ObjState, ObjectInfo, PackedSlot};
 use crate::partition::Partition;
+use crate::radix;
 use crate::remset::RemSets;
 use crate::tracker::GarbageLedger;
 
@@ -99,7 +100,7 @@ impl ReachSet {
 /// assert_eq!(store.overwrite_clock(), 1); // only the kill overwrote
 /// assert!(store.io().app_total() > 0);    // replay charged page I/O
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Store {
     config: StoreConfig,
     /// Object table indexed by raw object id (ids are dense in practice).
@@ -826,7 +827,9 @@ impl Store {
     /// (cleared first) with the sorted, deduped collection roots of `p`.
     /// O(roots-in-p): the global-root and birth-pin components come from
     /// per-partition indexes maintained on root add/remove and pin drop,
-    /// not from scans of all roots and all residents.
+    /// not from scans of all roots and all residents, and the order
+    /// comes from a radix sort, not a comparison sort. `out` keeps its
+    /// capacity, so a reused buffer allocates nothing in steady state.
     pub fn partition_roots_into(&self, p: PartitionId, out: &mut Vec<ObjectId>) {
         out.clear();
         self.remsets.external_targets_into(p, out);
@@ -834,8 +837,7 @@ impl Store {
         out.extend_from_slice(&part.root_residents);
         // Birth-pinned residents are held by application registers.
         out.extend_from_slice(&part.pinned_residents);
-        out.sort_unstable();
-        out.dedup();
+        radix::sort_dedup(out);
     }
 
     /// Per-partition facts for selection policies, in id order, read

@@ -51,7 +51,6 @@ pub fn collect_partition(store: &mut Store, p: PartitionId) -> CollectionApplied
 /// totals ([`Collector::sched_totals`]) vary.
 pub struct Collector {
     selector: Selector,
-    collections: u64,
     scratch: CollectScratch,
     survivors: Vec<ObjectId>,
     sched: Scheduler,
@@ -62,7 +61,6 @@ impl std::fmt::Debug for Collector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Collector")
             .field("selector", &self.selector.name())
-            .field("collections", &self.collections)
             .field("workers", &self.sched.workers())
             .finish()
     }
@@ -80,7 +78,6 @@ impl Collector {
     pub fn with_workers(selector: Selector, workers: usize) -> Self {
         Collector {
             selector,
-            collections: 0,
             scratch: CollectScratch::new(),
             survivors: Vec::new(),
             sched: Scheduler::new(workers),
@@ -92,7 +89,6 @@ impl Collector {
     /// store has no partitions yet.
     pub fn collect_once(&mut self, store: &mut Store) -> Option<CollectionApplied> {
         let p = self.selector.select(store.partition_snapshots())?;
-        self.collections += 1;
         if self.sched.workers() == 1 {
             plan_survivors_into(store, p, &mut self.scratch, &mut self.survivors);
         } else {
@@ -101,11 +97,6 @@ impl Collector {
             self.totals.absorb(&stats);
         }
         Some(store.apply_collection(p, &self.survivors))
-    }
-
-    /// Total collections performed by this collector.
-    pub fn collections(&self) -> u64 {
-        self.collections
     }
 
     /// Scheduler totals across every collection planned on more than one
@@ -133,7 +124,6 @@ mod tests {
         let mut s = Store::new(StoreConfig::tiny());
         let mut c = Collector::new(SelectorKind::UpdatedPointer.build(0));
         assert!(c.collect_once(&mut s).is_none());
-        assert_eq!(c.collections(), 0);
     }
 
     #[test]
@@ -152,7 +142,6 @@ mod tests {
         let outcome = c.collect_once(&mut s).expect("partitions exist");
         assert_eq!(outcome.partition.raw(), 1);
         assert_eq!(outcome.bytes_reclaimed, 100);
-        assert_eq!(c.collections(), 1);
         s.assert_garbage_exact();
     }
 

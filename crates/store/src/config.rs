@@ -22,7 +22,7 @@ pub enum OverwriteSemantics {
 /// Static configuration of a [`crate::Store`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Page size in bytes (paper: 8 KiB).
+    /// Page size in bytes (paper: 8 KiB); a power of two.
     pub page_size: u32,
     /// Pages per partition (paper: 12, i.e. 96 KiB partitions).
     pub pages_per_partition: u32,
@@ -64,7 +64,11 @@ impl StoreConfig {
 
     /// Panics if the configuration is unusable.
     pub fn validate(&self) {
-        assert!(self.page_size > 0, "page_size must be positive");
+        assert!(
+            self.page_size.is_power_of_two(),
+            "page_size must be a power of two, got {}",
+            self.page_size
+        );
         assert!(
             self.pages_per_partition > 0,
             "pages_per_partition must be positive"
@@ -100,6 +104,16 @@ mod tests {
     fn zero_page_size_rejected() {
         StoreConfig {
             page_size: 0,
+            ..StoreConfig::default()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "page_size must be a power of two, got 8000")]
+    fn non_power_of_two_page_size_rejected() {
+        StoreConfig {
+            page_size: 8000,
             ..StoreConfig::default()
         }
         .validate();

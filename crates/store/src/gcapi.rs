@@ -55,17 +55,6 @@ impl CollectionApplied {
     pub fn gc_io(&self) -> u64 {
         self.gc_reads + self.gc_writes
     }
-
-    /// Bytes reclaimed per overwrite observed on this partition (the
-    /// current-behavior `GPPO` sample), or `None` when no overwrites were
-    /// recorded.
-    pub fn gppo(&self) -> Option<f64> {
-        if self.overwrites_at_collection == 0 {
-            None
-        } else {
-            Some(self.bytes_reclaimed as f64 / self.overwrites_at_collection as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -73,8 +62,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gppo_handles_zero_overwrites() {
-        let mut c = CollectionApplied {
+    fn gc_io_sums_reads_and_writes() {
+        let c = CollectionApplied {
             partition: PartitionId::new(0),
             bytes_reclaimed: 600,
             bytes_after: 100,
@@ -84,9 +73,6 @@ mod tests {
             gc_writes: 2,
             overwrites_at_collection: 0,
         };
-        assert_eq!(c.gppo(), None);
         assert_eq!(c.gc_io(), 14);
-        c.overwrites_at_collection = 6;
-        assert_eq!(c.gppo(), Some(100.0));
     }
 }

@@ -63,15 +63,6 @@ impl fmt::Debug for PageKey {
     }
 }
 
-/// The inclusive page range `[first, last]` covered by a byte extent
-/// `[offset, offset + size)` under the given page size. `size` must be ≥ 1.
-pub fn page_span(offset: u32, size: u32, page_size: u32) -> (u32, u32) {
-    debug_assert!(size >= 1);
-    let first = offset / page_size;
-    let last = (offset + size - 1) / page_size;
-    (first, last)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,26 +74,5 @@ mod tests {
             format!("{:?}", PageKey::new(PartitionId::new(3), 1)),
             "P3/pg1"
         );
-    }
-
-    #[test]
-    fn page_span_single_page() {
-        assert_eq!(page_span(0, 64, 64), (0, 0));
-        assert_eq!(page_span(63, 1, 64), (0, 0));
-    }
-
-    #[test]
-    fn page_span_straddles_boundary() {
-        assert_eq!(page_span(60, 8, 64), (0, 1));
-        assert_eq!(page_span(64, 64, 64), (1, 1));
-        assert_eq!(page_span(0, 129, 64), (0, 2));
-    }
-
-    #[test]
-    fn page_span_large_object() {
-        // 100 KiB object on 8 KiB pages: 13 pages.
-        let (first, last) = page_span(0, 100 * 1024, 8192);
-        assert_eq!(first, 0);
-        assert_eq!(last, 12);
     }
 }

@@ -26,17 +26,15 @@ pub struct Partition {
     /// Includes garbage until it is collected; never includes destroyed
     /// objects.
     pub residents: Vec<ObjectId>,
-    /// Ids registered as global roots whose object resides here. Mirrors
-    /// the store's root set restricted to this partition — including ids
-    /// whose object has since been destroyed, matching the legacy
-    /// behavior where `partition_roots` consulted the full root set.
-    /// Maintained on root add/remove; collections leave it alone (roots
-    /// always survive).
+    /// Resident objects registered as global roots: together with
+    /// `ObjectInfo::is_root`, the store's root set. Maintained on root
+    /// add/remove; a collection leaves it alone, because roots are
+    /// collection roots and so always survive.
     pub root_residents: Vec<ObjectId>,
     /// Resident objects currently holding a birth pin. Maintained on
-    /// create, on first incoming reference (pin drop), and on collection
-    /// (doomed objects lose their pin). Lets `partition_roots` skip the
-    /// full resident scan.
+    /// create and on first incoming reference (pin drop); a collection
+    /// leaves it alone, because pinned objects are collection roots too.
+    /// Lets `partition_roots` skip the full resident scan.
     pub pinned_residents: Vec<ObjectId>,
     /// Pointer overwrites whose old target lived in this partition since
     /// the partition was last collected (the FGS state; also drives the

@@ -15,10 +15,14 @@
 //! open-addressing table with an FxHash-style multiplicative hasher
 //! instead of `HashMap`'s SipHash: no per-operation allocation, no
 //! cryptographic mixing, cache-friendly linear probing. The observable
-//! behavior (insert/remove/external_targets/entry_count/retain_targets)
+//! behavior (insert/remove/target_of/external_targets_into/entry_count)
 //! is identical to the previous `HashMap<RemEntry, ObjectId>`-backed
 //! implementation; `crates/store/tests/remset_differential.rs` proves it
 //! against a `HashMap` oracle under random operation sequences.
+//!
+//! A collection never prunes the collected partition's own set: every
+//! target remembered there is one of its collection roots, so it
+//! survives.
 
 use odbgc_trace::{ObjectId, SlotIdx};
 
@@ -159,13 +163,11 @@ impl RemTable {
         }
     }
 
-    fn retain_vals(&mut self, mut pred: impl FnMut(ObjectId) -> bool) {
-        for i in 0..self.ctrl.len() {
-            if self.ctrl[i] == FULL && !pred(self.vals[i]) {
-                self.ctrl[i] = TOMBSTONE;
-                self.len -= 1;
-            }
+    fn get(&self, key: (u64, u32)) -> Option<ObjectId> {
+        if self.ctrl.is_empty() {
+            return None;
         }
+        self.probe(key).0.map(|i| self.vals[i])
     }
 
     /// Appends the target of every FULL slot to `out`, in table order.
@@ -279,20 +281,17 @@ impl RemSets {
         }
     }
 
-    /// The distinct target objects referenced into `p` from outside — the
-    /// external component of `p`'s collection roots.
-    pub fn external_targets(&self, p: PartitionId) -> Vec<ObjectId> {
-        let mut v = Vec::new();
-        self.external_targets_into(p, &mut v);
-        crate::radix::sort_dedup(&mut v);
-        v
+    /// The target remembered for `src.slots[slot]` in `p`'s set, if any.
+    pub fn target_of(&self, src: ObjectId, slot: SlotIdx, p: PartitionId) -> Option<ObjectId> {
+        self.sets.get(p.index())?.get((src.raw(), slot.raw()))
     }
 
-    /// Allocation-free variant of [`RemSets::external_targets`]: appends
-    /// the raw remembered targets into `out` *without* sorting or
-    /// deduplication (one push per entry, so an object referenced from
-    /// several slots appears several times). Callers building a root set
-    /// sort and dedup the whole buffer once at the end.
+    /// Appends the target of every entry into `p` to `out` — the external
+    /// component of `p`'s collection roots — in table order, *without*
+    /// sorting or deduplication (one push per entry, so an object
+    /// referenced from several slots appears several times). Callers
+    /// building a root set sort and dedup the whole buffer once at the
+    /// end.
     pub fn external_targets_into(&self, p: PartitionId, out: &mut Vec<ObjectId>) {
         if let Some(set) = self.sets.get(p.index()) {
             set.values_into(out);
@@ -302,14 +301,6 @@ impl RemSets {
     /// Number of remembered entries into `p`.
     pub fn entry_count(&self, p: PartitionId) -> usize {
         self.sets.get(p.index()).map_or(0, |t| t.len)
-    }
-
-    /// Drops every entry into `p` whose target satisfies `pred`. Used after
-    /// a collection to forget references to destroyed objects.
-    pub fn retain_targets(&mut self, p: PartitionId, pred: impl FnMut(ObjectId) -> bool) {
-        if let Some(set) = self.sets.get_mut(p.index()) {
-            set.retain_vals(pred);
-        }
     }
 
     /// Total remembered entries across all partitions (space-overhead
@@ -344,14 +335,22 @@ mod tests {
     fn s(n: u32) -> SlotIdx {
         SlotIdx::new(n)
     }
+    /// The distinct targets remembered into `p`, in id order.
+    fn targets(rs: &RemSets, p: PartitionId) -> Vec<ObjectId> {
+        let mut v = Vec::new();
+        rs.external_targets_into(p, &mut v);
+        v.sort_unstable();
+        v.dedup();
+        v
+    }
 
     #[test]
     fn cross_partition_refs_are_remembered() {
         let mut rs = RemSets::new();
         rs.insert(oid(1), s(0), pid(0), oid(9), pid(1));
-        assert_eq!(rs.external_targets(pid(1)), vec![oid(9)]);
+        assert_eq!(targets(&rs, pid(1)), vec![oid(9)]);
         assert_eq!(rs.entry_count(pid(1)), 1);
-        assert_eq!(rs.external_targets(pid(0)), Vec::<ObjectId>::new());
+        assert_eq!(targets(&rs, pid(0)), Vec::<ObjectId>::new());
     }
 
     #[test]
@@ -368,8 +367,10 @@ mod tests {
         rs.insert(oid(1), s(1), pid(0), oid(9), pid(1));
         rs.remove(oid(1), s(0), pid(1));
         assert_eq!(rs.entry_count(pid(1)), 1);
+        assert_eq!(rs.target_of(oid(1), s(0), pid(1)), None);
+        assert_eq!(rs.target_of(oid(1), s(1), pid(1)), Some(oid(9)));
         // The surviving entry still makes o9 a root of P1.
-        assert_eq!(rs.external_targets(pid(1)), vec![oid(9)]);
+        assert_eq!(targets(&rs, pid(1)), vec![oid(9)]);
     }
 
     #[test]
@@ -378,18 +379,9 @@ mod tests {
         rs.insert(oid(1), s(0), pid(0), oid(9), pid(1));
         rs.insert(oid(2), s(0), pid(0), oid(9), pid(1));
         rs.insert(oid(2), s(1), pid(0), oid(8), pid(1));
-        assert_eq!(rs.external_targets(pid(1)), vec![oid(8), oid(9)]);
+        assert_eq!(targets(&rs, pid(1)), vec![oid(8), oid(9)]);
         assert_eq!(rs.entry_count(pid(1)), 3);
         assert_eq!(rs.total_entries(), 3);
-    }
-
-    #[test]
-    fn retain_targets_filters() {
-        let mut rs = RemSets::new();
-        rs.insert(oid(1), s(0), pid(0), oid(9), pid(1));
-        rs.insert(oid(2), s(0), pid(0), oid(8), pid(1));
-        rs.retain_targets(pid(1), |t| t == oid(9));
-        assert_eq!(rs.external_targets(pid(1)), vec![oid(9)]);
     }
 
     #[test]
@@ -405,7 +397,8 @@ mod tests {
         rs.insert(oid(1), s(0), pid(0), oid(9), pid(1));
         rs.insert(oid(1), s(0), pid(0), oid(8), pid(1));
         assert_eq!(rs.entry_count(pid(1)), 1);
-        assert_eq!(rs.external_targets(pid(1)), vec![oid(8)]);
+        assert_eq!(rs.target_of(oid(1), s(0), pid(1)), Some(oid(8)));
+        assert_eq!(targets(&rs, pid(1)), vec![oid(8)]);
     }
 
     #[test]
@@ -422,8 +415,6 @@ mod tests {
             }
             rs.check_structure().expect("audit after churn round");
         }
-        rs.retain_targets(pid(1), |t| t.raw() % 2 == 0);
-        rs.check_structure().expect("audit after retain");
     }
 
     #[test]
@@ -462,7 +453,7 @@ mod tests {
             }
         }
         assert_eq!(rs.entry_count(pid(1)), 4 * 100);
-        let targets = rs.external_targets(pid(1));
+        let targets = targets(&rs, pid(1));
         let expected: Vec<ObjectId> = (0..200u64)
             .filter(|i| i % 2 == 1)
             .map(|i| oid(1000 + i))

@@ -12,8 +12,6 @@
 //! proportional to the live subgraph the candidates reach, not to the
 //! heap.
 
-use std::collections::BTreeSet;
-
 use odbgc_trace::{Event, ObjectId, SlotIdx};
 
 use crate::alloc::{self, FreeIndex};
@@ -21,7 +19,7 @@ use crate::buffer::{BufferPool, BufferStats};
 use crate::config::{OverwriteSemantics, StoreConfig};
 use crate::error::StoreError;
 use crate::gcapi::{CollectionApplied, PartitionSnapshot};
-use crate::ids::{page_span, PageKey, PartitionId};
+use crate::ids::{PageKey, PartitionId};
 use crate::io::{IoClass, IoLedger};
 use crate::object::{CycleState, ObjState, ObjectInfo, PackedSlot};
 use crate::partition::Partition;
@@ -109,7 +107,6 @@ pub struct Store {
     remsets: RemSets,
     buffer: BufferPool,
     io: IoLedger,
-    roots: BTreeSet<ObjectId>,
     garbage: GarbageLedger,
     /// Total pointer overwrites (the SAGA time base).
     overwrite_clock: u64,
@@ -150,10 +147,9 @@ pub struct Store {
     /// with room in O(log partitions), and a collection or grow that
     /// frees space updates one leaf-to-root path.
     free_index: FreeIndex,
-    /// `log2(page_size)` when the page size is a power of two (it always
-    /// is in practice), letting the per-event page math shift instead of
-    /// divide.
-    page_shift: Option<u32>,
+    /// `log2(page_size)`: [`StoreConfig::validate`] admits only powers
+    /// of two, so the per-event page math shifts instead of dividing.
+    page_shift: u32,
     /// Every object's pointer slots, packed end to end. An object's
     /// [`ObjectInfo::slot_range`] addresses its span. One store-wide
     /// vector replaces a per-object boxed slice, so creating an object
@@ -190,10 +186,7 @@ impl Store {
     pub fn new(config: StoreConfig) -> Self {
         config.validate();
         let buffer = BufferPool::new(config.buffer_pages);
-        let page_shift = config
-            .page_size
-            .is_power_of_two()
-            .then(|| config.page_size.trailing_zeros());
+        let page_shift = config.page_size.trailing_zeros();
         Store {
             config,
             objects: Vec::new(),
@@ -201,7 +194,6 @@ impl Store {
             remsets: RemSets::new(),
             buffer,
             io: IoLedger::new(),
-            roots: BTreeSet::new(),
             garbage: GarbageLedger::new(),
             overwrite_clock: 0,
             alloc_clock: 0,
@@ -342,11 +334,8 @@ impl Store {
         dirty: bool,
         class: IoClass,
     ) {
-        let (first, last) = match self.page_shift {
-            Some(s) => (offset >> s, (offset + size - 1) >> s),
-            None => page_span(offset, size, self.config.page_size),
-        };
-        for page in first..=last {
+        let s = self.page_shift;
+        for page in offset >> s..=(offset + size - 1) >> s {
             self.buffer
                 .touch(PageKey::new(partition, page), dirty, class, &mut self.io);
         }
@@ -514,7 +503,6 @@ impl Store {
                 }
                 let p = info.partition;
                 self.info_mut(*id).expect("validated").is_root = true;
-                self.roots.insert(*id);
                 self.partitions[p.index()].root_residents.push(*id);
                 self.incr_ref(*id, true);
                 Ok(ApplyOutcome::default())
@@ -526,7 +514,6 @@ impl Store {
                 }
                 let p = info.partition;
                 self.info_mut(*id).expect("validated").is_root = false;
-                self.roots.remove(id);
                 let roots = &mut self.partitions[p.index()].root_residents;
                 let pos = roots
                     .iter()
@@ -770,9 +757,13 @@ impl Store {
         self.objects.len() as u64
     }
 
-    /// Current root set, in id order.
+    /// Current root set, in id order: the objects whose root flag is set.
     pub fn roots(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.roots.iter().copied()
+        self.objects
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.as_ref().is_some_and(|i| i.is_root))
+            .map(|(raw, _)| ObjectId::new(raw as u64))
     }
 
     /// Is the object present (live or garbage, not destroyed)?
@@ -877,8 +868,9 @@ impl Store {
     pub fn compute_reachable(&self) -> ReachSet {
         let mut bits = vec![false; self.objects.len()];
         let mut len = 0usize;
-        let mut stack: Vec<ObjectId> = self.roots.iter().copied().collect();
+        let mut stack: Vec<ObjectId> = Vec::new();
         for part in &self.partitions {
+            stack.extend_from_slice(&part.root_residents);
             stack.extend_from_slice(&part.pinned_residents);
         }
         while let Some(cur) = stack.pop() {
@@ -1072,9 +1064,10 @@ impl Store {
     ///
     /// Checked invariants:
     /// 1. every cross-partition pointer from a present object has exactly
-    ///    one remembered-set entry, and every entry matches a real slot;
-    /// 2. every reference count equals live-holder references + root pin
-    ///    + birth pin;
+    ///    one remembered-set entry, keyed by its slot and naming its
+    ///    target, and every entry matches a real slot;
+    /// 2. every root is live, and every reference count equals
+    ///    live-holder references + root pin + birth pin;
     /// 3. partition live/garbage byte tallies and the residents lists
     ///    match the object table, and object extents do not overlap;
     /// 4. the global live/occupied/garbage ledgers equal the per-partition
@@ -1109,8 +1102,10 @@ impl Store {
                 }
                 if tinfo.partition != info.partition {
                     expected_entries += 1;
-                    let roots = self.remsets.external_targets(tinfo.partition);
-                    if !roots.contains(&t) {
+                    let remembered =
+                        self.remsets
+                            .target_of(src, SlotIdx::new(i as u32), tinfo.partition);
+                    if remembered != Some(t) {
                         return Err(format!(
                             "missing remembered entry for {src} slot {i} -> {t}"
                         ));
@@ -1139,13 +1134,13 @@ impl Store {
                 }
             }
         }
-        for r in &self.roots {
-            counts[r.raw() as usize] += 1;
-        }
         for (raw, slot) in self.objects.iter().enumerate() {
             let Some(info) = slot else { continue };
+            if info.is_root && !info.is_live() {
+                return Err(format!("root o{raw} is not live"));
+            }
             if info.is_present() {
-                let expected = counts[raw] + u32::from(info.birth_pin);
+                let expected = counts[raw] + u32::from(info.is_root) + u32::from(info.birth_pin);
                 if info.refcount != expected {
                     return Err(format!(
                         "o{raw} refcount {} != expected {expected}",
@@ -1215,19 +1210,19 @@ impl Store {
 
         // -- per-partition root & pin indexes -------------------------------
         // The indexes partition_roots_into reads must equal a from-scratch
-        // derivation: root_residents[p] is exactly the global roots homed
-        // in p (destroyed or not, mirroring the root set), and
-        // pinned_residents[p] is exactly the birth-pinned residents.
+        // derivation: root_residents[p] is exactly the objects homed in p
+        // whose root flag is set, and pinned_residents[p] is exactly the
+        // birth-pinned residents.
         let mut expected_roots: Vec<Vec<ObjectId>> = vec![Vec::new(); self.partitions.len()];
-        for &r in &self.roots {
-            let info = self.info(r).map_err(|e| format!("root {r}: {e}"))?;
+        for r in self.roots() {
+            let info = self.info(r).expect("a root flag is set on a table entry");
             expected_roots[info.partition.index()].push(r);
         }
         for (pi, part) in self.partitions.iter().enumerate() {
             let pid = PartitionId::new(pi as u32);
             let mut indexed = part.root_residents.clone();
             indexed.sort_unstable();
-            // `expected_roots` is already sorted (root-set iteration order).
+            // `expected_roots` is already sorted (object-table order).
             if indexed != expected_roots[pi] {
                 return Err(format!(
                     "{pid} root index {:?} != derived {:?}",
@@ -1283,7 +1278,7 @@ impl Store {
         // (Slot-less objects never hold anything; their state is unused.)
         let mut anchor_reach = in_buffer.clone();
         let mut stack: Vec<usize> = self.candidates.iter().map(|&raw| raw as usize).collect();
-        for r in &self.roots {
+        for r in self.roots() {
             anchor_reach[r.raw() as usize] = true;
             stack.push(r.raw() as usize);
         }
@@ -1413,20 +1408,31 @@ impl Store {
     /// compacted extent.
     ///
     /// `survivors` must be a duplicate-free subset of `p`'s residents (in
-    /// the copy order the collector chose); the collector computes it by
-    /// tracing from [`Store::partition_roots`]. Panics on a malformed
-    /// survivor list — that is a collector bug, not a data condition.
+    /// the copy order the collector chose) that includes every collection
+    /// root of `p` ([`Store::partition_roots`]); the collector computes it
+    /// by tracing from those roots. Every remembered entry into `p` then
+    /// names a survivor and every doomed object is pin-free, so the
+    /// remembered set and the pin index need no repair. Debug builds
+    /// check that contract. Panics on a survivor that is foreign or
+    /// repeated — that is a collector bug, not a data condition.
     pub fn apply_collection(
         &mut self,
         p: PartitionId,
         survivors: &[ObjectId],
     ) -> CollectionApplied {
-        let occupied_pages_before =
-            u64::from(self.partitions[p.index()].occupied_pages(self.config.page_size));
-        let overwrites_at_collection = self.partitions[p.index()].overwrites;
+        let epoch = self.mark_survivors(p, survivors);
+        debug_assert_eq!(
+            self.unmarked_root(p, epoch),
+            None,
+            "a collection root of {p} is not among the survivors"
+        );
+        self.sweep_and_compact(p, survivors, epoch)
+    }
 
-        // Validate and mark the survivors in a fresh epoch: residency is
-        // one table lookup, duplicate detection is the epoch mark itself.
+    /// Validates and marks the survivors in a fresh epoch, which it
+    /// returns: residency is one table lookup, duplicate detection is the
+    /// epoch mark itself.
+    fn mark_survivors(&mut self, p: PartitionId, survivors: &[ObjectId]) -> u32 {
         let epoch = self.begin_visit_epoch();
         for &s in survivors {
             let info = match self.objects.get_mut(s.raw() as usize) {
@@ -1439,6 +1445,31 @@ impl Store {
             );
             info.mark_epoch = epoch;
         }
+        epoch
+    }
+
+    /// The first collection root of `p` not marked in `epoch`, if any.
+    fn unmarked_root(&self, p: PartitionId, epoch: u32) -> Option<ObjectId> {
+        self.partition_roots(p).into_iter().find(|r| {
+            self.objects[r.raw() as usize]
+                .as_ref()
+                .expect("root exists")
+                .mark_epoch
+                != epoch
+        })
+    }
+
+    /// The body of [`Store::apply_collection`] once the survivors are
+    /// marked in `epoch`.
+    fn sweep_and_compact(
+        &mut self,
+        p: PartitionId,
+        survivors: &[ObjectId],
+        epoch: u32,
+    ) -> CollectionApplied {
+        let occupied_pages_before =
+            u64::from(self.partitions[p.index()].occupied_pages(self.config.page_size));
+        let overwrites_at_collection = self.partitions[p.index()].overwrites;
 
         // Doomed = residents not marked as survivors, in layout order.
         let mut doomed = std::mem::take(&mut self.doomed_scratch);
@@ -1507,56 +1538,28 @@ impl Store {
                 .expect("resident exists");
             info.state = ObjState::Destroyed;
             info.refcount = 0;
-            info.birth_pin = false;
             self.partitions[p.index()].garbage_bytes -= size;
             self.garbage.record_collected(size);
             bytes_reclaimed += size;
             self.present_objects -= 1;
         }
-
-        // Phase 3: compact survivors in the collector's copy order.
-        {
-            let part = &mut self.partitions[p.index()];
-            part.high_water = 0;
-            part.residents.clear();
-            part.residents.extend_from_slice(survivors);
-            part.overwrites = 0;
-            part.collections += 1;
-            self.outstanding_overwrites -= overwrites_at_collection;
-        }
-        for &s in survivors {
-            let size = self.objects[s.raw() as usize]
-                .as_ref()
-                .expect("survivor exists")
-                .size;
-            let offset = self.partitions[p.index()].append(size);
-            self.objects[s.raw() as usize]
-                .as_mut()
-                .expect("survivor exists")
-                .offset = offset;
-        }
-
-        // Doomed objects lost their birth pins; drop them from the index.
-        {
-            let objects = &self.objects;
-            self.partitions[p.index()].pinned_residents.retain(|&id| {
-                objects[id.raw() as usize]
-                    .as_ref()
-                    .is_some_and(|i| i.birth_pin)
-            });
-        }
-
         let objects_destroyed = doomed.len();
         self.doomed_scratch = doomed;
 
-        // Safety net: no remembered entry may point at a destroyed target.
-        let objects = &self.objects;
-        self.remsets.retain_targets(p, |t| {
-            objects
-                .get(t.raw() as usize)
-                .and_then(|s| s.as_ref())
-                .is_some_and(ObjectInfo::is_present)
-        });
+        // Phase 3: compact survivors in the collector's copy order.
+        let part = &mut self.partitions[p.index()];
+        part.high_water = 0;
+        part.residents.clear();
+        part.residents.extend_from_slice(survivors);
+        part.overwrites = 0;
+        part.collections += 1;
+        self.outstanding_overwrites -= overwrites_at_collection;
+        for &s in survivors {
+            let info = self.objects[s.raw() as usize]
+                .as_mut()
+                .expect("survivor exists");
+            info.offset = part.append(info.size);
+        }
 
         // Phase 4: I/O and buffer effects.
         let occupied_pages_after =
@@ -1969,6 +1972,60 @@ mod tests {
         // Root object's own partition has the global root.
         let p_root = s.partition_of(root).unwrap();
         assert!(s.partition_roots(p_root).contains(&root));
+    }
+
+    /// A store whose partition 1 holds one collection root of each kind —
+    /// `o2`, remembered from `o0`'s slot 0; `o3`, birth-pinned; `o4`, a
+    /// global root — and that partition.
+    fn roots_of_each_kind() -> (Store, PartitionId) {
+        let mut s = tiny();
+        let mut b = TraceBuilder::new();
+        let root = b.create_unlinked(10, 1);
+        b.root_add(root);
+        let _filler = b.create_unlinked(240, 0);
+        let far = b.create_unlinked(50, 0);
+        b.slot_write(root, SlotIdx::new(0), Some(far));
+        let _newborn = b.create_unlinked(50, 0);
+        let far_root = b.create_unlinked(50, 0);
+        b.root_add(far_root);
+        replay(&mut s, &b.finish());
+        let p = s.partition_of(far).unwrap();
+        assert_eq!(
+            s.partition_roots(p),
+            (2..5).map(ObjectId::new).collect::<Vec<_>>()
+        );
+        s.assert_consistent();
+        (s, p)
+    }
+
+    #[test]
+    fn audit_reports_each_collection_root_a_collection_destroyed() {
+        // Release builds skip the survivor contract check; the deep audit
+        // must still catch a planner that dropped a root.
+        for (dropped, expected) in [
+            (2, "o0 slot 0 references destroyed o2"),
+            (3, "P1 pinned index [o3] != derived []"),
+            (4, "root o4 is not live"),
+        ] {
+            let (mut s, p) = roots_of_each_kind();
+            let survivors: Vec<ObjectId> = (2..5)
+                .filter(|&raw| raw != dropped)
+                .map(ObjectId::new)
+                .collect();
+            let epoch = s.mark_survivors(p, &survivors);
+            assert_eq!(s.unmarked_root(p, epoch), Some(ObjectId::new(dropped)));
+            s.sweep_and_compact(p, &survivors, epoch);
+            let err = s.check_consistency().unwrap_err();
+            assert!(err.contains(expected), "dropping o{dropped}: {err}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a collection root of P1 is not among the survivors")]
+    fn collection_that_drops_a_root_panics_in_debug_builds() {
+        let (mut s, p) = roots_of_each_kind();
+        s.apply_collection(p, &[ObjectId::new(3), ObjectId::new(4)]);
     }
 
     #[test]

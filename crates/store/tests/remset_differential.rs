@@ -4,10 +4,11 @@
 //!
 //! The oracle is a literal `HashMap<(src, slot), target>` per partition —
 //! the exact data structure the previous implementation used. Random
-//! operation sequences (insert / remove / retain, with key collisions and
+//! operation sequences (insert / remove, with key collisions and
 //! re-insertions on purpose) are applied to both, and every observable
-//! query (`external_targets`, `entry_count`, `total_entries`) must agree
-//! after each step.
+//! query (the remembered targets, `target_of` for the key just touched,
+//! `entry_count`, `total_entries`) must agree after each step; at the
+//! end, `target_of` agrees on every key the oracle holds.
 
 use std::collections::HashMap;
 
@@ -59,18 +60,15 @@ impl OracleRemSets {
             .map(|s| s.values().copied().collect())
             .unwrap_or_default();
         v.sort_unstable();
-        v.dedup();
         v
+    }
+
+    fn target_of(&self, src: u64, slot: u32, p: PartitionId) -> Option<ObjectId> {
+        self.sets.get(p.index())?.get(&(src, slot)).copied()
     }
 
     fn entry_count(&self, p: PartitionId) -> usize {
         self.sets.get(p.index()).map_or(0, HashMap::len)
-    }
-
-    fn retain_targets(&mut self, p: PartitionId, mut pred: impl FnMut(ObjectId) -> bool) {
-        if let Some(set) = self.sets.get_mut(p.index()) {
-            set.retain(|_, &mut t| pred(t));
-        }
     }
 
     fn total_entries(&self) -> usize {
@@ -84,8 +82,6 @@ enum Op {
     Insert(u64, u32, u32, u64, u32),
     /// remove(src, slot, target_p)
     Remove(u64, u32, u32),
-    /// retain_targets(p, |t| t.raw() % modulus != 0)
-    Retain(u32, u64),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -95,7 +91,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0u64..40, 0u32..6, 0u32..4, 0u64..40, 0u32..4)
             .prop_map(|(s, sl, sp, t, tp)| Op::Insert(s, sl, sp, t, tp)),
         (0u64..40, 0u32..6, 0u32..4).prop_map(|(s, sl, tp)| Op::Remove(s, sl, tp)),
-        (0u32..4, 2u64..5).prop_map(|(p, m)| Op::Retain(p, m)),
     ]
 }
 
@@ -107,6 +102,9 @@ proptest! {
         let mut real = RemSets::new();
         let mut oracle = OracleRemSets::default();
         for op in &ops {
+            let (src, slot) = match *op {
+                Op::Insert(src, slot, ..) | Op::Remove(src, slot, _) => (src, slot),
+            };
             match *op {
                 Op::Insert(src, slot, sp, target, tp) => {
                     real.insert(
@@ -128,17 +126,28 @@ proptest! {
                     real.remove(ObjectId::new(src), SlotIdx::new(slot), PartitionId::new(tp));
                     oracle.remove(ObjectId::new(src), SlotIdx::new(slot), PartitionId::new(tp));
                 }
-                Op::Retain(p, m) => {
-                    real.retain_targets(PartitionId::new(p), |t| t.raw() % m != 0);
-                    oracle.retain_targets(PartitionId::new(p), |t| t.raw() % m != 0);
-                }
             }
             // Every observable query agrees after every operation.
             prop_assert_eq!(real.total_entries(), oracle.total_entries());
             for p in 0..4u32 {
                 let p = PartitionId::new(p);
                 prop_assert_eq!(real.entry_count(p), oracle.entry_count(p));
-                prop_assert_eq!(real.external_targets(p), oracle.external_targets(p));
+                let mut targets = Vec::new();
+                real.external_targets_into(p, &mut targets);
+                targets.sort_unstable();
+                prop_assert_eq!(targets, oracle.external_targets(p));
+                prop_assert_eq!(
+                    real.target_of(ObjectId::new(src), SlotIdx::new(slot), p),
+                    oracle.target_of(src, slot, p)
+                );
+            }
+        }
+        for (p, set) in oracle.sets.iter().enumerate() {
+            for (&(src, slot), &target) in set {
+                prop_assert_eq!(
+                    real.target_of(ObjectId::new(src), SlotIdx::new(slot), PartitionId::new(p as u32)),
+                    Some(target)
+                );
             }
         }
     }

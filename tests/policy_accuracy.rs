@@ -1,11 +1,13 @@
 //! Full-scale accuracy assertions behind the paper's headline results
-//! (Figures 4, 5, 8): the policies achieve what the user requests.
+//! (Figures 4, 5, 8): the policies achieve what the user requests, on
+//! replayed OO7 traces and on every shard of a served store whose
+//! sessions interleave.
 //!
-//! Single-seed runs keep the suite fast; the bench binaries run the full
-//! 10-seed protocol.
+//! Single-seed replays keep the suite fast; the bench binaries run the
+//! full 10-seed protocol.
 
-use odbgc_core::{EstimatorKind, RatePolicy, SagaPolicy, SaioPolicy};
-use odbgc_engine::{EngineConfig, RunResult};
+use odbgc_core::{EstimatorKind, PolicySpec, RatePolicy, SagaPolicy, SaioPolicy};
+use odbgc_engine::{serve, EngineConfig, RunResult, ServeConfig, WorkloadParams};
 use odbgc_oo7::{Oo7App, Oo7Params};
 use odbgc_sim::Simulator;
 use odbgc_trace::Trace;
@@ -166,4 +168,63 @@ fn section1_mixed_workload_policies_still_hit_targets() {
         (achieved - 10.0).abs() < 4.0,
         "mixed workload: SAGA achieved {achieved}%"
     );
+}
+
+/// Every shard's result of a served run under `spec`: four sessions
+/// interleaved by the seeded scheduler onto two shards, default geometry.
+fn served_shards(spec: &PolicySpec, ops_per_session: u64, seed: u64) -> Vec<RunResult> {
+    let config = ServeConfig {
+        engine: EngineConfig::default(),
+        sessions: 4,
+        shards: 2,
+        ops_per_session,
+        batch: 8,
+        scheduler_seed: seed,
+        workload: WorkloadParams { seed },
+        gc_fault: None,
+    };
+    let outcome = serve(config, |_| spec.build()).expect("serve run");
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+    outcome.shards.into_iter().map(|s| s.result).collect()
+}
+
+#[test]
+fn serve_saio_tracks_requested_io_share_per_shard() {
+    // Figure 4's tolerance, on each shard's window. 15 000 ops per
+    // session give every shard at least 16 collections at 5 %.
+    for requested in [5.0, 10.0, 20.0] {
+        let spec = PolicySpec::saio(requested / 100.0);
+        for seed in [1, 7, 42] {
+            for (i, r) in served_shards(&spec, 15_000, seed).iter().enumerate() {
+                let achieved = r.gc_io_pct.expect("window exists");
+                assert!(
+                    (achieved - requested).abs() < 0.15 * requested + 0.5,
+                    "{spec} seed {seed} shard {i}: achieved {achieved}%"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn serve_saga_tracks_requested_garbage_share_per_shard() {
+    // Figure 5's tolerance, on each shard's window. 40 000 ops per
+    // session give every shard at least 15 collections under FGS/HB.
+    for (spec, requested) in [
+        (PolicySpec::saga(0.05, EstimatorKind::Oracle), 5.0),
+        (
+            PolicySpec::saga(0.10, EstimatorKind::fgs_hb_default()),
+            10.0,
+        ),
+    ] {
+        for seed in [1, 7, 42] {
+            for (i, r) in served_shards(&spec, 40_000, seed).iter().enumerate() {
+                let achieved = r.garbage_pct_mean.expect("window exists");
+                assert!(
+                    (achieved - requested).abs() < 3.0,
+                    "{spec} seed {seed} shard {i}: achieved {achieved}%"
+                );
+            }
+        }
+    }
 }

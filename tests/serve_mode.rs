@@ -15,11 +15,12 @@
 
 use odbgc_core::{EstimatorKind, PolicySpec};
 use odbgc_engine::{
-    serve, EngineConfig, RunResult, ServeConfig, ServeOutcome, SessionId, Shard, WorkloadParams,
+    apply_ops, serve, CollectMode, EngineConfig, RunResult, ServeConfig, ServeOutcome, SessionId,
+    SessionObjects, SessionWorkload, Shard, StoreEngine, WorkloadParams,
 };
 use odbgc_oo7::{Oo7App, Oo7Params};
 use odbgc_sim::{ReplayOptions, Simulator};
-use odbgc_trace::{Event, Trace};
+use odbgc_trace::{Event, ObjectId, Trace};
 
 const SEEDS: [u64; 3] = [11, 22, 33];
 
@@ -141,4 +142,50 @@ fn serve_runs_are_deterministic_under_a_fixed_seed() {
     // interleaving (the schedule is genuinely seed-driven, not fixed).
     let c = run_audited(4, 2, 10);
     assert_ne!(a.schedule, c.schedule);
+}
+
+/// A served store on the paper geometry, audited after every collection.
+/// Two sessions alternate turns until their anchors and children spread
+/// over several partitions, so most collected partitions are entered
+/// by remembered references — the roots whose survival a collection no
+/// longer re-checks in release builds.
+#[test]
+fn long_served_run_on_the_paper_geometry_stays_consistent_under_deep_checks() {
+    let config = EngineConfig {
+        deep_checks: true,
+        ..EngineConfig::default()
+    };
+    let mut engine: StoreEngine = StoreEngine::new(config, PolicySpec::saio(0.10).build());
+    engine.set_collect_mode(CollectMode::Deferred);
+    let mut workloads: Vec<SessionWorkload> = (0..2)
+        .map(|s| SessionWorkload::new(s, WorkloadParams::default(), 30_000))
+        .collect();
+    let mut objects = [SessionObjects::new(), SessionObjects::new()];
+    let (mut collections, mut remembered_into_collected) = (0, 0);
+    for s in (0..2).cycle() {
+        let ops = workloads[s].next_turn(8);
+        if ops.is_empty() {
+            break;
+        }
+        let mut sess = engine.session_with(SessionId::new(s as u32), None);
+        apply_ops(&mut sess, &mut objects[s], &ops).expect("served turn");
+        while let Some(applied) = engine.collect_if_due(None) {
+            collections += 1;
+            // The engine audited the store already; count the collected
+            // partitions whose roots include a non-global one.
+            let store = engine.store();
+            let global: Vec<ObjectId> = store.roots().collect();
+            if store
+                .partition_roots(applied.partition)
+                .iter()
+                .any(|r| global.binary_search(r).is_err())
+            {
+                remembered_into_collected += 1;
+            }
+        }
+    }
+    assert!(
+        remembered_into_collected * 2 > collections,
+        "{remembered_into_collected} of {collections} collections had remembered roots"
+    );
 }

@@ -14,7 +14,7 @@
 use odbgc_engine::WorkloadParams;
 use odbgc_net::{run_client, run_clients, ClientConfig};
 
-use crate::flags::Flags;
+use crate::flags::{Flags, MAX_CONNECTIONS};
 use crate::CliError;
 
 /// Connects, drives the workload, and reports client-side counters.
@@ -26,7 +26,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let batch: u64 = flags.get_or("batch", 8)?;
     let window: u32 = flags.get_or("window", 4)?;
     let seed: u64 = flags.get_or("seed", WorkloadParams::default().seed)?;
-    let connections: u32 = flags.get_or("connections", 1)?;
+    let connections = flags.count_or("connections", 1, MAX_CONNECTIONS)?;
     let shutdown_after: bool = flags.get_or("shutdown", false)?;
     flags.finish()?;
 
@@ -36,9 +36,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
     if window == 0 {
         return Err(CliError("--window must be at least 1".into()));
-    }
-    if connections == 0 {
-        return Err(CliError("--connections must be at least 1".into()));
     }
 
     let config = ClientConfig {

@@ -12,7 +12,7 @@ use odbgc_net::{NetConfig, NetServer};
 use odbgc_sim::Json;
 
 use super::serve_bench::{push_shard_report, write_shard_telemetry};
-use crate::flags::Flags;
+use crate::flags::{Flags, MAX_SHARDS};
 use crate::spec;
 use crate::CliError;
 
@@ -22,7 +22,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let listen = flags.get_or("listen", "127.0.0.1:0".to_owned())?;
     let policy_spec = flags.require("policy")?;
-    let shards: u32 = flags.get_or("shards", 2)?;
+    let shards = flags.count_or("shards", 2, MAX_SHARDS)?;
     let window_max: u32 = flags.get_or("window-max", 64)?;
     let idle_timeout_ms: u64 = flags.get_or("idle-timeout-ms", 30_000)?;
     let store_geometry = flags.get("store");
@@ -30,11 +30,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let addr_file = flags.get("addr-file");
     flags.finish()?;
 
-    if shards == 0 {
-        return Err(CliError("--shards must be at least 1".into()));
-    }
     if window_max == 0 {
         return Err(CliError("--window-max must be at least 1".into()));
+    }
+    if idle_timeout_ms == 0 {
+        return Err(CliError("--idle-timeout-ms must be at least 1".into()));
     }
     // Validate the spec once up front so a bad spec fails before bind.
     spec::build_policy(&policy_spec)?;
@@ -48,7 +48,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         engine: engine_config,
         shards,
         window_max,
-        idle_timeout: std::time::Duration::from_millis(idle_timeout_ms.max(1)),
+        idle_timeout: std::time::Duration::from_millis(idle_timeout_ms),
         ..NetConfig::default()
     };
     let server = NetServer::bind(&listen, config, |_| {

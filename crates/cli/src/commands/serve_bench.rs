@@ -7,7 +7,7 @@ use std::path::Path;
 use odbgc_engine::{serve, EngineConfig, ServeConfig, ShardOutcome, WorkloadParams};
 use odbgc_sim::{Json, RunTelemetry};
 
-use crate::flags::Flags;
+use crate::flags::{Flags, MAX_SESSIONS};
 use crate::spec;
 use crate::CliError;
 
@@ -16,7 +16,7 @@ use crate::CliError;
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let flags = Flags::parse(args)?;
     let policy_spec = flags.require("policy")?;
-    let sessions: u32 = flags.get_or("sessions", 4)?;
+    let sessions = flags.count_or("sessions", 4, MAX_SESSIONS)?;
     let shards: u32 = flags.get_or("shards", 2)?;
     let ops: u64 = flags.get_or("ops", 2_000)?;
     let batch: u64 = flags.get_or("batch", 8)?;
@@ -26,9 +26,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let telemetry_path = flags.get("telemetry");
     flags.finish()?;
 
-    if sessions == 0 {
-        return Err(CliError("--sessions must be at least 1".into()));
-    }
     if batch < 2 {
         // A turn must hold a whole create-and-link action.
         return Err(CliError(format!("--batch must be at least 2, got {batch}")));

@@ -56,6 +56,17 @@ impl Flags {
         }
     }
 
+    /// An optional count flag with a default, refused by name unless it
+    /// is in `1..=max`. For counts that size threads, sockets or memory:
+    /// the check runs before any of them is built.
+    pub fn count_or(&self, key: &str, default: u32, max: u32) -> Result<u32, CliError> {
+        let n: u32 = self.get_or(key, default)?;
+        if n == 0 || n > max {
+            return Err(CliError(format!("--{key} must be in 1..={max}, got {n}")));
+        }
+        Ok(n)
+    }
+
     /// Rejects any flag that no accessor asked about (catches typos).
     pub fn finish(self) -> Result<(), CliError> {
         let consumed = self.consumed.into_inner();
@@ -71,6 +82,19 @@ impl Flags {
 /// The most seeds one range may name. Every seed is a job per cell and a
 /// trace held in memory for the whole sweep.
 pub const MAX_SEEDS: u64 = 10_000;
+
+/// The most shards `serve --shards` may start. Each shard is an engine,
+/// an event-loop thread and a wake pipe.
+pub const MAX_SHARDS: u32 = 256;
+
+/// The most sessions `serve-bench --sessions` may schedule. Each is a
+/// session workload and its object table, all allocated before the
+/// first turn.
+pub const MAX_SESSIONS: u32 = 4_096;
+
+/// The most connections `client --connections` may open. Each is a
+/// socket, and so a file descriptor, held until the run ends.
+pub const MAX_CONNECTIONS: u32 = 1_024;
 
 /// Parses a seed range: `5` (one seed) or `1..10` (inclusive), of at
 /// most [`MAX_SEEDS`] seeds.
@@ -143,6 +167,18 @@ mod tests {
     fn required_flag_errors_when_absent() {
         let f = Flags::parse(&[]).unwrap();
         assert!(f.require("out").is_err());
+    }
+
+    #[test]
+    fn counts_are_refused_by_name_outside_one_to_max() {
+        let f = Flags::parse(&argv("--shards 3")).unwrap();
+        assert_eq!(f.count_or("shards", 2, 3).unwrap(), 3);
+        assert_eq!(f.count_or("sessions", 2, 3).unwrap(), 2);
+        for (n, max) in [(0, 3), (4, 3)] {
+            let f = Flags::parse(&argv(&format!("--shards {n}"))).unwrap();
+            let err = f.count_or("shards", 2, max).unwrap_err().to_string();
+            assert_eq!(err, format!("--shards must be in 1..={max}, got {n}"));
+        }
     }
 
     #[test]

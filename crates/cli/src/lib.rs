@@ -77,7 +77,9 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
 
 /// The top-level usage text.
 pub fn usage() -> String {
-    "\
+    use crate::flags::{MAX_CONNECTIONS, MAX_SESSIONS, MAX_SHARDS};
+    format!(
+        "\
 odbgc — self-adaptive GC-rate control simulator (SIGMOD'96 reproduction)
 
 USAGE:
@@ -107,7 +109,9 @@ every --trace reads one; anything else is refused as `not a tracefile`.
 every block on the way; `trace cat` prints it as text. Without --trace,
 `run` and `sweep` generate the OO7 trace in process, once per seed.
 --conn must be in 1..=19 for small-prime and small, 1..=5 for tiny;
---batch (serve-bench, client) must be at least 2. Anything else exits 2.
+--batch (serve-bench, client) must be at least 2; serve --shards is at most
+{MAX_SHARDS}, serve-bench --sessions at most {MAX_SESSIONS}, client --connections at most
+{MAX_CONNECTIONS}, and serve --idle-timeout-ms at least 1. Anything else exits 2.
 
 POLICY SPECS:
   saio:10%[:hist=N|inf]   saga:5%[:oracle|fgs-hb[@h]|cgs-cb][:dtmax=N]
@@ -143,7 +147,7 @@ per-phase accounting for `run`; per-job wall times, trace-cache counts,
 and the failure list for `sweep`) for external tools such as jq; odbgc
 never reads one back. Every document leads with \"schema\":
 \"odbgc-telemetry\", \"version\" and \"kind\"."
-        .to_owned()
+    )
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ pub struct EngineConfig {
     /// with the same estimator kind the recorded values equal the ones the
     /// policy used.
     pub shadow_estimator: Option<EstimatorKind>,
-    /// Collector-worker pool size for packet-graph survivor planning;
+    /// Collector-worker crew size for survivor planning;
     /// `None` is 1, the sequential planner. Worker count never changes
     /// engine results — only wall-clock time and the volatile
     /// `StoreEngine::sched_totals`. Kept only until the benchmark's

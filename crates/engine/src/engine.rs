@@ -290,8 +290,8 @@ impl<P: RatePolicy> StoreEngine<P> {
         self.events_applied
     }
 
-    /// Scheduler totals across this engine's collections planned on
-    /// more than one worker (volatile: busy times vary run to run);
+    /// Crew totals across this engine's collections planned on more
+    /// than one worker (volatile: steals and busy times vary run to run);
     /// all-zero under the default `gc_workers: None`.
     pub fn sched_totals(&self) -> odbgc_gc::SchedTotals {
         self.collector.sched_totals()

@@ -1,6 +1,6 @@
 //! The collector: selection + survivor planning + application.
 
-use odbgc_sched::{SchedStats, SchedTotals, Scheduler};
+use odbgc_sched::SchedTotals;
 use odbgc_store::{CollectionApplied, ObjectId, PartitionId, Store};
 
 use crate::cheney::{plan_survivors, plan_survivors_into, CollectScratch};
@@ -44,16 +44,16 @@ pub fn collect_partition(store: &mut Store, p: PartitionId) -> CollectionApplied
 /// through [`Collector::collect_once`] allocate nothing on the
 /// single-worker path.
 ///
-/// With [`Collector::with_workers`] the collector plans survivors
-/// through the packet-graph scheduler (`odbgc-sched`): root-scan and
-/// trace buckets run on a crew of collector workers. Store effects are
-/// byte-identical at any worker count; only the volatile scheduler
-/// totals ([`Collector::sched_totals`]) vary.
+/// With [`Collector::with_workers`] above 1 the collector plans
+/// survivors with [`plan_survivors_parallel`]: each BFS level is traced
+/// in chunks on a scoped-thread crew (`odbgc-sched`). Store effects are
+/// byte-identical at any worker count; only the volatile crew totals
+/// ([`Collector::sched_totals`]) vary.
 pub struct Collector {
     selector: Selector,
     scratch: CollectScratch,
     survivors: Vec<ObjectId>,
-    sched: Scheduler,
+    workers: usize,
     totals: SchedTotals,
 }
 
@@ -61,7 +61,7 @@ impl std::fmt::Debug for Collector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Collector")
             .field("selector", &self.selector.name())
-            .field("workers", &self.sched.workers())
+            .field("workers", &self.workers)
             .finish()
     }
 }
@@ -72,15 +72,15 @@ impl Collector {
         Self::with_workers(selector, 1)
     }
 
-    /// A collector planning survivors on a pool of `workers` collector
-    /// workers (clamped to ≥ 1). `workers == 1` is exactly [`Collector::new`]:
-    /// the sequential planner, no packets, no spawns.
+    /// A collector planning survivors on a crew of up to `workers`
+    /// collector workers (clamped to ≥ 1). `workers == 1` is exactly
+    /// [`Collector::new`]: the sequential planner, no crew, no spawns.
     pub fn with_workers(selector: Selector, workers: usize) -> Self {
         Collector {
             selector,
             scratch: CollectScratch::new(),
             survivors: Vec::new(),
-            sched: Scheduler::new(workers),
+            workers: workers.max(1),
             totals: SchedTotals::default(),
         }
     }
@@ -89,17 +89,21 @@ impl Collector {
     /// store has no partitions yet.
     pub fn collect_once(&mut self, store: &mut Store) -> Option<CollectionApplied> {
         let p = self.selector.select(store.partition_snapshots())?;
-        if self.sched.workers() == 1 {
+        if self.workers == 1 {
             plan_survivors_into(store, p, &mut self.scratch, &mut self.survivors);
         } else {
-            let mut stats = SchedStats::new(self.sched.workers());
-            plan_survivors_parallel(store, p, &self.sched, &mut self.survivors, &mut stats);
-            self.totals.absorb(&stats);
+            plan_survivors_parallel(
+                store,
+                p,
+                self.workers,
+                &mut self.survivors,
+                &mut self.totals,
+            );
         }
         Some(store.apply_collection(p, &self.survivors))
     }
 
-    /// Scheduler totals across every collection planned on more than one
+    /// Crew totals across every collection planned on more than one
     /// worker; all-zero for a single-worker collector.
     pub fn sched_totals(&self) -> SchedTotals {
         self.totals

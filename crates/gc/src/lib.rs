@@ -26,6 +26,6 @@ pub mod selection;
 
 pub use cheney::{plan_survivors, plan_survivors_into, CollectScratch};
 pub use collector::{collect_partition, Collector};
-pub use odbgc_sched::{SchedStats, SchedTotals, Scheduler};
+pub use odbgc_sched::SchedTotals;
 pub use parallel::plan_survivors_parallel;
 pub use selection::{Selector, SelectorKind};

@@ -51,7 +51,7 @@ pub use error::StoreError;
 pub use gcapi::{CollectionApplied, PartitionSnapshot};
 pub use ids::{PageKey, PartitionId};
 pub use io::{IoClass, IoLedger};
-pub use store::{ApplyOutcome, ReachSet, Store, StoreView};
+pub use store::{ApplyOutcome, ReachSet, Store};
 
 /// `odbgc-gc` names object ids through this path: its library does not
 /// depend on `odbgc-trace`, where [`ObjectId`] is defined. Every other

@@ -321,6 +321,35 @@ impl Store {
         }
     }
 
+    /// For every non-null slot target of `cur` that resides in partition
+    /// `p` and is not marked in `epoch`: calls `f` with it, in slot
+    /// order. The read-only sibling of
+    /// [`Store::mark_unvisited_children`]: it *never writes marks*, so
+    /// collector workers sharing `&Store` and tracing different parents
+    /// cannot race; the caller marks (and dedups) the emitted candidates
+    /// afterwards, in canonical order.
+    pub fn for_each_unmarked_child_in(
+        &self,
+        cur: ObjectId,
+        p: PartitionId,
+        epoch: u32,
+        mut f: impl FnMut(ObjectId),
+    ) {
+        let range = self.objects[cur.raw() as usize]
+            .as_ref()
+            .expect("resident object")
+            .slot_range();
+        for i in range {
+            let Some(t) = self.slot_arena[i].get() else {
+                continue;
+            };
+            match self.objects.get(t.raw() as usize) {
+                Some(Some(info)) if info.partition == p && info.mark_epoch != epoch => f(t),
+                _ => {}
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Buffer / I/O helpers
     // ------------------------------------------------------------------
@@ -789,6 +818,11 @@ impl Store {
     /// The object's partition.
     pub fn partition_of(&self, id: ObjectId) -> Result<PartitionId, StoreError> {
         Ok(self.info(id)?.partition)
+    }
+
+    /// The byte offset of the object within its partition.
+    pub fn offset_of(&self, id: ObjectId) -> Result<u32, StoreError> {
+        Ok(self.info(id)?.offset)
     }
 
     /// The object's size in bytes.
@@ -1582,73 +1616,6 @@ impl Store {
             gc_reads: occupied_pages_before,
             gc_writes: occupied_pages_after,
             overwrites_at_collection,
-        }
-    }
-
-    /// A read-only, `Send + Sync` view of the store for concurrent trace
-    /// packets. See [`StoreView`].
-    pub fn view(&self) -> StoreView<'_> {
-        StoreView { store: self }
-    }
-}
-
-/// A read-only view of a [`Store`] safe to share across collector
-/// workers.
-///
-/// The view exposes exactly the traversal surface a trace packet needs
-/// — partition roots, slot children, offsets — and none of the
-/// mutating surface. Crucially, [`StoreView::for_each_unmarked_child_in`]
-/// *reads* visit marks but never writes them: during a parallel trace
-/// bucket the marks are frozen (they were last written by the sequential
-/// reduce of the previous BFS level), so concurrent packets observe a
-/// consistent snapshot and the candidate lists they emit are a pure
-/// function of the level's frontier.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreView<'a> {
-    store: &'a Store,
-}
-
-impl StoreView<'_> {
-    /// The byte offset of `id` within its partition.
-    pub fn offset_of(&self, id: ObjectId) -> u32 {
-        self.store.objects[id.raw() as usize]
-            .as_ref()
-            .expect("resident object")
-            .offset
-    }
-
-    /// Allocation-free collection roots of `p` (sorted, deduped). Same
-    /// contract as [`Store::partition_roots_into`].
-    pub fn partition_roots_into(&self, p: PartitionId, out: &mut Vec<ObjectId>) {
-        self.store.partition_roots_into(p, out);
-    }
-
-    /// For every non-null slot target of `cur` that resides in partition
-    /// `p` and is not marked in `epoch`: calls `f` with it, in slot
-    /// order. The read-only sibling of
-    /// [`Store::mark_unvisited_children`] — it *never writes marks*, so
-    /// concurrent packets tracing different parents cannot race; the
-    /// caller marks (and dedups) the emitted candidates afterwards, in
-    /// canonical order.
-    pub fn for_each_unmarked_child_in(
-        &self,
-        cur: ObjectId,
-        p: PartitionId,
-        epoch: u32,
-        mut f: impl FnMut(ObjectId),
-    ) {
-        let range = self.store.objects[cur.raw() as usize]
-            .as_ref()
-            .expect("resident object")
-            .slot_range();
-        for i in range {
-            let Some(t) = self.store.slot_arena[i].get() else {
-                continue;
-            };
-            match self.store.objects.get(t.raw() as usize) {
-                Some(Some(info)) if info.partition == p && info.mark_epoch != epoch => f(t),
-                _ => {}
-            }
         }
     }
 }

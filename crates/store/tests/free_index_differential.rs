@@ -237,7 +237,7 @@ proptest! {
         let apply = |store: &mut Store, mirror: &mut Mirror, ev: &Event| {
             store.apply(ev).expect("synthetic traces are valid");
             if let Event::Create { id, size, .. } = ev {
-                let landed = (store.partition_of(*id).unwrap(), store.view().offset_of(*id));
+                let landed = (store.partition_of(*id).unwrap(), store.offset_of(*id).unwrap());
                 assert_eq!(landed, mirror.place(*size), "{id} of {size} bytes");
             }
             store.assert_consistent();

@@ -27,7 +27,7 @@ const HOT_PATH_SOURCES: &[(&str, &str)] = &[
         "gc/src/parallel.rs",
         include_str!("../../gc/src/parallel.rs"),
     ),
-    ("sched/src/pool.rs", include_str!("../../sched/src/pool.rs")),
+    ("sched/src/lib.rs", include_str!("../../sched/src/lib.rs")),
 ];
 
 /// Strips `//`-style comments (doc comments included). Good enough for

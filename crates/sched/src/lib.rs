@@ -103,27 +103,13 @@ where
 }
 
 #[cfg(test)]
+fn sums(workers: usize, data: &[u64], totals: &mut SchedTotals) -> Vec<u64> {
+    run_chunks(workers, data, 97, totals, |c| c.iter().sum::<u64>())
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sums(workers: usize, data: &[u64], totals: &mut SchedTotals) -> Vec<u64> {
-        run_chunks(workers, data, 97, totals, |c| c.iter().sum::<u64>())
-    }
-
-    #[test]
-    fn results_come_back_in_chunk_order_at_any_worker_count() {
-        let data: Vec<u64> = (0..10_000).collect();
-        let expected: Vec<u64> = data.chunks(97).map(|c| c.iter().sum()).collect();
-        for workers in [0usize, 1, 2, 4, 8] {
-            let mut totals = SchedTotals::default();
-            assert_eq!(
-                sums(workers, &data, &mut totals),
-                expected,
-                "workers={workers}"
-            );
-            assert_eq!(totals.packets, expected.len() as u64);
-        }
-    }
 
     #[test]
     fn a_single_chunk_runs_on_the_callers_thread() {
@@ -143,19 +129,84 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!((totals.packets, totals.steals), (0, 0));
     }
+}
 
-    #[test]
-    fn steals_are_zero_at_one_worker_and_never_exceed_packets() {
-        let data: Vec<u64> = (0..10_000).collect();
-        for workers in [1usize, 2, 4, 8] {
-            let mut totals = SchedTotals::default();
-            sums(workers, &data, &mut totals);
-            sums(workers, &data, &mut totals);
-            assert_eq!(totals.packets, 2 * data.len().div_ceil(97) as u64);
-            assert!(totals.steals <= totals.packets, "{totals:?}");
-            if workers == 1 {
-                assert_eq!(totals.steals, 0, "one worker steals nothing");
+/// The crew's reduction: what comes back, and on which thread, at any
+/// worker count.
+#[cfg(test)]
+mod pool {
+    mod tests {
+        use crate::*;
+
+        #[test]
+        fn bucket_reduction_is_worker_count_invariant() {
+            let data: Vec<u64> = (0..10_000).collect();
+            let expected: Vec<u64> = data.chunks(97).map(|c| c.iter().sum()).collect();
+            for workers in [1usize, 2, 4, 8] {
+                let mut totals = SchedTotals::default();
+                assert_eq!(
+                    sums(workers, &data, &mut totals),
+                    expected,
+                    "workers={workers} changed the reduction"
+                );
+                assert_eq!(totals.packets, expected.len() as u64);
             }
+        }
+
+        #[test]
+        fn zero_worker_request_clamps_to_one() {
+            let data: Vec<u64> = (0..1_000).collect();
+            let caller = std::thread::current().id();
+            let mut totals = SchedTotals::default();
+            let ran_on = run_chunks(0, &data, 97, &mut totals, |c| {
+                (std::thread::current().id(), c.iter().sum::<u64>())
+            });
+            assert!(
+                ran_on.iter().all(|&(t, _)| t == caller),
+                "0 workers spawns no thread"
+            );
+            let got: Vec<u64> = ran_on.into_iter().map(|(_, s)| s).collect();
+            assert_eq!(got, sums(1, &data, &mut SchedTotals::default()));
+            assert_eq!((totals.packets, totals.steals), (11, 0));
+        }
+    }
+}
+
+/// What [`SchedTotals`] counts over calls, collections and worker counts.
+#[cfg(test)]
+mod stats {
+    mod tests {
+        use crate::*;
+
+        #[test]
+        fn stats_aggregate_across_buckets_and_workers() {
+            let data: Vec<u64> = (0..10_000).collect();
+            for workers in [1usize, 2, 4, 8] {
+                let mut totals = SchedTotals::default();
+                sums(workers, &data, &mut totals);
+                sums(workers, &data[..97], &mut totals);
+                assert_eq!(totals.packets, data.len().div_ceil(97) as u64 + 1);
+                assert!(totals.steals <= totals.packets, "{totals:?}");
+                if workers == 1 {
+                    assert_eq!(totals.steals, 0, "one worker steals nothing");
+                }
+            }
+        }
+
+        #[test]
+        fn totals_absorb_collections() {
+            let data: Vec<u64> = (0..10_000).collect();
+            let mut one = SchedTotals::default();
+            sums(1, &data, &mut one);
+            let mut totals = SchedTotals::default();
+            for _ in 0..2 {
+                sums(2, &data, &mut totals);
+                totals.collections += 1;
+            }
+            assert_eq!(totals.collections, 2);
+            assert_eq!(totals.packets, 2 * one.packets);
+            assert!(totals.steals <= totals.packets, "{totals:?}");
+            assert!(totals.busy_ns > 0, "{totals:?}");
         }
     }
 }

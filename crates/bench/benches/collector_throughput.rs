@@ -42,9 +42,10 @@ const SERVED_OPS: u64 = 50_000;
 
 /// A store in the shape `serve` leaves it: one session's generated
 /// turns applied through `apply_ops` on the default geometry under
-/// `saio:10%`, so its partitions hold hundreds of rooted anchors and
-/// remembered references each. Returns it with the partition that has
-/// the most collection roots.
+/// `saio:10%` with due collections drained between turns, so its
+/// partitions hold hundreds of rooted anchors and remembered references
+/// each. Returns it with the partition that has the most collection
+/// roots.
 fn served_store() -> (Store, PartitionId) {
     let policy = "saio:10%".parse::<PolicySpec>().expect("spec parses");
     let mut engine = StoreEngine::new(EngineConfig::default(), policy.build());
@@ -57,6 +58,7 @@ fn served_store() -> (Store, PartitionId) {
         }
         let mut sess = engine.session_with(SessionId::new(0), None);
         apply_ops(&mut sess, &mut objects, &ops).expect("served turn applies");
+        while engine.collect_if_due(None).is_some() {}
     }
     let store = engine.store().clone();
     let p = store

@@ -38,8 +38,8 @@ fn bench_tracefile(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("slice", |b| {
         b.iter(|| {
-            let blocks = odbgc_tracefile::SliceBlocks::new(binary.as_slice()).expect("header");
-            let mut reader = odbgc_tracefile::BatchReader::new(blocks).expect("phase table");
+            let mut reader =
+                odbgc_tracefile::BatchReader::new(binary.as_slice()).expect("phase table");
             let mut n = 0u64;
             while let Some(batch) = reader.next_batch().expect("batch") {
                 n += black_box(batch).len() as u64;

@@ -17,12 +17,24 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `ODBGC_SCALE` (`full` / `quick` / `test`), defaulting to Full.
-    pub fn from_env() -> Scale {
-        match std::env::var("ODBGC_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            Ok("test") => Scale::Test,
-            _ => Scale::Full,
+    /// Reads `ODBGC_SCALE` through [`Scale::parse`].
+    pub fn from_env() -> Result<Scale, String> {
+        let value = std::env::var_os("ODBGC_SCALE");
+        Scale::parse(value.as_ref().map(|v| v.to_string_lossy()).as_deref())
+    }
+
+    /// The scale a value of `ODBGC_SCALE` names: `full`, `quick` or
+    /// `test`, and Full when the variable is unset (`None`). Any other
+    /// value is refused, so a mistyped scale never silently runs the
+    /// full protocol.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            None | Some("full") => Ok(Scale::Full),
+            Some("quick") => Ok(Scale::Quick),
+            Some("test") => Ok(Scale::Test),
+            Some(other) => Err(format!(
+                "ODBGC_SCALE={other:?} is not a scale; use full, quick or test"
+            )),
         }
     }
 
@@ -101,6 +113,21 @@ mod tests {
         let p = Scale::Test.params(9);
         assert!(p.num_conn_per_atomic < p.num_atomic_per_comp);
         p.validate();
+    }
+
+    #[test]
+    fn odbgc_scale_takes_three_values_and_refuses_the_rest() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Full));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("test")), Ok(Scale::Test));
+        for typo in ["Quick", "tset", "", "full "] {
+            let err = Scale::parse(Some(typo)).unwrap_err();
+            assert!(
+                err.contains("ODBGC_SCALE") && err.contains("full, quick or test"),
+                "{typo:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -13,17 +13,16 @@ use crate::result::RunResult;
 use crate::series::CollectionRecord;
 use crate::session::{Session, SessionId};
 
-/// When the engine runs due collections.
+/// When the engine runs due collections: only where its driver calls
+/// [`StoreEngine::collect_if_due`]. [`StoreEngine::apply_event`] never
+/// collects, so this one mode is the only one; it remains a type, with
+/// [`StoreEngine::set_collect_mode`], because the benchmark names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectMode {
-    /// Check the trigger and collect inside every applied operation —
-    /// the simulator's semantics, and the natural mode for a
-    /// single-threaded client.
-    #[default]
-    Inline,
     /// Operations never collect; the driver calls
-    /// [`StoreEngine::collect_if_due`] at points of its choosing (serve
-    /// mode: the shard's owner, between two turns).
+    /// [`StoreEngine::collect_if_due`] at points of its choosing (the
+    /// simulator after every event, serve mode between two turns).
+    #[default]
     Deferred,
 }
 
@@ -33,8 +32,9 @@ pub enum CollectMode {
 /// the simulator's replay loop used to keep in local variables. Every
 /// driver — trace replay, [`Session`] clients, serve mode — goes through
 /// [`StoreEngine::apply_event`], the one place the per-operation
-/// sequence (apply → sample → deep-check → observe → trigger check)
-/// runs.
+/// sequence (apply → sample → deep-check → observe) runs, and collects
+/// through [`StoreEngine::collect_if_due`] wherever it checks the
+/// trigger: the simulator after every event, a shard between turns.
 ///
 /// The engine is generic over how it holds the policy: owned engines
 /// (serve mode) use the default `Box<dyn RatePolicy + Send>` — which
@@ -55,7 +55,6 @@ pub struct StoreEngine<P: RatePolicy = Box<dyn RatePolicy + Send>> {
     clock_base: u64,
     alloc_base: u64,
     events_applied: u64,
-    mode: CollectMode,
 }
 
 impl<P: RatePolicy> std::fmt::Debug for StoreEngine<P> {
@@ -64,7 +63,6 @@ impl<P: RatePolicy> std::fmt::Debug for StoreEngine<P> {
             .field("policy", &self.policy.name())
             .field("events_applied", &self.events_applied)
             .field("collections", &self.records.len())
-            .field("mode", &self.mode)
             .finish()
     }
 }
@@ -94,19 +92,19 @@ impl<P: RatePolicy> StoreEngine<P> {
             clock_base: 0,
             alloc_base: 0,
             events_applied: 0,
-            mode: CollectMode::Inline,
         }
     }
 
-    /// Sets when due collections run. See [`CollectMode`].
+    /// Does nothing: [`CollectMode::Deferred`] is the only mode.
     pub fn set_collect_mode(&mut self, mode: CollectMode) {
-        self.mode = mode;
+        let _ = mode;
     }
 
     /// Applies one event through the full per-operation sequence: store
-    /// apply, metrics sample, optional deep check, observer note, and —
-    /// in [`CollectMode::Inline`] — the trigger check and collection.
-    /// Returns the store's per-event deltas.
+    /// apply, metrics sample, optional deep check, observer note. It
+    /// never collects; the driver follows it with
+    /// [`StoreEngine::collect_if_due`] where it wants collections to
+    /// fall. Returns the store's per-event deltas.
     ///
     /// This is the only place that sequence runs: the simulator reaches
     /// it per trace event directly, sessions per operation through
@@ -114,7 +112,7 @@ impl<P: RatePolicy> StoreEngine<P> {
     pub fn apply_event(
         &mut self,
         ev: &Event,
-        mut observer: Option<&mut (dyn EngineObserver + '_)>,
+        observer: Option<&mut (dyn EngineObserver + '_)>,
     ) -> Result<ApplyOutcome, StoreError> {
         let outcome = self.store.apply(ev)?;
         self.events_applied += 1;
@@ -127,19 +125,15 @@ impl<P: RatePolicy> StoreEngine<P> {
         if self.config.deep_checks {
             self.store.assert_counters_match();
         }
-        if let Some(o) = observer.as_deref_mut() {
+        if let Some(o) = observer {
             o.note_event(self.counters());
-        }
-
-        if self.mode == CollectMode::Inline {
-            self.collect_if_due(observer);
         }
         Ok(outcome)
     }
 
     /// Applies a decoded block of events, each through
-    /// [`StoreEngine::apply_event`]. A convenience for callers holding a
-    /// slice; it amortizes nothing.
+    /// [`StoreEngine::apply_event`], collecting nothing. A convenience
+    /// for callers holding a slice; it amortizes nothing.
     ///
     /// On failure, the error carries the offset *within `events`* of
     /// the event the store rejected; earlier events remain applied.
@@ -179,7 +173,7 @@ impl<P: RatePolicy> StoreEngine<P> {
         &mut self,
         observer: Option<&mut (dyn EngineObserver + '_)>,
     ) -> Option<CollectionApplied> {
-        if !self.trigger.is_due(self.elapsed()) {
+        if !self.collection_due() {
             return None;
         }
         let app_io_since_prev = self.store.io().app_total() - self.app_io_base;
@@ -342,7 +336,6 @@ mod tests {
     #[test]
     fn deferred_mode_never_collects_inline() {
         let mut engine = StoreEngine::new(EngineConfig::tiny(), Box::new(FixedRatePolicy::new(1)));
-        engine.set_collect_mode(CollectMode::Deferred);
         let slot0 = |target| SessionOp::Overwrite {
             obj: ObjRef(0),
             slot: 0,
@@ -364,14 +357,12 @@ mod tests {
         .expect("turn applies");
         assert_eq!(applied.garbage_created, 40);
         assert_eq!(engine.store().overwrite_clock(), 1);
-        assert_eq!(
-            engine.collection_count(),
-            0,
-            "deferred mode must not collect"
-        );
+        assert_eq!(engine.collection_count(), 0, "a turn never collects");
         assert!(engine.collection_due(), "rate-1 trigger is due");
+        // The driver's collection reads the live counters the turn left.
         let collected = engine.collect_if_due(None).expect("collects");
-        assert!(collected.bytes_reclaimed > 0);
+        assert_eq!(collected.bytes_reclaimed, 40);
+        assert_eq!(engine.store().total_garbage_collected(), 40);
         assert_eq!(engine.collection_count(), 1);
     }
 
@@ -388,6 +379,7 @@ mod tests {
             let mut engine = StoreEngine::new(config, Box::new(FixedRatePolicy::new(25)));
             for ev in trace.iter() {
                 engine.apply_event(ev, None).expect("apply");
+                engine.collect_if_due(None);
             }
             (engine.sched_totals(), engine.into_result(Vec::new()))
         };

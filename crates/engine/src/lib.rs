@@ -6,7 +6,9 @@
 //! `odbgc-sim`) is one client among many:
 //!
 //! * the simulator feeds trace events, phase markers included, through
-//!   `apply_event` one at a time;
+//!   `apply_event` one at a time, and after each one that leaves the
+//!   trigger due runs [`StoreEngine::collect_if_due`] — `apply_event`
+//!   itself never collects;
 //! * live clients submit [`SessionOp`]s, which [`apply_ops`] maps to the
 //!   events they stand for and applies through a [`Session`]; GC
 //!   triggering is driven by the same [`odbgc_core::RatePolicy`]

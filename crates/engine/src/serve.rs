@@ -1,11 +1,11 @@
 //! In-process multi-session serve mode, and the [`Shard`] the network
 //! front-end (`odbgc-net`) runs turns on.
 //!
-//! A [`Shard`] is one store, collector and policy (a [`StoreEngine`] in
-//! deferred-collection mode), its decision log, and a failure latch. It
-//! is a plain owned value with exactly one owner per mode: [`serve`]
-//! holds its shards on the calling thread; in `odbgc-net` each shard
-//! moves into the event loop that serves its connections. The owner
+//! A [`Shard`] is one store, collector and policy (a [`StoreEngine`]),
+//! its decision log, and a failure latch. It is a plain owned value
+//! with exactly one owner per mode: [`serve`] holds its shards on the
+//! calling thread; in `odbgc-net` each shard moves into the event loop
+//! that serves its connections. The owner
 //! applies one turn of operations ([`Shard::turn`]) and then drains
 //! every due collection ([`Shard::collect_due`]) before it starts the
 //! shard's next turn — the order the paper's simulator uses between two
@@ -36,7 +36,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::EngineConfig;
-use crate::engine::{CollectMode, StoreEngine};
+use crate::engine::StoreEngine;
 use crate::observer::{DecisionLog, DecisionRecord};
 use crate::result::RunResult;
 use crate::session::{OpError, Session, SessionId};
@@ -447,9 +447,9 @@ pub struct GcFault {
     pub after_collections: u64,
 }
 
-/// One engine shard: the engine (in deferred mode), its decision log,
-/// and the failure latch. Owned by exactly one thread at a time; see the
-/// module docs for who that is in each mode.
+/// One engine shard: the engine, its decision log, and the failure
+/// latch. Owned by exactly one thread at a time; see the module docs
+/// for who that is in each mode.
 pub struct Shard {
     index: usize,
     engine: StoreEngine,
@@ -471,20 +471,19 @@ impl Shard {
         policy: Box<dyn RatePolicy + Send>,
         fault: Option<GcFault>,
     ) -> Shard {
-        let mut engine = StoreEngine::new(engine.clone(), policy);
-        engine.set_collect_mode(CollectMode::Deferred);
         Shard {
             index,
-            engine,
+            engine: StoreEngine::new(engine.clone(), policy),
             log: DecisionLog::default(),
             fault: fault.filter(|f| f.shard as usize == index),
             failed: None,
         }
     }
 
-    /// Runs one turn: `f` gets a session on this shard whose decisions
-    /// feed the shard's log. The caller follows it with
-    /// [`Shard::collect_due`] before the shard's next turn.
+    /// Runs one turn: `f` gets a session on this shard. A turn never
+    /// collects, so it makes no decision; the caller follows it with
+    /// [`Shard::collect_due`], whose decisions feed the shard's log,
+    /// before the shard's next turn.
     ///
     /// Fails — without panicking — when the shard has already failed, or
     /// when `f` panics, which latches the shard failed with the payload.
@@ -496,9 +495,9 @@ impl Shard {
         if let Some(err) = self.failure() {
             return Err(err);
         }
-        let (engine, log) = (&mut self.engine, &mut self.log);
+        let engine = &mut self.engine;
         catch_unwind(AssertUnwindSafe(|| {
-            f(&mut engine.session_with(session, Some(log)))
+            f(&mut engine.session_with(session, None))
         }))
         .map_err(|payload| {
             let kind = ServeErrorKind::TurnPanic(panic_message(payload));
@@ -1098,17 +1097,14 @@ mod tests {
         // Two sessions alternate turns on each engine: `served` takes the
         // ops through `apply_ops`, `replayed` the events they name through
         // `apply_batch`. Both drain due collections after every turn.
-        let deferred = || {
+        let audited = || -> StoreEngine {
             let config = EngineConfig {
                 deep_checks: true,
                 ..EngineConfig::tiny()
             };
-            let mut engine: StoreEngine =
-                StoreEngine::new(config, Box::new(FixedRatePolicy::new(20)));
-            engine.set_collect_mode(CollectMode::Deferred);
-            engine
+            StoreEngine::new(config, Box::new(FixedRatePolicy::new(20)))
         };
-        let (mut served, mut replayed, mut by_event) = (deferred(), deferred(), deferred());
+        let (mut served, mut replayed, mut by_event) = (audited(), audited(), audited());
         let mut workloads: Vec<SessionWorkload> = (0..2)
             .map(|s| SessionWorkload::new(s, WorkloadParams::default(), 1_500))
             .collect();

@@ -167,9 +167,10 @@ mod tests {
 
     #[test]
     fn apply_batch_matches_per_event_loop() {
-        // A workload long enough to cross an inline collection trigger,
-        // so the batch is exercised across a collection boundary, not
-        // just plain applies.
+        // A workload long enough to cross a collection trigger, applied
+        // in turns with due collections drained between them, so the
+        // batch is exercised across collection boundaries, not just
+        // plain applies.
         let mut events = Vec::new();
         let mut ids = Vec::new();
         for i in 0..40u32 {
@@ -203,17 +204,17 @@ mod tests {
 
         let mut by_event = engine(4);
         let mut event_log = DecisionLog::default();
-        {
-            let mut s = by_event.session_with(SessionId::new(1), Some(&mut event_log));
-            for ev in &events {
-                s.apply_event(ev).expect("per-event apply");
-            }
-        }
         let mut by_batch = engine(4);
         let mut batch_log = DecisionLog::default();
-        by_batch
-            .apply_batch(&events, Some(&mut batch_log))
-            .expect("batched apply");
+        for turn in events.chunks(8) {
+            let mut s = by_event.session_with(SessionId::new(1), None);
+            for ev in turn {
+                s.apply_event(ev).expect("per-event apply");
+            }
+            while by_event.collect_if_due(Some(&mut event_log)).is_some() {}
+            by_batch.apply_batch(turn, None).expect("batched apply");
+            while by_batch.collect_if_due(Some(&mut batch_log)).is_some() {}
+        }
 
         assert!(by_batch.collection_count() > 0, "the batch collects");
         assert_eq!(by_event.counters(), by_batch.counters());
@@ -225,44 +226,5 @@ mod tests {
             by_event.into_result(Vec::new()),
             by_batch.into_result(Vec::new())
         );
-    }
-
-    #[test]
-    fn inline_mode_collects_from_live_counters() {
-        let mut e = engine(1);
-        let mut objects = SessionObjects::new();
-        let mut turn = |e: &mut StoreEngine, ops: &[SessionOp]| {
-            apply_ops(
-                &mut e.session_with(SessionId::new(0), None),
-                &mut objects,
-                ops,
-            )
-            .expect("turn applies")
-        };
-        let anchor = ObjRef(0);
-        turn(
-            &mut e,
-            &[
-                SessionOp::Create { size: 40, slots: 1 },
-                SessionOp::AddRoot { obj: anchor },
-                SessionOp::Create { size: 50, slots: 0 },
-                SessionOp::Overwrite {
-                    obj: anchor,
-                    slot: 0,
-                    target: Some(ObjRef(1)),
-                },
-            ],
-        );
-        assert_eq!(e.collection_count(), 0);
-        // The clear is the first counted overwrite; with rate 1 the
-        // trigger fires inside this very operation.
-        let clear = SessionOp::Overwrite {
-            obj: anchor,
-            slot: 0,
-            target: None,
-        };
-        assert_eq!(turn(&mut e, &[clear]).garbage_created, 50);
-        assert_eq!(e.collection_count(), 1);
-        assert_eq!(e.store().total_garbage_collected(), 50);
     }
 }

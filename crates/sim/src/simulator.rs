@@ -220,8 +220,10 @@ impl Simulator {
     /// configuration. This is the one replay loop.
     ///
     /// Every event goes through [`StoreEngine::apply_event`] in trace
-    /// order; an [`Event::Phase`] marker first records its phase. So
-    /// per-event triggers, metrics sampling, and observer calls all fire
+    /// order; an [`Event::Phase`] marker first records its phase. After
+    /// each event the trigger is checked and, when due, one collection
+    /// runs through [`StoreEngine::collect_if_due`] before the next
+    /// event. So triggers, metrics sampling, and observer calls all fire
     /// in event order, and the [`RunResult`] does not depend on where the
     /// source cuts its batches. A source error aborts the replay with
     /// [`ReplayError::Source`] carrying the number of events consumed
@@ -263,19 +265,20 @@ impl Simulator {
                     }
                     phases.push((name, (base + i) as u64, engine.collection_count()));
                 }
+                let mut observer = telemetry
+                    .as_deref_mut()
+                    .map(|t| t as &mut dyn EngineObserver);
                 engine
-                    .apply_event(
-                        ev,
-                        telemetry
-                            .as_deref_mut()
-                            .map(|t| t as &mut dyn EngineObserver),
-                    )
+                    .apply_event(ev, observer.as_deref_mut())
                     .map_err(|cause| {
                         ReplayError::Sim(SimError {
                             event_index: base + i,
                             cause,
                         })
                     })?;
+                if engine.collection_due() {
+                    engine.collect_if_due(observer);
+                }
             }
             base += batch.len();
         }
@@ -480,10 +483,7 @@ mod tests {
         let bytes = odbgc_tracefile::encode(&trace);
         let block_batched = {
             let mut p = SaioPolicy::with_frac(0.10);
-            let reader = odbgc_tracefile::BatchReader::new(
-                odbgc_tracefile::SliceBlocks::new(bytes.as_slice()).expect("header"),
-            )
-            .expect("phase table");
+            let reader = odbgc_tracefile::BatchReader::new(bytes.as_slice()).expect("phase table");
             sim.replay_batched(reader, &mut p, ReplayOptions::new())
                 .expect("run")
         };

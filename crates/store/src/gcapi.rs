@@ -34,8 +34,6 @@ pub struct CollectionApplied {
     pub partition: PartitionId,
     /// Bytes physically reclaimed (sizes of destroyed objects).
     pub bytes_reclaimed: u64,
-    /// Bytes remaining in the partition after compaction.
-    pub bytes_after: u64,
     /// Objects destroyed.
     pub objects_destroyed: usize,
     /// Objects that survived (copied/compacted).
@@ -66,7 +64,6 @@ mod tests {
         let c = CollectionApplied {
             partition: PartitionId::new(0),
             bytes_reclaimed: 600,
-            bytes_after: 100,
             objects_destroyed: 3,
             objects_survived: 1,
             gc_reads: 12,

@@ -1610,7 +1610,6 @@ impl Store {
         CollectionApplied {
             partition: p,
             bytes_reclaimed,
-            bytes_after: u64::from(self.partitions[p.index()].high_water),
             objects_destroyed,
             objects_survived: survivors.len(),
             gc_reads: occupied_pages_before,

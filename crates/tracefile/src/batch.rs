@@ -2,22 +2,23 @@
 //!
 //! This module is the one decoder of the tracefile format, in two layers:
 //!
-//! * [`SliceBlocks`] walks an in-memory tracefile image (a borrowed
-//!   `&[u8]`, or the `Vec<u8>` [`crate::open_batches`] read a file
-//!   into) and yields CRC-verified `(kind, payload)` block frames
-//!   without copying a single payload byte.
-//! * A [`BatchReader`] sits on top and yields **borrowed event batches**:
+//! * a private block walker goes over an in-memory tracefile image (a
+//!   borrowed `&[u8]`, or the `Vec<u8>` [`crate::open_batches`] read a
+//!   file into) and yields CRC-verified `(kind, payload)` block frames
+//!   without copying a single payload byte;
+//! * a [`BatchReader`] sits on top and yields **borrowed event batches**:
 //!   each event block is validated once (CRC, count, exact payload
 //!   consumption) and decoded in a single pass into a reusable arena,
 //!   handed back as `&[Event]`. The happy path has no per-event
 //!   allocation (other than `Create`'s inherent slot box) and no
-//!   per-event `Result` branch.
+//!   per-event `Result` branch. [`crate::decode`] is only a loop over
+//!   [`BatchReader::next_batch`].
 //!
 //! Damage of any kind — truncation, bit flips, foreign files — surfaces
 //! as a typed [`DecodeError`]; `tests/tracefile_corruption.rs` runs every
 //! byte-flip and truncation through this decoder.
 
-use odbgc_trace::{Event, ObjectId, PhaseId, SlotIdx, Trace};
+use odbgc_trace::{Event, ObjectId, PhaseId, SlotIdx};
 
 use crate::crc32::crc32;
 use crate::error::DecodeError;
@@ -66,7 +67,7 @@ fn check_header(bytes: &[u8]) -> Result<(), DecodeError> {
 /// holding a whole file. The 8-byte file header is
 /// validated on construction; payload slices point straight into the
 /// backing, nothing is copied.
-pub struct SliceBlocks<B> {
+struct SliceBlocks<B> {
     data: B,
     pos: usize,
     blocks_read: u64,
@@ -74,7 +75,7 @@ pub struct SliceBlocks<B> {
 
 impl<B: AsRef<[u8]>> SliceBlocks<B> {
     /// Validates the file header and positions the cursor at block 0.
-    pub fn new(data: B) -> Result<Self, DecodeError> {
+    fn new(data: B) -> Result<Self, DecodeError> {
         check_header(data.as_ref())?;
         Ok(SliceBlocks {
             data,
@@ -150,34 +151,10 @@ impl<B: AsRef<[u8]>> SliceBlocks<B> {
         }
         Ok(())
     }
-
-    /// The events remaining, learned by skipping along block headers to
-    /// the end block's declared count. Purely a pre-allocation hint:
-    /// `None` (structurally damaged input) never changes decode results,
-    /// and damage is still diagnosed by decode proper.
-    fn remaining_events_hint(&self) -> Option<u64> {
-        // Hop along block headers (a handful of jumps for ~32 KiB
-        // blocks) to the end block and read its declared total. Any
-        // structural inconsistency — or a count implausible for the
-        // bytes present (every event is at least 2 bytes) — yields
-        // `None` rather than a huge reservation.
-        let bytes = self.data.as_ref();
-        let mut pos = self.pos;
-        loop {
-            let head = bytes.get(pos..pos + 5)?;
-            let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]) as usize;
-            let payload = bytes.get(pos + 5..pos + 5 + len)?;
-            if head[0] == BLOCK_END {
-                let mut p = 0;
-                return get_u64(payload, &mut p).filter(|&n| n <= (bytes.len() as u64) / 2 + 1);
-            }
-            pos += 5 + len + 4;
-        }
-    }
 }
 
 /// Decodes the phase-table payload.
-pub(crate) fn decode_phase_table(payload: &[u8]) -> Result<Vec<String>, DecodeError> {
+fn decode_phase_table(payload: &[u8]) -> Result<Vec<String>, DecodeError> {
     let corrupt = |message: String| DecodeError::Corrupt { block: 0, message };
     let mut pos = 0;
     let count =
@@ -216,6 +193,8 @@ struct BlockCursor<'a> {
     prev_id: u64,
     /// Block index used in `Corrupt` errors.
     block: u64,
+    /// Entries in the phase table; every `Phase` id must fall below.
+    phases: usize,
 }
 
 impl BlockCursor<'_> {
@@ -311,8 +290,17 @@ impl BlockCursor<'_> {
             },
             TAG_PHASE => {
                 let id = self.u64("phase id")?;
+                // The table holds at most `u16::MAX` names, so an id
+                // inside it fits a `u16`.
                 let id = u16::try_from(id)
-                    .map_err(|_| self.corrupt(format!("phase id {id} exceeds u16")))?;
+                    .ok()
+                    .filter(|&id| usize::from(id) < self.phases)
+                    .ok_or_else(|| {
+                        self.corrupt(format!(
+                            "phase id {id} is past the {}-entry phase table",
+                            self.phases
+                        ))
+                    })?;
                 Event::Phase {
                     id: PhaseId::new(id),
                 }
@@ -327,11 +315,13 @@ impl BlockCursor<'_> {
 ///
 /// The block-level invariants — non-zero count, every byte consumed —
 /// are validated here, once per block, so the per-event loop carries no
-/// redundant checks. `block` is the index used in corruption errors.
-/// Returns the number of events decoded.
-pub(crate) fn decode_event_block(
+/// redundant checks. `block` is the index used in corruption errors;
+/// `phases` is the size of the file's phase table. Returns the number
+/// of events decoded.
+fn decode_event_block(
     payload: &[u8],
     block: u64,
+    phases: usize,
     out: &mut Vec<Event>,
 ) -> Result<u64, DecodeError> {
     let mut cursor = BlockCursor {
@@ -339,6 +329,7 @@ pub(crate) fn decode_event_block(
         pos: 0,
         prev_id: 0,
         block,
+        phases,
     };
     let count = cursor.u64("block event count")?;
     if count == 0 {
@@ -366,7 +357,7 @@ pub(crate) fn decode_event_block(
 ///
 /// ```
 /// use odbgc_trace::TraceBuilder;
-/// use odbgc_tracefile::{BatchReader, SliceBlocks};
+/// use odbgc_tracefile::BatchReader;
 ///
 /// let mut b = TraceBuilder::new();
 /// let a = b.create_unlinked(16, 0);
@@ -374,7 +365,7 @@ pub(crate) fn decode_event_block(
 /// let trace = b.finish();
 /// let bytes = odbgc_tracefile::encode(&trace);
 ///
-/// let mut r = BatchReader::new(SliceBlocks::new(bytes.as_slice()).unwrap()).unwrap();
+/// let mut r = BatchReader::new(bytes.as_slice()).unwrap();
 /// let mut events = Vec::new();
 /// while let Some(batch) = r.next_batch().unwrap() {
 ///     events.extend_from_slice(batch);
@@ -390,9 +381,11 @@ pub struct BatchReader<B> {
 }
 
 impl<B: AsRef<[u8]>> BatchReader<B> {
-    /// Opens a tracefile over `source`: reads and validates the phase
-    /// table (the header was validated by the source's constructor).
-    pub fn new(mut source: SliceBlocks<B>) -> Result<Self, DecodeError> {
+    /// Opens the tracefile image `bytes` — a borrowed `&[u8]` or an
+    /// owned `Vec<u8>`: validates the file header and reads the phase
+    /// table.
+    pub fn new(bytes: B) -> Result<Self, DecodeError> {
+        let mut source = SliceBlocks::new(bytes)?;
         let (kind, payload) = source.next_block()?;
         if kind != BLOCK_PHASES {
             return Err(DecodeError::Corrupt {
@@ -426,22 +419,16 @@ impl<B: AsRef<[u8]>> BatchReader<B> {
         self.source.blocks_read
     }
 
-    /// Decodes the next event block, appending its events to `out`.
-    /// `Ok(true)` means a block was decoded; `Ok(false)` means the end
-    /// block was reached and verified. Fused: after `Ok(false)` or an
-    /// error, every later call returns `Ok(false)`.
-    fn next_into(&mut self, out: &mut Vec<Event>) -> Result<bool, DecodeError> {
+    /// The next decoded block as a borrowed batch, or `None` once the
+    /// end block has been verified. The slice borrows the reader's
+    /// arena and is invalidated by the next call. Fused: after `None`
+    /// or an error, every later call returns `Ok(None)`.
+    pub fn next_batch(&mut self) -> Result<Option<&[Event]>, DecodeError> {
         if self.done {
-            return Ok(false);
+            return Ok(None);
         }
-        let step = self.step(out);
-        if !matches!(step, Ok(true)) {
-            self.done = true;
-        }
-        step
-    }
-
-    fn step(&mut self, out: &mut Vec<Event>) -> Result<bool, DecodeError> {
+        // Only a decoded event block leaves the reader open.
+        self.done = true;
         // Content errors are attributed to the *next* frame index (the
         // phase table is frame 0).
         let block = self.source.blocks_read + 1;
@@ -449,9 +436,11 @@ impl<B: AsRef<[u8]>> BatchReader<B> {
         let corrupt = |message: String| DecodeError::Corrupt { block, message };
         match kind {
             BLOCK_EVENTS => {
-                let n = decode_event_block(payload, block, out)?;
-                self.events_read += n;
-                Ok(true)
+                self.arena.clear();
+                let phases = self.phase_names.len();
+                self.events_read += decode_event_block(payload, block, phases, &mut self.arena)?;
+                self.done = false;
+                Ok(Some(&self.arena))
             }
             BLOCK_END => {
                 let mut pos = 0;
@@ -464,44 +453,18 @@ impl<B: AsRef<[u8]>> BatchReader<B> {
                     )));
                 }
                 self.source.expect_eof()?;
-                Ok(false)
+                Ok(None)
             }
             BLOCK_PHASES => Err(corrupt("duplicate phase-table block".into())),
             other => Err(corrupt(format!("unknown block kind {other}"))),
         }
-    }
-
-    /// The next decoded block as a borrowed batch, or `None` once the
-    /// end block has been verified. The slice borrows the reader's
-    /// arena and is invalidated by the next call.
-    pub fn next_batch(&mut self) -> Result<Option<&[Event]>, DecodeError> {
-        let mut arena = std::mem::take(&mut self.arena);
-        arena.clear();
-        let more = self.next_into(&mut arena);
-        self.arena = arena;
-        match more? {
-            true => Ok(Some(&self.arena)),
-            false => Ok(None),
-        }
-    }
-
-    /// Decodes the remaining blocks straight into one contiguous event
-    /// vector and finishes as a materialized [`Trace`] — the fastest
-    /// whole-file decode (no intermediate copies at all).
-    pub fn read_to_trace(mut self) -> Result<Trace, DecodeError> {
-        let mut events = std::mem::take(&mut self.arena);
-        if let Some(n) = self.source.remaining_events_hint() {
-            events.reserve_exact(n as usize);
-        }
-        while self.next_into(&mut events)? {}
-        Ok(Trace::from_parts(events, self.phase_names))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use odbgc_trace::TraceBuilder;
+    use odbgc_trace::{Trace, TraceBuilder};
 
     fn sample() -> Trace {
         let mut b = TraceBuilder::new();
@@ -529,7 +492,7 @@ mod tests {
     fn batches_cover_the_trace_in_order() {
         let t = multi_block();
         let bytes = crate::encode(&t);
-        let mut r = BatchReader::new(SliceBlocks::new(bytes.as_slice()).unwrap()).unwrap();
+        let mut r = BatchReader::new(bytes.as_slice()).unwrap();
         let mut events = Vec::new();
         let mut batches = 0;
         while let Some(batch) = r.next_batch().unwrap() {
@@ -566,7 +529,7 @@ mod tests {
         let mut bytes = crate::encode(&t);
         let n = bytes.len();
         bytes.truncate(n - 3);
-        let mut r = BatchReader::new(SliceBlocks::new(bytes.as_slice()).unwrap()).unwrap();
+        let mut r = BatchReader::new(bytes.as_slice()).unwrap();
         let err = loop {
             match r.next_batch() {
                 Ok(Some(_)) => {}
@@ -583,7 +546,7 @@ mod tests {
         let t = multi_block();
         let bytes = crate::encode(&t);
         let total = t.len();
-        let mut r = BatchReader::new(SliceBlocks::new(bytes.as_slice()).unwrap()).unwrap();
+        let mut r = BatchReader::new(bytes.as_slice()).unwrap();
         let mut largest_batch = 0;
         while let Some(batch) = r.next_batch().unwrap() {
             largest_batch = largest_batch.max(batch.len());

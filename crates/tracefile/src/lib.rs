@@ -1,5 +1,6 @@
-//! The one on-disk trace format: the `OTBF` binary tracefile, its
-//! streaming writer, and its batched block-at-a-time reader.
+//! The one on-disk trace format: the `OTBF` binary tracefile, its one
+//! writer ([`encode`]) and its one batched block-at-a-time reader
+//! ([`BatchReader`]).
 //!
 //! A trace reaches a replay one of two ways — generated in process by
 //! `odbgc-oo7`, or read from a tracefile through this crate. There is
@@ -10,11 +11,13 @@
 //! * **Compactness.** Events are varint/delta-encoded against the
 //!   previously seen object id, so the dense, locality-heavy id streams
 //!   produced by OO7 generation shrink to a fraction of their text size.
-//! * **Block-at-a-time.** [`TraceWriter`] encodes events as they arrive
-//!   and [`BatchReader`] decodes a file image one block at a time into a
-//!   reused arena, so neither side ever holds a whole decoded trace —
-//!   the reader's heap use is the encoded file image plus one decoded
-//!   block (~32 KiB of payload), not O(decoded trace).
+//! * **Block-at-a-time.** [`encode`] seals an event block every ~32 KiB
+//!   of encoded events, and [`BatchReader`] decodes a file image one
+//!   block at a time into a reused arena, so a replay never holds a
+//!   whole decoded trace — the reader's heap use is the encoded file
+//!   image plus one decoded block (~32 KiB of payload), not O(decoded
+//!   trace). [`decode`], which builds a whole [`Trace`], is only a loop
+//!   over the reader's batches.
 //! * **Verifiability.** Every block is length-prefixed and CRC32-
 //!   checksummed; truncation, bit flips, foreign files (a text trace
 //!   included), and future-version files are all detected and reported
@@ -52,9 +55,9 @@ pub mod error;
 pub mod varint;
 pub mod writer;
 
-pub use batch::{BatchReader, SliceBlocks};
+pub use batch::BatchReader;
 pub use error::DecodeError;
-pub use writer::{write_trace, TraceWriter};
+pub use writer::encode;
 
 use std::path::Path;
 
@@ -73,25 +76,22 @@ pub(crate) const BLOCK_EVENTS: u8 = 2;
 /// Block kind: the end marker carrying the total event count.
 pub(crate) const BLOCK_END: u8 = 3;
 
-/// Target payload size at which the writer seals an event block.
+/// Target payload size at which [`encode`] seals an event block.
 pub(crate) const BLOCK_TARGET_BYTES: usize = 32 * 1024;
 
 /// Upper bound on a declared block length; a corrupted length field must
 /// not provoke an absurd allocation.
 pub(crate) const MAX_BLOCK_LEN: u32 = 16 * 1024 * 1024;
 
-/// Encodes a whole trace to an in-memory tracefile.
-pub fn encode(trace: &Trace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(trace.len() * 4 + 64);
-    write_trace(&mut out, trace).expect("writing to a Vec cannot fail");
-    out
-}
-
-/// Decodes an in-memory tracefile into a fully materialized trace:
-/// blocks are CRC-verified and decoded straight out of `bytes` with no
-/// intermediate payload copies.
+/// Decodes an in-memory tracefile into a fully materialized trace: the
+/// [`BatchReader`]'s batches, concatenated.
 pub fn decode(bytes: &[u8]) -> Result<Trace, DecodeError> {
-    BatchReader::new(SliceBlocks::new(bytes)?)?.read_to_trace()
+    let mut reader = BatchReader::new(bytes)?;
+    let mut events = Vec::new();
+    while let Some(batch) = reader.next_batch()? {
+        events.extend_from_slice(batch);
+    }
+    Ok(Trace::from_parts(events, reader.phase_names().to_vec()))
 }
 
 /// A batched reader that owns the image of one tracefile.
@@ -101,7 +101,7 @@ pub type FileBatches = BatchReader<Vec<u8>>;
 /// one in-memory image, and blocks are CRC-verified and decoded straight
 /// out of it.
 pub fn open_batches(path: &Path) -> Result<FileBatches, DecodeError> {
-    BatchReader::new(SliceBlocks::new(std::fs::read(path)?)?)
+    BatchReader::new(std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -167,12 +167,14 @@ mod tests {
         let trace = b.finish();
         let bytes = encode(&trace);
         let path = temp_file("same-bytes", &bytes);
-        let from_file = open_batches(&path)
-            .and_then(BatchReader::read_to_trace)
-            .expect("open real file");
+        let mut reader = open_batches(&path).expect("open real file");
         std::fs::remove_file(&path).ok();
-        assert_eq!(from_file, trace);
-        assert_eq!(from_file, decode(&bytes).expect("decode"));
+        let mut from_file = Vec::new();
+        while let Some(batch) = reader.next_batch().expect("batch") {
+            from_file.extend_from_slice(batch);
+        }
+        assert_eq!(from_file, trace.events());
+        assert_eq!(reader.phase_names(), trace.phase_names());
     }
 
     #[test]

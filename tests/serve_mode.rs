@@ -15,7 +15,7 @@
 
 use odbgc_core::{EstimatorKind, PolicySpec};
 use odbgc_engine::{
-    apply_ops, serve, CollectMode, EngineConfig, RunResult, ServeConfig, ServeOutcome, SessionId,
+    apply_ops, serve, EngineConfig, RunResult, ServeConfig, ServeOutcome, SessionId,
     SessionObjects, SessionWorkload, Shard, StoreEngine, WorkloadParams,
 };
 use odbgc_oo7::{Oo7App, Oo7Params};
@@ -34,8 +34,8 @@ fn specs() -> Vec<PolicySpec> {
 
 /// Replays a trace through the serve path: one shard, one session, one
 /// event per turn, every due collection drained before the next event —
-/// so collections fall between the same pair of events as in the inline
-/// loop (fresh triggers are clamped to ≥ 1 elapsed unit, so the drain
+/// so collections fall between the same pair of events as in the
+/// simulator's loop (fresh triggers are clamped to ≥ 1 elapsed unit, so the drain
 /// never fires a second real collection).
 fn replay_on_shard(config: EngineConfig, trace: &Trace, spec: &PolicySpec) -> RunResult {
     let mut shard = Shard::new(0, &config, spec.build(), None);
@@ -56,8 +56,9 @@ fn replay_on_shard(config: EngineConfig, trace: &Trace, spec: &PolicySpec) -> Ru
 }
 
 /// Golden equivalence: the same grid the frozen hot-path transcript
-/// covers, replayed through the session API with collections deferred
-/// to turn boundaries, must match the inline simulator bit for bit.
+/// covers, replayed through the session API with collections drained at
+/// turn boundaries, must match `Simulator::replay`, which collects after
+/// the event that made the trigger due, bit for bit.
 #[test]
 fn single_session_serve_replay_matches_simulator() {
     for spec in specs() {
@@ -65,14 +66,14 @@ fn single_session_serve_replay_matches_simulator() {
             let (trace, _) = Oo7App::standard(Oo7Params::tiny(), seed).generate();
 
             let mut policy = spec.build();
-            let inline = Simulator::new(EngineConfig::tiny())
+            let replayed = Simulator::new(EngineConfig::tiny())
                 .replay(&trace, policy.as_mut(), ReplayOptions::new())
-                .expect("inline replay");
+                .expect("replay");
 
             let served = replay_on_shard(EngineConfig::tiny(), &trace, &spec);
 
             assert_eq!(
-                format!("{inline:#?}"),
+                format!("{replayed:#?}"),
                 format!("{served:#?}"),
                 "serve-mode replay diverged from Simulator::replay \
                  for spec={spec} seed={seed}"
@@ -156,7 +157,6 @@ fn long_served_run_on_the_paper_geometry_stays_consistent_under_deep_checks() {
         ..EngineConfig::default()
     };
     let mut engine: StoreEngine = StoreEngine::new(config, PolicySpec::saio(0.10).build());
-    engine.set_collect_mode(CollectMode::Deferred);
     let mut workloads: Vec<SessionWorkload> = (0..2)
         .map(|s| SessionWorkload::new(s, WorkloadParams::default(), 30_000))
         .collect();

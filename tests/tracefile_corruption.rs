@@ -8,7 +8,7 @@
 //! and a future version is what an old binary sees after an upgrade.
 
 use odbgc_trace::{SlotIdx, Trace, TraceBuilder};
-use odbgc_tracefile::{crc32::crc32, BatchReader, DecodeError, SliceBlocks, FORMAT_VERSION, MAGIC};
+use odbgc_tracefile::{crc32::crc32, BatchReader, DecodeError, FORMAT_VERSION, MAGIC};
 
 /// A representative trace: phases, creates with mixed slots, writes,
 /// roots — large enough to exercise every tag.
@@ -41,7 +41,7 @@ fn encoded() -> Vec<u8> {
 /// `open_batches` runs over a file's image — returning the event count
 /// on success and the typed error on damage.
 fn decode_all(bytes: &[u8]) -> Result<usize, DecodeError> {
-    let mut reader = BatchReader::new(SliceBlocks::new(bytes)?)?;
+    let mut reader = BatchReader::new(bytes)?;
     let mut n = 0;
     while let Some(batch) = reader.next_batch()? {
         n += batch.len();
@@ -178,6 +178,40 @@ fn event_count_mismatch_is_corrupt_even_with_valid_checksums() {
             return;
         }
         pos += 1 + 4 + len + 4;
+    }
+}
+
+#[test]
+fn phase_id_past_the_phase_table_is_corrupt_even_with_valid_checksums() {
+    // A one-name table and an event block opening with `Phase 0`:
+    // rewrite that id to 1, one past the table, and re-checksum the
+    // block so only the decoder's bound on phase ids can catch it.
+    let mut b = TraceBuilder::new();
+    b.phase("GenDB");
+    let a = b.create_unlinked(16, 0);
+    b.access(a);
+    let mut bytes = odbgc_tracefile::encode(&b.finish());
+    let mut pos = 8;
+    loop {
+        let kind = bytes[pos];
+        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        if kind == 2 {
+            let payload = pos + 5..pos + 5 + len;
+            // Event count 3, then the phase tag (7) and its id.
+            assert_eq!(bytes[payload.start..payload.start + 3], [3, 7, 0]);
+            bytes[payload.start + 2] = 1;
+            let crc = crc32(&bytes[payload.clone()]);
+            bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
+            break;
+        }
+        pos += 1 + 4 + len + 4;
+    }
+    match decode_all(&bytes) {
+        Err(DecodeError::Corrupt { message, .. }) => assert!(
+            message.contains("phase id 1") && message.contains("1-entry phase table"),
+            "unhelpful message: {message}"
+        ),
+        other => panic!("out-of-table phase id gave {other:?}"),
     }
 }
 

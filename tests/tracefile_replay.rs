@@ -13,7 +13,7 @@ use odbgc_engine::EngineConfig;
 use odbgc_oo7::{Oo7App, Oo7Params};
 use odbgc_sim::Simulator;
 use odbgc_trace::codec;
-use odbgc_tracefile::{BatchReader, SliceBlocks};
+use odbgc_tracefile::BatchReader;
 
 struct TempDir(std::path::PathBuf);
 impl TempDir {
@@ -32,18 +32,14 @@ impl Drop for TempDir {
 
 #[test]
 fn batched_corpus_replay_matches_in_memory() {
-    // The on-disk path end to end: a tracefile written by
-    // `write_trace` and opened through `open_batches` replays to the
+    // The on-disk path end to end: a tracefile written by `encode`
+    // and opened through `open_batches` replays to the
     // same RunResult as the in-memory trace it was written from.
     let (trace, _) = Oo7App::standard(Oo7Params::tiny(), 5).generate();
     let tmp = TempDir::new("batched");
     std::fs::create_dir_all(&tmp.0).unwrap();
     let path = tmp.0.join("t.otb");
-    let file = std::fs::File::create(&path).unwrap();
-    odbgc_tracefile::write_trace(std::io::BufWriter::new(file), &trace)
-        .unwrap()
-        .into_inner()
-        .unwrap();
+    std::fs::write(&path, odbgc_tracefile::encode(&trace)).unwrap();
 
     let mut policy = PolicySpec::saio(0.10).build();
     let in_memory = Simulator::new(EngineConfig::tiny())
@@ -79,11 +75,7 @@ fn streaming_replay_needs_no_in_memory_trace() {
     let tmp = TempDir::new("stream");
     std::fs::create_dir_all(&tmp.0).unwrap();
     let path = tmp.0.join("t.otb");
-    let file = std::fs::File::create(&path).unwrap();
-    odbgc_tracefile::write_trace(std::io::BufWriter::new(file), &trace)
-        .unwrap()
-        .into_inner()
-        .unwrap();
+    std::fs::write(&path, odbgc_tracefile::encode(&trace)).unwrap();
 
     // In-memory replay of the materialized trace…
     let mut policy = PolicySpec::saio(0.10).build();
@@ -114,7 +106,7 @@ fn streaming_replay_surfaces_source_errors_with_position() {
 
     // The events of the blocks that precede the cut are all applied
     // before the damaged block is reached.
-    let open = || BatchReader::new(SliceBlocks::new(bytes.as_slice()).unwrap()).unwrap();
+    let open = || BatchReader::new(bytes.as_slice()).unwrap();
     let mut intact = 0;
     let mut probe = open();
     while let Ok(Some(batch)) = probe.next_batch() {

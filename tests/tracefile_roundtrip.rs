@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use odbgc_trace::synthetic::{churn, ChurnConfig};
 use odbgc_trace::{Event, ObjectId, PhaseId, SlotIdx, Trace};
-use odbgc_tracefile::{decode, encode, BatchReader, SliceBlocks};
+use odbgc_tracefile::{decode, encode, BatchReader};
 
 /// Strategy for an arbitrary (not necessarily semantically valid) event,
 /// with ids drawn from the full u64 range so the zigzag-delta encoding's
@@ -67,12 +67,11 @@ proptest! {
         events in proptest::collection::vec(arb_event(), 0..300)
     ) {
         // Reading block by block through the reused arena yields the
-        // same events in the same order as the whole-file decode, for
-        // any representable trace.
+        // trace's events in order, for any representable trace, and so
+        // does the whole-file decode built on it.
         let trace = trace_from(events);
         let bytes = encode(&trace);
-        let mut reader = BatchReader::new(SliceBlocks::new(bytes.as_slice()).expect("header"))
-            .expect("phase table");
+        let mut reader = BatchReader::new(bytes.as_slice()).expect("header and phase table");
         let mut batched: Vec<Event> = Vec::new();
         while let Some(batch) = reader.next_batch().expect("batch") {
             batched.extend_from_slice(batch);
@@ -117,9 +116,12 @@ fn file_on_disk_round_trips() {
     let (trace, _) = odbgc_oo7::Oo7App::standard(odbgc_oo7::Oo7Params::tiny(), 9).generate();
     std::fs::write(&path, encode(&trace)).unwrap();
 
-    let from_file = odbgc_tracefile::open_batches(&path)
-        .and_then(BatchReader::read_to_trace)
-        .unwrap();
-    assert_eq!(from_file, trace);
+    let mut reader = odbgc_tracefile::open_batches(&path).unwrap();
+    let mut from_file = Vec::new();
+    while let Some(batch) = reader.next_batch().unwrap() {
+        from_file.extend_from_slice(batch);
+    }
+    assert_eq!(from_file, trace.events());
+    assert_eq!(reader.phase_names(), trace.phase_names());
     std::fs::remove_dir_all(&dir).ok();
 }

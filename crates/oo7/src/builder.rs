@@ -2,7 +2,6 @@
 
 use odbgc_trace::TraceBuilder;
 use rand::rngs::StdRng;
-use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::model::{
@@ -123,11 +122,10 @@ fn build_composite(state: &mut GenState, ci: u32) {
         state.write(comp_id, composite_part_slot(pi), part_id);
         parts.push(Some(PartMirror::new(part_id, &state.params)));
     }
-    state.module.composites.push(CompositeMirror {
-        id: comp_id,
-        doc: doc_id,
-        parts,
-    });
+    state
+        .module
+        .composites
+        .push(CompositeMirror::new(comp_id, doc_id, parts));
 
     for pi in 0..n_parts {
         for _ in 0..state.params.num_conn_per_atomic {
@@ -145,16 +143,7 @@ pub fn add_connection(state: &mut GenState, ci: u32, pi: u32) {
         state.skipped_connections += 1;
         return;
     };
-    let candidates: Vec<u32> = comp
-        .parts
-        .iter()
-        .enumerate()
-        .filter_map(|(qi, p)| match p {
-            Some(pm) if qi as u32 != pi && pm.free_in_slot().is_some() => Some(qi as u32),
-            _ => None,
-        })
-        .collect();
-    let Some(&qi) = candidates.choose(&mut state.rng) else {
+    let Some(qi) = comp.connection_target(pi, &mut state.rng) else {
         state.skipped_connections += 1;
         return;
     };
@@ -185,9 +174,7 @@ pub fn add_connection(state: &mut GenState, ci: u32, pi: u32) {
         to: qi,
         to_slot,
     };
-    let comp = &mut state.module.composites[ci as usize];
-    comp.part_mut(pi).out[from_slot as usize] = Some(mirror);
-    comp.part_mut(qi).in_[to_slot as usize] = Some(mirror);
+    state.module.composites[ci as usize].connect(mirror);
 }
 
 /// Points each base assembly at `num_comp_per_assm` random composites.
@@ -266,7 +253,7 @@ mod tests {
         let state = build(p, 3);
         assert_eq!(state.skipped_connections, 0);
         for comp in &state.module.composites {
-            for pm in comp.parts.iter().flatten() {
+            for pm in comp.parts().iter().flatten() {
                 assert_eq!(pm.out_degree(), p.num_conn_per_atomic as usize);
             }
         }
@@ -276,7 +263,7 @@ mod tests {
     fn connections_stay_within_composite_and_avoid_self() {
         let state = build(Oo7Params::tiny(), 4);
         for comp in &state.module.composites {
-            for (pi, pm) in comp.parts.iter().enumerate() {
+            for (pi, pm) in comp.parts().iter().enumerate() {
                 for c in pm.as_ref().unwrap().out.iter().flatten() {
                     assert_eq!(c.from as usize, pi);
                     assert_ne!(c.to, c.from, "self-connection");

@@ -25,7 +25,7 @@ pub fn reorg_clustered(state: &mut GenState) {
     let n_comps = state.module.composites.len() as u32;
     for ci in 0..n_comps {
         replace_document(state, ci);
-        let victims = choose_victims(state, ci);
+        let victims = pick_victims(state, ci);
         for &pi in &victims {
             delete_part(state, ci, pi);
         }
@@ -44,7 +44,7 @@ pub fn reorg_declustered(state: &mut GenState) {
     let mut victim_sets: Vec<Vec<u32>> = Vec::with_capacity(n_comps as usize);
     for ci in 0..n_comps {
         replace_document(state, ci);
-        let victims = choose_victims(state, ci);
+        let victims = pick_victims(state, ci);
         for &pi in &victims {
             delete_part(state, ci, pi);
         }
@@ -62,7 +62,7 @@ pub fn reorg_declustered(state: &mut GenState) {
 
 /// Picks the part slots to delete in composite `ci`: half the live parts,
 /// uniformly at random.
-fn choose_victims(state: &mut GenState, ci: u32) -> Vec<u32> {
+fn pick_victims(state: &mut GenState, ci: u32) -> Vec<u32> {
     let mut live = state.module.composites[ci as usize].live_part_indices();
     let k = state.params.parts_deleted_per_comp() as usize;
     live.shuffle(&mut state.rng);
@@ -89,56 +89,39 @@ pub fn delete_part(state: &mut GenState, ci: u32, pi: u32) {
     // out slot (the second kill frees the connection). Forward: nothing to
     // clear — the connections die with the part via the cascade — but the
     // target mirrors must forget them.
-    let out_conns: Vec<_> = state.module.composites[ci as usize]
-        .part(pi)
-        .out
-        .iter()
-        .flatten()
-        .copied()
-        .collect();
-    for c in out_conns {
-        if forward {
-            let comp = &mut state.module.composites[ci as usize];
-            comp.part_mut(c.to).in_[c.to_slot as usize] = None;
-            // The out-slot entry stays in the doomed part's mirror; it is
-            // dropped with the whole PartMirror below.
-        } else {
-            let to_id = state.module.composites[ci as usize].part(c.to).id;
-            let from_id = state.module.composites[ci as usize].part(pi).id;
+    for slot in 0..params.num_conn_per_atomic as usize {
+        let comp = &state.module.composites[ci as usize];
+        let Some(c) = comp.part(pi).out[slot] else {
+            continue;
+        };
+        if !forward {
+            let (to_id, from_id) = (comp.part(c.to).id, comp.part(pi).id);
             state.clear(to_id, part_in_slot(&params, c.to_slot));
             state.clear(from_id, part_out_slot(c.from_slot));
-            let comp = &mut state.module.composites[ci as usize];
-            comp.part_mut(c.to).in_[c.to_slot as usize] = None;
-            comp.part_mut(pi).out[c.from_slot as usize] = None;
         }
+        state.module.composites[ci as usize].disconnect(c);
     }
     // In-connections: clear the source's out slot (this alone frees a
     // forward connection and its reference to us); bidirectional also
     // clears our in slot.
-    let in_conns: Vec<_> = state.module.composites[ci as usize]
-        .part(pi)
-        .in_
-        .iter()
-        .flatten()
-        .copied()
-        .collect();
-    for c in in_conns {
-        let from_id = state.module.composites[ci as usize].part(c.from).id;
+    for slot in 0..params.in_conn_capacity() as usize {
+        let comp = &state.module.composites[ci as usize];
+        let Some(c) = comp.part(pi).in_[slot] else {
+            continue;
+        };
+        let (from_id, to_id) = (comp.part(c.from).id, comp.part(pi).id);
         state.clear(from_id, part_out_slot(c.from_slot));
         if !forward {
-            let to_id = state.module.composites[ci as usize].part(pi).id;
             state.clear(to_id, part_in_slot(&params, c.to_slot));
         }
-        let comp = &mut state.module.composites[ci as usize];
-        comp.part_mut(c.from).out[c.from_slot as usize] = None;
-        comp.part_mut(pi).in_[c.to_slot as usize] = None;
+        state.module.composites[ci as usize].disconnect(c);
     }
     // Finally unlink the part itself. Under the forward style this single
     // overwrite detaches the part *and* all its surviving out-connections
     // (the §2.1 cluster-detachment effect).
     let comp_id = state.module.composites[ci as usize].id;
     state.clear(comp_id, composite_part_slot(pi));
-    state.module.composites[ci as usize].parts[pi as usize] = None;
+    state.module.composites[ci as usize].remove_part(pi);
 }
 
 /// Reinserts a fresh part into slot `pi` of composite `ci` and gives it a
@@ -148,7 +131,7 @@ pub fn reinsert_part(state: &mut GenState, ci: u32, pi: u32) {
     let comp_id = state.module.composites[ci as usize].id;
     state.write(comp_id, composite_part_slot(pi), part_id);
     let mirror = crate::model::PartMirror::new(part_id, &state.params);
-    state.module.composites[ci as usize].parts[pi as usize] = Some(mirror);
+    state.module.composites[ci as usize].insert_part(pi, mirror);
     for _ in 0..state.params.num_conn_per_atomic {
         add_connection(state, ci, pi);
     }
@@ -288,7 +271,7 @@ mod tests {
         let (state, trace) = run(reorg_clustered, 15);
         let store = replay_exact(&trace);
         for comp in &state.module.composites {
-            for pm in comp.parts.iter().flatten() {
+            for pm in comp.parts().iter().flatten() {
                 assert!(store.is_live(pm.id), "reinserted part must be live");
             }
         }

@@ -42,7 +42,7 @@ impl DbCharacteristics {
         for comp in &m.composites {
             docs += 1;
             pointers += 1; // document pointer
-            for pm in comp.parts.iter().flatten() {
+            for pm in comp.parts().iter().flatten() {
                 parts += 1;
                 pointers += 1; // parts-set pointer
                 let out = pm.out_degree() as u64;

@@ -8,14 +8,13 @@
 //! "'time' does not progress between the end of Reorg1 and the beginning
 //! of Reorg2").
 
-use std::collections::HashSet;
-
 use crate::model::GenState;
 
 /// Runs the Traverse phase, returning the number of objects visited.
 pub fn traverse(state: &mut GenState) -> u64 {
     state.trace.phase("Traverse");
-    let mut visited_comps: HashSet<u32> = HashSet::new();
+    let n_comps = state.module.composites.len();
+    let mut visited_comps = vec![false; n_comps];
     let mut count = 0u64;
 
     let module_id = state.module.id;
@@ -26,26 +25,23 @@ pub fn traverse(state: &mut GenState) -> u64 {
 
     // Depth-first over the assembly tree (arena index 0 is the root).
     let mut stack = vec![0usize];
-    let mut comp_order: Vec<u32> = Vec::new();
+    let mut comp_order: Vec<u32> = Vec::with_capacity(n_comps);
     while let Some(ai) = stack.pop() {
-        let id = state.module.assemblies[ai].id;
-        state.trace.access(id);
+        let assembly = &state.module.assemblies[ai];
+        state.trace.access(assembly.id);
         count += 1;
         // Children pushed in reverse so traversal visits them in order.
-        let children: Vec<usize> = state.module.assemblies[ai].children.clone();
-        for &c in children.iter().rev() {
-            stack.push(c);
-        }
-        for &ci in &state.module.assemblies[ai].composites {
-            if visited_comps.insert(ci) {
+        stack.extend(assembly.children.iter().rev());
+        for &ci in &assembly.composites {
+            if !std::mem::replace(&mut visited_comps[ci as usize], true) {
                 comp_order.push(ci);
             }
         }
     }
     // Composites in the order the assembly walk discovered them, then any
     // the base assemblies missed (reachable via the design library).
-    for ci in 0..state.module.composites.len() as u32 {
-        if visited_comps.insert(ci) {
+    for ci in 0..n_comps as u32 {
+        if !std::mem::replace(&mut visited_comps[ci as usize], true) {
             comp_order.push(ci);
         }
     }
@@ -59,38 +55,32 @@ pub fn traverse(state: &mut GenState) -> u64 {
 /// out-connections; parts not reachable through connections are started
 /// from the parts set).
 fn traverse_composite(state: &mut GenState, ci: u32) -> u64 {
-    let comp = &state.module.composites[ci as usize];
-    let comp_id = comp.id;
-    let doc_id = comp.doc;
-    state.trace.access(comp_id);
-    state.trace.access(doc_id);
+    let GenState { trace, module, .. } = state;
+    let comp = &module.composites[ci as usize];
+    trace.access(comp.id);
+    trace.access(comp.doc);
     let mut count = 2u64;
 
-    let n_parts = state.module.composites[ci as usize].parts.len() as u32;
-    let mut visited: HashSet<u32> = HashSet::new();
-    for start in 0..n_parts {
-        if state.module.composites[ci as usize].parts[start as usize].is_none()
-            || visited.contains(&start)
-        {
+    let parts = comp.parts();
+    let mut visited = vec![false; parts.len()];
+    let mut stack = Vec::new();
+    for start in 0..parts.len() {
+        if parts[start].is_none() || visited[start] {
             continue;
         }
-        let mut stack = vec![start];
+        stack.push(start as u32);
         while let Some(pi) = stack.pop() {
-            if !visited.insert(pi) {
+            if std::mem::replace(&mut visited[pi as usize], true) {
                 continue;
             }
-            let comp = &state.module.composites[ci as usize];
             let pm = comp.part(pi);
-            let part_id = pm.id;
-            let conns: Vec<(odbgc_trace::ObjectId, u32)> =
-                pm.out.iter().flatten().map(|c| (c.id, c.to)).collect();
-            state.trace.access(part_id);
+            trace.access(pm.id);
             count += 1;
-            for (conn_id, to) in conns.into_iter().rev() {
-                state.trace.access(conn_id);
+            for c in pm.out.iter().rev().flatten() {
+                trace.access(c.id);
                 count += 1;
-                if !visited.contains(&to) {
-                    stack.push(to);
+                if !visited[c.to as usize] {
+                    stack.push(c.to);
                 }
             }
         }

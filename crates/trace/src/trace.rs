@@ -50,7 +50,23 @@ impl Trace {
 
     /// Assembles a trace from parts. The codec uses this; generators should
     /// prefer [`TraceBuilder`].
+    ///
+    /// # Panics
+    ///
+    /// If a `Phase` event's id is at or past the end of `phase_names`:
+    /// such a trace has no phase for that event, and the tracefile decoder
+    /// refuses its encoding.
     pub fn from_parts(events: Vec<Event>, phase_names: Vec<String>) -> Self {
+        for (i, ev) in events.iter().enumerate() {
+            if let Event::Phase { id } = ev {
+                assert!(
+                    id.index() < phase_names.len(),
+                    "event {i}: phase id {} is past the {}-entry phase table",
+                    id.raw(),
+                    phase_names.len()
+                );
+            }
+        }
         Trace {
             events,
             phase_names,
@@ -155,7 +171,9 @@ impl TraceBuilder {
             None => {
                 assert!(
                     self.phase_names.len() < u16::MAX as usize,
-                    "too many phases"
+                    "event {}: phase {name:?} does not fit the full {}-entry phase table",
+                    self.events.len(),
+                    self.phase_names.len()
                 );
                 self.phase_names.push(name.to_owned());
                 PhaseId::new((self.phase_names.len() - 1) as u16)
@@ -235,6 +253,20 @@ mod tests {
                 EventKind::RootRemove,
             ]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "event 1: phase id 3 is past the 1-entry phase table")]
+    fn from_parts_refuses_a_phase_id_past_the_table() {
+        let events = vec![
+            Event::Phase {
+                id: PhaseId::new(0),
+            },
+            Event::Phase {
+                id: PhaseId::new(3),
+            },
+        ];
+        Trace::from_parts(events, vec!["a".into()]);
     }
 
     #[test]

@@ -117,13 +117,13 @@ impl EventBlock {
                 self.put_id(*id);
                 put_u64(&mut self.bytes, u64::from(*size));
                 put_u64(&mut self.bytes, slots.len() as u64);
-                let mut bitmap = vec![0u8; slots.len().div_ceil(8)];
+                let bitmap = self.bytes.len();
+                self.bytes.resize(bitmap + slots.len().div_ceil(8), 0);
                 for (i, slot) in slots.iter().enumerate() {
                     if slot.is_some() {
-                        bitmap[i / 8] |= 1 << (i % 8);
+                        self.bytes[bitmap + i / 8] |= 1 << (i % 8);
                     }
                 }
-                self.bytes.extend_from_slice(&bitmap);
                 for slot in slots.iter().flatten() {
                     self.put_id(*slot);
                 }

@@ -37,6 +37,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     if window == 0 {
         return Err(CliError("--window must be at least 1".into()));
     }
+    let Some(last_session) = session.checked_add(connections - 1) else {
+        return Err(CliError(format!(
+            "--session {session} with --connections {connections} names sessions past {}",
+            u32::MAX
+        )));
+    };
 
     let config = ClientConfig {
         addr: addr.clone(),
@@ -54,7 +60,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     } else {
         let multi =
             run_clients(&config, connections).map_err(|e| CliError(format!("client: {e}")))?;
-        let last_session = session.wrapping_add(connections - 1);
         (
             format!(
                 "client: {connections} connection(s), sessions \
@@ -114,6 +119,19 @@ mod tests {
                 format!("--batch must be at least 2, got {batch}")
             );
         }
+    }
+
+    #[test]
+    fn sessions_past_u32_max_are_refused_by_name() {
+        // Refused before connecting: port 1 is never reached.
+        let err = run(&argv(
+            "--connect 127.0.0.1:1 --session 4294967295 --connections 2",
+        ))
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "--session 4294967295 with --connections 2 names sessions past 4294967295"
+        );
     }
 
     #[test]

@@ -226,7 +226,7 @@ mod tests {
             .and_then(|l| l.split_whitespace().nth(1))
             .and_then(|v| v.parse().ok())
             .unwrap();
-        assert_eq!(expected.decisions.len() as u64, colls);
+        assert_eq!(expected.log.decisions.len() as u64, colls);
         std::fs::remove_dir_all(&dir).ok();
     }
 

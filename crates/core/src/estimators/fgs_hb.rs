@@ -34,12 +34,6 @@ impl FgsHb {
         FgsHb { gppo: Ewma::new(h) }
     }
 
-    /// Current smoothed garbage-per-pointer-overwrite, if any collection
-    /// with a nonzero overwrite count has been observed.
-    pub fn gppo(&self) -> Option<f64> {
-        self.gppo.value()
-    }
-
     /// Consumes the post-collection observation and returns the estimate
     /// of `ActGarb` in bytes.
     pub fn estimate(&mut self, obs: &CollectionObservation) -> f64 {
@@ -77,7 +71,7 @@ mod tests {
         let mut e = FgsHb::new(0.8);
         // 600 bytes over 6 overwrites → GPPO 100; 50 outstanding → 5000.
         assert_eq!(e.estimate(&obs(600, 6, 50)), 5_000.0);
-        assert_eq!(e.gppo(), Some(100.0));
+        assert_eq!(e.gppo.value(), Some(100.0));
     }
 
     #[test]
@@ -85,7 +79,7 @@ mod tests {
         let mut e = FgsHb::new(0.8);
         e.estimate(&obs(600, 6, 50)); // GPPO 100
         e.estimate(&obs(400, 2, 50)); // sample 200 → 0.8·100 + 0.2·200 = 120
-        assert!((e.gppo().unwrap() - 120.0).abs() < 1e-12);
+        assert!((e.gppo.value().unwrap() - 120.0).abs() < 1e-12);
     }
 
     #[test]
@@ -93,7 +87,7 @@ mod tests {
         let mut e = FgsHb::new(0.8);
         e.estimate(&obs(600, 6, 50));
         let est = e.estimate(&obs(123, 0, 30));
-        assert_eq!(e.gppo(), Some(100.0));
+        assert_eq!(e.gppo.value(), Some(100.0));
         assert_eq!(est, 3_000.0);
     }
 
@@ -108,7 +102,7 @@ mod tests {
         let mut e = FgsHb::new(0.0);
         e.estimate(&obs(600, 6, 50));
         e.estimate(&obs(400, 2, 50)); // sample 200 replaces history
-        assert_eq!(e.gppo(), Some(200.0));
+        assert_eq!(e.gppo.value(), Some(200.0));
     }
 
     #[test]

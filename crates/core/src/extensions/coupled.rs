@@ -28,7 +28,7 @@ pub struct CoupledSaioPolicy {
     garbage_floor: f64,
     /// Interval stretch factor applied while under the floor (finite, > 1).
     stretch: f64,
-    /// Last decision's view, for diagnostics.
+    /// The garbage estimate the most recent decision used (bytes).
     last_estimate: f64,
 }
 
@@ -54,11 +54,6 @@ impl CoupledSaioPolicy {
             stretch,
             last_estimate: 0.0,
         }
-    }
-
-    /// The garbage estimate used by the most recent decision (bytes).
-    pub fn last_estimate(&self) -> f64 {
-        self.last_estimate
     }
 }
 
@@ -129,7 +124,7 @@ mod tests {
         let t = p.after_collection(&obs(0, 90, 600, 6, 1, 1_000_000));
         // Plain SAIO would say 810; the brake stretches by 4.
         assert_eq!(t.app_io, Some(3_240));
-        assert!((p.last_estimate() - 100.0).abs() < 1e-9);
+        assert!((p.last_estimate - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use odbgc_trace::Event;
 
 use crate::config::EngineConfig;
 use crate::metrics::RunMetrics;
-use crate::observer::{CounterSnapshot, DecisionRecord, EngineObserver};
+use crate::observer::{CounterSnapshot, DecisionLog, DecisionRecord};
 use crate::result::RunResult;
 use crate::series::CollectionRecord;
 use crate::session::{Session, SessionId};
@@ -32,7 +32,7 @@ pub enum CollectMode {
 /// the simulator's replay loop used to keep in local variables. Every
 /// driver — trace replay, [`Session`] clients, serve mode — goes through
 /// [`StoreEngine::apply_event`], the one place the per-operation
-/// sequence (apply → sample → deep-check → observe) runs, and collects
+/// sequence (apply → sample → deep-check → log) runs, and collects
 /// through [`StoreEngine::collect_if_due`] wherever it checks the
 /// trigger: the simulator after every event, a shard between turns.
 ///
@@ -101,10 +101,10 @@ impl<P: RatePolicy> StoreEngine<P> {
     }
 
     /// Applies one event through the full per-operation sequence: store
-    /// apply, metrics sample, optional deep check, observer note. It
-    /// never collects; the driver follows it with
-    /// [`StoreEngine::collect_if_due`] where it wants collections to
-    /// fall. Returns the store's per-event deltas.
+    /// apply, metrics sample, optional deep check, and accounting to the
+    /// open phase of `log`, if it has one. It never collects; the driver
+    /// follows it with [`StoreEngine::collect_if_due`] where it wants
+    /// collections to fall. Returns the store's per-event deltas.
     ///
     /// This is the only place that sequence runs: the simulator reaches
     /// it per trace event directly, sessions per operation through
@@ -112,7 +112,7 @@ impl<P: RatePolicy> StoreEngine<P> {
     pub fn apply_event(
         &mut self,
         ev: &Event,
-        observer: Option<&mut (dyn EngineObserver + '_)>,
+        log: Option<&mut DecisionLog>,
     ) -> Result<ApplyOutcome, StoreError> {
         let outcome = self.store.apply(ev)?;
         self.events_applied += 1;
@@ -125,8 +125,8 @@ impl<P: RatePolicy> StoreEngine<P> {
         if self.config.deep_checks {
             self.store.assert_counters_match();
         }
-        if let Some(o) = observer {
-            o.note_event(self.counters());
+        if let Some(log) = log {
+            log.note_event(self.counters());
         }
         Ok(outcome)
     }
@@ -140,10 +140,10 @@ impl<P: RatePolicy> StoreEngine<P> {
     pub fn apply_batch(
         &mut self,
         events: &[Event],
-        mut observer: Option<&mut (dyn EngineObserver + '_)>,
+        mut log: Option<&mut DecisionLog>,
     ) -> Result<(), (usize, StoreError)> {
         for (i, ev) in events.iter().enumerate() {
-            self.apply_event(ev, observer.as_deref_mut())
+            self.apply_event(ev, log.as_deref_mut())
                 .map_err(|e| (i, e))?;
         }
         Ok(())
@@ -168,11 +168,9 @@ impl<P: RatePolicy> StoreEngine<P> {
     /// collection: oracle reconciliation, partition selection and
     /// compaction, policy observation, and re-arming. Returns `None` when
     /// the trigger is not due or nothing could be collected (in which
-    /// case a fresh cold-start trigger is armed).
-    pub fn collect_if_due(
-        &mut self,
-        observer: Option<&mut (dyn EngineObserver + '_)>,
-    ) -> Option<CollectionApplied> {
+    /// case a fresh cold-start trigger is armed). A collection appends
+    /// its [`DecisionRecord`] to `log` and counts to its open phase.
+    pub fn collect_if_due(&mut self, log: Option<&mut DecisionLog>) -> Option<CollectionApplied> {
         if !self.collection_due() {
             return None;
         }
@@ -235,8 +233,8 @@ impl<P: RatePolicy> StoreEngine<P> {
             self.store.assert_garbage_exact();
         }
         self.trigger = self.policy.after_collection(&obs);
-        if let Some(o) = observer {
-            o.note_decision(&DecisionRecord {
+        if let Some(log) = log {
+            log.note_decision(DecisionRecord {
                 index: obs.collection_index,
                 observation: obs,
                 trigger: self.trigger,
@@ -254,7 +252,7 @@ impl<P: RatePolicy> StoreEngine<P> {
         self.alloc_base = self.store.alloc_clock();
     }
 
-    /// The cumulative counters observers sample after each event.
+    /// The cumulative counters a [`DecisionLog`] accounts phases by.
     pub fn counters(&self) -> CounterSnapshot {
         CounterSnapshot {
             app_io_total: self.store.io().app_total(),
@@ -265,13 +263,13 @@ impl<P: RatePolicy> StoreEngine<P> {
         }
     }
 
-    /// A session handle whose operations report to `observer`.
+    /// A session handle whose operations report to `log`.
     pub fn session_with<'e>(
         &'e mut self,
         id: SessionId,
-        observer: Option<&'e mut dyn EngineObserver>,
+        log: Option<&'e mut DecisionLog>,
     ) -> Session<'e, P> {
-        Session::new(id, self, observer)
+        Session::new(id, self, log)
     }
 
     /// Read access to the underlying store.
@@ -329,7 +327,9 @@ impl<P: RatePolicy> StoreEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{apply_ops, ObjRef, SessionObjects, SessionOp};
+    use crate::serve::{
+        apply_ops, ObjRef, SessionObjects, SessionOp, SessionWorkload, WorkloadParams,
+    };
     use odbgc_core::FixedRatePolicy;
     use odbgc_trace::ObjectId;
 
@@ -390,6 +390,37 @@ mod tests {
         assert_eq!(one, odbgc_gc::SchedTotals::default());
         assert_eq!(two.collections, parallel.collection_count());
         assert!(two.packets > 0, "{two:?}");
+    }
+
+    /// The call shape of the benchmark's `apply_turns_direct`: one
+    /// default log lent to every turn's session and to the drain after
+    /// it. Sessions account to no phase, so only the drain records.
+    #[test]
+    fn a_log_lent_to_turns_and_drains_holds_one_record_per_collection() {
+        let run = |log: Option<&mut DecisionLog>| {
+            let mut engine =
+                StoreEngine::new(EngineConfig::tiny(), Box::new(FixedRatePolicy::new(4)));
+            let mut log = log;
+            let mut objects = SessionObjects::new();
+            let mut workload = SessionWorkload::new(0, WorkloadParams::default(), 2_000);
+            loop {
+                let ops = workload.next_turn(8);
+                if ops.is_empty() {
+                    break;
+                }
+                let mut session = engine.session_with(SessionId::new(0), log.as_deref_mut());
+                apply_ops(&mut session, &mut objects, &ops).expect("turn applies");
+                while engine.collect_if_due(log.as_deref_mut()).is_some() {}
+            }
+            engine.into_result(Vec::new())
+        };
+        let mut log = DecisionLog::default();
+        let logged = run(Some(&mut log));
+        assert!(logged.collection_count() > 0, "rate-4 policy collects");
+        assert_eq!(log.decisions.len() as u64, logged.collection_count());
+        assert!(log.decisions.iter().zip(0..).all(|(d, i)| d.index == i));
+        assert!(log.phases.is_empty(), "no phase was opened");
+        assert_eq!(logged, run(None), "the log is off the decision path");
     }
 
     #[test]

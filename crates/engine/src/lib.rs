@@ -18,9 +18,10 @@
 //!   sharded by partition group, each shard draining its due collections
 //!   between turns, under a seeded deterministic scheduler.
 //!
-//! The engine does not know about telemetry documents; it reports
-//! decisions through the [`EngineObserver`] trait, which the simulator's
-//! telemetry sink and the serve mode's [`DecisionLog`] both implement.
+//! The engine does not know about telemetry documents; it reports to
+//! one concrete [`DecisionLog`]. Each serve-mode shard keeps one for its
+//! decisions; the simulator's telemetry sink keeps one on which it also
+//! opens the trace's phases.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +38,7 @@ pub mod session;
 pub use config::EngineConfig;
 pub use engine::{CollectMode, StoreEngine};
 pub use metrics::RunMetrics;
-pub use observer::{CounterSnapshot, DecisionLog, DecisionRecord, EngineObserver};
+pub use observer::{CounterSnapshot, DecisionLog, DecisionRecord, PhaseTelemetry};
 pub use result::RunResult;
 pub use series::CollectionRecord;
 pub use serve::{

@@ -59,13 +59,8 @@ impl RunMetrics {
     }
 
     /// Are we past the preamble?
-    pub fn in_window(&self) -> bool {
+    fn in_window(&self) -> bool {
         self.window_started
-    }
-
-    /// Collections seen so far.
-    pub fn collections(&self) -> u64 {
-        self.collections_done
     }
 
     /// Mean garbage percentage over all post-preamble event samples, or

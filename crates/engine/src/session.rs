@@ -10,7 +10,7 @@ use odbgc_store::{ApplyOutcome, StoreError};
 use odbgc_trace::Event;
 
 use crate::engine::StoreEngine;
-use crate::observer::EngineObserver;
+use crate::observer::DecisionLog;
 
 /// Identifier of one client session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -63,28 +63,24 @@ impl std::error::Error for OpError {
 pub struct Session<'e, P: odbgc_core::RatePolicy = Box<dyn odbgc_core::RatePolicy + Send>> {
     id: SessionId,
     pub(crate) engine: &'e mut StoreEngine<P>,
-    observer: Option<&'e mut dyn EngineObserver>,
+    log: Option<&'e mut DecisionLog>,
 }
 
 impl<'e, P: odbgc_core::RatePolicy> Session<'e, P> {
     pub(crate) fn new(
         id: SessionId,
         engine: &'e mut StoreEngine<P>,
-        observer: Option<&'e mut dyn EngineObserver>,
+        log: Option<&'e mut DecisionLog>,
     ) -> Self {
-        Session {
-            id,
-            engine,
-            observer,
-        }
+        Session { id, engine, log }
     }
 
     /// Applies one event through [`StoreEngine::apply_event`], reporting
-    /// to this session's observer.
+    /// to this session's log.
     pub fn apply_event(&mut self, ev: &Event) -> Result<ApplyOutcome, OpError> {
         let session = self.id;
         self.engine
-            .apply_event(ev, self.observer.as_deref_mut())
+            .apply_event(ev, self.log.as_deref_mut())
             .map_err(|cause| OpError { session, cause })
     }
 }
@@ -93,7 +89,6 @@ impl<'e, P: odbgc_core::RatePolicy> Session<'e, P> {
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::observer::DecisionLog;
     use crate::serve::{apply_ops, ObjRef, SessionObjects, SessionOp, TurnApplied, TurnErrorKind};
     use odbgc_core::FixedRatePolicy;
     use odbgc_trace::{ObjectId, SlotIdx};

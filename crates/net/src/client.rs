@@ -273,15 +273,29 @@ struct Multiplexed {
 ///
 /// With `config.shutdown_after`, every other connection says `Bye`
 /// first, then the last one requests the graceful drain.
+///
+/// Sessions past `u32::MAX` are refused before any connection is made,
+/// with an [`ErrorKind::InvalidInput`] error.
 pub fn run_clients(
     config: &ClientConfig,
     connections: u32,
 ) -> Result<MultiClientReport, ClientError> {
     let n = connections.max(1);
     let batch = config.batch.max(2);
+    if config.session.checked_add(n - 1).is_none() {
+        return Err(std::io::Error::new(
+            ErrorKind::InvalidInput,
+            format!(
+                "session {} with {n} connections names sessions past {}",
+                config.session,
+                u32::MAX
+            ),
+        )
+        .into());
+    }
     let mut slots = Vec::with_capacity(n as usize);
     for i in 0..n {
-        let session = config.session.wrapping_add(i);
+        let session = config.session + i;
         let mut conn = Conn::connect(&config.addr)?;
         let granted = match conn.request(&Request::Hello {
             session,
@@ -385,6 +399,27 @@ pub fn run_clients(
 mod tests {
     use super::*;
     use std::net::TcpListener;
+
+    #[test]
+    fn sessions_past_u32_max_are_refused_before_connecting() {
+        // Port 1 on loopback is never an odbgc server: a connection
+        // attempt would fail with `ConnectionRefused` instead.
+        let config = ClientConfig {
+            addr: "127.0.0.1:1".into(),
+            session: u32::MAX,
+            ops: 10,
+            batch: 8,
+            window: 4,
+            workload: WorkloadParams::default(),
+            shutdown_after: false,
+        };
+        match run_clients(&config, 2) {
+            Err(ClientError::Proto(ProtoError::Io(e))) => {
+                assert_eq!(e.kind(), ErrorKind::InvalidInput, "{e}");
+            }
+            other => panic!("want an InvalidInput refusal, got {other:?}"),
+        }
+    }
 
     #[test]
     fn a_read_timeout_mid_frame_keeps_the_stream_in_step() {

@@ -35,7 +35,7 @@ pub use runner::{
     JobErrorKind, PlanCell, PlanOutcome, TraceCache,
 };
 pub use simulator::{BatchSource, ReplayError, ReplayOptions, SimError, Simulator, TraceBatches};
-pub use telemetry::{Json, PhaseTelemetry, PlanTelemetry, RunTelemetry};
+pub use telemetry::{Json, PlanTelemetry, RunTelemetry};
 
 // Compiles and runs README.md's Rust blocks as doctests.
 #[cfg(doctest)]

@@ -5,12 +5,13 @@
 //! is one client of it: it feeds batches of trace events through the
 //! engine exactly as a live mutator session would, adding only what is
 //! trace-specific (event indexing for errors, phase-name resolution, and
-//! the telemetry sink's phase accounting).
+//! handing the telemetry sink's [`odbgc_engine::DecisionLog`] to the
+//! engine, with a phase opened on it at every marker).
 
 use std::convert::Infallible;
 
 use odbgc_core::RatePolicy;
-use odbgc_engine::{EngineConfig, EngineObserver, RunResult, StoreEngine};
+use odbgc_engine::{EngineConfig, RunResult, StoreEngine};
 use odbgc_store::StoreError;
 use odbgc_trace::{Event, Trace};
 
@@ -151,8 +152,8 @@ impl BatchSource for TraceBatches<'_> {
 /// [`RunTelemetry`] sink to additionally record the per-decision policy
 /// log and per-phase accounting.
 ///
-/// Telemetry is strictly an observer: the returned [`RunResult`] is
-/// byte-identical with or without it.
+/// Telemetry is strictly off the decision path: the returned
+/// [`RunResult`] is byte-identical with or without it.
 #[derive(Default)]
 pub struct ReplayOptions<'t> {
     telemetry: Option<&'t mut RunTelemetry>,
@@ -223,9 +224,10 @@ impl Simulator {
     /// order; an [`Event::Phase`] marker first records its phase. After
     /// each event the trigger is checked and, when due, one collection
     /// runs through [`StoreEngine::collect_if_due`] before the next
-    /// event. So triggers, metrics sampling, and observer calls all fire
-    /// in event order, and the [`RunResult`] does not depend on where the
-    /// source cuts its batches. A source error aborts the replay with
+    /// event. So triggers, metrics sampling, and the telemetry log's
+    /// phase and decision accounting all happen in event order, and the
+    /// [`RunResult`] does not depend on where the source cuts its
+    /// batches. A source error aborts the replay with
     /// [`ReplayError::Source`] carrying the number of events consumed
     /// before it.
     pub fn replay_batched<B: BatchSource>(
@@ -235,7 +237,7 @@ impl Simulator {
         options: ReplayOptions<'_>,
     ) -> Result<RunResult, ReplayError<B::Error>> {
         let phase_names = source.phase_names();
-        let mut telemetry = options.telemetry;
+        let mut log = options.telemetry.map(|t| &mut t.log);
         let mut engine = StoreEngine::new(self.config.clone(), policy);
         let mut phases: Vec<(String, u64, u64)> = Vec::new();
         // Global index of the first event of the current batch, so
@@ -260,16 +262,13 @@ impl Simulator {
                         .map(String::as_str)
                         .unwrap_or("<unknown>")
                         .to_owned();
-                    if let Some(t) = telemetry.as_deref_mut() {
-                        t.enter_phase(&name, engine.counters());
+                    if let Some(log) = log.as_deref_mut() {
+                        log.enter_phase(&name, engine.counters());
                     }
                     phases.push((name, (base + i) as u64, engine.collection_count()));
                 }
-                let mut observer = telemetry
-                    .as_deref_mut()
-                    .map(|t| t as &mut dyn EngineObserver);
                 engine
-                    .apply_event(ev, observer.as_deref_mut())
+                    .apply_event(ev, log.as_deref_mut())
                     .map_err(|cause| {
                         ReplayError::Sim(SimError {
                             event_index: base + i,
@@ -277,14 +276,14 @@ impl Simulator {
                         })
                     })?;
                 if engine.collection_due() {
-                    engine.collect_if_due(observer);
+                    engine.collect_if_due(log.as_deref_mut());
                 }
             }
             base += batch.len();
         }
 
-        if let Some(t) = telemetry {
-            t.finish(engine.counters());
+        if let Some(log) = log {
+            log.finish(engine.counters());
         }
         Ok(engine.into_result(phases))
     }
@@ -505,11 +504,12 @@ mod tests {
                 )
                 .expect("run");
             let phases: Vec<_> = sink
+                .log
                 .phases
                 .iter()
                 .map(|p| (p.name.clone(), p.events, p.app_io, p.gc_io, p.collections))
                 .collect();
-            (r, sink.decisions, phases)
+            (r, sink.log.decisions, phases)
         };
         let mut cuttings = cuttings(&trace).into_iter();
         let per_event = run(cuttings.next().expect("the batches-of-1 cutting"));
@@ -644,28 +644,28 @@ mod tests {
             let mut p = SaioPolicy::with_frac(0.10);
             replay(&sim, &trace, &mut p)
         };
-        let (instrumented, telemetry) = {
+        let (instrumented, log) = {
             let mut p = SaioPolicy::with_frac(0.10);
             let mut sink = RunTelemetry::new(p.name());
             let r = sim
                 .replay(&trace, &mut p, ReplayOptions::new().telemetry(&mut sink))
                 .expect("run");
-            (r, sink)
+            (r, sink.log)
         };
         // The telemetry sink must be a pure observer: identical results.
         assert_eq!(plain, instrumented);
-        assert_eq!(telemetry.decisions.len() as u64, plain.collection_count());
+        assert_eq!(log.decisions.len() as u64, plain.collection_count());
         // Phase accounting mirrors the trace's phase markers.
-        let names: Vec<&str> = telemetry.phases.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = log.phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, vec!["GenDB", "Reorg1", "Traverse", "Reorg2"]);
         // Phase deltas sum to the whole-run totals.
-        let app: u64 = telemetry.phases.iter().map(|p| p.app_io).sum();
-        let gc: u64 = telemetry.phases.iter().map(|p| p.gc_io).sum();
-        let events: u64 = telemetry.phases.iter().map(|p| p.events).sum();
+        let app: u64 = log.phases.iter().map(|p| p.app_io).sum();
+        let gc: u64 = log.phases.iter().map(|p| p.gc_io).sum();
+        let events: u64 = log.phases.iter().map(|p| p.events).sum();
         assert_eq!(app, plain.app_io_total);
         assert_eq!(gc, plain.gc_io_total);
         assert_eq!(events, plain.events_replayed);
-        let collections: u64 = telemetry.phases.iter().map(|p| p.collections).sum();
+        let collections: u64 = log.phases.iter().map(|p| p.collections).sum();
         assert_eq!(collections, plain.collection_count());
     }
 

@@ -16,7 +16,11 @@
 //! * **plan-level telemetry** — per-job wall times, trace-cache counts,
 //!   the failure list, and worker-pool utilization ([`PlanTelemetry`]).
 //!
-//! Telemetry is strictly off the hot path: a plain
+//! The first two are kept by the engine's own [`DecisionLog`]; a
+//! [`RunTelemetry`] is a policy name plus that log, and this module only
+//! renders it. The engine stays JSON-free.
+//!
+//! Telemetry is strictly off the decision path: a plain
 //! [`crate::Simulator::replay`] records nothing, and attaching a sink via
 //! [`crate::ReplayOptions::telemetry`] produces a byte-identical
 //! `RunResult` plus the telemetry on the side.
@@ -43,7 +47,7 @@
 use std::time::Duration;
 
 use odbgc_core::ClampHit;
-use odbgc_engine::{CounterSnapshot, DecisionRecord, EngineObserver};
+use odbgc_engine::{DecisionLog, DecisionRecord, PhaseTelemetry};
 
 use crate::runner::{ExperimentPlan, PlanOutcome};
 
@@ -259,110 +263,42 @@ fn decision_to_json(rec: &DecisionRecord) -> Json {
     ])
 }
 
-/// Accounting for one workload phase of a run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseTelemetry {
-    /// Phase name from the trace's phase table (`<start>` for events
-    /// preceding the first phase marker).
-    pub name: String,
-    /// Events replayed during the phase (including its marker).
-    pub events: u64,
-    /// Collections performed during the phase.
-    pub collections: u64,
-    /// Application page I/O charged during the phase.
-    pub app_io: u64,
-    /// Collector page I/O charged during the phase.
-    pub gc_io: u64,
-    /// Pointer overwrites during the phase.
-    pub overwrites: u64,
-    /// Event-sampled mean garbage percentage over the phase (every event
-    /// with a nonzero database size samples once; no preamble exclusion,
-    /// unlike the whole-run measured-window mean).
-    pub garbage_pct_mean: Option<f64>,
+/// The JSON form of one [`PhaseTelemetry`].
+fn phase_to_json(phase: &PhaseTelemetry) -> Json {
+    Json::Obj(vec![
+        ("name".into(), Json::str(&phase.name)),
+        ("events".into(), Json::u64(phase.events)),
+        ("collections".into(), Json::u64(phase.collections)),
+        ("app_io".into(), Json::u64(phase.app_io)),
+        ("gc_io".into(), Json::u64(phase.gc_io)),
+        ("overwrites".into(), Json::u64(phase.overwrites)),
+        (
+            "garbage_pct_mean".into(),
+            Json::opt_f64(phase.garbage_pct_mean),
+        ),
+    ])
 }
 
-impl PhaseTelemetry {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::str(&self.name)),
-            ("events".into(), Json::u64(self.events)),
-            ("collections".into(), Json::u64(self.collections)),
-            ("app_io".into(), Json::u64(self.app_io)),
-            ("gc_io".into(), Json::u64(self.gc_io)),
-            ("overwrites".into(), Json::u64(self.overwrites)),
-            (
-                "garbage_pct_mean".into(),
-                Json::opt_f64(self.garbage_pct_mean),
-            ),
-        ])
-    }
-}
-
-/// In-progress accounting for the current phase.
-#[derive(Debug, Clone)]
-struct PhaseAccumulator {
-    name: String,
-    events: u64,
-    collections: u64,
-    app_io_start: u64,
-    gc_io_start: u64,
-    overwrites_start: u64,
-    garbage_pct_sum: f64,
-    garbage_pct_samples: u64,
-}
-
-impl PhaseAccumulator {
-    fn open(name: String, app_io: u64, gc_io: u64, overwrites: u64) -> Self {
-        PhaseAccumulator {
-            name,
-            events: 0,
-            collections: 0,
-            app_io_start: app_io,
-            gc_io_start: gc_io,
-            overwrites_start: overwrites,
-            garbage_pct_sum: 0.0,
-            garbage_pct_samples: 0,
-        }
-    }
-
-    fn close(self, app_io: u64, gc_io: u64, overwrites: u64) -> PhaseTelemetry {
-        PhaseTelemetry {
-            name: self.name,
-            events: self.events,
-            collections: self.collections,
-            app_io: app_io - self.app_io_start,
-            gc_io: gc_io - self.gc_io_start,
-            overwrites: overwrites - self.overwrites_start,
-            garbage_pct_mean: (self.garbage_pct_samples > 0)
-                .then(|| self.garbage_pct_sum / self.garbage_pct_samples as f64),
-        }
-    }
-}
-
-/// Everything one telemetry-enabled run recorded.
+/// Everything one telemetry-enabled run recorded: the policy's name and
+/// the engine's [`DecisionLog`] of the run.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
     /// The policy's self-description.
     pub policy: String,
-    /// One record per trigger decision, in decision order. The length
-    /// equals the run's collection count: no-op re-arms (a due trigger
-    /// before any partition exists) are not decisions.
-    pub decisions: Vec<DecisionRecord>,
-    /// Closed phases, in trace order.
-    pub phases: Vec<PhaseTelemetry>,
-    current: Option<PhaseAccumulator>,
+    /// One record per trigger decision, in decision order (its length
+    /// equals the run's collection count), and the closed phases, in
+    /// trace order.
+    pub log: DecisionLog,
 }
 
 impl RunTelemetry {
-    /// An empty telemetry sink for a run under the named policy. Events
-    /// preceding the first phase marker accrue to an implicit `<start>`
-    /// phase (dropped if it stays empty).
+    /// An empty telemetry sink for a replay under the named policy.
+    /// Events preceding the first phase marker accrue to an implicit
+    /// `<start>` phase (dropped if it stays empty).
     pub fn new(policy: String) -> Self {
         RunTelemetry {
             policy,
-            decisions: Vec::new(),
-            phases: Vec::new(),
-            current: Some(PhaseAccumulator::open("<start>".to_owned(), 0, 0, 0)),
+            log: DecisionLog::with_start_phase(),
         }
     }
 
@@ -370,68 +306,18 @@ impl RunTelemetry {
     /// elsewhere — e.g. a serve-mode shard's `DecisionLog`, whose records
     /// come from live I/O counters. Such runs have no trace phases.
     pub fn from_decisions(policy: String, decisions: Vec<DecisionRecord>) -> Self {
-        RunTelemetry {
-            policy,
-            decisions,
-            phases: Vec::new(),
-            current: None,
-        }
-    }
-
-    /// Closes the current phase and opens `name`.
-    pub(crate) fn enter_phase(&mut self, name: &str, snap: CounterSnapshot) {
-        if let Some(acc) = self.current.take() {
-            // The implicit start phase vanishes if nothing happened in it.
-            if !(acc.name == "<start>" && acc.events == 0) {
-                self.phases.push(acc.close(
-                    snap.app_io_total,
-                    snap.gc_io_total,
-                    snap.overwrite_clock,
-                ));
-            }
-        }
-        self.current = Some(PhaseAccumulator::open(
-            name.to_owned(),
-            snap.app_io_total,
-            snap.gc_io_total,
-            snap.overwrite_clock,
-        ));
-    }
-
-    /// Accounts one replayed event to the current phase.
-    fn account_event(&mut self, snap: CounterSnapshot) {
-        let acc = self.current.as_mut().expect("telemetry not finished");
-        acc.events += 1;
-        if snap.db_size > 0 {
-            acc.garbage_pct_sum += 100.0 * snap.garbage_bytes as f64 / snap.db_size as f64;
-            acc.garbage_pct_samples += 1;
-        }
-    }
-
-    /// Records one policy decision (one per collection).
-    fn account_decision(&mut self, record: DecisionRecord) {
-        if let Some(acc) = self.current.as_mut() {
-            acc.collections += 1;
-        }
-        self.decisions.push(record);
-    }
-
-    /// Closes the final phase.
-    pub(crate) fn finish(&mut self, snap: CounterSnapshot) {
-        if let Some(acc) = self.current.take() {
-            if !(acc.name == "<start>" && acc.events == 0) {
-                self.phases.push(acc.close(
-                    snap.app_io_total,
-                    snap.gc_io_total,
-                    snap.overwrite_clock,
-                ));
-            }
-        }
+        let mut log = DecisionLog::default();
+        log.decisions = decisions;
+        RunTelemetry { policy, log }
     }
 
     /// How many decisions hit the given clamp.
     pub fn clamp_count(&self, clamp: ClampHit) -> usize {
-        self.decisions.iter().filter(|d| d.clamp == clamp).count()
+        self.log
+            .decisions
+            .iter()
+            .filter(|d| d.clamp == clamp)
+            .count()
     }
 
     /// The versioned JSON document (`kind: "run"`).
@@ -443,7 +329,7 @@ impl RunTelemetry {
             ("policy".into(), Json::str(&self.policy)),
             (
                 "decision_count".into(),
-                Json::u64(self.decisions.len() as u64),
+                Json::u64(self.log.decisions.len() as u64),
             ),
             (
                 "clamp_hits".into(),
@@ -460,27 +346,13 @@ impl RunTelemetry {
             ),
             (
                 "phases".into(),
-                Json::Arr(self.phases.iter().map(PhaseTelemetry::to_json).collect()),
+                Json::Arr(self.log.phases.iter().map(phase_to_json).collect()),
             ),
             (
                 "decisions".into(),
-                Json::Arr(self.decisions.iter().map(decision_to_json).collect()),
+                Json::Arr(self.log.decisions.iter().map(decision_to_json).collect()),
             ),
         ])
-    }
-}
-
-/// The telemetry sink observes the engine directly: per-event counter
-/// snapshots accrue to the current phase, decisions are recorded
-/// verbatim. This is how [`crate::Simulator::replay`] attaches telemetry
-/// — the engine never learns what a telemetry document is.
-impl EngineObserver for RunTelemetry {
-    fn note_event(&mut self, snap: CounterSnapshot) {
-        self.account_event(snap);
-    }
-
-    fn note_decision(&mut self, record: &DecisionRecord) {
-        self.account_decision(record.clone());
     }
 }
 
@@ -708,53 +580,6 @@ mod tests {
                 ("corpus".into(), Json::Obj(vec![])),
             ])
         );
-    }
-
-    #[test]
-    fn phase_accumulator_reports_deltas_not_totals() {
-        let mut t = RunTelemetry::new("test".into());
-        let snap = |app, gc, ow, garbage, db| CounterSnapshot {
-            app_io_total: app,
-            gc_io_total: gc,
-            overwrite_clock: ow,
-            garbage_bytes: garbage,
-            db_size: db,
-        };
-        t.note_event(snap(5, 0, 0, 0, 100)); // pre-marker event → <start>
-        t.enter_phase("A", snap(5, 0, 0, 0, 100));
-        t.note_event(snap(10, 2, 1, 50, 100));
-        t.note_event(snap(20, 2, 3, 25, 100));
-        t.enter_phase("B", snap(20, 2, 3, 25, 100));
-        t.note_event(snap(30, 8, 4, 0, 0)); // zero db size: no sample
-        t.finish(snap(30, 8, 4, 0, 0));
-
-        assert_eq!(t.phases.len(), 3);
-        assert_eq!(t.phases[0].name, "<start>");
-        assert_eq!(t.phases[0].events, 1);
-        let a = &t.phases[1];
-        assert_eq!((a.name.as_str(), a.events, a.collections), ("A", 2, 0));
-        assert_eq!((a.app_io, a.gc_io, a.overwrites), (15, 2, 3));
-        assert_eq!(a.garbage_pct_mean, Some((50.0 + 25.0) / 2.0));
-        let b = &t.phases[2];
-        assert_eq!((b.app_io, b.gc_io, b.overwrites), (10, 6, 1));
-        assert_eq!(b.garbage_pct_mean, None);
-    }
-
-    #[test]
-    fn empty_start_phase_is_dropped() {
-        let mut t = RunTelemetry::new("test".into());
-        let snap = CounterSnapshot {
-            app_io_total: 0,
-            gc_io_total: 0,
-            overwrite_clock: 0,
-            garbage_bytes: 0,
-            db_size: 0,
-        };
-        t.enter_phase("First", snap);
-        t.note_event(snap);
-        t.finish(snap);
-        assert_eq!(t.phases.len(), 1);
-        assert_eq!(t.phases[0].name, "First");
     }
 
     #[test]

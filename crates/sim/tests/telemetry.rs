@@ -40,7 +40,7 @@ fn telemetry_is_a_pure_observer_of_the_run() {
     };
     assert_eq!(plain, instrumented, "telemetry must not perturb the run");
     assert_eq!(
-        telemetry.decisions.len() as u64,
+        telemetry.log.decisions.len() as u64,
         plain.collection_count(),
         "one decision record per collection"
     );
@@ -62,7 +62,7 @@ fn run_export_leads_with_the_header_and_counts_every_decision() {
     assert!(text.starts_with(&header("run")), "{text}");
     // The exported decision count agrees with the in-memory log, and
     // every decision is written as one record.
-    let n = telemetry.decisions.len();
+    let n = telemetry.log.decisions.len();
     assert!(n > 0);
     assert!(text.contains(&format!("\n  \"decision_count\": {n},\n")));
     assert_eq!(text.matches("\n      \"index\": ").count(), n);
@@ -82,8 +82,8 @@ fn decision_records_expose_estimator_error_against_exact_garbage() {
         ReplayOptions::new().telemetry(&mut telemetry),
     )
     .expect("run");
-    assert!(!telemetry.decisions.is_empty());
-    for d in &telemetry.decisions {
+    assert!(!telemetry.log.decisions.is_empty());
+    for d in &telemetry.log.decisions {
         // The shadow oracle is exact, so the signed error is zero.
         assert_eq!(d.estimate_error(), Some(0.0));
     }

@@ -215,24 +215,11 @@ impl BufferPool {
         self.live += 1;
     }
 
-    /// Drops every buffered page satisfying `pred` *without* writing it
-    /// back. The collector uses this when it rewrites a partition wholesale:
-    /// buffered copies are stale and their contents were already persisted
-    /// by the collector's own writes.
-    pub fn invalidate_where(&mut self, mut pred: impl FnMut(PageKey) -> bool) {
-        let mut i = self.lru_head;
-        while i != NIL {
-            let next = self.frames[i as usize].next;
-            if pred(self.frames[i as usize].key) {
-                self.drop_frame(i);
-            }
-            i = next;
-        }
-    }
-
-    /// Drops every buffered page of partition `p` without writing it back.
-    /// O(pages of `p`) via the page index — the per-collection fast path
-    /// for [`BufferPool::invalidate_where`] with a partition predicate.
+    /// Drops every buffered page of partition `p` *without* writing it
+    /// back, in O(pages of `p`) via the page index. The collector uses
+    /// this when it rewrites a partition wholesale: buffered copies are
+    /// stale and their contents were already persisted by the collector's
+    /// own writes.
     pub fn invalidate_partition(&mut self, p: PartitionId) {
         let Some(n) = self.page_index.get(p.index()).map(Vec::len) else {
             return;
@@ -359,7 +346,7 @@ mod tests {
         pool.touch(key(0, 0), true, IoClass::App, &mut io);
         pool.touch(key(1, 0), true, IoClass::App, &mut io);
         let writes_before = io.app_writes + io.gc_writes;
-        pool.invalidate_where(|k| k.partition == PartitionId::new(0));
+        pool.invalidate_partition(PartitionId::new(0));
         assert!(!pool.contains(key(0, 0)));
         assert!(pool.contains(key(1, 0)));
         assert_eq!(io.app_writes + io.gc_writes, writes_before);

@@ -3,9 +3,10 @@
 //!
 //! A [`Shard`] is one store, collector and policy (a [`StoreEngine`]),
 //! its decision log, and a failure latch. It is a plain owned value
-//! with exactly one owner per mode: [`serve`] holds its shards on the
-//! calling thread; in `odbgc-net` each shard moves into the event loop
-//! that serves its connections. The owner
+//! with exactly one owner per mode: [`serve`] hands each shard to one
+//! member of a crew of scoped threads (the caller among them); in
+//! `odbgc-net` each shard moves into the event loop that serves its
+//! connections. The owner
 //! applies one turn of operations ([`Shard::turn`]) and then drains
 //! every due collection ([`Shard::collect_due`]) before it starts the
 //! shard's next turn — the order the paper's simulator uses between two
@@ -26,7 +27,8 @@
 //! under `catch_unwind`; a panic in either is captured with its payload
 //! and latches the shard failed — every later turn on it returns a
 //! [`ServeError`] naming the panic and its engine is not touched again —
-//! while every other shard keeps serving and drains cleanly.
+//! while every other shard keeps serving and drains cleanly (under
+//! [`serve`], exactly as it would have without the failure).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -290,6 +292,12 @@ impl SessionWorkload {
     /// Generates the next turn: whole actions only, at most
     /// `batch` operations, never more than the remaining budget.
     /// Returns an empty vec when the budget is exhausted.
+    ///
+    /// Every turn but the budget's last holds exactly `batch` operations
+    /// (an action that does not fit whole gives way to a one-op
+    /// action), so a budget of `ops` takes exactly
+    /// `⌈ops / batch⌉` non-empty turns. [`serve`] draws its whole turn
+    /// order from that count before any turn runs.
     pub fn next_turn(&mut self, batch: u64) -> Vec<SessionOp> {
         let mut ops = Vec::new();
         while (ops.len() as u64) < batch && self.remaining > 0 {
@@ -626,96 +634,250 @@ pub struct ShardOutcome {
 pub struct ServeOutcome {
     /// Operations each session applied (indexed by session id).
     pub per_session_ops: Vec<u64>,
-    /// The scheduler's turn order: session id per scheduled turn.
+    /// The scheduler's turn order: session id per applied turn.
     /// Deterministic under a fixed [`ServeConfig::scheduler_seed`].
     pub schedule: Vec<u32>,
     /// Per-shard summaries (indexed by shard).
     pub shards: Vec<ShardOutcome>,
     /// Shard-level failures observed while serving (one per failed
-    /// shard; the sessions mapped there stop, every other shard drains
-    /// cleanly to completion).
+    /// shard, in the order of their failing turns; the sessions mapped
+    /// there stop, every other shard drains cleanly to completion).
     pub failures: Vec<ServeError>,
 }
 
-/// Runs a multi-session serve workload to completion on the calling
-/// thread.
+/// Runs a multi-session serve workload to completion, each shard's
+/// turns on one member of a crew of scoped threads.
 ///
-/// `make_policy` is called once per shard with the shard index. The
-/// scheduler picks among sessions with remaining work using an RNG
-/// seeded from [`ServeConfig::scheduler_seed`], applies one batch of
-/// that session's operations against its shard, and then drains the
-/// shard's trigger if the turn left it due, so collections land at
-/// deterministic points in each shard's operation stream.
+/// `make_policy` is called once per shard with the shard index, on the
+/// calling thread, in shard order. The scheduler's turn order is drawn
+/// first, from [`ServeConfig::scheduler_seed`] alone: a session with
+/// `ops_per_session` operations takes exactly
+/// `max(1, ⌈ops_per_session / batch⌉)` turns (see
+/// [`SessionWorkload::next_turn`]), so which session goes next never
+/// depends on what a turn did. A crew of `min(shards, available cores)`
+/// threads, the caller among them, then walks that order: member `t`
+/// owns shard `i` iff `i % crew == t`, with the workloads of the
+/// sessions mapped there, applies one batch of a session's operations
+/// per turn of its own, and drains the shard's trigger if the turn left
+/// it due, so collections land at deterministic points in each shard's
+/// operation stream. The members share nothing while they run and meet
+/// once, at join; with one shard or one core no thread is spawned.
 ///
-/// A failing session *operation* aborts the run with that error. A
-/// failing *shard* (a panic in a turn or a collection) does not: its
-/// sessions stop, the failure is recorded in
-/// [`ServeOutcome::failures`], and every other shard drains cleanly.
+/// A failing session *operation* aborts the run with that error (the
+/// earliest in the order, if several shards hit one). A failing
+/// *shard* (a panic in a turn or a collection) does not: the shard's
+/// remaining turns are dropped, the failure is recorded in
+/// [`ServeOutcome::failures`], and every other shard runs exactly as it
+/// would have without the failure.
 pub fn serve(
     config: ServeConfig,
+    make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
+) -> Result<ServeOutcome, ServeError> {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    serve_on(config, make_policy, cores)
+}
+
+/// One session as the crew member that owns its shard holds it.
+struct SessionState {
+    workload: SessionWorkload,
+    objects: SessionObjects,
+    /// Operations the session's turns applied.
+    applied: u64,
+}
+
+/// One shard as its crew member holds it: the shard and the sessions
+/// mapped to it (session `i` of `shard_count` sits at `i / shard_count`).
+struct OwnedShard {
+    shard: Shard,
+    sessions: Vec<SessionState>,
+    /// The shard's failure, at the first turn it refused. The shard
+    /// takes no turn after it.
+    failed_at: Option<AtTurn>,
+}
+
+/// An error, with the position in the order of the turn it surfaced at.
+type AtTurn = (usize, ServeError);
+
+/// [`serve`] with the crew size given: `crew` is clamped to
+/// `1..=shards`, and every size gives the same outcome.
+pub(crate) fn serve_on(
+    config: ServeConfig,
     mut make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
+    crew: usize,
 ) -> Result<ServeOutcome, ServeError> {
     let sessions = config.sessions.max(1) as usize;
     let shard_count = (config.shards.max(1) as usize).min(sessions);
     let batch = config.batch.max(2);
+    let crew = crew.clamp(1, shard_count);
 
-    let mut shards: Vec<Shard> = (0..shard_count)
-        .map(|i| Shard::new(i, &config.engine, make_policy(i as u32), config.gc_fault))
-        .collect();
-    let mut workloads: Vec<SessionWorkload> = (0..sessions)
-        .map(|i| SessionWorkload::new(i as u32, config.workload, config.ops_per_session))
-        .collect();
-    let mut objects: Vec<SessionObjects> = (0..sessions).map(|_| SessionObjects::new()).collect();
-    let mut per_session_ops = vec![0u64; sessions];
-    let mut schedule: Vec<u32> = Vec::new();
-    let mut failures: Vec<ServeError> = Vec::new();
+    let turns = session_turns(config.ops_per_session, batch);
+    let order = turn_order(sessions, turns, config.scheduler_seed);
+    let mut members: Vec<Vec<OwnedShard>> = (0..crew).map(|_| Vec::new()).collect();
+    for i in 0..shard_count {
+        members[i % crew].push(OwnedShard {
+            shard: Shard::new(i, &config.engine, make_policy(i as u32), config.gc_fault),
+            sessions: (i..sessions)
+                .step_by(shard_count)
+                .map(|s| SessionState {
+                    workload: SessionWorkload::new(
+                        s as u32,
+                        config.workload,
+                        config.ops_per_session,
+                    ),
+                    objects: SessionObjects::new(),
+                    applied: 0,
+                })
+                .collect(),
+            failed_at: None,
+        });
+    }
 
-    let mut rng = StdRng::seed_from_u64(config.scheduler_seed);
+    let run = |member: usize, mut owned: Vec<OwnedShard>| {
+        walk(&mut owned, &order, shard_count, crew, member, batch).map(|()| owned)
+    };
+    let walked: Vec<Result<Vec<OwnedShard>, AtTurn>> = std::thread::scope(|scope| {
+        let mut members = members.into_iter().enumerate();
+        let (_, first) = members.next().expect("a crew has a member");
+        let others: Vec<_> = members
+            .map(|(t, owned)| scope.spawn(move || run(t, owned)))
+            .collect();
+        std::iter::once(run(0, first))
+            .chain(others.into_iter().map(|member| {
+                member
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            }))
+            .collect()
+    });
+    merge(order, walked, sessions, shard_count)
+}
+
+/// Turns a session with `ops` operations takes at `batch` per turn; a
+/// session with none takes one empty turn.
+fn session_turns(ops: u64, batch: u64) -> u64 {
+    ops.div_ceil(batch).max(1)
+}
+
+/// The scheduler's turn order: session id per turn, each of `sessions`
+/// sessions taking `turns` turns. The draws are the ones a scheduler
+/// picking uniformly among the sessions with turns left makes.
+fn turn_order(sessions: usize, turns: u64, seed: u64) -> Vec<u32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut left = vec![turns; sessions];
     let mut active: Vec<usize> = (0..sessions).collect();
+    let mut order = Vec::new();
     while !active.is_empty() {
         let k = rng.random_range(0..active.len());
         let si = active[k];
-        let shard_i = si % shard_count;
-        let shard = &mut shards[shard_i];
-        let turn = shard.turn(SessionId::new(si as u32), |sess| {
-            let ops = workloads[si].next_turn(batch);
-            apply_ops(sess, &mut objects[si], &ops)
-        });
-        match turn {
-            Ok(Ok(applied)) => {
-                per_session_ops[si] += applied.applied;
-                schedule.push(si as u32);
-            }
-            // A failed turn is fatal to the run.
-            Ok(Err(err)) => {
-                return Err(ServeError {
-                    shard: shard_i,
-                    kind: ServeErrorKind::Turn(err),
-                });
-            }
-            Err(err) => {
-                // The shard is gone: record the typed failure (once —
-                // its sessions never come up again) and retire every
-                // session mapped to it; other shards keep draining.
-                failures.push(err);
-                active.retain(|&s| s % shard_count != shard_i);
-                continue;
-            }
-        }
-        shard.collect_due();
-        if workloads[si].remaining() == 0 {
+        order.push(si as u32);
+        left[si] -= 1;
+        if left[si] == 0 {
             active.swap_remove(k);
         }
     }
+    order
+}
 
+/// Crew member `member`'s walk of the order: it runs its own shards'
+/// turns, each followed by the shard's due collections, and skips the
+/// rest. Stops at its first fatal turn error.
+fn walk(
+    owned: &mut [OwnedShard],
+    order: &[u32],
+    shard_count: usize,
+    crew: usize,
+    member: usize,
+    batch: u64,
+) -> Result<(), AtTurn> {
+    for (pos, &session) in order.iter().enumerate() {
+        let si = session as usize;
+        let shard_i = si % shard_count;
+        if shard_i % crew != member {
+            continue;
+        }
+        let o = &mut owned[shard_i / crew];
+        if o.failed_at.is_some() {
+            continue;
+        }
+        let state = &mut o.sessions[si / shard_count];
+        let turn = o.shard.turn(SessionId::new(session), |sess| {
+            let ops = state.workload.next_turn(batch);
+            apply_ops(sess, &mut state.objects, &ops)
+        });
+        match turn {
+            Ok(Ok(applied)) => state.applied += applied.applied,
+            Ok(Err(err)) => {
+                let kind = ServeErrorKind::Turn(err);
+                let err = ServeError {
+                    shard: shard_i,
+                    kind,
+                };
+                return Err((pos, err));
+            }
+            // The shard is gone: its later turns are dropped.
+            Err(err) => {
+                o.failed_at = Some((pos, err));
+                continue;
+            }
+        }
+        o.shard.collect_due();
+    }
+    Ok(())
+}
+
+/// Joins the crew's walks into the run's outcome: the earliest fatal
+/// error in the order if any member hit one, else the shards in index
+/// order, the order cut to the turns that applied, and the shard
+/// failures in the order of their failing turns.
+fn merge(
+    mut order: Vec<u32>,
+    walked: Vec<Result<Vec<OwnedShard>, AtTurn>>,
+    sessions: usize,
+    shard_count: usize,
+) -> Result<ServeOutcome, ServeError> {
+    let (mut owned, mut fatal) = (Vec::with_capacity(shard_count), Vec::new());
+    for member in walked {
+        match member {
+            Ok(shards) => owned.extend(shards),
+            Err(err) => fatal.push(err),
+        }
+    }
+    if let Some((_, err)) = fatal.into_iter().min_by_key(|(pos, _)| *pos) {
+        return Err(err);
+    }
+    owned.sort_by_key(|o| o.shard.index);
+
+    let cut: Vec<usize> = owned
+        .iter()
+        .map(|o| o.failed_at.as_ref().map_or(usize::MAX, |(pos, _)| *pos))
+        .collect();
+    let mut pos = 0;
+    order.retain(|&si| {
+        let applied = pos < cut[si as usize % shard_count];
+        pos += 1;
+        applied
+    });
+    let mut failures: Vec<AtTurn> = owned
+        .iter_mut()
+        .filter_map(|o| o.failed_at.take())
+        .collect();
+    failures.sort_by_key(|(pos, _)| *pos);
+
+    let mut per_session_ops = vec![0u64; sessions];
+    let shards = owned
+        .into_iter()
+        .map(|o| {
+            for (k, state) in o.sessions.iter().enumerate() {
+                per_session_ops[o.shard.index + k * shard_count] = state.applied;
+            }
+            o.shard.into_outcome(Vec::new())
+        })
+        .collect();
     Ok(ServeOutcome {
         per_session_ops,
-        schedule,
-        shards: shards
-            .into_iter()
-            .map(|shard| shard.into_outcome(Vec::new()))
-            .collect(),
-        failures,
+        schedule: order,
+        shards,
+        failures: failures.into_iter().map(|(_, err)| err).collect(),
     })
 }
 
@@ -724,6 +886,7 @@ mod tests {
     use super::*;
     use odbgc_core::FixedRatePolicy;
     use odbgc_store::StoreError;
+    use proptest::prelude::*;
 
     fn tiny_serve(seed: u64) -> ServeConfig {
         ServeConfig {
@@ -772,45 +935,65 @@ mod tests {
         );
     }
 
-    #[test]
-    fn workload_turns_respect_batch_and_budget() {
-        // Whole-action turns: never exceed the batch, never exceed the
-        // remaining budget, never split a composite across a boundary —
-        // whatever the batch/budget alignment.
-        for (ops, batch) in [(301u64, 4u64), (7, 2), (100, 3), (17, 8), (1, 8)] {
-            let mut w = SessionWorkload::new(0, WorkloadParams::default(), ops);
-            let mut total = 0u64;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn workload_turns_respect_batch_and_budget(
+            seed in any::<u64>(),
+            ops in 0u64..2000,
+            batch in 2u64..64,
+        ) {
+            // Whole-action turns: every turn but the last holds exactly
+            // `batch` ops, the budget is spent exactly, and no composite
+            // is split across a boundary — whatever the batch/budget
+            // alignment. So the turn count is the one `serve` draws its
+            // order from (a session with no ops takes one empty turn).
+            let mut w = SessionWorkload::new(0, WorkloadParams { seed }, ops);
+            let mut turns = Vec::new();
             loop {
                 let turn = w.next_turn(batch);
                 if turn.is_empty() {
                     break;
                 }
-                assert!(turn.len() as u64 <= batch, "turn exceeds batch");
-                // A Create followed by AddRoot/Overwrite-link is a
-                // composite; both halves must be in this turn. Verify no
-                // turn *starts* with the second half of a composite:
-                // every Overwrite { target: Some(c) } and AddRoot names
-                // an object created in this or an earlier turn — and a
-                // linking op's child is created in the same turn.
+                turns.push(turn);
+            }
+            if let Some((last, full)) = turns.split_last() {
+                for turn in full {
+                    prop_assert_eq!(turn.len() as u64, batch);
+                }
+                prop_assert!(last.len() as u64 <= batch, "turn exceeds batch");
+            }
+            for turn in &turns {
+                // A linking op's child is created in the same turn, just
+                // before it: the create half never falls outside.
                 for (i, op) in turn.iter().enumerate() {
-                    if let SessionOp::Overwrite {
-                        target: Some(c), ..
-                    } = op
-                    {
-                        // The linked child must be this turn's preceding op.
-                        assert!(
-                            matches!(turn[i - 1], SessionOp::Create { .. }),
+                    if let SessionOp::Overwrite { target: Some(_), .. } = op {
+                        prop_assert!(
+                            i > 0 && matches!(turn[i - 1], SessionOp::Create { .. }),
                             "link's create half fell outside the turn"
                         );
-                        let _ = c;
                     }
                 }
-                total += turn.len() as u64;
-                assert!(total <= ops, "budget overshoot: {total} > {ops}");
             }
-            assert_eq!(total, ops, "budget must be spent exactly");
-            assert_eq!(w.remaining(), 0);
+            let total: u64 = turns.iter().map(|t| t.len() as u64).sum();
+            prop_assert_eq!(total, ops);
+            prop_assert_eq!(w.remaining(), 0);
+            prop_assert_eq!((turns.len() as u64).max(1), session_turns(ops, batch));
         }
+    }
+
+    #[test]
+    fn a_session_with_no_ops_takes_one_empty_turn() {
+        let config = ServeConfig {
+            ops_per_session: 0,
+            ..tiny_serve(7)
+        };
+        let out = serve(config, |_| Box::new(FixedRatePolicy::new(20))).expect("serve run");
+        let mut schedule = out.schedule.clone();
+        schedule.sort_unstable();
+        assert_eq!(schedule, vec![0, 1, 2]);
+        assert_eq!(out.per_session_ops, vec![0, 0, 0]);
     }
 
     #[test]
@@ -933,6 +1116,98 @@ mod tests {
             out.shards[1].decisions.len() as u64,
             out.shards[1].result.collection_count()
         );
+    }
+
+    fn crew_config(gc_fault: Option<GcFault>) -> ServeConfig {
+        ServeConfig {
+            sessions: 5,
+            shards: 3,
+            gc_fault,
+            ..tiny_serve(11)
+        }
+    }
+
+    fn assert_same_outcome(a: &ServeOutcome, b: &ServeOutcome) {
+        assert_eq!(a.schedule, b.schedule);
+        assert_eq!(a.per_session_ops, b.per_session_ops);
+        assert_eq!(a.shards.len(), b.shards.len());
+        for (sa, sb) in a.shards.iter().zip(&b.shards) {
+            assert_eq!(sa.result, sb.result);
+            assert_eq!(sa.decisions, sb.decisions);
+            assert_eq!(sa.failed, sb.failed);
+        }
+        let notices = |o: &ServeOutcome| -> Vec<String> {
+            o.failures.iter().map(ToString::to_string).collect()
+        };
+        assert_eq!(notices(a), notices(b));
+    }
+
+    #[test]
+    fn every_crew_size_serves_the_same_outcome() {
+        let fault = GcFault {
+            shard: 1,
+            after_collections: 1,
+        };
+        for gc_fault in [None, Some(fault)] {
+            let run = |crew| {
+                serve_on(
+                    crew_config(gc_fault),
+                    |_| Box::new(FixedRatePolicy::new(20)),
+                    crew,
+                )
+                .expect("serve run")
+            };
+            let alone = run(1);
+            assert_eq!(alone.failures.len(), usize::from(gc_fault.is_some()));
+            assert!(alone.shards.iter().all(|s| !s.decisions.is_empty()));
+            for crew in [2, 3] {
+                assert_same_outcome(&alone, &run(crew));
+            }
+        }
+    }
+
+    #[test]
+    fn another_shards_failure_does_not_reorder_this_shards_turns() {
+        let config = |gc_fault| ServeConfig {
+            sessions: 4,
+            gc_fault,
+            ..tiny_serve(7)
+        };
+        let fault = GcFault {
+            shard: 0,
+            after_collections: 0,
+        };
+        let policy = |_| -> Box<dyn RatePolicy + Send> { Box::new(FixedRatePolicy::new(20)) };
+        let clean = serve(config(None), policy).expect("clean run");
+        let faulted = serve(config(Some(fault)), policy).expect("serve survives");
+        assert_eq!(faulted.failures.len(), 1);
+        // Shard 1 (sessions 1 and 3) runs exactly as it does alone.
+        let on_shard_1 = |o: &ServeOutcome| -> Vec<u32> {
+            o.schedule.iter().copied().filter(|s| s % 2 == 1).collect()
+        };
+        assert_eq!(on_shard_1(&faulted), on_shard_1(&clean));
+        assert_eq!(faulted.shards[1].result, clean.shards[1].result);
+        assert_eq!(faulted.shards[1].decisions, clean.shards[1].decisions);
+        assert_eq!(
+            (faulted.per_session_ops[1], faulted.per_session_ops[3]),
+            (300, 300)
+        );
+    }
+
+    #[test]
+    fn the_fatal_turn_error_returned_is_the_earliest_in_the_order() {
+        // No seeded workload makes the store refuse an op, so the crew's
+        // walks are given directly: three members, each stopped by a
+        // fatal error at a different position of the order.
+        let fatal = |pos, shard| -> Result<Vec<OwnedShard>, AtTurn> {
+            let kind = TurnErrorKind::UnknownRef { obj: 9, created: 0 };
+            let kind = ServeErrorKind::Turn(TurnError { op_index: 0, kind });
+            Err((pos, ServeError { shard, kind }))
+        };
+        let order = vec![0, 1, 2, 2, 1, 0, 2, 0];
+        let walked = vec![fatal(5, 0), fatal(2, 2), fatal(4, 1)];
+        let err = merge(order, walked, 3, 3).expect_err("a fatal error aborts the run");
+        assert_eq!(err.shard, 2);
     }
 
     #[test]

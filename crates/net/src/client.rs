@@ -173,8 +173,8 @@ pub struct ClientConfig {
     pub session: u32,
     /// Total operations to submit.
     pub ops: u64,
-    /// Operations per turn (clamped to ≥ 2 like the in-process serve
-    /// path, so composite actions stay atomic).
+    /// Operations per turn; at least 2, so composite actions stay
+    /// atomic ([`run_clients`] refuses less).
     pub batch: u64,
     /// In-flight window to request in Hello.
     pub window: u32,
@@ -274,24 +274,32 @@ struct Multiplexed {
 /// With `config.shutdown_after`, every other connection says `Bye`
 /// first, then the last one requests the graceful drain.
 ///
-/// Sessions past `u32::MAX` are refused before any connection is made,
-/// with an [`ErrorKind::InvalidInput`] error.
+/// No connections, a batch below two and a zero window are refused
+/// before any connection is made, as are sessions past `u32::MAX`, each
+/// with an [`ErrorKind::InvalidInput`] error naming the value.
 pub fn run_clients(
     config: &ClientConfig,
     connections: u32,
 ) -> Result<MultiClientReport, ClientError> {
-    let n = connections.max(1);
-    let batch = config.batch.max(2);
+    let invalid = |message: String| -> Result<MultiClientReport, ClientError> {
+        Err(std::io::Error::new(ErrorKind::InvalidInput, message).into())
+    };
+    if connections == 0 {
+        return invalid("connections must be at least 1, got 0".into());
+    }
+    if config.batch < 2 {
+        return invalid(format!("batch must be at least 2, got {}", config.batch));
+    }
+    if config.window == 0 {
+        return invalid("window must be at least 1, got 0".into());
+    }
+    let n = connections;
     if config.session.checked_add(n - 1).is_none() {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidInput,
-            format!(
-                "session {} with {n} connections names sessions past {}",
-                config.session,
-                u32::MAX
-            ),
-        )
-        .into());
+        return invalid(format!(
+            "session {} with {n} connections names sessions past {}",
+            config.session,
+            u32::MAX
+        ));
     }
     let mut slots = Vec::with_capacity(n as usize);
     for i in 0..n {
@@ -299,7 +307,7 @@ pub fn run_clients(
         let mut conn = Conn::connect(&config.addr)?;
         let granted = match conn.request(&Request::Hello {
             session,
-            window: config.window.max(1),
+            window: config.window,
         })? {
             Response::HelloOk { window, .. } => window,
             _ => return Err(ClientError::Unexpected("want HelloOk")),
@@ -320,7 +328,7 @@ pub fn run_clients(
         // Send phase: one turn per still-active connection.
         let mut sent_any = false;
         for slot in slots.iter_mut().filter(|s| !s.finished) {
-            slot.turn = slot.workload.next_turn(batch);
+            slot.turn = slot.workload.next_turn(config.batch);
             if slot.turn.is_empty() {
                 slot.finished = true;
                 continue;
@@ -400,25 +408,65 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    #[test]
-    fn sessions_past_u32_max_are_refused_before_connecting() {
-        // Port 1 on loopback is never an odbgc server: a connection
-        // attempt would fail with `ConnectionRefused` instead.
-        let config = ClientConfig {
+    /// A config for a server that is never there: port 1 on loopback is
+    /// never an odbgc server, so a connection attempt would fail with
+    /// `ConnectionRefused` instead of the refusal the tests want.
+    fn unreachable() -> ClientConfig {
+        ClientConfig {
             addr: "127.0.0.1:1".into(),
-            session: u32::MAX,
+            session: 0,
             ops: 10,
             batch: 8,
             window: 4,
             workload: WorkloadParams::default(),
             shutdown_after: false,
-        };
-        match run_clients(&config, 2) {
+        }
+    }
+
+    fn assert_refused(config: &ClientConfig, connections: u32, message: &str) {
+        match run_clients(config, connections) {
             Err(ClientError::Proto(ProtoError::Io(e))) => {
                 assert_eq!(e.kind(), ErrorKind::InvalidInput, "{e}");
+                assert_eq!(e.to_string(), message);
             }
             other => panic!("want an InvalidInput refusal, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn sessions_past_u32_max_are_refused_before_connecting() {
+        let config = ClientConfig {
+            session: u32::MAX,
+            ..unreachable()
+        };
+        assert_refused(
+            &config,
+            2,
+            "session 4294967295 with 2 connections names sessions past 4294967295",
+        );
+    }
+
+    #[test]
+    fn zero_connections_are_refused_before_connecting() {
+        assert_refused(&unreachable(), 0, "connections must be at least 1, got 0");
+    }
+
+    #[test]
+    fn a_batch_below_two_is_refused_before_connecting() {
+        let config = ClientConfig {
+            batch: 1,
+            ..unreachable()
+        };
+        assert_refused(&config, 1, "batch must be at least 2, got 1");
+    }
+
+    #[test]
+    fn a_zero_window_is_refused_before_connecting() {
+        let config = ClientConfig {
+            window: 0,
+            ..unreachable()
+        };
+        assert_refused(&config, 1, "window must be at least 1, got 0");
     }
 
     #[test]

@@ -6,10 +6,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use odbgc_core::{RatePolicy, SaioPolicy};
-use odbgc_engine::EngineConfig;
+use odbgc_core::SaioPolicy;
+use odbgc_engine::{DecisionLog, EngineConfig};
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{ReplayOptions, RunTelemetry, Simulator};
+use odbgc_sim::{ReplayOptions, Simulator};
 use odbgc_trace::Trace;
 
 fn bench_trace() -> Trace {
@@ -33,15 +33,15 @@ fn bench_replay(c: &mut Criterion) {
     c.bench_function("replay_hot_path/telemetry_on", |b| {
         b.iter(|| {
             let mut policy = SaioPolicy::with_frac(0.10);
-            let mut telemetry = RunTelemetry::new(policy.name());
+            let mut log = DecisionLog::default();
             let result = sim
                 .replay(
                     black_box(&trace),
                     &mut policy,
-                    ReplayOptions::new().telemetry(&mut telemetry),
+                    ReplayOptions::new().log(&mut log),
                 )
                 .expect("run");
-            black_box((result, telemetry))
+            black_box((result, log))
         })
     });
 }

@@ -34,7 +34,6 @@ pub(crate) fn in_process_shard_documents(
     scheduler_seed: u64,
 ) -> Vec<String> {
     use odbgc_engine::{serve, EngineConfig, ServeConfig, WorkloadParams};
-    use odbgc_sim::RunTelemetry;
 
     let config = ServeConfig {
         engine: EngineConfig {
@@ -54,10 +53,8 @@ pub(crate) fn in_process_shard_documents(
         .shards
         .into_iter()
         .map(|shard| {
-            assert!(!shard.decisions.is_empty(), "every shard collected");
-            RunTelemetry::from_decisions(shard.policy, shard.decisions)
-                .to_json()
-                .to_string_pretty()
+            assert!(!shard.log.decisions.is_empty(), "every shard collected");
+            odbgc_sim::run_document(&shard.policy, &shard.log).to_string_pretty()
         })
         .collect()
 }

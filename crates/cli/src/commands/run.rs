@@ -1,8 +1,8 @@
 //! `odbgc run` — simulate one policy over a trace.
 
-use odbgc_engine::{EngineConfig, RunResult};
+use odbgc_engine::{DecisionLog, EngineConfig, RunResult};
 use odbgc_oo7::Oo7App;
-use odbgc_sim::{BatchSource, ReplayOptions, RunTelemetry, Simulator, TraceBatches};
+use odbgc_sim::{run_document, BatchSource, ReplayOptions, Simulator, TraceBatches};
 
 use crate::commands::open_tracefile;
 use crate::flags::Flags;
@@ -50,16 +50,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     // time; a generated workload is replayed as one in-memory batch.
     // Where a source cuts its batches never changes the RunResult.
     let sim = Simulator::new(config);
-    let mut telemetry = telemetry_path
-        .as_ref()
-        .map(|_| RunTelemetry::new(policy.name()));
+    let mut log = telemetry_path.as_ref().map(|_| DecisionLog::default());
     let result = match &trace_path {
-        Some(path) => replay(
-            &sim,
-            open_tracefile(path)?,
-            policy.as_mut(),
-            telemetry.as_mut(),
-        )?,
+        Some(path) => replay(&sim, open_tracefile(path)?, policy.as_mut(), log.as_mut())?,
         None => {
             let params = spec::build_params(params_name.as_deref(), conn, style.as_deref())?;
             let trace = Oo7App::standard(params, seed).generate().0;
@@ -67,12 +60,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 &sim,
                 TraceBatches::new(&trace),
                 policy.as_mut(),
-                telemetry.as_mut(),
+                log.as_mut(),
             )?
         }
     };
-    if let (Some(path), Some(telemetry)) = (&telemetry_path, &telemetry) {
-        let json = telemetry.to_json().to_string_pretty();
+    if let (Some(path), Some(log)) = (&telemetry_path, &log) {
+        let json = run_document(&policy.name(), log).to_string_pretty();
         std::fs::write(path, json).map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
     }
 
@@ -133,19 +126,19 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Replays `source`, recording into the telemetry sink when there is
-/// one (a pure observer: the RunResult is the same either way).
+/// Replays `source`, recording into `log` when there is one (a pure
+/// observer: the RunResult is the same either way).
 fn replay<B: BatchSource>(
     sim: &Simulator,
     source: B,
     policy: &mut dyn odbgc_core::RatePolicy,
-    telemetry: Option<&mut RunTelemetry>,
+    log: Option<&mut DecisionLog>,
 ) -> Result<RunResult, CliError>
 where
     B::Error: std::fmt::Display,
 {
-    let options = match telemetry {
-        Some(sink) => ReplayOptions::new().telemetry(sink),
+    let options = match log {
+        Some(log) => ReplayOptions::new().log(log),
         None => ReplayOptions::new(),
     };
     sim.replay_batched(source, policy, options)
@@ -201,7 +194,7 @@ mod tests {
         // The file is, byte for byte, the document an in-process replay
         // of the same seed builds.
         let mut policy = spec::build_policy("saio:10%").unwrap();
-        let mut expected = RunTelemetry::new(policy.name());
+        let mut log = DecisionLog::default();
         let trace = Oo7App::standard(spec::build_params(Some("tiny"), 3, None).unwrap(), 1)
             .generate()
             .0;
@@ -211,14 +204,10 @@ mod tests {
             ..EngineConfig::default()
         };
         Simulator::new(config)
-            .replay(
-                &trace,
-                policy.as_mut(),
-                ReplayOptions::new().telemetry(&mut expected),
-            )
+            .replay(&trace, policy.as_mut(), ReplayOptions::new().log(&mut log))
             .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, expected.to_json().to_string_pretty());
+        assert_eq!(text, run_document(&policy.name(), &log).to_string_pretty());
         // The decision log length matches the reported collection count.
         let colls: u64 = out
             .lines()
@@ -226,7 +215,7 @@ mod tests {
             .and_then(|l| l.split_whitespace().nth(1))
             .and_then(|v| v.parse().ok())
             .unwrap();
-        assert_eq!(expected.log.decisions.len() as u64, colls);
+        assert_eq!(log.decisions.len() as u64, colls);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use odbgc_engine::{serve, EngineConfig, ServeConfig, ShardOutcome, WorkloadParams};
-use odbgc_sim::{Json, RunTelemetry};
+use odbgc_sim::{run_document, Json};
 
 use crate::flags::{Flags, MAX_SESSIONS};
 use crate::spec;
@@ -98,7 +98,7 @@ pub(crate) fn push_shard_report(out: &mut String, shards: &[ShardOutcome]) {
             shard.policy,
             shard.result.events_replayed,
             shard.result.collection_count(),
-            shard.decisions.len(),
+            shard.log.decisions.len(),
             shard.result.app_io_total,
             shard.result.gc_io_total,
             shard.result.gc_io_pct_whole_run(),
@@ -120,8 +120,7 @@ pub(crate) fn write_shard_telemetry(
     extra: &[(String, Json)],
 ) -> Result<(), CliError> {
     for (i, shard) in shards.iter().enumerate() {
-        let mut doc =
-            RunTelemetry::from_decisions(shard.policy.clone(), shard.decisions.clone()).to_json();
+        let mut doc = run_document(&shard.policy, &shard.log);
         if let Json::Obj(fields) = &mut doc {
             fields.extend_from_slice(extra);
         }

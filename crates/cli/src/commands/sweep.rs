@@ -3,7 +3,7 @@
 use odbgc_core::{EstimatorKind, PolicySpec};
 use odbgc_engine::EngineConfig;
 use odbgc_sim::report::fmt_f;
-use odbgc_sim::{sweep_point, ExperimentPlan, PlanOutcome, PlanTelemetry, SweepPoint};
+use odbgc_sim::{plan_document, sweep_point, ExperimentPlan, PlanOutcome, SweepPoint};
 
 use crate::flags::{parse_number_list, parse_seed_range, Flags};
 use crate::spec;
@@ -109,8 +109,7 @@ fn report(
         // Written before the failure early-return below: a partially
         // failed sweep still leaves a full telemetry record (including
         // the failure list) on disk for inspection.
-        let telemetry = PlanTelemetry::from_outcome(plan, outcome);
-        std::fs::write(path, telemetry.to_json().to_string_pretty())
+        std::fs::write(path, plan_document(plan, outcome).to_string_pretty())
             .map_err(|e| CliError(format!("cannot write {path:?}: {e}")))?;
     }
     let results: Vec<(SweepPoint, f64)> = outcome
@@ -259,9 +258,7 @@ mod tests {
     }
 
     fn in_process_document(plan: &ExperimentPlan) -> String {
-        PlanTelemetry::from_outcome(plan, &plan.run())
-            .to_json()
-            .to_string_pretty()
+        plan_document(plan, &plan.run()).to_string_pretty()
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! The engine does not know about telemetry documents; it reports to
 //! one concrete [`DecisionLog`]. Each serve-mode shard keeps one for its
-//! decisions; the simulator's telemetry sink keeps one on which it also
-//! opens the trace's phases.
+//! decisions and hands it back in its [`ShardOutcome`]; a replay lent
+//! one also opens the trace's phases on it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

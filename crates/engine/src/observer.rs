@@ -6,20 +6,21 @@
 //! accounts each applied operation to the log's open phase, if it has
 //! one, and [`StoreEngine::collect_if_due`] appends one
 //! [`DecisionRecord`] per collection and counts it to that phase. Serve
-//! mode keeps one log per shard with no phase open; a replay with
-//! telemetry opens the implicit `<start>` phase and moves through the
-//! trace's phases. Both produce the *same* records, so a decision
-//! logged from live counters is directly comparable to one logged from
-//! a replay. The simulator renders a log as JSON.
+//! mode keeps one log per shard with no phase open and hands it back in
+//! the shard's [`ShardOutcome`]; a replay lent a log opens the implicit
+//! `<start>` phase on it and moves through the trace's phases. Both
+//! produce the *same* records, so a decision logged from live counters
+//! is directly comparable to one logged from a replay. The simulator
+//! renders a log as JSON.
 //!
 //! [`StoreEngine::apply_event`]: crate::StoreEngine::apply_event
 //! [`StoreEngine::collect_if_due`]: crate::StoreEngine::collect_if_due
+//! [`ShardOutcome`]: crate::ShardOutcome
 
 use odbgc_core::{ClampHit, CollectionObservation, Trigger};
 
-/// The name of the phase a log opened by
-/// [`DecisionLog::with_start_phase`] accounts events to before the first
-/// phase marker.
+/// The name of the phase [`DecisionLog::open_start_phase`] opens, which
+/// accounts the events before a replay's first phase marker.
 const START_PHASE: &str = "<start>";
 
 /// The engine's cumulative counters at one point of a run (all totals
@@ -126,7 +127,8 @@ impl PhaseAccumulator {
 ///
 /// A `DecisionLog::default()` has no open phase, so it ignores events
 /// and keeps decisions only; that is what each serve-mode shard keeps.
-/// [`DecisionLog::with_start_phase`] is a replay's log: it accounts
+/// A replay opens the `<start>` phase on the log it is lent
+/// ([`DecisionLog::open_start_phase`]) and from then on the log accounts
 /// events and collections to the phase [`DecisionLog::enter_phase`] last
 /// opened.
 #[derive(Debug, Clone, Default)]
@@ -141,14 +143,12 @@ pub struct DecisionLog {
 }
 
 impl DecisionLog {
-    /// A log whose events before the first [`DecisionLog::enter_phase`]
-    /// accrue to an implicit `<start>` phase, dropped if it sees none.
-    pub fn with_start_phase() -> Self {
+    /// Opens the implicit `<start>` phase at zero counters, the start of
+    /// a run: events before the first [`DecisionLog::enter_phase`] accrue
+    /// to it, and it is dropped if it sees none.
+    pub fn open_start_phase(&mut self) {
         let zero = CounterSnapshot::default();
-        DecisionLog {
-            current: Some(PhaseAccumulator::open(START_PHASE.to_owned(), zero)),
-            ..DecisionLog::default()
-        }
+        self.current = Some(PhaseAccumulator::open(START_PHASE.to_owned(), zero));
     }
 
     /// Closes the open phase, if any, and opens `name` at the counters
@@ -246,7 +246,8 @@ mod tests {
 
     #[test]
     fn phase_accumulator_reports_deltas_not_totals() {
-        let mut t = DecisionLog::with_start_phase();
+        let mut t = DecisionLog::default();
+        t.open_start_phase();
         t.note_event(snap(5, 0, 0, 0, 100)); // pre-marker event → <start>
         t.enter_phase("A", snap(5, 0, 0, 0, 100));
         t.note_event(snap(10, 2, 1, 50, 100));
@@ -270,7 +271,8 @@ mod tests {
 
     #[test]
     fn empty_start_phase_is_dropped() {
-        let mut t = DecisionLog::with_start_phase();
+        let mut t = DecisionLog::default();
+        t.open_start_phase();
         let snap = snap(0, 0, 0, 0, 0);
         t.enter_phase("First", snap);
         t.note_event(snap);

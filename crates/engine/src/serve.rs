@@ -39,7 +39,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::EngineConfig;
 use crate::engine::StoreEngine;
-use crate::observer::{DecisionLog, DecisionRecord};
+use crate::observer::DecisionLog;
 use crate::result::RunResult;
 use crate::session::{OpError, Session, SessionId};
 
@@ -565,7 +565,7 @@ impl Shard {
         ShardOutcome {
             policy: self.engine.policy_name(),
             result: self.engine.into_result(phases),
-            decisions: self.log.decisions,
+            log: self.log,
             failed: self.failed.map(|kind| kind.to_string()),
         }
     }
@@ -621,9 +621,9 @@ pub struct ShardOutcome {
     /// The shard engine's run summary (phases empty: live runs have no
     /// trace phase markers).
     pub result: RunResult,
-    /// Every trigger decision the shard's policy made, from live
-    /// counters.
-    pub decisions: Vec<DecisionRecord>,
+    /// The shard's run log: every trigger decision its policy made, from
+    /// live counters (no phases: live runs have no trace phase markers).
+    pub log: DecisionLog,
     /// Why the shard stopped serving early, if it did (the captured
     /// panic, rendered as [`ServeErrorKind`] displays it).
     pub failed: Option<String>,
@@ -910,7 +910,7 @@ mod tests {
         assert!(total_collections > 0, "rate-20 policy must collect");
         for shard in &out.shards {
             assert_eq!(
-                shard.decisions.len() as u64,
+                shard.log.decisions.len() as u64,
                 shard.result.collection_count(),
                 "one decision per collection, logged from live counters"
             );
@@ -1060,7 +1060,7 @@ mod tests {
         };
         let out = serve(config, |_| Box::new(FixedRatePolicy::new(20))).expect("serve survives");
         assert_eq!(out.shards[0].result.collection_count(), 1);
-        assert_eq!(out.shards[0].decisions.len(), 1);
+        assert_eq!(out.shards[0].log.decisions.len(), 1);
         assert_eq!(
             out.shards[0].failed.as_deref(),
             Some("collection panicked: injected collection fault on shard 0")
@@ -1106,14 +1106,14 @@ mod tests {
         assert_eq!(out.failures.len(), 1);
         assert_eq!(out.failures[0].to_string(), format!("shard 0: {notice}"));
         assert_eq!(out.shards[0].result.collection_count(), 1);
-        assert!(out.shards[0].decisions.is_empty());
+        assert!(out.shards[0].log.decisions.is_empty());
         // Shard 1 drains: its session's whole budget, every collection
         // with its decision.
         assert_eq!(out.per_session_ops[1], 300);
         assert!(out.shards[1].failed.is_none());
         assert!(out.shards[1].result.collection_count() > 0);
         assert_eq!(
-            out.shards[1].decisions.len() as u64,
+            out.shards[1].log.decisions.len() as u64,
             out.shards[1].result.collection_count()
         );
     }
@@ -1133,7 +1133,7 @@ mod tests {
         assert_eq!(a.shards.len(), b.shards.len());
         for (sa, sb) in a.shards.iter().zip(&b.shards) {
             assert_eq!(sa.result, sb.result);
-            assert_eq!(sa.decisions, sb.decisions);
+            assert_eq!(sa.log.decisions, sb.log.decisions);
             assert_eq!(sa.failed, sb.failed);
         }
         let notices = |o: &ServeOutcome| -> Vec<String> {
@@ -1159,7 +1159,7 @@ mod tests {
             };
             let alone = run(1);
             assert_eq!(alone.failures.len(), usize::from(gc_fault.is_some()));
-            assert!(alone.shards.iter().all(|s| !s.decisions.is_empty()));
+            assert!(alone.shards.iter().all(|s| !s.log.decisions.is_empty()));
             for crew in [2, 3] {
                 assert_same_outcome(&alone, &run(crew));
             }
@@ -1187,7 +1187,10 @@ mod tests {
         };
         assert_eq!(on_shard_1(&faulted), on_shard_1(&clean));
         assert_eq!(faulted.shards[1].result, clean.shards[1].result);
-        assert_eq!(faulted.shards[1].decisions, clean.shards[1].decisions);
+        assert_eq!(
+            faulted.shards[1].log.decisions,
+            clean.shards[1].log.decisions
+        );
         assert_eq!(
             (faulted.per_session_ops[1], faulted.per_session_ops[3]),
             (300, 300)

@@ -35,7 +35,7 @@ pub use runner::{
     JobErrorKind, PlanCell, PlanOutcome, TraceCache,
 };
 pub use simulator::{BatchSource, ReplayError, ReplayOptions, SimError, Simulator, TraceBatches};
-pub use telemetry::{Json, PlanTelemetry, RunTelemetry};
+pub use telemetry::{plan_document, run_document, Json};
 
 // Compiles and runs README.md's Rust blocks as doctests.
 #[cfg(doctest)]

@@ -5,17 +5,16 @@
 //! is one client of it: it feeds batches of trace events through the
 //! engine exactly as a live mutator session would, adding only what is
 //! trace-specific (event indexing for errors, phase-name resolution, and
-//! handing the telemetry sink's [`odbgc_engine::DecisionLog`] to the
-//! engine, with a phase opened on it at every marker).
+//! handing the [`DecisionLog`] a caller lends it to the engine, with the
+//! implicit `<start>` phase opened on it first and a phase opened at
+//! every marker).
 
 use std::convert::Infallible;
 
 use odbgc_core::RatePolicy;
-use odbgc_engine::{EngineConfig, RunResult, StoreEngine};
+use odbgc_engine::{DecisionLog, EngineConfig, RunResult, StoreEngine};
 use odbgc_store::StoreError;
 use odbgc_trace::{Event, Trace};
-
-use crate::telemetry::RunTelemetry;
 
 /// A simulation failure: the trace could not be replayed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,28 +147,26 @@ impl BatchSource for TraceBatches<'_> {
     }
 }
 
-/// Options of one replay. The plain default replays silently; attach a
-/// [`RunTelemetry`] sink to additionally record the per-decision policy
-/// log and per-phase accounting.
+/// Options of one replay. The plain default replays silently; lend it a
+/// [`DecisionLog`] to additionally record the per-decision policy log
+/// and per-phase accounting.
 ///
-/// Telemetry is strictly off the decision path: the returned
+/// The log is strictly off the decision path: the returned
 /// [`RunResult`] is byte-identical with or without it.
 #[derive(Default)]
 pub struct ReplayOptions<'t> {
-    telemetry: Option<&'t mut RunTelemetry>,
+    log: Option<&'t mut DecisionLog>,
 }
 
 impl<'t> ReplayOptions<'t> {
-    /// The default options: no telemetry.
+    /// The default options: no log.
     pub fn new() -> ReplayOptions<'static> {
-        ReplayOptions { telemetry: None }
+        ReplayOptions { log: None }
     }
 
-    /// Records decision and phase telemetry into `sink`.
-    pub fn telemetry(self, sink: &'t mut RunTelemetry) -> ReplayOptions<'t> {
-        ReplayOptions {
-            telemetry: Some(sink),
-        }
+    /// Records the run's decisions and phases into `log`.
+    pub fn log(self, log: &'t mut DecisionLog) -> ReplayOptions<'t> {
+        ReplayOptions { log: Some(log) }
     }
 }
 
@@ -224,10 +221,12 @@ impl Simulator {
     /// order; an [`Event::Phase`] marker first records its phase. After
     /// each event the trigger is checked and, when due, one collection
     /// runs through [`StoreEngine::collect_if_due`] before the next
-    /// event. So triggers, metrics sampling, and the telemetry log's
-    /// phase and decision accounting all happen in event order, and the
+    /// event. So triggers, metrics sampling, and a lent log's phase and
+    /// decision accounting all happen in event order, and the
     /// [`RunResult`] does not depend on where the source cuts its
-    /// batches. A source error aborts the replay with
+    /// batches. A lent log first gets the implicit `<start>` phase
+    /// ([`DecisionLog::open_start_phase`]), which takes the events before
+    /// the first marker. A source error aborts the replay with
     /// [`ReplayError::Source`] carrying the number of events consumed
     /// before it.
     pub fn replay_batched<B: BatchSource>(
@@ -237,7 +236,10 @@ impl Simulator {
         options: ReplayOptions<'_>,
     ) -> Result<RunResult, ReplayError<B::Error>> {
         let phase_names = source.phase_names();
-        let mut log = options.telemetry.map(|t| &mut t.log);
+        let mut log = options.log;
+        if let Some(log) = log.as_deref_mut() {
+            log.open_start_phase();
+        }
         let mut engine = StoreEngine::new(self.config.clone(), policy);
         let mut phases: Vec<(String, u64, u64)> = Vec::new();
         // Global index of the first event of the current batch, so
@@ -495,21 +497,20 @@ mod tests {
         let sim = Simulator::new(EngineConfig::tiny());
         let run = |batches: Vec<std::ops::Range<usize>>| {
             let mut p = SaioPolicy::with_frac(0.10);
-            let mut sink = RunTelemetry::new(p.name());
+            let mut log = DecisionLog::default();
             let r = sim
                 .replay_batched(
                     Rechunked::new(&trace, batches),
                     &mut p,
-                    ReplayOptions::new().telemetry(&mut sink),
+                    ReplayOptions::new().log(&mut log),
                 )
                 .expect("run");
-            let phases: Vec<_> = sink
-                .log
+            let phases: Vec<_> = log
                 .phases
                 .iter()
                 .map(|p| (p.name.clone(), p.events, p.app_io, p.gc_io, p.collections))
                 .collect();
-            (r, sink.log.decisions, phases)
+            (r, log.decisions, phases)
         };
         let mut cuttings = cuttings(&trace).into_iter();
         let per_event = run(cuttings.next().expect("the batches-of-1 cutting"));
@@ -646,13 +647,13 @@ mod tests {
         };
         let (instrumented, log) = {
             let mut p = SaioPolicy::with_frac(0.10);
-            let mut sink = RunTelemetry::new(p.name());
+            let mut log = DecisionLog::default();
             let r = sim
-                .replay(&trace, &mut p, ReplayOptions::new().telemetry(&mut sink))
+                .replay(&trace, &mut p, ReplayOptions::new().log(&mut log))
                 .expect("run");
-            (r, sink.log)
+            (r, log)
         };
-        // The telemetry sink must be a pure observer: identical results.
+        // The log must be a pure observer: identical results.
         assert_eq!(plain, instrumented);
         assert_eq!(log.decisions.len() as u64, plain.collection_count());
         // Phase accounting mirrors the trace's phase markers.

@@ -1,4 +1,4 @@
-//! Run- and plan-level telemetry with a versioned JSON export.
+//! Run- and plan-level telemetry documents with a versioned JSON export.
 //!
 //! The simulator's [`RunResult`](odbgc_engine::RunResult) carries the
 //! *answers* (achieved fractions, totals, series); telemetry carries the
@@ -14,36 +14,20 @@
 //!   collections, and the event-sampled garbage-percentage mean split by
 //!   OO7 phase ([`PhaseTelemetry`]);
 //! * **plan-level telemetry** — per-job wall times, trace-cache counts,
-//!   the failure list, and worker-pool utilization ([`PlanTelemetry`]).
+//!   the failure list, and worker-pool utilization.
 //!
-//! The first two are kept by the engine's own [`DecisionLog`]; a
-//! [`RunTelemetry`] is a policy name plus that log, and this module only
-//! renders it. The engine stays JSON-free.
+//! The first two are kept by the engine's own [`DecisionLog`], whichever
+//! way the run went: a replay lent one through
+//! [`crate::ReplayOptions::log`], or a served shard, which hands its log
+//! back in its [`ShardOutcome`](odbgc_engine::ShardOutcome). This module
+//! only renders: [`run_document`] turns a policy name and a log into a
+//! `kind: "run"` document, and [`plan_document`] turns an executed plan
+//! into a `kind: "plan"` one. The engine stays JSON-free.
 //!
 //! Telemetry is strictly off the decision path: a plain
-//! [`crate::Simulator::replay`] records nothing, and attaching a sink via
-//! [`crate::ReplayOptions::telemetry`] produces a byte-identical
-//! `RunResult` plus the telemetry on the side.
+//! [`crate::Simulator::replay`] records nothing, and lending it a log
+//! produces a byte-identical `RunResult` plus the log on the side.
 //!
-//! # Export format
-//!
-//! Everything exports as JSON through the dependency-free [`Json`] value
-//! type. Telemetry is export-only: odbgc writes these documents and
-//! never reads them back; they are for external tools (`jq`, Python).
-//! Every document leads with a schema header, versioned like the binary
-//! tracefile format:
-//!
-//! ```json
-//! { "schema": "odbgc-telemetry", "version": 1, "kind": "run", ... }
-//! ```
-//!
-//! Readers must reject documents whose `schema` is unknown or whose
-//! `version` is newer than theirs. Nondeterministic values (wall times,
-//! worker counts, machine load) live exclusively under keys named
-//! `timing` or prefixed `wall_` / `net_`, so [`Json::strip_volatile`]
-//! yields a byte-identical document for any worker count — the property
-//! `odbgc sweep --telemetry` tests rely on.
-
 use std::time::Duration;
 
 use odbgc_core::ClampHit;
@@ -279,203 +263,147 @@ fn phase_to_json(phase: &PhaseTelemetry) -> Json {
     ])
 }
 
-/// Everything one telemetry-enabled run recorded: the policy's name and
-/// the engine's [`DecisionLog`] of the run.
-#[derive(Debug, Clone)]
-pub struct RunTelemetry {
-    /// The policy's self-description.
-    pub policy: String,
-    /// One record per trigger decision, in decision order (its length
-    /// equals the run's collection count), and the closed phases, in
-    /// trace order.
-    pub log: DecisionLog,
-}
-
-impl RunTelemetry {
-    /// An empty telemetry sink for a replay under the named policy.
-    /// Events preceding the first phase marker accrue to an implicit
-    /// `<start>` phase (dropped if it stays empty).
-    pub fn new(policy: String) -> Self {
-        RunTelemetry {
-            policy,
-            log: DecisionLog::with_start_phase(),
-        }
-    }
-
-    /// A telemetry document for a run whose decisions were logged
-    /// elsewhere — e.g. a serve-mode shard's `DecisionLog`, whose records
-    /// come from live I/O counters. Such runs have no trace phases.
-    pub fn from_decisions(policy: String, decisions: Vec<DecisionRecord>) -> Self {
-        let mut log = DecisionLog::default();
-        log.decisions = decisions;
-        RunTelemetry { policy, log }
-    }
-
-    /// How many decisions hit the given clamp.
-    pub fn clamp_count(&self, clamp: ClampHit) -> usize {
-        self.log
-            .decisions
-            .iter()
-            .filter(|d| d.clamp == clamp)
-            .count()
-    }
-
-    /// The versioned JSON document (`kind: "run"`).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("schema".into(), Json::str(SCHEMA_NAME)),
-            ("version".into(), Json::u64(SCHEMA_VERSION)),
-            ("kind".into(), Json::str("run")),
-            ("policy".into(), Json::str(&self.policy)),
-            (
-                "decision_count".into(),
-                Json::u64(self.log.decisions.len() as u64),
-            ),
-            (
-                "clamp_hits".into(),
-                Json::Obj(vec![
-                    (
-                        "min".into(),
-                        Json::u64(self.clamp_count(ClampHit::Min) as u64),
-                    ),
-                    (
-                        "max".into(),
-                        Json::u64(self.clamp_count(ClampHit::Max) as u64),
-                    ),
-                ]),
-            ),
-            (
-                "phases".into(),
-                Json::Arr(self.log.phases.iter().map(phase_to_json).collect()),
-            ),
-            (
-                "decisions".into(),
-                Json::Arr(self.log.decisions.iter().map(decision_to_json).collect()),
-            ),
-        ])
-    }
+/// The versioned run document (`kind: "run"`) of a run under the policy
+/// named `policy` that reported to `log`.
+pub fn run_document(policy: &str, log: &DecisionLog) -> Json {
+    let clamp_count = |clamp: ClampHit| {
+        let hits = log.decisions.iter().filter(|d| d.clamp == clamp).count();
+        Json::u64(hits as u64)
+    };
+    Json::Obj(vec![
+        ("schema".into(), Json::str(SCHEMA_NAME)),
+        ("version".into(), Json::u64(SCHEMA_VERSION)),
+        ("kind".into(), Json::str("run")),
+        ("policy".into(), Json::str(policy)),
+        (
+            "decision_count".into(),
+            Json::u64(log.decisions.len() as u64),
+        ),
+        (
+            "clamp_hits".into(),
+            Json::Obj(vec![
+                ("min".into(), clamp_count(ClampHit::Min)),
+                ("max".into(), clamp_count(ClampHit::Max)),
+            ]),
+        ),
+        (
+            "phases".into(),
+            Json::Arr(log.phases.iter().map(phase_to_json).collect()),
+        ),
+        (
+            "decisions".into(),
+            Json::Arr(log.decisions.iter().map(decision_to_json).collect()),
+        ),
+    ])
 }
 
 // ---------------------------------------------------------------------
 // Plan telemetry
 // ---------------------------------------------------------------------
 
-/// Plan-level execution telemetry: what [`crate::runner`] did, job by
-/// job, plus the trace-cache counts and pool utilization.
-#[derive(Debug, Clone)]
-pub struct PlanTelemetry {
-    document: Json,
-}
-
-impl PlanTelemetry {
-    /// Builds the telemetry document for one executed plan.
-    ///
-    /// Everything except the `timing` object and `wall_*` keys is
-    /// deterministic for a given plan, regardless of worker count.
-    pub fn from_outcome(plan: &ExperimentPlan, outcome: &PlanOutcome) -> Self {
-        let cells: Vec<Json> = outcome
-            .cells
-            .iter()
-            .map(|cell| {
-                let per_seed: Vec<Json> = cell
-                    .outcome
-                    .runs
-                    .iter()
-                    .zip(&plan.seeds)
-                    .map(|(run, &seed)| match run {
-                        Ok(r) => Json::Obj(vec![
-                            ("seed".into(), Json::u64(seed)),
-                            ("collections".into(), Json::u64(r.collection_count())),
-                            ("gc_io_pct".into(), Json::opt_f64(r.gc_io_pct)),
-                            ("garbage_pct_mean".into(), Json::opt_f64(r.garbage_pct_mean)),
-                            ("app_io_total".into(), Json::u64(r.app_io_total)),
-                            ("gc_io_total".into(), Json::u64(r.gc_io_total)),
-                        ]),
-                        Err(e) => Json::Obj(vec![
-                            ("seed".into(), Json::u64(seed)),
-                            ("error".into(), Json::str(e.kind.to_string())),
-                        ]),
-                    })
-                    .collect();
-                Json::Obj(vec![
-                    ("x".into(), Json::f64(cell.x)),
-                    ("spec".into(), Json::str(cell.spec.to_string())),
-                    ("runs".into(), Json::Arr(per_seed)),
-                    (
-                        "wall_ms".into(),
-                        Json::Arr(
-                            cell.wall_times
-                                .iter()
-                                .map(|w| Json::u64(w.as_millis() as u64))
-                                .collect(),
-                        ),
+/// The versioned plan document (`kind: "plan"`) of one executed plan:
+/// what [`crate::runner`] did, job by job, plus the trace-cache counts
+/// and pool utilization.
+///
+/// Everything except the `timing` object and `wall_*` keys is
+/// deterministic for a given plan, regardless of worker count.
+pub fn plan_document(plan: &ExperimentPlan, outcome: &PlanOutcome) -> Json {
+    let cells: Vec<Json> = outcome
+        .cells
+        .iter()
+        .map(|cell| {
+            let per_seed: Vec<Json> = cell
+                .outcome
+                .runs
+                .iter()
+                .zip(&plan.seeds)
+                .map(|(run, &seed)| match run {
+                    Ok(r) => Json::Obj(vec![
+                        ("seed".into(), Json::u64(seed)),
+                        ("collections".into(), Json::u64(r.collection_count())),
+                        ("gc_io_pct".into(), Json::opt_f64(r.gc_io_pct)),
+                        ("garbage_pct_mean".into(), Json::opt_f64(r.garbage_pct_mean)),
+                        ("app_io_total".into(), Json::u64(r.app_io_total)),
+                        ("gc_io_total".into(), Json::u64(r.gc_io_total)),
+                    ]),
+                    Err(e) => Json::Obj(vec![
+                        ("seed".into(), Json::u64(seed)),
+                        ("error".into(), Json::str(e.kind.to_string())),
+                    ]),
+                })
+                .collect();
+            Json::Obj(vec![
+                ("x".into(), Json::f64(cell.x)),
+                ("spec".into(), Json::str(cell.spec.to_string())),
+                ("runs".into(), Json::Arr(per_seed)),
+                (
+                    "wall_ms".into(),
+                    Json::Arr(
+                        cell.wall_times
+                            .iter()
+                            .map(|w| Json::u64(w.as_millis() as u64))
+                            .collect(),
                     ),
-                ])
-            })
-            .collect();
+                ),
+            ])
+        })
+        .collect();
 
-        let failures: Vec<Json> = outcome
-            .failures
-            .iter()
-            .map(|f| {
-                Json::Obj(vec![
-                    ("cell_index".into(), Json::u64(f.cell_index as u64)),
-                    ("spec".into(), Json::str(f.spec.to_string())),
-                    ("seed".into(), Json::u64(f.seed)),
-                    ("error".into(), Json::str(f.kind.to_string())),
-                ])
-            })
-            .collect();
+    let failures: Vec<Json> = outcome
+        .failures
+        .iter()
+        .map(|f| {
+            Json::Obj(vec![
+                ("cell_index".into(), Json::u64(f.cell_index as u64)),
+                ("spec".into(), Json::str(f.spec.to_string())),
+                ("seed".into(), Json::u64(f.seed)),
+                ("error".into(), Json::str(f.kind.to_string())),
+            ])
+        })
+        .collect();
 
-        let cache = Json::Obj(vec![
-            ("hits".into(), Json::u64(outcome.cache.hits)),
-            ("misses".into(), Json::u64(outcome.cache.misses)),
-        ]);
+    let cache = Json::Obj(vec![
+        ("hits".into(), Json::u64(outcome.cache.hits)),
+        ("misses".into(), Json::u64(outcome.cache.misses)),
+    ]);
 
-        let cpu = outcome.cpu_time();
-        let utilization = if outcome.elapsed > Duration::ZERO && outcome.jobs > 0 {
-            cpu.as_secs_f64() / (outcome.elapsed.as_secs_f64() * outcome.jobs as f64)
-        } else {
-            0.0
-        };
-        let timing = Json::Obj(vec![
-            ("jobs".into(), Json::u64(outcome.jobs as u64)),
-            (
-                "elapsed_ms".into(),
-                Json::u64(outcome.elapsed.as_millis() as u64),
-            ),
-            ("cpu_ms".into(), Json::u64(cpu.as_millis() as u64)),
-            ("utilization".into(), Json::f64(utilization)),
-        ]);
+    let cpu = outcome.cpu_time();
+    let utilization = if outcome.elapsed > Duration::ZERO && outcome.jobs > 0 {
+        cpu.as_secs_f64() / (outcome.elapsed.as_secs_f64() * outcome.jobs as f64)
+    } else {
+        0.0
+    };
+    let timing = Json::Obj(vec![
+        ("jobs".into(), Json::u64(outcome.jobs as u64)),
+        (
+            "elapsed_ms".into(),
+            Json::u64(outcome.elapsed.as_millis() as u64),
+        ),
+        ("cpu_ms".into(), Json::u64(cpu.as_millis() as u64)),
+        ("utilization".into(), Json::f64(utilization)),
+    ]);
 
-        let document = Json::Obj(vec![
-            ("schema".into(), Json::str(SCHEMA_NAME)),
-            ("version".into(), Json::u64(SCHEMA_VERSION)),
-            ("kind".into(), Json::str("plan")),
-            ("seeds".into(), Json::u64(plan.seeds.len() as u64)),
-            (
-                "jobs_total".into(),
-                Json::u64((plan.cells.len() * plan.seeds.len()) as u64),
-            ),
-            (
-                "failure_count".into(),
-                Json::u64(outcome.failures.len() as u64),
-            ),
-            ("cells".into(), Json::Arr(cells)),
-            ("failures".into(), Json::Arr(failures)),
-            ("cache".into(), cache),
-            // Version-1 documents keep the key the retired on-disk trace
-            // cache once filled; traces now come only from `cache`.
-            ("corpus".into(), Json::Null),
-            ("timing".into(), timing),
-        ]);
-        PlanTelemetry { document }
-    }
-
-    /// The versioned JSON document (`kind: "plan"`).
-    pub fn to_json(&self) -> &Json {
-        &self.document
-    }
+    Json::Obj(vec![
+        ("schema".into(), Json::str(SCHEMA_NAME)),
+        ("version".into(), Json::u64(SCHEMA_VERSION)),
+        ("kind".into(), Json::str("plan")),
+        ("seeds".into(), Json::u64(plan.seeds.len() as u64)),
+        (
+            "jobs_total".into(),
+            Json::u64((plan.cells.len() * plan.seeds.len()) as u64),
+        ),
+        (
+            "failure_count".into(),
+            Json::u64(outcome.failures.len() as u64),
+        ),
+        ("cells".into(), Json::Arr(cells)),
+        ("failures".into(), Json::Arr(failures)),
+        ("cache".into(), cache),
+        // Version-1 documents keep the key the retired on-disk trace
+        // cache once filled; traces now come only from `cache`.
+        ("corpus".into(), Json::Null),
+        ("timing".into(), timing),
+    ])
 }
 
 #[cfg(test)]
@@ -583,17 +511,17 @@ mod tests {
     }
 
     #[test]
-    fn from_decisions_builds_a_run_document() {
+    fn run_document_of_a_log_without_phases() {
         use odbgc_core::{CollectionObservation, Trigger};
-        let rec = DecisionRecord {
+        let mut log = DecisionLog::default();
+        log.decisions.push(DecisionRecord {
             index: 0,
             observation: CollectionObservation::zero(),
             trigger: Trigger::after_overwrites(5),
             clamp: ClampHit::None,
             estimated_garbage: None,
-        };
-        let t = RunTelemetry::from_decisions("live".into(), vec![rec]);
-        let text = t.to_json().to_string_pretty();
+        });
+        let text = run_document("live", &log).to_string_pretty();
         let head = r#"{
   "schema": "odbgc-telemetry",
   "version": 1,

@@ -7,9 +7,9 @@
 //! stripped.
 
 use odbgc_core::{EstimatorKind, PolicySpec, RatePolicy, SagaPolicy, SaioPolicy};
-use odbgc_engine::EngineConfig;
+use odbgc_engine::{DecisionLog, EngineConfig};
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{ExperimentPlan, PlanTelemetry, ReplayOptions, RunTelemetry, Simulator};
+use odbgc_sim::{plan_document, run_document, ExperimentPlan, ReplayOptions, Simulator};
 use odbgc_trace::Trace;
 
 /// The first lines of every exported document of the given kind.
@@ -30,17 +30,17 @@ fn telemetry_is_a_pure_observer_of_the_run() {
         sim.replay(&trace, &mut p, ReplayOptions::new())
             .expect("run")
     };
-    let (instrumented, telemetry) = {
+    let (instrumented, log) = {
         let mut p = SaioPolicy::with_frac(0.08);
-        let mut sink = RunTelemetry::new(p.name());
+        let mut log = DecisionLog::default();
         let r = sim
-            .replay(&trace, &mut p, ReplayOptions::new().telemetry(&mut sink))
+            .replay(&trace, &mut p, ReplayOptions::new().log(&mut log))
             .expect("run");
-        (r, sink)
+        (r, log)
     };
     assert_eq!(plain, instrumented, "telemetry must not perturb the run");
     assert_eq!(
-        telemetry.log.decisions.len() as u64,
+        log.decisions.len() as u64,
         plain.collection_count(),
         "one decision record per collection"
     );
@@ -51,18 +51,14 @@ fn run_export_leads_with_the_header_and_counts_every_decision() {
     let trace = tiny_trace(12);
     let sim = Simulator::new(EngineConfig::tiny());
     let mut policy = SagaPolicy::new(0.10, None, EstimatorKind::CgsCb);
-    let mut telemetry = RunTelemetry::new(policy.name());
-    sim.replay(
-        &trace,
-        &mut policy,
-        ReplayOptions::new().telemetry(&mut telemetry),
-    )
-    .expect("run");
-    let text = telemetry.to_json().to_string_pretty();
+    let mut log = DecisionLog::default();
+    sim.replay(&trace, &mut policy, ReplayOptions::new().log(&mut log))
+        .expect("run");
+    let text = run_document(&policy.name(), &log).to_string_pretty();
     assert!(text.starts_with(&header("run")), "{text}");
     // The exported decision count agrees with the in-memory log, and
     // every decision is written as one record.
-    let n = telemetry.log.decisions.len();
+    let n = log.decisions.len();
     assert!(n > 0);
     assert!(text.contains(&format!("\n  \"decision_count\": {n},\n")));
     assert_eq!(text.matches("\n      \"index\": ").count(), n);
@@ -75,15 +71,11 @@ fn decision_records_expose_estimator_error_against_exact_garbage() {
     cfg.shadow_estimator = Some(EstimatorKind::Oracle);
     let sim = Simulator::new(cfg);
     let mut policy = SaioPolicy::with_frac(0.10);
-    let mut telemetry = RunTelemetry::new(policy.name());
-    sim.replay(
-        &trace,
-        &mut policy,
-        ReplayOptions::new().telemetry(&mut telemetry),
-    )
-    .expect("run");
-    assert!(!telemetry.log.decisions.is_empty());
-    for d in &telemetry.log.decisions {
+    let mut log = DecisionLog::default();
+    sim.replay(&trace, &mut policy, ReplayOptions::new().log(&mut log))
+        .expect("run");
+    assert!(!log.decisions.is_empty());
+    for d in &log.decisions {
         // The shadow oracle is exact, so the signed error is zero.
         assert_eq!(d.estimate_error(), Some(0.0));
     }
@@ -105,12 +97,10 @@ fn plan_telemetry_is_identical_across_worker_counts_modulo_wall_time() {
     let plan = tiny_plan();
     let serial = plan.run_with_jobs(Some(1));
     let parallel = plan.run_with_jobs(Some(8));
-    let a = PlanTelemetry::from_outcome(&plan, &serial)
-        .to_json()
+    let a = plan_document(&plan, &serial)
         .strip_volatile()
         .to_string_pretty();
-    let b = PlanTelemetry::from_outcome(&plan, &parallel)
-        .to_json()
+    let b = plan_document(&plan, &parallel)
         .strip_volatile()
         .to_string_pretty();
     assert_eq!(a, b, "jobs=1 and jobs=8 must agree after stripping timing");
@@ -120,9 +110,7 @@ fn plan_telemetry_is_identical_across_worker_counts_modulo_wall_time() {
 fn plan_export_carries_the_header_and_every_job() {
     let plan = tiny_plan();
     let outcome = plan.run();
-    let text = PlanTelemetry::from_outcome(&plan, &outcome)
-        .to_json()
-        .to_string_pretty();
+    let text = plan_document(&plan, &outcome).to_string_pretty();
     assert!(text.starts_with(&header("plan")), "{text}");
     assert!(text.contains("\n  \"failure_count\": 0,\n"));
     // One record per cell, one run per seed in each.
@@ -137,8 +125,7 @@ fn plan_export_carries_the_header_and_every_job() {
 fn stripping_volatile_keys_removes_all_wall_clock_fields() {
     let plan = tiny_plan();
     let outcome = plan.run();
-    let stripped = PlanTelemetry::from_outcome(&plan, &outcome)
-        .to_json()
+    let stripped = plan_document(&plan, &outcome)
         .strip_volatile()
         .to_string_pretty();
     assert!(!stripped.contains("\"timing\""));

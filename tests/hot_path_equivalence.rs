@@ -23,9 +23,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use odbgc_core::{EstimatorKind, PolicySpec};
-use odbgc_engine::EngineConfig;
+use odbgc_engine::{DecisionLog, EngineConfig};
 use odbgc_oo7::{Oo7App, Oo7Params};
-use odbgc_sim::{ExperimentPlan, PlanTelemetry, ReplayOptions, RunTelemetry, Simulator};
+use odbgc_sim::{plan_document, run_document, ExperimentPlan, ReplayOptions, Simulator};
 
 const SEEDS: [u64; 3] = [11, 22, 33];
 
@@ -42,8 +42,8 @@ fn golden_path() -> PathBuf {
 }
 
 /// Renders the full observable transcript: every `RunResult` (Debug is
-/// exact for floats: shortest round-trip), every stripped `RunTelemetry`,
-/// and the stripped `PlanTelemetry` of a 3×3 plan at jobs=1.
+/// exact for floats: shortest round-trip), every stripped run document,
+/// and the stripped plan document of a 3×3 plan at jobs=1.
 fn transcript() -> String {
     let mut out = String::new();
 
@@ -53,13 +53,9 @@ fn transcript() -> String {
             let (trace, _) = Oo7App::standard(Oo7Params::tiny(), seed).generate();
             let sim = Simulator::new(EngineConfig::tiny());
             let mut policy = spec.build();
-            let mut telemetry = RunTelemetry::new(policy.name());
+            let mut log = DecisionLog::default();
             let result = sim
-                .replay(
-                    &trace,
-                    policy.as_mut(),
-                    ReplayOptions::new().telemetry(&mut telemetry),
-                )
+                .replay(&trace, policy.as_mut(), ReplayOptions::new().log(&mut log))
                 .expect("replay succeeds");
             writeln!(out, "== run spec={spec} seed={seed} ==").unwrap();
             writeln!(out, "{result:#?}").unwrap();
@@ -67,7 +63,9 @@ fn transcript() -> String {
             writeln!(
                 out,
                 "{}",
-                telemetry.to_json().strip_volatile().to_string_pretty()
+                run_document(&policy.name(), &log)
+                    .strip_volatile()
+                    .to_string_pretty()
             )
             .unwrap();
         }
@@ -80,12 +78,10 @@ fn transcript() -> String {
         .cells(specs().into_iter().enumerate().map(|(i, s)| (i as f64, s)));
     let serial = plan.run_with_jobs(Some(1));
     let parallel = plan.run_with_jobs(Some(8));
-    let serial_json = PlanTelemetry::from_outcome(&plan, &serial)
-        .to_json()
+    let serial_json = plan_document(&plan, &serial)
         .strip_volatile()
         .to_string_pretty();
-    let parallel_json = PlanTelemetry::from_outcome(&plan, &parallel)
-        .to_json()
+    let parallel_json = plan_document(&plan, &parallel)
         .strip_volatile()
         .to_string_pretty();
     assert_eq!(
@@ -128,13 +124,9 @@ fn direct_transcript_batched() -> String {
             let reader = odbgc_tracefile::open_batches(&path).expect("open tracefile");
             let sim = Simulator::new(EngineConfig::tiny());
             let mut policy = spec.build();
-            let mut telemetry = RunTelemetry::new(policy.name());
+            let mut log = DecisionLog::default();
             let result = sim
-                .replay_batched(
-                    reader,
-                    policy.as_mut(),
-                    ReplayOptions::new().telemetry(&mut telemetry),
-                )
+                .replay_batched(reader, policy.as_mut(), ReplayOptions::new().log(&mut log))
                 .expect("batched replay succeeds");
             writeln!(out, "== run spec={spec} seed={seed} ==").unwrap();
             writeln!(out, "{result:#?}").unwrap();
@@ -142,7 +134,9 @@ fn direct_transcript_batched() -> String {
             writeln!(
                 out,
                 "{}",
-                telemetry.to_json().strip_volatile().to_string_pretty()
+                run_document(&policy.name(), &log)
+                    .strip_volatile()
+                    .to_string_pretty()
             )
             .unwrap();
         }
@@ -165,13 +159,9 @@ fn direct_transcript_with_workers(workers: usize) -> String {
                 ..EngineConfig::tiny()
             });
             let mut policy = spec.build();
-            let mut telemetry = RunTelemetry::new(policy.name());
+            let mut log = DecisionLog::default();
             let result = sim
-                .replay(
-                    &trace,
-                    policy.as_mut(),
-                    ReplayOptions::new().telemetry(&mut telemetry),
-                )
+                .replay(&trace, policy.as_mut(), ReplayOptions::new().log(&mut log))
                 .expect("replay succeeds");
             writeln!(out, "== run spec={spec} seed={seed} ==").unwrap();
             writeln!(out, "{result:#?}").unwrap();
@@ -179,7 +169,9 @@ fn direct_transcript_with_workers(workers: usize) -> String {
             writeln!(
                 out,
                 "{}",
-                telemetry.to_json().strip_volatile().to_string_pretty()
+                run_document(&policy.name(), &log)
+                    .strip_volatile()
+                    .to_string_pretty()
             )
             .unwrap();
         }

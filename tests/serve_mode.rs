@@ -119,7 +119,7 @@ fn concurrent_sessions_stay_consistent_under_deep_checks() {
     assert!(collections > 0, "the audit must actually exercise GC");
     for (i, shard) in outcome.shards.iter().enumerate() {
         assert_eq!(
-            shard.decisions.len() as u64,
+            shard.log.decisions.len() as u64,
             shard.result.collection_count(),
             "shard {i}: one decision record per collection"
         );
@@ -136,7 +136,10 @@ fn serve_runs_are_deterministic_under_a_fixed_seed() {
     assert_eq!(a.per_session_ops, b.per_session_ops);
     for (sa, sb) in a.shards.iter().zip(&b.shards) {
         assert_eq!(sa.result, sb.result);
-        assert_eq!(format!("{:?}", sa.decisions), format!("{:?}", sb.decisions));
+        assert_eq!(
+            format!("{:?}", sa.log.decisions),
+            format!("{:?}", sb.log.decisions)
+        );
     }
 
     // ... and a different scheduler seed produces a different

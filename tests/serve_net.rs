@@ -26,7 +26,7 @@ use odbgc_net::{
     run_client, ClientConfig, ClientError, Conn, ErrorCode, NetConfig, NetOutcome, NetServer,
     Request, Response,
 };
-use odbgc_sim::RunTelemetry;
+use odbgc_sim::run_document;
 
 const OPS: u64 = 400;
 const BATCH: u64 = 8;
@@ -122,15 +122,14 @@ fn loopback_telemetry_matches_in_process_serve() {
             net.result, inproc.result,
             "shard {i}: loopback result diverged from in-process serve"
         );
-        let telemetry = |policy: &str, decisions: &[odbgc_engine::DecisionRecord]| {
-            RunTelemetry::from_decisions(policy.to_owned(), decisions.to_vec())
-                .to_json()
+        let telemetry = |shard: &odbgc_engine::ShardOutcome| {
+            run_document(&shard.policy, &shard.log)
                 .strip_volatile()
                 .to_string_pretty()
         };
         assert_eq!(
-            telemetry(&net.policy, &net.decisions),
-            telemetry(&inproc.policy, &inproc.decisions),
+            telemetry(net),
+            telemetry(inproc),
             "shard {i}: loopback telemetry diverged byte-wise"
         );
     }

@@ -69,7 +69,7 @@ fn transcript() -> String {
                     writeln!(out, "{record:?}").unwrap();
                 }
                 writeln!(out, "-- shard {i} decisions --").unwrap();
-                for decision in &shard.decisions {
+                for decision in &shard.log.decisions {
                     writeln!(out, "{decision:?}").unwrap();
                 }
             }

@@ -15,7 +15,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let policy_spec = flags.require("policy")?;
     let trace_path = flags.get("trace");
     // A tracefile fixes its workload, so the flags that shape a generated
-    // one would be silently ignored. `--seed` also seeds `--selector`.
+    // one would be silently ignored. `--seed` also seeds the partition
+    // selector, but only the random one draws from it.
     if trace_path.is_some() {
         for flag in ["params", "conn", "style"] {
             if flags.get(flag).is_some() {
@@ -23,6 +24,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     "--{flag} does not apply to --trace: a tracefile fixes its workload"
                 )));
             }
+        }
+        if flags.get("seed").is_some() && flags.get("selector").as_deref() != Some("random") {
+            return Err(CliError(
+                "--seed does not apply to --trace without --selector random: \
+                 a tracefile fixes its workload"
+                    .into(),
+            ));
         }
     }
     let conn: u32 = flags.get_or("conn", 3)?;
@@ -272,6 +280,41 @@ mod tests {
         }
         // `--seed` still seeds the partition selector.
         run(&argv(&format!("{base} --seed 3 --selector random"))).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn seed_is_refused_with_a_tracefile_unless_the_selector_draws() {
+        let dir = std::env::temp_dir().join(format!(
+            "odbgc-cli-test-run-file-seed-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let otb = dir.join("t.otb");
+        crate::commands::generate::run(&argv(&format!(
+            "--out {} --params tiny --conn 2",
+            otb.display()
+        )))
+        .unwrap();
+        let base = format!(
+            "--policy saio:10% --store tiny --preamble 2 --trace {}",
+            otb.display()
+        );
+        // Only the random selector reads the seed; under any other a
+        // different `--seed` would print the same report.
+        for extra in ["", "--selector updated-pointer", "--selector round-robin"] {
+            let err = run(&argv(&format!("{base} --seed 5 {extra}"))).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "--seed does not apply to --trace without --selector random: \
+                 a tracefile fixes its workload",
+                "{extra}"
+            );
+        }
+        // The random selector draws from it: another seed, another run.
+        let seeded =
+            |seed: u64| run(&argv(&format!("{base} --seed {seed} --selector random"))).unwrap();
+        assert_ne!(seeded(5), seeded(99));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,7 +30,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     flags.finish()?;
 
     let params = spec::build_params(params_name.as_deref(), conn, None)?;
-    let config = EngineConfig::default();
+    // A tiny database fits in one 8 KiB page and never triggers a
+    // collection on the paper's geometry; it gets the tiny store and a
+    // preamble of 2, as the figures give it at test scale.
+    let config = match params_name.as_deref() {
+        Some("tiny") => EngineConfig::tiny(),
+        _ => EngineConfig::default(),
+    };
 
     // The sweep axis: `saio` sweeps requested I/O%, `saga[:estimator]`
     // sweeps requested garbage%.
@@ -191,6 +197,25 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
+    /// The data rows of a two-cell sweep report, as their requested,
+    /// mean, min, max and runs columns; each row must come from both
+    /// seeds and carry a finite mean.
+    fn collected_rows(report: &str) -> Vec<String> {
+        let rows: Vec<String> = report
+            .lines()
+            .skip(2)
+            .take(2)
+            .map(|l| l.split_whitespace().take(5).collect::<Vec<_>>().join(" "))
+            .collect();
+        for row in &rows {
+            let cols: Vec<&str> = row.split(' ').collect();
+            assert_eq!(cols[4], "2", "both seeds ran: {report}");
+            let mean: f64 = cols[1].parse().unwrap_or(f64::NAN);
+            assert!(mean.is_finite(), "a collecting run has a mean: {report}");
+        }
+        rows
+    }
+
     #[test]
     fn saio_sweep_on_tiny_runs() {
         let out = run(&argv(
@@ -200,6 +225,7 @@ mod tests {
         assert!(out.contains("requested"));
         assert!(out.contains("traces built"));
         assert_eq!(out.lines().count(), 5);
+        assert_eq!(collected_rows(&out).len(), 2);
     }
 
     #[test]
@@ -215,7 +241,7 @@ mod tests {
     /// --params tiny --conn 2`, optionally poisoning one job.
     fn tiny_saio_plan(poison: Option<(usize, u64)>) -> ExperimentPlan {
         let params = spec::build_params(Some("tiny"), 2, None).unwrap();
-        let mut plan = ExperimentPlan::new(params, &[1, 2], EngineConfig::default()).cells([
+        let mut plan = ExperimentPlan::new(params, &[1, 2], EngineConfig::tiny()).cells([
             (10.0, PolicySpec::saio(0.10)),
             (20.0, PolicySpec::saio(0.20)),
         ]);
@@ -247,14 +273,7 @@ mod tests {
         assert!(serial.contains("1 workers"), "{serial}");
         assert!(parallel.contains("4 workers"), "{parallel}");
         // Wall-time columns differ run to run; the data rows must not.
-        let data = |s: &str| -> Vec<String> {
-            s.lines()
-                .skip(2)
-                .take(2)
-                .map(|l| l.split_whitespace().take(4).collect::<Vec<_>>().join(" "))
-                .collect()
-        };
-        assert_eq!(data(&serial), data(&parallel));
+        assert_eq!(collected_rows(&serial), collected_rows(&parallel));
     }
 
     fn in_process_document(plan: &ExperimentPlan) -> String {

@@ -108,6 +108,8 @@ every --trace reads one; anything else is refused as `not a tracefile`.
 `trace stat` counts a tracefile by event kind and by phase, verifying
 every block on the way; `trace cat` prints it as text. Without --trace,
 `run` and `sweep` generate the OO7 trace in process, once per seed.
+`run --trace` takes --seed only with --selector random, the one selector
+that draws; `sweep --params tiny` runs on the tiny store with preamble 2.
 --conn must be in 1..=19 for small-prime and small, 1..=5 for tiny;
 --batch (serve-bench, client) must be at least 2; serve --shards is at most
 {MAX_SHARDS}, serve-bench --sessions at most {MAX_SESSIONS}, client --connections at most

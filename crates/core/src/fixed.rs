@@ -15,9 +15,14 @@ pub struct FixedRatePolicy {
 }
 
 impl FixedRatePolicy {
-    /// `rate` = pointer overwrites per collection (≥ 1).
+    /// `rate` = pointer overwrites per collection.
+    ///
+    /// # Panics
+    ///
+    /// If `rate` is 0.
     pub fn new(rate: u64) -> Self {
-        FixedRatePolicy { rate: rate.max(1) }
+        assert!(rate >= 1, "fixed rate must be >= 1");
+        FixedRatePolicy { rate }
     }
 
     /// The configured rate.
@@ -52,11 +57,14 @@ pub struct AllocationRatePolicy {
 }
 
 impl AllocationRatePolicy {
-    /// `bytes` of allocation per collection (≥ 1).
+    /// `bytes` of allocation per collection.
+    ///
+    /// # Panics
+    ///
+    /// If `bytes` is 0.
     pub fn new(bytes: u64) -> Self {
-        AllocationRatePolicy {
-            bytes: bytes.max(1),
-        }
+        assert!(bytes >= 1, "alloc bytes must be >= 1");
+        AllocationRatePolicy { bytes }
     }
 
     /// The configured allocation budget per collection.
@@ -123,9 +131,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_rate_clamped() {
-        assert_eq!(FixedRatePolicy::new(0).rate(), 1);
-        assert_eq!(AllocationRatePolicy::new(0).bytes(), 1);
+    #[should_panic(expected = "fixed rate must be >= 1")]
+    fn zero_rate_panics() {
+        FixedRatePolicy::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "alloc bytes must be >= 1")]
+    fn zero_alloc_bytes_panics() {
+        AllocationRatePolicy::new(0);
     }
 
     #[test]

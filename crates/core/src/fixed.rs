@@ -15,11 +15,7 @@ pub struct FixedRatePolicy {
 }
 
 impl FixedRatePolicy {
-    /// `rate` = pointer overwrites per collection.
-    ///
-    /// # Panics
-    ///
-    /// If `rate` is 0.
+    /// `rate` = pointer overwrites per collection (≥ 1).
     pub fn new(rate: u64) -> Self {
         assert!(rate >= 1, "fixed rate must be >= 1");
         FixedRatePolicy { rate }
@@ -57,11 +53,7 @@ pub struct AllocationRatePolicy {
 }
 
 impl AllocationRatePolicy {
-    /// `bytes` of allocation per collection.
-    ///
-    /// # Panics
-    ///
-    /// If `bytes` is 0.
+    /// `bytes` of allocation per collection (≥ 1).
     pub fn new(bytes: u64) -> Self {
         assert!(bytes >= 1, "alloc bytes must be >= 1");
         AllocationRatePolicy { bytes }

@@ -1,5 +1,6 @@
 //! Experiment scale control.
 
+use odbgc_core::{EstimatorKind, PolicySpec, SagaPolicy};
 use odbgc_engine::EngineConfig;
 use odbgc_oo7::Oo7Params;
 
@@ -82,16 +83,13 @@ impl Scale {
     /// SAGA at a requested garbage fraction. Full/Quick use the paper's
     /// clamps (Δt ∈ [2, 1000] overwrites); the miniature test database
     /// produces only a few hundred overwrites in total, so its Δt_max
-    /// shrinks proportionally to 20.
-    pub fn saga_spec(
-        self,
-        frac: f64,
-        estimator: odbgc_core::EstimatorKind,
-    ) -> odbgc_core::PolicySpec {
-        if self == Scale::Test {
-            odbgc_core::PolicySpec::saga_dt_max(frac, estimator, 20)
-        } else {
-            odbgc_core::PolicySpec::saga(frac, estimator)
+    /// shrinks to [`SagaPolicy::TINY_DT_MAX`].
+    pub fn saga_spec(self, frac: f64, estimator: EstimatorKind) -> PolicySpec {
+        let dt_max = (self == Scale::Test).then_some(SagaPolicy::TINY_DT_MAX);
+        PolicySpec::Saga {
+            frac,
+            estimator,
+            dt_max,
         }
     }
 }

@@ -1,6 +1,6 @@
 //! `odbgc sweep` — requested-vs-achieved sweeps over seeds.
 
-use odbgc_core::{EstimatorKind, PolicySpec};
+use odbgc_core::{EstimatorKind, PolicySpec, SagaPolicy};
 use odbgc_engine::EngineConfig;
 use odbgc_sim::report::fmt_f;
 use odbgc_sim::{plan_document, sweep_point, ExperimentPlan, PlanOutcome, SweepPoint};
@@ -31,11 +31,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 
     let params = spec::build_params(params_name.as_deref(), conn, None)?;
     // A tiny database fits in one 8 KiB page and never triggers a
-    // collection on the paper's geometry; it gets the tiny store and a
-    // preamble of 2, as the figures give it at test scale.
-    let config = match params_name.as_deref() {
-        Some("tiny") => EngineConfig::tiny(),
-        _ => EngineConfig::default(),
+    // collection on the paper's geometry; it gets the tiny store, a
+    // preamble of 2 and SAGA's tiny Δt_max, as the figures give it at
+    // test scale.
+    let tiny = params_name.as_deref() == Some("tiny");
+    let config = if tiny {
+        EngineConfig::tiny()
+    } else {
+        EngineConfig::default()
     };
 
     // The sweep axis: `saio` sweeps requested I/O%, `saga[:estimator]`
@@ -55,12 +58,15 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 None => EstimatorKind::Oracle,
                 Some(tok) => spec::parse_estimator(tok)?,
             };
+            let dt_max = tiny.then_some(SagaPolicy::TINY_DT_MAX);
+            let saga = |pct: f64| PolicySpec::Saga {
+                frac: pct / 100.0,
+                estimator,
+                dt_max,
+            };
             (
                 Axis::Garbage,
-                points
-                    .iter()
-                    .map(|&pct| (pct, PolicySpec::saga(pct / 100.0, estimator)))
-                    .collect(),
+                points.iter().map(|&pct| (pct, saga(pct))).collect(),
             )
         }
         other => {
@@ -197,14 +203,14 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
-    /// The data rows of a two-cell sweep report, as their requested,
+    /// The data rows of a two-seed sweep report, as their requested,
     /// mean, min, max and runs columns; each row must come from both
     /// seeds and carry a finite mean.
     fn collected_rows(report: &str) -> Vec<String> {
         let rows: Vec<String> = report
             .lines()
             .skip(2)
-            .take(2)
+            .take_while(|l| !l.contains("traces built"))
             .map(|l| l.split_whitespace().take(5).collect::<Vec<_>>().join(" "))
             .collect();
         for row in &rows {
@@ -231,10 +237,12 @@ mod tests {
     #[test]
     fn saga_sweep_with_estimator_runs() {
         let out = run(&argv(
-            "--policy saga:fgs-hb --points 10 --seeds 1 --params tiny --conn 2",
+            "--policy saga:fgs-hb --points 10 --seeds 1..2 --params tiny --conn 2",
         ))
         .unwrap();
-        assert!(out.contains("10.0"));
+        let rows = collected_rows(&out);
+        assert_eq!(rows.len(), 1);
+        assert!(rows[0].starts_with("10.0 "), "{out}");
     }
 
     /// The in-process twin of `--policy saio --points 10,20 --seeds 1..2

@@ -23,7 +23,8 @@
 //!
 //! `SAGA_Frac`, the estimator and `Δt_max` are the only settings: the
 //! weight and [`SagaPolicy::DT_MIN`] are fixed, and `Δt_max` defaults to
-//! [`SagaPolicy::PAPER_DT_MAX`] (small traces tighten it).
+//! [`SagaPolicy::PAPER_DT_MAX`] (the miniature database tightens it to
+//! [`SagaPolicy::TINY_DT_MAX`]).
 //!
 //! `ActGarb(t)` is unobservable without a database scan, so it comes from
 //! the [`Estimator`] its [`EstimatorKind`] names (§2.4).
@@ -80,6 +81,10 @@ impl SagaPolicy {
     pub const DT_MIN: u64 = 2;
     /// Upper clamp on `Δt` in overwrites unless overridden (paper: 1000).
     pub const PAPER_DT_MAX: u64 = 1000;
+    /// Upper clamp on `Δt` for the miniature OO7 database, which sees only
+    /// a few hundred overwrites in a run: at [`Self::PAPER_DT_MAX`] SAGA
+    /// collects about once there.
+    pub const TINY_DT_MAX: u64 = 20;
 
     /// A policy holding garbage at `frac` of the database, with `Δt`
     /// clamped to `[DT_MIN, dt_max]` (`None`: [`Self::PAPER_DT_MAX`]) and

@@ -20,7 +20,10 @@ pub struct EngineConfig {
     /// Seed for stochastic selectors (only Random uses it).
     pub selector_seed: u64,
     /// Collections excluded from measured means (paper: 10 for the
-    /// time-varying figures).
+    /// time-varying figures). The measured window opens when this many
+    /// are done: the garbage mean samples every event from then on, and
+    /// the GC-I/O share counts the I/O after that collection
+    /// ([`crate::RunResult::windowed_gc_io_pct`]).
     pub preamble_collections: u64,
     /// Make the garbage tracker exact before every collection
     /// (`Store::recompute_garbage_exact`: trial deletion from the cycle

@@ -7,7 +7,6 @@ use odbgc_store::{ApplyOutcome, CollectionApplied, Store, StoreError};
 use odbgc_trace::Event;
 
 use crate::config::EngineConfig;
-use crate::metrics::RunMetrics;
 use crate::observer::{CounterSnapshot, DecisionLog, DecisionRecord};
 use crate::result::RunResult;
 use crate::series::CollectionRecord;
@@ -47,7 +46,10 @@ pub struct StoreEngine<P: RatePolicy = Box<dyn RatePolicy + Send>> {
     collector: Collector,
     policy: P,
     shadow: Option<Estimator>,
-    metrics: RunMetrics,
+    /// Σ garbage/db_size over the events sampled in the measured window.
+    garbage_fraction_sum: f64,
+    /// Events sampled into `garbage_fraction_sum`.
+    garbage_samples: u64,
     records: Vec<CollectionRecord>,
     trigger: Trigger,
     // Interval baselines (at the last collection).
@@ -76,7 +78,6 @@ impl<P: RatePolicy> StoreEngine<P> {
             config.selector.build(config.selector_seed),
             config.gc_workers.unwrap_or(1),
         );
-        let metrics = RunMetrics::new(config.preamble_collections);
         let shadow = config.shadow_estimator.map(|k| k.build());
         let trigger = policy.initial_trigger();
         StoreEngine {
@@ -85,7 +86,8 @@ impl<P: RatePolicy> StoreEngine<P> {
             collector,
             policy,
             shadow,
-            metrics,
+            garbage_fraction_sum: 0.0,
+            garbage_samples: 0,
             records: Vec::new(),
             trigger,
             app_io_base: 0,
@@ -101,7 +103,7 @@ impl<P: RatePolicy> StoreEngine<P> {
     }
 
     /// Applies one event through the full per-operation sequence: store
-    /// apply, metrics sample, optional deep check, and accounting to the
+    /// apply, garbage sample, optional deep check, and accounting to the
     /// open phase of `log`, if it has one. It never collects; the driver
     /// follows it with [`StoreEngine::collect_if_due`] where it wants
     /// collections to fall. Returns the store's per-event deltas.
@@ -117,11 +119,16 @@ impl<P: RatePolicy> StoreEngine<P> {
         let outcome = self.store.apply(ev)?;
         self.events_applied += 1;
 
-        // `db_size_bytes` is a maintained O(1) counter, so the mean
-        // samples the true size every event — including capacity
-        // changes that leave the partition count unchanged.
-        self.metrics
-            .sample_event(self.store.garbage_bytes(), self.store.db_size_bytes());
+        // §4.1's means are "sampled at each database event" once the
+        // preamble's collections are done (§3.2). `db_size_bytes` is a
+        // maintained O(1) counter, so the mean samples the true size
+        // every event — including capacity changes that leave the
+        // partition count unchanged.
+        let db_size = self.store.db_size_bytes();
+        if self.records.len() as u64 >= self.config.preamble_collections && db_size > 0 {
+            self.garbage_fraction_sum += self.store.garbage_bytes() as f64 / db_size as f64;
+            self.garbage_samples += 1;
+        }
         if self.config.deep_checks {
             self.store.assert_counters_match();
         }
@@ -225,8 +232,6 @@ impl<P: RatePolicy> StoreEngine<P> {
             estimated_garbage: estimated,
             gc_io_fraction_cum: self.store.io().gc_fraction(),
         });
-        self.metrics
-            .note_collection(self.store.io().app_total(), self.store.io().gc_total());
 
         if self.config.deep_checks {
             self.store.assert_consistent();
@@ -303,11 +308,10 @@ impl<P: RatePolicy> StoreEngine<P> {
     /// it did. `phases` is driver-supplied bookkeeping (trace replays
     /// record phase markers; live drivers usually pass an empty vec).
     pub fn into_result(self, phases: Vec<(String, u64, u64)>) -> RunResult {
-        RunResult {
-            garbage_pct_mean: self.metrics.garbage_pct_mean(),
-            gc_io_pct: self
-                .metrics
-                .gc_io_pct(self.store.io().app_total(), self.store.io().gc_total()),
+        let mut result = RunResult {
+            garbage_pct_mean: (self.garbage_samples > 0)
+                .then(|| 100.0 * self.garbage_fraction_sum / self.garbage_samples as f64),
+            gc_io_pct: None,
             collections: self.records,
             app_io_total: self.store.io().app_total(),
             gc_io_total: self.store.io().gc_total(),
@@ -320,7 +324,9 @@ impl<P: RatePolicy> StoreEngine<P> {
             overwrite_clock: self.store.overwrite_clock(),
             events_replayed: self.events_applied,
             phases,
-        }
+        };
+        result.gc_io_pct = result.windowed_gc_io_pct(self.config.preamble_collections);
+        result
     }
 }
 
@@ -421,6 +427,90 @@ mod tests {
         assert!(log.decisions.iter().zip(0..).all(|(d, i)| d.index == i));
         assert!(log.phases.is_empty(), "no phase was opened");
         assert_eq!(logged, run(None), "the log is off the decision path");
+    }
+
+    /// Replays OO7-tiny under a rate-25 policy, collecting only while
+    /// fewer than `max_collections` are done. Returns the result, the
+    /// mean garbage percentage read after each event that found the
+    /// preamble's collections done and the database non-empty, and the
+    /// count of events before the preamble ended.
+    fn replay_tiny(config: EngineConfig, max_collections: u64) -> (RunResult, Option<f64>, u64) {
+        let (trace, _) = odbgc_oo7::Oo7App::standard(odbgc_oo7::Oo7Params::tiny(), 5).generate();
+        let preamble = config.preamble_collections;
+        let mut engine = StoreEngine::new(config, Box::new(FixedRatePolicy::new(25)));
+        let (mut sum, mut samples, mut early) = (0.0, 0u64, 0u64);
+        for ev in trace.iter() {
+            engine.apply_event(ev, None).expect("apply");
+            let db_size = engine.store().db_size_bytes();
+            if engine.collection_count() < preamble {
+                early += 1;
+            } else if db_size > 0 {
+                sum += engine.store().garbage_bytes() as f64 / db_size as f64;
+                samples += 1;
+            }
+            if engine.collection_count() < max_collections {
+                engine.collect_if_due(None);
+            }
+        }
+        let mean = (samples > 0).then(|| 100.0 * sum / samples as f64);
+        (engine.into_result(Vec::new()), mean, early)
+    }
+
+    #[test]
+    fn preamble_excludes_early_samples() {
+        let (r, mean, early) = replay_tiny(EngineConfig::tiny(), u64::MAX);
+        assert!(r.collection_count() > 2, "past the preamble of 2");
+        assert!(early > 0, "events before the second collection");
+        assert!(mean.is_some());
+        assert_eq!(r.garbage_pct_mean, mean);
+        let from_start = EngineConfig {
+            preamble_collections: 0,
+            ..EngineConfig::tiny()
+        };
+        assert_ne!(
+            r.garbage_pct_mean,
+            replay_tiny(from_start, u64::MAX).0.garbage_pct_mean,
+            "the preamble's events are not in the mean"
+        );
+    }
+
+    #[test]
+    fn never_leaving_preamble_yields_none() {
+        let config = EngineConfig {
+            preamble_collections: 5,
+            ..EngineConfig::tiny()
+        };
+        let (r, mean, _) = replay_tiny(config, 4);
+        assert_eq!(r.collection_count(), 4);
+        assert_eq!(mean, None);
+        assert_eq!(r.garbage_pct_mean, None);
+        assert_eq!(r.gc_io_pct, None);
+    }
+
+    #[test]
+    fn zero_preamble_measures_from_the_start() {
+        let config = EngineConfig {
+            preamble_collections: 0,
+            ..EngineConfig::tiny()
+        };
+        let (r, mean, early) = replay_tiny(config, u64::MAX);
+        assert_eq!(early, 0);
+        assert!(mean.is_some());
+        assert_eq!(r.garbage_pct_mean, mean);
+        assert_eq!(r.gc_io_pct, Some(r.gc_io_pct_whole_run()));
+    }
+
+    /// A run of exactly `preamble_collections` collections has a window
+    /// with application I/O and no collection in it: both shares read it.
+    #[test]
+    fn a_run_of_exactly_the_preamble_measures_an_empty_gc_window() {
+        let (r, mean, _) = replay_tiny(EngineConfig::tiny(), 2);
+        assert_eq!(r.collection_count(), 2);
+        let before: u64 = r.collections.iter().map(|c| c.app_io_since_prev).sum();
+        assert!(r.app_io_total > before, "the window saw application I/O");
+        assert_eq!(r.gc_io_pct, Some(0.0));
+        assert_eq!(r.windowed_gc_io_pct(r.collection_count()), r.gc_io_pct);
+        assert_eq!(r.garbage_pct_mean, mean);
     }
 
     #[test]

@@ -18,6 +18,12 @@
 //!   sharded by partition group, each shard draining its due collections
 //!   between turns, under a seeded deterministic scheduler.
 //!
+//! A run's two measured means share one window, the part after the
+//! first [`EngineConfig::preamble_collections`] collections (§3.2): the
+//! engine samples the garbage share at every event in it, and
+//! [`RunResult`] reads the GC-I/O share of the same window from its
+//! collection series.
+//!
 //! The engine does not know about telemetry documents; it reports to
 //! one concrete [`DecisionLog`]. Each serve-mode shard keeps one for its
 //! decisions and hands it back in its [`ShardOutcome`]; a replay lent
@@ -28,7 +34,6 @@
 
 pub mod config;
 pub mod engine;
-pub mod metrics;
 pub mod observer;
 pub mod result;
 pub mod series;
@@ -37,7 +42,6 @@ pub mod session;
 
 pub use config::EngineConfig;
 pub use engine::{CollectMode, StoreEngine};
-pub use metrics::RunMetrics;
 pub use observer::{CounterSnapshot, DecisionLog, DecisionRecord, PhaseTelemetry};
 pub use result::RunResult;
 pub use series::CollectionRecord;

@@ -580,15 +580,15 @@ impl Shard {
 pub struct ServeConfig {
     /// Per-shard engine configuration.
     pub engine: EngineConfig,
-    /// Number of client sessions.
+    /// Number of client sessions, at least 1.
     pub sessions: u32,
-    /// Number of engine shards. Session `i` maps to shard
-    /// `i % shards`.
+    /// Number of engine shards, in `1..=sessions`. Session `i` maps to
+    /// shard `i % shards`.
     pub shards: u32,
     /// Operations each session submits over its lifetime.
     pub ops_per_session: u64,
-    /// Maximum operations one scheduled turn applies (clamped to ≥ 2 so
-    /// composite create-and-link actions stay atomic within a turn).
+    /// Maximum operations one scheduled turn applies, at least 2 so
+    /// composite create-and-link actions stay atomic within a turn.
     pub batch: u64,
     /// Seed of the scheduler's session-picking RNG.
     pub scheduler_seed: u64,
@@ -669,6 +669,11 @@ pub struct ServeOutcome {
 /// remaining turns are dropped, the failure is recorded in
 /// [`ServeOutcome::failures`], and every other shard runs exactly as it
 /// would have without the failure.
+///
+/// # Panics
+///
+/// If `config` has no sessions, a shard count outside `1..=sessions` or
+/// a batch below 2; the message names the field.
 pub fn serve(
     config: ServeConfig,
     make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
@@ -705,9 +710,24 @@ pub(crate) fn serve_on(
     mut make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
     crew: usize,
 ) -> Result<ServeOutcome, ServeError> {
-    let sessions = config.sessions.max(1) as usize;
-    let shard_count = (config.shards.max(1) as usize).min(sessions);
-    let batch = config.batch.max(2);
+    assert!(
+        config.sessions >= 1,
+        "ServeConfig.sessions must be at least 1"
+    );
+    assert!(
+        (1..=config.sessions).contains(&config.shards),
+        "ServeConfig.shards must be in 1..=sessions ({}), got {}",
+        config.sessions,
+        config.shards
+    );
+    assert!(
+        config.batch >= 2,
+        "ServeConfig.batch must be at least 2, got {}",
+        config.batch
+    );
+    let sessions = config.sessions as usize;
+    let shard_count = config.shards as usize;
+    let batch = config.batch;
     let crew = crew.clamp(1, shard_count);
 
     let turns = session_turns(config.ops_per_session, batch);
@@ -898,6 +918,46 @@ mod tests {
             scheduler_seed: seed,
             ..ServeConfig::default()
         }
+    }
+
+    fn serve_tiny(config: ServeConfig) {
+        let _ = serve(config, |_| Box::new(FixedRatePolicy::new(20)));
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig.sessions must be at least 1")]
+    fn zero_sessions_are_refused() {
+        serve_tiny(ServeConfig {
+            sessions: 0,
+            ..tiny_serve(7)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig.shards must be in 1..=sessions (3), got 0")]
+    fn zero_shards_are_refused() {
+        serve_tiny(ServeConfig {
+            shards: 0,
+            ..tiny_serve(7)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig.shards must be in 1..=sessions (3), got 4")]
+    fn more_shards_than_sessions_are_refused() {
+        serve_tiny(ServeConfig {
+            shards: 4,
+            ..tiny_serve(7)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ServeConfig.batch must be at least 2, got 1")]
+    fn a_batch_below_two_is_refused() {
+        serve_tiny(ServeConfig {
+            batch: 1,
+            ..tiny_serve(7)
+        });
     }
 
     #[test]

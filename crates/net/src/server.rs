@@ -81,10 +81,11 @@ use crate::proto::{
 pub struct NetConfig {
     /// Per-shard engine configuration.
     pub engine: EngineConfig,
-    /// Number of engine shards; session `s` maps to shard `s % shards`.
+    /// Number of engine shards, at least 1; session `s` maps to shard
+    /// `s % shards`.
     pub shards: u32,
     /// Hard cap on the per-connection in-flight window a Hello may
-    /// request.
+    /// request, at least 1.
     pub window_max: u32,
     /// Close a connection after this long without a byte moving in
     /// either direction.
@@ -194,13 +195,27 @@ impl NetServer {
     /// mailbox. `make_policy` is called once per shard with the shard
     /// index. `addr` is anything `TcpListener::bind` accepts;
     /// `"127.0.0.1:0"` picks a free port (read it back with
-    /// [`NetServer::local_addr`]).
+    /// [`NetServer::local_addr`]). No shards or a zero `window_max` is
+    /// refused before anything is bound, with an
+    /// [`ErrorKind::InvalidInput`] error naming the field.
     pub fn bind(
         addr: &str,
         config: NetConfig,
         mut make_policy: impl FnMut(u32) -> Box<dyn RatePolicy + Send>,
     ) -> Result<NetServer, BindError> {
-        let shard_count = config.shards.max(1) as usize;
+        let invalid = |message: &str| {
+            Err(BindError::Io(std::io::Error::new(
+                ErrorKind::InvalidInput,
+                message,
+            )))
+        };
+        if config.shards == 0 {
+            return invalid("shards must be at least 1, got 0");
+        }
+        if config.window_max == 0 {
+            return invalid("window_max must be at least 1, got 0");
+        }
+        let shard_count = config.shards as usize;
         let loop_count = match config.net_threads {
             0 => shard_count,
             n => n.min(shard_count),
@@ -216,7 +231,7 @@ impl NetServer {
         let listener = TcpListener::bind(addr).map_err(BindError::Io)?;
         listener.set_nonblocking(true).map_err(BindError::Io)?;
         let shared = Shared {
-            window_max: config.window_max.max(1),
+            window_max: config.window_max,
             idle_timeout: config.idle_timeout,
             draining: AtomicBool::new(false),
             clients: Mutex::new(Vec::new()),
@@ -307,7 +322,8 @@ impl NetServer {
 /// Why [`NetServer::bind`] failed.
 #[derive(Debug)]
 pub enum BindError {
-    /// The listener or a loop's wake descriptor could not be created.
+    /// The listener or a loop's wake descriptor could not be created,
+    /// or the configuration was refused ([`ErrorKind::InvalidInput`]).
     Io(std::io::Error),
 }
 
@@ -893,5 +909,41 @@ impl<'a> NetLoop<'a> {
             }
             Err(_) => Verdict::Close,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odbgc_core::FixedRatePolicy;
+
+    fn assert_refused(config: NetConfig, message: &str) {
+        match NetServer::bind("127.0.0.1:0", config, |_| {
+            Box::new(FixedRatePolicy::new(20))
+        }) {
+            Err(BindError::Io(e)) => {
+                assert_eq!(e.kind(), ErrorKind::InvalidInput, "{e}");
+                assert_eq!(e.to_string(), message);
+            }
+            Ok(_) => panic!("want an InvalidInput refusal, got a server"),
+        }
+    }
+
+    #[test]
+    fn zero_shards_are_refused_before_binding() {
+        let config = NetConfig {
+            shards: 0,
+            ..NetConfig::default()
+        };
+        assert_refused(config, "shards must be at least 1, got 0");
+    }
+
+    #[test]
+    fn a_zero_window_max_is_refused_before_binding() {
+        let config = NetConfig {
+            window_max: 0,
+            ..NetConfig::default()
+        };
+        assert_refused(config, "window_max must be at least 1, got 0");
     }
 }

@@ -115,4 +115,33 @@ mod tests {
             .unwrap_err()
             .starts_with("unknown figure \"fig3\""));
     }
+
+    /// Every figure at test scale, as `ODBGC_SCALE=test figures all`
+    /// prints it, pinned byte for byte by
+    /// `tests/golden/figures_test_scale.txt`. Re-bless intentionally, on
+    /// known-good code, with
+    /// `ODBGC_BLESS=1 cargo test -p odbgc-bench figures_match_test_scale_golden`.
+    #[test]
+    fn figures_match_test_scale_golden() {
+        let text: String = select(&["all".to_owned()])
+            .unwrap()
+            .into_iter()
+            .map(|(_, report)| format!("{}\n", report(Scale::Test)))
+            .collect();
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/golden/figures_test_scale.txt");
+        if std::env::var("ODBGC_BLESS").is_ok() {
+            std::fs::write(&path, &text).unwrap();
+            return;
+        }
+        let golden = std::fs::read_to_string(&path).expect("golden figures transcript");
+        for (i, (a, b)) in golden.lines().zip(text.lines()).enumerate() {
+            assert_eq!(a, b, "first divergence at golden line {}", i + 1);
+        }
+        assert_eq!(
+            golden.len(),
+            text.len(),
+            "figures transcript length changed"
+        );
+    }
 }

@@ -7,38 +7,35 @@
 
 use std::time::Instant;
 
-use odbgc_oo7::{Oo7App, Oo7Params};
+use odbgc_oo7::Oo7App;
+use odbgc_sim::DbScale;
 use odbgc_store::{Store, StoreConfig};
 use odbgc_trace::Event;
 
-const USAGE: &str = "usage: profile_replay [--params small-prime|small|medium]";
-
-/// The database shapes the repository measures on: the paper's Small′
-/// conn-3, and the `small` / `medium` of `benchmark/src/workloads/mod.rs`
-/// (`replay_saio` and `replay_nogc`).
-fn params_named(name: &str) -> Option<Oo7Params> {
-    match name {
-        "small-prime" => Some(Oo7Params::small_prime(3)),
-        "small" => Some(Oo7Params::small(9)),
-        "medium" => Some(Oo7Params::medium(3)),
-        _ => None,
-    }
+fn usage() -> String {
+    format!("usage: profile_replay [--params {}]", DbScale::names())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let name = match args.as_slice() {
-        [] => "small-prime",
+        [] => DbScale::SmallPrime.name(),
         [flag, name] if flag == "--params" => name,
         _ => {
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             std::process::exit(2);
         }
     };
-    let Some(params) = params_named(name) else {
-        eprintln!("unknown --params {name:?}\n{USAGE}");
+    let db = DbScale::parse(name).unwrap_or_else(|e| {
+        eprintln!("{e}\n{}", usage());
         std::process::exit(2);
-    };
+    });
+    // Small runs at the connectivity of the benchmark's `replay_saio`
+    // (`benchmark/src/workloads/mod.rs`), every other scale at 3.
+    let conn = if db == DbScale::Small { 9 } else { 3 };
+    let params = db
+        .params(conn)
+        .expect("3 fits every scale and 9 fits Small");
     let (trace, _) = Oo7App::standard(params, 1).generate();
     println!("params: {name}   events: {}", trace.len());
     let events = trace.len() as f64;

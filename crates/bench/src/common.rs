@@ -24,14 +24,17 @@ pub fn adaptive_gc_io_pct(r: &RunResult, preferred_preamble: u64) -> Option<f64>
     r.windowed_gc_io_pct(preamble)
 }
 
-/// A plan over the scale's workload with one cell per (pct, spec) pair.
+/// A plan over the scale's workload with one cell per (pct, spec) pair;
+/// SAGA cells get the scale's Δt_max.
 pub fn sweep_plan(
     scale: Scale,
     connectivity: u32,
     seeds: &[u64],
     cells: impl IntoIterator<Item = (f64, PolicySpec)>,
 ) -> ExperimentPlan {
-    ExperimentPlan::new(scale.params(connectivity), seeds, scale.engine_config()).cells(cells)
+    let db = scale.db();
+    let cells = cells.into_iter().map(|(x, spec)| (x, db.fill_dt_max(spec)));
+    ExperimentPlan::new(db.params(connectivity).unwrap(), seeds, db.engine_config()).cells(cells)
 }
 
 /// Sweeps SAIO over requested I/O percentages; returns one aggregated
@@ -62,6 +65,7 @@ pub fn saio_sweep_seeded(
             .iter()
             .map(|&pct| (pct, PolicySpec::saio_hist(pct / 100.0, history))),
     );
+    let preamble = scale.db().engine_config().preamble_collections;
     plan.run()
         .cells
         .iter()
@@ -69,7 +73,7 @@ pub fn saio_sweep_seeded(
             let achieved: Vec<f64> = cell
                 .outcome
                 .successes()
-                .filter_map(|r| adaptive_gc_io_pct(r, scale.preamble()))
+                .filter_map(|r| adaptive_gc_io_pct(r, preamble))
                 .collect();
             sweep_point(cell.x, &achieved)
         })
@@ -100,7 +104,7 @@ pub fn saga_sweep_seeded(
         seeds,
         fracs_pct
             .iter()
-            .map(|&pct| (pct, scale.saga_spec(pct / 100.0, estimator))),
+            .map(|&pct| (pct, PolicySpec::saga(pct / 100.0, estimator))),
     );
     plan.run()
         .cells

@@ -9,7 +9,7 @@
 //! 3. **Buffer size** — §3.1 sets buffer = partition size; smaller and
 //!    larger buffers shift application I/O.
 
-use odbgc_core::{EstimatorKind, FixedRatePolicy};
+use odbgc_core::{EstimatorKind, FixedRatePolicy, PolicySpec};
 use odbgc_engine::EngineConfig;
 use odbgc_gc::SelectorKind;
 use odbgc_oo7::Oo7App;
@@ -28,7 +28,8 @@ fn fixed_rate_for(scale: Scale) -> u64 {
 
 /// Partition-selection comparison under a fixed collection rate.
 pub fn selection_report(scale: Scale) -> String {
-    let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
+    let db = scale.db();
+    let (trace, _) = Oo7App::standard(db.params(3).unwrap(), scale.series_seed()).generate();
     let rate = fixed_rate_for(scale);
     let rows: Vec<Vec<String>> = [
         SelectorKind::UpdatedPointer,
@@ -41,7 +42,7 @@ pub fn selection_report(scale: Scale) -> String {
         let config = EngineConfig {
             selector: kind,
             selector_seed: 42,
-            ..scale.engine_config()
+            ..db.engine_config()
         };
         let mut policy = FixedRatePolicy::new(rate);
         let r = run_single(&trace, &config, &mut policy).expect("OO7 trace replays cleanly");
@@ -76,16 +77,18 @@ pub fn selection_report(scale: Scale) -> String {
 
 /// Overwrite-semantics comparison under SAGA (oracle estimator).
 pub fn semantics_report(scale: Scale) -> String {
-    let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
+    let db = scale.db();
+    let (trace, _) = Oo7App::standard(db.params(3).unwrap(), scale.series_seed()).generate();
+    let saga = db.fill_dt_max(PolicySpec::saga(0.10, EstimatorKind::Oracle));
     let rows: Vec<Vec<String>> = [
         ("non-null-old (paper)", OverwriteSemantics::NonNullOld),
         ("all stores", OverwriteSemantics::AllStores),
     ]
     .into_iter()
     .map(|(name, semantics)| {
-        let mut config = scale.engine_config();
+        let mut config = db.engine_config();
         config.store.overwrite_semantics = semantics;
-        let mut policy = scale.saga_spec(0.10, EstimatorKind::Oracle).build();
+        let mut policy = saga.build();
         let r = run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly");
         vec![
             name.to_string(),
@@ -103,13 +106,14 @@ pub fn semantics_report(scale: Scale) -> String {
 
 /// Buffer-size sensitivity under SAIO.
 pub fn buffer_report(scale: Scale) -> String {
-    let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
-    let base_pages = scale.engine_config().store.buffer_pages;
+    let db = scale.db();
+    let (trace, _) = Oo7App::standard(db.params(3).unwrap(), scale.series_seed()).generate();
+    let base_pages = db.engine_config().store.buffer_pages;
     let rows: Vec<Vec<String>> = [base_pages / 2, base_pages, base_pages * 4]
         .into_iter()
         .filter(|&p| p >= 1)
         .map(|pages| {
-            let mut config = scale.engine_config();
+            let mut config = db.engine_config();
             config.store.buffer_pages = pages;
             let mut policy = odbgc_core::SaioPolicy::with_frac(0.10);
             let r = run_single(&trace, &config, &mut policy).expect("OO7 trace replays cleanly");
@@ -136,11 +140,11 @@ pub fn schema_report(scale: Scale) -> String {
     ]
     .into_iter()
     .map(|(name, style)| {
-        let mut params = scale.params(3);
+        let mut params = scale.db().params(3).unwrap();
         params.conn_style = style;
         let (trace, chars) = Oo7App::standard(params, scale.series_seed()).generate();
         let mut policy = FixedRatePolicy::new(fixed_rate_for(scale));
-        let r = run_single(&trace, &scale.engine_config(), &mut policy)
+        let r = run_single(&trace, &scale.db().engine_config(), &mut policy)
             .expect("OO7 trace replays cleanly");
         let gpo = if r.overwrite_clock == 0 {
             0.0
@@ -174,15 +178,17 @@ pub fn schema_report(scale: Scale) -> String {
 /// Partition-size sensitivity under SAGA: the collection yield scales
 /// with the partition, which moves the steady-state interval.
 pub fn partition_report(scale: Scale) -> String {
-    let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
-    let base = scale.engine_config().store.pages_per_partition;
+    let db = scale.db();
+    let (trace, _) = Oo7App::standard(db.params(3).unwrap(), scale.series_seed()).generate();
+    let base = db.engine_config().store.pages_per_partition;
+    let saga = db.fill_dt_max(PolicySpec::saga(0.10, EstimatorKind::Oracle));
     let rows: Vec<Vec<String>> = [base / 2, base, base * 2]
         .into_iter()
         .filter(|&p| p >= 1)
         .map(|pages| {
-            let mut config = scale.engine_config();
+            let mut config = db.engine_config();
             config.store.pages_per_partition = pages;
-            let mut policy = scale.saga_spec(0.10, EstimatorKind::Oracle).build();
+            let mut policy = saga.build();
             let r =
                 run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly");
             let yield_per_coll = if r.collection_count() == 0 {
@@ -211,7 +217,9 @@ pub fn partition_report(scale: Scale) -> String {
 /// §4.1.1 says history ameliorates the non-cancelling drift errors.
 pub fn saio_history_report(scale: Scale) -> String {
     use odbgc_core::{HistoryLen, SaioPolicy};
-    let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
+    let db = scale.db();
+    let config = db.engine_config();
+    let (trace, _) = Oo7App::standard(db.params(3).unwrap(), scale.series_seed()).generate();
     let requested = 50.0;
     let rows: Vec<Vec<String>> = [
         ("0", HistoryLen::Fixed(0)),
@@ -223,9 +231,8 @@ pub fn saio_history_report(scale: Scale) -> String {
     .into_iter()
     .map(|(name, hist)| {
         let mut policy = SaioPolicy::new(requested / 100.0, hist);
-        let r = run_single(&trace, &scale.engine_config(), &mut policy)
-            .expect("OO7 trace replays cleanly");
-        let achieved = crate::common::adaptive_gc_io_pct(&r, scale.preamble());
+        let r = run_single(&trace, &config, &mut policy).expect("OO7 trace replays cleanly");
+        let achieved = crate::common::adaptive_gc_io_pct(&r, config.preamble_collections);
         vec![
             name.to_string(),
             fmt_f(achieved.unwrap_or(f64::NAN), 3),

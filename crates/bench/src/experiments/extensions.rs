@@ -19,8 +19,9 @@ use odbgc_sim::run_single;
 use crate::scale::Scale;
 
 fn run_policy(scale: Scale, policy: &mut dyn RatePolicy) -> RunResult {
-    let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
-    run_single(&trace, &scale.engine_config(), policy).expect("OO7 trace replays cleanly")
+    let db = scale.db();
+    let (trace, _) = Oo7App::standard(db.params(3).unwrap(), scale.series_seed()).generate();
+    run_single(&trace, &db.engine_config(), policy).expect("OO7 trace replays cleanly")
 }
 
 /// Collections performed during the Traverse phase of a run.
@@ -47,7 +48,9 @@ pub fn opportunistic_report(scale: Scale) -> String {
         Scale::Test => 50,
         _ => 200,
     };
-    let saga = scale.saga_spec(0.10, EstimatorKind::Oracle);
+    let saga = scale
+        .db()
+        .fill_dt_max(PolicySpec::saga(0.10, EstimatorKind::Oracle));
     let plain_run = run_policy(scale, saga.build().as_mut());
     let opp = PolicySpec::Quiescent {
         idle,
@@ -120,7 +123,9 @@ mod tests {
 
     #[test]
     fn opportunistic_collects_during_traverse() {
-        let saga = Scale::Test.saga_spec(0.10, EstimatorKind::Oracle);
+        let saga = Scale::Test
+            .db()
+            .fill_dt_max(PolicySpec::saga(0.10, EstimatorKind::Oracle));
         let plain_run = run_policy(Scale::Test, saga.build().as_mut());
         let opp = PolicySpec::Quiescent {
             idle: 20,

@@ -13,7 +13,8 @@ use crate::scale::Scale;
 
 /// Renders the per-phase census.
 pub fn report(scale: Scale) -> String {
-    let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
+    let params = scale.db().params(3).unwrap();
+    let (trace, _) = Oo7App::standard(params, scale.series_seed()).generate();
     let stats = trace.stats();
     let rows: Vec<Vec<String>> = stats
         .by_phase

@@ -6,7 +6,7 @@
 //! overestimates; FGS/HB (6b) tracks the actual garbage closely even
 //! across the Reorg1 → Traverse → Reorg2 transition.
 
-use odbgc_core::EstimatorKind;
+use odbgc_core::{EstimatorKind, PolicySpec};
 use odbgc_engine::{EngineConfig, RunResult};
 use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
@@ -19,13 +19,14 @@ pub const REQUESTED_PCT: f64 = 10.0;
 
 /// Runs one heuristic's time series.
 pub fn run_series(scale: Scale, estimator: EstimatorKind) -> RunResult {
-    let params = scale.params(3);
-    let (trace, _) = Oo7App::standard(params, scale.series_seed()).generate();
+    let db = scale.db();
+    let (trace, _) = Oo7App::standard(db.params(3).unwrap(), scale.series_seed()).generate();
     let config = EngineConfig {
         shadow_estimator: Some(estimator),
-        ..scale.engine_config()
+        ..db.engine_config()
     };
-    let mut policy = scale.saga_spec(REQUESTED_PCT / 100.0, estimator).build();
+    let saga = PolicySpec::saga(REQUESTED_PCT / 100.0, estimator);
+    let mut policy = db.fill_dt_max(saga).build();
     run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly")
 }
 

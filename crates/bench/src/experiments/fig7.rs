@@ -11,7 +11,7 @@
 //! `h = 0.8`. Expected: high cold-start rates, a settling interval, and a
 //! yield drop when Reorg2's less-clustered garbage arrives.
 
-use odbgc_core::EstimatorKind;
+use odbgc_core::{EstimatorKind, PolicySpec};
 use odbgc_engine::{EngineConfig, RunResult};
 use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
@@ -25,14 +25,15 @@ pub const REQUESTED_PCT: f64 = 10.0;
 
 /// Runs the SAGA/FGS-HB series for one history factor.
 pub fn run_with_h(scale: Scale, h: f64) -> RunResult {
-    let params = scale.params(3);
-    let (trace, _) = Oo7App::standard(params, scale.series_seed()).generate();
+    let db = scale.db();
+    let (trace, _) = Oo7App::standard(db.params(3).unwrap(), scale.series_seed()).generate();
     let kind = EstimatorKind::FgsHb { h };
     let config = EngineConfig {
         shadow_estimator: Some(kind),
-        ..scale.engine_config()
+        ..db.engine_config()
     };
-    let mut policy = scale.saga_spec(REQUESTED_PCT / 100.0, kind).build();
+    let saga = PolicySpec::saga(REQUESTED_PCT / 100.0, kind);
+    let mut policy = db.fill_dt_max(saga).build();
     run_single(&trace, &config, policy.as_mut()).expect("OO7 trace replays cleanly")
 }
 

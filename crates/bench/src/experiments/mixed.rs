@@ -11,7 +11,7 @@
 //! user-requested level, because the policies adapt to the *observed*
 //! aggregate behavior rather than any per-application profile.
 
-use odbgc_core::{EstimatorKind, SaioPolicy};
+use odbgc_core::{EstimatorKind, PolicySpec, SaioPolicy};
 use odbgc_engine::RunResult;
 use odbgc_oo7::Oo7App;
 use odbgc_sim::report::{fmt_f, render_table};
@@ -23,14 +23,14 @@ use crate::scale::Scale;
 
 /// Builds the two-application interleaved workload.
 pub fn mixed_trace(scale: Scale) -> Trace {
-    let params = scale.params(3);
+    let params = scale.db().params(3).unwrap();
     let (a, _) = Oo7App::standard(params, scale.series_seed()).generate();
     let (b, _) = Oo7App::standard(params, scale.series_seed() + 100).generate();
     interleave(&[a, b], 42)
 }
 
 fn simulate(scale: Scale, trace: &Trace, policy: &mut dyn odbgc_core::RatePolicy) -> RunResult {
-    Simulator::new(scale.engine_config())
+    Simulator::new(scale.db().engine_config())
         .replay(trace, policy, odbgc_sim::ReplayOptions::new())
         .expect("mixed trace replays cleanly")
 }
@@ -40,9 +40,8 @@ pub fn report(scale: Scale) -> String {
     let trace = mixed_trace(scale);
     let mut saio = SaioPolicy::with_frac(0.10);
     let saio_run = simulate(scale, &trace, &mut saio);
-    let mut saga = scale
-        .saga_spec(0.10, EstimatorKind::fgs_hb_default())
-        .build();
+    let saga = PolicySpec::saga(0.10, EstimatorKind::fgs_hb_default());
+    let mut saga = scale.db().fill_dt_max(saga).build();
     let saga_run = simulate(scale, &trace, saga.as_mut());
 
     let rows = vec![

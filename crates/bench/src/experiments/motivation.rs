@@ -35,8 +35,9 @@ pub fn collections_during_gendb(r: &RunResult) -> u64 {
 /// Runs both policies, calibrating the allocation trigger to match the
 /// overwrite policy's collection count.
 pub fn run(scale: Scale) -> (RunResult, RunResult) {
-    let (trace, _) = Oo7App::standard(scale.params(3), scale.series_seed()).generate();
-    let config = scale.engine_config();
+    let db = scale.db();
+    let (trace, _) = Oo7App::standard(db.params(3).unwrap(), scale.series_seed()).generate();
+    let config = db.engine_config();
     let rate = match scale {
         Scale::Test => 25,
         _ => 200,

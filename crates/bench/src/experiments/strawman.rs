@@ -33,10 +33,10 @@ pub struct StrawmanData {
 
 /// Runs the comparison.
 pub fn run(scale: Scale) -> StrawmanData {
-    let params = scale.params(3);
-    let app = Oo7App::standard(params, scale.series_seed());
+    let db = scale.db();
+    let app = Oo7App::standard(db.params(3).unwrap(), scale.series_seed());
     let (trace, chars) = app.generate();
-    let config = scale.engine_config();
+    let config = db.engine_config();
 
     let partition_bytes = u64::from(config.store.partition_bytes());
     let heuristic_rate = connectivity_heuristic_rate(

@@ -8,7 +8,6 @@
 //! the application's lifetime).
 
 use odbgc_core::FixedRatePolicy;
-use odbgc_engine::EngineConfig;
 use odbgc_oo7::params::NUM_MODULES;
 use odbgc_oo7::{Kind, Oo7App};
 use odbgc_sim::report::{fmt_f, render_table};
@@ -18,7 +17,7 @@ use crate::scale::Scale;
 
 /// Renders the report.
 pub fn report(scale: Scale) -> String {
-    let p = scale.params(3);
+    let p = scale.db().params(3).unwrap();
     let param_rows = vec![
         vec!["NumAtomicPerComp".into(), p.num_atomic_per_comp.to_string()],
         vec!["NumConnPerAtomic".into(), "3/6/9".into()],
@@ -40,17 +39,13 @@ pub fn report(scale: Scale) -> String {
     };
     let mut census_rows = Vec::new();
     for conn in connectivities {
-        let params = scale.params(conn);
+        let params = scale.db().params(conn).unwrap();
         let app = Oo7App::standard(params, scale.series_seed());
         let (trace, chars) = app.generate();
         // Allocated-storage footprint over the run (DBSize at the end),
         // measured with a collector running at a moderate fixed rate.
         let mut policy = FixedRatePolicy::new(200);
-        let config = EngineConfig {
-            store: scale.engine_config().store,
-            ..EngineConfig::default()
-        };
-        let result = Simulator::new(config)
+        let result = Simulator::new(scale.db().engine_config())
             .replay(&trace, &mut policy, odbgc_sim::ReplayOptions::new())
             .expect("trace replays");
         census_rows.push(vec![

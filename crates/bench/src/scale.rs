@@ -1,8 +1,6 @@
 //! Experiment scale control.
 
-use odbgc_core::{EstimatorKind, PolicySpec, SagaPolicy};
-use odbgc_engine::EngineConfig;
-use odbgc_oo7::Oo7Params;
+use odbgc_sim::DbScale;
 
 /// How big an experiment to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,43 +51,13 @@ impl Scale {
         1
     }
 
-    /// Database parameters at a given connectivity.
-    pub fn params(self, connectivity: u32) -> Oo7Params {
+    /// The database the scale's figures run on: Small′ at Full and
+    /// Quick, the tiny one at Test, each with its store geometry,
+    /// preamble and SAGA Δt_max.
+    pub fn db(self) -> DbScale {
         match self {
-            Scale::Full | Scale::Quick => Oo7Params::small_prime(connectivity),
-            Scale::Test => {
-                let mut p = Oo7Params::tiny();
-                // Tiny composites have 6 parts; clamp connectivity below.
-                p.num_conn_per_atomic = connectivity.min(p.num_atomic_per_comp - 2);
-                p
-            }
-        }
-    }
-
-    /// Simulation configuration (paper store geometry; shorter preamble at
-    /// test scale where runs have few collections).
-    pub fn engine_config(self) -> EngineConfig {
-        match self {
-            Scale::Full | Scale::Quick => EngineConfig::default(),
-            Scale::Test => EngineConfig::tiny(),
-        }
-    }
-
-    /// Preamble used for post-hoc windowed statistics.
-    pub fn preamble(self) -> u64 {
-        self.engine_config().preamble_collections
-    }
-
-    /// SAGA at a requested garbage fraction. Full/Quick use the paper's
-    /// clamps (Δt ∈ [2, 1000] overwrites); the miniature test database
-    /// produces only a few hundred overwrites in total, so its Δt_max
-    /// shrinks to [`SagaPolicy::TINY_DT_MAX`].
-    pub fn saga_spec(self, frac: f64, estimator: EstimatorKind) -> PolicySpec {
-        let dt_max = (self == Scale::Test).then_some(SagaPolicy::TINY_DT_MAX);
-        PolicySpec::Saga {
-            frac,
-            estimator,
-            dt_max,
+            Scale::Full | Scale::Quick => DbScale::SmallPrime,
+            Scale::Test => DbScale::Tiny,
         }
     }
 }
@@ -101,16 +69,20 @@ mod tests {
     #[test]
     fn full_scale_matches_paper_protocol() {
         assert_eq!(Scale::Full.seeds().len(), 10);
-        assert_eq!(Scale::Full.preamble(), 10);
-        assert_eq!(Scale::Full.params(3).num_comp_per_module, 150);
+        assert_eq!(Scale::Full.db(), DbScale::SmallPrime);
+        assert_eq!(Scale::Quick.db(), DbScale::SmallPrime);
     }
 
     #[test]
     fn test_scale_is_miniature() {
         assert_eq!(Scale::Test.seeds(), vec![1]);
-        let p = Scale::Test.params(9);
-        assert!(p.num_conn_per_atomic < p.num_atomic_per_comp);
-        p.validate();
+        assert_eq!(Scale::Test.db(), DbScale::Tiny);
+        // A connectivity the tiny database cannot build is refused, not
+        // clamped to one it can.
+        assert_eq!(
+            Scale::Test.db().params(9).unwrap_err(),
+            "--conn 9: tiny connectivity must be in 1..=5"
+        );
     }
 
     #[test]
@@ -126,11 +98,5 @@ mod tests {
                 "{typo:?}: {err}"
             );
         }
-    }
-
-    #[test]
-    fn connectivity_flows_through() {
-        assert_eq!(Scale::Full.params(6).num_conn_per_atomic, 6);
-        assert_eq!(Scale::Quick.params(9).num_conn_per_atomic, 9);
     }
 }

@@ -16,7 +16,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let style = flags.get("style");
     flags.finish()?;
 
-    let params = crate::spec::build_params(params_name.as_deref(), conn, style.as_deref())?;
+    let db = crate::spec::db_scale(params_name.as_deref())?;
+    let params = crate::spec::build_params(db, conn, style.as_deref())?;
     let (trace, chars) = Oo7App::standard(params, seed).generate();
     let bytes = odbgc_tracefile::encode(&trace);
     std::fs::write(&out, &bytes).map_err(|e| CliError(format!("cannot write {out:?}: {e}")))?;

@@ -1,6 +1,6 @@
 //! `odbgc run` — simulate one policy over a trace.
 
-use odbgc_engine::{DecisionLog, EngineConfig, RunResult};
+use odbgc_engine::{DecisionLog, RunResult};
 use odbgc_oo7::Oo7App;
 use odbgc_sim::{run_document, BatchSource, ReplayOptions, Simulator, TraceBatches};
 
@@ -40,20 +40,27 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let selector = flags.get("selector");
     let series_path = flags.get("series");
     let telemetry_path = flags.get("telemetry");
-    let preamble: u64 = flags.get_or("preamble", 10)?;
+    let preamble: Option<u64> = flags.get_parsed("preamble")?;
     let store_geometry = flags.get("store");
     flags.finish()?;
 
-    let mut config = EngineConfig {
-        store: spec::store_config(store_geometry.as_deref(), "paper")?,
-        preamble_collections: preamble,
-        ..EngineConfig::default()
-    };
-    if let Some(sel) = selector {
-        config.selector = spec::parse_selector(&sel)?;
+    let store = store_geometry
+        .map(|name| spec::store_config(Some(&name), "paper"))
+        .transpose()?;
+    let selector = selector.as_deref().map(spec::parse_selector).transpose()?;
+    let policy_spec = spec::parse_policy(&policy_spec)?;
+    // The scale brings its store geometry, preamble and SAGA Δt_max,
+    // which `--store`, `--preamble` and `:dtmax=` override. A tracefile,
+    // which takes no `--params`, runs on the paper's: Small′'s.
+    let db = spec::db_scale(params_name.as_deref())?;
+    let mut config = db.engine_config();
+    config.store = store.unwrap_or(config.store);
+    config.preamble_collections = preamble.unwrap_or(config.preamble_collections);
+    if let Some(selector) = selector {
+        config.selector = selector;
         config.selector_seed = seed;
     }
-    let mut policy = spec::build_policy(&policy_spec)?;
+    let mut policy = db.fill_dt_max(policy_spec).build();
     // A tracefile is replayed off its file image, one decoded block at a
     // time; a generated workload is replayed as one in-memory batch.
     // Where a source cuts its batches never changes the RunResult.
@@ -62,7 +69,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let result = match &trace_path {
         Some(path) => replay(&sim, open_tracefile(path)?, policy.as_mut(), log.as_mut())?,
         None => {
-            let params = spec::build_params(params_name.as_deref(), conn, style.as_deref())?;
+            let params = spec::build_params(db, conn, style.as_deref())?;
             let trace = Oo7App::standard(params, seed).generate().0;
             replay(
                 &sim,
@@ -156,6 +163,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odbgc_sim::DbScale;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -203,15 +211,10 @@ mod tests {
         // of the same seed builds.
         let mut policy = spec::build_policy("saio:10%").unwrap();
         let mut log = DecisionLog::default();
-        let trace = Oo7App::standard(spec::build_params(Some("tiny"), 3, None).unwrap(), 1)
+        let trace = Oo7App::standard(DbScale::Tiny.params(3).unwrap(), 1)
             .generate()
             .0;
-        let config = EngineConfig {
-            store: spec::store_config(Some("tiny"), "paper").unwrap(),
-            preamble_collections: 2,
-            ..EngineConfig::default()
-        };
-        Simulator::new(config)
+        Simulator::new(DbScale::Tiny.engine_config())
             .replay(&trace, policy.as_mut(), ReplayOptions::new().log(&mut log))
             .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -380,21 +383,83 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tiny_store_geometry_enables_tiny_workloads() {
-        let out = run(&argv(
-            "--policy saio:10% --params tiny --store tiny --preamble 2",
-        ))
-        .unwrap();
-        assert!(out.contains("collections:"));
-        // With matching geometry the tiny workload actually collects.
-        let colls: u64 = out
+    fn collections(report: &str) -> u64 {
+        report
             .lines()
             .find(|l| l.starts_with("collections:"))
             .and_then(|l| l.split_whitespace().nth(1))
             .and_then(|v| v.parse().ok())
+            .unwrap()
+    }
+
+    #[test]
+    fn params_tiny_brings_its_store_and_preamble() {
+        // On the paper's 8 KiB pages the tiny database fits in one page
+        // and never collects; its scale brings the tiny store and a
+        // preamble of 2, as `--store tiny --preamble 2` would.
+        let out = run(&argv("--policy saio:10% --params tiny --conn 2")).unwrap();
+        let overridden = run(&argv(
+            "--policy saio:10% --params tiny --conn 2 --store tiny --preamble 2",
+        ))
+        .unwrap();
+        assert_eq!(out, overridden);
+        assert!(collections(&out) > 0, "{out}");
+        assert!(!out.contains("n/a"), "{out}");
+    }
+
+    #[test]
+    fn params_tiny_brings_saga_dt_max() {
+        // A SAGA spec without `:dtmax=`, bare or wrapped, runs at the tiny
+        // scale's Δt_max; the paper's 1000 would collect about once.
+        let dt_max = odbgc_core::SagaPolicy::TINY_DT_MAX;
+        for (spec, explicit) in [
+            ("saga:10%:fgs-hb", format!("saga:10%:fgs-hb:dtmax={dt_max}")),
+            (
+                "quiescent:idle=50:saga:10%:fgs-hb",
+                format!("quiescent:idle=50:saga:10%:fgs-hb:dtmax={dt_max}"),
+            ),
+        ] {
+            let out = run(&argv(&format!("--policy {spec} --params tiny --conn 3"))).unwrap();
+            let overridden = run(&argv(&format!(
+                "--policy {explicit} --params tiny --conn 3 --store tiny --preamble 2"
+            )))
             .unwrap();
-        assert!(colls > 0, "tiny geometry should trigger collections");
+            assert_eq!(out, overridden, "{spec}");
+            assert!(collections(&out) > 2, "{spec}: {out}");
+        }
+    }
+
+    #[test]
+    fn paper_settings_stay_reachable_on_tiny() {
+        // An explicit `:dtmax=` and `--store`/`--preamble` override the
+        // scale: the tiny trace on the paper's settings, as a tracefile
+        // of it runs.
+        let dir = std::env::temp_dir().join(format!(
+            "odbgc-cli-test-run-paper-tiny-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let otb = dir.join("t.otb");
+        crate::commands::generate::run(&argv(&format!(
+            "--out {} --params tiny --conn 3",
+            otb.display()
+        )))
+        .unwrap();
+        let from_file = run(&argv(&format!(
+            "--policy saga:10%:fgs-hb --trace {}",
+            otb.display()
+        )))
+        .unwrap();
+        let overridden = run(&argv(
+            "--policy saga:10%:fgs-hb:dtmax=1000 --params tiny --conn 3 --store paper --preamble 10",
+        ))
+        .unwrap();
+        assert_eq!(from_file, overridden);
+        assert_ne!(
+            overridden,
+            run(&argv("--policy saga:10%:fgs-hb --params tiny --conn 3")).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! `odbgc sweep` — requested-vs-achieved sweeps over seeds.
 
-use odbgc_core::{EstimatorKind, PolicySpec, SagaPolicy};
-use odbgc_engine::EngineConfig;
+use odbgc_core::{EstimatorKind, PolicySpec};
 use odbgc_sim::report::fmt_f;
 use odbgc_sim::{plan_document, sweep_point, ExperimentPlan, PlanOutcome, SweepPoint};
 
@@ -29,17 +28,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     let telemetry_path = flags.get("telemetry");
     flags.finish()?;
 
-    let params = spec::build_params(params_name.as_deref(), conn, None)?;
-    // A tiny database fits in one 8 KiB page and never triggers a
-    // collection on the paper's geometry; it gets the tiny store, a
-    // preamble of 2 and SAGA's tiny Δt_max, as the figures give it at
-    // test scale.
-    let tiny = params_name.as_deref() == Some("tiny");
-    let config = if tiny {
-        EngineConfig::tiny()
-    } else {
-        EngineConfig::default()
-    };
+    let db = spec::db_scale(params_name.as_deref())?;
+    let params = spec::build_params(db, conn, None)?;
 
     // The sweep axis: `saio` sweeps requested I/O%, `saga[:estimator]`
     // sweeps requested garbage%.
@@ -58,12 +48,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 None => EstimatorKind::Oracle,
                 Some(tok) => spec::parse_estimator(tok)?,
             };
-            let dt_max = tiny.then_some(SagaPolicy::TINY_DT_MAX);
-            let saga = |pct: f64| PolicySpec::Saga {
-                frac: pct / 100.0,
-                estimator,
-                dt_max,
-            };
+            let saga = |pct: f64| PolicySpec::saga(pct / 100.0, estimator);
             (
                 Axis::Garbage,
                 points.iter().map(|&pct| (pct, saga(pct))).collect(),
@@ -92,7 +77,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
     }
 
-    let plan = ExperimentPlan::new(params, &seeds, config).cells(cells);
+    // Each SAGA cell runs at the scale's Δt_max.
+    let cells = cells
+        .into_iter()
+        .map(|(pct, cell)| (pct, db.fill_dt_max(cell)));
+    let plan = ExperimentPlan::new(params, &seeds, db.engine_config()).cells(cells);
     report(
         &plan,
         &plan.run(),
@@ -248,8 +237,9 @@ mod tests {
     /// The in-process twin of `--policy saio --points 10,20 --seeds 1..2
     /// --params tiny --conn 2`, optionally poisoning one job.
     fn tiny_saio_plan(poison: Option<(usize, u64)>) -> ExperimentPlan {
-        let params = spec::build_params(Some("tiny"), 2, None).unwrap();
-        let mut plan = ExperimentPlan::new(params, &[1, 2], EngineConfig::tiny()).cells([
+        let db = odbgc_sim::DbScale::Tiny;
+        let params = spec::build_params(db, 2, None).unwrap();
+        let mut plan = ExperimentPlan::new(params, &[1, 2], db.engine_config()).cells([
             (10.0, PolicySpec::saio(0.10)),
             (20.0, PolicySpec::saio(0.20)),
         ]);

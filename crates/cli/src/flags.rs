@@ -46,14 +46,18 @@ impl Flags {
             .ok_or_else(|| CliError(format!("missing required flag --{key}")))
     }
 
+    /// An optional parsed flag.
+    pub fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
+        let parse = |v: String| {
+            v.parse()
+                .map_err(|_| CliError(format!("flag --{key}: cannot parse {v:?}")))
+        };
+        self.get(key).map(parse).transpose()
+    }
+
     /// An optional parsed flag with a default.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| CliError(format!("flag --{key}: cannot parse {v:?}"))),
-        }
+        Ok(self.get_parsed(key)?.unwrap_or(default))
     }
 
     /// An optional count flag with a default, refused by name unless it

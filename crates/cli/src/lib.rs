@@ -78,13 +78,14 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
 /// The top-level usage text.
 pub fn usage() -> String {
     use crate::flags::{MAX_CONNECTIONS, MAX_SESSIONS, MAX_SHARDS};
+    let params = odbgc_sim::DbScale::names();
     format!(
         "\
 odbgc — self-adaptive GC-rate control simulator (SIGMOD'96 reproduction)
 
 USAGE:
-  odbgc generate --out <file> [--conn N] [--seed N] [--params small-prime|small|tiny] [--style bidir|forward]
-  odbgc run      (--trace <file> | [--conn N] [--seed N] [--params small-prime|small|tiny]
+  odbgc generate --out <file> [--conn N] [--seed N] [--params {params}] [--style bidir|forward]
+  odbgc run      (--trace <file> | [--conn N] [--seed N] [--params {params}]
                  [--style bidir|forward]) --policy <spec>
                  [--selector updated-pointer|random|round-robin|most-garbage]
                  [--series <csv>] [--preamble N] [--store paper|tiny]
@@ -98,7 +99,7 @@ USAGE:
   odbgc client   --connect HOST:PORT [--session N] [--ops N] [--batch N]
                  [--window N] [--seed N] [--connections N] [--shutdown true]
   odbgc sweep    --policy saio|saga[:estimator] --points a,b,c [--seeds A..B]
-                 [--conn N] [--params small-prime|small|tiny] [--csv <file>]
+                 [--conn N] [--params {params}] [--csv <file>]
                  [--telemetry <json>]
   odbgc trace    stat|cat --trace <file>   (cat: [--limit N])
 
@@ -109,11 +110,13 @@ every --trace reads one; anything else is refused as `not a tracefile`.
 every block on the way; `trace cat` prints it as text. Without --trace,
 `run` and `sweep` generate the OO7 trace in process, once per seed.
 `run --trace` takes --seed only with --selector random, the one selector
-that draws; `sweep --params tiny` runs on the tiny store with preamble 2.
---conn must be in 1..=19 for small-prime and small, 1..=5 for tiny;
---batch (serve-bench, client) must be at least 2; serve --shards is at most
-{MAX_SHARDS}, serve-bench --sessions at most {MAX_SESSIONS}, client --connections at most
-{MAX_CONNECTIONS}, and serve --idle-timeout-ms at least 1. Anything else exits 2.
+that draws. A --params scale brings its store geometry, preamble and SAGA
+Δt_max; run's --store and --preamble override the first two, :dtmax= the last.
+--conn must be in 1..=5 for tiny, 1..=19 for small-prime and small,
+1..=199 for medium; --batch (serve-bench, client) must be at least 2;
+serve --shards is at most {MAX_SHARDS}, serve-bench --sessions at most
+{MAX_SESSIONS}, client --connections at most {MAX_CONNECTIONS}, and serve
+--idle-timeout-ms at least 1. Anything else exits 2.
 
 POLICY SPECS:
   saio:10%[:hist=N|inf]   saga:5%[:oracle|fgs-hb[@h]|cgs-cb][:dtmax=N]
@@ -186,12 +189,11 @@ mod tests {
             rest[..rest.find("\n  odbgc ").unwrap_or(rest.len())].to_owned()
         };
         let run = section("run");
-        assert!(run.contains("[--params small-prime|small|tiny]"), "{run}");
+        let params = format!("[--params {}]", odbgc_sim::DbScale::names());
+        assert!(run.contains(&params), "{run}");
         assert!(run.contains("[--style bidir|forward]"), "{run}");
-        let sweep = section("sweep");
-        assert!(
-            sweep.contains("[--params small-prime|small|tiny]"),
-            "{sweep}"
-        );
+        assert!(section("sweep").contains(&params));
+        assert!(section("generate").contains(&params));
+        assert!(params.contains("|medium]"), "{params}");
     }
 }

@@ -1,12 +1,14 @@
 //! Textual specs for policies, selectors, and database parameters.
 //!
 //! Policy specs are parsed by `odbgc-core`'s [`PolicySpec`] grammar; this
-//! module adapts errors to [`CliError`] and keeps the selector and
-//! database-parameter specs, which are CLI-only concerns.
+//! module adapts errors to [`CliError`] and keeps the selector, store
+//! and connection-style specs, which are CLI-only concerns; database
+//! scales are `odbgc_sim`'s [`DbScale`].
 
 use odbgc_core::{EstimatorKind, PolicySpec, RatePolicy};
 use odbgc_gc::SelectorKind;
 use odbgc_oo7::{ConnStyle, Oo7Params};
+use odbgc_sim::DbScale;
 use odbgc_store::StoreConfig;
 
 use crate::CliError;
@@ -50,35 +52,17 @@ pub fn store_config(flag: Option<&str>, default: &str) -> Result<StoreConfig, Cl
     }
 }
 
-/// Builds OO7 parameters from `--params`, `--conn`, `--style` values.
-/// Every preset refuses a connectivity outside `1..parts-per-composite`:
-/// `1..=5` for `tiny`, `1..=19` for `small-prime` and `small`.
-pub fn build_params(
-    params: Option<&str>,
-    conn: u32,
-    style: Option<&str>,
-) -> Result<Oo7Params, CliError> {
-    let name = params.unwrap_or("small-prime");
-    let mut p = match name {
-        "small-prime" => Oo7Params::small_prime(conn),
-        "small" => Oo7Params::small(conn),
-        "tiny" => Oo7Params {
-            num_conn_per_atomic: conn,
-            ..Oo7Params::tiny()
-        },
-        other => {
-            return Err(CliError(format!(
-                "unknown params {other:?} (small-prime | small | tiny)"
-            )))
-        }
-    };
-    let parts = p.num_atomic_per_comp;
-    if !(1..parts).contains(&p.num_conn_per_atomic) {
-        return Err(CliError(format!(
-            "--conn {conn}: {name} connectivity must be in 1..={}",
-            parts - 1
-        )));
-    }
+/// The database scale a `--params` flag names, Small′ when it is absent.
+pub fn db_scale(flag: Option<&str>) -> Result<DbScale, CliError> {
+    flag.map_or(Ok(DbScale::SmallPrime), DbScale::parse)
+        .map_err(CliError)
+}
+
+/// Builds OO7 parameters from a `--params` scale and the `--conn` and
+/// `--style` values; [`DbScale::params`] refuses a connectivity the scale
+/// cannot build.
+pub fn build_params(db: DbScale, conn: u32, style: Option<&str>) -> Result<Oo7Params, CliError> {
+    let mut p = db.params(conn).map_err(CliError)?;
     p.conn_style = match style.unwrap_or("bidir") {
         "bidir" | "bidirectional" => ConnStyle::Bidirectional,
         "forward" => ConnStyle::Forward,
@@ -172,38 +156,22 @@ mod tests {
 
     #[test]
     fn params_build() {
-        let p = build_params(None, 3, None).unwrap();
-        assert_eq!(p.num_comp_per_module, 150);
+        let p = build_params(db_scale(None).unwrap(), 3, None).unwrap();
+        assert_eq!(p, Oo7Params::small_prime(3));
         assert_eq!(p.conn_style, ConnStyle::Bidirectional);
-        let p = build_params(Some("tiny"), 5, Some("forward")).unwrap();
+        let p = build_params(DbScale::Tiny, 5, Some("forward")).unwrap();
         assert_eq!(p.conn_style, ConnStyle::Forward);
         assert_eq!(p.num_conn_per_atomic, 5);
-        // Tiny refuses what it cannot build rather than clamping it.
-        for conn in [0, 6, 9] {
-            let err = build_params(Some("tiny"), conn, None)
-                .unwrap_err()
-                .to_string();
-            assert_eq!(
-                err,
-                format!("--conn {conn}: tiny connectivity must be in 1..=5")
-            );
-        }
-        assert!(build_params(Some("huge"), 3, None).is_err());
-        assert!(build_params(None, 3, Some("sideways")).is_err());
-        for (name, conn) in [
-            (None, 0),
-            (None, 20),
-            (Some("small"), 0),
-            (Some("small"), 20),
-        ] {
-            let err = build_params(name, conn, None).unwrap_err().to_string();
-            assert!(err.contains("must be in 1..=19"), "{name:?} {conn}: {err}");
-        }
+        assert_eq!(db_scale(Some("medium")).unwrap(), DbScale::Medium);
         assert_eq!(
-            build_params(Some("small"), 19, None)
-                .unwrap()
-                .num_conn_per_atomic,
-            19
+            db_scale(Some("huge")).unwrap_err().0,
+            "unknown params \"huge\" (tiny|small-prime|small|medium)"
         );
+        assert_eq!(
+            build_params(DbScale::Tiny, 9, None).unwrap_err().0,
+            "--conn 9: tiny connectivity must be in 1..=5"
+        );
+        let err = build_params(DbScale::SmallPrime, 3, Some("sideways")).unwrap_err();
+        assert_eq!(err.0, "unknown style \"sideways\"");
     }
 }

@@ -26,6 +26,7 @@
 pub mod experiment;
 pub mod report;
 pub mod runner;
+pub mod scale;
 pub mod simulator;
 pub mod telemetry;
 
@@ -34,6 +35,7 @@ pub use runner::{
     default_jobs, CacheStats, CellOutcome, ExperimentPlan, FaultKind, FaultSpec, JobError,
     JobErrorKind, PlanCell, PlanOutcome, TraceCache,
 };
+pub use scale::DbScale;
 pub use simulator::{BatchSource, ReplayError, ReplayOptions, SimError, Simulator, TraceBatches};
 pub use telemetry::{plan_document, run_document, Json};
 

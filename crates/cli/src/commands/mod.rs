@@ -48,7 +48,10 @@ pub(crate) fn in_process_shard_documents(
         workload: WorkloadParams::default(),
         gc_fault: None,
     };
-    let outcome = serve(config, |_| crate::spec::build_policy(policy).unwrap()).unwrap();
+    let outcome = serve(config, |_| {
+        crate::spec::parse_policy(policy).unwrap().build()
+    })
+    .unwrap();
     outcome
         .shards
         .into_iter()

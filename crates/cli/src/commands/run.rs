@@ -209,7 +209,7 @@ mod tests {
         assert!(out.contains("telemetry written to"));
         // The file is, byte for byte, the document an in-process replay
         // of the same seed builds.
-        let mut policy = spec::build_policy("saio:10%").unwrap();
+        let mut policy = spec::parse_policy("saio:10%").unwrap().build();
         let mut log = DecisionLog::default();
         let trace = Oo7App::standard(DbScale::Tiny.params(3).unwrap(), 1)
             .generate()

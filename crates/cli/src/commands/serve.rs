@@ -36,8 +36,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     if idle_timeout_ms == 0 {
         return Err(CliError("--idle-timeout-ms must be at least 1".into()));
     }
-    // Validate the spec once up front so a bad spec fails before bind.
-    spec::build_policy(&policy_spec)?;
+    // Parsed once, before bind, so a bad spec fails before any socket.
+    let policy = spec::parse_policy(&policy_spec)?;
 
     let engine_config = EngineConfig {
         store: spec::store_config(store_geometry.as_deref(), "tiny")?,
@@ -51,10 +51,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         idle_timeout: std::time::Duration::from_millis(idle_timeout_ms),
         ..NetConfig::default()
     };
-    let server = NetServer::bind(&listen, config, |_| {
-        spec::build_policy(&policy_spec).expect("spec validated above")
-    })
-    .map_err(|e| CliError(format!("serve: {e}")))?;
+    let server = NetServer::bind(&listen, config, |_| policy.build())
+        .map_err(|e| CliError(format!("serve: {e}")))?;
     let addr = server
         .local_addr()
         .map_err(|e| CliError(format!("serve: local_addr: {e}")))?;
@@ -77,7 +75,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         out.push_str(&format!(
             "\nnet loop {i}: {} wakeup(s), {} timer tick(s), {} accepted, \
              {} frames in / {} out, {} partial read(s), {} partial write(s), \
-             max turns per wakeup {}",
+             max turns per wakeup {}, {} busy-poll hit(s), {} park(s)",
             l.wakeups,
             l.timeouts,
             l.accepted,
@@ -86,6 +84,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             l.partial_reads,
             l.partial_writes,
             l.max_queue_depth,
+            l.busy_poll_hits,
+            l.parks,
         ));
     }
     for c in &outcome.clients {
@@ -139,6 +139,8 @@ fn loops_json(loops: &[odbgc_net::LoopStats]) -> Json {
                     ("partial_reads".into(), Json::u64(l.partial_reads)),
                     ("partial_writes".into(), Json::u64(l.partial_writes)),
                     ("max_queue_depth".into(), Json::u64(l.max_queue_depth)),
+                    ("busy_poll_hits".into(), Json::u64(l.busy_poll_hits)),
+                    ("parks".into(), Json::u64(l.parks)),
                 ])
             })
             .collect(),

@@ -36,9 +36,9 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         )));
     }
 
-    // Validate the spec once up front so a bad spec fails before any
-    // threads spin up.
-    spec::build_policy(&policy_spec)?;
+    // Parsed once, up front, so a bad spec fails before any threads
+    // spin up.
+    let policy = spec::parse_policy(&policy_spec)?;
 
     let engine_config = EngineConfig {
         store: spec::store_config(store_geometry.as_deref(), "tiny")?,
@@ -57,10 +57,8 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         },
         gc_fault: None,
     };
-    let outcome = serve(config, |_| {
-        spec::build_policy(&policy_spec).expect("spec validated above")
-    })
-    .map_err(|e| CliError(format!("serve failed: {e}")))?;
+    let outcome =
+        serve(config, |_| policy.build()).map_err(|e| CliError(format!("serve failed: {e}")))?;
 
     let mut out = format!(
         "serve-bench: {sessions} sessions × {ops} ops on {shards} shard(s), \

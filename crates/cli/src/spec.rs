@@ -5,7 +5,7 @@
 //! and connection-style specs, which are CLI-only concerns; database
 //! scales are `odbgc_sim`'s [`DbScale`].
 
-use odbgc_core::{EstimatorKind, PolicySpec, RatePolicy};
+use odbgc_core::{EstimatorKind, PolicySpec};
 use odbgc_gc::SelectorKind;
 use odbgc_oo7::{ConnStyle, Oo7Params};
 use odbgc_sim::DbScale;
@@ -21,12 +21,6 @@ pub fn parse_policy(spec: &str) -> Result<PolicySpec, CliError> {
 /// Parses an estimator token: `oracle`, `cgs-cb`, `fgs-hb`, `fgs-hb@0.5`.
 pub fn parse_estimator(tok: &str) -> Result<EstimatorKind, CliError> {
     odbgc_core::spec::parse_estimator(tok).map_err(|e| CliError(e.0))
-}
-
-/// Builds a rate policy from a spec string (see crate docs for the
-/// grammar).
-pub fn build_policy(spec: &str) -> Result<Box<dyn RatePolicy + Send>, CliError> {
-    Ok(parse_policy(spec)?.build())
 }
 
 /// Parses a partition-selector name.
@@ -79,40 +73,43 @@ mod tests {
     #[test]
     fn policy_specs_build_and_name_themselves() {
         assert_eq!(
-            build_policy("saio:10%").unwrap().name(),
+            parse_policy("saio:10%").unwrap().build().name(),
             "saio(10.0%, c_hist=0)"
         );
         assert_eq!(
-            build_policy("saio:10%:hist=inf").unwrap().name(),
+            parse_policy("saio:10%:hist=inf").unwrap().build().name(),
             "saio(10.0%, c_hist=inf)"
         );
         assert_eq!(
-            build_policy("saio:10%:hist=4").unwrap().name(),
+            parse_policy("saio:10%:hist=4").unwrap().build().name(),
             "saio(10.0%, c_hist=4)"
         );
         assert_eq!(
-            build_policy("saga:5%").unwrap().name(),
+            parse_policy("saga:5%").unwrap().build().name(),
             "saga(5.0%, oracle)"
         );
         assert_eq!(
-            build_policy("saga:5%:fgs-hb@0.5").unwrap().name(),
+            parse_policy("saga:5%:fgs-hb@0.5").unwrap().build().name(),
             "saga(5.0%, fgs-hb(h=0.50))"
         );
         assert_eq!(
-            build_policy("saga:5%:cgs-cb").unwrap().name(),
+            parse_policy("saga:5%:cgs-cb").unwrap().build().name(),
             "saga(5.0%, cgs-cb)"
         );
-        assert_eq!(build_policy("fixed:200").unwrap().name(), "fixed(200)");
         assert_eq!(
-            build_policy("alloc:98304").unwrap().name(),
+            parse_policy("fixed:200").unwrap().build().name(),
+            "fixed(200)"
+        );
+        assert_eq!(
+            parse_policy("alloc:98304").unwrap().build().name(),
             "alloc-fixed(98304B)"
         );
     }
 
     #[test]
     fn extension_policies_build() {
-        assert!(build_policy("coupled:10%:floor=5%").is_ok());
-        assert!(build_policy("quiescent:idle=2000:saga:5%").is_ok());
+        parse_policy("coupled:10%:floor=5%").unwrap().build();
+        parse_policy("quiescent:idle=2000:saga:5%").unwrap().build();
     }
 
     #[test]
@@ -124,12 +121,12 @@ mod tests {
 
     #[test]
     fn bad_policy_specs_error() {
-        assert!(build_policy("saio").is_err());
-        assert!(build_policy("saga:5%:psychic").is_err());
-        assert!(build_policy("warp:9").is_err());
-        assert!(build_policy("fixed:x").is_err());
-        assert!(build_policy("saio:10%:window=4").is_err());
-        assert!(build_policy("saga:5%:fgs-hb@1.5").is_err());
+        assert!(parse_policy("saio").is_err());
+        assert!(parse_policy("saga:5%:psychic").is_err());
+        assert!(parse_policy("warp:9").is_err());
+        assert!(parse_policy("fixed:x").is_err());
+        assert!(parse_policy("saio:10%:window=4").is_err());
+        assert!(parse_policy("saga:5%:fgs-hb@1.5").is_err());
     }
 
     #[test]

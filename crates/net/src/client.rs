@@ -19,11 +19,13 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::os::unix::io::AsRawFd;
+use std::time::{Duration, Instant};
 
 use odbgc_engine::{SessionOp, SessionWorkload, WorkloadParams};
 
 use crate::conn::FrameAssembler;
+use crate::poll::{poll, PollFd, BUSY_POLL_WINDOW, POLLIN, POLLOUT};
 use crate::proto::{frame_into, ErrorCode, ProtoError, Request, Response};
 
 /// A client-side failure.
@@ -74,8 +76,25 @@ impl From<std::io::Error> for ClientError {
 /// assembler until they make a whole frame, so a read that times out
 /// mid-frame leaves the stream in step: the next read picks up where it
 /// stopped.
+///
+/// The socket is non-blocking. A response read that finds nothing
+/// retries, yielding the core in between, for a short fixed busy-poll
+/// window — a loopback reply usually arrives inside it, so the caller
+/// is never put to sleep and woken — and only then waits in `poll(2)`.
+/// It spins only while spinning pays: when the last response that had
+/// to be waited for took longer than the window, the next read waits in
+/// `poll(2)` at once, so a client sharing its cores with busier threads
+/// does not take their time. A send the socket buffer cannot take at
+/// once waits in `poll(2)` for room, so it blocks as a blocking write
+/// would.
 pub struct Conn {
     stream: TcpStream,
+    /// How long a response read waits in `poll` after the busy-poll
+    /// window; `None` waits indefinitely.
+    timeout: Option<Duration>,
+    /// Whether the next response read busy-polls: whether the last
+    /// response that had to be waited for arrived inside the window.
+    spin: bool,
     /// Request-body scratch (the encode target).
     body: Vec<u8>,
     /// Framed-bytes scratch: a request goes out in one write.
@@ -91,8 +110,11 @@ impl Conn {
     pub fn connect(addr: &str) -> Result<Conn, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
         Ok(Conn {
             stream,
+            timeout: None,
+            spin: true,
             body: Vec::new(),
             wire: Vec::new(),
             assembler: FrameAssembler::new(),
@@ -100,10 +122,45 @@ impl Conn {
         })
     }
 
-    /// Sets how long a response read may block before erroring out.
+    /// Sets how long a response read may wait, after its busy-poll
+    /// window, for the next bytes of a response before it fails with
+    /// [`ErrorKind::TimedOut`]; `None` (the default) waits indefinitely.
+    /// A zero timeout is refused with [`ErrorKind::InvalidInput`], as
+    /// [`TcpStream::set_read_timeout`] refuses it.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(timeout)?;
+        if timeout == Some(Duration::ZERO) {
+            let zero = std::io::Error::new(ErrorKind::InvalidInput, "a zero timeout never waits");
+            return Err(zero.into());
+        }
+        self.timeout = timeout;
         Ok(())
+    }
+
+    /// Waits in `poll` until the socket reports one of `events` (or an
+    /// error or hangup, which the next read or write then returns), for
+    /// at most `timeout`. Returns false when the timeout passed first.
+    fn wait_for(&self, events: i16, timeout: Option<Duration>) -> std::io::Result<bool> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut fds = [PollFd::new(self.stream.as_raw_fd(), events)];
+        loop {
+            let timeout_ms = match deadline {
+                None => -1,
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Ok(false);
+                    }
+                    // Rounded up, so the deadline has passed when the
+                    // poll times out.
+                    left.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+                }
+            };
+            // `poll` reports an interrupted wait as 0 ready, so a 0 is
+            // a timeout only once the deadline has passed.
+            if poll(&mut fds, timeout_ms)? > 0 {
+                return Ok(true);
+            }
+        }
     }
 
     /// Sends one request without waiting for its response (the pipelined
@@ -113,16 +170,41 @@ impl Conn {
         req.encode_into(&mut self.body);
         self.wire.clear();
         frame_into(&mut self.wire, &self.body);
-        self.stream.write_all(&self.wire)?;
+        self.write_wire()
+    }
+
+    /// Writes the framed bytes whole, waiting in `poll` whenever the
+    /// socket buffer is full.
+    fn write_wire(&mut self) -> Result<(), ClientError> {
+        let mut sent = 0;
+        while sent < self.wire.len() {
+            match self.stream.write(&self.wire[sent..]) {
+                Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.wait_for(POLLOUT, None)?;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
         Ok(())
     }
 
     /// Reads the next response, handing back `Error` responses as data.
-    /// Reads what the socket has until a whole frame is buffered; a
-    /// timeout or error keeps the bytes read so far.
+    /// Reads what the socket has until a whole frame is buffered,
+    /// busy-polling before each wait (see [`Conn`]); a timeout or error
+    /// keeps the bytes read so far.
     pub fn read_response_raw(&mut self) -> Result<Response, ClientError> {
+        // When the socket first ran dry in this call.
+        let mut dry_since: Option<Instant> = None;
         loop {
             if let Some(body) = self.assembler.next_frame()? {
+                if let Some(since) = dry_since {
+                    // Spin before the next wait only if this one would
+                    // have ended inside the window.
+                    self.spin = since.elapsed() < BUSY_POLL_WINDOW;
+                }
                 return Ok(Response::decode(body)?);
             }
             match self.stream.read(&mut self.read_buf) {
@@ -134,6 +216,18 @@ impl Conn {
                     return Err(eof.into());
                 }
                 Ok(n) => self.assembler.extend(&self.read_buf[..n]),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    let since = *dry_since.get_or_insert_with(Instant::now);
+                    if self.spin && since.elapsed() < BUSY_POLL_WINDOW {
+                        std::thread::yield_now();
+                    } else if !self.wait_for(POLLIN, self.timeout)? {
+                        let late = std::io::Error::new(
+                            ErrorKind::TimedOut,
+                            "no response within the read timeout",
+                        );
+                        return Err(late.into());
+                    }
+                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
@@ -501,5 +595,35 @@ mod tests {
         peer.write_all(&wire[half..]).unwrap();
         conn.set_timeout(Some(Duration::from_secs(10))).unwrap();
         assert_eq!(conn.read_response().unwrap(), sent);
+    }
+
+    #[test]
+    fn a_send_that_fills_the_socket_buffer_waits_for_a_late_reader() {
+        const LATE: Duration = Duration::from_millis(200);
+        // Far past what loopback's send buffer and a receive buffer that
+        // has not been read from hold together, so the write finds the
+        // socket full long before the peer starts reading.
+        const BYTES: usize = 64 << 20;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut conn = Conn::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+
+        // The write half of `send`, with a frame's worth of bytes far
+        // larger than a frame (encoding that much would take longer in
+        // a debug build than the reader's delay).
+        conn.wire = vec![7; BYTES];
+        let reader = std::thread::spawn(move || {
+            std::thread::sleep(LATE);
+            std::io::copy(&mut peer, &mut std::io::sink()).unwrap()
+        });
+        let start = Instant::now();
+        conn.write_wire()
+            .expect("a full socket buffer waits, it does not fail");
+        assert!(
+            start.elapsed() >= LATE / 2,
+            "the write never waited: the socket took {BYTES} bytes unread"
+        );
+        drop(conn);
+        assert_eq!(reader.join().unwrap(), BYTES as u64);
     }
 }

@@ -25,6 +25,11 @@ compile_error!("odbgc-net's event loop is a poll(2) binding: it needs a Unix tar
 /// A file descriptor as the poll set carries it (`c_int`).
 pub type Fd = i32;
 
+/// How long either end of a connection busy-polls for readiness before
+/// it blocks in [`poll`]. A loopback round trip lands well inside it; an
+/// idle peer costs the waiting thread at most this much spinning.
+pub(crate) const BUSY_POLL_WINDOW: std::time::Duration = std::time::Duration::from_micros(50);
+
 /// Readable data available (or a peer hangup, which also reads as EOF).
 pub const POLLIN: i16 = 0x001;
 /// Writable without blocking.

@@ -17,8 +17,9 @@
 //!   each turn reports the collection time its loop spent since its
 //!   connection's previous turn reply as `gc_stall_ns`.
 //! * **Loop 0 alone polls the listener**, so accepting is
-//!   readiness-driven too — an idle server sleeps in `poll` indefinitely
-//!   instead of tick-polling `accept`. A connection stays on loop 0 until
+//!   readiness-driven too — an idle server sleeps in `poll` indefinitely,
+//!   after one busy-poll window, and only with a spare core, instead of
+//!   tick-polling `accept`. A connection stays on loop 0 until
 //!   its `Hello` names a session; then the whole connection (stream,
 //!   buffered bytes, the queued `HelloOk`) moves through the owning
 //!   loop's inbox and wake descriptor to the loop that owns
@@ -28,6 +29,13 @@
 //!   collection count and failure notice every owner publishes after
 //!   each collection drain. At drain each loop hands its shards back to
 //!   `run`.
+//! * **A loop busy-polls before it parks.** When the server has fewer
+//!   loops than the host has cores, a loop with nothing ready repeats a
+//!   zero-timeout `poll`, yielding between empty returns, for one short
+//!   fixed window before it blocks; a lockstep peer's next frame usually
+//!   lands inside it, so the turn costs neither end a sleep and a
+//!   wakeup. With no spare core the window is zero: a spinning loop
+//!   would take the core the thread it waits for needs.
 //!
 //! The lifecycle guarantees of the blocking server carry over exactly —
 //! the `serve_net` acceptance tests run unmodified:
@@ -55,8 +63,9 @@
 //!   at most `idle_timeout`.
 //!
 //! Per-loop counters (wakeups, frames, partial reads/writes, turns per
-//! wakeup) are reported in [`NetOutcome::loops`] and published by the
-//! CLI under the volatile `net_loops` telemetry key.
+//! wakeup, busy-poll hits, parks) are reported in [`NetOutcome::loops`]
+//! and published by the CLI under the volatile `net_loops` telemetry
+//! key.
 
 use std::io::{ErrorKind, Read};
 use std::net::TcpListener;
@@ -70,7 +79,9 @@ use odbgc_engine::{
 };
 
 use crate::conn::Connection;
-use crate::poll::{poll, Fd, PollFd, WakePipe, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
+use crate::poll::{
+    poll, Fd, PollFd, WakePipe, BUSY_POLL_WINDOW, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT,
+};
 use crate::proto::{
     frame_into, ClientCounters, ErrorCode, Request, Response, ShardStats, StatsSnapshot,
     FRAME_OVERHEAD, STATS_MAX_CLIENTS,
@@ -129,6 +140,12 @@ pub struct LoopStats {
     pub partial_writes: u64,
     /// Most `Ops` turns one wakeup applied back to back.
     pub max_queue_depth: u64,
+    /// Wakeups caught by a zero-timeout poll inside the busy-poll window:
+    /// each is a sleep and a wakeup the loop did not pay for.
+    pub busy_poll_hits: u64,
+    /// Blocking polls entered, each after an empty busy-poll window (or
+    /// at once, when the loop has no spare core to spin on).
+    pub parks: u64,
 }
 
 /// What a network serve run did, returned by [`NetServer::run`] after a
@@ -159,6 +176,9 @@ struct ShardProgress {
 struct Shared {
     window_max: u32,
     idle_timeout: Duration,
+    /// How long a loop busy-polls before it parks: [`busy_poll_window`]
+    /// of the loop count and the core count seen at bind.
+    busy_poll: Duration,
     draining: AtomicBool,
     clients: Mutex<Vec<ClientCounters>>,
     /// Indexed by shard.
@@ -230,9 +250,13 @@ impl NetServer {
             .collect::<Result<_, BindError>>()?;
         let listener = TcpListener::bind(addr).map_err(BindError::Io)?;
         listener.set_nonblocking(true).map_err(BindError::Io)?;
+        // Read once: `available_parallelism` reads cgroup files, far too
+        // slow to ask on every wait.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let shared = Shared {
             window_max: config.window_max,
             idle_timeout: config.idle_timeout,
+            busy_poll: busy_poll_window(loop_count, cores),
             draining: AtomicBool::new(false),
             clients: Mutex::new(Vec::new()),
             progress: (0..shard_count).map(|_| ShardProgress::default()).collect(),
@@ -348,6 +372,19 @@ fn raw_fd<T: std::os::unix::io::AsRawFd>(t: &T) -> Fd {
 /// Pause before retrying a `poll` that returned an error.
 const POLL_ERROR_BACKOFF: Duration = Duration::from_millis(1);
 
+/// The busy-poll window of `loops` loops on `cores` cores: a loop spins
+/// only when every loop can have a core of its own and one is still left
+/// over (for the clients, or the thread that wakes it). Spinning on a
+/// shared core steals it from the very thread that would make the loop's
+/// descriptors ready.
+fn busy_poll_window(loops: usize, cores: usize) -> Duration {
+    if loops < cores {
+        BUSY_POLL_WINDOW
+    } else {
+        Duration::ZERO
+    }
+}
+
 /// How long the listener stays out of the poll set after an `accept`
 /// failure such as `EMFILE`: the pending connection stays in the
 /// backlog, so polling it again at once would spin.
@@ -459,7 +496,7 @@ impl<'a> NetLoop<'a> {
             }
 
             let timeout_ms = self.poll_timeout_ms();
-            let ready = match poll(&mut fds, timeout_ms) {
+            let ready = match self.wait(&mut fds, timeout_ms) {
                 Ok(n) => n,
                 Err(_) => {
                     // A failing poll would spin; back off and retry
@@ -488,6 +525,30 @@ impl<'a> NetLoop<'a> {
             }
         }
         (self.stats, self.shards)
+    }
+
+    /// Polls `fds`: first busy-polls for the window — zero-timeout polls,
+    /// yielding the core between empty returns — then parks in a
+    /// blocking poll with `timeout_ms`. A lockstep client's next frame
+    /// follows its reply by about a loopback round trip, well inside the
+    /// window, so its turns cost the loop no sleep and no wakeup.
+    fn wait(&mut self, fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+        if !self.shared.busy_poll.is_zero() {
+            let until = Instant::now() + self.shared.busy_poll;
+            loop {
+                let ready = poll(fds, 0)?;
+                if ready > 0 {
+                    self.stats.busy_poll_hits += 1;
+                    return Ok(ready);
+                }
+                if Instant::now() >= until {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        self.stats.parks += 1;
+        poll(fds, timeout_ms)
     }
 
     /// Next poll timeout: the soonest of the connections' idle deadlines
@@ -936,6 +997,15 @@ mod tests {
             ..NetConfig::default()
         };
         assert_refused(config, "shards must be at least 1, got 0");
+    }
+
+    #[test]
+    fn a_loop_busy_polls_only_with_a_spare_core() {
+        assert_eq!(busy_poll_window(1, 2), BUSY_POLL_WINDOW);
+        assert_eq!(busy_poll_window(3, 8), BUSY_POLL_WINDOW);
+        assert_eq!(busy_poll_window(2, 2), Duration::ZERO);
+        assert_eq!(busy_poll_window(4, 2), Duration::ZERO);
+        assert_eq!(busy_poll_window(1, 1), Duration::ZERO);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!    drain through a 2-thread loop pool with zero acknowledged-op loss
 //!    and every close clean.
 //! 4. **Idle costs nothing** — 64 parked connections produce zero poll
-//!    timer ticks; the old accept/read sleep-polling is gone.
+//!    timer ticks; the old accept/read sleep-polling is gone. A loop that
+//!    busy-polls after a turn parks once the window passes.
 //! 5. **Unread replies are bounded** — a peer that pipelines requests
 //!    and never reads is no longer read from once its unflushed replies
 //!    pass a fixed bound; when it does read, every reply is there.
@@ -344,6 +345,50 @@ fn idle_connections_never_tick() {
             outcome.loops
         );
     }
+}
+
+/// (4b) Busy-polling stops: after a lockstep turn and 100 ms of
+/// silence the loop has parked in a blocking poll, and its spinning
+/// never surfaced as a timer tick.
+#[test]
+fn an_idle_loop_parks_after_busy_polling() {
+    let (addr, server) = spawn_server(net_config(1, 0));
+    let mut conn = Conn::connect(&addr).expect("connect");
+    match conn
+        .request(&Request::Hello {
+            session: 0,
+            window: 1,
+        })
+        .expect("hello")
+    {
+        Response::HelloOk { .. } => {}
+        other => panic!("want HelloOk, got {other:?}"),
+    }
+    let ops = SessionWorkload::new(0, WorkloadParams::default(), 8).next_turn(8);
+    match conn.request(&Request::Ops { ops }).expect("turn") {
+        Response::OpsOk { applied: 8, .. } => {}
+        other => panic!("want OpsOk for 8 ops, got {other:?}"),
+    }
+    match conn.request(&Request::Ack { n: 1 }).expect("ack") {
+        Response::AckOk { in_flight: 0 } => {}
+        other => panic!("want AckOk, got {other:?}"),
+    }
+
+    std::thread::sleep(Duration::from_millis(100));
+
+    match conn.request(&Request::Bye).expect("bye") {
+        Response::ByeOk => {}
+        other => panic!("want ByeOk, got {other:?}"),
+    }
+    shutdown(&addr);
+    let outcome = server.join().unwrap();
+    let stats = &outcome.loops[0];
+    // The silence is thousands of busy-poll windows, so the `Bye` after
+    // it must find the loop parked: a wakeup out of a blocking poll, not
+    // a busy-poll hit.
+    assert!(stats.parks >= 1, "the idle loop never parked: {stats:?}");
+    assert!(stats.busy_poll_hits < stats.wakeups, "{stats:?}");
+    assert_eq!(stats.timeouts, 0, "{stats:?}");
 }
 
 /// (5) A peer that writes requests and never reads its replies: once

@@ -2,67 +2,29 @@
 
 use odbgc_store::{ObjectId, PartitionId, Store};
 
-/// Reusable traversal buffers for survivor planning. Owned by the
-/// [`Collector`](crate::Collector) (one per collector, reused across
-/// collections) so a steady-state collection allocates nothing: the
-/// visited set lives in the store's per-object epoch marks, the root
-/// list lives here, and the survivor list doubles as the Cheney scan
-/// queue.
-#[derive(Debug, Default)]
-pub struct CollectScratch {
-    roots: Vec<ObjectId>,
-}
-
-impl CollectScratch {
-    /// Empty scratch buffers.
-    pub fn new() -> Self {
-        CollectScratch::default()
-    }
-}
-
 /// Computes the survivors of collecting partition `p` into `survivors`
 /// (cleared first), in Cheney copy order: a breadth-first traversal from
-/// the partition's collection roots (remembered external references plus
-/// resident global roots), following only pointers that stay inside `p`.
+/// the partition's collection roots (remembered external references,
+/// resident global roots and birth-pinned residents, in id order),
+/// following only pointers that stay inside `p`.
 ///
 /// The returned order is the compaction layout order — breadth-first
 /// copying groups parents with their children, which is what gives copying
 /// collection its reclustering benefit (§3.1).
 ///
-/// Visited objects are tracked by marking them in a fresh store visit
-/// epoch ([`Store::begin_visit_epoch`]) — no per-collection hash set.
-pub fn plan_survivors_into(
-    store: &mut Store,
-    p: PartitionId,
-    scratch: &mut CollectScratch,
-    survivors: &mut Vec<ObjectId>,
-) {
-    survivors.clear();
-    let epoch = store.begin_visit_epoch();
-    store.partition_roots_into(p, &mut scratch.roots);
-    for i in 0..scratch.roots.len() {
-        let r = scratch.roots[i];
-        debug_assert_eq!(store.partition_of(r), Ok(p), "root outside partition");
-        if store.try_mark(r, epoch) {
-            survivors.push(r);
-        }
-    }
-
-    // Cheney scan: survivors double as the scan queue, scanned in index
-    // order; children are appended as they are discovered.
-    let mut scan = 0;
-    while let Some(&cur) = survivors.get(scan) {
-        scan += 1;
-        store.mark_unvisited_children(cur, p, epoch, |target| survivors.push(target));
-    }
+/// This is the traversal of [`Store::collect`], stopped before the sweep:
+/// visited objects are marked in a fresh store visit epoch, and nothing
+/// else changes.
+pub fn plan_survivors_into(store: &mut Store, p: PartitionId, survivors: &mut Vec<ObjectId>) {
+    store.plan_collection(p, survivors);
 }
 
-/// Convenience wrapper around [`plan_survivors_into`] allocating fresh
-/// buffers. Tests and one-off callers; the replay loop reuses a
-/// [`CollectScratch`] through the [`Collector`](crate::Collector).
+/// Convenience wrapper around [`plan_survivors_into`] allocating a fresh
+/// buffer. Tests and one-off callers; the replay loop collects through
+/// the [`Collector`](crate::Collector), which reuses its buffer.
 pub fn plan_survivors(store: &mut Store, p: PartitionId) -> Vec<ObjectId> {
     let mut survivors = Vec::new();
-    plan_survivors_into(store, p, &mut CollectScratch::new(), &mut survivors);
+    plan_survivors_into(store, p, &mut survivors);
     survivors
 }
 
@@ -209,10 +171,9 @@ mod tests {
         replay(&mut s, &b.finish());
         let p = s.partition_of(root).unwrap();
 
-        let mut scratch = CollectScratch::new();
         let mut survivors = Vec::new();
         for _ in 0..3 {
-            plan_survivors_into(&mut s, p, &mut scratch, &mut survivors);
+            plan_survivors_into(&mut s, p, &mut survivors);
             assert_eq!(survivors, plan_survivors(&mut s, p));
         }
     }

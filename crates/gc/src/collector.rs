@@ -3,12 +3,12 @@
 use odbgc_sched::SchedTotals;
 use odbgc_store::{CollectionApplied, ObjectId, PartitionId, Store};
 
-use crate::cheney::{plan_survivors, plan_survivors_into, CollectScratch};
 use crate::parallel::plan_survivors_parallel;
 use crate::selection::Selector;
 
-/// Collects one specific partition: plans survivors by Cheney traversal
-/// from the partition's roots and applies the compaction to the store.
+/// Collects one specific partition with [`Store::collect`]: a Cheney
+/// traversal from the partition's roots, then the sweep and compaction,
+/// in one pass.
 ///
 /// ```
 /// use odbgc_gc::collect_partition;
@@ -32,26 +32,24 @@ use crate::selection::Selector;
 /// assert_eq!(store.garbage_bytes(), 0);
 /// ```
 pub fn collect_partition(store: &mut Store, p: PartitionId) -> CollectionApplied {
-    let survivors = plan_survivors(store, p);
-    store.apply_collection(p, &survivors)
+    store.collect(p, &mut Vec::new())
 }
 
 /// A collector bound to a partition-selection policy.
 ///
-/// Owns the reusable planning buffers ([`CollectScratch`] plus the
-/// survivor list), and selection reads the store's per-partition
-/// counters through a borrowed iterator, so steady-state collections
-/// through [`Collector::collect_once`] allocate nothing on the
-/// single-worker path.
+/// Owns the reusable survivor list, and selection reads the store's
+/// per-partition counters through a borrowed iterator, so steady-state
+/// collections through [`Collector::collect_once`] allocate nothing on
+/// the single-worker path, which is one [`Store::collect`].
 ///
 /// With [`Collector::with_workers`] above 1 the collector plans
 /// survivors with [`plan_survivors_parallel`]: each BFS level is traced
-/// in chunks on a scoped-thread crew (`odbgc-sched`). Store effects are
-/// byte-identical at any worker count; only the volatile crew totals
-/// ([`Collector::sched_totals`]) vary.
+/// in chunks on a scoped-thread crew (`odbgc-sched`), and
+/// [`Store::apply_collection`] validates and applies the plan. Store
+/// effects are byte-identical at any worker count; only the volatile
+/// crew totals ([`Collector::sched_totals`]) vary.
 pub struct Collector {
     selector: Selector,
-    scratch: CollectScratch,
     survivors: Vec<ObjectId>,
     workers: usize,
     totals: SchedTotals,
@@ -78,7 +76,6 @@ impl Collector {
     pub fn with_workers(selector: Selector, workers: usize) -> Self {
         Collector {
             selector,
-            scratch: CollectScratch::new(),
             survivors: Vec::new(),
             workers: workers.max(1),
             totals: SchedTotals::default(),
@@ -90,16 +87,15 @@ impl Collector {
     pub fn collect_once(&mut self, store: &mut Store) -> Option<CollectionApplied> {
         let p = self.selector.select(store.partition_snapshots())?;
         if self.workers == 1 {
-            plan_survivors_into(store, p, &mut self.scratch, &mut self.survivors);
-        } else {
-            plan_survivors_parallel(
-                store,
-                p,
-                self.workers,
-                &mut self.survivors,
-                &mut self.totals,
-            );
+            return Some(store.collect(p, &mut self.survivors));
         }
+        plan_survivors_parallel(
+            store,
+            p,
+            self.workers,
+            &mut self.survivors,
+            &mut self.totals,
+        );
         Some(store.apply_collection(p, &self.survivors))
     }
 

@@ -24,7 +24,7 @@ pub mod collector;
 pub mod parallel;
 pub mod selection;
 
-pub use cheney::{plan_survivors, plan_survivors_into, CollectScratch};
+pub use cheney::{plan_survivors, plan_survivors_into};
 pub use collector::{collect_partition, Collector};
 pub use odbgc_sched::SchedTotals;
 pub use parallel::plan_survivors_parallel;

@@ -25,7 +25,8 @@
 //! By induction over levels the two planners mark the same objects in
 //! the same order, at any worker count and whichever worker ran which
 //! chunk. The planned survivors are then applied by
-//! [`Store::apply_collection`], exactly as on the sequential path.
+//! [`Store::apply_collection`], which validates a plan it did not make;
+//! the sequential path plans and applies in one [`Store::collect`].
 
 use odbgc_sched::{run_chunks, SchedTotals};
 use odbgc_store::{ObjectId, PartitionId, Store};

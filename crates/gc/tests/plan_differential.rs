@@ -11,7 +11,7 @@ use std::collections::{HashSet, VecDeque};
 
 use proptest::prelude::*;
 
-use odbgc_gc::{plan_survivors_into, CollectScratch};
+use odbgc_gc::plan_survivors_into;
 use odbgc_store::{PartitionId, Store, StoreConfig};
 use odbgc_trace::synthetic::{churn, ChurnConfig};
 use odbgc_trace::ObjectId;
@@ -58,14 +58,13 @@ proptest! {
         for ev in trace.iter() {
             store.apply(ev).expect("valid");
         }
-        // One shared scratch across all partitions: reuse must not leak
+        // One shared buffer across all partitions: reuse must not leak
         // state from one plan into the next.
-        let mut scratch = CollectScratch::new();
         let mut plan = Vec::new();
         for p in 0..store.partition_count() as u32 {
             let p = PartitionId::new(p);
             let expected = oracle_plan(&store, p);
-            plan_survivors_into(&mut store, p, &mut scratch, &mut plan);
+            plan_survivors_into(&mut store, p, &mut plan);
             prop_assert_eq!(&plan, &expected, "plan diverges for {:?}", p);
         }
     }

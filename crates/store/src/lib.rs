@@ -40,7 +40,6 @@ pub mod ids;
 pub mod io;
 pub mod object;
 pub mod partition;
-mod radix;
 pub mod remset;
 #[allow(clippy::module_inception)]
 pub mod store;

@@ -7,28 +7,50 @@ use crate::ids::PartitionId;
 /// A pointer slot packed into 8 bytes. `Option<ObjectId>` is 16 bytes
 /// (a raw `u64` id has no niche), which doubles the slot arena's memory
 /// traffic for no information: ids are dense indexes into the object
-/// table, so `u64::MAX` can never be a real id and serves as the null
-/// encoding.
+/// table, which the store keeps below 2³², so `u64::MAX` can never be a
+/// real id and serves as the null encoding, and bit 63 is free to say
+/// the target lives in another partition than the holder (FAR).
+///
+/// An object never leaves its partition, so the FAR bit set when the
+/// pointer is stored stays true for as long as the slot holds it, and a
+/// collection can skip a far slot without reading its target's table
+/// entry. Null has the FAR bit set too, so one bit test finds the slots
+/// whose target is local.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PackedSlot(u64);
 
 impl PackedSlot {
-    const NONE: u64 = u64::MAX;
+    const FAR: u64 = 1 << 63;
+    pub(crate) const NULL: PackedSlot = PackedSlot(u64::MAX);
 
+    /// A slot pointing at `id`, which lives in another partition than
+    /// the holder iff `far`.
     #[inline]
-    pub(crate) fn pack(v: Option<ObjectId>) -> Self {
-        match v {
-            Some(id) => {
-                debug_assert_ne!(id.raw(), Self::NONE, "id collides with the null sentinel");
-                PackedSlot(id.raw())
-            }
-            None => PackedSlot(Self::NONE),
-        }
+    pub(crate) fn to(id: ObjectId, far: bool) -> Self {
+        debug_assert!(
+            id.raw() < u64::from(u32::MAX),
+            "id {id} past the table's u32 range"
+        );
+        PackedSlot(id.raw() | if far { Self::FAR } else { 0 })
     }
 
+    /// The target, far or local.
     #[inline]
     pub(crate) fn get(self) -> Option<ObjectId> {
-        (self.0 != Self::NONE).then(|| ObjectId::new(self.0))
+        (self != Self::NULL).then_some(ObjectId::new(self.0 & !Self::FAR))
+    }
+
+    /// The target if it lives in the holder's partition.
+    #[inline]
+    pub(crate) fn local(self) -> Option<ObjectId> {
+        (self.0 & Self::FAR == 0).then_some(ObjectId::new(self.0))
+    }
+
+    /// The target if it lives in another partition than the holder.
+    #[inline]
+    pub(crate) fn far(self) -> Option<ObjectId> {
+        (self.0 & Self::FAR != 0 && self != Self::NULL)
+            .then_some(ObjectId::new(self.0 & !Self::FAR))
     }
 }
 
@@ -172,6 +194,23 @@ mod tests {
         // detector's note must not grow its entries.
         assert_eq!(std::mem::size_of::<ObjectInfo>(), 32);
         assert_eq!(std::mem::size_of::<Option<ObjectInfo>>(), 32);
+    }
+
+    #[test]
+    fn packed_slot_keeps_the_far_bit_out_of_the_id() {
+        let id = ObjectId::new(u64::from(u32::MAX) - 1);
+        let far = PackedSlot::to(id, true);
+        assert_eq!(
+            (far.get(), far.far(), far.local()),
+            (Some(id), Some(id), None)
+        );
+        let local = PackedSlot::to(id, false);
+        assert_eq!(
+            (local.get(), local.far(), local.local()),
+            (Some(id), None, Some(id))
+        );
+        let null = PackedSlot::NULL;
+        assert_eq!((null.get(), null.far(), null.local()), (None, None, None));
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::ids::{PageKey, PartitionId};
 use crate::io::{IoClass, IoLedger};
 use crate::object::{CycleState, ObjState, ObjectInfo, PackedSlot};
 use crate::partition::Partition;
-use crate::radix;
 use crate::remset::RemSets;
 use crate::tracker::GarbageLedger;
 
@@ -290,43 +289,12 @@ impl Store {
         }
     }
 
-    /// For every non-null slot target of `cur` that resides in partition
-    /// `p` and is not yet marked in `epoch`: marks it and calls `f` with
-    /// it, in slot order. The single-lookup equivalent of the old
-    /// "partition check + visited-set insert" Cheney step.
-    pub fn mark_unvisited_children(
-        &mut self,
-        cur: ObjectId,
-        p: PartitionId,
-        epoch: u32,
-        mut f: impl FnMut(ObjectId),
-    ) {
-        let range = self
-            .objects
-            .get(cur.raw() as usize)
-            .and_then(|s| s.as_ref())
-            .expect("resident object")
-            .slot_range();
-        for i in range {
-            let Some(t) = self.slot_arena[i].get() else {
-                continue;
-            };
-            match self.objects.get_mut(t.raw() as usize) {
-                Some(Some(info)) if info.partition == p && info.mark_epoch != epoch => {
-                    info.mark_epoch = epoch;
-                    f(t);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// For every non-null slot target of `cur` that resides in partition
-    /// `p` and is not marked in `epoch`: calls `f` with it, in slot
-    /// order. The read-only sibling of
-    /// [`Store::mark_unvisited_children`]: it *never writes marks*, so
-    /// collector workers sharing `&Store` and tracing different parents
-    /// cannot race; the caller marks (and dedups) the emitted candidates
+    /// For every slot target of `cur`, a resident of partition `p`, that
+    /// also resides in `p` and is not marked in `epoch`: calls `f` with
+    /// it, in slot order. Far slots are skipped without reading their
+    /// target's table entry. It *never writes marks*, so collector
+    /// workers sharing `&Store` and tracing different parents cannot
+    /// race; the caller marks (and dedups) the emitted candidates
     /// afterwards, in canonical order.
     pub fn for_each_unmarked_child_in(
         &self,
@@ -335,17 +303,17 @@ impl Store {
         epoch: u32,
         mut f: impl FnMut(ObjectId),
     ) {
-        let range = self.objects[cur.raw() as usize]
+        let info = self.objects[cur.raw() as usize]
             .as_ref()
-            .expect("resident object")
-            .slot_range();
-        for i in range {
-            let Some(t) = self.slot_arena[i].get() else {
-                continue;
-            };
-            match self.objects.get(t.raw() as usize) {
-                Some(Some(info)) if info.partition == p && info.mark_epoch != epoch => f(t),
-                _ => {}
+            .expect("resident object");
+        debug_assert_eq!(info.partition, p, "{cur} is not resident in {p}");
+        for slot in &self.slot_arena[info.slot_range()] {
+            let Some(t) = slot.local() else { continue };
+            let info = self.objects[t.raw() as usize]
+                .as_ref()
+                .expect("slot target exists");
+            if info.mark_epoch != epoch {
+                f(t);
             }
         }
     }
@@ -595,8 +563,12 @@ impl Store {
         }
         let slots_start =
             u32::try_from(self.slot_arena.len()).expect("slot arena exceeds u32 range");
-        self.slot_arena
-            .extend(slots.iter().map(|s| PackedSlot::pack(*s)));
+        // Stored local; the pointer stores below mark the far ones.
+        self.slot_arena.extend(
+            slots
+                .iter()
+                .map(|s| s.map_or(PackedSlot::NULL, |t| PackedSlot::to(t, false))),
+        );
         self.objects[idx] = Some(ObjectInfo::new(
             size,
             partition,
@@ -612,14 +584,18 @@ impl Store {
         self.present_objects += 1;
         self.alloc_clock += u64::from(size);
 
-        // Initial pointer stores: count references and remember
-        // cross-partition edges, but these are not overwrites.
+        // Initial pointer stores: count references, remember
+        // cross-partition edges and mark their slots far, but these are
+        // not overwrites.
         for (i, target) in slots.iter().enumerate() {
             if let Some(t) = target {
                 // The holder is the newborn itself: pinned, not anchored.
                 let tp = self.incr_ref(*t, false);
                 self.remsets
                     .insert(id, SlotIdx::new(i as u32), partition, *t, tp);
+                if tp != partition {
+                    self.slot_arena[slots_start as usize + i] = PackedSlot::to(*t, true);
+                }
             }
         }
 
@@ -655,18 +631,18 @@ impl Store {
         // not two), and installing the new reference before the old one
         // is released means a self-assignment never sees a transient
         // zero refcount. Nothing has been mutated yet if this errors.
-        let new_partition = match new {
+        let (new_partition, packed) = match new {
             Some(n) => {
                 let np = self.incr_ref_checked(n, src_anchored)?;
                 self.remsets.insert(src, slot, src_partition, n, np);
-                Some(np)
+                (Some(np), PackedSlot::to(n, np != src_partition))
             }
-            None => None,
+            None => (None, PackedSlot::NULL),
         };
 
         // The slot write hits the object header page.
         self.touch_extent(src_partition, src_offset, 1, true, IoClass::App);
-        self.slot_arena[arena_idx] = PackedSlot::pack(new);
+        self.slot_arena[arena_idx] = packed;
 
         let mut outcome = ApplyOutcome::default();
         match self.config.overwrite_semantics {
@@ -840,29 +816,29 @@ impl Store {
         &self.partitions[p.index()].residents
     }
 
-    /// Collection roots for partition `p`: external (remembered)
-    /// references into `p` plus global roots resident in `p`.
+    /// Collection roots for partition `p`, sorted and distinct: external
+    /// (remembered) references into `p`, global roots resident in `p`,
+    /// and birth-pinned residents of `p`, which application registers
+    /// hold. The reference a collection is checked against;
+    /// [`Store::collect`] selects the same roots by marking them.
     pub fn partition_roots(&self, p: PartitionId) -> Vec<ObjectId> {
         let mut roots = Vec::new();
-        self.partition_roots_into(p, &mut roots);
+        self.gather_root_entries(p, &mut roots);
+        roots.sort_unstable();
+        roots.dedup();
         roots
     }
 
-    /// Allocation-free variant of [`Store::partition_roots`]: fills `out`
-    /// (cleared first) with the sorted, deduped collection roots of `p`.
-    /// O(roots-in-p): the global-root and birth-pin components come from
-    /// per-partition indexes maintained on root add/remove and pin drop,
-    /// not from scans of all roots and all residents, and the order
-    /// comes from a radix sort, not a comparison sort. `out` keeps its
-    /// capacity, so a reused buffer allocates nothing in steady state.
-    pub fn partition_roots_into(&self, p: PartitionId, out: &mut Vec<ObjectId>) {
-        out.clear();
+    /// Appends one entry per collection root reference of `p` to `out`:
+    /// every remembered entry into `p`, every resident global root and
+    /// every birth-pinned resident. A root held from several places
+    /// appears once per holder. O(roots-in-p): each component comes from
+    /// an index maintained incrementally.
+    fn gather_root_entries(&self, p: PartitionId, out: &mut Vec<ObjectId>) {
         self.remsets.external_targets_into(p, out);
         let part = &self.partitions[p.index()];
         out.extend_from_slice(&part.root_residents);
-        // Birth-pinned residents are held by application registers.
         out.extend_from_slice(&part.pinned_residents);
-        radix::sort_dedup(out);
     }
 
     /// Per-partition facts for selection policies, in id order, read
@@ -1099,7 +1075,9 @@ impl Store {
     /// Checked invariants:
     /// 1. every cross-partition pointer from a present object has exactly
     ///    one remembered-set entry, keyed by its slot and naming its
-    ///    target, and every entry matches a real slot;
+    ///    target, and every entry matches a real slot; a non-null slot's
+    ///    FAR bit is set exactly when its target's partition differs from
+    ///    its holder's;
     /// 2. every root is live, and every reference count equals
     ///    live-holder references + root pin + birth pin;
     /// 3. partition live/garbage byte tallies and the residents lists
@@ -1133,6 +1111,14 @@ impl Store {
                     .map_err(|e| format!("{src} slot {i} dangles: {e}"))?;
                 if !tinfo.is_present() {
                     return Err(format!("{src} slot {i} references destroyed {t}"));
+                }
+                if target.far().is_some() != (tinfo.partition != info.partition) {
+                    return Err(format!(
+                        "{src} slot {i} -> {t}: FAR bit {} with {src} in {} and {t} in {}",
+                        u8::from(target.far().is_some()),
+                        info.partition,
+                        tinfo.partition
+                    ));
                 }
                 if tinfo.partition != info.partition {
                     expected_entries += 1;
@@ -1243,10 +1229,10 @@ impl Store {
         }
 
         // -- per-partition root & pin indexes -------------------------------
-        // The indexes partition_roots_into reads must equal a from-scratch
-        // derivation: root_residents[p] is exactly the objects homed in p
-        // whose root flag is set, and pinned_residents[p] is exactly the
-        // birth-pinned residents.
+        // The indexes a collection gathers its roots from must equal a
+        // from-scratch derivation: root_residents[p] is exactly the
+        // objects homed in p whose root flag is set, and
+        // pinned_residents[p] is exactly the birth-pinned residents.
         let mut expected_roots: Vec<Vec<ObjectId>> = vec![Vec::new(); self.partitions.len()];
         for r in self.roots() {
             let info = self.info(r).expect("a root flag is set on a table entry");
@@ -1434,12 +1420,132 @@ impl Store {
     // Collection application
     // ------------------------------------------------------------------
 
-    /// Applies a collection of partition `p`: every resident *not* in
-    /// `survivors` is physically destroyed, the survivors are compacted in
-    /// the given order, the partition's overwrite counter resets, its
-    /// buffered pages are invalidated, and the collector is charged page
-    /// reads for the previously occupied extent plus writes for the
-    /// compacted extent.
+    /// Collects partition `p` (CWZ94, §3.1 of the paper) in one pass
+    /// under one visit epoch, leaving the survivors in `survivors`
+    /// (cleared first) in Cheney copy order. The pass marks `p`'s
+    /// collection roots, copies what they reach without leaving `p`
+    /// breadth-first, then destroys every unmarked resident and compacts
+    /// the survivors in copy order — the effects and the result of
+    /// [`Store::apply_collection`] with that survivor list, without
+    /// marking the survivors a second time.
+    ///
+    /// Copy order starts from the distinct roots in id order; each
+    /// survivor's local children follow in slot order. Breadth-first
+    /// copying groups parents with their children, which is what gives
+    /// copying collection its reclustering benefit. Pointers leaving `p`
+    /// are not traversed, and far slots are skipped without reading their
+    /// target's table entry. `survivors` keeps its capacity, so a reused
+    /// buffer allocates nothing in steady state.
+    ///
+    /// ```
+    /// use odbgc_store::{Store, StoreConfig};
+    /// use odbgc_trace::{SlotIdx, TraceBuilder};
+    ///
+    /// let mut b = TraceBuilder::new();
+    /// let root = b.create_unlinked(32, 1);
+    /// b.root_add(root);
+    /// let dead = b.create_unlinked(100, 0);
+    /// b.slot_write(root, SlotIdx::new(0), Some(dead));
+    /// b.slot_clear(root, SlotIdx::new(0));
+    ///
+    /// let mut store = Store::new(StoreConfig::tiny());
+    /// for ev in b.finish().iter() {
+    ///     store.apply(ev).unwrap();
+    /// }
+    /// let p = store.partition_of(root).unwrap();
+    /// let mut survivors = Vec::new();
+    /// let outcome = store.collect(p, &mut survivors);
+    /// assert_eq!(survivors, [root]);
+    /// assert_eq!(outcome.bytes_reclaimed, 100);
+    /// assert_eq!(store.garbage_bytes(), 0);
+    /// ```
+    pub fn collect(&mut self, p: PartitionId, survivors: &mut Vec<ObjectId>) -> CollectionApplied {
+        let epoch = self.trace_survivors(p, survivors);
+        self.sweep_and_compact(p, survivors, epoch)
+    }
+
+    /// The survivors [`Store::collect`] would keep of `p`, in its copy
+    /// order, written to `survivors` (cleared first). Collects nothing:
+    /// only visit marks change.
+    pub fn plan_collection(&mut self, p: PartitionId, survivors: &mut Vec<ObjectId>) {
+        self.trace_survivors(p, survivors);
+    }
+
+    /// The traversal of [`Store::collect`]: fills `survivors` and marks
+    /// exactly them in a fresh epoch, which it returns.
+    fn trace_survivors(&mut self, p: PartitionId, survivors: &mut Vec<ObjectId>) -> u32 {
+        let epoch = self.begin_visit_epoch();
+        // Mark every root entry as it is read: the mark is the dedup. The
+        // doomed buffer is free until the sweep.
+        let mut entries = std::mem::take(&mut self.doomed_scratch);
+        entries.clear();
+        self.gather_root_entries(p, &mut entries);
+        let mut distinct = 0usize;
+        for &r in &entries {
+            let info = self.objects[r.raw() as usize]
+                .as_mut()
+                .expect("collection root exists");
+            distinct += usize::from(info.mark_epoch != epoch);
+            info.mark_epoch = epoch;
+        }
+        self.doomed_scratch = entries;
+
+        // The marked residents are the distinct roots. In layout order a
+        // compacted partition is a few ascending runs of ids, which the
+        // run-adaptive stable sort merges.
+        survivors.clear();
+        let objects = &self.objects;
+        survivors.extend(
+            self.partitions[p.index()]
+                .residents
+                .iter()
+                .copied()
+                .filter(|r| {
+                    objects[r.raw() as usize]
+                        .as_ref()
+                        .expect("resident exists")
+                        .mark_epoch
+                        == epoch
+                }),
+        );
+        assert_eq!(
+            survivors.len(),
+            distinct,
+            "a collection root of {p} is not resident in it"
+        );
+        survivors.sort();
+
+        // Cheney scan: survivors double as the scan queue, scanned in
+        // index order; local children are appended as they are marked.
+        let mut scan = 0;
+        while let Some(&cur) = survivors.get(scan) {
+            scan += 1;
+            let range = self.objects[cur.raw() as usize]
+                .as_ref()
+                .expect("survivor exists")
+                .slot_range();
+            for slot in &self.slot_arena[range] {
+                let Some(t) = slot.local() else { continue };
+                let info = self.objects[t.raw() as usize]
+                    .as_mut()
+                    .expect("slot target exists");
+                if info.mark_epoch != epoch {
+                    info.mark_epoch = epoch;
+                    survivors.push(t);
+                }
+            }
+        }
+        epoch
+    }
+
+    /// Applies a collection of partition `p` whose survivors were planned
+    /// elsewhere: every resident *not* in `survivors` is physically
+    /// destroyed, the survivors are compacted in the given order, the
+    /// partition's overwrite counter resets, its buffered pages are
+    /// invalidated, and the collector is charged page reads for the
+    /// previously occupied extent plus writes for the compacted extent.
+    /// [`Store::collect`] plans and applies in one pass; this entry
+    /// validates a plan it did not make.
     ///
     /// `survivors` must be a duplicate-free subset of `p`'s residents (in
     /// the copy order the collector chose) that includes every collection
@@ -1493,8 +1599,8 @@ impl Store {
         })
     }
 
-    /// The body of [`Store::apply_collection`] once the survivors are
-    /// marked in `epoch`.
+    /// The body of [`Store::collect`] and [`Store::apply_collection`]
+    /// once exactly the survivors are marked in `epoch`.
     fn sweep_and_compact(
         &mut self,
         p: PartitionId,
@@ -1551,20 +1657,18 @@ impl Store {
             let slots_start = info.slots_start as usize;
             let range = info.slot_range();
             // Forget the doomed object's outgoing remembered entries.
-            // Intra-partition targets were never remembered (and may be
-            // fellow doomed objects already destroyed this collection);
-            // cross-partition targets are necessarily still present.
+            // Local targets were never remembered (and may be fellow
+            // doomed objects already destroyed this collection), so
+            // their table entries are not read; far targets are
+            // necessarily still present.
             for i in range {
-                if let Some(t) = self.slot_arena[i].get() {
+                if let Some(t) = self.slot_arena[i].far() {
                     let tinfo = self.objects[t.raw() as usize]
                         .as_ref()
                         .expect("slot target exists");
-                    let tp = tinfo.partition;
-                    if tp != p {
-                        debug_assert!(tinfo.is_present(), "doomed object references destroyed {t}");
-                        self.remsets
-                            .remove(d, SlotIdx::new((i - slots_start) as u32), tp);
-                    }
+                    debug_assert!(tinfo.is_present(), "doomed object references destroyed {t}");
+                    self.remsets
+                        .remove(d, SlotIdx::new((i - slots_start) as u32), tinfo.partition);
                 }
             }
             let info = self.objects[d.raw() as usize]
@@ -1992,6 +2096,111 @@ mod tests {
     fn collection_that_drops_a_root_panics_in_debug_builds() {
         let (mut s, p) = roots_of_each_kind();
         s.apply_collection(p, &[ObjectId::new(3), ObjectId::new(4)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a collection root of P1 is not resident in it")]
+    fn collect_refuses_a_root_outside_its_partition() {
+        let (mut s, p) = roots_of_each_kind();
+        // A stray entry in P1's root index naming o0, homed in P0.
+        s.partitions[p.index()]
+            .root_residents
+            .push(ObjectId::new(0));
+        s.collect(p, &mut Vec::new());
+    }
+
+    /// Slot `i` of `id` as packed, FAR bit and all.
+    fn raw_slot(s: &Store, id: ObjectId, i: usize) -> PackedSlot {
+        s.slot_arena[s.info(id).unwrap().slots_start as usize + i]
+    }
+
+    /// `a` (a root with two slots) and `fill` in P0; `b`, created
+    /// pointing at `a`, and `c`, created pointing at `b`, in P1; then
+    /// `a`'s slots are written to point at `b` and `fill`.
+    fn far_and_local_slots() -> (Store, [ObjectId; 4]) {
+        let mut s = tiny();
+        let mut t = TraceBuilder::new();
+        let a = t.create_unlinked(10, 2);
+        t.root_add(a);
+        let fill = t.create_unlinked(240, 0);
+        let b = t.create(50, vec![Some(a)]);
+        let c = t.create(50, vec![Some(b)]);
+        t.slot_write(a, SlotIdx::new(0), Some(b));
+        t.slot_write(a, SlotIdx::new(1), Some(fill));
+        replay(&mut s, &t.finish());
+        let homes: Vec<u32> = [a, fill, b, c]
+            .iter()
+            .map(|&o| s.partition_of(o).unwrap().raw())
+            .collect();
+        assert_eq!(homes, [0, 0, 1, 1]);
+        s.assert_consistent();
+        (s, [a, fill, b, c])
+    }
+
+    #[test]
+    fn cross_partition_create_and_write_set_the_far_bit() {
+        let (s, [a, fill, b, c]) = far_and_local_slots();
+        assert_eq!(raw_slot(&s, b, 0).far(), Some(a), "created across");
+        assert_eq!(raw_slot(&s, c, 0).local(), Some(b), "created within");
+        assert_eq!(raw_slot(&s, a, 0).far(), Some(b), "written across");
+        assert_eq!(raw_slot(&s, a, 1).local(), Some(fill), "written within");
+    }
+
+    #[test]
+    fn intra_partition_write_and_clear_reset_the_far_bit() {
+        let (mut s, [a, fill, b, _]) = far_and_local_slots();
+        let write = |s: &mut Store, slot, new| {
+            s.apply(&Event::SlotWrite {
+                src: a,
+                slot: SlotIdx::new(slot),
+                new,
+            })
+            .unwrap();
+        };
+        write(&mut s, 0, Some(fill));
+        assert_eq!(raw_slot(&s, a, 0).local(), Some(fill));
+        assert_eq!(raw_slot(&s, a, 0).far(), None);
+        write(&mut s, 1, Some(b));
+        assert_eq!(raw_slot(&s, a, 1).far(), Some(b));
+        write(&mut s, 1, None);
+        assert_eq!(raw_slot(&s, a, 1), PackedSlot::NULL);
+        assert_eq!(raw_slot(&s, a, 1).far(), None);
+        assert_eq!(raw_slot(&s, a, 1).local(), None);
+        s.assert_consistent();
+    }
+
+    #[test]
+    fn readers_see_plain_ids_through_far_slots() {
+        let (mut s, [a, fill, b, c]) = far_and_local_slots();
+        assert_eq!(
+            s.slots_of(a).unwrap().collect::<Vec<_>>(),
+            [Some(b), Some(fill)]
+        );
+        let reach = s.compute_reachable();
+        assert!([a, fill, b, c].iter().all(|&o| reach.contains(o)));
+        // `a` and `b` hold each other across the partition boundary: once
+        // `a` is no root and `c` lets go of `b`, only the reconcile sees
+        // that they, and `fill`, are dead.
+        s.apply(&Event::RootRemove { id: a }).unwrap();
+        s.apply(&Event::SlotWrite {
+            src: c,
+            slot: SlotIdx::new(0),
+            new: None,
+        })
+        .unwrap();
+        assert_eq!(s.garbage_bytes(), 0);
+        assert_eq!(s.recompute_garbage_exact(), 10 + 240 + 50);
+        s.assert_garbage_exact();
+        s.assert_consistent();
+    }
+
+    #[test]
+    fn audit_reports_a_wrong_far_bit() {
+        let (mut s, [a, _, b, _]) = far_and_local_slots();
+        let i = s.info(a).unwrap().slots_start as usize;
+        s.slot_arena[i] = PackedSlot::to(b, false);
+        let err = s.check_consistency().unwrap_err();
+        assert_eq!(err, "o0 slot 0 -> o2: FAR bit 0 with o0 in P0 and o2 in P1");
     }
 
     #[test]

@@ -10,7 +10,6 @@ use odbgc_engine::{
     apply_ops, EngineConfig, SessionId, SessionObjects, SessionWorkload, StoreEngine,
     WorkloadParams,
 };
-use odbgc_gc::{collect_partition, plan_survivors};
 use odbgc_store::{PartitionId, Store, StoreConfig};
 use odbgc_trace::{SlotIdx, TraceBuilder};
 
@@ -74,11 +73,18 @@ fn bench_collector(c: &mut Criterion) {
     for &n in &[100usize, 1000] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let mut store = loaded_store(n, 0.3);
-            b.iter(|| black_box(plan_survivors(&mut store, PartitionId::new(0))))
+            b.iter(|| {
+                let mut survivors = Vec::new();
+                store.plan_collection(PartitionId::new(0), &mut survivors);
+                black_box(survivors)
+            })
         });
     }
     group.finish();
 
+    // Each collected store is parked here and dropped by the next setup,
+    // so freeing its tables is not timed.
+    let spent: RefCell<Option<Store>> = RefCell::new(None);
     let mut group = c.benchmark_group("collect_partition");
     for &ratio in &[0.0, 0.3, 0.9] {
         group.bench_with_input(
@@ -86,17 +92,20 @@ fn bench_collector(c: &mut Criterion) {
             &ratio,
             |b, &ratio| {
                 b.iter_batched(
-                    || loaded_store(500, ratio),
-                    |mut store| black_box(collect_partition(&mut store, PartitionId::new(0))),
+                    || {
+                        spent.take();
+                        loaded_store(500, ratio)
+                    },
+                    |mut store| {
+                        black_box(store.collect(PartitionId::new(0), &mut Vec::new()));
+                        spent.replace(Some(store));
+                    },
                     criterion::BatchSize::SmallInput,
                 )
             },
         );
     }
     let (served, p) = served_store();
-    // The collected store is parked here and dropped by the next setup,
-    // so freeing its tables is not timed.
-    let spent: RefCell<Option<Store>> = RefCell::new(None);
     group.bench_function("served", |b| {
         b.iter_batched(
             || {
@@ -104,7 +113,7 @@ fn bench_collector(c: &mut Criterion) {
                 served.clone()
             },
             |mut store| {
-                black_box(collect_partition(&mut store, p));
+                black_box(store.collect(p, &mut Vec::new()));
                 spent.replace(Some(store));
             },
             criterion::BatchSize::LargeInput,

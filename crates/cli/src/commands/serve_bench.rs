@@ -122,7 +122,7 @@ pub(crate) fn write_shard_telemetry(
         if let Json::Obj(fields) = &mut doc {
             fields.extend_from_slice(extra);
         }
-        let shard_path = shard_telemetry_path(path, i, shards.len());
+        let shard_path = shard_telemetry_path(path, i);
         std::fs::write(&shard_path, doc.to_string_pretty())
             .map_err(|e| CliError(format!("cannot write {shard_path:?}: {e}")))?;
         out.push_str(&format!("\nshard {i} telemetry written to {shard_path}"));
@@ -130,13 +130,10 @@ pub(crate) fn write_shard_telemetry(
     Ok(())
 }
 
-/// The telemetry file of one shard: the given path verbatim for a
-/// single-shard run, otherwise `name-shardN[.ext]` in the same directory
-/// (a dot in a directory name is not an extension).
-fn shard_telemetry_path(path: &str, shard: usize, shard_count: usize) -> String {
-    if shard_count == 1 {
-        return path.to_owned();
-    }
+/// The telemetry file of one shard, at any shard count:
+/// `name-shardN[.ext]` in the same directory (a dot in a directory name
+/// is not an extension).
+fn shard_telemetry_path(path: &str, shard: usize) -> String {
     let path = Path::new(path);
     let mut name = path.file_stem().unwrap_or_default().to_os_string();
     name.push(format!("-shard{shard}"));
@@ -190,18 +187,16 @@ mod tests {
     #[test]
     fn shard_suffix_goes_on_the_file_name_not_a_dotted_directory() {
         assert_eq!(
-            shard_telemetry_path("/tmp/run.d/serve", 0, 2),
+            shard_telemetry_path("/tmp/run.d/serve", 0),
             "/tmp/run.d/serve-shard0"
         );
         assert_eq!(
-            shard_telemetry_path("out.d/serve.json", 1, 2),
+            shard_telemetry_path("out.d/serve.json", 1),
             "out.d/serve-shard1.json"
         );
-        assert_eq!(
-            shard_telemetry_path("serve.json", 1, 2),
-            "serve-shard1.json"
-        );
-        assert_eq!(shard_telemetry_path("run.d/serve", 0, 1), "run.d/serve");
+        assert_eq!(shard_telemetry_path("serve.json", 1), "serve-shard1.json");
+        // One shard takes the suffix too.
+        assert_eq!(shard_telemetry_path("run.d/serve", 0), "run.d/serve-shard0");
     }
 
     #[test]

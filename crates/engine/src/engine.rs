@@ -240,7 +240,6 @@ impl<P: RatePolicy> StoreEngine<P> {
         self.trigger = self.policy.after_collection(&obs);
         if let Some(log) = log {
             log.note_decision(DecisionRecord {
-                index: obs.collection_index,
                 observation: obs,
                 trigger: self.trigger,
                 clamp: self.policy.last_clamp(),
@@ -424,7 +423,11 @@ mod tests {
         let logged = run(Some(&mut log));
         assert!(logged.collection_count() > 0, "rate-4 policy collects");
         assert_eq!(log.decisions.len() as u64, logged.collection_count());
-        assert!(log.decisions.iter().zip(0..).all(|(d, i)| d.index == i));
+        assert!(log
+            .decisions
+            .iter()
+            .zip(0..)
+            .all(|(d, i)| d.observation.collection_index == i));
         assert!(log.phases.is_empty(), "no phase was opened");
         assert_eq!(logged, run(None), "the log is off the decision path");
     }

@@ -16,7 +16,8 @@
 //!   a replayed trace;
 //! * the [`serve`](mod@serve) module runs N concurrent sessions against a store
 //!   sharded by partition group, each shard draining its due collections
-//!   between turns, under a seeded deterministic scheduler.
+//!   between turns, under a seeded deterministic scheduler, on the
+//!   [`crew`] rule of who owns what, which `odbgc-net` follows too.
 //!
 //! A run's two measured means share one window, the part after the
 //! first [`EngineConfig::preamble_collections`] collections (§3.2): the
@@ -33,6 +34,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod crew;
 pub mod engine;
 pub mod observer;
 pub mod result;
@@ -41,6 +43,7 @@ pub mod serve;
 pub mod session;
 
 pub use config::EngineConfig;
+pub use crew::{owner_of, run_crew, shard_of, slot_of};
 pub use engine::{CollectMode, StoreEngine};
 pub use observer::{CounterSnapshot, DecisionLog, DecisionRecord, PhaseTelemetry};
 pub use result::RunResult;

@@ -42,9 +42,8 @@ pub struct CounterSnapshot {
 /// One policy trigger decision: what the policy saw and what it chose.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRecord {
-    /// Decision index (equals the collection index it followed).
-    pub index: u64,
-    /// The observation handed to `after_collection`.
+    /// The observation handed to `after_collection`; its
+    /// `collection_index` is the decision's index.
     pub observation: CollectionObservation,
     /// The trigger the policy returned.
     pub trigger: Trigger,
@@ -204,7 +203,6 @@ mod tests {
 
     fn decision(trigger: Trigger) -> DecisionRecord {
         DecisionRecord {
-            index: 0,
             observation: CollectionObservation::zero(),
             trigger,
             clamp: ClampHit::None,
@@ -215,7 +213,6 @@ mod tests {
     #[test]
     fn estimate_error_is_signed() {
         let rec = DecisionRecord {
-            index: 0,
             observation: CollectionObservation {
                 exact_garbage: 1_000,
                 ..CollectionObservation::zero()

@@ -3,16 +3,12 @@
 //!
 //! A [`Shard`] is one store, collector and policy (a [`StoreEngine`]),
 //! its decision log, and a failure latch. It is a plain owned value
-//! with exactly one owner per mode: [`serve`] hands each shard to one
-//! member of a crew of scoped threads (the caller among them); in
-//! `odbgc-net` each shard moves into the event loop that serves its
-//! connections. The owner
-//! applies one turn of operations ([`Shard::turn`]) and then drains
-//! every due collection ([`Shard::collect_due`]) before it starts the
-//! shard's next turn — the order the paper's simulator uses between two
-//! application events — so collections land at deterministic points in
-//! each shard's operation stream with no lock, flag or second thread to
-//! enforce it.
+//! with exactly one owner, dealt by the one rule of [`crew`](crate::crew)
+//! both here and in `odbgc-net`. The owner applies one turn of
+//! operations ([`Shard::turn`]) and then drains every due collection
+//! ([`Shard::collect_due`]) before it starts the shard's next turn, so
+//! collections land at deterministic points in each shard's operation
+//! stream with no lock, flag or second thread to enforce it.
 //!
 //! Operations are plain data ([`SessionOp`]) that name objects by
 //! *creation index* within the issuing session ([`ObjRef`]), not by raw
@@ -38,6 +34,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::EngineConfig;
+use crate::crew::{deal, owner_of, run_crew, shard_of, slot_of};
 use crate::engine::StoreEngine;
 use crate::observer::DecisionLog;
 use crate::result::RunResult;
@@ -441,12 +438,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 // Shard
 // ---------------------------------------------------------------------
 
-/// Kill-one-collection fault injection: the named shard panics when it
-/// is asked to collect after it has completed `after_collections`
-/// collections. For robustness tests of [`serve`] — proves a death
-/// while collecting surfaces as a typed [`ServeError`] while other
-/// shards drain cleanly. A panic from inside a collection needs no
-/// seam: a policy that panics in `after_collection` raises one.
+/// Kill-one-collection fault injection: [`serve`] latches the named
+/// shard failed, as a panicking collection would, instead of its
+/// collection after `after_collections` collections. For robustness
+/// tests: a death while collecting is a typed [`ServeError`] and other
+/// shards drain cleanly. (A policy that panics in `after_collection`
+/// raises a real one.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcFault {
     /// The shard whose collection dies.
@@ -456,14 +453,11 @@ pub struct GcFault {
 }
 
 /// One engine shard: the engine, its decision log, and the failure
-/// latch. Owned by exactly one thread at a time; see the module docs
-/// for who that is in each mode.
+/// latch. Owned by exactly one thread, the one [`run_crew`] deals it to.
 pub struct Shard {
     index: usize,
     engine: StoreEngine,
     log: DecisionLog,
-    /// Set when this shard is the one a [`GcFault`] names.
-    fault: Option<GcFault>,
     /// Set by a panic in a turn or a collection. A failed shard refuses
     /// further turns and collections; its engine is only read again by
     /// [`Shard::into_outcome`].
@@ -471,19 +465,13 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Builds shard `index` over a fresh engine. Session `i`
-    /// conventionally maps to shard `i % shard_count`.
-    pub fn new(
-        index: usize,
-        engine: &EngineConfig,
-        policy: Box<dyn RatePolicy + Send>,
-        fault: Option<GcFault>,
-    ) -> Shard {
+    /// Builds shard `index` over a fresh engine. Its sessions are the
+    /// ones [`shard_of`] maps to `index`.
+    pub fn new(index: usize, engine: &EngineConfig, policy: Box<dyn RatePolicy + Send>) -> Shard {
         Shard {
             index,
             engine: StoreEngine::new(engine.clone(), policy),
             log: DecisionLog::default(),
-            fault: fault.filter(|f| f.shard as usize == index),
             failed: None,
         }
     }
@@ -504,16 +492,12 @@ impl Shard {
             return Err(err);
         }
         let engine = &mut self.engine;
-        catch_unwind(AssertUnwindSafe(|| {
+        let turn = catch_unwind(AssertUnwindSafe(|| {
             f(&mut engine.session_with(session, None))
-        }))
-        .map_err(|payload| {
-            let kind = ServeErrorKind::TurnPanic(panic_message(payload));
-            self.failed = Some(kind.clone());
-            ServeError {
-                shard: self.index,
-                kind,
-            }
+        }));
+        turn.map_err(|payload| {
+            self.failed = Some(ServeErrorKind::TurnPanic(panic_message(payload)));
+            self.failure().expect("the shard has just failed")
         })
     }
 
@@ -523,20 +507,13 @@ impl Shard {
     /// possible no-partition re-arms. Returns whether the trigger was
     /// due.
     ///
-    /// A panic inside the drain — including an injected [`GcFault`] — is
-    /// caught and latches the shard failed.
+    /// A panic inside the drain is caught and latches the shard failed.
     pub fn collect_due(&mut self) -> bool {
         if self.failed.is_some() || !self.engine.collection_due() {
             return false;
         }
-        let fault_due = self
-            .fault
-            .is_some_and(|f| self.engine.collection_count() >= f.after_collections);
-        let (engine, log, index) = (&mut self.engine, &mut self.log, self.index);
+        let (engine, log) = (&mut self.engine, &mut self.log);
         let drained = catch_unwind(AssertUnwindSafe(|| {
-            if fault_due {
-                panic!("injected collection fault on shard {index}");
-            }
             while engine.collect_if_due(Some(log)).is_some() {}
         }));
         if let Err(payload) = drained {
@@ -552,10 +529,8 @@ impl Shard {
 
     /// The error every turn on this shard now gets, if it has failed.
     pub fn failure(&self) -> Option<ServeError> {
-        self.failed.clone().map(|kind| ServeError {
-            shard: self.index,
-            kind,
-        })
+        let shard = self.index;
+        self.failed.clone().map(|kind| ServeError { shard, kind })
     }
 
     /// Consumes the shard into its outcome. `phases` are the trace phase
@@ -582,8 +557,8 @@ pub struct ServeConfig {
     pub engine: EngineConfig,
     /// Number of client sessions, at least 1.
     pub sessions: u32,
-    /// Number of engine shards, in `1..=sessions`. Session `i` maps to
-    /// shard `i % shards`.
+    /// Number of engine shards, in `1..=sessions`. Session `i` runs on
+    /// shard [`shard_of`]`(i, shards)`.
     pub shards: u32,
     /// Operations each session submits over its lifetime.
     pub ops_per_session: u64,
@@ -645,8 +620,7 @@ pub struct ServeOutcome {
     pub failures: Vec<ServeError>,
 }
 
-/// Runs a multi-session serve workload to completion, each shard's
-/// turns on one member of a crew of scoped threads.
+/// Runs a multi-session serve workload to completion.
 ///
 /// `make_policy` is called once per shard with the shard index, on the
 /// calling thread, in shard order. The scheduler's turn order is drawn
@@ -654,14 +628,11 @@ pub struct ServeOutcome {
 /// `ops_per_session` operations takes exactly
 /// `max(1, ⌈ops_per_session / batch⌉)` turns (see
 /// [`SessionWorkload::next_turn`]), so which session goes next never
-/// depends on what a turn did. A crew of `min(shards, available cores)`
-/// threads, the caller among them, then walks that order: member `t`
-/// owns shard `i` iff `i % crew == t`, with the workloads of the
-/// sessions mapped there, applies one batch of a session's operations
-/// per turn of its own, and drains the shard's trigger if the turn left
-/// it due, so collections land at deterministic points in each shard's
-/// operation stream. The members share nothing while they run and meet
-/// once, at join; with one shard or one core no thread is spawned.
+/// depends on what a turn did. A [`run_crew`] crew of
+/// `min(shards, available cores)` owners, threads `odbgc-serve-N`, then
+/// walks that order; each member applies its own shards' turns, one
+/// batch of a session's operations each, and drains the shard's
+/// trigger whenever a turn leaves it due.
 ///
 /// A failing session *operation* aborts the run with that error (the
 /// earliest in the order, if several shards hit one). A failing
@@ -690,8 +661,8 @@ struct SessionState {
     applied: u64,
 }
 
-/// One shard as its crew member holds it: the shard and the sessions
-/// mapped to it (session `i` of `shard_count` sits at `i / shard_count`).
+/// One shard as its crew member holds it: the shard and its sessions
+/// (session `i` at [`slot_of`]`(i, shard_count)`).
 struct OwnedShard {
     shard: Shard,
     sessions: Vec<SessionState>,
@@ -727,48 +698,32 @@ pub(crate) fn serve_on(
     );
     let sessions = config.sessions as usize;
     let shard_count = config.shards as usize;
-    let batch = config.batch;
     let crew = crew.clamp(1, shard_count);
 
-    let turns = session_turns(config.ops_per_session, batch);
+    let turns = session_turns(config.ops_per_session, config.batch);
     let order = turn_order(sessions, turns, config.scheduler_seed);
-    let mut members: Vec<Vec<OwnedShard>> = (0..crew).map(|_| Vec::new()).collect();
-    for i in 0..shard_count {
-        members[i % crew].push(OwnedShard {
-            shard: Shard::new(i, &config.engine, make_policy(i as u32), config.gc_fault),
-            sessions: (i..sessions)
-                .step_by(shard_count)
-                .map(|s| SessionState {
-                    workload: SessionWorkload::new(
-                        s as u32,
-                        config.workload,
-                        config.ops_per_session,
-                    ),
-                    objects: SessionObjects::new(),
-                    applied: 0,
-                })
-                .collect(),
-            failed_at: None,
-        });
-    }
-
-    let run = |member: usize, mut owned: Vec<OwnedShard>| {
-        walk(&mut owned, &order, shard_count, crew, member, batch).map(|()| owned)
-    };
-    let walked: Vec<Result<Vec<OwnedShard>, AtTurn>> = std::thread::scope(|scope| {
-        let mut members = members.into_iter().enumerate();
-        let (_, first) = members.next().expect("a crew has a member");
-        let others: Vec<_> = members
-            .map(|(t, owned)| scope.spawn(move || run(t, owned)))
-            .collect();
-        std::iter::once(run(0, first))
-            .chain(others.into_iter().map(|member| {
-                member
-                    .join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            }))
-            .collect()
+    let states = (0..sessions).map(|s| SessionState {
+        workload: SessionWorkload::new(s as u32, config.workload, config.ops_per_session),
+        objects: SessionObjects::new(),
+        applied: 0,
     });
+    let owned = deal(states, shard_count)
+        .into_iter()
+        .enumerate()
+        .map(|(i, sessions)| OwnedShard {
+            shard: Shard::new(i, &config.engine, make_policy(i as u32)),
+            sessions,
+            failed_at: None,
+        })
+        .collect();
+
+    let (walks, owned) = run_crew(owned, crew, "odbgc-serve-", |member, owned| {
+        walk(owned, &order, &config, crew, member)
+    });
+    // The shards come back whole and in index order; what a walk adds
+    // is its fatal error, if it hit one.
+    let mut walked: Vec<_> = walks.into_iter().filter_map(Result::err).map(Err).collect();
+    walked.push(Ok(owned));
     merge(order, walked, sessions, shard_count)
 }
 
@@ -801,38 +756,37 @@ fn turn_order(sessions: usize, turns: u64, seed: u64) -> Vec<u32> {
 /// Crew member `member`'s walk of the order: it runs its own shards'
 /// turns, each followed by the shard's due collections, and skips the
 /// rest. Stops at its first fatal turn error.
+///
+/// A [`GcFault`] is applied here, in place of the named shard's
+/// collection: the shard is latched failed with the notice a panicking
+/// collection leaves, and its store is not touched.
 fn walk(
     owned: &mut [OwnedShard],
     order: &[u32],
-    shard_count: usize,
+    config: &ServeConfig,
     crew: usize,
     member: usize,
-    batch: u64,
 ) -> Result<(), AtTurn> {
+    let shard_count = config.shards as usize;
     for (pos, &session) in order.iter().enumerate() {
-        let si = session as usize;
-        let shard_i = si % shard_count;
-        if shard_i % crew != member {
+        let shard_i = shard_of(session, shard_count);
+        if owner_of(shard_i, crew) != member {
             continue;
         }
-        let o = &mut owned[shard_i / crew];
+        let o = &mut owned[slot_of(shard_i, crew)];
         if o.failed_at.is_some() {
             continue;
         }
-        let state = &mut o.sessions[si / shard_count];
+        let state = &mut o.sessions[slot_of(session as usize, shard_count)];
         let turn = o.shard.turn(SessionId::new(session), |sess| {
-            let ops = state.workload.next_turn(batch);
+            let ops = state.workload.next_turn(config.batch);
             apply_ops(sess, &mut state.objects, &ops)
         });
         match turn {
             Ok(Ok(applied)) => state.applied += applied.applied,
             Ok(Err(err)) => {
-                let kind = ServeErrorKind::Turn(err);
-                let err = ServeError {
-                    shard: shard_i,
-                    kind,
-                };
-                return Err((pos, err));
+                let (shard, kind) = (shard_i, ServeErrorKind::Turn(err));
+                return Err((pos, ServeError { shard, kind }));
             }
             // The shard is gone: its later turns are dropped.
             Err(err) => {
@@ -840,17 +794,29 @@ fn walk(
                 continue;
             }
         }
-        o.shard.collect_due();
+        let shard = &mut o.shard;
+        let fault_due = config.gc_fault.is_some_and(|f| {
+            f.shard as usize == shard_i
+                && shard.engine.collection_due()
+                && shard.collection_count() >= f.after_collections
+        });
+        if fault_due {
+            let notice = format!("injected collection fault on shard {shard_i}");
+            shard.failed = Some(ServeErrorKind::CollectPanic(notice));
+        } else {
+            shard.collect_due();
+        }
     }
     Ok(())
 }
 
 /// Joins the crew's walks into the run's outcome: the earliest fatal
-/// error in the order if any member hit one, else the shards in index
-/// order, the order cut to the turns that applied, and the shard
-/// failures in the order of their failing turns.
+/// error in the order if any member hit one, else the shards in the
+/// order the walks list them (index order, from [`run_crew`]), the
+/// order cut to the turns that applied, and the shard failures in the
+/// order of their failing turns.
 fn merge(
-    mut order: Vec<u32>,
+    order: Vec<u32>,
     walked: Vec<Result<Vec<OwnedShard>, AtTurn>>,
     sessions: usize,
     shard_count: usize,
@@ -865,37 +831,35 @@ fn merge(
     if let Some((_, err)) = fatal.into_iter().min_by_key(|(pos, _)| *pos) {
         return Err(err);
     }
-    owned.sort_by_key(|o| o.shard.index);
 
     let cut: Vec<usize> = owned
         .iter()
         .map(|o| o.failed_at.as_ref().map_or(usize::MAX, |(pos, _)| *pos))
         .collect();
-    let mut pos = 0;
-    order.retain(|&si| {
-        let applied = pos < cut[si as usize % shard_count];
-        pos += 1;
-        applied
-    });
+    let schedule = (0..)
+        .zip(order)
+        .filter(|&(pos, si)| pos < cut[shard_of(si, shard_count)])
+        .map(|(_, si)| si)
+        .collect();
     let mut failures: Vec<AtTurn> = owned
         .iter_mut()
         .filter_map(|o| o.failed_at.take())
         .collect();
     failures.sort_by_key(|(pos, _)| *pos);
 
-    let mut per_session_ops = vec![0u64; sessions];
+    let per_session_ops = (0..sessions as u32)
+        .map(|s| {
+            let sessions = &owned[shard_of(s, shard_count)].sessions;
+            sessions[slot_of(s as usize, shard_count)].applied
+        })
+        .collect();
     let shards = owned
         .into_iter()
-        .map(|o| {
-            for (k, state) in o.sessions.iter().enumerate() {
-                per_session_ops[o.shard.index + k * shard_count] = state.applied;
-            }
-            o.shard.into_outcome(Vec::new())
-        })
+        .map(|o| o.shard.into_outcome(Vec::new()))
         .collect();
     Ok(ServeOutcome {
         per_session_ops,
-        schedule: order,
+        schedule,
         shards,
         failures: failures.into_iter().map(|(_, err)| err).collect(),
     })
@@ -1275,12 +1239,7 @@ mod tests {
 
     #[test]
     fn turn_panic_latches_the_shard() {
-        let mut shard = Shard::new(
-            3,
-            &EngineConfig::tiny(),
-            Box::new(FixedRatePolicy::new(20)),
-            None,
-        );
+        let mut shard = Shard::new(3, &EngineConfig::tiny(), Box::new(FixedRatePolicy::new(20)));
         let err = shard
             .turn(SessionId::new(0), |_| -> () { panic!("boom") })
             .expect_err("the panic is caught");
@@ -1306,7 +1265,6 @@ mod tests {
             0,
             &EngineConfig::default(),
             Box::new(FixedRatePolicy::new(20)),
-            None,
         );
         let mut objects = SessionObjects::new();
         let hostile = [

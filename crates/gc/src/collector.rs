@@ -1,39 +1,10 @@
 //! The collector: selection + survivor planning + application.
 
 use odbgc_sched::SchedTotals;
-use odbgc_store::{CollectionApplied, ObjectId, PartitionId, Store};
+use odbgc_store::{CollectionApplied, ObjectId, Store};
 
 use crate::parallel::plan_survivors_parallel;
 use crate::selection::Selector;
-
-/// Collects one specific partition with [`Store::collect`]: a Cheney
-/// traversal from the partition's roots, then the sweep and compaction,
-/// in one pass.
-///
-/// ```
-/// use odbgc_gc::collect_partition;
-/// use odbgc_store::{Store, StoreConfig};
-/// use odbgc_trace::{SlotIdx, TraceBuilder};
-///
-/// let mut b = TraceBuilder::new();
-/// let root = b.create_unlinked(32, 1);
-/// b.root_add(root);
-/// let dead = b.create_unlinked(100, 0);
-/// b.slot_write(root, SlotIdx::new(0), Some(dead));
-/// b.slot_clear(root, SlotIdx::new(0));
-///
-/// let mut store = Store::new(StoreConfig::tiny());
-/// for ev in b.finish().iter() {
-///     store.apply(ev).unwrap();
-/// }
-/// let p = store.partition_of(root).unwrap();
-/// let outcome = collect_partition(&mut store, p);
-/// assert_eq!(outcome.bytes_reclaimed, 100);
-/// assert_eq!(store.garbage_bytes(), 0);
-/// ```
-pub fn collect_partition(store: &mut Store, p: PartitionId) -> CollectionApplied {
-    store.collect(p, &mut Vec::new())
-}
 
 /// A collector bound to a partition-selection policy.
 ///
@@ -168,11 +139,11 @@ mod tests {
         let p0 = s.partition_of(root).unwrap();
         let p1 = s.partition_of(target).unwrap();
 
-        let first = collect_partition(&mut s, p1);
+        let first = s.collect(p1, &mut Vec::new());
         assert_eq!(first.bytes_reclaimed, 0); // target conservatively kept
-        let second = collect_partition(&mut s, p0);
+        let second = s.collect(p0, &mut Vec::new());
         assert_eq!(second.bytes_reclaimed, 20); // holder destroyed
-        let third = collect_partition(&mut s, p1);
+        let third = s.collect(p1, &mut Vec::new());
         assert_eq!(third.bytes_reclaimed, 50); // now target is free
         assert_eq!(s.garbage_bytes(), 0);
         s.assert_garbage_exact();
@@ -185,8 +156,8 @@ mod tests {
         replay(&mut s, &t);
         let p = odbgc_store::PartitionId::new(0);
         let live_before = s.live_bytes();
-        let o1 = collect_partition(&mut s, p);
-        let o2 = collect_partition(&mut s, p);
+        let o1 = s.collect(p, &mut Vec::new());
+        let o2 = s.collect(p, &mut Vec::new());
         assert_eq!(o1.bytes_reclaimed, 0);
         assert_eq!(o2.bytes_reclaimed, 0);
         assert_eq!(o1.objects_survived, n);
@@ -213,7 +184,7 @@ mod tests {
         replay(&mut s, &b.finish());
         assert_eq!(s.garbage_bytes(), 80);
         let p = s.partition_of(root).unwrap();
-        let outcome = collect_partition(&mut s, p);
+        let outcome = s.collect(p, &mut Vec::new());
         assert_eq!(outcome.bytes_reclaimed, 80);
         assert_eq!(s.occupied_bytes(), s.live_bytes());
         // Survivors are root followed by its children in slot order.

@@ -19,13 +19,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cheney;
 pub mod collector;
 pub mod parallel;
 pub mod selection;
 
-pub use cheney::{plan_survivors, plan_survivors_into};
-pub use collector::{collect_partition, Collector};
+pub use collector::Collector;
 pub use odbgc_sched::SchedTotals;
 pub use parallel::plan_survivors_parallel;
 pub use selection::{Selector, SelectorKind};

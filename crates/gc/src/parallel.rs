@@ -36,7 +36,7 @@ use odbgc_store::{ObjectId, PartitionId, Store};
 /// pay for thread spawns.
 const TRACE_CHUNK: usize = 64;
 
-/// Crew equivalent of [`plan_survivors_into`](crate::plan_survivors_into):
+/// Crew equivalent of [`Store::plan_collection`]:
 /// fills `survivors` (cleared first) with `p`'s surviving objects in
 /// Cheney copy order, tracing each BFS level on up to `workers` workers.
 /// Counts the collection, its root scan and its trace chunks into
@@ -89,7 +89,6 @@ pub fn plan_survivors_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cheney::plan_survivors;
     use odbgc_store::StoreConfig;
     use odbgc_trace::{SlotIdx, TraceBuilder};
 
@@ -140,7 +139,8 @@ mod tests {
             let mut s = seeded_store();
             for pi in 0..s.partition_count() {
                 let p = PartitionId::new(pi as u32);
-                let expected = plan_survivors(&mut s, p);
+                let mut expected = Vec::new();
+                s.plan_collection(p, &mut expected);
                 let mut got = Vec::new();
                 let mut totals = SchedTotals::default();
                 plan_survivors_parallel(&mut s, p, workers, &mut got, &mut totals);
@@ -155,7 +155,7 @@ mod tests {
         let mut a = seeded_store();
         let mut b = seeded_store();
         let p = PartitionId::new(0);
-        let fused = crate::collect_partition(&mut a, p);
+        let fused = a.collect(p, &mut Vec::new());
         let mut survivors = Vec::new();
         let mut totals = SchedTotals::default();
         plan_survivors_parallel(&mut b, p, 4, &mut survivors, &mut totals);

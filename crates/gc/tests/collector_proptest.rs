@@ -3,7 +3,6 @@
 
 use proptest::prelude::*;
 
-use odbgc_gc::{collect_partition, plan_survivors};
 use odbgc_store::{PartitionId, Store, StoreConfig};
 use odbgc_trace::synthetic::{churn, ChurnConfig};
 
@@ -34,7 +33,8 @@ proptest! {
         let mut store = loaded_store(&cfg, seed);
         for p in 0..store.partition_count() as u32 {
             let p = PartitionId::new(p);
-            let plan = plan_survivors(&mut store, p);
+            let mut plan = Vec::new();
+            store.plan_collection(p, &mut plan);
             // No duplicates.
             let mut sorted = plan.clone();
             sorted.sort_unstable();
@@ -58,7 +58,7 @@ proptest! {
         let mut store = loaded_store(&cfg, seed);
         let reachable_before = store.compute_reachable();
         for p in 0..store.partition_count() as u32 {
-            collect_partition(&mut store, PartitionId::new(p));
+            store.collect(PartitionId::new(p), &mut Vec::new());
         }
         for id in reachable_before.iter() {
             prop_assert!(store.is_present(id), "{} was reachable but destroyed", id);
@@ -78,7 +78,7 @@ proptest! {
         // garbage *cycles* legitimately survive partitioned GC forever.)
         for _ in 0..8 {
             for p in 0..store.partition_count() as u32 {
-                collect_partition(&mut store, PartitionId::new(p));
+                store.collect(PartitionId::new(p), &mut Vec::new());
             }
             let now = store.garbage_bytes();
             prop_assert!(now <= last, "garbage grew from {} to {}", last, now);
@@ -105,7 +105,7 @@ proptest! {
         store.recompute_garbage_exact();
         let live_before = store.live_bytes();
         for p in 0..store.partition_count() as u32 {
-            collect_partition(&mut store, PartitionId::new(p));
+            store.collect(PartitionId::new(p), &mut Vec::new());
         }
         prop_assert_eq!(store.live_bytes(), live_before);
         // After collecting every partition, occupancy equals the bytes of
@@ -128,7 +128,7 @@ proptest! {
         loop {
             let mut reclaimed = 0;
             for p in 0..store.partition_count() as u32 {
-                reclaimed += collect_partition(&mut store, PartitionId::new(p)).bytes_reclaimed;
+                reclaimed += store.collect(PartitionId::new(p), &mut Vec::new()).bytes_reclaimed;
             }
             sweeps += 1;
             prop_assert!(sweeps < 1_000, "no fixpoint after {} sweeps", sweeps);
@@ -138,7 +138,7 @@ proptest! {
         }
         let before = store.total_garbage_collected();
         for p in 0..store.partition_count() as u32 {
-            let outcome = collect_partition(&mut store, PartitionId::new(p));
+            let outcome = store.collect(PartitionId::new(p), &mut Vec::new());
             prop_assert_eq!(outcome.bytes_reclaimed, 0, "fixpoint not stable");
         }
         prop_assert_eq!(store.total_garbage_collected(), before);

@@ -11,7 +11,6 @@ use std::collections::{HashSet, VecDeque};
 
 use proptest::prelude::*;
 
-use odbgc_gc::plan_survivors_into;
 use odbgc_store::{PartitionId, Store, StoreConfig};
 use odbgc_trace::synthetic::{churn, ChurnConfig};
 use odbgc_trace::ObjectId;
@@ -64,7 +63,7 @@ proptest! {
         for p in 0..store.partition_count() as u32 {
             let p = PartitionId::new(p);
             let expected = oracle_plan(&store, p);
-            plan_survivors_into(&mut store, p, &mut plan);
+            store.plan_collection(p, &mut plan);
             prop_assert_eq!(&plan, &expected, "plan diverges for {:?}", p);
         }
     }

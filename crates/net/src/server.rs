@@ -1,71 +1,51 @@
 //! The serve front-end: readiness-driven event loops multiplexing client
 //! connections onto engine [`Shard`]s, where the loop that polls a
-//! shard's connections is also that shard's one owner.
+//! shard's connections is also that shard's one owner (DESIGN.md §5e).
 //!
 //! Threading is fixed at bind time and independent of connection count:
 //! `L = min(net_threads, shards)` net loops (`net_threads == 0`, the
-//! default, means one loop per shard), loop 0 on the thread that calls
-//! [`NetServer::run`] and no other threads.
+//! default, means one per shard) are the owners of a [`run_crew`] crew
+//! over the shards — loop 0 on the thread that calls [`NetServer::run`],
+//! loop `i` on thread `odbgc-net-loop-i` — and no other threads. Which
+//! loop owns which shard, and which shard a session runs on, is the
+//! engine's one rule ([`owner_of`], [`shard_of`]).
 //!
-//! * **Loop `i` owns shard `s` iff `s % L == i`.** It applies an `Ops`
-//!   turn inline ([`Shard::turn`] → [`apply_ops`]), queues the reply and
-//!   puts it on the wire, and only then drains the shard's due
-//!   collections ([`Shard::collect_due`]) — so a client's reply does not
-//!   wait for a collection its own turn triggered, and the shard's next
-//!   turn cannot start until that collection has finished. Whatever
-//!   arrives meanwhile for the loop's connections waits in the kernel;
-//!   each turn reports the collection time its loop spent since its
-//!   connection's previous turn reply as `gc_stall_ns`.
-//! * **Loop 0 alone polls the listener**, so accepting is
-//!   readiness-driven too — an idle server sleeps in `poll` indefinitely,
-//!   after one busy-poll window, and only with a spare core, instead of
-//!   tick-polling `accept`. A connection stays on loop 0 until
-//!   its `Hello` names a session; then the whole connection (stream,
-//!   buffered bytes, the queued `HelloOk`) moves through the owning
-//!   loop's inbox and wake descriptor to the loop that owns
-//!   `session % shards`, which takes up any frames that came with it.
+//! * **A loop applies an `Ops` turn inline** ([`Shard::turn`] →
+//!   [`apply_ops`]), puts the reply on the wire, and only then drains
+//!   the shard's due collections ([`Shard::collect_due`]): a reply never
+//!   waits for the collection its own turn triggered, and the shard's
+//!   next turn waits for it. Each turn reports the collection time its
+//!   loop spent since the connection's previous reply as `gc_stall_ns`.
+//! * **Loop 0 alone polls the listener.** A connection stays on loop 0
+//!   until its `Hello` names a session; then the whole connection
+//!   (stream, buffered bytes, the queued `HelloOk`) moves through the
+//!   owning loop's inbox and wake descriptor to that loop.
 //! * **`Stats` is answered by whichever loop holds the asking
-//!   connection**, between its own turns and collections, from the
-//!   collection count and failure notice every owner publishes after
-//!   each collection drain. At drain each loop hands its shards back to
-//!   `run`.
-//! * **A loop busy-polls before it parks.** When the server has fewer
-//!   loops than the host has cores, a loop with nothing ready repeats a
-//!   zero-timeout `poll`, yielding between empty returns, for one short
-//!   fixed window before it blocks; a lockstep peer's next frame usually
-//!   lands inside it, so the turn costs neither end a sleep and a
-//!   wakeup. With no spare core the window is zero: a spinning loop
-//!   would take the core the thread it waits for needs.
+//!   connection**, from the collection count and failure notice every
+//!   owner publishes after each collection drain.
+//! * **A loop busy-polls before it parks**, for one short fixed window,
+//!   and only when the server has fewer loops than the host has cores.
 //!
-//! The lifecycle guarantees of the blocking server carry over exactly —
-//! the `serve_net` acceptance tests run unmodified:
+//! Lifecycle guarantees (the `serve_net` acceptance tests):
 //!
 //! * **Backpressure is explicit and deterministic.** A connection's
-//!   frames are decoded and applied strictly in order, so the
-//!   credit-window arithmetic sees the same frame sequence the client
-//!   sent — whether a turn gets `Busy` depends only on that sequence,
-//!   never on loop scheduling. Decoding pauses while a connection's
-//!   unflushed output exceeds a fixed bound (`conn::OUT_HIGH_WATER`), so
-//!   a peer that pipelines requests and never reads cannot grow server
-//!   memory without bound.
-//! * **Failure is typed.** A panic in a turn or a collection is caught
-//!   by the [`Shard`] and latches it failed: its later turns get
-//!   `ShardFailed`, and the loop keeps serving its other connections.
-//! * **Idle connections are reaped.** Poll timeouts are computed from
-//!   the earliest idle deadline; a connection on which no byte has moved
-//!   in either direction for `idle_timeout` is closed (unclean), without
-//!   any periodic tick when nobody is due.
+//!   frames are decoded and applied strictly in order, so whether a turn
+//!   gets `Busy` depends only on the frame sequence the client sent.
+//!   Decoding pauses while a connection's unflushed output exceeds
+//!   `conn::OUT_HIGH_WATER`, so a peer that never reads cannot grow
+//!   server memory without bound.
+//! * **Failure is typed.** A panic in a turn or a collection latches the
+//!   [`Shard`] failed: its later turns get `ShardFailed`, and the loop
+//!   keeps serving its other connections.
+//! * **Idle connections are reaped**, from poll timeouts computed from
+//!   the earliest idle deadline, with no periodic tick.
 //! * **Drain is graceful, and terminates.** `Shutdown` wakes every loop;
-//!   every applied turn's reply is already queued, responses are
-//!   flushed, and every acknowledged operation is in the shard results
-//!   when [`NetServer::run`] returns. The reaper keeps running during the
-//!   drain, so a peer that never reads its last replies delays `run` by
-//!   at most `idle_timeout`.
+//!   every acknowledged operation is in the shard results when
+//!   [`NetServer::run`] returns, and a peer that never reads its last
+//!   replies delays it by at most `idle_timeout`.
 //!
-//! Per-loop counters (wakeups, frames, partial reads/writes, turns per
-//! wakeup, busy-poll hits, parks) are reported in [`NetOutcome::loops`]
-//! and published by the CLI under the volatile `net_loops` telemetry
-//! key.
+//! Per-loop counters are reported in [`NetOutcome::loops`] and published
+//! by the CLI under the volatile `net_loops` telemetry key.
 
 use std::io::{ErrorKind, Read};
 use std::net::TcpListener;
@@ -75,7 +55,8 @@ use std::time::{Duration, Instant};
 
 use odbgc_core::RatePolicy;
 use odbgc_engine::{
-    apply_ops, EngineConfig, SessionId, SessionOp, Shard, ShardOutcome, TurnErrorKind,
+    apply_ops, owner_of, run_crew, shard_of, slot_of, EngineConfig, SessionId, SessionOp, Shard,
+    ShardOutcome, TurnErrorKind,
 };
 
 use crate::conn::Connection;
@@ -92,8 +73,8 @@ use crate::proto::{
 pub struct NetConfig {
     /// Per-shard engine configuration.
     pub engine: EngineConfig,
-    /// Number of engine shards, at least 1; session `s` maps to shard
-    /// `s % shards`.
+    /// Number of engine shards, at least 1; session `s` runs on shard
+    /// [`shard_of`]`(s, shards)`.
     pub shards: u32,
     /// Hard cap on the per-connection in-flight window a Hello may
     /// request, at least 1.
@@ -262,7 +243,7 @@ impl NetServer {
             progress: (0..shard_count).map(|_| ShardProgress::default()).collect(),
         };
         let shards = (0..shard_count)
-            .map(|i| Shard::new(i, &config.engine, make_policy(i as u32), None))
+            .map(|i| Shard::new(i, &config.engine, make_policy(i as u32)))
             .collect();
         Ok(NetServer {
             listener,
@@ -278,8 +259,8 @@ impl NetServer {
     }
 
     /// Serves until a client requests a graceful drain: runs loop 0 on
-    /// the calling thread and loops 1.. on their own, takes each loop's
-    /// shards back once all have drained, and returns the outcome.
+    /// the calling thread and loops 1.. on their own, takes the shards
+    /// back once all have drained, and returns the outcome.
     pub fn run(self) -> NetOutcome {
         let NetServer {
             listener,
@@ -287,56 +268,28 @@ impl NetServer {
             loops,
             shards,
         } = self;
-        let loop_count = loops.len();
-        let mut owned: Vec<Vec<Shard>> = (0..loop_count).map(|_| Vec::new()).collect();
-        for (s, shard) in shards.into_iter().enumerate() {
-            owned[s % loop_count].push(shard);
-        }
-        let (shared, loops) = (&shared, &loops);
-        let mut owned = owned.into_iter().enumerate();
-        let (_, first) = owned.next().expect("at least one loop");
-        let ran: Vec<(LoopStats, Vec<Shard>)> = std::thread::scope(|scope| {
-            let others: Vec<_> = owned
-                .map(|(loop_id, shards)| {
-                    std::thread::Builder::new()
-                        .name(format!("odbgc-net-loop-{loop_id}"))
-                        .spawn_scoped(scope, move || {
-                            NetLoop::new(loop_id, shared, loops, shards).run(None)
-                        })
-                        .expect("spawn net loop")
-                })
-                .collect();
-            let mut ran = vec![NetLoop::new(0, shared, loops, first).run(Some(listener))];
-            // A shard catches turn and collection panics; a panic of a
-            // loop's own is a bug in this file.
-            ran.extend(
-                others
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
-            );
-            ran
-        });
+        // Loop 0 takes the listener by value: it closes when loop 0
+        // starts draining.
+        let listener = Mutex::new(Some(listener));
+        // A shard catches turn and collection panics; a panic of a
+        // loop's own is a bug in this file, and reaches the caller.
+        let (loop_stats, shards) =
+            run_crew(shards, loops.len(), "odbgc-net-loop-", |loop_id, shards| {
+                let listener = (loop_id == 0).then(|| lock(&listener).take()).flatten();
+                NetLoop::new(loop_id, &shared, &loops, shards).run(listener)
+            });
 
         let mut clients = std::mem::take(&mut *lock(&shared.clients));
         // Handed over after `Hello` to a loop that had already drained:
         // closed unclean, never having applied a turn.
-        for l in loops {
+        for l in &loops {
             clients.extend(lock(&l.inbox).drain(..).map(|conn| conn.counters));
         }
-        let (loop_stats, mut owned): (Vec<LoopStats>, Vec<_>) = ran
-            .into_iter()
-            .map(|(stats, shards)| (stats, shards.into_iter()))
-            .unzip();
-        let shards = (0..shared.progress.len())
-            .map(|s| {
-                owned[s % loop_count]
-                    .next()
-                    .expect("every loop returns its shards")
-                    .into_outcome(Vec::new())
-            })
-            .collect();
         NetOutcome {
-            shards,
+            shards: shards
+                .into_iter()
+                .map(|shard| shard.into_outcome(Vec::new()))
+                .collect(),
             clients,
             loops: loop_stats,
         }
@@ -410,8 +363,9 @@ struct NetLoop<'a> {
     loop_id: usize,
     shared: &'a Shared,
     loops: &'a [LoopShared],
-    /// Shard `loop_id + k · loops.len()` at index `k`.
-    shards: Vec<Shard>,
+    /// The shards [`run_crew`] dealt this loop: shard `s` at
+    /// [`slot_of`]`(s, loops.len())`.
+    shards: &'a mut [Shard],
     conns: Vec<Option<Connection>>,
     free: Vec<usize>,
     stats: LoopStats,
@@ -433,7 +387,7 @@ impl<'a> NetLoop<'a> {
         loop_id: usize,
         shared: &'a Shared,
         loops: &'a [LoopShared],
-        shards: Vec<Shard>,
+        shards: &'a mut [Shard],
     ) -> NetLoop<'a> {
         NetLoop {
             loop_id,
@@ -451,7 +405,7 @@ impl<'a> NetLoop<'a> {
         }
     }
 
-    fn run(mut self, mut listener: Option<TcpListener>) -> (LoopStats, Vec<Shard>) {
+    fn run(mut self, mut listener: Option<TcpListener>) -> LoopStats {
         let mut fds: Vec<PollFd> = Vec::new();
         let mut kinds: Vec<FdKind> = Vec::new();
         loop {
@@ -524,7 +478,7 @@ impl<'a> NetLoop<'a> {
                 }
             }
         }
-        (self.stats, self.shards)
+        self.stats
     }
 
     /// Polls `fds`: first busy-polls for the window — zero-timeout polls,
@@ -790,7 +744,7 @@ impl<'a> NetLoop<'a> {
                 }
                 let window = window.clamp(1, self.shared.window_max);
                 conn.session = Some(session);
-                conn.shard = session % self.shared.progress.len() as u32;
+                conn.shard = shard_of(session, self.shared.progress.len()) as u32;
                 conn.window = window as u64;
                 conn.counters.session = session;
                 self.queue_response(
@@ -801,7 +755,7 @@ impl<'a> NetLoop<'a> {
                         window,
                     },
                 );
-                let owner = conn.shard as usize % self.loops.len();
+                let owner = owner_of(conn.shard as usize, self.loops.len());
                 if owner != self.loop_id {
                     return Verdict::HandOff(owner);
                 }
@@ -864,7 +818,7 @@ impl<'a> NetLoop<'a> {
     /// wire, and only then drains the shard's due collections.
     fn turn(&mut self, conn: &mut Connection, session: u32, ops: &[SessionOp]) -> Verdict {
         let shard_index = conn.shard as usize;
-        let local = shard_index / self.loops.len();
+        let local = slot_of(shard_index, self.loops.len());
         let shard = &mut self.shards[local];
         // `Shard::turn` catches a panic in the engine, latching the
         // shard failed instead of taking this loop down.

@@ -207,7 +207,7 @@ fn write_escaped(out: &mut String, s: &str) {
 fn decision_to_json(rec: &DecisionRecord) -> Json {
     let o = &rec.observation;
     Json::Obj(vec![
-        ("index".into(), Json::u64(rec.index)),
+        ("index".into(), Json::u64(o.collection_index)),
         ("clamp".into(), Json::str(rec.clamp.as_str())),
         (
             "trigger".into(),
@@ -515,7 +515,6 @@ mod tests {
         use odbgc_core::{CollectionObservation, Trigger};
         let mut log = DecisionLog::default();
         log.decisions.push(DecisionRecord {
-            index: 0,
             observation: CollectionObservation::zero(),
             trigger: Trigger::after_overwrites(5),
             clamp: ClampHit::None,

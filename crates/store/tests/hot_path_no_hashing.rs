@@ -18,7 +18,6 @@ const HOT_PATH_SOURCES: &[(&str, &str)] = &[
         include_str!("../src/partition.rs"),
     ),
     ("store/src/object.rs", include_str!("../src/object.rs")),
-    ("gc/src/cheney.rs", include_str!("../../gc/src/cheney.rs")),
     (
         "gc/src/collector.rs",
         include_str!("../../gc/src/collector.rs"),

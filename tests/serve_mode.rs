@@ -38,7 +38,7 @@ fn specs() -> Vec<PolicySpec> {
 /// simulator's loop (fresh triggers are clamped to ≥ 1 elapsed unit, so the drain
 /// never fires a second real collection).
 fn replay_on_shard(config: EngineConfig, trace: &Trace, spec: &PolicySpec) -> RunResult {
-    let mut shard = Shard::new(0, &config, spec.build(), None);
+    let mut shard = Shard::new(0, &config, spec.build());
     let mut phases: Vec<(String, u64, u64)> = Vec::new();
     for (i, ev) in trace.iter().enumerate() {
         if let Event::Phase { id } = ev {

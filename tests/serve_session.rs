@@ -69,8 +69,20 @@ fn transcript() -> String {
                     writeln!(out, "{record:?}").unwrap();
                 }
                 writeln!(out, "-- shard {i} decisions --").unwrap();
-                for decision in &shard.log.decisions {
-                    writeln!(out, "{decision:?}").unwrap();
+                for d in &shard.log.decisions {
+                    // Rendered by hand so each line keeps its `index`
+                    // column, which is the observation's collection index.
+                    writeln!(
+                        out,
+                        "DecisionRecord {{ index: {}, observation: {:?}, trigger: {:?}, \
+                         clamp: {:?}, estimated_garbage: {:?} }}",
+                        d.observation.collection_index,
+                        d.observation,
+                        d.trigger,
+                        d.clamp,
+                        d.estimated_garbage
+                    )
+                    .unwrap();
                 }
             }
         }

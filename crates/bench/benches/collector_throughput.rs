@@ -25,14 +25,18 @@ fn loaded_store(n_objects: usize, garbage_ratio: f64) -> Store {
         b.slot_write(root, SlotIdx::new(i as u32), Some(id));
         ids.push(id);
     }
+    // Even slots first, then odd ones: `n_dead` distinct slots for any
+    // ratio up to 1 (an even `n_objects`).
     let n_dead = (n_objects as f64 * garbage_ratio) as usize;
     for i in 0..n_dead {
-        b.slot_clear(root, SlotIdx::new((i * 2 % n_objects) as u32));
+        let slot = 2 * i % n_objects + 2 * i / n_objects;
+        b.slot_clear(root, SlotIdx::new(slot as u32));
     }
     let mut store = Store::new(StoreConfig::default());
     for ev in b.finish().iter() {
         store.apply(ev).expect("bench trace replays");
     }
+    assert_eq!(store.garbage_bytes(), n_dead as u64 * 64, "detached bytes");
     store
 }
 

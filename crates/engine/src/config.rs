@@ -43,10 +43,8 @@ pub struct EngineConfig {
     /// with the same estimator kind the recorded values equal the ones the
     /// policy used.
     pub shadow_estimator: Option<EstimatorKind>,
-    /// Collector-worker crew size for survivor planning;
-    /// `None` is 1, the sequential planner. Worker count never changes
-    /// engine results — only wall-clock time and the volatile
-    /// `StoreEngine::sched_totals`. Kept only until the benchmark's
+    /// Read by nothing: a collection runs on the thread that owns the
+    /// engine, whatever this says. Kept only until the benchmark's
     /// traced pass stops setting it (ROADMAP item 1(c)).
     pub gc_workers: Option<usize>,
 }

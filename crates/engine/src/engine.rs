@@ -1,10 +1,10 @@
-//! The engine core: store + collector + policy + live counters.
+//! The engine core: store + partition selector + policy + live counters.
 
 use odbgc_core::CollectionObservation;
 use odbgc_core::{Estimator, RatePolicy, Trigger, TriggerElapsed};
-use odbgc_gc::Collector;
+use odbgc_gc::{SchedTotals, Selector};
 use odbgc_store::{ApplyOutcome, CollectionApplied, Store, StoreError};
-use odbgc_trace::Event;
+use odbgc_trace::{Event, ObjectId};
 
 use crate::config::EngineConfig;
 use crate::observer::{CounterSnapshot, DecisionLog, DecisionRecord};
@@ -27,7 +27,7 @@ pub enum CollectMode {
 
 /// The live mutator/collector engine.
 ///
-/// Owns the store, the collector, the rate policy, and the trigger state
+/// Owns the store, the partition selector, the rate policy, and the trigger state
 /// the simulator's replay loop used to keep in local variables. Every
 /// driver — trace replay, [`Session`] clients, serve mode — goes through
 /// [`StoreEngine::apply_event`], the one place the per-operation
@@ -43,7 +43,10 @@ pub enum CollectMode {
 pub struct StoreEngine<P: RatePolicy = Box<dyn RatePolicy + Send>> {
     config: EngineConfig,
     store: Store,
-    collector: Collector,
+    selector: Selector,
+    /// The survivor list every collection reuses, so a steady-state
+    /// collection allocates nothing.
+    survivors: Vec<ObjectId>,
     policy: P,
     shadow: Option<Estimator>,
     /// Σ garbage/db_size over the events sampled in the measured window.
@@ -74,16 +77,14 @@ impl<P: RatePolicy> StoreEngine<P> {
     /// exactly as the replay loop did before its first event.
     pub fn new(config: EngineConfig, mut policy: P) -> Self {
         let store = Store::new(config.store.clone());
-        let collector = Collector::with_workers(
-            config.selector.build(config.selector_seed),
-            config.gc_workers.unwrap_or(1),
-        );
+        let selector = config.selector.build(config.selector_seed);
         let shadow = config.shadow_estimator.map(|k| k.build());
         let trigger = policy.initial_trigger();
         StoreEngine {
             config,
             store,
-            collector,
+            selector,
+            survivors: Vec::new(),
             policy,
             shadow,
             garbage_fraction_sum: 0.0,
@@ -192,7 +193,9 @@ impl<P: RatePolicy> StoreEngine<P> {
             if self.config.exact_oracle_recompute {
                 self.store.recompute_garbage_exact();
             }
-            self.collector.collect_once(&mut self.store)
+            self.selector
+                .select(self.store.partition_snapshots())
+                .map(|p| self.store.collect(p, &mut self.survivors))
         };
         let Some(outcome) = outcome else {
             // Nothing to collect yet (e.g. the trace front-loads
@@ -286,11 +289,11 @@ impl<P: RatePolicy> StoreEngine<P> {
         self.events_applied
     }
 
-    /// Crew totals across this engine's collections planned on more
-    /// than one worker (volatile: steals and busy times vary run to run);
-    /// all-zero under the default `gc_workers: None`.
-    pub fn sched_totals(&self) -> odbgc_gc::SchedTotals {
-        self.collector.sched_totals()
+    /// Always [`SchedTotals::default`]: collections run on the thread
+    /// that owns the engine. Kept only because the end-to-end benchmark
+    /// reads it (ROADMAP item 1(c)).
+    pub fn sched_totals(&self) -> SchedTotals {
+        SchedTotals::default()
     }
 
     /// Collections performed so far.
@@ -336,7 +339,6 @@ mod tests {
         apply_ops, ObjRef, SessionObjects, SessionOp, SessionWorkload, WorkloadParams,
     };
     use odbgc_core::FixedRatePolicy;
-    use odbgc_trace::ObjectId;
 
     #[test]
     fn deferred_mode_never_collects_inline() {
@@ -371,10 +373,10 @@ mod tests {
         assert_eq!(engine.collection_count(), 1);
     }
 
-    /// What the benchmark's traced pass reads: two workers give the
-    /// single-worker results, and only they count packets.
+    /// What the benchmark's traced pass asserts: `gc_workers: Some(2)`
+    /// gives the default's results, and neither counts crew work.
     #[test]
-    fn two_gc_workers_change_sched_totals_and_nothing_else() {
+    fn gc_workers_changes_nothing() {
         let (trace, _) = odbgc_oo7::Oo7App::standard(odbgc_oo7::Oo7Params::tiny(), 5).generate();
         let run = |gc_workers| {
             let config = EngineConfig {
@@ -388,13 +390,12 @@ mod tests {
             }
             (engine.sched_totals(), engine.into_result(Vec::new()))
         };
-        let (one, sequential) = run(None);
-        let (two, parallel) = run(Some(2));
-        assert!(sequential.collection_count() > 0, "rate-25 policy collects");
-        assert_eq!(sequential, parallel);
-        assert_eq!(one, odbgc_gc::SchedTotals::default());
-        assert_eq!(two.collections, parallel.collection_count());
-        assert!(two.packets > 0, "{two:?}");
+        let (none, default) = run(None);
+        let (two, set) = run(Some(2));
+        assert!(default.collection_count() > 0, "rate-25 policy collects");
+        assert_eq!(default, set);
+        assert_eq!(none, SchedTotals::default());
+        assert_eq!(two, SchedTotals::default());
     }
 
     /// The call shape of the benchmark's `apply_turns_direct`: one

@@ -1,7 +1,7 @@
 //! The mutator/collector engine: a live store behind a session API.
 //!
-//! A [`StoreEngine`] owns the store, the collector, the rate policy and
-//! the live I/O counters, and applies every event through one call,
+//! A [`StoreEngine`] owns the store, the partition selector, the rate
+//! policy and the live I/O counters, and applies every event through one call,
 //! [`StoreEngine::apply_event`]. Trace replay (`Simulator::replay` in
 //! `odbgc-sim`) is one client among many:
 //!

@@ -73,7 +73,7 @@ impl Selector {
     /// must observe it).
     pub fn select(
         &mut self,
-        mut partitions: impl ExactSizeIterator<Item = PartitionSnapshot>,
+        partitions: impl ExactSizeIterator<Item = PartitionSnapshot>,
     ) -> Option<PartitionId> {
         match self {
             Selector::UpdatedPointer => partitions
@@ -86,11 +86,9 @@ impl Selector {
                 })
                 .map(|s| s.id),
             Selector::Random(rng) => {
-                if partitions.len() == 0 {
-                    return None;
-                }
-                let i = rng.random_range(0..partitions.len());
-                partitions.nth(i).map(|s| s.id)
+                // Partitions are dense 0..n, so the draw is the id.
+                let n = partitions.len() as u32;
+                (n > 0).then(|| PartitionId::new(rng.random_range(0..n)))
             }
             Selector::RoundRobin { next } => {
                 // Partitions are dense 0..n; wrap the cursor.
@@ -122,6 +120,8 @@ impl Selector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use odbgc_store::{Store, StoreConfig};
+    use odbgc_trace::{SlotIdx, TraceBuilder};
 
     fn snap(id: u32, overwrites: u64, garbage: u64, collections: u64) -> PartitionSnapshot {
         PartitionSnapshot {
@@ -245,6 +245,41 @@ mod tests {
         }
         // The cursor wraps at the count it last saw, then resumes there.
         assert_eq!(rr_picks, vec![0, 0, 0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 4, 5, 6]);
+    }
+
+    fn replay(store: &mut Store, trace: &odbgc_trace::Trace) {
+        for ev in trace.iter() {
+            store.apply(ev).expect("replay");
+        }
+    }
+
+    #[test]
+    fn collect_once_on_empty_store_is_none() {
+        let s = Store::new(StoreConfig::tiny());
+        let mut sel = SelectorKind::UpdatedPointer.build(0);
+        assert!(sel.select(s.partition_snapshots()).is_none());
+    }
+
+    #[test]
+    fn updated_pointer_collector_targets_garbage_partition() {
+        let mut s = Store::new(StoreConfig::tiny());
+        let mut b = TraceBuilder::new();
+        let root = b.create_unlinked(20, 2);
+        b.root_add(root);
+        let _fill = b.create_unlinked(236, 0); // pad partition 0
+        let far = b.create_unlinked(100, 0); // partition 1
+        b.slot_write(root, SlotIdx::new(0), Some(far));
+        b.slot_clear(root, SlotIdx::new(0)); // far dies; PO(P1) = 1
+        replay(&mut s, &b.finish());
+
+        let mut sel = SelectorKind::UpdatedPointer.build(0);
+        let p = sel
+            .select(s.partition_snapshots())
+            .expect("partitions exist");
+        let outcome = s.collect(p, &mut Vec::new());
+        assert_eq!(outcome.partition.raw(), 1);
+        assert_eq!(outcome.bytes_reclaimed, 100);
+        s.assert_garbage_exact();
     }
 
     #[test]

@@ -82,41 +82,6 @@ proptest! {
         prop_assert_eq!(gc_io, r.gc_io_total);
     }
 
-    /// The parallel collector's deterministic reduction: any GC worker
-    /// count must produce the *identical* `RunResult` as the sequential
-    /// collector, for arbitrary workloads, policies, and selectors, with
-    /// deep consistency audits on after every collection.
-    #[test]
-    fn gc_worker_count_never_changes_results(
-        seed in any::<u64>(),
-        steps in 50usize..300,
-        which in arb_policy(),
-        selector in arb_selector(),
-        frac in 0.02f64..0.6,
-        rate in 2u64..60,
-        workers in 2usize..9,
-    ) {
-        let cfg = ChurnConfig { steps, ..ChurnConfig::default() };
-        let trace = churn(&cfg, seed);
-        let base = EngineConfig {
-            store: StoreConfig::tiny(),
-            selector,
-            selector_seed: seed,
-            preamble_collections: 2,
-            deep_checks: true,
-            ..EngineConfig::default()
-        };
-        let run = |gc_workers: usize| {
-            let mut policy = build_policy(which, frac, rate);
-            Simulator::new(EngineConfig { gc_workers: Some(gc_workers), ..base.clone() })
-                .replay(&trace, policy.as_mut(), odbgc_sim::ReplayOptions::new())
-                .expect("synthetic workloads always replay")
-        };
-        let sequential = run(1);
-        let parallel = run(workers);
-        prop_assert_eq!(sequential, parallel);
-    }
-
     #[test]
     fn simulation_of_merged_workloads_is_total(
         seed_a in any::<u64>(),

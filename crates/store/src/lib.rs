@@ -51,8 +51,3 @@ pub use gcapi::{CollectionApplied, PartitionSnapshot};
 pub use ids::{PageKey, PartitionId};
 pub use io::{IoClass, IoLedger};
 pub use store::{ApplyOutcome, ReachSet, Store};
-
-/// `odbgc-gc` names object ids through this path: its library does not
-/// depend on `odbgc-trace`, where [`ObjectId`] is defined. Every other
-/// caller imports it from `odbgc_trace`.
-pub use odbgc_trace::ObjectId;

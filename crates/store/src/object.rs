@@ -111,10 +111,9 @@ pub struct ObjectInfo {
     /// partition; it is dropped — replaced by the incoming reference —
     /// the first time the object is referenced.
     pub birth_pin: bool,
-    /// The visit epoch this object was last marked in (see
-    /// [`Store::begin_visit_epoch`](crate::Store::begin_visit_epoch)).
-    /// `0` means "never marked": epochs handed out by the store start
-    /// at 1. This replaces per-traversal `HashSet` visited sets — a
+    /// The visit epoch this object was last marked in (the store starts
+    /// a fresh epoch for each traversal). `0` means "never marked":
+    /// epochs handed out by the store start at 1. This replaces per-traversal `HashSet` visited sets — a
     /// traversal marks an object by writing the current epoch here, and
     /// "already visited" is a single integer compare.
     pub mark_epoch: u32,

@@ -311,9 +311,8 @@ impl RemSets {
 
     /// Structural audit of every per-partition table (see
     /// `RemTable::check_structure`). Run by the store's deep consistency
-    /// check after collections — in particular after parallel
-    /// collections, where it proves the sweep/finalize split left no
-    /// torn table behind.
+    /// check after collections, where it proves the sweep left no torn
+    /// table behind.
     pub fn check_structure(&self) -> Result<(), String> {
         for (p, set) in self.sets.iter().enumerate() {
             set.check_structure(p)?;

@@ -75,8 +75,9 @@ impl ReachSet {
 /// A partitioned object store replaying database events.
 ///
 /// See the crate docs for the model. All mutation goes through
-/// [`Store::apply`] (application events) and [`Store::apply_collection`]
-/// (the collector).
+/// [`Store::apply`] (application events) and [`Store::collect`] (the
+/// collector; [`Store::apply_collection`] applies a survivor list
+/// planned elsewhere).
 ///
 /// ```
 /// use odbgc_store::{Store, StoreConfig};
@@ -257,7 +258,7 @@ impl Store {
     /// object's mark is reset to 0 — the reserved "never marked" value —
     /// and epochs restart at 1, so a stale mark can never alias a fresh
     /// epoch.
-    pub fn begin_visit_epoch(&mut self) -> u32 {
+    fn begin_visit_epoch(&mut self) -> u32 {
         self.begin_visit_epochs(1)
     }
 
@@ -275,47 +276,6 @@ impl Store {
         let first = self.mark_epoch + 1;
         self.mark_epoch += n;
         first
-    }
-
-    /// Marks `id` visited in `epoch`. Returns `true` iff the object
-    /// exists and was not already marked (i.e. this call marked it).
-    pub fn try_mark(&mut self, id: ObjectId, epoch: u32) -> bool {
-        match self.objects.get_mut(id.raw() as usize) {
-            Some(Some(info)) if info.mark_epoch != epoch => {
-                info.mark_epoch = epoch;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// For every slot target of `cur`, a resident of partition `p`, that
-    /// also resides in `p` and is not marked in `epoch`: calls `f` with
-    /// it, in slot order. Far slots are skipped without reading their
-    /// target's table entry. It *never writes marks*, so collector
-    /// workers sharing `&Store` and tracing different parents cannot
-    /// race; the caller marks (and dedups) the emitted candidates
-    /// afterwards, in canonical order.
-    pub fn for_each_unmarked_child_in(
-        &self,
-        cur: ObjectId,
-        p: PartitionId,
-        epoch: u32,
-        mut f: impl FnMut(ObjectId),
-    ) {
-        let info = self.objects[cur.raw() as usize]
-            .as_ref()
-            .expect("resident object");
-        debug_assert_eq!(info.partition, p, "{cur} is not resident in {p}");
-        for slot in &self.slot_arena[info.slot_range()] {
-            let Some(t) = slot.local() else { continue };
-            let info = self.objects[t.raw() as usize]
-                .as_ref()
-                .expect("slot target exists");
-            if info.mark_epoch != epoch {
-                f(t);
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1093,7 +1053,7 @@ impl Store {
     ///    reachable through live objects from a root or a candidate.
     pub fn check_consistency(&self) -> Result<(), String> {
         // -- remembered sets ------------------------------------------------
-        // Structural audit first: if a (parallel) collection tore a
+        // Structural audit first: if a collection tore a
         // table's internals, the semantic checks below could loop or
         // report nonsense.
         self.remsets.check_structure()?;
@@ -1937,7 +1897,9 @@ mod tests {
         // Stale marks from an earlier traversal, as a long-lived store
         // would carry them.
         let stale = s.begin_visit_epoch();
-        assert!(s.try_mark(dead, stale) && s.try_mark(held, stale));
+        for id in [dead, held] {
+            s.objects[id.raw() as usize].as_mut().unwrap().mark_epoch = stale;
+        }
 
         s.mark_epoch = u32::MAX - 1;
         assert_eq!(s.recompute_garbage_exact(), 90);

@@ -19,14 +19,13 @@ const HOT_PATH_SOURCES: &[(&str, &str)] = &[
     ),
     ("store/src/object.rs", include_str!("../src/object.rs")),
     (
-        "gc/src/collector.rs",
-        include_str!("../../gc/src/collector.rs"),
+        "engine/src/engine.rs",
+        include_str!("../../engine/src/engine.rs"),
     ),
     (
-        "gc/src/parallel.rs",
-        include_str!("../../gc/src/parallel.rs"),
+        "gc/src/selection.rs",
+        include_str!("../../gc/src/selection.rs"),
     ),
-    ("sched/src/lib.rs", include_str!("../../sched/src/lib.rs")),
 ];
 
 /// Strips `//`-style comments (doc comments included). Good enough for

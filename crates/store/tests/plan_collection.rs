@@ -2,10 +2,11 @@
 //! in Cheney copy order — breadth-first from the partition's collection
 //! roots (remembered external references, resident global roots and
 //! birth-pinned residents, in id order), following only pointers that
-//! stay inside the partition.
+//! stay inside the partition. And `Store::collect`, which plans and
+//! applies in one pass: what a collection reclaims and how it compacts.
 
-use odbgc_store::{ObjectId, PartitionId, Store, StoreConfig};
-use odbgc_trace::{Event, SlotIdx, TraceBuilder};
+use odbgc_store::{PartitionId, Store, StoreConfig};
+use odbgc_trace::{Event, ObjectId, SlotIdx, TraceBuilder};
 
 fn replay(store: &mut Store, trace: &odbgc_trace::Trace) {
     for ev in trace.iter() {
@@ -154,4 +155,80 @@ fn scratch_reuse_across_collections_matches_fresh_buffers() {
         s.plan_collection(p, &mut survivors);
         assert_eq!(survivors, plan(&mut s, p));
     }
+}
+
+#[test]
+fn cross_partition_garbage_chain_needs_two_collections() {
+    // holder (P0, garbage) -> target (P1). Collecting P1 first keeps
+    // target (remembered ref from holder); collecting P0 destroys
+    // holder and drops the remembered entry; re-collecting P1 then
+    // frees target. This is the partitioned-GC conservatism the paper
+    // inherits from CWZ94.
+    let mut s = Store::new(StoreConfig::tiny());
+    let mut b = TraceBuilder::new();
+    let root = b.create_unlinked(20, 1);
+    b.root_add(root);
+    let holder = b.create_unlinked(20, 1);
+    let _fill = b.create_unlinked(216, 0);
+    let target = b.create_unlinked(50, 0); // partition 1
+    b.slot_write(root, SlotIdx::new(0), Some(holder));
+    b.slot_write(holder, SlotIdx::new(0), Some(target));
+    b.slot_clear(root, SlotIdx::new(0));
+    replay(&mut s, &b.finish());
+    assert_eq!(s.garbage_bytes(), 70);
+
+    let p0 = s.partition_of(root).unwrap();
+    let p1 = s.partition_of(target).unwrap();
+
+    let first = s.collect(p1, &mut Vec::new());
+    assert_eq!(first.bytes_reclaimed, 0); // target conservatively kept
+    let second = s.collect(p0, &mut Vec::new());
+    assert_eq!(second.bytes_reclaimed, 20); // holder destroyed
+    let third = s.collect(p1, &mut Vec::new());
+    assert_eq!(third.bytes_reclaimed, 50); // now target is free
+    assert_eq!(s.garbage_bytes(), 0);
+    s.assert_garbage_exact();
+}
+
+#[test]
+fn collection_is_idempotent_when_no_garbage() {
+    let mut s = Store::new(StoreConfig::tiny());
+    let (t, n) = odbgc_trace::synthetic::wide_tree(2, 2, 10);
+    replay(&mut s, &t);
+    let p = PartitionId::new(0);
+    let live_before = s.live_bytes();
+    let o1 = s.collect(p, &mut Vec::new());
+    let o2 = s.collect(p, &mut Vec::new());
+    assert_eq!(o1.bytes_reclaimed, 0);
+    assert_eq!(o2.bytes_reclaimed, 0);
+    assert_eq!(o1.objects_survived, n);
+    assert_eq!(s.live_bytes(), live_before);
+    s.assert_garbage_exact();
+}
+
+#[test]
+fn compaction_improves_layout_locality() {
+    // After interleaving live and dead objects, collection compacts
+    // the survivors: occupied bytes equal live bytes again.
+    let mut s = Store::new(StoreConfig::tiny());
+    let mut b = TraceBuilder::new();
+    let root = b.create_unlinked(16, 4);
+    b.root_add(root);
+    let mut kept = Vec::new();
+    for i in 0..4u32 {
+        let keep = b.create_unlinked(20, 0);
+        let dead = b.create_unlinked(20, 0);
+        b.slot_write(root, SlotIdx::new(i), Some(dead));
+        b.slot_write(root, SlotIdx::new(i), Some(keep)); // dead dies
+        kept.push(keep);
+    }
+    replay(&mut s, &b.finish());
+    assert_eq!(s.garbage_bytes(), 80);
+    let p = s.partition_of(root).unwrap();
+    let outcome = s.collect(p, &mut Vec::new());
+    assert_eq!(outcome.bytes_reclaimed, 80);
+    assert_eq!(s.occupied_bytes(), s.live_bytes());
+    // Survivors are root followed by its children in slot order.
+    assert_eq!(s.residents_of(p)[0], root);
+    s.assert_garbage_exact();
 }

@@ -145,73 +145,6 @@ fn direct_transcript_batched() -> String {
     out
 }
 
-/// The direct-run section of the transcript, replayed with an explicit
-/// GC worker-pool size. The packet scheduler reduces per-worker results
-/// in a canonical order, so every worker count must reproduce the golden
-/// transcript byte for byte — including the stripped telemetry.
-fn direct_transcript_with_workers(workers: usize) -> String {
-    let mut out = String::new();
-    for spec in specs() {
-        for seed in SEEDS {
-            let (trace, _) = Oo7App::standard(Oo7Params::tiny(), seed).generate();
-            let sim = Simulator::new(EngineConfig {
-                gc_workers: Some(workers),
-                ..EngineConfig::tiny()
-            });
-            let mut policy = spec.build();
-            let mut log = DecisionLog::default();
-            let result = sim
-                .replay(&trace, policy.as_mut(), ReplayOptions::new().log(&mut log))
-                .expect("replay succeeds");
-            writeln!(out, "== run spec={spec} seed={seed} ==").unwrap();
-            writeln!(out, "{result:#?}").unwrap();
-            writeln!(out, "-- telemetry --").unwrap();
-            writeln!(
-                out,
-                "{}",
-                run_document(&policy.name(), &log)
-                    .strip_volatile()
-                    .to_string_pretty()
-            )
-            .unwrap();
-        }
-    }
-    out
-}
-
-#[test]
-fn gc_worker_count_reproduces_golden_transcript() {
-    let path = golden_path();
-    let Ok(golden) = std::fs::read_to_string(&path) else {
-        // A fresh checkout without the golden file is covered by
-        // `replay_matches_pre_optimization_golden`'s bless path.
-        return;
-    };
-    let head = golden
-        .split("== plan telemetry")
-        .next()
-        .expect("golden has a direct-run section");
-    for workers in [1usize, 4, 8] {
-        let text = direct_transcript_with_workers(workers);
-        if text != head {
-            for (i, (a, b)) in head.lines().zip(text.lines()).enumerate() {
-                assert_eq!(
-                    a,
-                    b,
-                    "gc_workers={workers}: first divergence at golden line {}",
-                    i + 1
-                );
-            }
-            panic!(
-                "gc_workers={workers}: transcript length changed: golden section {} bytes, \
-                 current {} bytes",
-                head.len(),
-                text.len()
-            );
-        }
-    }
-}
-
 #[test]
 fn batched_file_replay_matches_golden_transcript() {
     let path = golden_path();
